@@ -32,6 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, MellinDivergenceError
+from .util import GL16, gl_panels
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -53,24 +54,18 @@ def _scalar_or_array(x, out):
 class Cutoff:
     """A smooth cutoff with declared support and optional exact plateau.
 
-    kind        one of {"bump", "plateau", "window", "composite"}
     support     closed interval outside which the function is exactly zero
-    plateau     interval where the function is exactly 1 (plateau kind only)
-    scale       dilation bookkeeping: this object represents y -> base(y/scale)
+    plateau     interval where the function is exactly 1 (plateau cutoffs only)
     """
 
-    kind: str
     support_lo: float
     support_hi: float
     plateau: Optional[tuple] = None
-    scale: float = 1.0
     fn: Callable = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.support_lo < self.support_hi):
             raise ConfigError("cutoff support must be a nonempty interval")
-        if self.scale <= 0.0:
-            raise ConfigError("cutoff scale must be positive")
         if self.plateau is not None:
             lo, hi = self.plateau
             if not (self.support_lo <= lo <= hi <= self.support_hi):
@@ -86,11 +81,9 @@ class Cutoff:
             raise ConfigError("dilation factor must be positive")
         base = self.fn
         return Cutoff(
-            kind=self.kind,
             support_lo=self.support_lo * c,
             support_hi=self.support_hi * c,
             plateau=None if self.plateau is None else (self.plateau[0] * c, self.plateau[1] * c),
-            scale=self.scale * c,
             fn=lambda y, _b=base, _c=c: _b(np.asarray(y, dtype=float) / _c),
         )
 
@@ -118,12 +111,7 @@ def v0_cutoff(c1: float = 1.0) -> Cutoff:
         raise ConfigError("c1 must be positive")
     lo = ONE_OVER_8PI
     hi = (1.0 + c1) * ONE_OVER_2PI
-    return Cutoff(kind="bump", support_lo=lo, support_hi=hi, fn=_exp_bump_fn(lo, hi))
-
-
-def bump_v0(x, c1: float = 1.0):
-    """Point evaluation of the v0 bump."""
-    return v0_cutoff(c1)(x)
+    return Cutoff(support_lo=lo, support_hi=hi, fn=_exp_bump_fn(lo, hi))
 
 
 def _smoothstep_down(t):
@@ -148,12 +136,7 @@ def h_cutoff() -> Cutoff:
     def fn(y):
         return _smoothstep_down(np.abs(np.asarray(y, dtype=float)) - 1.0)
 
-    return Cutoff(kind="plateau", support_lo=-2.0, support_hi=2.0, plateau=(-1.0, 1.0), fn=fn)
-
-
-def cutoff_h(y):
-    """Point evaluation of the plateau cutoff h."""
-    return h_cutoff()(y)
+    return Cutoff(support_lo=-2.0, support_hi=2.0, plateau=(-1.0, 1.0), fn=fn)
 
 
 def _check_window_params(T: float, kappa: float, eps: float):
@@ -174,7 +157,7 @@ def h0_cutoff(T: float, kappa: float, eps: float) -> Cutoff:
         # h is even; mask the negative axis so the declared support is exact
         return np.where(y > 0.0, h.fn(y * te) - h.fn(y * tk), 0.0)
 
-    return Cutoff(kind="window", support_lo=T**-kappa, support_hi=2.0 * T**-eps, fn=fn)
+    return Cutoff(support_lo=T**-kappa, support_hi=2.0 * T**-eps, fn=fn)
 
 
 def h1_cutoff(T: float, kappa: float, eps: float) -> Cutoff:
@@ -187,16 +170,7 @@ def h1_cutoff(T: float, kappa: float, eps: float) -> Cutoff:
         y = np.asarray(y, dtype=float)
         return np.where(y > 0.0, h.fn(y / tk) - h.fn(y * te), 0.0)
 
-    return Cutoff(kind="window", support_lo=T**-eps, support_hi=2.0 * T**kappa, fn=fn)
-
-
-def window_h0_h1(y, T: float, kappa: float, eps: float):
-    """Evaluate the (h0, h1) window pair at y.
-
-    The pair telescopes: h0(y) + h1(y) = h(y*T^-kappa) - h(y*T^kappa)
-    holds exactly because the shared h(y*T^eps) term cancels.
-    """
-    return h0_cutoff(T, kappa, eps)(y), h1_cutoff(T, kappa, eps)(y)
+    return Cutoff(support_lo=T**-eps, support_hi=2.0 * T**kappa, fn=fn)
 
 
 _G_CACHE = {}
@@ -211,15 +185,10 @@ def g_cutoff() -> Cutoff:
         if not np.isfinite(norm) or norm <= 0.0 or err > _G_NORM_TOL:
             raise ConfigError("g normalization quadrature failed")
         _G_CACHE["g"] = Cutoff(
-            kind="bump", support_lo=ONE_OVER_4PI, support_hi=ONE_OVER_2PI,
+            support_lo=ONE_OVER_4PI, support_hi=ONE_OVER_2PI,
             fn=lambda y, _r=raw, _n=norm: _r(y) / _n,
         )
     return _G_CACHE["g"]
-
-
-def bump_g(y):
-    """Point evaluation of the normalized bump g."""
-    return g_cutoff()(y)
 
 
 def weight_w0_w(z, c1: float = 1.0):
@@ -301,12 +270,7 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     tmax = float(np.max(np.abs(ts))) if ts.size else 1.0
     # panels sized for <= half an oscillation of exp(i*t*u) plus a smooth floor
     n_panels = max(48, int(np.ceil(tmax * (uhi - ulo) / np.pi)) + 8)
-    nodes16, w16 = np.polynomial.legendre.leggauss(16)
-    edges = np.linspace(ulo, uhi, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    u = (mids[:, None] + halfs[:, None] * nodes16[None, :]).ravel()
-    wts = (halfs[:, None] * w16[None, :]).ravel()
+    u, wts = gl_panels(np.linspace(ulo, uhi, n_panels + 1), *GL16)
     base = f.fn(np.exp(u)) * wts * np.exp(re_line * u)
     # H(sigma + it) = sum_k base_k * exp(i t u_k); chunked to bound memory
     out = np.empty(ts.shape, dtype=complex)
@@ -329,12 +293,7 @@ def mellin_invert(f: Cutoff, y: float, tol: float = 1e-8,
 
     def shell(t_lo: float, t_hi: float) -> complex:
         n = max(64, int(np.ceil((t_hi - t_lo) * max(abs(math.log(y)), 1.0) / np.pi)) + 8)
-        nodes, w = np.polynomial.legendre.leggauss(16)
-        edges = np.linspace(t_lo, t_hi, n + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * np.diff(edges)
-        t = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
-        wts = (halfs[:, None] * w[None, :]).ravel()
+        t, wts = gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16)
         hv = mellin_on_line(f, re_line, t)
         integrand = hv * y ** (-(re_line + 1j * t))
         return complex(np.sum(wts * integrand))

@@ -12,11 +12,16 @@ so pushing a contour left multiplies the kernel by that power; the kernel
     G(z) = (1 / 2 pi i) * int F(-s) * (T^3 / (4 pi^2 z))^s * gamma(1/2 + s + iT) ds
 
 (with F the Mellin transform of the dyadic-window cutoff) is therefore
-negligible once z * T^(3 epsilon... ) -- concretely once the per-unit-sigma
-shrink factor 4 pi^2 z T^(-eps) / (2 pi)^3 drops below 1.  All poles of the
-integrand sit in Re(s) > 0, so any line Re(s) = sigma <= 0 gives the same
-value; `g_kernel` exploits that to pick a line deep enough for the target
-tolerance.
+negligible for small z: each unit the line moves left multiplies the
+integrand by roughly 4 pi^2 z T^(-eps) / (2 pi)^3, so once that factor drops
+below 1, G(z) decays faster than any power of it.  All poles of the
+integrand sit in Re(s) > 0, so mathematically any line Re(s) = sigma <= 0
+gives the same value.  Numerically the lines are not interchangeable: the
+shell-doubled quadrature on Re(s) = -3 stops converging at moderate z (at
+T = 100 and tol 1e-10 it raises TailNotConvergedError for z = 0.2, 0.5 and
+0.7, where Re(s) = 0 converges).  That is why `_auto_re_line` takes the deep
+line only below z = 0.25 and Re(s) = 0 everywhere else; the switch is not a
+guarantee near it (z = 0.2 at T = 100 converges at tol 1e-8, not at 1e-10).
 """
 
 from __future__ import annotations
@@ -35,13 +40,16 @@ from .errors import (
     TailNotConvergedError,
     ToleranceUnreachableError,
 )
-from .oscquad import _NODES16, _W16
-from .util import TWO_PI, kahan_csum
+from .util import GL16, TWO_PI, adaptive_edges, gl_panels, kahan_csum
 
 #: Tempered self-dual-ish default triple; purely imaginary, summing to zero.
 DEFAULT_ALPHA = (0.5j, -0.3j, -0.2j)
 
 _POLE_EPS = 1e-12
+
+# a contour shell refuses more panels than this (4.2M nodes) rather than
+# exhaust memory
+_SHELL_MAX_PANELS = 1 << 18
 
 
 def _near_nonpositive_integer(z: complex) -> bool:
@@ -152,15 +160,12 @@ class ContourSpec:
 
     re_line: float = 0.0
     im_cut: float = 48.0
-    samples: int = 64
 
     def __post_init__(self) -> None:
         if self.re_line > 0.0:
             raise ConfigError("contour must sit at Re(s) <= 0; poles live to the right")
         if self.im_cut <= 0.0:
             raise ConfigError("im_cut must be positive")
-        if self.samples < 64:
-            raise ConfigError("need at least 64 samples per unit height")
 
 
 def f_line_mass(
@@ -195,7 +200,8 @@ def f_line_mass(
 def _auto_re_line(z: float) -> float:
     """Two canonical contour positions: Re(s) = 0 where the kernel is merely
     bounded, Re(s) = -3 where each leftward step shrinks the integrand
-    (small z).  The value itself is contour-independent.
+    (small z).  The value is contour-independent, but the quadrature on
+    Re(s) = -3 does not converge at moderate z, hence the switch at 0.25.
     """
     return -3.0 if z < 0.25 else 0.0
 
@@ -213,8 +219,9 @@ def g_kernel(
 
     With contour=None the line is chosen automatically: deep (very negative)
     for small z where each leftward step shrinks the integrand, at Re(s) = 0
-    otherwise.  The value is contour-independent because the integrand is
-    holomorphic in Re(s) <= 0.
+    otherwise.  Mathematically the value is contour-independent because the
+    integrand is holomorphic in Re(s) <= 0; numerically a deep line fails at
+    moderate z with TailNotConvergedError (see the module docstring).
     """
     if z <= 0.0:
         raise ConfigError("kernel argument must be positive")
@@ -257,19 +264,9 @@ def _contour_quad(
         return abs(log_x - 3.0 * np.log(max(T + t, 2.0) / TWO_PI)) + u_band + 0.5
 
     def shell(lo: float, hi: float) -> complex:
-        # GL16 panels sized to a few cycles of the local oscillation
-        edges = [lo]
-        while edges[-1] < hi:
-            w = min(16.0, 2.0 * TWO_PI / local_freq(edges[-1]))
-            edges.append(min(hi, edges[-1] + w))
-        ts = []
-        wts = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (b - a)
-            ts.append(0.5 * (a + b) + half * _NODES16)
-            wts.append(half * _W16)
-        ts = np.concatenate(ts)
-        wts = np.concatenate(wts)
+        # GL16 panels sized to two cycles of the local oscillation
+        edges = adaptive_edges(lo, hi, 16.0, 2.0 * TWO_PI, local_freq, _SHELL_MAX_PANELS)
+        ts, wts = gl_panels(edges, *GL16)
         s = sigma + 1j * ts
         fvals = f_neg(ts)
         gvals = gamma_pi_line(0.5 + s + 1j * T, params)
@@ -290,21 +287,6 @@ def _contour_quad(
             )
         lo = hi
     return complex(total)
-
-
-def h2_h3(
-    z: float,
-    T: float,
-    params: LanglandsParams | None = None,
-    tol: float = 1e-8,
-    kappa: float = 1.0 / 18.0,
-    eps: float = 0.01,
-) -> tuple[complex, complex]:
-    """The kernel and its dual-parameter twin at the same argument."""
-    params = params or LanglandsParams()
-    g = g_kernel(z, T, params, tol=tol, kappa=kappa, eps=eps)
-    g_dual = g_kernel(z, T, params.dual, tol=tol, kappa=kappa, eps=eps)
-    return g, g_dual
 
 
 def _model_phase(z, T: float, u_mid: float):

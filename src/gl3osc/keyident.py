@@ -144,12 +144,6 @@ def _poisson_terms(inst: KeyIdentityInstance):
         lo, hi = hi + 1, 2 * hi
 
 
-def poisson_side(inst: KeyIdentityInstance) -> tuple[complex, float]:
-    """Dual sum over the shifted integrals with its tail estimate."""
-    value, tail, _, _ = _poisson_terms(inst)
-    return value, tail
-
-
 @dataclass(frozen=True)
 class KeyIdentityReport:
     """All three routes of one identity instance plus the residual bound."""
@@ -276,6 +270,8 @@ class AmplifierSpec:
 
         Sieves the segments directly: L dips slightly below 2 at desk-scale
         T, which the standalone prime_segment precondition would reject.
+        The segments are disjoint (2L <= P) only from T = 2^(1/(3*kappa))
+        on, which is 64 at kappa = 1/18.
         """
         if T <= 1.0:
             raise ConfigError("need T > 1")
@@ -283,6 +279,12 @@ class AmplifierSpec:
             raise ConfigError("kappa must be positive")
         P = T ** (5.0 * kappa)
         L = T ** (2.0 * kappa)
+        if 2.0 * L > P:
+            floor = 2.0 ** (1.0 / (3.0 * kappa))
+            raise ConfigError(
+                f"the amplifier needs T >= 2^(1/(3 kappa)) = {floor:.6g} at "
+                f"kappa = {kappa:.6g}, so that [L, 2L] and [P, 2P] are "
+                f"disjoint; got T = {T:.6g}")
         spec = cls(kappa=kappa, P=P, L=L,
                    primes_p=tuple(primes_in(P, 2.0 * P)),
                    primes_l=tuple(primes_in(L, 2.0 * L)))

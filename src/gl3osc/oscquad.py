@@ -32,7 +32,7 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import TWO_PI, kahan_csum
+from .util import GL8, GL16, TWO_PI, adaptive_edges, gl_panels, kahan_csum
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
@@ -40,9 +40,6 @@ DEFAULT_TOL = 1e-9
 # |I - leading term| <= K_SP_MAIN * T^(-3/2) for the default test amplitude;
 # calibrated at T = 250 (residual * T^(3/2) = 0.686) with a 4x cushion, frozen.
 K_SP_MAIN = 2.8
-
-_NODES16, _W16 = np.polynomial.legendre.leggauss(16)
-_NODES8, _W8 = np.polynomial.legendre.leggauss(8)
 
 
 def probe_amplitude() -> Cutoff:
@@ -53,7 +50,7 @@ def probe_amplitude() -> Cutoff:
     """
     from .cutoffs import _exp_bump_fn  # same mollifier family as v0
 
-    return Cutoff(kind="bump", support_lo=0.5, support_hi=2.0, fn=_exp_bump_fn(0.5, 2.0))
+    return Cutoff(support_lo=0.5, support_hi=2.0, fn=_exp_bump_fn(0.5, 2.0))
 
 
 @dataclass(frozen=True)
@@ -93,31 +90,20 @@ class QuadResult:
 class PanelGrid:
     """Oscillation-resolving panel grid with an embedded error rule.
 
-    Holds node positions and weights for a fixed (amplitude-independent)
-    paneling; `reduce` turns integrand values at the nodes into a value and
-    an error estimate. Exposed so batched callers (Poisson shells) can reuse
-    one grid and one amplitude evaluation across many phase shifts.
+    Holds the nodes of a fixed (amplitude-independent) paneling, stepped by
+    the envelope E(x); `reduce` turns integrand values at the nodes into a
+    value and an error estimate.
     """
 
     def __init__(self, lo: float, hi: float, c_log: float, c_inv: float,
                  c_lin: float, span: float, max_panels: int):
-        edges = [lo]
-        x = lo
-        dx_cap = (hi - lo) / 8.0
-        while x < hi:
-            env = abs(c_log) / x + TWO_PI * abs(c_inv) / (x * x) + TWO_PI * abs(c_lin)
-            dx = dx_cap if env * dx_cap <= span else span / env
-            x = min(x + dx, hi)
-            edges.append(x)
-            if len(edges) > max_panels:
-                raise ToleranceUnreachableError("panel budget exhausted while gridding")
-        edges = np.asarray(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfs = 0.5 * np.diff(edges)
-        self.panels = len(mids)
-        self.x16 = (mids[:, None] + halfs[:, None] * _NODES16[None, :]).ravel()
-        self.x8 = (mids[:, None] + halfs[:, None] * _NODES8[None, :]).ravel()
-        self.halfs = halfs
+        a, b, c = float(abs(c_log)), float(TWO_PI * abs(c_inv)), float(TWO_PI * abs(c_lin))
+        edges = adaptive_edges(lo, hi, (hi - lo) / 8.0, span,
+                               lambda x: a / x + b / (x * x) + c, max_panels)
+        self.x16, _ = gl_panels(edges, *GL16)
+        self.x8, _ = gl_panels(edges, *GL8)
+        self.halfs = 0.5 * np.diff(edges)
+        self.panels = self.halfs.size
         self.nodes = np.concatenate([self.x16, self.x8])
 
     @property
@@ -127,22 +113,12 @@ class PanelGrid:
     def reduce(self, values: np.ndarray) -> tuple[complex, float]:
         """Integrate from integrand values sampled at `self.nodes`."""
         n16 = self.x16.size
-        s16 = (values[:n16].reshape(self.panels, 16) @ _W16) * self.halfs
-        s8 = (values[n16:].reshape(self.panels, 8) @ _W8) * self.halfs
+        s16 = (values[:n16].reshape(self.panels, 16) @ GL16[1]) * self.halfs
+        s8 = (values[n16:].reshape(self.panels, 8) @ GL8[1]) * self.halfs
         value = kahan_csum(s16)
         err = 4.0 * float(np.sum(np.abs(s16 - s8)))
         err += 4e-16 * float(np.sum(np.abs(s16)))
         return value, err
-
-    def reduce_many(self, value_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Row-wise `reduce` for a (k, nodes) matrix of integrand values."""
-        n16 = self.x16.size
-        k = value_matrix.shape[0]
-        s16 = (value_matrix[:, :n16].reshape(k, self.panels, 16) @ _W16) * self.halfs
-        s8 = (value_matrix[:, n16:].reshape(k, self.panels, 8) @ _W8) * self.halfs
-        values = np.array([kahan_csum(row) for row in s16])
-        errs = 4.0 * np.sum(np.abs(s16 - s8), axis=1) + 4e-16 * np.sum(np.abs(s16), axis=1)
-        return values, errs
 
 
 def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.ndarray:

@@ -172,7 +172,7 @@ def _vn_cutoff(spec: SumSpec, n: int) -> Cutoff | None:
             out[live] = base[live] * f0(Y / x[live]) / np.sqrt(x[live])
         return out
 
-    return Cutoff(kind="composite", support_lo=lo, support_hi=hi, fn=fn)
+    return Cutoff(support_lo=lo, support_hi=hi, fn=fn)
 
 
 def _integral_route(spec: SumSpec) -> tuple[complex, float]:
@@ -222,7 +222,7 @@ def _v_cutoff(spec: SumSpec) -> Cutoff:
             out[live] = base[live] * f0(Y / x[live]) / np.sqrt(x[live])
         return out
 
-    return Cutoff(kind="composite", support_lo=lo, support_hi=hi, fn=fn)
+    return Cutoff(support_lo=lo, support_hi=hi, fn=fn)
 
 
 def _keyident_route(spec: SumSpec,

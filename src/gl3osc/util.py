@@ -8,9 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientGridError
+from .errors import InsufficientGridError, ToleranceUnreachableError
 
 TWO_PI = 2.0 * np.pi
+
+#: (nodes, weights) on [-1, 1] of the 16-point Gauss-Legendre rule every
+#: quadrature uses, and of the 8-point rule embedded for error estimates.
+GL16, GL8 = (np.polynomial.legendre.leggauss(k) for k in (16, 8))
 
 
 def e(x):
@@ -40,6 +44,42 @@ def kahan_csum(values) -> complex:
     """Compensated sum of complex values in the given order."""
     arr = np.asarray(values, dtype=complex).ravel()
     return complex(kahan_sum(arr.real), kahan_sum(arr.imag))
+
+
+def gl_panels(edges, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Composite rule: (nodes, weights) mapped onto each panel between edges.
+
+    Returns flat abscissas x and weights w, panel by panel, so that
+    sum(w * f(x)) approximates the integral of f from edges[0] to edges[-1].
+    """
+    edges = np.asarray(edges, dtype=float)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfs = 0.5 * np.diff(edges)
+    x = (mids[:, None] + halfs[:, None] * nodes[None, :]).ravel()
+    w = (halfs[:, None] * weights[None, :]).ravel()
+    return x, w
+
+
+def adaptive_edges(lo, hi, cap, span, rate, max_panels: int) -> np.ndarray:
+    """Panel edges from lo to hi, each step min(cap, span / rate(x)).
+
+    x is the panel's left edge and rate(x) the integrand's phase rate
+    there, so a panel covers about `span` radians of phase (at most that
+    where the rate only falls). Raises ToleranceUnreachableError once more
+    than max_panels panels are needed.
+    """
+    # plain floats: the same rounding as numpy scalars, at a fraction of the cost
+    lo, hi, cap, span = float(lo), float(hi), float(cap), float(span)
+    edges = [lo]
+    x = lo
+    while x < hi:
+        r = rate(x)
+        # min(cap, span / r), compared so that a zero rate takes the cap
+        x = min(x + (cap if r * cap <= span else span / r), hi)
+        edges.append(x)
+        if len(edges) > max_panels + 1:
+            raise ToleranceUnreachableError("panel budget exhausted while gridding")
+    return np.asarray(edges)
 
 
 def loglog_slope(xs, ys) -> tuple[float, float]:

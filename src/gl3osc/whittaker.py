@@ -92,7 +92,7 @@ def _power_amplitude(c1: float, exponent: float, extra=None) -> Cutoff:
             vals = vals * extra(z)
         return vals
 
-    return Cutoff(kind="composite", support_lo=v0.support_lo,
+    return Cutoff(support_lo=v0.support_lo,
                   support_hi=v0.support_hi, fn=fn)
 
 

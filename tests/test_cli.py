@@ -55,6 +55,12 @@ def test_invalid_kappa_exits_2(capsys):
     assert "kappa" in capsys.readouterr().err
 
 
+def test_amplified_below_floor_exits_2(capsys):
+    # kappa = 1/18 separates the prime segments only from T = 64 on
+    assert main(["amplified", "--t", "60"]) == 2
+    assert "= 64 " in capsys.readouterr().err
+
+
 def test_bump_command_end_to_end(tmp_path, capsys):
     out = tmp_path / "bump.json"
     assert main(["bump", "--out", str(out)]) == 0

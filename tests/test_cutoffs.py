@@ -8,9 +8,6 @@ from gl3osc.cutoffs import (
     ONE_OVER_4PI,
     ONE_OVER_8PI,
     Cutoff,
-    bump_g,
-    bump_v0,
-    cutoff_h,
     derivative_proxy,
     g_cutoff,
     h0_cutoff,
@@ -21,7 +18,6 @@ from gl3osc.cutoffs import (
     mellin_on_line,
     v0_cutoff,
     weight_w0_w,
-    window_h0_h1,
 )
 from gl3osc.errors import ConfigError, MellinDivergenceError
 
@@ -31,23 +27,24 @@ V_STAR = 0.3602945695614048
 
 
 def test_bump_v0_support_and_golden_point():
-    assert bump_v0(0.0) == 0.0
-    assert bump_v0(ONE_OVER_8PI) == 0.0
-    assert bump_v0(2.0 * ONE_OVER_2PI) == 0.0
-    assert abs(bump_v0(ONE_OVER_2PI) - V_STAR) < 1e-15
+    v0 = v0_cutoff()
+    assert v0(0.0) == 0.0
+    assert v0(ONE_OVER_8PI) == 0.0
+    assert v0(2.0 * ONE_OVER_2PI) == 0.0
+    assert abs(v0(ONE_OVER_2PI) - V_STAR) < 1e-15
     assert abs(V_STAR - np.exp(-49.0 / 48.0)) < 1e-16
 
 
 def test_bump_v0_positive_on_designated_interval():
     xs = np.linspace(ONE_OVER_4PI, ONE_OVER_2PI, 41)
-    assert np.all(bump_v0(xs) > 0.0)
+    assert np.all(v0_cutoff()(xs) > 0.0)
 
 
 def test_bump_v0_c1_widens_support():
     wide = v0_cutoff(c1=3.0)
     assert wide.support_hi == pytest.approx(4.0 * ONE_OVER_2PI)
     assert wide(3.0 * ONE_OVER_2PI) > 0.0
-    assert bump_v0(3.0 * ONE_OVER_2PI, c1=1.0) == 0.0
+    assert v0_cutoff(c1=1.0)(3.0 * ONE_OVER_2PI) == 0.0
 
 
 def test_cutoffs_vanish_outside_declared_support_exactly():
@@ -64,54 +61,53 @@ def test_cutoffs_vanish_outside_declared_support_exactly():
 
 def test_cutoff_rejects_bad_geometry():
     with pytest.raises(ConfigError):
-        Cutoff(kind="bump", support_lo=1.0, support_hi=1.0, fn=lambda y: y)
+        Cutoff(support_lo=1.0, support_hi=1.0, fn=lambda y: y)
     with pytest.raises(ConfigError):
-        Cutoff(kind="bump", support_lo=0.0, support_hi=1.0, scale=-1.0, fn=lambda y: y)
-    with pytest.raises(ConfigError):
-        Cutoff(kind="plateau", support_lo=0.0, support_hi=1.0, plateau=(0.5, 2.0),
-               fn=lambda y: y)
+        Cutoff(support_lo=0.0, support_hi=1.0, plateau=(0.5, 2.0), fn=lambda y: y)
 
 
 def test_plateau_h_values():
-    assert cutoff_h(0.5) == 1.0
-    assert cutoff_h(1.0) == 1.0
-    assert cutoff_h(3.0) == 0.0
+    h = h_cutoff()
+    assert h(0.5) == 1.0
+    assert h(1.0) == 1.0
+    assert h(3.0) == 0.0
     ys = np.linspace(-3.0, 3.0, 121)
-    vals = cutoff_h(ys)
+    vals = h(ys)
     assert np.all((0.0 <= vals) & (vals <= 1.0))
-    np.testing.assert_array_equal(cutoff_h(-ys), vals)
-    assert np.all(cutoff_h(np.linspace(-1.0, 1.0, 21)) == 1.0)
-    assert np.all(cutoff_h(np.linspace(2.0, 5.0, 21)) == 0.0)
+    np.testing.assert_array_equal(h(-ys), vals)
+    assert np.all(h(np.linspace(-1.0, 1.0, 21)) == 1.0)
+    assert np.all(h(np.linspace(2.0, 5.0, 21)) == 0.0)
 
 
 def test_window_telescoping_identity():
     T, kappa, eps = 1000.0, 1.0 / 18.0, 0.01
     ys = np.geomspace(0.05, 20.0, 300)
-    h0, h1 = window_h0_h1(ys, T, kappa, eps)
-    rhs = cutoff_h(ys * T**-kappa) - cutoff_h(ys * T**kappa)
+    h0, h1 = h0_cutoff(T, kappa, eps)(ys), h1_cutoff(T, kappa, eps)(ys)
+    # the shared h(y*T^eps) term cancels
+    h = h_cutoff()
+    rhs = h(ys * T**-kappa) - h(ys * T**kappa)
     np.testing.assert_allclose(h0 + h1, rhs, atol=1e-15)
 
 
 def test_window_values_at_unit_point():
-    h0, h1 = window_h0_h1(1.0, 1000.0, 1.0 / 18.0, 0.01)
-    assert 0.0 <= h0 <= 1.0
-    assert 0.0 <= h1 <= 1.0
+    for window in (h0_cutoff, h1_cutoff):
+        assert 0.0 <= window(1000.0, 1.0 / 18.0, 0.01)(1.0) <= 1.0
 
 
 def test_window_zero_deep_in_plateau():
     # all three dilations still sit inside h's plateau there
-    h0, h1 = window_h0_h1(0.3, 1000.0, 1.0 / 18.0, 0.01)
-    assert h0 == 0.0
-    assert h1 == 0.0
+    for window in (h0_cutoff, h1_cutoff):
+        assert window(1000.0, 1.0 / 18.0, 0.01)(0.3) == 0.0
 
 
 def test_window_parameter_validation():
-    with pytest.raises(ConfigError):
-        window_h0_h1(1.0, 1000.0, 0.01, 0.05)   # eps >= kappa
-    with pytest.raises(ConfigError):
-        window_h0_h1(1.0, 1000.0, 1.0 / 18.0, -0.01)
-    with pytest.raises(ConfigError):
-        window_h0_h1(1.0, 0.5, 1.0 / 18.0, 0.01)  # T <= 1
+    for window in (h0_cutoff, h1_cutoff):
+        with pytest.raises(ConfigError):
+            window(1000.0, 0.01, 0.05)   # eps >= kappa
+        with pytest.raises(ConfigError):
+            window(1000.0, 1.0 / 18.0, -0.01)
+        with pytest.raises(ConfigError):
+            window(0.5, 1.0 / 18.0, 0.01)  # T <= 1
 
 
 def test_h0_support_matches_window_geometry():
@@ -122,10 +118,10 @@ def test_h0_support_matches_window_geometry():
 
 
 def test_bump_g_support_and_normalization():
-    assert bump_g(1.0) == 0.0
-    assert bump_g(ONE_OVER_4PI) == 0.0
-    assert bump_g(3.0 / (8.0 * np.pi)) > 0.0
     g = g_cutoff()
+    assert g(1.0) == 0.0
+    assert g(ONE_OVER_4PI) == 0.0
+    assert g(3.0 / (8.0 * np.pi)) > 0.0
     mass, err = quad(lambda y: g(y) / y, g.support_lo, g.support_hi, limit=200)
     assert abs(mass - 1.0) < 1e-10
 

@@ -18,7 +18,6 @@ from gl3osc.gammafactor import (
     gamma_decay_fit,
     gamma_pi,
     gamma_pi_line,
-    h2_h3,
 )
 from gl3osc.util import TWO_PI
 
@@ -115,8 +114,6 @@ def test_contour_spec_validation():
         ContourSpec(re_line=1.0)
     with pytest.raises(ConfigError):
         ContourSpec(im_cut=0.0)
-    with pytest.raises(ConfigError):
-        ContourSpec(samples=32)
 
 
 def test_g_kernel_argument_validation():
@@ -167,7 +164,9 @@ def test_g_kernel_contour_independence():
 
 
 def test_g_kernel_pair_self_dual():
-    g, g_dual = h2_h3(1.0, 200.0, tol=1e-9)
+    params = LanglandsParams()
+    g = g_kernel(1.0, 200.0, params, tol=1e-9)
+    g_dual = g_kernel(1.0, 200.0, params.dual, tol=1e-9)
     assert g == g_dual  # default parameters are self-dual
     assert np.isfinite(g.real) and np.isfinite(g.imag)
 

@@ -12,8 +12,8 @@ from gl3osc.keyident import (
     KeyIdentityInstance,
     amplified_average,
     dressing_constant,
+    _poisson_terms,
     lin_form_leading,
-    poisson_side,
     prime_segment,
     riemann_side,
     sum_shape_prefactor,
@@ -34,7 +34,7 @@ def _instance(T: float, p: int, l: int, **kw) -> KeyIdentityInstance:
 
 
 def _zero_amplitude() -> Cutoff:
-    return Cutoff(kind="bump", support_lo=0.5, support_hi=2.0,
+    return Cutoff(support_lo=0.5, support_hi=2.0,
                   fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
 
 
@@ -132,12 +132,12 @@ def test_dual_terms_decay_superpolynomially():
 
 def test_dual_sum_tail_honesty():
     inst = _instance(500.0, 7, 2)
-    o_a, tail_a = poisson_side(inst)
+    o_a, tail_a = _poisson_terms(inst)[:2]
     # widening the window must move the value by less than the tail plus the
     # quadrature shares; the wide pass needs a looser tol since the per-term
     # tolerance share shrinks with the index
     wide = replace(inst, r_max=32, tol=1e-7)
-    o_b, tail_b = poisson_side(wide)
+    o_b, tail_b = _poisson_terms(wide)[:2]
     assert 0.0 <= tail_a < 0.5 * inst.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
 
@@ -206,6 +206,16 @@ def test_amplifier_spec_at_desk_scales():
         AmplifierSpec.for_t(500.0, kappa=0.0)
 
 
+def test_amplifier_floor_is_named():
+    # the segments [L, 2L] and [P, 2P] separate only from T = 2^(1/(3 kappa)),
+    # which is 64 at kappa = 1/18
+    with pytest.raises(ConfigError, match=r"T >= 2\^\(1/\(3 kappa\)\) = 64 "):
+        AmplifierSpec.for_t(60.0)
+    amp = AmplifierSpec.for_t(64.0)
+    assert 2.0 * amp.L <= amp.P
+    assert amp.pairs
+
+
 def test_amplifier_touching_segments():
     # [5, 10] and [10, 20] share only the endpoint, which is not prime
     amp = AmplifierSpec(kappa=0.3, P=10.0, L=5.0,
@@ -256,4 +266,4 @@ def test_amplified_average_single_pair_degenerates():
     a_avg, o_avg = amplified_average(base, amp)
     sub = replace(base, p=11, l=5)
     assert a_avg == amp.weight * riemann_side(sub)
-    assert o_avg == amp.weight * poisson_side(sub)[0]
+    assert o_avg == amp.weight * _poisson_terms(sub)[0]

@@ -23,7 +23,7 @@ GOLDEN_SMALL = 0.085882899748423332 - 0.076752743400557140j
 
 
 def _zero_amplitude() -> Cutoff:
-    return Cutoff(kind="bump", support_lo=0.5, support_hi=2.0,
+    return Cutoff(support_lo=0.5, support_hi=2.0,
                   fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
 
 
@@ -42,7 +42,7 @@ def test_instance_validation():
         OscInstance(T=1.0, n=1, N=0.0)
     with pytest.raises(ConfigError):
         OscInstance(T=1.0, n=1, N=1.0, tol=0.0)
-    bad = Cutoff(kind="bump", support_lo=-1.0, support_hi=2.0, fn=lambda y: y)
+    bad = Cutoff(support_lo=-1.0, support_hi=2.0, fn=lambda y: y)
     with pytest.raises(ConfigError):
         OscInstance(T=1.0, n=1, N=1.0, amplitude=bad)
 
@@ -141,7 +141,7 @@ def test_linearity_in_the_amplitude():
     def combo_fn(y):
         return a * v1.fn(np.asarray(y, dtype=float)) + b * v2.fn(np.asarray(y, dtype=float))
 
-    combo = Cutoff(kind="composite", support_lo=v1.support_lo,
+    combo = Cutoff(support_lo=v1.support_lo,
                    support_hi=v2.support_hi, fn=combo_fn)
     T, n, N = 200.0, 31, 190.0
     tol = 1e-10

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from gl3osc.errors import InsufficientGridError
-from gl3osc.util import TWO_PI, e, is_prime, kahan_csum, kahan_sum, loglog_slope, primes_in
+from gl3osc.errors import InsufficientGridError, ToleranceUnreachableError
+from gl3osc.util import (GL8, GL16, TWO_PI, adaptive_edges, e, gl_panels, is_prime,
+                         kahan_csum, kahan_sum, loglog_slope, primes_in)
 
 
 def test_unit_exponential_special_values():
@@ -85,3 +86,53 @@ def test_is_prime_edge_cases():
 
 def test_two_pi_constant():
     assert TWO_PI == 2.0 * np.pi
+
+
+@pytest.mark.parametrize("rule, degree", [(GL16, 31), (GL8, 15)], ids=["gl16", "gl8"])
+def test_gl_panels_integrates_polynomials_to_rounding(rule, degree):
+    rng = np.random.default_rng(20260814)
+    for _ in range(50):
+        edges = np.sort(rng.uniform(-1.5, 1.5, rng.integers(2, 12)))
+        x, w = gl_panels(edges, *rule)
+        assert x.size == w.size == rule[0].size * (edges.size - 1)
+        a, b = edges[0], edges[-1]
+        for k in range(degree + 1):
+            got = float(np.sum(w * x**k))
+            exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+            assert abs(got - exact) <= 1e-14 * max(1.0, float(np.sum(np.abs(w * x**k))))
+
+
+def test_gl_panels_matches_panel_by_panel_loop():
+    # the vectorized map is the same arithmetic as mapping each panel alone
+    rng = np.random.default_rng(11)
+    nodes, weights = GL16
+    for _ in range(200):
+        edges = np.cumsum(rng.uniform(1e-3, 16.0, rng.integers(2, 40)))
+        x, w = gl_panels(edges, nodes, weights)
+        half = [0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])]
+        want_x = [0.5 * (a + b) + h * nodes for a, b, h in zip(edges[:-1], edges[1:], half)]
+        np.testing.assert_array_equal(x, np.concatenate(want_x))
+        np.testing.assert_array_equal(w, np.concatenate([h * weights for h in half]))
+
+
+def test_adaptive_edges_steps_and_stops_at_hi():
+    rate = lambda x: 3.0 + x * x  # noqa: E731
+    edges = adaptive_edges(0.25, 7.0, 0.5, np.pi, rate, max_panels=1000)
+    assert edges[0] == 0.25
+    assert edges[-1] == 7.0
+    # every step but the last is min(cap, span / rate) at its left edge;
+    # the last one is cut short at hi
+    want = np.minimum(0.5, np.pi / rate(edges[:-1]))
+    np.testing.assert_array_equal(edges[1:-1], edges[:-2] + want[:-1])
+    assert 0.0 < edges[-1] - edges[-2] <= want[-1]
+    # a zero rate takes the cap at every step
+    np.testing.assert_array_equal(adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, 4),
+                                  [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_adaptive_edges_enforces_max_panels():
+    adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, max_panels=4)
+    with pytest.raises(ToleranceUnreachableError):
+        adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, max_panels=3)
+    with pytest.raises(ToleranceUnreachableError):
+        adaptive_edges(0.0, 1.0, 1.0, 1.0, lambda x: 1e6, max_panels=1000)
