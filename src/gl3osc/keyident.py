@@ -11,6 +11,13 @@ every coprime prime pair (p, l), so the recovered M must not depend on the
 step h. This module verifies the identity at desk scale, reconstructs the
 leading closed-form shape of the dressed identity, and averages it over
 prime pairs drawn from two dyadic segments.
+
+O is summed in shells of r: [1, max(8, r_max)], then [hi + 1, 2 hi], and so
+on, until the shell's mass puts the tail below tol/2. A shell is one
+shared-grid batch (`integrate_shifted` with `betas`): every +-r of the
+shell, for every n still summing, on one grid with one evaluation of V.
+verify_key_identity runs a batch of one n; amplified_average hands a whole
+window of n (the discretized route of `sums`) to each pair's dual sum.
 """
 from __future__ import annotations
 
@@ -110,37 +117,60 @@ def riemann_side(inst: KeyIdentityInstance, pad: int = 0) -> complex:
     return complex(prefactor * kahan_csum(terms))
 
 
-def _dual_term(inst: KeyIdentityInstance, r: int, tol: float):
-    beta = r / inst.h
-    res = integrate_shifted(inst.osc.with_beta(beta), tol=tol)
-    return res.value, res.abs_err
+def _riemann_rounding(inst: KeyIdentityInstance) -> float:
+    """A priori bound on the rounding error of riemann_side.
+
+    Each term's phases T log r and T log h are formed in double precision,
+    so a term carries an absolute phase error near eps T (log r + |log h|);
+    with a few more roundings per term, 8 eps T (log r_hi + |log h| + 1)
+    h sum V(r h) bounds the error of A.
+    """
+    r_lo, r_hi = inst.index_window()
+    if r_hi < r_lo:
+        return 0.0
+    h = inst.h
+    rs = np.arange(r_lo, r_hi + 1, dtype=float)
+    mass = h * float(np.sum(inst.amplitude(rs * h)))
+    eps = float(np.finfo(float).eps)
+    return 8.0 * eps * inst.T * (np.log(r_hi) + abs(np.log(h)) + 1.0) * mass
 
 
-def _poisson_terms(inst: KeyIdentityInstance):
-    """Adaptive dual sum: value, tail estimate, quadrature bound, last r."""
-    value = 0.0 + 0.0j
-    quad_sum = 0.0
+def _poisson_terms(inst: KeyIdentityInstance, ns=None):
+    """Adaptive dual sums: values, tail estimates, quadrature bounds, last r.
+
+    Sums O at every n of `ns` (default inst.n alone), shell by shell: r in
+    [1, max(8, r_max)], then [hi + 1, 2 hi], and so on. Each shell is one
+    integrate_shifted batch over every n still summing and every +-r of
+    the shell, each row held to its own share tol / (32 max(8, r)). An n
+    stops once its tail estimate falls below tol/2. Returns per-n arrays
+    of value, tail and quadrature bound (scalars when ns is None) and the
+    largest r reached.
+    """
+    batch = np.asarray([inst.n] if ns is None else ns, dtype=np.int64)
+    value = np.zeros(batch.size, dtype=complex)
+    tail = np.zeros(batch.size)
+    quad_sum = np.zeros(batch.size)
+    going = np.ones(batch.size, dtype=bool)
     lo, hi = 1, max(8, inst.r_max)
     while True:
-        shell_mag = 0.0
-        shell_terms = []
-        for r in range(lo, hi + 1):
-            per_tol = inst.tol / (32.0 * max(8, r))
-            for signed in (r, -r):
-                term, err = _dual_term(inst, signed, per_tol)
-                shell_terms.append(term)
-                shell_mag += abs(term)
-                quad_sum += err
-        value += kahan_csum(shell_terms)
-        # empirical geometric tail: the terms decay superpolynomially once
-        # the linear shift removes the stationary point, so one doubling
-        # bounds the remainder by the last shell's mass
-        tail = 2.0 * shell_mag
-        if tail < 0.5 * inst.tol:
+        rs = np.arange(lo, hi + 1)
+        shell = integrate_shifted(inst.osc, tol=inst.tol / (32.0 * np.maximum(8, rs)),
+                                  betas=rs / inst.h, ns=batch[going])
+        for k, terms, errs in zip(np.flatnonzero(going), shell.values, shell.abs_errs):
+            value[k] += kahan_csum(terms)
+            quad_sum[k] += float(np.sum(errs))
+            # empirical geometric tail: the terms decay superpolynomially
+            # once the linear shift removes the stationary point, so one
+            # doubling bounds the remainder by the last shell's mass
+            tail[k] = 2.0 * float(np.sum(np.abs(terms)))
+        going &= ~(tail < 0.5 * inst.tol)
+        if not going.any():
+            if ns is None:
+                return complex(value[0]), float(tail[0]), float(quad_sum[0]), hi
             return value, tail, quad_sum, hi
         if 2 * hi > MAX_R:
             raise TailNotConvergedError(
-                f"dual sum tail still {tail:.3e} at r_max {hi}")
+                f"dual sum tail still {tail[going].max():.3e} at r_max {hi}")
         lo, hi = hi + 1, 2 * hi
 
 
@@ -181,8 +211,7 @@ def verify_key_identity(inst: KeyIdentityInstance) -> KeyIdentityReport:
     a = riemann_side(inst)
     o, tail, quad_sum, r_used = _poisson_terms(inst)
     residual = abs(m.value - (a - o))
-    # the windowed sum is exact up to rounding; charge it at epsilon scale
-    a_round = 1e-14 * abs(a)
+    a_round = _riemann_rounding(inst)
     # budget from the enforced bounds, not the achieved estimates: M is
     # integrated to inst.tol and the shifted terms to a tol/2 share, so the
     # bound scales linearly when every tolerance is tightened together
@@ -322,18 +351,26 @@ def _li_segment(x: float) -> float:
     return float(expi(np.log(2.0 * x)) - expi(np.log(x)))
 
 
-def amplified_average(base: KeyIdentityInstance,
-                      amp: AmplifierSpec) -> tuple[complex, complex]:
+def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,
+                      ns=None) -> tuple:
     """Average the identity over the prime pairs with the amplifier weight.
 
-    Returns (weighted average of A, weighted average of O); their difference
-    equals M * weight * |pairs| exactly, since M does not depend on (p, l).
-    Pairs are processed in lexicographic order with compensated reduction.
+    Returns (weighted average of A, weighted average of O) at base.n, or
+    per-n arrays of both over `ns`, whose dual sums then share one batch
+    per pair. Their difference equals M * weight * |pairs| exactly, since
+    M does not depend on (p, l). Pairs are processed in lexicographic order
+    with compensated reduction.
     """
-    a_terms, o_terms = [], []
-    for p, l in amp.pairs:
+    batch = [base.n] if ns is None else list(ns)
+    a_terms = np.empty((len(amp.pairs), len(batch)), dtype=complex)
+    o_terms = np.empty_like(a_terms)
+    for i, (p, l) in enumerate(amp.pairs):
         sub = replace(base, p=p, l=l)
-        a_terms.append(riemann_side(sub))
-        o_terms.append(_poisson_terms(sub)[0])
+        a_terms[i] = [riemann_side(replace(sub, n=n)) for n in batch]
+        o_terms[i] = _poisson_terms(sub, batch)[0]
     w = amp.weight
-    return complex(w * kahan_csum(a_terms)), complex(w * kahan_csum(o_terms))
+    a_avg = np.array([w * kahan_csum(col) for col in a_terms.T])
+    o_avg = np.array([w * kahan_csum(col) for col in o_terms.T])
+    if ns is None:
+        return complex(a_avg[0]), complex(o_avg[0])
+    return a_avg, o_avg

@@ -21,6 +21,20 @@ roundoff floor. If the estimate misses the tolerance the phase span per panel
 is halved and the grid rebuilt, until the evaluation budget is exhausted.
 Panel partial sums are reduced left to right with compensated summation, so
 results are bit-reproducible.
+
+Shifted batches: the Poisson dual sum needs the rows
+c_inv = nT/N, c_lin = +-beta for many n and beta at once, and within one
+shell these differ only in c_inv and beta. `integrate_shifted` given
+`betas` integrates every row on one shared grid per pass, paneled by the
+envelope of the largest c_inv and beta (which bounds every row's |Phi'|):
+the amplitude is evaluated once per node, the factors
+A(x) x^(i c_log) e(-c_inv/x) once per n, and the shift table e(-beta x)
+once per beta, its -beta rows being its conjugates. Chunks of ROW_CHUNK
+panels are reduced by one batched matrix product each, so memory stays
+bounded whatever nodes x rows is, and each row keeps its own compensated
+sum in panel order and its own embedded-rule estimate. Every row must meet
+its own tolerance: the span is halved until all do, and a row keeps the
+first pass that met it.
 """
 
 from __future__ import annotations
@@ -32,10 +46,15 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import GL8, GL16, TWO_PI, adaptive_edges, gl_panels, kahan_csum
+from .util import GL8, GL16, TWO_PI, adaptive_edges, gl_panels, kahan_add, kahan_csum
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
+
+# panels per matrix product of a shifted batch: the partial sums of one
+# chunk hold ROW_CHUNK x (n values) x (rows per n) complex numbers, about
+# 1.3 MB for the 41 n and 32 rows of a route shell
+ROW_CHUNK = 64
 
 # |I - leading term| <= K_SP_MAIN * T^(-3/2) for the default test amplitude;
 # calibrated at T = 250 (residual * T^(3/2) = 0.686) with a 4x cushion, frozen.
@@ -87,6 +106,22 @@ class QuadResult:
     evaluations: int
 
 
+@dataclass(frozen=True)
+class ShiftedRows:
+    """Shifted integrals of one amplitude, one row per (n, +-beta).
+
+    values[i, 2j] is the integral at n = ns[i] and shift +betas[j], and
+    values[i, 2j + 1] the one at -betas[j]; abs_errs likewise. panels is
+    the last grid's panel count, evaluations the amplitude evaluations of
+    every pass.
+    """
+
+    values: np.ndarray
+    abs_errs: np.ndarray
+    panels: int
+    evaluations: int
+
+
 class PanelGrid:
     """Oscillation-resolving panel grid with an embedded error rule.
 
@@ -120,10 +155,62 @@ class PanelGrid:
         err += 4e-16 * float(np.sum(np.abs(s16)))
         return value, err
 
+    def reduce_rows(self, amp_values: np.ndarray, c_log: float, c_inv: np.ndarray,
+                    betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Integrate A(x) exp(i Phi(x)) for every row of a shifted batch.
+
+        amp_values holds A at `self.nodes`; the rows are the phases with
+        c_inv[i] and c_lin = +-betas[j], ordered as in ShiftedRows. Each
+        chunk of ROW_CHUNK panels is one batched matrix product of the
+        per-n factors A x^(i c_log) e(-c_inv/x) with the shift table
+        e(-beta x), whose -beta rows are its conjugates. Per row the value
+        is the compensated sum of its panel sums in panel order, and the
+        error is estimated as in `reduce`.
+        """
+        shape = (c_inv.size, 2 * betas.size)
+        s = np.zeros(shape + (2,))
+        c = np.zeros_like(s)
+        diff = np.zeros(shape)
+        mag = np.zeros(shape)
+        n16 = self.x16.size
+        for p0 in range(0, self.panels, ROW_CHUNK):
+            p1 = min(p0 + ROW_CHUNK, self.panels)
+            s16, s8 = (self._panel_sums(x, amp, rule, p0, p1, c_log, c_inv, betas)
+                       for x, amp, rule in ((self.x16, amp_values[:n16], GL16),
+                                            (self.x8, amp_values[n16:], GL8)))
+            s, c = kahan_add(s, c, s16.view(float).reshape((p1 - p0,) + s.shape))
+            diff += np.sum(np.abs(s16 - s8), axis=0)
+            mag += np.sum(np.abs(s16), axis=0)
+        values = np.ascontiguousarray(s + c).view(complex)[..., 0]
+        return values, 4.0 * diff + 4e-16 * mag
+
+    def _panel_sums(self, x, amp, rule, p0, p1, c_log, c_inv, betas):
+        """Rule sums of panels p0..p1-1 for every row: shape (panels, n, rows)."""
+        k = rule[0].size
+        m = p1 - p0
+        x = x[k * p0:k * p1]
+        phase = c_log * np.log(x) - (TWO_PI * c_inv)[:, None] / x
+        base = np.exp(1j * phase) * (amp[k * p0:k * p1] * np.tile(rule[1], m))
+        shift = np.exp(-1j * np.multiply.outer(TWO_PI * betas, x))
+        table = np.stack((shift, shift.conj()), axis=-1)
+        table = table.reshape(betas.size, m, k, 2).transpose(1, 2, 0, 3)
+        sums = base.reshape(c_inv.size, m, k).transpose(1, 0, 2) @ table.reshape(m, k, -1)
+        return sums * self.halfs[p0:p1, None, None]
+
 
 def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.ndarray:
     """Phi(x) on an array of abscissas."""
     return c_log * np.log(x) - TWO_PI * c_inv / x - TWO_PI * c_lin * x
+
+
+def _check_budget(evals_used: int, grid: PanelGrid, budget: int,
+                  achieved: Optional[float]) -> None:
+    """Raise once the next pass would overrun the evaluation budget."""
+    if evals_used + grid.evaluations > budget:
+        if achieved is not None:
+            raise ToleranceUnreachableError(
+                f"budget {budget} exhausted; achieved {achieved:.3e}", achieved=achieved)
+        raise ToleranceUnreachableError("evaluation budget too small for one pass")
 
 
 def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
@@ -136,20 +223,14 @@ def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
         raise ConfigError("integration range must sit inside (0, inf)")
     span = np.pi
     evals_used = 0
-    last = None
+    err = None
     while True:
         grid = PanelGrid(a, b, c_log, c_inv, c_lin, span,
                          max_panels=max(64, eval_budget // 24))
-        if evals_used + grid.evaluations > eval_budget:
-            if last is not None:
-                raise ToleranceUnreachableError(
-                    f"budget {eval_budget} exhausted; achieved {last[1]:.3e}",
-                    achieved=last[1])
-            raise ToleranceUnreachableError("evaluation budget too small for one pass")
+        _check_budget(evals_used, grid, eval_budget, err)
         vals = amplitude.fn(grid.nodes) * np.exp(1j * phase_values(grid.nodes, c_log, c_inv, c_lin))
         evals_used += grid.evaluations
         value, err = grid.reduce(vals)
-        last = (value, err)
         if err <= tol:
             return QuadResult(value=value, abs_err=err, panels=grid.panels,
                               evaluations=evals_used)
@@ -165,11 +246,54 @@ def integrate_main(inst: OscInstance, tol: float | None = None) -> QuadResult:
                            eval_budget=inst.eval_budget)
 
 
-def integrate_shifted(inst: OscInstance, tol: float | None = None) -> QuadResult:
-    """The shifted integral with the extra linear phase e(-beta*x)."""
-    return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N, inst.beta,
-                           tol=tol if tol is not None else inst.tol,
-                           eval_budget=inst.eval_budget)
+def integrate_shifted(inst: OscInstance, tol=None, betas=None, ns=None):
+    """The shifted integral with the extra linear phase e(-beta*x).
+
+    Without `betas`: the one integral at inst.n and inst.beta, a QuadResult.
+    With `betas`: a ShiftedRows batch holding every row (n, +beta) and
+    (n, -beta) for n in `ns` (default inst.n alone) and beta >= 0 in
+    `betas`. `tol` is then one tolerance per beta, or one for all, and
+    every row must meet its own. The rows share each pass: one grid sized
+    by the largest live n and beta, one evaluation of the amplitude per
+    node, one shift table (see PanelGrid.reduce_rows). A row keeps the
+    value of the first pass that meets its tolerance; the phase span per
+    panel is halved until every row has, under inst.eval_budget
+    evaluations in all.
+    """
+    tol = inst.tol if tol is None else tol
+    if betas is None:
+        return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N, inst.beta,
+                               tol=tol, eval_budget=inst.eval_budget)
+    c_inv = np.asarray([inst.n] if ns is None else ns, dtype=float) * inst.T / inst.N
+    betas = np.asarray(betas, dtype=float)
+    row_tol = np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), betas.shape), 2)
+    shape = (c_inv.size, row_tol.size)
+    values = np.zeros(shape, dtype=complex)
+    errs = np.full(shape, np.inf)
+    live = np.ones(shape, dtype=bool)
+    amplitude = inst.amplitude
+    span = np.pi
+    evals_used = 0
+    while True:
+        live_n = live.any(axis=1)
+        live_b = live.reshape(c_inv.size, -1, 2).any(axis=(0, 2))
+        grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, -inst.T,
+                         c_inv[live_n].max(), betas[live_b].max(), span,
+                         max_panels=max(64, inst.eval_budget // 24))
+        _check_budget(evals_used, grid, inst.eval_budget,
+                      float(errs[live].max()) if evals_used else None)
+        evals_used += grid.evaluations
+        vals, est = grid.reduce_rows(amplitude.fn(grid.nodes), -inst.T,
+                                     c_inv[live_n], betas[live_b])
+        rows = np.ix_(live_n, np.repeat(live_b, 2))
+        fresh = live[rows]
+        values[rows] = np.where(fresh, vals, values[rows])
+        errs[rows] = np.where(fresh, est, errs[rows])
+        live = ~(errs <= row_tol)  # a NaN estimate stays live
+        if not live.any():
+            return ShiftedRows(values=values, abs_errs=errs, panels=grid.panels,
+                               evaluations=evals_used)
+        span *= 0.5
 
 
 def stationary_phase_main(inst: OscInstance) -> tuple[complex, float]:

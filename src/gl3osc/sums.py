@@ -237,21 +237,25 @@ def _keyident_route(spec: SumSpec,
     p0, l0 = amp.pairs[0]
     # each pair's identity residual obeys the enforced tolerance-share bound
     pair_budget = 10.0 * 2.0 * spec.tol
-    terms = []
-    err = 0.0
+    live = []
     for n in range(n_lo, n_hi + 1):
         a = spec.table.values[n]
         if a == 0.0:
             continue
         _, w = weight_w0_w(n / spec.N, spec.c1)
-        if w == 0.0:
-            continue
-        base = KeyIdentityInstance(T=spec.T, n=n, N=spec.N, p=p0, l=l0,
+        if w != 0.0:
+            live.append((n, a, w))
+    terms = []
+    err = 0.0
+    if live:
+        # every n of the window shares one dual-sum batch per shell
+        base = KeyIdentityInstance(T=spec.T, n=live[0][0], N=spec.N, p=p0, l=l0,
                                    tol=spec.tol, amplitude=v_amp)
-        a_avg, o_avg = amplified_average(base, amp)
-        m_hat = (a_avg - o_avg) / wpc
-        terms.append(a * w * m_hat)
-        err += abs(a) * w * pair_budget
+        a_avg, o_avg = amplified_average(base, amp, [n for n, _, _ in live])
+        for (_, a, w), a_n, o_n in zip(live, a_avg.tolist(), o_avg.tolist()):
+            m_hat = (a_n - o_n) / wpc
+            terms.append(a * w * m_hat)
+            err += abs(a) * w * pair_budget
     pref = np.exp(1j * spec.T * np.log(spec.Y)) / np.sqrt(spec.N)
     return complex(pref * kahan_csum(terms)), float(err / np.sqrt(spec.N))
 

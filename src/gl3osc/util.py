@@ -22,22 +22,32 @@ def e(x):
     return np.exp(2j * np.pi * np.asarray(x, dtype=float))
 
 
+def kahan_add(s, c, block):
+    """Add block[0], block[1], ... in that order to compensated sums (s, c).
+
+    s and c have the shape of one block row (zeros to start); returns the
+    new (s, c), and each sum is s + c. Every column follows Neumaier's scalar
+    loop bit for bit: np.add.accumulate adds strictly left to right, and the
+    correction gains the exact rounding error of each step (TwoSum), which
+    is what Neumaier's branch on |s| >= |v| computes.
+    """
+    block = np.asarray(block, dtype=float)
+    run = np.add.accumulate(np.concatenate([np.asarray(s, dtype=float)[None], block]), axis=0)
+    prev, t = run[:-1], run[1:]
+    z = t - prev
+    err = (prev - (t - z)) + (block - z)
+    c = np.add.accumulate(np.concatenate([np.asarray(c, dtype=float)[None], err]), axis=0)[-1]
+    return run[-1], c
+
+
 def kahan_sum(values) -> float:
     """Compensated sum of real values in the given order.
 
     Neumaier's variant: the correction survives even when a later term
     swamps the running sum, unlike the classic update.
     """
-    s = 0.0
-    c = 0.0
-    for v in np.asarray(values, dtype=float).ravel():
-        t = s + v
-        if abs(s) >= abs(v):
-            c += (s - t) + v
-        else:
-            c += (v - t) + s
-        s = t
-    return s + c
+    s, c = kahan_add(0.0, 0.0, np.asarray(values, dtype=float).ravel())
+    return float(s + c)
 
 
 def kahan_csum(values) -> complex:

@@ -1,25 +1,30 @@
 """Tests for the sum-versus-integral identity and its prime-pair averaging."""
+import functools
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from gl3osc import criteria, keyident, sums
+from gl3osc.coeffs import synth_eisenstein
 from gl3osc.cutoffs import Cutoff
-from gl3osc.errors import ConfigError
+from gl3osc.errors import ConfigError, TailNotConvergedError, ToleranceUnreachableError
 from gl3osc.keyident import (
     AmplifierSpec,
     KeyIdentityInstance,
     amplified_average,
     dressing_constant,
     _poisson_terms,
+    _riemann_rounding,
     lin_form_leading,
     prime_segment,
     riemann_side,
     sum_shape_prefactor,
     verify_key_identity,
 )
-from gl3osc.oscquad import K_SP_MAIN, integrate_main, integrate_shifted
+from gl3osc.oscquad import K_SP_MAIN, OscInstance, integrate_main, integrate_shifted
 from gl3osc.util import TWO_PI
 
 # frozen against a plain-loop evaluation (fsum over scalar cmath terms with
@@ -72,6 +77,28 @@ def test_step_and_index_window():
 def test_riemann_side_matches_frozen_golden():
     a = riemann_side(_instance(1000.0, 7, 2))
     assert abs(a - GOLDEN_A) < 1e-14
+
+
+def test_riemann_rounding_bounds_the_windowed_sum():
+    # A summed term by term in mpmath at 30 digits from the docstring's
+    # formula, with the probe bump exp(-1/(1 - u^2)) written out
+    inst = _instance(1000.0, 11, 3)
+    with mp.workdps(30):
+        T, N = mp.mpf(inst.T), mp.mpf(inst.N)
+        h = inst.l * T / (N * inst.p)
+        lo, hi = inst.index_window()
+        total = mp.mpc(0)
+        for r in range(lo, hi + 1):
+            u = (r * h - mp.mpf(5) / 4) / (mp.mpf(3) / 4)
+            bump = mp.exp(-1 / (1 - u * u)) if abs(u) < 1 else 0
+            total += bump * mp.expj(-T * mp.log(r)
+                                    - 2 * mp.pi * mp.mpf(inst.n * inst.p) / (inst.l * r))
+        want = complex(h * mp.expj(-T * mp.log(h)) * total)
+    err = abs(riemann_side(inst) - want)
+    assert err <= _riemann_rounding(inst)
+    # the bound is the charge verify_key_identity puts on A
+    rep = verify_key_identity(inst)
+    assert rep.budget == 10.0 * (2.0 * inst.tol + _riemann_rounding(inst))
 
 
 def test_riemann_side_pad_invariance():
@@ -267,3 +294,102 @@ def test_amplified_average_single_pair_degenerates():
     sub = replace(base, p=11, l=5)
     assert a_avg == amp.weight * riemann_side(sub)
     assert o_avg == amp.weight * _poisson_terms(sub)[0]
+
+
+def _per_term_dual_sum(inst: KeyIdentityInstance):
+    """Reference: every row a standalone integrate_shifted, shells as in
+    _poisson_terms; returns {signed r: QuadResult} and the last r."""
+    rows = {}
+    lo, hi = 1, max(8, inst.r_max)
+    while True:
+        mag = 0.0
+        for r in range(lo, hi + 1):
+            per_tol = inst.tol / (32.0 * max(8, r))
+            for signed in (r, -r):
+                rows[signed] = integrate_shifted(inst.osc.with_beta(signed / inst.h), tol=per_tol)
+                mag += abs(rows[signed].value)
+        if 2.0 * mag < 0.5 * inst.tol:
+            return rows, hi
+        lo, hi = hi + 1, 2 * hi
+
+
+def _batched_rows(inst: KeyIdentityInstance, ns, r_last: int):
+    """Every shell's integrate_shifted batch up to r_last: {(n, signed r): (value, err, share)}."""
+    rows = {}
+    lo, hi = 1, max(8, inst.r_max)
+    while lo <= r_last:
+        rs = np.arange(lo, hi + 1)
+        shares = inst.tol / (32.0 * np.maximum(8, rs))
+        shell = integrate_shifted(inst.osc, tol=shares, betas=rs / inst.h, ns=ns)
+        for i, n in enumerate(ns):
+            for j, r in enumerate(rs):
+                for k, signed in enumerate((int(r), -int(r))):
+                    rows[n, signed] = (shell.values[i, 2 * j + k],
+                                       shell.abs_errs[i, 2 * j + k], shares[j])
+        lo, hi = hi + 1, 2 * hi
+    return rows
+
+
+def _route_instances():
+    """The route amplitude V at T = 64 and three n of its window."""
+    T, eps = 64.0, 0.02
+    table = synth_eisenstein(criteria.D3_PARAMS, 2 * int(np.ceil(T ** (1.5 + eps))))
+    spec = sums.SumSpec(T=T, table=table, tol=1e-6, eps=eps)
+    n_lo, n_hi = spec.sum_window()
+    ns = [n_lo + 1, (n_lo + n_hi) // 2, n_hi - 1]
+    base = KeyIdentityInstance(T=T, n=ns[0], N=spec.N, p=5, l=2, tol=spec.tol,
+                               amplitude=sums._v_cutoff(spec))
+    return base, ns
+
+
+@pytest.mark.parametrize("case", ["probe-T250", "route-T64"])
+def test_batched_dual_sum_matches_per_term(case):
+    if case == "probe-T250":
+        base = _instance(250.0, 7, 2)
+        ns = [base.n - 1, base.n, base.n + 1]
+    else:
+        base, ns = _route_instances()
+    reference = {n: _per_term_dual_sum(replace(base, n=n)) for n in ns}
+    r_cover = max(r_last for _, r_last in reference.values())
+    batch = _batched_rows(base, ns, r_cover)
+    for n in ns:
+        single = _batched_rows(replace(base, n=n), [n], r_cover)
+        rows, r_last = reference[n]
+        assert _poisson_terms(replace(base, n=n))[3] == r_last
+        for signed, ref in rows.items():
+            value, err, share = batch[n, signed]
+            assert err <= share
+            assert abs(value - ref.value) <= err + ref.abs_err
+            one, one_err, _ = single[n, signed]
+            assert abs(value - one) <= err + one_err
+    o, tail, quad, r_max = _poisson_terms(base, ns)
+    assert r_max == r_cover
+    for i, n in enumerate(ns):
+        o_one, tail_one, quad_one, _ = _poisson_terms(replace(base, n=n))
+        assert abs(o[i] - o_one) <= quad[i] + quad_one + tail[i] + tail_one
+
+
+def test_batched_dual_sum_raises_past_max_r(monkeypatch):
+    # the probe instance needs r up to 16, so a ceiling of 8 stops it
+    monkeypatch.setattr(keyident, "MAX_R", 8)
+    inst = _instance(250.0, 7, 2)
+    with pytest.raises(TailNotConvergedError):
+        _poisson_terms(inst)
+    with pytest.raises(TailNotConvergedError):
+        _poisson_terms(inst, [inst.n, inst.n + 1])
+
+
+def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
+    inst = _instance(250.0, 7, 2)
+    ns = [inst.n, inst.n + 1]
+    monkeypatch.setattr(keyident, "OscInstance",
+                        functools.partial(OscInstance, eval_budget=100))
+    with pytest.raises(ToleranceUnreachableError):
+        _poisson_terms(inst, ns)
+    # the first shell's grid (37,416 nodes) fits, its refinement (about
+    # 75,000) does not fit beside it
+    monkeypatch.setattr(keyident, "OscInstance",
+                        functools.partial(OscInstance, eval_budget=100_000))
+    with pytest.raises(ToleranceUnreachableError) as info:
+        _poisson_terms(replace(inst, tol=1e-30), ns)
+    assert info.value.achieved > 1e-30

@@ -157,6 +157,27 @@ def test_zero_shift_equals_main():
     assert integrate_shifted(inst, tol=1e-10).value == integrate_main(inst, tol=1e-10).value
 
 
+def test_shifted_batch_holds_each_row_to_its_own_tolerance():
+    T = 100.0
+    N = T**1.5
+    inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N)
+    betas = [1.0, 5.0]
+    # on the first grid the beta = 5 rows reach about 7e-14 and 4e-14
+    loose = integrate_shifted(inst, tol=1.0, betas=betas)
+    mixed = integrate_shifted(inst, tol=[1.0, 4e-14], betas=betas)
+    assert np.all(mixed.abs_errs[0, 2:] <= 4e-14)
+    assert mixed.evaluations > loose.evaluations
+    # rows that met their tolerance on the first pass keep its values
+    kept = loose.abs_errs[0] <= np.repeat([1.0, 4e-14], 2)
+    assert not kept.all()
+    assert np.array_equal(mixed.values[0, kept], loose.values[0, kept])
+    for j, beta in enumerate(betas):
+        for k, signed in enumerate((beta, -beta)):
+            one = integrate_shifted(inst.with_beta(signed), tol=1e-13)
+            row = 2 * j + k
+            assert abs(mixed.values[0, row] - one.value) <= mixed.abs_errs[0, row] + one.abs_err
+
+
 def test_nonstationary_shift_suppresses_the_integral():
     T = 1000.0
     n = 500

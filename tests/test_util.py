@@ -6,7 +6,7 @@ import pytest
 
 from gl3osc.errors import InsufficientGridError, ToleranceUnreachableError
 from gl3osc.util import (GL8, GL16, TWO_PI, adaptive_edges, e, gl_panels, is_prime,
-                         kahan_csum, kahan_sum, loglog_slope, primes_in)
+                         kahan_add, kahan_csum, kahan_sum, loglog_slope, primes_in)
 
 
 def test_unit_exponential_special_values():
@@ -41,6 +41,37 @@ def test_kahan_csum_matches_componentwise_fsum():
     got = kahan_csum(values)
     want = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
     assert abs(got - want) < 1e-6
+
+
+def _neumaier_loop(values) -> float:
+    s = 0.0
+    c = 0.0
+    for v in values:
+        t = s + v
+        if abs(s) >= abs(v):
+            c += (s - t) + v
+        else:
+            c += (v - t) + s
+        s = t
+    return s + c
+
+
+def test_compensated_sums_equal_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        m = int(rng.integers(0, 150))
+        values = rng.standard_normal(m) * 10.0 ** rng.integers(-20, 20, m)
+        if trial % 3 == 0 and m > 1:
+            values[-1] = -np.sum(values[:-1])  # heavy cancellation
+        want = _neumaier_loop(values)
+        got = kahan_sum(values)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    # many columns at once, fed in blocks of uneven size
+    block = rng.standard_normal((500, 6)) * 10.0 ** rng.integers(-12, 12, (500, 6))
+    s, c = np.zeros(6), np.zeros(6)
+    for lo, hi in ((0, 1), (1, 64), (64, 65), (65, 500)):
+        s, c = kahan_add(s, c, block[lo:hi])
+    assert [float(x) for x in s + c] == [_neumaier_loop(col) for col in block.T]
 
 
 def test_loglog_slope_recovers_exact_power_law():
