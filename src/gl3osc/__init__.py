@@ -21,8 +21,7 @@ from .keyident import (AmplifierSpec, KeyIdentityInstance, KeyIdentityReport,
 from .oscquad import (OscInstance, QuadResult, integrate_main,
                       integrate_phase, stationary_phase_main)
 from .reports import Check, Report, load_report, write_table_csv
-from .sums import (RouteReport, SumSpec, compare_routes, s_integral_form,
-                   s_keyident_form, s_sum_form)
+from .sums import RouteReport, SumSpec, compare_routes, s_sum_form
 from .whittaker import (LocalZetaParams, c_constant, local_zeta,
                         weighted_zeta_first, weighted_zeta_second,
                         whittaker_diag, zeta_scaling_study)
@@ -71,8 +70,6 @@ __all__ = [
     "mellin",
     "mellin_invert",
     "rankin_selberg_check",
-    "s_integral_form",
-    "s_keyident_form",
     "s_sum_form",
     "save_coefficients",
     "stationary_phase_main",

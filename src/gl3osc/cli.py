@@ -28,7 +28,7 @@ COMMANDS = ("bump", "oscint", "zeta-local", "gamma", "key-identity",
 # per-command fallbacks; an explicit --t / --tol wins
 DEFAULT_T = {"s-sum": 200.0}
 DEFAULT_TOL = {"zeta-local": 1e-10, "scaling": 1e-10, "oscint": 1e-10,
-               "s-sum": 1e-6}
+               "gamma": 1e-10, "s-sum": 1e-6}
 FALLBACK_T = 500.0
 FALLBACK_TOL = 1e-9
 
@@ -95,7 +95,7 @@ def _cmd_zeta_local(config: RunConfig):
 
 def _cmd_gamma(config: RunConfig):
     grid = config.grid or criteria.SCALING_T_GRID
-    return criteria.gamma_battery(grid)
+    return criteria.gamma_battery(grid, kernel_t=config.T, tol=config.tol)
 
 
 def _cmd_key_identity(config: RunConfig):

@@ -215,7 +215,7 @@ def amplified_battery(T: float = 500.0, tol: float = 1e-9,
     """Amplified average equality (A09) and the PNT weight window."""
     base = _center_instance(T, 7, 2, tol)
     amp = AmplifierSpec.for_t(T, kappa=kappa)
-    a_avg, o_avg = amplified_average(base, amp)
+    a_avg, o_avg = (complex(avg[0]) for avg in amplified_average(base, amp))
     m = integrate_main(base.osc)
     wpc = amp.weighted_pair_count()
     resid = abs((a_avg - o_avg) - m.value * wpc)

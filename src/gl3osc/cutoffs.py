@@ -38,9 +38,13 @@ ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
 
-# 1e-10 on the g normalization; anything the unit tests assert about the
-# d-multiplicative measure leans on this.
+# error bound the g normalization quadrature must report; the bump-gnorm
+# check then holds integral g d*y = 1 to its own budget of 1e-10
 _G_NORM_TOL = 1e-12
+
+# half-height of the first line segment |t| <= INVERT_IM_START that
+# mellin_invert integrates before it starts doubling
+INVERT_IM_START = 64.0
 
 
 def _scalar_or_array(x, out):
@@ -281,12 +285,13 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
 
 
 def mellin_invert(f: Cutoff, y: float, tol: float = 1e-8,
-                  re_line: float = 0.0, s_max: float = 64.0) -> complex:
+                  re_line: float = 0.0) -> complex:
     """Reconstruct f(y) from its Mellin transform on a truncated vertical line.
 
     (1/2*pi) integral over |t| <= S of H(re_line + it) y^-(re_line + it) dt,
-    doubling S until the last shell contributes less than tol/2. Superpolynomial
-    decay of H for smooth compactly supported f makes this converge quickly.
+    from S = INVERT_IM_START, doubling S until the last shell contributes
+    less than tol/2. Superpolynomial decay of H for smooth compactly
+    supported f makes this converge quickly.
     """
     if y <= 0.0:
         raise ConfigError("inversion point must be positive")
@@ -298,7 +303,7 @@ def mellin_invert(f: Cutoff, y: float, tol: float = 1e-8,
         integrand = hv * y ** (-(re_line + 1j * t))
         return complex(np.sum(wts * integrand))
 
-    s = s_max
+    s = INVERT_IM_START
     total = shell(-s, s)
     for _ in range(8):
         added = shell(s, 2.0 * s) + shell(-2.0 * s, -s)

@@ -51,6 +51,19 @@ _POLE_EPS = 1e-12
 # exhaust memory
 _SHELL_MAX_PANELS = 1 << 18
 
+# every contour integral first takes |Im s| <= CONTOUR_IM_START, then doubles
+# the height until the added shells fall below tolerance
+CONTOUR_IM_START = 48.0
+
+# f_line_mass integrates |F(it)| no higher than this
+LINE_MASS_IM_CUT = 512.0
+
+# GKernelTable.build: contour tolerance of each node, relative error the
+# ten-point validation must reach, and the seed that draws its points
+TABLE_TOL = 1e-8
+TABLE_REL_TOL = 0.02
+TABLE_SEED = 20260814
+
 
 def _near_nonpositive_integer(z: complex) -> bool:
     if abs(z.imag) > _POLE_EPS:
@@ -152,30 +165,27 @@ def gamma_decay_fit(
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical line Re(s) = re_line, truncated at |Im s| = im_cut.
+    """Vertical line Re(s) = re_line for the kernel's contour integral.
 
-    im_cut is the starting truncation; integration keeps doubling it until
-    the newly added shells fall below tolerance.
+    Integration starts at |Im s| <= CONTOUR_IM_START and keeps doubling the
+    height until the newly added shells fall below tolerance.
     """
 
     re_line: float = 0.0
-    im_cut: float = 48.0
 
     def __post_init__(self) -> None:
         if self.re_line > 0.0:
             raise ConfigError("contour must sit at Re(s) <= 0; poles live to the right")
-        if self.im_cut <= 0.0:
-            raise ConfigError("im_cut must be positive")
 
 
 def f_line_mass(
     T: float,
     kappa: float = 1.0 / 18.0,
     eps: float = 0.01,
-    im_cut: float = 512.0,
 ) -> float:
     """(1 / 2 pi) * int |F(it)| dt for the dyadic-window cutoff's Mellin
-    transform F, truncated once shells stop contributing.
+    transform F, truncated once shells stop contributing or at
+    |t| = LINE_MASS_IM_CUT.
 
     This is the constant C with |G(z)| <= C * max |gamma| on the Re(s) = 0
     line; it grows like log T through the window's width.  |F(-it)| equals
@@ -191,9 +201,9 @@ def f_line_mass(
         total += shell
         if lo > 0.0 and shell < 1e-12 * max(total, 1.0):
             break
-        if hi >= im_cut:
+        if hi >= LINE_MASS_IM_CUT:
             break
-        lo, hi = hi, min(2.0 * hi, im_cut)
+        lo, hi = hi, min(2.0 * hi, LINE_MASS_IM_CUT)
     return 2.0 * total / TWO_PI
 
 
@@ -231,7 +241,7 @@ def g_kernel(
         return 0.0 + 0.0j  # degenerate window: h0 and hence F vanish identically
     params = params or LanglandsParams()
     if contour is None:
-        contour = ContourSpec(re_line=_auto_re_line(z), im_cut=48.0)
+        contour = ContourSpec(re_line=_auto_re_line(z))
     h0 = h0_cutoff(T, kappa=kappa, eps=eps)
     sigma = contour.re_line
 
@@ -239,7 +249,7 @@ def g_kernel(
         return mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
 
     u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
-    return _contour_quad(z, T, params, sigma, u_band, contour.im_cut, tol, f_neg)
+    return _contour_quad(z, T, params, sigma, u_band, tol, f_neg)
 
 
 def _contour_quad(
@@ -248,7 +258,6 @@ def _contour_quad(
     params: LanglandsParams,
     sigma: float,
     u_band: float,
-    im_cut: float,
     tol: float,
     f_neg,
 ) -> complex:
@@ -273,8 +282,8 @@ def _contour_quad(
         # ds = i dt cancels the i in the 1/(2 pi i) prefactor
         return kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
 
-    total = shell(-im_cut, im_cut)
-    lo = im_cut
+    total = shell(-CONTOUR_IM_START, CONTOUR_IM_START)
+    lo = CONTOUR_IM_START
     while True:
         hi = 2.0 * lo
         added = shell(lo, hi) + shell(-hi, -lo)
@@ -328,11 +337,8 @@ class GKernelTable:
         z_hi: float,
         T: float,
         params: LanglandsParams | None = None,
-        tol: float = 1e-8,
-        rel_tol: float = 0.02,
         kappa: float = 1.0 / 18.0,
         eps: float = 0.01,
-        seed: int = 20260814,
     ) -> "GKernelTable":
         if not 0.0 < z_lo < z_hi:
             raise ConfigError("need 0 < z_lo < z_hi")
@@ -363,7 +369,7 @@ class GKernelTable:
             return out
 
         def direct(zz: float) -> complex:
-            return _contour_quad(zz, T, params, sigma, u_band, 48.0, tol, f_neg)
+            return _contour_quad(zz, T, params, sigma, u_band, TABLE_TOL, f_neg)
 
         # Node count from the residual phase rate after dividing the model
         # phase out: the window edges sit u_band/2-ish either side of u_mid
@@ -374,7 +380,7 @@ class GKernelTable:
         budget = float(np.trapezoid(resid_rate, zg))
         n = max(64, int(np.ceil(1.3 * budget)) + 32)
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(TABLE_SEED)
         checks = np.exp(rng.uniform(np.log(z_lo), np.log(z_hi), 10))
         truths = np.array([direct(float(zz)) for zz in checks])
         for _ in range(3):
@@ -388,7 +394,7 @@ class GKernelTable:
                 1j * _model_phase(checks, T, u_mid)
             )
             rel = float(np.max(np.abs(approx - truths) / np.abs(truths)))
-            if rel <= rel_tol:
+            if rel <= TABLE_REL_TOL:
                 return cls(
                     z_lo=float(z_lo),
                     z_hi=float(z_hi),

@@ -14,10 +14,12 @@ prime pairs drawn from two dyadic segments.
 
 O is summed in shells of r: [1, max(8, r_max)], then [hi + 1, 2 hi], and so
 on, until the shell's mass puts the tail below tol/2. A shell is one
-shared-grid batch (`integrate_shifted` with `betas`): every +-r of the
-shell, for every n still summing, on one grid with one evaluation of V.
-verify_key_identity runs a batch of one n; amplified_average hands a whole
-window of n (the discretized route of `sums`) to each pair's dual sum.
+shared-grid batch (`integrate_shifted`): every +-r of the shell, for every n
+still summing, on one grid with one evaluation of V. The dual sum and the
+amplified average always take a batch of n and return one entry per n:
+verify_key_identity and A09 run a batch of one n and read entry 0, and the
+discretized route of `sums` hands its whole window of n to each pair's dual
+sum.
 """
 from __future__ import annotations
 
@@ -143,8 +145,7 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None):
     integrate_shifted batch over every n still summing and every +-r of
     the shell, each row held to its own share tol / (32 max(8, r)). An n
     stops once its tail estimate falls below tol/2. Returns per-n arrays
-    of value, tail and quadrature bound (scalars when ns is None) and the
-    largest r reached.
+    of value, tail and quadrature bound, and the largest r reached.
     """
     batch = np.asarray([inst.n] if ns is None else ns, dtype=np.int64)
     value = np.zeros(batch.size, dtype=complex)
@@ -165,8 +166,6 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None):
             tail[k] = 2.0 * float(np.sum(np.abs(terms)))
         going &= ~(tail < 0.5 * inst.tol)
         if not going.any():
-            if ns is None:
-                return complex(value[0]), float(tail[0]), float(quad_sum[0]), hi
             return value, tail, quad_sum, hi
         if 2 * hi > MAX_R:
             raise TailNotConvergedError(
@@ -210,6 +209,7 @@ def verify_key_identity(inst: KeyIdentityInstance) -> KeyIdentityReport:
     m = integrate_main(inst.osc)
     a = riemann_side(inst)
     o, tail, quad_sum, r_used = _poisson_terms(inst)
+    o, tail, quad_sum = complex(o[0]), float(tail[0]), float(quad_sum[0])
     residual = abs(m.value - (a - o))
     a_round = _riemann_rounding(inst)
     # budget from the enforced bounds, not the achieved estimates: M is
@@ -352,13 +352,13 @@ def _li_segment(x: float) -> float:
 
 
 def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,
-                      ns=None) -> tuple:
+                      ns=None) -> tuple[np.ndarray, np.ndarray]:
     """Average the identity over the prime pairs with the amplifier weight.
 
-    Returns (weighted average of A, weighted average of O) at base.n, or
-    per-n arrays of both over `ns`, whose dual sums then share one batch
-    per pair. Their difference equals M * weight * |pairs| exactly, since
-    M does not depend on (p, l). Pairs are processed in lexicographic order
+    Returns per-n arrays (weighted average of A, weighted average of O)
+    over `ns` (default base.n alone), whose dual sums share one batch per
+    pair. Their difference equals M * weight * |pairs| exactly, since M
+    does not depend on (p, l). Pairs are processed in lexicographic order
     with compensated reduction.
     """
     batch = [base.n] if ns is None else list(ns)
@@ -371,6 +371,4 @@ def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,
     w = amp.weight
     a_avg = np.array([w * kahan_csum(col) for col in a_terms.T])
     o_avg = np.array([w * kahan_csum(col) for col in o_terms.T])
-    if ns is None:
-        return complex(a_avg[0]), complex(o_avg[0])
     return a_avg, o_avg

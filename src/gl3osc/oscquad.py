@@ -22,24 +22,24 @@ is halved and the grid rebuilt, until the evaluation budget is exhausted.
 Panel partial sums are reduced left to right with compensated summation, so
 results are bit-reproducible.
 
-Shifted batches: the Poisson dual sum needs the rows
+Shifted integrals come in batches only: the Poisson dual sum needs the rows
 c_inv = nT/N, c_lin = +-beta for many n and beta at once, and within one
-shell these differ only in c_inv and beta. `integrate_shifted` given
-`betas` integrates every row on one shared grid per pass, paneled by the
-envelope of the largest c_inv and beta (which bounds every row's |Phi'|):
-the amplitude is evaluated once per node, the factors
-A(x) x^(i c_log) e(-c_inv/x) once per n, and the shift table e(-beta x)
-once per beta, its -beta rows being its conjugates. Chunks of ROW_CHUNK
-panels are reduced by one batched matrix product each, so memory stays
-bounded whatever nodes x rows is, and each row keeps its own compensated
-sum in panel order and its own embedded-rule estimate. Every row must meet
-its own tolerance: the span is halved until all do, and a row keeps the
-first pass that met it.
+shell these differ only in c_inv and beta. `integrate_shifted` integrates
+every row on one shared grid per pass, paneled by the envelope of the
+largest c_inv and beta (which bounds every row's |Phi'|): the amplitude is
+evaluated once per node, the factors A(x) x^(i c_log) e(-c_inv/x) once per
+n, and the shift table e(-beta x) once per beta, its -beta rows being its
+conjugates. Chunks of ROW_CHUNK panels are reduced by one batched matrix
+product each, so memory stays bounded whatever nodes x rows is, and each
+row keeps its own compensated sum in panel order and its own embedded-rule
+estimate. Every row must meet its own tolerance: the span is halved until
+all do, and a row keeps the first pass that met it. A batch of one n and
+one beta holds the two integrals at +-beta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -79,7 +79,6 @@ class OscInstance:
     T: float
     n: int
     N: float
-    beta: float = 0.0
     amplitude: Cutoff = field(default_factory=probe_amplitude)
     tol: float = DEFAULT_TOL
     eval_budget: int = DEFAULT_EVAL_BUDGET
@@ -93,9 +92,6 @@ class OscInstance:
             raise ConfigError("tol must be positive")
         if self.amplitude.support_lo <= 0.0:
             raise ConfigError("amplitude support must sit inside (0, inf)")
-
-    def with_beta(self, beta: float) -> "OscInstance":
-        return replace(self, beta=beta)
 
 
 @dataclass(frozen=True)
@@ -239,31 +235,24 @@ def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
 
 def integrate_main(inst: OscInstance, tol: float | None = None) -> QuadResult:
     """The main integral: integral x^(-iT) e(-nT/(Nx)) V(x) dx (beta = 0)."""
-    if inst.beta != 0.0:
-        raise ConfigError("integrate_main requires beta == 0; use integrate_shifted")
     return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N, 0.0,
                            tol=tol if tol is not None else inst.tol,
                            eval_budget=inst.eval_budget)
 
 
-def integrate_shifted(inst: OscInstance, tol=None, betas=None, ns=None):
-    """The shifted integral with the extra linear phase e(-beta*x).
+def integrate_shifted(inst: OscInstance, betas, tol=None, ns=None) -> ShiftedRows:
+    """The shifted integrals with the extra linear phase e(-beta*x).
 
-    Without `betas`: the one integral at inst.n and inst.beta, a QuadResult.
-    With `betas`: a ShiftedRows batch holding every row (n, +beta) and
-    (n, -beta) for n in `ns` (default inst.n alone) and beta >= 0 in
-    `betas`. `tol` is then one tolerance per beta, or one for all, and
-    every row must meet its own. The rows share each pass: one grid sized
-    by the largest live n and beta, one evaluation of the amplitude per
-    node, one shift table (see PanelGrid.reduce_rows). A row keeps the
-    value of the first pass that meets its tolerance; the phase span per
-    panel is halved until every row has, under inst.eval_budget
-    evaluations in all.
+    A ShiftedRows batch holding every row (n, +beta) and (n, -beta) for n
+    in `ns` (default inst.n alone) and beta >= 0 in `betas`. `tol` is one
+    tolerance per beta, or one for all (default inst.tol), and every row
+    must meet its own. The rows share each pass: one grid sized by the
+    largest live n and beta, one evaluation of the amplitude per node, one
+    shift table (see PanelGrid.reduce_rows). A row keeps the value of the
+    first pass that meets its tolerance; the phase span per panel is halved
+    until every row has, under inst.eval_budget evaluations in all.
     """
     tol = inst.tol if tol is None else tol
-    if betas is None:
-        return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N, inst.beta,
-                               tol=tol, eval_budget=inst.eval_budget)
     c_inv = np.asarray([inst.n] if ns is None else ns, dtype=float) * inst.T / inst.N
     betas = np.asarray(betas, dtype=float)
     row_tol = np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), betas.shape), 2)
@@ -308,8 +297,6 @@ def stationary_phase_main(inst: OscInstance) -> tuple[complex, float]:
     Returns (0, envelope) when x0 is not strictly inside the support; the
     envelope K_SP_MAIN * T^(-3/2) is the calibrated next-order bound.
     """
-    if inst.beta != 0.0:
-        raise ConfigError("stationary_phase_main applies to the beta == 0 integral")
     envelope = K_SP_MAIN * inst.T ** -1.5
     x0 = TWO_PI * inst.n / inst.N
     if not (inst.amplitude.support_lo < x0 < inst.amplitude.support_hi):
@@ -323,24 +310,12 @@ def stationary_phase_main(inst: OscInstance) -> tuple[complex, float]:
 def oscillation_count(inst: OscInstance) -> float:
     """Total oscillation (1/2*pi) integral |Phi'(x)| dx over the support.
 
-    Phi' has at most two zeros (quadratic in 1/x), so the integral is a sum
-    of exact |Phi| increments over monotonic pieces.
+    Phi'(x) = (T/x^2) (2*pi*n/N - x) changes sign only at the stationary
+    point x0 = 2*pi*n/N, so the integral is the sum of exact |Phi|
+    increments over the pieces on either side of x0.
     """
     a, b = inst.amplitude.support_lo, inst.amplitude.support_hi
-    c_log, c_inv, c_lin = -inst.T, inst.n * inst.T / inst.N, inst.beta
-    # Phi'(x) = 0  <=>  2*pi*c_inv*v^2 + c_log*v - 2*pi*c_lin = 0 with v = 1/x
-    roots = []
-    aa, bb, cc = TWO_PI * c_inv, c_log, -TWO_PI * c_lin
-    if aa != 0.0:
-        disc = bb * bb - 4.0 * aa * cc
-        if disc > 0.0:
-            for v in ((-bb + np.sqrt(disc)) / (2 * aa), (-bb - np.sqrt(disc)) / (2 * aa)):
-                if v > 0.0 and a < 1.0 / v < b:
-                    roots.append(1.0 / v)
-    elif bb != 0.0:
-        v = -cc / bb
-        if v > 0.0 and a < 1.0 / v < b:
-            roots.append(1.0 / v)
-    pts = np.array(sorted([a, *roots, b]))
-    phis = phase_values(pts, c_log, c_inv, c_lin)
+    x0 = TWO_PI * inst.n / inst.N
+    pts = np.array([a, x0, b] if a < x0 < b else [a, b])
+    phis = phase_values(pts, -inst.T, inst.n * inst.T / inst.N, 0.0)
     return float(np.sum(np.abs(np.diff(phis)))) / TWO_PI

@@ -199,11 +199,6 @@ def _integral_route(spec: SumSpec) -> tuple[complex, float]:
     return complex(pref * kahan_csum(terms)), float(root_n * err)
 
 
-def s_integral_form(spec: SumSpec) -> complex:
-    """The unfolded per-n oscillatory-integral route."""
-    return _integral_route(spec)[0]
-
-
 def _v_cutoff(spec: SumSpec) -> Cutoff:
     """The fixed amplitude V of the discretized route (no g factor)."""
     v0 = v0_cutoff(spec.c1)
@@ -258,11 +253,6 @@ def _keyident_route(spec: SumSpec,
             err += abs(a) * w * pair_budget
     pref = np.exp(1j * spec.T * np.log(spec.Y)) / np.sqrt(spec.N)
     return complex(pref * kahan_csum(terms)), float(err / np.sqrt(spec.N))
-
-
-def s_keyident_form(spec: SumSpec, amp: AmplifierSpec) -> complex:
-    """The discretized route with the amplified main-integral replacement."""
-    return _keyident_route(spec, amp)[0]
 
 
 def keyident_envelope(spec: SumSpec) -> float:

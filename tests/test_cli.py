@@ -1,10 +1,11 @@
 """Tests for the command-line front end: config, dispatch, reports, exits."""
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from gl3osc import cli, whittaker
+from gl3osc import cli, criteria, whittaker
 from gl3osc.cli import RunConfig, config_from_args, build_parser, main, run
 from gl3osc.errors import ConfigError
 from gl3osc.reports import Check, Report, decode_value, encode_value, load_report
@@ -187,6 +188,23 @@ def test_suite_uses_per_command_defaults(monkeypatch):
     assert main(["suite"]) == 0
     assert seen["s-sum"] == (200.0, 1e-6)
     assert seen["oscint"] == (500.0, 1e-10)
+
+
+def test_gamma_command_runs_the_kernel_at_t_and_tol(monkeypatch):
+    # the defaults are the battery's own, so the plain run is unchanged
+    defaults = inspect.signature(criteria.gamma_battery).parameters
+    seen = []
+
+    def fake_gamma(t_grid, kernel_t, tol):
+        seen.append((t_grid, kernel_t, tol))
+        return {}, (Check("gamma-ok", "stub", 0.0, 1.0),)
+
+    monkeypatch.setattr(cli.criteria, "gamma_battery", fake_gamma)
+    assert main(["gamma", "--t", "300", "--tol", "1e-6"]) == 0
+    assert run(config_from_args(_args("gamma"))).inputs["tol"] == 1e-10
+    assert seen == [(criteria.SCALING_T_GRID, 300.0, 1e-6),
+                    (criteria.SCALING_T_GRID, defaults["kernel_t"].default,
+                     defaults["tol"].default)]
 
 
 def test_sign_mutation_breaks_asymptotics_but_not_identity(monkeypatch):

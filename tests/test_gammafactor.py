@@ -112,8 +112,6 @@ def test_decay_fit_needs_four_heights():
 def test_contour_spec_validation():
     with pytest.raises(ConfigError):
         ContourSpec(re_line=1.0)
-    with pytest.raises(ConfigError):
-        ContourSpec(im_cut=0.0)
 
 
 def test_g_kernel_argument_validation():

@@ -24,7 +24,7 @@ from gl3osc.keyident import (
     sum_shape_prefactor,
     verify_key_identity,
 )
-from gl3osc.oscquad import K_SP_MAIN, OscInstance, integrate_main, integrate_shifted
+from gl3osc.oscquad import K_SP_MAIN, OscInstance, integrate_main, integrate_phase, integrate_shifted
 from gl3osc.util import TWO_PI
 
 # frozen against a plain-loop evaluation (fsum over scalar cmath terms with
@@ -36,6 +36,12 @@ def _instance(T: float, p: int, l: int, **kw) -> KeyIdentityInstance:
     N = T**1.5
     n = math.ceil(N / TWO_PI)
     return KeyIdentityInstance(T=T, n=n, N=N, p=p, l=l, **kw)
+
+
+def _shifted_reference(inst: KeyIdentityInstance, signed_r: int, tol: float):
+    """One shifted integral at beta = signed_r / h, by the one-row driver."""
+    return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N,
+                           signed_r / inst.h, tol=tol)
 
 
 def _zero_amplitude() -> Cutoff:
@@ -142,11 +148,9 @@ def test_budget_scales_with_tolerance():
 
 def test_dual_terms_decay_superpolynomially():
     inst = _instance(1000.0, 7, 2)
-    h = inst.h
 
     def term(r):
-        res = integrate_shifted(inst.osc.with_beta(r / h), tol=1e-12)
-        return abs(res.value)
+        return abs(_shifted_reference(inst, r, 1e-12).value)
 
     j1, j2, j3, j4 = term(1), term(2), term(3), term(4)
     assert j1 > 10.0 * j2
@@ -159,12 +163,12 @@ def test_dual_terms_decay_superpolynomially():
 
 def test_dual_sum_tail_honesty():
     inst = _instance(500.0, 7, 2)
-    o_a, tail_a = _poisson_terms(inst)[:2]
+    (o_a,), (tail_a,) = _poisson_terms(inst)[:2]
     # widening the window must move the value by less than the tail plus the
     # quadrature shares; the wide pass needs a looser tol since the per-term
     # tolerance share shrinks with the index
     wide = replace(inst, r_max=32, tol=1e-7)
-    o_b, tail_b = _poisson_terms(wide)[:2]
+    (o_b,), (tail_b,) = _poisson_terms(wide)[:2]
     assert 0.0 <= tail_a < 0.5 * inst.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
 
@@ -276,7 +280,7 @@ def test_amplifier_validation():
 def test_amplified_average_recovers_main_integral():
     base = _instance(500.0, 7, 2)
     amp = AmplifierSpec.for_t(500.0)
-    a_avg, o_avg = amplified_average(base, amp)
+    (a_avg,), (o_avg,) = amplified_average(base, amp)
     m = integrate_main(base.osc)
     count = amp.weight * len(amp.pairs)
     resid = abs((a_avg - o_avg) - m.value * count)
@@ -290,14 +294,14 @@ def test_amplified_average_single_pair_degenerates():
     base = _instance(250.0, 7, 2)
     amp = AmplifierSpec(kappa=0.3, P=10.0, L=5.0,
                         primes_p=(11,), primes_l=(5,))
-    a_avg, o_avg = amplified_average(base, amp)
+    (a_avg,), (o_avg,) = amplified_average(base, amp)
     sub = replace(base, p=11, l=5)
     assert a_avg == amp.weight * riemann_side(sub)
-    assert o_avg == amp.weight * _poisson_terms(sub)[0]
+    assert o_avg == amp.weight * _poisson_terms(sub)[0][0]
 
 
 def _per_term_dual_sum(inst: KeyIdentityInstance):
-    """Reference: every row a standalone integrate_shifted, shells as in
+    """Reference: every row a standalone integrate_phase, shells as in
     _poisson_terms; returns {signed r: QuadResult} and the last r."""
     rows = {}
     lo, hi = 1, max(8, inst.r_max)
@@ -306,7 +310,7 @@ def _per_term_dual_sum(inst: KeyIdentityInstance):
         for r in range(lo, hi + 1):
             per_tol = inst.tol / (32.0 * max(8, r))
             for signed in (r, -r):
-                rows[signed] = integrate_shifted(inst.osc.with_beta(signed / inst.h), tol=per_tol)
+                rows[signed] = _shifted_reference(inst, signed, per_tol)
                 mag += abs(rows[signed].value)
         if 2.0 * mag < 0.5 * inst.tol:
             return rows, hi
@@ -365,7 +369,7 @@ def test_batched_dual_sum_matches_per_term(case):
     o, tail, quad, r_max = _poisson_terms(base, ns)
     assert r_max == r_cover
     for i, n in enumerate(ns):
-        o_one, tail_one, quad_one, _ = _poisson_terms(replace(base, n=n))
+        (o_one,), (tail_one,), (quad_one,), _ = _poisson_terms(replace(base, n=n))
         assert abs(o[i] - o_one) <= quad[i] + quad_one + tail[i] + tail_one
 
 
