@@ -20,7 +20,6 @@ from .errors import (ConfigError, GL3OscError, GammaPoleError,
                      ToleranceUnreachableError)
 from .reports import Check, Report, write_table_csv
 from .whittaker import K_ZETA_REL, LocalZetaParams, c_constant, local_zeta
-from .util import TWO_PI
 
 COMMANDS = ("bump", "oscint", "zeta-local", "gamma", "key-identity",
             "amplified", "scaling", "coeffs", "s-sum", "suite")

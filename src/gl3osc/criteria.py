@@ -19,7 +19,7 @@ from .coeffs import (CoefficientTable, hecke_mult_check, load_coefficients,
 from .cutoffs import ONE_OVER_2PI, g_cutoff, h0_cutoff, mellin, mellin_invert, v0_cutoff
 from .gammafactor import LanglandsParams, f_line_mass, g_kernel, gamma_decay_fit, gamma_pi
 from .keyident import AmplifierSpec, KeyIdentityInstance, amplified_average, verify_key_identity
-from .oscquad import OscInstance, integrate_main, stationary_phase_main
+from .oscquad import integrate_main, stationary_phase_main
 from .reports import Check
 from .sums import SumSpec, compare_routes
 from .util import TWO_PI, loglog_slope

@@ -31,7 +31,6 @@ from scipy.special import expi
 from .cutoffs import Cutoff
 from .errors import ConfigError, TailNotConvergedError
 from .oscquad import (
-    K_SP_MAIN,
     OscInstance,
     integrate_main,
     integrate_shifted,

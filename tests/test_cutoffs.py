@@ -1,4 +1,5 @@
 """Tests for the smooth cutoff family and its Mellin machinery."""
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,7 +9,6 @@ from gl3osc.cutoffs import (
     ONE_OVER_4PI,
     ONE_OVER_8PI,
     Cutoff,
-    derivative_proxy,
     g_cutoff,
     h0_cutoff,
     h1_cutoff,
@@ -19,7 +19,7 @@ from gl3osc.cutoffs import (
     v0_cutoff,
     weight_w0_w,
 )
-from gl3osc.errors import ConfigError, MellinDivergenceError
+from gl3osc.errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
 
 # pinned value of the mollifier bump at 1/(2*pi) with c1 = 1; equals
 # exp(-49/48) because 1/(2*pi) maps to u = -1/7 on the reference interval
@@ -174,13 +174,71 @@ def test_mellin_any_line_for_compactly_supported_window():
     assert np.isfinite(ms.value.real) and np.isfinite(ms.value.imag)
 
 
+def _smooth_down_mp(t):
+    """h's ramp at 30 digits: 1 for t <= 0, 0 for t >= 1."""
+    if t <= 0:
+        return mp.mpf(1)
+    if t >= 1:
+        return mp.mpf(0)
+    a, b = mp.exp(-1 / (1 - t)), mp.exp(-1 / t)
+    return a / (a + b)
+
+
+def _h0_mellin_mp(T, kappa, eps, s):
+    """Integral of h0(y) y^s dy/y at 30 digits, Gauss-Legendre in u = log y
+    on panels that break at every ramp end and follow the oscillation."""
+    with mp.workdps(30):
+        te, tk = mp.mpf(T) ** mp.mpf(eps), mp.mpf(T) ** mp.mpf(kappa)
+        sm = mp.mpc(s.real, s.imag)
+        ends = sorted([1 / tk, 2 / tk, 1 / te, 2 / te])
+        pts = []
+        for a, b in zip(ends[:-1], ends[1:]):
+            la, lb = mp.log(a), mp.log(b)
+            k = max(4, int(abs(s.imag) * (lb - la) / 3) + 4)
+            pts.extend(la + (lb - la) * j / k for j in range(k))
+        pts.append(mp.log(ends[-1]))
+
+        def f(u):
+            y = mp.exp(u)
+            return (_smooth_down_mp(y * te - 1) - _smooth_down_mp(y * tk - 1)) * mp.exp(sm * u)
+
+        return complex(mp.quad(f, pts, method="gauss-legendre"))
+
+
 def test_mellin_on_line_matches_pointwise_mellin():
+    # sigma = 3 is the line that the deep contour Re(s) = -3 reflects onto
+    ts = np.array([0.0, 47.5, -47.5, 200.0, -200.0])
+    for T in (100.0, 500.0):
+        f = h0_cutoff(T, 1.0 / 18.0, 0.01)
+        for sigma in (-1.0, 0.5, 1.0, 3.0):
+            line = mellin_on_line(f, sigma, ts)
+            for t, got in zip(ts, line):
+                want = _h0_mellin_mp(T, 1.0 / 18.0, 0.01, complex(sigma, t))
+                assert abs(got - want) <= 1e-13, (T, sigma, t)
     f = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
-    ts = np.array([-3.0, 0.0, 2.0])
-    line = mellin_on_line(f, 0.5, ts)
-    for t, got in zip(ts, line):
-        want = mellin(f, 0.5 + 1j * t).value
-        assert abs(got - want) < 1e-10
+    for t, got in zip((-3.0, 0.0, 2.0), mellin_on_line(f, 0.5, [-3.0, 0.0, 2.0])):
+        assert abs(got - mellin(f, 0.5 + 1j * t).value) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["v0", "g", "h0", "h1"])
+def test_mellin_on_line_converges_for_each_cutoff(name):
+    # the line's n/2 estimate must settle for every C-infinity cutoff
+    f = {"v0": v0_cutoff(), "g": g_cutoff(), "h0": h0_cutoff(500.0, 1.0 / 18.0, 0.01),
+         "h1": h1_cutoff(500.0, 1.0 / 18.0, 0.01)}[name]
+    ts = np.array([0.0, 47.5, -200.0])
+    for sigma in (-1.0, 3.0):
+        for t, got in zip(ts, mellin_on_line(f, sigma, ts)):
+            want = mellin(f, sigma + 1j * t)
+            assert abs(got - want.value) <= 1e-10 + want.abs_err, (sigma, t)
+
+
+def test_mellin_on_line_refuses_a_kink():
+    # a tent converges only like h^2, so the line is refused, not returned
+    tent = Cutoff(support_lo=1.0, support_hi=2.0,
+                  fn=lambda y: np.maximum(0.0, 1.0 - np.abs(2.0 * y - 3.0)))
+    with pytest.raises(ToleranceUnreachableError) as info:
+        mellin_on_line(tent, 0.5, [0.0, 47.5, 200.0])
+    assert info.value.achieved > 0.0
 
 
 def test_mellin_inversion_round_trip():
@@ -198,28 +256,6 @@ def test_mellin_inversion_round_trip():
 def test_mellin_invert_rejects_nonpositive_point():
     with pytest.raises(ConfigError):
         mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), 0.0)
-
-
-def test_derivative_proxy_bounded_per_function():
-    # smoothness proxy: 6th-order difference quotients stay finite, with a
-    # per-function ceiling frozen from the implemented mollifier shapes
-    bounds = {
-        "h": (h_cutoff(), 1e7),
-        "v0": (v0_cutoff(), 1e14),
-        "g": (g_cutoff(), 1e18),
-        "h0": (h0_cutoff(500.0, 1.0 / 18.0, 0.01), 1e8),
-    }
-    for f, ceiling in bounds.values():
-        proxy = derivative_proxy(f, order=6)
-        assert np.isfinite(proxy)
-        assert proxy < ceiling
-
-
-def test_derivative_proxy_order_validation():
-    with pytest.raises(ConfigError):
-        derivative_proxy(h_cutoff(), order=0)
-    with pytest.raises(ConfigError):
-        derivative_proxy(h_cutoff(), order=9)
 
 
 def test_scaled_cutoff_tracks_support_and_values():
