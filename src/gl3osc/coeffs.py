@@ -62,11 +62,6 @@ class CoefficientTable:
                 f"index {n} outside the table range 1..{self.x_max}")
         return complex(self.values[n])
 
-    @property
-    def entries(self) -> dict:
-        """Mapping view n -> a(1, n); intended for small-table inspection."""
-        return {n: complex(self.values[n]) for n in range(1, self.x_max + 1)}
-
 
 def _parse_row(line: str, lineno: int) -> tuple[int, complex]:
     parts = line.split(",")
@@ -175,11 +170,6 @@ def synth_eisenstein(params: LanglandsParams, x_max: int) -> CoefficientTable:
                             source=f"synthetic({label})")
 
 
-def dual_coefficient(table: CoefficientTable, n: int) -> complex:
-    """a(n, 1) = conj(a(1, n))."""
-    return table.a(n).conjugate()
-
-
 @dataclass(frozen=True)
 class GrowthReport:
     """Log-log slope of the partial absolute sums against the cut X."""
@@ -219,10 +209,6 @@ class MultReport:
     skipped: int
     violations: int
     max_abs_error: float
-
-    @property
-    def violation_rate(self) -> float:
-        return self.violations / self.tested if self.tested else 0.0
 
 
 def hecke_mult_check(table: CoefficientTable, trials: int,

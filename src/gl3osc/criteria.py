@@ -17,9 +17,10 @@ from .coeffs import (CoefficientTable, hecke_mult_check, load_coefficients,
                      rankin_selberg_check, save_coefficients,
                      synth_eisenstein)
 from .cutoffs import ONE_OVER_2PI, g_cutoff, h0_cutoff, mellin, mellin_invert, v0_cutoff
-from .gammafactor import LanglandsParams, f_line_mass, g_kernel, gamma_decay_fit, gamma_pi
-from .keyident import AmplifierSpec, KeyIdentityInstance, amplified_average, verify_key_identity
-from .oscquad import integrate_main, stationary_phase_main
+from .gammafactor import LanglandsParams, f_line_mass, g_kernel, gamma_pi, gamma_pi_line
+from .keyident import (AmplifierSpec, KeyIdentityInstance, amplified_average,
+                       dressing_constant, lin_form_leading, verify_key_identity)
+from .oscquad import K_SP_MAIN, integrate_main, stationary_phase_main
 from .reports import Check
 from .sums import SumSpec, compare_routes
 from .util import TWO_PI, loglog_slope
@@ -78,13 +79,15 @@ def bump_battery(c1: float = 1.0) -> tuple[dict, tuple]:
 
 def key_identity_battery(t_values=KEY_T_VALUES, pairs=KEY_PAIRS,
                          tol: float = 1e-9) -> tuple[dict, tuple]:
-    """Identity exactness per instance (A01) and h-independence (A02)."""
+    """Identity exactness (A01) and the dressed shape (A01-shape) per
+    instance, and h-independence (A02)."""
     outputs = {}
     checks = []
     for T in t_values:
         reports = []
         for p, l in pairs:
-            rep = verify_key_identity(_center_instance(T, p, l, tol))
+            inst = _center_instance(T, p, l, tol)
+            rep = verify_key_identity(inst)
             reports.append(rep)
             tag = f"T{T:g}-p{p}l{l}"
             outputs[f"m-{tag}"] = rep.m_value
@@ -92,6 +95,13 @@ def key_identity_battery(t_values=KEY_T_VALUES, pairs=KEY_PAIRS,
             checks.append(Check(
                 f"A01-{tag}", "key identity residual |M - (A - O)|",
                 rep.residual, 1e-6 * rep.scale))
+            d = dressing_constant(inst.T, inst.N)
+            checks.append(Check(
+                f"A01-shape-{tag}",
+                "|D (A - O) - n^(-iT) sqrt(2 pi) e^(-i pi/4) x0 V(x0)| "
+                "within K_SP_MAIN T^(-3/2) |D|",
+                abs(d * rep.recovered_m - lin_form_leading(inst)),
+                K_SP_MAIN * T**-1.5 * abs(d)))
         worst = 0.0
         for i in range(len(reports)):
             for j in range(i + 1, len(reports)):
@@ -177,13 +187,15 @@ def gamma_battery(t_grid=SCALING_T_GRID, kernel_t: float = 500.0,
               unit_err, 1e-10),
     ]
     outputs = {"gamma_trivial": trivial, "unitary_error": unit_err}
+    heights = np.asarray(t_grid, dtype=float)
     for sigma, want in ((0.0, 0.0), (-0.5, 1.5), (-1.0, 3.0)):
-        fit = gamma_decay_fit(sigma, t_grid)
-        outputs[f"decay_slope_sigma{sigma:g}"] = fit.slope
+        line = np.abs(gamma_pi_line(0.5 + sigma + 1j * heights, LanglandsParams()))
+        slope, _ = loglog_slope(heights, line)
+        outputs[f"decay_slope_sigma{sigma:g}"] = slope
         checks.append(Check(
             f"A06-decay-sigma{sigma:g}",
             f"|gamma| growth slope near {want:g} on Re(s) = 1/2 + sigma",
-            abs(fit.slope - want), 0.3))
+            abs(slope - want), 0.3))
     small = abs(g_kernel(kernel_t**-0.5, kernel_t, tol=tol))
     c_f = f_line_mass(kernel_t)
     bounded = max(abs(g_kernel(z, kernel_t, tol=1e-8)) for z in (0.5, 1.0, 2.0))

@@ -36,7 +36,6 @@ from .cutoffs import h0_cutoff, mellin_on_line
 from .errors import (
     ConfigError,
     GammaPoleError,
-    InsufficientGridError,
     TailNotConvergedError,
     ToleranceUnreachableError,
 )
@@ -87,11 +86,6 @@ class LanglandsParams:
                 raise ConfigError(f"Re(alpha) must lie in (-1/2, 1/2), got {a}")
         object.__setattr__(self, "alpha", alpha)
 
-    @property
-    def dual(self) -> "LanglandsParams":
-        """Parameters of the contragredient: negated conjugates."""
-        return LanglandsParams(tuple(-a.conjugate() for a in self.alpha))
-
 
 def _log_gamma_ratio(s, alpha) -> np.ndarray:
     """log of prod Gamma((1 - s + a)/2) / Gamma((s - a)/2), vectorized in s.
@@ -128,39 +122,6 @@ def gamma_pi_line(s: np.ndarray, params: LanglandsParams) -> np.ndarray:
     """Vectorized gamma factor on an array of points, no pole checks."""
     log_val = (3.0 * s - 1.5) * np.log(np.pi) + _log_gamma_ratio(s, params.alpha)
     return np.exp(log_val)
-
-
-@dataclass(frozen=True)
-class GammaDecayFit:
-    """Least-squares slope of log |gamma(1/2 + sigma + iT)| against log T."""
-
-    sigma: float
-    t_grid: tuple[float, ...]
-    values: tuple[float, ...]
-    slope: float
-    predicted_slope: float
-
-
-def gamma_decay_fit(
-    sigma: float,
-    t_grid,
-    params: LanglandsParams | None = None,
-) -> GammaDecayFit:
-    """Fit |gamma| ~ T^(-3 sigma) on the line Re(s) = 1/2 + sigma."""
-    params = params or LanglandsParams()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size < 4:
-        raise InsufficientGridError("need at least four heights to fit a slope")
-    s = 0.5 + sigma + 1j * t_grid
-    vals = np.abs(gamma_pi_line(s, params))
-    slope, _ = np.polyfit(np.log(t_grid), np.log(vals), 1)
-    return GammaDecayFit(
-        sigma=float(sigma),
-        t_grid=tuple(float(t) for t in t_grid),
-        values=tuple(float(v) for v in vals),
-        slope=float(slope),
-        predicted_slope=float(-3.0 * sigma),
-    )
 
 
 @dataclass(frozen=True)

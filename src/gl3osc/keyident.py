@@ -8,9 +8,14 @@ windowed sum A minus a rapidly convergent dual sum O:
 
 The identity is Poisson summation applied to the r-sum; it holds exactly for
 every coprime prime pair (p, l), so the recovered M must not depend on the
-step h. This module verifies the identity at desk scale, reconstructs the
-leading closed-form shape of the dressed identity, and averages it over
+step h. This module verifies the identity at desk scale, gives the closed
+form of the dressed identity's leading shape, and averages the identity over
 prime pairs drawn from two dyadic segments.
+
+Dressing M with D = (2*pi/N)^(iT) e(T/(2*pi)) sqrt(T) gives the paper's
+shape: D*M = n^(-iT) * sqrt(2*pi) e^(-i*pi/4) x0 V(x0) + O(T^(-1)), a fixed
+cutoff evaluated at x0 = 2*pi*n/N. `lin_form_leading` is that closed form,
+and the A01-shape check holds D*(A - O) to it within K_SP_MAIN T^(-3/2) |D|.
 
 O is summed in shells of r: [1, max(8, r_max)], then [hi + 1, 2 hi], and so
 on, until the shell's mass puts the tail below tol/2. A shell is one
@@ -35,7 +40,6 @@ from .oscquad import (
     integrate_main,
     integrate_shifted,
     probe_amplitude,
-    stationary_phase_main,
 )
 from .util import TWO_PI, is_prime, kahan_csum, primes_in
 
@@ -90,19 +94,14 @@ class KeyIdentityInstance:
         return lo, hi
 
 
-def riemann_side(inst: KeyIdentityInstance, pad: int = 0) -> complex:
+def riemann_side(inst: KeyIdentityInstance) -> complex:
     """The exact windowed sum A = h^(1-iT) sum_r r^(-iT) e(-np/(l*r)) V(r*h).
 
-    Only indices with r*h inside the amplitude support contribute; `pad`
-    extends the window on both sides (extra terms are exactly zero and must
-    not change the value). Summed in ascending index order, compensated.
+    Only indices with r*h inside the amplitude support contribute. Summed in
+    ascending index order, compensated.
     """
-    if pad < 0:
-        raise ConfigError("pad must be nonnegative")
     h = inst.h
     r_lo, r_hi = inst.index_window()
-    r_lo = max(1, r_lo - pad)
-    r_hi = r_hi + pad
     if r_hi < r_lo:
         return 0.0 + 0.0j
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
@@ -224,17 +223,19 @@ def verify_key_identity(inst: KeyIdentityInstance) -> KeyIdentityReport:
 
 
 def lin_form_leading(inst: KeyIdentityInstance) -> complex:
-    """Leading closed-form value of the dressed identity.
+    """Closed-form leading shape of the dressed identity D*M = D*(A - O).
 
-    Dressing M = A - O with D = (2*pi/N)^(iT) e(T/(2*pi)) sqrt(T) gives the
-    shape n^(-iT) * (fixed cutoff at 2*pi*n/N); substituting the leading
-    stationary-phase term for M yields that shape's closed-form main term.
-    Returns 0 when the stationary point falls outside the support.
+    n^(-iT) * sqrt(2*pi) e^(-i*pi/4) x0 V(x0) with x0 = 2*pi*n/N: the
+    leading stationary-phase term of M (see oscquad.stationary_phase_main)
+    times D = dressing_constant(T, N), in which the phases (2*pi/N)^(iT)
+    x0^(-iT) collapse to n^(-iT). Returns 0 when x0 falls outside the support.
     """
-    lead, _ = stationary_phase_main(inst.osc)
-    if lead == 0.0:
+    x0 = TWO_PI * inst.n / inst.N
+    if not (inst.amplitude.support_lo < x0 < inst.amplitude.support_hi):
         return 0.0 + 0.0j
-    return complex(dressing_constant(inst.T, inst.N) * lead)
+    return complex(np.exp(-1j * inst.T * np.log(inst.n))
+                   * np.sqrt(TWO_PI) * np.exp(-0.25j * np.pi)
+                   * x0 * inst.amplitude(x0))
 
 
 def dressing_constant(T: float, N: float) -> complex:
@@ -244,29 +245,6 @@ def dressing_constant(T: float, N: float) -> complex:
     return complex(np.exp(1j * T * np.log(TWO_PI / N))
                    * np.exp(1j * T)
                    * np.sqrt(T))
-
-
-def sum_shape_prefactor(inst: KeyIdentityInstance) -> complex:
-    """(2*pi/T)^(iT) (l/p)^(1-iT) e(T/(2*pi)) T^(3/2)/N.
-
-    The constant dressing the raw r-sum in the leading shape; its modulus
-    is (l/p) * T^(3/2)/N by unimodularity of the phase factors.
-    """
-    ratio = inst.l / inst.p
-    return complex(np.exp(1j * inst.T * np.log(TWO_PI / inst.T))
-                   * ratio * np.exp(-1j * inst.T * np.log(ratio))
-                   * np.exp(1j * inst.T)
-                   * inst.T**1.5 / inst.N)
-
-
-def prime_segment(X: float) -> list[int]:
-    """All primes in the dyadic segment [X, 2X], ascending."""
-    if X < 2.0:
-        raise ConfigError("segment start must be at least 2")
-    ps = primes_in(X, 2.0 * X)
-    if not ps:
-        raise ConfigError(f"no prime in [{X}, {2.0 * X}]")
-    return ps
 
 
 @dataclass(frozen=True)
@@ -294,12 +272,11 @@ class AmplifierSpec:
 
     @classmethod
     def for_t(cls, T: float, kappa: float = 1.0 / 18.0) -> "AmplifierSpec":
-        """Segments at P = T^(5*kappa) and L = T^(2*kappa).
+        """Segments at P = T^(5*kappa) and L = T^(2*kappa), sieved directly.
 
-        Sieves the segments directly: L dips slightly below 2 at desk-scale
-        T, which the standalone prime_segment precondition would reject.
-        The segments are disjoint (2L <= P) only from T = 2^(1/(3*kappa))
-        on, which is 64 at kappa = 1/18.
+        L dips slightly below 2 at desk-scale T, so [L, 2L] may start below
+        the smallest prime. The segments are disjoint (2L <= P) only from
+        T = 2^(1/(3*kappa)) on, which is 64 at kappa = 1/18.
         """
         if T <= 1.0:
             raise ConfigError("need T > 1")

@@ -35,6 +35,11 @@ row keeps its own compensated sum in panel order and its own embedded-rule
 estimate. Every row must meet its own tolerance: the span is halved until
 all do, and a row keeps the first pass that met it. A batch of one n and
 one beta holds the two integrals at +-beta.
+
+`stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
+integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
+A01-shape holds its dressed form (keyident.lin_form_leading) to the sum side
+A - O of the identity.
 """
 
 from __future__ import annotations
@@ -210,11 +215,11 @@ def _check_budget(evals_used: int, grid: PanelGrid, budget: int,
 
 
 def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
-                    tol: float = DEFAULT_TOL, eval_budget: int = DEFAULT_EVAL_BUDGET,
-                    lo: Optional[float] = None, hi: Optional[float] = None) -> QuadResult:
-    """Adaptive driver for the generic amplitude/phase family."""
-    a = amplitude.support_lo if lo is None else max(lo, amplitude.support_lo)
-    b = amplitude.support_hi if hi is None else min(hi, amplitude.support_hi)
+                    tol: float = DEFAULT_TOL,
+                    eval_budget: int = DEFAULT_EVAL_BUDGET) -> QuadResult:
+    """Adaptive driver for the generic amplitude/phase family, over the
+    amplitude's support."""
+    a, b = amplitude.support_lo, amplitude.support_hi
     if not (0.0 < a < b):
         raise ConfigError("integration range must sit inside (0, inf)")
     span = np.pi
@@ -306,16 +311,3 @@ def stationary_phase_main(inst: OscInstance) -> tuple[complex, float]:
            * x0 * np.exp(-1j * inst.T * np.log(x0)))
     return complex(c_t * inst.T ** -0.5 * inst.amplitude(x0)), envelope
 
-
-def oscillation_count(inst: OscInstance) -> float:
-    """Total oscillation (1/2*pi) integral |Phi'(x)| dx over the support.
-
-    Phi'(x) = (T/x^2) (2*pi*n/N - x) changes sign only at the stationary
-    point x0 = 2*pi*n/N, so the integral is the sum of exact |Phi|
-    increments over the pieces on either side of x0.
-    """
-    a, b = inst.amplitude.support_lo, inst.amplitude.support_hi
-    x0 = TWO_PI * inst.n / inst.N
-    pts = np.array([a, x0, b] if a < x0 < b else [a, b])
-    phis = phase_values(pts, -inst.T, inst.n * inst.T / inst.N, 0.0)
-    return float(np.sum(np.abs(np.diff(phis)))) / TWO_PI

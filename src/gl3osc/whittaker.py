@@ -18,6 +18,10 @@ phase gives Z = C_T * T^(-1/2) + O(T^(-3/2)) with the explicit constant
 
 z0 leaves the support of V0 exactly when Im s leaves [-3T/4, c1*T], which is
 why |Z| collapses outside that window.
+
+`zeta_scaling_study` feeds the critical-line checks (A04) and the
+Re(s) = -1/2 strip level (A05); the `zeta-local` command holds a single Z to
+C_T T^(-1/2) within K_ZETA_REL / T.
 """
 
 from __future__ import annotations
@@ -34,11 +38,6 @@ from .util import TWO_PI, loglog_slope
 # Relative gap between local_zeta(s=0) and C_T * T^(-1/2) is <= K_ZETA_REL / T;
 # calibrated at T = 250 (rel * T = 1.127) with a 4x cushion and frozen.
 K_ZETA_REL = 4.6
-
-# Absolute residual envelope K_WEIGHTED * T^(-3/2) for weighted integrals
-# with leading value C_T T^(-1/2) f(...) [u(...)]; calibrated at T = 250
-# on the standard test amplitude (residual * T^(3/2) = 1.89), 4x cushion.
-K_WEIGHTED = 7.6
 
 DEFAULT_ZETA_TOL = 1e-10
 
@@ -75,22 +74,14 @@ class LocalZetaParams:
         if self.c1 <= 0.0:
             raise ConfigError("c1 must be positive")
 
-    @property
-    def im_in_core_range(self) -> bool:
-        """True when the stationary point stays inside the bump support."""
-        return -0.75 * self.T <= self.s.imag <= self.c1 * self.T
 
-
-def _power_amplitude(c1: float, exponent: float, extra=None) -> Cutoff:
-    """V0(z) * z^exponent (* extra(z)) as a Cutoff on V0's support."""
+def _power_amplitude(c1: float, exponent: float) -> Cutoff:
+    """V0(z) * z^exponent as a Cutoff on V0's support."""
     v0 = v0_cutoff(c1)
 
     def fn(z):
         z = np.asarray(z, dtype=float)
-        vals = v0.fn(z) * z**exponent
-        if extra is not None:
-            vals = vals * extra(z)
-        return vals
+        return v0.fn(z) * z**exponent
 
     return Cutoff(support_lo=v0.support_lo,
                   support_hi=v0.support_hi, fn=fn)
@@ -125,67 +116,6 @@ def c_constant(T: float, c1: float = 1.0) -> complex:
                    * np.exp(1.5j * T * np.log(T))
                    * np.exp(-1j * T)
                    * vstar)
-
-
-def _validate_weight(fname: str, f, lo: float, hi: float):
-    """Reject weight callables that are non-finite on the sampling window."""
-    xs = np.linspace(lo, hi, 65)
-    vals = np.asarray(f(xs), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ConfigError(f"{fname} is not finite on the evaluation window")
-
-
-def lemma_range_flag(n: int, T: float, kappa: float = 1.0 / 18.0,
-                     eps: float = 0.02) -> bool:
-    """True when n sits in the asymptotic window [T^(3/2-kappa), T^(3/2+eps)].
-
-    Advisory only: the weighted integrals are computed for any n >= 1, but the
-    leading-term comparison carries its stated envelope inside this window.
-    """
-    return T ** (1.5 - kappa) <= n <= T ** (1.5 + eps)
-
-
-def weighted_zeta_first(f, n: int, T: float, tol: float = DEFAULT_ZETA_TOL,
-                        c1: float = 1.0) -> complex:
-    """integral W(a(y)) f(T^3 / (4*pi^2*n*y)) y^(iT - 1/2) d*y.
-
-    In z-coordinates the weight argument becomes T^(3/2)/(4*pi^2*n*z); the
-    stationary-phase value is C_T * T^(-1/2) * f(T^(3/2)/(2*pi*n)) within
-    K_WEIGHTED * T^(-3/2).
-    """
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
-    fe = f.fn if isinstance(f, Cutoff) else f
-    scale = T**1.5 / (4.0 * np.pi**2 * n)
-    v0 = v0_cutoff(c1)
-    _validate_weight("f", fe, scale / v0.support_hi, scale / v0.support_lo)
-    amp = _power_amplitude(c1, -1.5, extra=lambda z: fe(scale / z))
-    core = integrate_phase(amp, c_log=T, c_inv=0.0, c_lin=T, tol=tol)
-    return complex(np.exp(1.5j * T * np.log(T)) * core.value)
-
-
-def weighted_zeta_second(f, u, n: int, Y: float, T: float,
-                         tol: float = DEFAULT_ZETA_TOL, c1: float = 1.0) -> complex:
-    """integral W(a(y)) f(y/n) u(y/(n*Y)) y^(iT - 1/2) d*y.
-
-    Stationary-phase value: C_T * T^(-1/2) * f(T^(3/2)/(2*pi*n)) *
-    u(T^(3/2)/(2*pi*n*Y)) within K_WEIGHTED * T^(-3/2). Callers probing the
-    sharp asymptotic regime can consult lemma_range_flag(n, T).
-    """
-    if n < 1:
-        raise ConfigError("n must be a positive integer")
-    if Y <= 0.0:
-        raise ConfigError("Y must be positive")
-    fe = f.fn if isinstance(f, Cutoff) else f
-    ue = u.fn if isinstance(u, Cutoff) else u
-    cf = T**1.5 / n
-    cu = T**1.5 / (n * Y)
-    v0 = v0_cutoff(c1)
-    _validate_weight("f", fe, cf * v0.support_lo, cf * v0.support_hi)
-    _validate_weight("u", ue, cu * v0.support_lo, cu * v0.support_hi)
-    amp = _power_amplitude(c1, -1.5, extra=lambda z: fe(cf * z) * ue(cu * z))
-    core = integrate_phase(amp, c_log=T, c_inv=0.0, c_lin=T, tol=tol)
-    return complex(np.exp(1.5j * T * np.log(T)) * core.value)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ import pytest
 from gl3osc.coeffs import (
     CoefficientTable,
     GrowthReport,
-    dual_coefficient,
     hecke_mult_check,
     load_coefficients,
     rankin_selberg_check,
@@ -57,7 +56,7 @@ def test_accessor_and_entries_view():
     t = _table([1.0, 0.5 - 0.2j, 3.0])
     assert t.a(1) == 1.0
     assert t.a(2) == 0.5 - 0.2j
-    assert t.entries == {1: 1.0 + 0j, 2: 0.5 - 0.2j, 3: 3.0 + 0j}
+    assert list(t.values[1:]) == [1.0 + 0j, 0.5 - 0.2j, 3.0 + 0j]
     with pytest.raises(CoefficientIndexError):
         t.a(0)
     with pytest.raises(CoefficientIndexError):
@@ -125,13 +124,6 @@ def test_synth_matches_bruteforce_triple_sums():
         assert abs(model.a(n) - want) < 1e-12
 
 
-def test_dual_of_synth_matches_bruteforce():
-    alpha = (0.2j, -0.2j, 0j)
-    t = synth_eisenstein(LanglandsParams(alpha=alpha), 12)
-    want = _brute_triple_sum(6, alpha).conjugate()
-    assert abs(dual_coefficient(t, 6) - want) < 1e-13
-
-
 def test_synth_validation():
     with pytest.raises(ConfigError):
         synth_eisenstein(ZERO_ALPHA, 0)
@@ -143,16 +135,6 @@ def test_synth_bounded_by_divisor_count():
     model = synth_eisenstein(LanglandsParams(), 10**4)
     d3 = synth_eisenstein(ZERO_ALPHA, 10**4)
     assert np.all(np.abs(model.values[1:]) <= d3.values[1:].real + 1e-9)
-
-
-def test_dual_coefficient():
-    real = synth_eisenstein(ZERO_ALPHA, 20)
-    for n in (1, 6, 12):
-        assert dual_coefficient(real, n) == real.a(n)
-    t = _table([1.0, 1j])
-    assert dual_coefficient(t, 2) == -1j
-    with pytest.raises(CoefficientIndexError):
-        dual_coefficient(t, 3)
 
 
 def test_growth_slope_constant_table():
@@ -190,7 +172,6 @@ def test_multiplicativity_clean_on_model():
     assert rep.tested > 0
     assert rep.tested + rep.skipped == rep.trials
     assert rep.violations == 0
-    assert rep.violation_rate == 0.0
     assert rep.max_abs_error <= 1e-12
 
 
@@ -201,8 +182,7 @@ def test_multiplicativity_flags_broken_table():
     broken = CoefficientTable(values=corrupted, x_max=model.x_max,
                               source="broken")
     rep = hecke_mult_check(broken, 300, seed=7)
-    assert rep.violations > 0
-    assert rep.violation_rate > 0.0
+    assert 0 < rep.violations <= rep.tested
 
 
 def test_multiplicativity_validation():

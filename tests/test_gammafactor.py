@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gl3osc import criteria
 from gl3osc.errors import (
     ConfigError,
     GammaPoleError,
@@ -15,11 +16,10 @@ from gl3osc.gammafactor import (
     LanglandsParams,
     f_line_mass,
     g_kernel,
-    gamma_decay_fit,
     gamma_pi,
     gamma_pi_line,
 )
-from gl3osc.util import TWO_PI
+from gl3osc.util import TWO_PI, loglog_slope
 
 ZERO_PARAMS = LanglandsParams(alpha=(0.0j, 0.0j, 0.0j))
 
@@ -31,10 +31,11 @@ def test_params_validation_and_dual():
     with pytest.raises(ConfigError):
         LanglandsParams(alpha=(0.5 + 0.0j, 0.0j, 0.0j))
     p = LanglandsParams(alpha=(0.1 + 0.2j, -0.1 - 0.3j, 0.0 + 0.1j))
-    assert p.dual.alpha == (-0.1 + 0.2j, 0.1 - 0.3j, -0.0 + 0.1j)
+    # the contragredient's parameters, the negated conjugates, are valid too
+    dual = LanglandsParams(tuple(-a.conjugate() for a in p.alpha))
+    assert dual.alpha == (-0.1 + 0.2j, 0.1 - 0.3j, -0.0 + 0.1j)
     # the default parameters are self-dual
-    q = LanglandsParams(alpha=DEFAULT_ALPHA)
-    assert q.dual.alpha == q.alpha
+    assert tuple(-a.conjugate() for a in DEFAULT_ALPHA) == LanglandsParams().alpha
 
 
 def test_gamma_at_half_with_trivial_parameters():
@@ -97,16 +98,19 @@ def test_gamma_line_matches_scalar():
 
 
 def test_decay_fit_slopes():
-    t_grid = [250.0, 500.0, 1000.0, 2000.0]
-    for sigma, want in ((0.0, 0.0), (-0.5, 1.5), (-1.0, 3.0)):
-        fit = gamma_decay_fit(sigma, t_grid)
-        assert abs(fit.slope - want) <= 0.3
-        assert fit.predicted_slope == -3.0 * sigma
+    # |gamma(1/2 + sigma + iT)| ~ T^(-3 sigma), on three heights as on four
+    for t_grid in ([250.0, 500.0, 1000.0, 2000.0], [250.0, 500.0, 1000.0]):
+        ts = np.asarray(t_grid)
+        for sigma, want in ((0.0, 0.0), (-0.5, 1.5), (-1.0, 3.0)):
+            slope, _ = loglog_slope(ts, np.abs(gamma_pi_line(0.5 + sigma + 1j * ts,
+                                                             LanglandsParams())))
+            assert abs(slope - want) <= 0.3
 
 
-def test_decay_fit_needs_four_heights():
+def test_decay_fit_needs_three_heights():
+    # the A06 slopes share loglog_slope's floor of three heights
     with pytest.raises(InsufficientGridError):
-        gamma_decay_fit(-0.5, [250.0, 500.0, 1000.0])
+        criteria.gamma_battery((250.0, 500.0))
 
 
 def test_contour_spec_validation():
@@ -163,8 +167,9 @@ def test_g_kernel_contour_independence():
 
 def test_g_kernel_pair_self_dual():
     params = LanglandsParams()
+    dual = LanglandsParams(tuple(-a.conjugate() for a in params.alpha))
     g = g_kernel(1.0, 200.0, params, tol=1e-9)
-    g_dual = g_kernel(1.0, 200.0, params.dual, tol=1e-9)
+    g_dual = g_kernel(1.0, 200.0, dual, tol=1e-9)
     assert g == g_dual  # default parameters are self-dual
     assert np.isfinite(g.real) and np.isfinite(g.imag)
 

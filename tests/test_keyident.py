@@ -19,13 +19,12 @@ from gl3osc.keyident import (
     _poisson_terms,
     _riemann_rounding,
     lin_form_leading,
-    prime_segment,
     riemann_side,
-    sum_shape_prefactor,
     verify_key_identity,
 )
-from gl3osc.oscquad import K_SP_MAIN, OscInstance, integrate_main, integrate_phase, integrate_shifted
-from gl3osc.util import TWO_PI
+from gl3osc.oscquad import (K_SP_MAIN, OscInstance, integrate_main, integrate_phase,
+                            integrate_shifted, stationary_phase_main)
+from gl3osc.util import TWO_PI, kahan_csum, primes_in
 
 # frozen against a plain-loop evaluation (fsum over scalar cmath terms with
 # the same integer-reduced rational phases) of the T=1000, (p,l)=(7,2) window
@@ -108,10 +107,19 @@ def test_riemann_rounding_bounds_the_windowed_sum():
 
 
 def test_riemann_side_pad_invariance():
+    # the terms outside the index window are exactly zero: a sum over a
+    # range nine indices wider on each side gives the same bits
     inst = _instance(1000.0, 7, 2)
-    assert riemann_side(inst, pad=9) == riemann_side(inst)
-    with pytest.raises(ConfigError):
-        riemann_side(inst, pad=-1)
+    lo, hi = inst.index_window()
+    rs = np.arange(lo - 9, hi + 10, dtype=np.int64)
+    denom = inst.l * rs
+    frac = ((inst.n * inst.p) % denom) / denom.astype(float)
+    terms = (inst.amplitude(rs * inst.h)
+             * np.exp(-1j * inst.T * np.log(rs.astype(float)))
+             * np.exp(-1j * TWO_PI * frac))
+    assert np.count_nonzero(terms[:9]) == 0 and np.count_nonzero(terms[-9:]) == 0
+    wide = complex(inst.h * np.exp(-1j * inst.T * np.log(inst.h)) * kahan_csum(terms))
+    assert riemann_side(inst) == wide
 
 
 def test_identity_holds_at_desk_scale():
@@ -193,6 +201,25 @@ def test_leading_shape_matches_dressed_oracle():
     assert abs(d * m.value - lead) <= envelope
 
 
+@pytest.mark.parametrize("T", [250.0, 500.0, 1000.0])
+def test_leading_shape_is_dressed_stationary_phase(T):
+    inst = _instance(T, 7, 2)
+    lead = lin_form_leading(inst)
+    dressed = dressing_constant(inst.T, inst.N) * stationary_phase_main(inst.osc)[0]
+    assert abs(lead - dressed) <= 1e-11 * abs(lead)
+
+
+def test_shape_check_fails_on_a_wrong_shape(monkeypatch):
+    # the conjugate of the true shape is off by 2 |Im lead|, far outside
+    # K_SP_MAIN T^(-3/2) |D|, so every A01-shape check must go red
+    monkeypatch.setattr(criteria, "lin_form_leading",
+                        lambda inst: lin_form_leading(inst).conjugate())
+    _, checks = criteria.key_identity_battery((250.0,))
+    shape = [c for c in checks if c.check_id.startswith("A01-shape-")]
+    assert len(shape) == len(criteria.KEY_PAIRS)
+    assert not any(c.passed for c in shape)
+
+
 def test_leading_shape_zero_off_support():
     T = 1000.0
     inst = KeyIdentityInstance(T=T, n=1, N=T**1.5, p=7, l=2)
@@ -206,19 +233,6 @@ def test_dressing_constant_modulus():
         dressing_constant(0.0, 10.0)
     with pytest.raises(ConfigError):
         dressing_constant(10.0, 0.0)
-
-
-def test_sum_shape_prefactor_modulus():
-    inst = _instance(500.0, 11, 3)
-    want = (3.0 / 11.0) * 500.0**1.5 / inst.N
-    assert abs(abs(sum_shape_prefactor(inst)) - want) < 1e-12 * want
-
-
-def test_prime_segment_examples():
-    assert prime_segment(10.0) == [11, 13, 17, 19]
-    assert prime_segment(2.0) == [2, 3]
-    with pytest.raises(ConfigError):
-        prime_segment(1.5)
 
 
 def test_amplifier_spec_at_desk_scales():
@@ -250,8 +264,8 @@ def test_amplifier_floor_is_named():
 def test_amplifier_touching_segments():
     # [5, 10] and [10, 20] share only the endpoint, which is not prime
     amp = AmplifierSpec(kappa=0.3, P=10.0, L=5.0,
-                        primes_p=tuple(prime_segment(10.0)),
-                        primes_l=tuple(prime_segment(5.0)))
+                        primes_p=tuple(primes_in(10.0, 20.0)),
+                        primes_l=tuple(primes_in(5.0, 10.0)))
     wpc = amp.weighted_pair_count()
     # 8 / ((li(20) - li(10)) (li(10) - li(5))), from mpmath.li at 40 digits
     assert abs(wpc - 0.8451992474055969) < 1e-12

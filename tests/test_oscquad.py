@@ -10,7 +10,6 @@ from gl3osc.oscquad import (
     integrate_main,
     integrate_phase,
     integrate_shifted,
-    oscillation_count,
     phase_values,
     probe_amplitude,
     stationary_phase_main,
@@ -193,21 +192,3 @@ def test_evaluation_budget_enforced():
     with pytest.raises(ToleranceUnreachableError):
         integrate_main(inst)
 
-
-def test_oscillation_count_zero_frequency():
-    assert oscillation_count(OscInstance(T=0.0, n=1, N=1.0)) == 0.0
-
-
-def test_oscillation_count_analytic_value():
-    # integral of |1 - x|/x^2 over [1/2, 2] is exactly 1/2, so the count
-    # is T/(4*pi) for the x0 = 1 instance on the probe support
-    inst = OscInstance(T=1000.0, n=1, N=TWO_PI)
-    want = 1000.0 * 0.5 / TWO_PI
-    assert abs(oscillation_count(inst) - want) < 1e-9
-
-
-def test_oscillation_count_grows_linearly_in_t():
-    n, N = 3, 17.0
-    c1 = oscillation_count(OscInstance(T=100.0, n=n, N=N))
-    c2 = oscillation_count(OscInstance(T=200.0, n=n, N=N))
-    assert abs(c2 - 2.0 * c1) < 1e-9
