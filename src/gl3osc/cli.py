@@ -3,8 +3,9 @@
 Each command runs one named battery and emits a deterministic report; the
 `suite` command runs the whole battery in dependency order (cutoff goldens
 and coefficients first, integral laws, then the heavy sum routes) and keeps
-going after the first failure. Exit codes: 0 all checks pass, 1 assertion
-failure, 2 configuration error, 3 numerical non-convergence.
+going after the first failure. A command accepts only the flags it reads
+(READS) plus --out. Exit codes: 0 all checks pass, 1 assertion failure, 2
+configuration error (an ignored flag included), 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -30,6 +31,25 @@ DEFAULT_TOL = {"zeta-local": 1e-10, "scaling": 1e-10, "oscint": 1e-10,
                "gamma": 1e-10, "s-sum": 1e-6}
 FALLBACK_T = 500.0
 FALLBACK_TOL = 1e-9
+
+# the parser's dest for each optional flag but --out
+FLAG_DESTS = {"--t": "t", "--tol": "tol", "--kappa": "kappa", "--c1": "c1",
+              "--coeffs": "coeff_path", "--seed": "seed", "--grid": "grid"}
+
+# the flags each command reads; any other flag but --out exits 2. `suite`
+# runs every command at its own T and tol, and hands the rest on.
+READS = {
+    "bump": ("--c1",),
+    "oscint": ("--tol", "--grid"),
+    "zeta-local": ("--t", "--tol", "--c1"),
+    "gamma": ("--t", "--tol", "--grid"),
+    "key-identity": ("--t", "--tol"),
+    "amplified": ("--t", "--tol", "--kappa"),
+    "scaling": ("--tol", "--c1", "--grid"),
+    "coeffs": ("--coeffs", "--seed"),
+    "s-sum": ("--t", "--tol", "--kappa", "--coeffs"),
+    "suite": ("--kappa", "--c1", "--coeffs", "--seed", "--grid"),
+}
 
 
 @dataclass(frozen=True)
@@ -195,22 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
                         help="frequency T (default 500; s-sum defaults to 200)")
     parser.add_argument("--tol", type=float, default=None,
                         help="quadrature tolerance (per-command default)")
-    parser.add_argument("--kappa", type=float, default=1.0 / 18.0,
-                        help="amplifier exponent kappa in [0, 3/2]")
-    parser.add_argument("--c1", type=float, default=1.0,
-                        help="bump support parameter c1 > 0")
+    parser.add_argument("--kappa", type=float, default=None,
+                        help="amplifier exponent kappa in [0, 3/2] (default 1/18)")
+    parser.add_argument("--c1", type=float, default=None,
+                        help="bump support parameter c1 > 0 (default 1)")
     parser.add_argument("--coeffs", dest="coeff_path", default=None,
                         help="coefficient CSV path (default: synthesize d3)")
     parser.add_argument("--out", dest="out_path", default=None,
                         help="JSON report path (scaling also writes .csv)")
-    parser.add_argument("--seed", type=int, default=20260814,
-                        help="seed for randomized spot checks")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for randomized spot checks (default 20260814)")
     parser.add_argument("--grid", type=str, default=None,
                         help="comma-separated T grid for scaling studies")
     return parser
 
 
 def config_from_args(args) -> RunConfig:
+    """The RunConfig of a parsed command line; a flag the command does not
+    read is a ConfigError that names it."""
+    ignored = [flag for flag, dest in FLAG_DESTS.items()
+               if getattr(args, dest) is not None and flag not in READS[args.command]]
+    if ignored:
+        raise ConfigError(f"{args.command} does not read {', '.join(ignored)}")
     grid = None
     if args.grid is not None:
         try:
@@ -220,9 +246,11 @@ def config_from_args(args) -> RunConfig:
     t = args.t if args.t is not None else DEFAULT_T.get(args.command, FALLBACK_T)
     tol = (args.tol if args.tol is not None
            else DEFAULT_TOL.get(args.command, FALLBACK_TOL))
-    return RunConfig(command=args.command, T=t, tol=tol, kappa=args.kappa,
-                     c1=args.c1, coeff_path=args.coeff_path,
-                     out_path=args.out_path, seed=args.seed, grid=grid)
+    given = {name: getattr(args, name) for name in ("kappa", "c1", "seed")
+             if getattr(args, name) is not None}
+    return RunConfig(command=args.command, T=t, tol=tol,
+                     coeff_path=args.coeff_path, out_path=args.out_path,
+                     grid=grid, **given)
 
 
 def main(argv=None) -> int:

@@ -28,6 +28,11 @@ from .util import loglog_slope
 # hard ceiling on table size; dense complex storage stays under a gigabyte
 MAX_X_MAX = 10**7
 
+# the largest Rankin-Selberg growth slope a table may show (A11-growth), and
+# the largest |a(mn) - a(m) a(n)| that still counts as multiplicative
+GROWTH_BOUND = 1.25
+MULT_TOL = 1e-12
+
 _HEADER = "n,re,im"
 
 
@@ -181,13 +186,12 @@ class GrowthReport:
     passed: bool
 
 
-def rankin_selberg_check(table: CoefficientTable,
-                         bound: float = 1.25) -> GrowthReport:
+def rankin_selberg_check(table: CoefficientTable) -> GrowthReport:
     """Fit sum_{n <= X} |a(1,n)| ~ X^slope on four dyadic cuts of x_max.
 
     Near-linear growth (slope just above 1, logarithmic corrections) is the
     expected profile; a slope above the bound flags a table whose size the
-    averaged-sum envelopes cannot absorb.
+    averaged-sum envelopes cannot absorb. The bound is GROWTH_BOUND.
     """
     if table.x_max < 1000:
         raise TableTooSmallError(
@@ -197,7 +201,7 @@ def rankin_selberg_check(table: CoefficientTable,
     sums = tuple(float(cumulative[x]) for x in xs)
     slope, _ = loglog_slope(xs, sums)
     return GrowthReport(x_points=xs, partial_sums=sums, slope=slope,
-                        bound=bound, passed=slope <= bound)
+                        bound=GROWTH_BOUND, passed=slope <= GROWTH_BOUND)
 
 
 @dataclass(frozen=True)
@@ -212,11 +216,12 @@ class MultReport:
 
 
 def hecke_mult_check(table: CoefficientTable, trials: int,
-                     seed: int = 0, tol: float = 1e-12) -> MultReport:
+                     seed: int = 0) -> MultReport:
     """Check a(1, m*n) = a(1, m) a(1, n) on random coprime pairs.
 
     Pairs are drawn with m*n <= x_max; non-coprime draws are skipped, not
-    counted as failures. Multiplicative tables must report zero violations.
+    counted as failures. An error above MULT_TOL is a violation;
+    multiplicative tables must report zero violations.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -234,7 +239,7 @@ def hecke_mult_check(table: CoefficientTable, trials: int,
         err = abs(table.a(m * n) - table.a(m) * table.a(n))
         worst = max(worst, err)
         tested += 1
-        if err > tol:
+        if err > MULT_TOL:
             violations += 1
     return MultReport(trials=trials, tested=tested, skipped=skipped,
                       violations=violations, max_abs_error=worst)

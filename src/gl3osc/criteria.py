@@ -22,7 +22,7 @@ from .keyident import (AmplifierSpec, KeyIdentityInstance, amplified_average,
                        dressing_constant, lin_form_leading, verify_key_identity)
 from .oscquad import K_SP_MAIN, integrate_main, stationary_phase_main
 from .reports import Check
-from .sums import SumSpec, compare_routes
+from .sums import WINDOW_EPS, SumSpec, compare_routes
 from .util import TWO_PI, loglog_slope
 from .whittaker import zeta_scaling_study
 
@@ -53,7 +53,7 @@ def bump_battery(c1: float = 1.0) -> tuple[dict, tuple]:
     worst = 0.0
     recon = []
     for y in points:
-        got = mellin_invert(h0, float(y), tol=1e-9, re_line=1.0)
+        got = mellin_invert(h0, float(y))
         recon.append(got)
         worst = max(worst, abs(got - h0(float(y))))
     outputs = {
@@ -251,20 +251,17 @@ def amplified_battery(T: float = 500.0, tol: float = 1e-9,
 
 def route_battery(T: float = 200.0, tol: float = 1e-6,
                   table: CoefficientTable | None = None,
-                  amp: AmplifierSpec | None = None,
                   amp_kappa: float = 1.0 / 18.0) -> tuple[dict, tuple]:
     """Three-route agreement on the d3 model (A10)."""
-    eps = 0.02
     if table is None:
-        table = synth_eisenstein(D3_PARAMS, 2 * int(np.ceil(T ** (1.5 + eps))))
-    spec = SumSpec(T=T, table=table, tol=tol, eps=eps)
-    if amp is None:
-        # one pair from the canonical segments: the per-pair identity is
-        # exact, and multi-pair averaging is covered by A09 at T = 500
-        base = AmplifierSpec.for_t(T, kappa=amp_kappa)
-        amp = AmplifierSpec(kappa=base.kappa, P=base.P, L=base.L,
-                            primes_p=(base.primes_p[0],),
-                            primes_l=(base.primes_l[0],))
+        table = synth_eisenstein(D3_PARAMS, 2 * int(np.ceil(T ** (1.5 + WINDOW_EPS))))
+    spec = SumSpec(T=T, table=table, tol=tol)
+    # one pair from the canonical segments: the per-pair identity is exact,
+    # and multi-pair averaging is covered by A09 at T = 500
+    base = AmplifierSpec.for_t(T, kappa=amp_kappa)
+    amp = AmplifierSpec(kappa=base.kappa, P=base.P, L=base.L,
+                        primes_p=(base.primes_p[0],),
+                        primes_l=(base.primes_l[0],))
     rep = compare_routes(spec, amp)
     outputs = {
         "s_sum": rep.s_sum,

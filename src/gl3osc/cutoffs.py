@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -42,9 +42,13 @@ ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
 # check then holds integral g d*y = 1 to its own budget of 1e-10
 _G_NORM_TOL = 1e-12
 
-# half-height of the first line segment |t| <= INVERT_IM_START that
-# mellin_invert integrates before it starts doubling
+# mellin_invert: the line Re(s) = INVERT_RE_LINE it integrates on, the
+# half-height of its first segment |t| <= INVERT_IM_START before it starts
+# doubling, and the shell contribution INVERT_TOL / 2 that stops it (A08's
+# line and tolerance)
+INVERT_RE_LINE = 1.0
 INVERT_IM_START = 64.0
+INVERT_TOL = 1e-9
 
 # mellin_on_line: the fewest trapezoid nodes, the band beyond max|t| that
 # the n/2 rule must still resolve, the n/2 estimate's target relative to
@@ -66,40 +70,19 @@ def _scalar_or_array(x, out):
 
 @dataclass(frozen=True)
 class Cutoff:
-    """A smooth cutoff with declared support and optional exact plateau.
-
-    support     closed interval outside which the function is exactly zero
-    plateau     interval where the function is exactly 1 (plateau cutoffs only)
-    """
+    """A smooth cutoff fn, exactly zero outside [support_lo, support_hi]."""
 
     support_lo: float
     support_hi: float
-    plateau: Optional[tuple] = None
-    fn: Callable = field(default=None, repr=False, compare=False)
+    fn: Callable = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.support_lo < self.support_hi):
             raise ConfigError("cutoff support must be a nonempty interval")
-        if self.plateau is not None:
-            lo, hi = self.plateau
-            if not (self.support_lo <= lo <= hi <= self.support_hi):
-                raise ConfigError("plateau must sit inside the support")
 
     def __call__(self, y):
         vals = self.fn(np.asarray(y, dtype=float))
         return _scalar_or_array(y, vals)
-
-    def scaled(self, c: float) -> "Cutoff":
-        """The dilation y -> self(y/c); Mellin transforms pick up c^s."""
-        if c <= 0.0:
-            raise ConfigError("dilation factor must be positive")
-        base = self.fn
-        return Cutoff(
-            support_lo=self.support_lo * c,
-            support_hi=self.support_hi * c,
-            plateau=None if self.plateau is None else (self.plateau[0] * c, self.plateau[1] * c),
-            fn=lambda y, _b=base, _c=c: _b(np.asarray(y, dtype=float) / _c),
-        )
 
 
 def _exp_bump_fn(lo: float, hi: float) -> Callable:
@@ -150,7 +133,7 @@ def h_cutoff() -> Cutoff:
     def fn(y):
         return _smoothstep_down(np.abs(np.asarray(y, dtype=float)) - 1.0)
 
-    return Cutoff(support_lo=-2.0, support_hi=2.0, plateau=(-1.0, 1.0), fn=fn)
+    return Cutoff(support_lo=-2.0, support_hi=2.0, fn=fn)
 
 
 def _check_window_params(T: float, kappa: float, eps: float):
@@ -205,14 +188,14 @@ def g_cutoff() -> Cutoff:
     return _G_CACHE["g"]
 
 
-def weight_w0_w(z, c1: float = 1.0):
-    """The weight pair (w0(z), w(z)) on [1, 2].
+def weight_w0_w(z):
+    """The weight pair (w0(z), w(z)) on [1, 2], for the c1 = 1 bump v0.
 
     w0(z) = v0(1/(2*pi)) * g(1/(2*pi*z)) / v0(1/(2*pi*z)) and w(z) = w0(z)/z.
     The division is safe: wherever g's argument is inside its support,
     v0's argument lies in [1/(4*pi), 1/(2*pi)], strictly inside v0's support.
     """
-    v0 = v0_cutoff(c1)
+    v0 = v0_cutoff()
     g = g_cutoff()
     vstar = v0(ONE_OVER_2PI)
     z_arr = np.asarray(z, dtype=float)
@@ -240,35 +223,17 @@ class MellinSample:
 
 
 def mellin(f: Cutoff, s: complex) -> MellinSample:
-    """H(s) = integral f(y) y^s dy/y over (0, infinity).
+    """H(s) = integral f(y) y^s dy/y over (0, infinity), by adaptive quadrature.
 
-    For cutoffs whose plateau reaches 0 the head integral up to the plateau
-    edge is y^s/s evaluated in closed form (requires Re(s) > 0); the smooth
-    remainder goes to adaptive quadrature. Compactly-supported-away-from-0
-    cutoffs converge for every s and go straight to quadrature.
+    The support must sit away from 0; the integral then converges for every s.
     """
     s = complex(s)
-    lo = max(f.support_lo, 0.0)
-    hi = f.support_hi
-    if hi <= 0.0:
-        raise MellinDivergenceError("cutoff has no mass on (0, inf)")
-
-    head = 0.0 + 0.0j
-    plateau_hi = None
-    if f.plateau is not None and f.plateau[0] <= 0.0 < f.plateau[1]:
-        plateau_hi = min(f.plateau[1], hi)
-    if lo == 0.0 and plateau_hi is None:
-        # no exact plateau to carry the y->0 behaviour; demand decay at 0
-        raise MellinDivergenceError("support touches 0 without a plateau")
-    if plateau_hi is not None:
-        if s.real <= 0.0:
-            raise MellinDivergenceError("Mellin of a plateau-at-0 cutoff needs Re(s) > 0")
-        head = plateau_hi**s / s
-        lo = plateau_hi
-
-    val, err = quad(lambda y: f.fn(np.asarray(y)) * y ** (s - 1.0), lo, hi,
+    if f.support_lo <= 0.0:
+        raise MellinDivergenceError("Mellin transform needs support away from 0")
+    val, err = quad(lambda y: f.fn(np.asarray(y)) * y ** (s - 1.0),
+                    f.support_lo, f.support_hi,
                     complex_func=True, limit=400, epsabs=1e-13, epsrel=1e-12)
-    return MellinSample(s=s, value=head + val, abs_err=float(abs(err)))
+    return MellinSample(s=s, value=val, abs_err=float(abs(err)))
 
 
 def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
@@ -335,14 +300,13 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         f"mass at {LINE_MAX_NODES} nodes", achieved=est)
 
 
-def mellin_invert(f: Cutoff, y: float, tol: float = 1e-8,
-                  re_line: float = 0.0) -> complex:
+def mellin_invert(f: Cutoff, y: float) -> complex:
     """Reconstruct f(y) from its Mellin transform on a truncated vertical line.
 
-    (1/2*pi) integral over |t| <= S of H(re_line + it) y^-(re_line + it) dt,
-    from S = INVERT_IM_START, doubling S until the last shell contributes
-    less than tol/2. Superpolynomial decay of H for smooth compactly
-    supported f makes this converge quickly.
+    (1/2*pi) integral over |t| <= S of H(c + it) y^-(c + it) dt with
+    c = INVERT_RE_LINE, from S = INVERT_IM_START, doubling S until the last
+    shell contributes less than INVERT_TOL / 2. Superpolynomial decay of H
+    for smooth compactly supported f makes this converge quickly.
     """
     if y <= 0.0:
         raise ConfigError("inversion point must be positive")
@@ -350,8 +314,8 @@ def mellin_invert(f: Cutoff, y: float, tol: float = 1e-8,
     def shell(t_lo: float, t_hi: float) -> complex:
         n = max(64, int(np.ceil((t_hi - t_lo) * max(abs(math.log(y)), 1.0) / np.pi)) + 8)
         t, wts = gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16)
-        hv = mellin_on_line(f, re_line, t)
-        integrand = hv * y ** (-(re_line + 1j * t))
+        hv = mellin_on_line(f, INVERT_RE_LINE, t)
+        integrand = hv * y ** (-(INVERT_RE_LINE + 1j * t))
         return complex(np.sum(wts * integrand))
 
     s = INVERT_IM_START
@@ -359,7 +323,7 @@ def mellin_invert(f: Cutoff, y: float, tol: float = 1e-8,
     for _ in range(8):
         added = shell(s, 2.0 * s) + shell(-2.0 * s, -s)
         total += added
-        if abs(added) < 0.5 * tol:
+        if abs(added) < 0.5 * INVERT_TOL:
             return total / (2.0 * np.pi)
         s *= 2.0
     raise MellinDivergenceError("inversion tail did not converge")

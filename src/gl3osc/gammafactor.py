@@ -57,6 +57,11 @@ CONTOUR_IM_START = 48.0
 # f_line_mass integrates |F(it)| no higher than this
 LINE_MASS_IM_CUT = 512.0
 
+# exponents of the dyadic window h0 whose Mellin transform F enters the
+# kernel: h0(y) = h(y T^eps) - h(y T^kappa)
+KERNEL_KAPPA = 1.0 / 18.0
+KERNEL_EPS = 0.01
+
 # GKernelTable.build: contour tolerance of each node, relative error the
 # ten-point validation must reach, and the seed that draws its points
 TABLE_TOL = 1e-8
@@ -85,6 +90,10 @@ class LanglandsParams:
             if abs(a.real) >= 0.5:
                 raise ConfigError(f"Re(alpha) must lie in (-1/2, 1/2), got {a}")
         object.__setattr__(self, "alpha", alpha)
+
+
+#: spectral parameters of the kernel's gamma factor
+KERNEL_PARAMS = LanglandsParams()
 
 
 def _log_gamma_ratio(s, alpha) -> np.ndarray:
@@ -139,11 +148,7 @@ class ContourSpec:
             raise ConfigError("contour must sit at Re(s) <= 0; poles live to the right")
 
 
-def f_line_mass(
-    T: float,
-    kappa: float = 1.0 / 18.0,
-    eps: float = 0.01,
-) -> float:
+def f_line_mass(T: float) -> float:
     """(1 / 2 pi) * int |F(it)| dt for the dyadic-window cutoff's Mellin
     transform F, truncated once shells stop contributing or at
     |t| = LINE_MASS_IM_CUT.
@@ -152,7 +157,7 @@ def f_line_mass(
     line; it grows like log T through the window's width.  |F(-it)| equals
     |F(it)| because the cutoff is real, so only t >= 0 is integrated.
     """
-    h0 = h0_cutoff(T, kappa=kappa, eps=eps)
+    h0 = h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
     total = 0.0
     lo, hi = 0.0, 8.0
     while True:
@@ -180,11 +185,8 @@ def _auto_re_line(z: float) -> float:
 def g_kernel(
     z: float,
     T: float,
-    params: LanglandsParams | None = None,
     contour: ContourSpec | None = None,
     tol: float = 1e-8,
-    kappa: float = 1.0 / 18.0,
-    eps: float = 0.01,
 ) -> complex:
     """Inverse-Mellin kernel G(z) by explicit contour integration.
 
@@ -198,25 +200,21 @@ def g_kernel(
         raise ConfigError("kernel argument must be positive")
     if T <= 1.0:
         raise ConfigError("T must exceed 1")
-    if kappa == eps:
-        return 0.0 + 0.0j  # degenerate window: h0 and hence F vanish identically
-    params = params or LanglandsParams()
     if contour is None:
         contour = ContourSpec(re_line=_auto_re_line(z))
-    h0 = h0_cutoff(T, kappa=kappa, eps=eps)
+    h0 = h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
     sigma = contour.re_line
 
     def f_neg(ts: np.ndarray) -> np.ndarray:
         return mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
 
-    u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
-    return _contour_quad(z, T, params, sigma, u_band, tol, f_neg)
+    u_band = max(KERNEL_KAPPA, KERNEL_EPS) * np.log(T) + np.log(2.0) + 1.0
+    return _contour_quad(z, T, sigma, u_band, tol, f_neg)
 
 
 def _contour_quad(
     z: float,
     T: float,
-    params: LanglandsParams,
     sigma: float,
     u_band: float,
     tol: float,
@@ -239,7 +237,7 @@ def _contour_quad(
         ts, wts = gl_panels(edges, *GL16)
         s = sigma + 1j * ts
         fvals = f_neg(ts)
-        gvals = gamma_pi_line(0.5 + s + 1j * T, params)
+        gvals = gamma_pi_line(0.5 + s + 1j * T, KERNEL_PARAMS)
         # ds = i dt cancels the i in the 1/(2 pi i) prefactor
         return kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
 
@@ -297,15 +295,13 @@ class GKernelTable:
         z_lo: float,
         z_hi: float,
         T: float,
-        params: LanglandsParams | None = None,
-        kappa: float = 1.0 / 18.0,
-        eps: float = 0.01,
+        kappa: float = KERNEL_KAPPA,
+        eps: float = KERNEL_EPS,
     ) -> "GKernelTable":
         if not 0.0 < z_lo < z_hi:
             raise ConfigError("need 0 < z_lo < z_hi")
         if z_lo < 0.25:
             raise ConfigError("table covers the moderate-z regime (z >= 0.25) only")
-        params = params or LanglandsParams()
         h0 = h0_cutoff(T, kappa=kappa, eps=eps)
         u_lo = -kappa * np.log(T)
         u_hi = np.log(2.0) - eps * np.log(T)
@@ -330,7 +326,7 @@ class GKernelTable:
             return out
 
         def direct(zz: float) -> complex:
-            return _contour_quad(zz, T, params, sigma, u_band, TABLE_TOL, f_neg)
+            return _contour_quad(zz, T, sigma, u_band, TABLE_TOL, f_neg)
 
         # Node count from the residual phase rate after dividing the model
         # phase out: the window edges sit u_band/2-ish either side of u_mid

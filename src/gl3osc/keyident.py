@@ -17,7 +17,7 @@ shape: D*M = n^(-iT) * sqrt(2*pi) e^(-i*pi/4) x0 V(x0) + O(T^(-1)), a fixed
 cutoff evaluated at x0 = 2*pi*n/N. `lin_form_leading` is that closed form,
 and the A01-shape check holds D*(A - O) to it within K_SP_MAIN T^(-3/2) |D|.
 
-O is summed in shells of r: [1, max(8, r_max)], then [hi + 1, 2 hi], and so
+O is summed in shells of r: [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so
 on, until the shell's mass puts the tail below tol/2. A shell is one
 shared-grid batch (`integrate_shifted`): every +-r of the shell, for every n
 still summing, on one grid with one evaluation of V. The dual sum and the
@@ -43,48 +43,43 @@ from .oscquad import (
 )
 from .util import TWO_PI, is_prime, kahan_csum, primes_in
 
-# hard ceiling for the adaptive dual-sum truncation
+# the dual sum's first shell is r in [1, FIRST_SHELL_R]; MAX_R is the hard
+# ceiling of its adaptive truncation
+FIRST_SHELL_R = 8
 MAX_R = 4096
 
 
 @dataclass(frozen=True)
 class KeyIdentityInstance:
-    """One identity instance: frequency data plus the prime pair (p, l)."""
+    """One identity instance: frequency data plus the prime pair (p, l).
+
+    `osc` is the instance's main integral; building it checks n, N, tol and
+    the amplitude's support.
+    """
 
     T: float
     n: int
     N: float
     p: int
     l: int
-    r_max: int = 8
     tol: float = 1e-9
     amplitude: Cutoff = field(default_factory=probe_amplitude)
+    osc: OscInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.N <= 0.0:
-            raise ConfigError("need T > 0 and N > 0")
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
+        object.__setattr__(self, "osc", OscInstance(
+            T=self.T, n=self.n, N=self.N, amplitude=self.amplitude, tol=self.tol))
+        if self.T <= 0.0:
+            raise ConfigError("need T > 0")
         if not (is_prime(self.p) and is_prime(self.l)):
             raise ConfigError("p and l must be prime")
         if self.p == self.l:
             raise ConfigError("p and l must be distinct")
-        if self.r_max < 1:
-            raise ConfigError("r_max must be a positive integer")
-        if self.tol <= 0.0:
-            raise ConfigError("tol must be positive")
-        if self.amplitude.support_lo <= 0.0:
-            raise ConfigError("amplitude support must sit inside (0, inf)")
 
     @property
     def h(self) -> float:
         """Step of the Riemann sum: l*T/(N*p)."""
         return self.l * self.T / (self.N * self.p)
-
-    @property
-    def osc(self) -> OscInstance:
-        return OscInstance(T=self.T, n=self.n, N=self.N,
-                           amplitude=self.amplitude, tol=self.tol)
 
     def index_window(self) -> tuple[int, int]:
         """Smallest and largest r with r*h inside the amplitude support."""
@@ -139,7 +134,7 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None):
     """Adaptive dual sums: values, tail estimates, quadrature bounds, last r.
 
     Sums O at every n of `ns` (default inst.n alone), shell by shell: r in
-    [1, max(8, r_max)], then [hi + 1, 2 hi], and so on. Each shell is one
+    [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on. Each shell is one
     integrate_shifted batch over every n still summing and every +-r of
     the shell, each row held to its own share tol / (32 max(8, r)). An n
     stops once its tail estimate falls below tol/2. Returns per-n arrays
@@ -150,7 +145,7 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None):
     tail = np.zeros(batch.size)
     quad_sum = np.zeros(batch.size)
     going = np.ones(batch.size, dtype=bool)
-    lo, hi = 1, max(8, inst.r_max)
+    lo, hi = 1, FIRST_SHELL_R
     while True:
         rs = np.arange(lo, hi + 1)
         shell = integrate_shifted(inst.osc, tol=inst.tol / (32.0 * np.maximum(8, rs)),

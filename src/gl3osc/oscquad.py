@@ -18,7 +18,8 @@ oscillation, using the decreasing envelope
 Each panel gets a 16-point Gauss-Legendre rule with an embedded 8-point rule;
 the error estimate is 4x the summed embedded difference (conservative), plus a
 roundoff floor. If the estimate misses the tolerance the phase span per panel
-is halved and the grid rebuilt, until the evaluation budget is exhausted.
+is halved and the grid rebuilt, until DEFAULT_EVAL_BUDGET evaluations are
+spent.
 Panel partial sums are reduced left to right with compensated summation, so
 results are bit-reproducible.
 
@@ -86,7 +87,6 @@ class OscInstance:
     N: float
     amplitude: Cutoff = field(default_factory=probe_amplitude)
     tol: float = DEFAULT_TOL
-    eval_budget: int = DEFAULT_EVAL_BUDGET
 
     def __post_init__(self):
         if self.T < 0.0 or self.N <= 0.0:
@@ -204,21 +204,20 @@ def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.
     return c_log * np.log(x) - TWO_PI * c_inv / x - TWO_PI * c_lin * x
 
 
-def _check_budget(evals_used: int, grid: PanelGrid, budget: int,
-                  achieved: Optional[float]) -> None:
-    """Raise once the next pass would overrun the evaluation budget."""
-    if evals_used + grid.evaluations > budget:
+def _check_budget(evals_used: int, grid: PanelGrid, achieved: Optional[float]) -> None:
+    """Raise once the next pass would overrun DEFAULT_EVAL_BUDGET."""
+    if evals_used + grid.evaluations > DEFAULT_EVAL_BUDGET:
         if achieved is not None:
             raise ToleranceUnreachableError(
-                f"budget {budget} exhausted; achieved {achieved:.3e}", achieved=achieved)
+                f"budget {DEFAULT_EVAL_BUDGET} exhausted; achieved {achieved:.3e}",
+                achieved=achieved)
         raise ToleranceUnreachableError("evaluation budget too small for one pass")
 
 
 def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
-                    tol: float = DEFAULT_TOL,
-                    eval_budget: int = DEFAULT_EVAL_BUDGET) -> QuadResult:
+                    tol: float = DEFAULT_TOL) -> QuadResult:
     """Adaptive driver for the generic amplitude/phase family, over the
-    amplitude's support."""
+    amplitude's support, within DEFAULT_EVAL_BUDGET evaluations."""
     a, b = amplitude.support_lo, amplitude.support_hi
     if not (0.0 < a < b):
         raise ConfigError("integration range must sit inside (0, inf)")
@@ -227,8 +226,8 @@ def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
     err = None
     while True:
         grid = PanelGrid(a, b, c_log, c_inv, c_lin, span,
-                         max_panels=max(64, eval_budget // 24))
-        _check_budget(evals_used, grid, eval_budget, err)
+                         max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
+        _check_budget(evals_used, grid, err)
         vals = amplitude.fn(grid.nodes) * np.exp(1j * phase_values(grid.nodes, c_log, c_inv, c_lin))
         evals_used += grid.evaluations
         value, err = grid.reduce(vals)
@@ -238,11 +237,10 @@ def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
         span *= 0.5
 
 
-def integrate_main(inst: OscInstance, tol: float | None = None) -> QuadResult:
+def integrate_main(inst: OscInstance) -> QuadResult:
     """The main integral: integral x^(-iT) e(-nT/(Nx)) V(x) dx (beta = 0)."""
     return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N, 0.0,
-                           tol=tol if tol is not None else inst.tol,
-                           eval_budget=inst.eval_budget)
+                           tol=inst.tol)
 
 
 def integrate_shifted(inst: OscInstance, betas, tol=None, ns=None) -> ShiftedRows:
@@ -255,7 +253,7 @@ def integrate_shifted(inst: OscInstance, betas, tol=None, ns=None) -> ShiftedRow
     largest live n and beta, one evaluation of the amplitude per node, one
     shift table (see PanelGrid.reduce_rows). A row keeps the value of the
     first pass that meets its tolerance; the phase span per panel is halved
-    until every row has, under inst.eval_budget evaluations in all.
+    until every row has, under DEFAULT_EVAL_BUDGET evaluations in all.
     """
     tol = inst.tol if tol is None else tol
     c_inv = np.asarray([inst.n] if ns is None else ns, dtype=float) * inst.T / inst.N
@@ -273,8 +271,8 @@ def integrate_shifted(inst: OscInstance, betas, tol=None, ns=None) -> ShiftedRow
         live_b = live.reshape(c_inv.size, -1, 2).any(axis=(0, 2))
         grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, -inst.T,
                          c_inv[live_n].max(), betas[live_b].max(), span,
-                         max_panels=max(64, inst.eval_budget // 24))
-        _check_budget(evals_used, grid, inst.eval_budget,
+                         max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
+        _check_budget(evals_used, grid,
                       float(errs[live].max()) if evals_used else None)
         evals_used += grid.evaluations
         vals, est = grid.reduce_rows(amplitude.fn(grid.nodes), -inst.T,

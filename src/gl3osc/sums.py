@@ -21,7 +21,7 @@ carry calibrated constants frozen below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .coeffs import CoefficientTable
 from .cutoffs import Cutoff, g_cutoff, h1_cutoff, v0_cutoff, weight_w0_w
 from .errors import ConfigError, TableTooSmallError
-from .gammafactor import GKernelTable, LanglandsParams
+from .gammafactor import GKernelTable
 from .keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
 from .oscquad import OscInstance, integrate_main
 from .util import TWO_PI, kahan_csum
@@ -49,6 +49,13 @@ K_SP_REL = 3.5
 
 F0_CHOICES = ("h1", "h2", "h3")
 
+# the paper's fixed parameters: the dyadic window exponents kappa, eps of
+# h0/h1 (Y ranges over [T^-eps, T^kappa]), and the bump V0 = v0_cutoff(C1)
+# on [1/(8 pi), (1 + C1)/(2 pi)]; weight_w0_w divides by that same c1 = 1 bump
+WINDOW_KAPPA = 1.0
+WINDOW_EPS = 0.02
+C1 = 1.0
+
 
 @dataclass(frozen=True)
 class SumSpec:
@@ -59,25 +66,17 @@ class SumSpec:
     Y: float = 4.0 * np.pi
     f0_choice: str = "h1"
     tol: float = 1e-8
-    kappa: float = 1.0
-    eps: float = 0.02
-    c1: float = 1.0
-    params: LanglandsParams = field(default_factory=LanglandsParams)
 
     def __post_init__(self):
         if self.T <= 1.0:
             raise ConfigError("need T > 1")
         if self.tol <= 0.0:
             raise ConfigError("tol must be positive")
-        if not (0.0 < self.eps < self.kappa <= 1.5):
-            raise ConfigError("need 0 < eps < kappa <= 3/2")
-        if self.c1 <= 0.0:
-            raise ConfigError("c1 must be positive")
-        if not (self.T**-self.eps <= self.Y <= self.T**self.kappa):
+        if not (self.T**-WINDOW_EPS <= self.Y <= self.T**WINDOW_KAPPA):
             raise ConfigError("Y must lie in [T^-eps, T^kappa]")
         if self.f0_choice not in F0_CHOICES:
             raise ConfigError(f"f0_choice must be one of {F0_CHOICES}")
-        need = 2 * int(np.ceil(self.T ** (1.5 + self.eps)))
+        need = 2 * int(np.ceil(self.T ** (1.5 + WINDOW_EPS)))
         if self.table.x_max < need:
             raise TableTooSmallError(
                 f"table covers {self.table.x_max}, sum support needs {need}")
@@ -92,24 +91,23 @@ class SumSpec:
         return self.T**1.5 / self.Y
 
     def _kernel_range(self) -> tuple[float, float]:
-        # the fixed amplitude V queries f0 on (Y/(8 pi), (1+c1) Y/(2 pi));
+        # the fixed amplitude V queries f0 on (Y/(8 pi), (1+C1) Y/(2 pi));
         # the g-windowed routes stay inside [Y/(4 pi), Y/(2 pi)]
         return (0.995 * self.Y / (4.0 * TWO_PI),
-                1.005 * (1.0 + self.c1) * self.Y / TWO_PI)
+                1.005 * (1.0 + C1) * self.Y / TWO_PI)
 
     @cached_property
     def _kernel_table(self) -> GKernelTable | None:
         if self.f0_choice == "h1":
             return None
         lo, hi = self._kernel_range()
-        return GKernelTable.build(lo, hi, self.T, params=self.params,
-                                  kappa=self.kappa, eps=self.eps)
+        return GKernelTable.build(lo, hi, self.T, kappa=WINDOW_KAPPA, eps=WINDOW_EPS)
 
     @cached_property
     def f0(self):
         """The weight as an array-in, array-out callable."""
         if self.f0_choice == "h1":
-            return h1_cutoff(self.T, self.kappa, self.eps).fn
+            return h1_cutoff(self.T, WINDOW_KAPPA, WINDOW_EPS).fn
         table = self._kernel_table
         return table.h2 if self.f0_choice == "h2" else table.h3
 
@@ -119,10 +117,10 @@ class SumSpec:
         return int(np.floor(n)) + 1, int(np.ceil(2.0 * n)) - 1
 
     def integral_window(self) -> tuple[int, int]:
-        """Indices where V_n has nonempty support: (N/4, 2 (1+c1) N)."""
+        """Indices where V_n has nonempty support: (N/4, 2 (1+C1) N)."""
         n = self.N
         lo = max(1, int(np.floor(n / 4.0)) + 1)
-        hi = int(np.ceil(2.0 * (1.0 + self.c1) * n)) - 1
+        hi = int(np.ceil(2.0 * (1.0 + C1) * n)) - 1
         return lo, hi
 
 
@@ -146,33 +144,41 @@ def s_sum_form(spec: SumSpec) -> complex:
     terms = (coeffs[live]
              * np.exp(-1j * spec.T * np.log(nf)) / np.sqrt(nf)
              * spec.f0(arg) * g.fn(arg / spec.Y))
-    pref = c_constant(spec.T, spec.c1) / np.sqrt(spec.T)
+    pref = c_constant(spec.T, C1) / np.sqrt(spec.T)
     return complex(pref * kahan_csum(terms))
 
 
-def _vn_cutoff(spec: SumSpec, n: int) -> Cutoff | None:
-    """Per-n integrand amplitude V_n, or None when its support is empty."""
-    v0 = v0_cutoff(spec.c1)
-    g = g_cutoff()
-    ratio = n / spec.N
-    lo = max(TWO_PI, ratio / v0.support_hi)
-    hi = min(2.0 * TWO_PI, ratio / v0.support_lo)
-    if not lo < hi:
-        return None
-    f0, Y, N = spec.f0, spec.Y, spec.N
+def _weighted_cutoff(spec: SumSpec, lo: float, hi: float, head) -> Cutoff:
+    """head(x) f0(Y/x) / sqrt(x) on [lo, hi]; head is evaluated at x > 0
+    only, and f0 only where head is nonzero."""
+    f0, Y = spec.f0, spec.Y
 
     def fn(x):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0.0
         base = np.zeros_like(x)
-        base[pos] = v0.fn(n / (N * x[pos])) * g.fn(1.0 / x[pos])
+        base[pos] = head(x[pos])
         live = base != 0.0
         if np.any(live):
             out[live] = base[live] * f0(Y / x[live]) / np.sqrt(x[live])
         return out
 
     return Cutoff(support_lo=lo, support_hi=hi, fn=fn)
+
+
+def _vn_cutoff(spec: SumSpec, n: int) -> Cutoff | None:
+    """Per-n integrand amplitude V_n, or None when its support is empty."""
+    v0 = v0_cutoff(C1)
+    g = g_cutoff()
+    ratio = n / spec.N
+    lo = max(TWO_PI, ratio / v0.support_hi)
+    hi = min(2.0 * TWO_PI, ratio / v0.support_lo)
+    if not lo < hi:
+        return None
+    N = spec.N
+    return _weighted_cutoff(spec, lo, hi,
+                            lambda x: v0.fn(n / (N * x)) * g.fn(1.0 / x))
 
 
 def _integral_route(spec: SumSpec) -> tuple[complex, float]:
@@ -201,23 +207,9 @@ def _integral_route(spec: SumSpec) -> tuple[complex, float]:
 
 def _v_cutoff(spec: SumSpec) -> Cutoff:
     """The fixed amplitude V of the discretized route (no g factor)."""
-    v0 = v0_cutoff(spec.c1)
-    f0, Y = spec.f0, spec.Y
-    lo = 1.0 / v0.support_hi
-    hi = 1.0 / v0.support_lo
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        base = np.zeros_like(x)
-        base[pos] = v0.fn(1.0 / x[pos])
-        live = base != 0.0
-        if np.any(live):
-            out[live] = base[live] * f0(Y / x[live]) / np.sqrt(x[live])
-        return out
-
-    return Cutoff(support_lo=lo, support_hi=hi, fn=fn)
+    v0 = v0_cutoff(C1)
+    return _weighted_cutoff(spec, 1.0 / v0.support_hi, 1.0 / v0.support_lo,
+                            lambda x: v0.fn(1.0 / x))
 
 
 def _keyident_route(spec: SumSpec,
@@ -237,7 +229,7 @@ def _keyident_route(spec: SumSpec,
         a = spec.table.values[n]
         if a == 0.0:
             continue
-        _, w = weight_w0_w(n / spec.N, spec.c1)
+        _, w = weight_w0_w(n / spec.N)
         if w != 0.0:
             live.append((n, a, w))
     terms = []
@@ -269,7 +261,7 @@ def keyident_envelope(spec: SumSpec) -> float:
     k_lo, k_hi = spec.sum_window()
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     mags = np.abs(spec.table.values[ns])
-    _, w = weight_w0_w(ns / spec.N, spec.c1)
+    _, w = weight_w0_w(ns / spec.N)
     w = np.asarray(w)
     fringe = (ns < k_lo) | (ns > k_hi)
     w[fringe] = np.maximum(w[fringe], spec.N / ns[fringe])

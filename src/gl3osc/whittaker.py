@@ -42,11 +42,11 @@ K_ZETA_REL = 4.6
 DEFAULT_ZETA_TOL = 1e-10
 
 
-def whittaker_diag(y, T: float, c1: float = 1.0):
-    """W(a(y)) on the diagonal; zero for y <= 0."""
+def whittaker_diag(y, T: float):
+    """W(a(y)) on the diagonal, with V0 the c1 = 1 bump; zero for y <= 0."""
     if T <= 0.0:
         raise ConfigError("T must be positive")
-    v0 = v0_cutoff(c1)
+    v0 = v0_cutoff()
     y_arr = np.asarray(y, dtype=float)
     out = np.zeros(y_arr.shape, dtype=complex)
     pos = y_arr > 0.0

@@ -1,6 +1,8 @@
 """Tests for the command-line front end: config, dispatch, reports, exits."""
 import inspect
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -52,8 +54,64 @@ def test_grid_flag_parses_comma_list():
 
 
 def test_invalid_kappa_exits_2(capsys):
-    assert main(["bump", "--kappa", "2"]) == 2
-    assert "kappa" in capsys.readouterr().err
+    assert main(["amplified", "--kappa", "2"]) == 2
+    assert "kappa must lie" in capsys.readouterr().err
+
+
+# a valid value for each flag but --out
+FLAG_VALUES = {"--t": "300", "--tol": "1e-6", "--kappa": "0.1", "--c1": "1.5",
+               "--coeffs": "table.csv", "--seed": "7", "--grid": "250,500,1000"}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_command_accepts_the_flags_it_reads_and_refuses_the_rest(command):
+    assert set(FLAG_VALUES) == set(cli.FLAG_DESTS)
+    for flag, value in FLAG_VALUES.items():
+        args = _args(command, flag, value, "--out", "report.json")
+        if flag in cli.READS[command]:
+            assert config_from_args(args).out_path == "report.json"
+        else:
+            with pytest.raises(ConfigError, match=f"does not read {re.escape(flag)}$"):
+                config_from_args(args)
+
+
+def test_ignored_flags_exit_2_and_are_named(capsys):
+    argv = ["coeffs", "--c1", "5", "--kappa", "0.3", "--grid", "100,200",
+            "--t", "50", "--tol", "0.5"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    for flag in ("--t", "--tol", "--kappa", "--c1", "--grid"):
+        assert re.search(f"{re.escape(flag)}(,|$)", err.strip()), flag
+
+
+class _Spy:
+    """A RunConfig stand-in that records the fields a command reads."""
+
+    def __init__(self, config):
+        self._config = config
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._config, name)
+
+
+def test_reads_lists_exactly_the_flags_each_command_reads(monkeypatch):
+    for battery in ("bump", "stationary_phase", "local_zeta", "gamma",
+                    "key_identity", "amplified", "coeff", "route"):
+        monkeypatch.setattr(cli.criteria, f"{battery}_battery",
+                            lambda *args, **kwargs: ({}, ()))
+    monkeypatch.setattr(cli, "local_zeta", lambda params, tol: SimpleNamespace(value=0j))
+    monkeypatch.setattr(cli, "c_constant", lambda T, c1: 1.0)
+    for command in cli.COMMANDS:
+        spy = _Spy(RunConfig(command=command))
+        if command == "suite":
+            cli._run_suite(spy)
+        else:
+            cli.DISPATCH[command](spy)
+        read = {flag for flag, dest in cli.FLAG_DESTS.items()
+                if ("T" if dest == "t" else dest) in spy.read}
+        assert read == set(cli.READS[command]), command
 
 
 def test_amplified_below_floor_exits_2(capsys):

@@ -1,6 +1,7 @@
-"""Static guards on the package: no dead imports, no unreferenced objects.
+"""Static guards on the package: no dead imports, no unreferenced objects,
+and no setting with a default that no call sets.
 
-Both read the source with the standard library's `ast`, so they need no
+All read the source with the standard library's `ast`, so they need no
 linter. A name counts as referenced when it is read as a variable, read as
 an attribute, imported by name, or spelled out in a dotted string such as
 "gl3osc.keyident.riemann_side" (the benchmark's layer trace wraps bindings
@@ -110,3 +111,149 @@ def test_every_package_object_is_referenced():
             if not any(name in reads for reads in readers.values()):
                 orphans.append(f"{path.name}:{line} defines {name}")
     assert not orphans, "defined but referenced nowhere:\n" + "\n".join(orphans)
+
+
+# Where a setting may be set from: the package, the demos and the benchmark
+# driver. A setting that only tests set is a knob no run of the program turns.
+CALLERS = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
+
+# settings that keep their default at every call, each with its reason
+UNSET_ALLOWED = {
+    # the console script calls main() bare; tests inject argv through it
+    "cli.main.argv",
+    # it selects the kernel-weight routes h2/h3 of the coefficient sum
+    "sums.SumSpec.f0_choice",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _field_kind(value) -> str:
+    """How a dataclass field's right-hand side makes it: "required",
+    "default", or "derived" (field(init=False), which no caller passes)."""
+    if value is None:
+        return "required"
+    if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+        given = {k.arg: k.value for k in value.keywords}
+        if isinstance(given.get("init"), ast.Constant) and given["init"].value is False:
+            return "derived"
+        return "default" if {"default", "default_factory"} & set(given) else "required"
+    return "default"
+
+
+def _signature(fn, method: bool):
+    """(names a call can pass by position, names with a default); a
+    method's self or cls is not passed."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def _settable():
+    """callee name -> list of (setting id, positional names, defaulted names)
+    for every package function, method, class and dataclass."""
+    out = {}
+
+    def add(name, key, positional, defaulted):
+        if defaulted:
+            out.setdefault(name, []).append((key, positional, defaulted))
+
+    for path in _modules():
+        mod = path.stem
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                positional, defaulted = _signature(node, method=False)
+                add(node.name, f"{mod}.{node.name}", positional, defaulted)
+            elif isinstance(node, ast.ClassDef):
+                fields, defaulted = [], []
+                for item in node.body:
+                    if (_is_dataclass(node) and isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        kind = _field_kind(item.value)
+                        if kind != "derived":
+                            fields.append(item.target.id)
+                        if kind == "default":
+                            defaulted.append(item.target.id)
+                    elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        positional, fn_defaults = _signature(item, method=True)
+                        if item.name == "__init__":
+                            add(node.name, f"{mod}.{node.name}", positional, fn_defaults)
+                        else:
+                            add(item.name, f"{mod}.{node.name}.{item.name}",
+                                positional, fn_defaults)
+                add(node.name, f"{mod}.{node.name}", fields, defaulted)
+    return out
+
+
+def _call_sites():
+    """callee name -> (keywords passed, most positionals passed), over every
+    call in CALLERS. A call with *args or **kwargs counts as passing every
+    positional or keyword. `dataclasses.replace(obj, k=...)` passes k to
+    every dataclass (under the name "replace"), `cls(...)` in a classmethod
+    calls its class, and the benchmark's `_battery("x", k=...)` calls
+    criteria.x_battery. Callees are matched by name alone, so a call can
+    count for a setting it does not reach, never miss one it does."""
+    keywords, positionals = {}, {}
+
+    def record(name, args, kws):
+        pos = sum(1 for a in args if not isinstance(a, ast.Starred))
+        if any(isinstance(a, ast.Starred) for a in args):
+            pos = 1 << 30
+        positionals[name] = max(positionals.get(name, 0), pos)
+        names = {k.arg for k in kws}
+        if None in names:
+            names.add("**")
+        keywords.setdefault(name, set()).update(names)
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            scope = owner
+            if isinstance(child, ast.ClassDef):
+                scope = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                args = child.args
+                if name == "cls" and owner is not None:
+                    name = owner
+                elif (name == "_battery" and args and isinstance(args[0], ast.Constant)
+                      and isinstance(args[0].value, str)):
+                    name, args = f"{args[0].value}_battery", args[1:]
+                if name is not None:
+                    record(name, args, child.keywords)
+            visit(child, scope)
+
+    for folder in CALLERS:
+        for path in folder.glob("*.py"):
+            visit(_tree(path), None)
+    return keywords, positionals
+
+
+def test_every_setting_has_a_caller():
+    keywords, positionals = _call_sites()
+    replaced = keywords.get("replace", set())
+    unset = []
+    for name, entries in _settable().items():
+        kws = keywords.get(name, set())
+        for key, positional, defaulted in entries:
+            for param in defaulted:
+                at = positional.index(param) if param in positional else None
+                if (param in kws or "**" in kws or param in replaced
+                        or (at is not None and positionals.get(name, 0) > at)):
+                    continue
+                if f"{key}.{param}" not in UNSET_ALLOWED:
+                    unset.append(f"{key}.{param}")
+    assert not unset, ("settings with a default that no call in src/, demos/ or "
+                       "perfbench/ sets:\n" + "\n".join(sorted(unset)))

@@ -7,7 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gl3osc import criteria, keyident, sums
+from gl3osc import criteria, keyident, oscquad, sums
 from gl3osc.coeffs import synth_eisenstein
 from gl3osc.cutoffs import Cutoff
 from gl3osc.errors import ConfigError, TailNotConvergedError, ToleranceUnreachableError
@@ -61,8 +61,6 @@ def test_instance_validation():
         _instance(250.0, 7, 9)
     with pytest.raises(ConfigError):
         _instance(250.0, 7, 7)
-    with pytest.raises(ConfigError):
-        _instance(250.0, 7, 2, r_max=0)
     with pytest.raises(ConfigError):
         _instance(250.0, 7, 2, tol=0.0)
 
@@ -169,13 +167,14 @@ def test_dual_terms_decay_superpolynomially():
     assert term(-1) < j1
 
 
-def test_dual_sum_tail_honesty():
+def test_dual_sum_tail_honesty(monkeypatch):
     inst = _instance(500.0, 7, 2)
     (o_a,), (tail_a,) = _poisson_terms(inst)[:2]
-    # widening the window must move the value by less than the tail plus the
-    # quadrature shares; the wide pass needs a looser tol since the per-term
-    # tolerance share shrinks with the index
-    wide = replace(inst, r_max=32, tol=1e-7)
+    # widening the first shell must move the value by less than the tail plus
+    # the quadrature shares; the wide pass needs a looser tol since the
+    # per-term tolerance share shrinks with the index
+    monkeypatch.setattr(keyident, "FIRST_SHELL_R", 32)
+    wide = replace(inst, tol=1e-7)
     (o_b,), (tail_b,) = _poisson_terms(wide)[:2]
     assert 0.0 <= tail_a < 0.5 * inst.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
@@ -196,7 +195,7 @@ def test_leading_shape_matches_dressed_oracle():
     lead = lin_form_leading(inst)
     assert lead != 0.0
     d = dressing_constant(inst.T, inst.N)
-    m = integrate_main(inst.osc, tol=1e-11)
+    m = integrate_main(replace(inst.osc, tol=1e-11))
     envelope = K_SP_MAIN * inst.T**-1.5 * abs(d)
     assert abs(d * m.value - lead) <= envelope
 
@@ -318,7 +317,7 @@ def _per_term_dual_sum(inst: KeyIdentityInstance):
     """Reference: every row a standalone integrate_phase, shells as in
     _poisson_terms; returns {signed r: QuadResult} and the last r."""
     rows = {}
-    lo, hi = 1, max(8, inst.r_max)
+    lo, hi = 1, keyident.FIRST_SHELL_R
     while True:
         mag = 0.0
         for r in range(lo, hi + 1):
@@ -334,7 +333,7 @@ def _per_term_dual_sum(inst: KeyIdentityInstance):
 def _batched_rows(inst: KeyIdentityInstance, ns, r_last: int):
     """Every shell's integrate_shifted batch up to r_last: {(n, signed r): (value, err, share)}."""
     rows = {}
-    lo, hi = 1, max(8, inst.r_max)
+    lo, hi = 1, keyident.FIRST_SHELL_R
     while lo <= r_last:
         rs = np.arange(lo, hi + 1)
         shares = inst.tol / (32.0 * np.maximum(8, rs))
@@ -350,9 +349,10 @@ def _batched_rows(inst: KeyIdentityInstance, ns, r_last: int):
 
 def _route_instances():
     """The route amplitude V at T = 64 and three n of its window."""
-    T, eps = 64.0, 0.02
-    table = synth_eisenstein(criteria.D3_PARAMS, 2 * int(np.ceil(T ** (1.5 + eps))))
-    spec = sums.SumSpec(T=T, table=table, tol=1e-6, eps=eps)
+    T = 64.0
+    table = synth_eisenstein(criteria.D3_PARAMS,
+                             2 * int(np.ceil(T ** (1.5 + sums.WINDOW_EPS))))
+    spec = sums.SumSpec(T=T, table=table, tol=1e-6)
     n_lo, n_hi = spec.sum_window()
     ns = [n_lo + 1, (n_lo + n_hi) // 2, n_hi - 1]
     base = KeyIdentityInstance(T=T, n=ns[0], N=spec.N, p=5, l=2, tol=spec.tol,
@@ -400,14 +400,12 @@ def test_batched_dual_sum_raises_past_max_r(monkeypatch):
 def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     inst = _instance(250.0, 7, 2)
     ns = [inst.n, inst.n + 1]
-    monkeypatch.setattr(keyident, "OscInstance",
-                        functools.partial(OscInstance, eval_budget=100))
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
     with pytest.raises(ToleranceUnreachableError):
         _poisson_terms(inst, ns)
     # the first shell's grid (37,416 nodes) fits, its refinement (about
     # 75,000) does not fit beside it
-    monkeypatch.setattr(keyident, "OscInstance",
-                        functools.partial(OscInstance, eval_budget=100_000))
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
     with pytest.raises(ToleranceUnreachableError) as info:
         _poisson_terms(replace(inst, tol=1e-30), ns)
     assert info.value.achieved > 1e-30

@@ -1,7 +1,10 @@
 """Tests for the oscillatory-integral oracle and its stationary-phase law."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gl3osc import oscquad
 from gl3osc.cutoffs import Cutoff
 from gl3osc.errors import ConfigError, ToleranceUnreachableError
 from gl3osc.oscquad import (
@@ -57,8 +60,8 @@ def test_phase_stationary_at_predicted_point():
 
 
 def test_oracle_matches_frozen_golden():
-    inst = OscInstance(T=50.0, n=8, N=50.0)
-    res = integrate_main(inst, tol=1e-11)
+    inst = OscInstance(T=50.0, n=8, N=50.0, tol=1e-11)
+    res = integrate_main(inst)
     assert abs(res.value - GOLDEN_SMALL) < 1e-12
     assert abs(res.value - GOLDEN_SMALL) <= res.abs_err + 1e-12
     assert res.abs_err <= 1e-11
@@ -87,8 +90,8 @@ def test_oracle_magnitude_matches_leading_term_at_large_t():
     T = 1000.0
     N = T**1.5
     n = int(np.ceil(N / TWO_PI))
-    inst = OscInstance(T=T, n=n, N=N)
-    oracle = integrate_main(inst, tol=1e-10)
+    inst = OscInstance(T=T, n=n, N=N, tol=1e-10)
+    oracle = integrate_main(inst)
     lead, envelope = stationary_phase_main(inst)
     assert abs(oracle.value - lead) <= envelope
     assert abs(abs(oracle.value) - abs(lead)) <= envelope
@@ -100,8 +103,8 @@ def test_residual_against_leading_term_decays_like_t_to_minus_three_halves():
     t_grid = [250.0, 500.0, 1000.0, 2000.0]
     resids = []
     for T in t_grid:
-        inst = OscInstance(T=T, n=n, N=N)
-        oracle = integrate_main(inst, tol=1e-10)
+        inst = OscInstance(T=T, n=n, N=N, tol=1e-10)
+        oracle = integrate_main(inst)
         lead, envelope = stationary_phase_main(inst)
         resid = abs(oracle.value - lead)
         assert resid <= envelope
@@ -112,8 +115,8 @@ def test_residual_against_leading_term_decays_like_t_to_minus_three_halves():
 
 def test_tolerance_halving_self_consistency():
     inst = OscInstance(T=300.0, n=47, N=47.0 * TWO_PI / 1.2)
-    r1 = integrate_main(inst, tol=1e-8)
-    r2 = integrate_main(inst, tol=5e-9)
+    r1 = integrate_main(replace(inst, tol=1e-8))
+    r2 = integrate_main(replace(inst, tol=5e-9))
     assert abs(r1.value - r2.value) <= r1.abs_err + r2.abs_err
 
 
@@ -128,7 +131,9 @@ def test_conjugation_symmetry():
 
 def test_linearity_in_the_amplitude():
     v1 = probe_amplitude()
-    v2 = probe_amplitude().scaled(1.3)
+    # the probe dilated by 1.3: v2(y) = v1(y / 1.3)
+    v2 = Cutoff(support_lo=v1.support_lo * 1.3, support_hi=v1.support_hi * 1.3,
+                fn=lambda y: v1.fn(np.asarray(y, dtype=float) / 1.3))
     a, b = 2.0, -0.7
 
     def combo_fn(y):
@@ -146,8 +151,8 @@ def test_linearity_in_the_amplitude():
 
 
 def test_zero_shift_equals_main():
-    inst = OscInstance(T=150.0, n=17, N=100.0)
-    main = integrate_main(inst, tol=1e-10)
+    inst = OscInstance(T=150.0, n=17, N=100.0, tol=1e-10)
+    main = integrate_main(inst)
     rows = integrate_shifted(inst, betas=[0.0], tol=1e-10)
     # both beta = 0 rows are the main integral, on the batch's own grid
     for value, err in zip(rows.values[0], rows.abs_errs[0]):
@@ -180,15 +185,16 @@ def test_nonstationary_shift_suppresses_the_integral():
     T = 1000.0
     n = 500
     N = TWO_PI * n  # x0 = 1, interior
-    inst = OscInstance(T=T, n=n, N=N)
-    main = integrate_main(inst, tol=1e-10)
+    inst = OscInstance(T=T, n=n, N=N, tol=1e-10)
+    main = integrate_main(inst)
     # beta = 4T/(2*pi) pushes |Phi'| >= 2T on all of [1/2, 2]
     shifted = integrate_shifted(inst, betas=[4.0 * T / TWO_PI], tol=1e-10)
     assert 10.0 * abs(shifted.values[0, 0]) <= abs(main.value)
 
 
-def test_evaluation_budget_enforced():
-    inst = OscInstance(T=1000.0, n=1000, N=TWO_PI * 1000.0, eval_budget=100)
+def test_evaluation_budget_enforced(monkeypatch):
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
+    inst = OscInstance(T=1000.0, n=1000, N=TWO_PI * 1000.0)
     with pytest.raises(ToleranceUnreachableError):
         integrate_main(inst)
 

@@ -12,6 +12,7 @@ from gl3osc.errors import ConfigError, TableTooSmallError
 from gl3osc.gammafactor import LanglandsParams
 from gl3osc.keyident import AmplifierSpec
 from gl3osc.sums import (
+    C1,
     K_ROUTE_34,
     SumSpec,
     compare_routes,
@@ -74,10 +75,6 @@ def test_spec_validation_rejects_bad_fields(table_100):
     with pytest.raises(ConfigError):
         SumSpec(T=100.0, table=table_100, tol=0.0)
     with pytest.raises(ConfigError):
-        SumSpec(T=100.0, table=table_100, kappa=0.01, eps=0.02)
-    with pytest.raises(ConfigError):
-        SumSpec(T=100.0, table=table_100, c1=-1.0)
-    with pytest.raises(ConfigError):
         SumSpec(T=100.0, table=table_100, Y=2000.0)  # above T^kappa
     with pytest.raises(ConfigError):
         SumSpec(T=100.0, table=table_100, f0_choice="h9")
@@ -127,7 +124,7 @@ def test_sum_route_matches_scalar_loop(spec_100):
                 * float(f0(np.asarray(arg))) * float(g.fn(np.asarray(arg / spec_100.Y))))
         re.append(term.real)
         im.append(term.imag)
-    pref = c_constant(spec_100.T, spec_100.c1) / math.sqrt(spec_100.T)
+    pref = c_constant(spec_100.T, C1) / math.sqrt(spec_100.T)
     oracle = pref * complex(math.fsum(re), math.fsum(im))
     assert abs(got - oracle) <= 1e-12 * abs(oracle)
     assert abs(got - GOLDEN_SUM_100) <= 1e-12 * abs(GOLDEN_SUM_100)
