@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import criteria
 from .coeffs import load_coefficients
@@ -32,8 +32,8 @@ DEFAULT_TOL = {"zeta-local": 1e-10, "scaling": 1e-10, "oscint": 1e-10,
 FALLBACK_T = 500.0
 FALLBACK_TOL = 1e-9
 
-# the parser's dest for each optional flag but --out
-FLAG_DESTS = {"--t": "t", "--tol": "tol", "--kappa": "kappa", "--c1": "c1",
+# the RunConfig field (and parser dest) each optional flag but --out sets
+FLAG_DESTS = {"--t": "T", "--tol": "tol", "--kappa": "kappa", "--c1": "c1",
               "--coeffs": "coeff_path", "--seed": "seed", "--grid": "grid"}
 
 # the flags each command reads; any other flag but --out exits 2. `suite`
@@ -185,8 +185,9 @@ def run(config: RunConfig) -> Report:
     else:
         outputs, checks = DISPATCH[config.command](config)
     wall_ms = 1000.0 * (time.perf_counter() - started)
-    inputs = asdict(config)
-    del inputs["out_path"]  # where the report lands is not part of what ran
+    # only what the command reads: a default it never looks at is no input
+    inputs = {FLAG_DESTS[flag]: getattr(config, FLAG_DESTS[flag])
+              for flag in READS[config.command]}
     return Report(command=config.command, inputs=inputs,
                   outputs=outputs, checks=tuple(checks),
                   wall_time_ms=wall_ms)
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "identities and asymptotics behind a GL(3) t-aspect "
                     "subconvexity argument")
     parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--t", type=float, default=None,
+    parser.add_argument("--t", dest="T", type=float, default=None,
                         help="frequency T (default 500; s-sum defaults to 200)")
     parser.add_argument("--tol", type=float, default=None,
                         help="quadrature tolerance (per-command default)")
@@ -243,7 +244,7 @@ def config_from_args(args) -> RunConfig:
             grid = tuple(float(part) for part in args.grid.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --grid value: {exc}") from None
-    t = args.t if args.t is not None else DEFAULT_T.get(args.command, FALLBACK_T)
+    t = args.T if args.T is not None else DEFAULT_T.get(args.command, FALLBACK_T)
     tol = (args.tol if args.tol is not None
            else DEFAULT_TOL.get(args.command, FALLBACK_TOL))
     given = {name: getattr(args, name) for name in ("kappa", "c1", "seed")

@@ -22,6 +22,12 @@ T = 100 and tol 1e-10 it raises TailNotConvergedError for z = 0.2, 0.5 and
 0.7, where Re(s) = 0 converges).  That is why `_auto_re_line` takes the deep
 line only below z = 0.25 and Re(s) = 0 everywhere else; the switch is not a
 guarantee near it (z = 0.2 at T = 100 converges at tol 1e-8, not at 1e-10).
+
+Of the integrand only X^s = (T^3 / (4 pi^2 z))^s depends on z.  So one
+contour quadrature serves a whole batch of z on one shared grid: F(-s) (exact,
+from the cutoff's Mellin line) and gamma are evaluated once per node, and each
+z adds only its exponential and its sum.  `g_kernel` is the batch of one;
+`GKernelTable` tabulates a batch per grid.
 """
 
 from __future__ import annotations
@@ -194,7 +200,8 @@ def g_kernel(
     for small z where each leftward step shrinks the integrand, at Re(s) = 0
     otherwise.  Mathematically the value is contour-independent because the
     integrand is holomorphic in Re(s) <= 0; numerically a deep line fails at
-    moderate z with TailNotConvergedError (see the module docstring).
+    moderate z with TailNotConvergedError (see the module docstring).  The
+    value is `_contour_quad`'s batch of one.
     """
     if z <= 0.0:
         raise ConfigError("kernel argument must be positive")
@@ -202,44 +209,44 @@ def g_kernel(
         raise ConfigError("T must exceed 1")
     if contour is None:
         contour = ContourSpec(re_line=_auto_re_line(z))
-    h0 = h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
-    sigma = contour.re_line
-
-    def f_neg(ts: np.ndarray) -> np.ndarray:
-        return mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
-
-    u_band = max(KERNEL_KAPPA, KERNEL_EPS) * np.log(T) + np.log(2.0) + 1.0
-    return _contour_quad(z, T, sigma, u_band, tol, f_neg)
+    return complex(_contour_quad([z], T, contour.re_line, tol, KERNEL_KAPPA, KERNEL_EPS)[0])
 
 
-def _contour_quad(
-    z: float,
-    T: float,
-    sigma: float,
-    u_band: float,
-    tol: float,
-    f_neg,
-) -> complex:
-    """Shell-doubled GL16 quadrature of the kernel integrand along a line.
+def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
+                  eps: float) -> np.ndarray:
+    """G(z) for every z of zs: shell-doubled GL16 quadrature of the kernel
+    integrand along Re(s) = sigma, all z on one shared grid.
 
-    f_neg maps the t array to F(-sigma - it); u_band bounds the Mellin
-    factor's own frequency so panel widths resolve every phase component.
+    Only X^s = exp(s log X_z) depends on z, so each node evaluates F(-s)
+    (exactly, by `mellin_on_line` for the (kappa, eps) window) and gamma once,
+    and each z adds one exponential and one compensated sum.  Panels span
+    two cycles of the fastest local phase over the batch, the Mellin
+    factor's own band included, and the shells double until every z's added
+    shell is below tol/2.  A batch of one is exactly g_kernel's grid.
     """
-    log_x = 3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z)
+    h0 = h0_cutoff(T, kappa, eps)
+    u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
+    # per z, as scalars: a batch of one rounds as a lone z always has
+    log_xs = [3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z) for z in zs]
+    x_lo, x_hi = min(log_xs), max(log_xs)
 
     def local_freq(t: float) -> float:
-        # phase rate of X^(it) * gamma(1/2 + sigma + i(T + t)) plus the band
-        return abs(log_x - 3.0 * np.log(max(T + t, 2.0) / TWO_PI)) + u_band + 0.5
+        # phase rate of X^(it) * gamma(1/2 + sigma + i(T + t)), fastest over
+        # the batch, plus the band
+        b = 3.0 * np.log(max(T + t, 2.0) / TWO_PI)
+        return max(abs(x_lo - b), abs(x_hi - b)) + u_band + 0.5
 
-    def shell(lo: float, hi: float) -> complex:
-        # GL16 panels sized to two cycles of the local oscillation
+    def shell(lo: float, hi: float) -> np.ndarray:
         edges = adaptive_edges(lo, hi, 16.0, 2.0 * TWO_PI, local_freq, _SHELL_MAX_PANELS)
         ts, wts = gl_panels(edges, *GL16)
         s = sigma + 1j * ts
-        fvals = f_neg(ts)
+        fvals = mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
         gvals = gamma_pi_line(0.5 + s + 1j * T, KERNEL_PARAMS)
-        # ds = i dt cancels the i in the 1/(2 pi i) prefactor
-        return kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
+        # ds = i dt cancels the i in the 1/(2 pi i) prefactor.  Each sum is
+        # divided as a Python complex: numpy's array / scalar multiplies by
+        # the reciprocal, which rounds differently.
+        return np.array([kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
+                         for log_x in log_xs])
 
     total = shell(-CONTOUR_IM_START, CONTOUR_IM_START)
     lo = CONTOUR_IM_START
@@ -247,14 +254,12 @@ def _contour_quad(
         hi = 2.0 * lo
         added = shell(lo, hi) + shell(-hi, -lo)
         total += added
-        if abs(added) < max(tol, 1e-15) / 2.0:
-            break
+        worst = float(np.max(np.abs(added)))
+        if worst < max(tol, 1e-15) / 2.0:
+            return total
         if hi > 16.0 * T:
-            raise TailNotConvergedError(
-                f"contour tail still {abs(added):.3e} at height {hi:.0f}"
-            )
+            raise TailNotConvergedError(f"contour tail still {worst:.3e} at height {hi:.0f}")
         lo = hi
-    return complex(total)
 
 
 def _model_phase(z, T: float, u_mid: float):
@@ -274,10 +279,13 @@ def _model_phase(z, T: float, u_mid: float):
 class GKernelTable:
     """Cubic-spline cache of G on a geometric grid, for bulk evaluation.
 
-    G oscillates in z roughly like exp(i phi(z)) with phi from the
-    stationary band, so the spline stores G / exp(i phi) and the call
+    The nodes are one `_contour_quad` batch on Re(s) = 0, with F exact on
+    every contour node, so at a node the table is the kernel itself within
+    TABLE_TOL.  G oscillates in z roughly like exp(i phi(z)) with phi from
+    the stationary band, so the spline stores G / exp(i phi) and the call
     restores the phase.  `max_rel_error` records the ten-point validation
-    against direct contour evaluation.
+    against direct contour evaluation (a second batch); a grid that misses
+    TABLE_REL_TOL is doubled, at most twice.
     """
 
     z_lo: float
@@ -302,35 +310,17 @@ class GKernelTable:
             raise ConfigError("need 0 < z_lo < z_hi")
         if z_lo < 0.25:
             raise ConfigError("table covers the moderate-z regime (z >= 0.25) only")
-        h0 = h0_cutoff(T, kappa=kappa, eps=eps)
         u_lo = -kappa * np.log(T)
         u_hi = np.log(2.0) - eps * np.log(T)
         u_mid = 0.5 * (u_lo + u_hi)
-        u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
-        sigma = 0.0  # bounded-regime line; the value is line-independent
 
-        # F(it) on a uniform grid once; per-z integration then only needs
-        # spline lookups plus log-gamma values.  Spacing resolves the
-        # transform's bandwidth (the window's log-support).
-        span = max(1536.0, 8.0 * T)
-        taus = np.arange(-span, span + 0.25, 0.25)
-        line = mellin_on_line(h0, 0.0, taus)
-        fre = CubicSpline(taus, line.real)
-        fim = CubicSpline(taus, line.imag)
-
-        def f_neg(ts: np.ndarray) -> np.ndarray:
-            out = fre(-ts) + 1j * fim(-ts)
-            far = np.abs(ts) > span
-            if np.any(far):
-                out[far] = mellin_on_line(h0, 0.0, -ts[far])
-            return out
-
-        def direct(zz: float) -> complex:
-            return _contour_quad(zz, T, sigma, u_band, TABLE_TOL, f_neg)
+        def direct(zs) -> np.ndarray:
+            # bounded-regime line Re(s) = 0; the value is line-independent
+            return _contour_quad(zs, T, 0.0, TABLE_TOL, kappa, eps)
 
         # Node count from the residual phase rate after dividing the model
-        # phase out: the window edges sit u_band/2-ish either side of u_mid
-        # and drag the stationary-band phase by (u - u_mid) * dt*/dz.
+        # phase out: the window edges sit (u_hi - u_lo)/2 either side of
+        # u_mid and drag the stationary-band phase by (u - u_mid) * dt*/dz.
         zg = np.linspace(z_lo, z_hi, 65)
         dts = T * (TWO_PI / zg) ** (1.0 / 3.0) / (3.0 * zg)
         resid_rate = 0.5 * (u_hi - u_lo) * dts + 8.0 / zg
@@ -339,10 +329,10 @@ class GKernelTable:
 
         rng = np.random.default_rng(TABLE_SEED)
         checks = np.exp(rng.uniform(np.log(z_lo), np.log(z_hi), 10))
-        truths = np.array([direct(float(zz)) for zz in checks])
+        truths = direct(checks)
         for _ in range(3):
             grid = np.geomspace(z_lo, z_hi, n)
-            vals = np.array([direct(float(zz)) for zz in grid])
+            vals = direct(grid)
             hat = vals * np.exp(-1j * _model_phase(grid, T, u_mid))
             lg = np.log(grid)
             re_s = CubicSpline(lg, hat.real)

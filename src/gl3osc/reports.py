@@ -1,6 +1,6 @@
 """Report containers and JSON/CSV emission for the verification CLI.
 
-A report records one command deterministically: echoed inputs, computed
+A report records one command deterministically: the inputs it read, computed
 outputs (complex values as {"re", "im"} pairs), and named checks, each with
 a nonnegative residual, an error budget, and a pass flag. Serialization is
 lossless for finite floats (repr round-trip through json) and the canonical
@@ -40,17 +40,6 @@ def encode_value(v):
     raise ConfigError(f"cannot encode {type(v).__name__} into a report")
 
 
-def decode_value(v):
-    """Inverse of encode_value; {"re", "im"} dicts come back as complex."""
-    if isinstance(v, dict):
-        if set(v.keys()) == {"re", "im"}:
-            return complex(v["re"], v["im"])
-        return {k: decode_value(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [decode_value(x) for x in v]
-    return v
-
-
 @dataclass(frozen=True)
 class Check:
     """One named assertion: residual measured against an error budget."""
@@ -85,7 +74,6 @@ class Report:
     outputs: dict
     checks: tuple
     wall_time_ms: float = 0.0
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def passed(self) -> bool:
@@ -100,7 +88,7 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "inputs": encode_value(self.inputs),
             "outputs": encode_value(self.outputs),
@@ -124,24 +112,6 @@ class Report:
         """Write the canonical form; timing stays on stderr, not in files."""
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.canonical_json())
-
-
-def load_report(path) -> Report:
-    """Re-parse a written report; lossless against the original."""
-    with open(path, "r", encoding="ascii") as fh:
-        d = json.load(fh)
-    checks = tuple(
-        Check(check_id=cid,
-              description=d["descriptions"][cid],
-              residual=d["residuals"][cid],
-              budget=d["error_budgets"][cid])
-        for cid in d["check_order"])
-    return Report(command=d["command"],
-                  inputs=decode_value(d["inputs"]),
-                  outputs=decode_value(d["outputs"]),
-                  checks=checks,
-                  wall_time_ms=d.get("wall_time_ms", 0.0),
-                  schema_version=d["schema_version"])
 
 
 def write_table_csv(path, header, rows) -> None:

@@ -42,22 +42,6 @@ K_ZETA_REL = 4.6
 DEFAULT_ZETA_TOL = 1e-10
 
 
-def whittaker_diag(y, T: float):
-    """W(a(y)) on the diagonal, with V0 the c1 = 1 bump; zero for y <= 0."""
-    if T <= 0.0:
-        raise ConfigError("T must be positive")
-    v0 = v0_cutoff()
-    y_arr = np.asarray(y, dtype=float)
-    out = np.zeros(y_arr.shape, dtype=complex)
-    pos = y_arr > 0.0
-    yp = y_arr[pos]
-    out[pos] = (T**0.75 * np.exp(-2j * np.pi * yp / np.sqrt(T))
-                * v0.fn(yp / T**1.5))
-    if np.isscalar(y) or getattr(y, "ndim", 1) == 0:
-        return complex(out)
-    return out
-
-
 @dataclass(frozen=True)
 class LocalZetaParams:
     """Evaluation point 1/2 + s + iT of the local zeta integral."""

@@ -11,9 +11,13 @@ from gl3osc.errors import (
 )
 from gl3osc.gammafactor import (
     DEFAULT_ALPHA,
+    KERNEL_EPS,
+    KERNEL_KAPPA,
+    TABLE_TOL,
     ContourSpec,
     GKernelTable,
     LanglandsParams,
+    _contour_quad,
     f_line_mass,
     g_kernel,
     gamma_pi,
@@ -187,6 +191,30 @@ def test_kernel_table_accuracy_and_parts():
         assert table.h3(float(z)) == v.imag
     sweep = np.concatenate([[0.5, 2.0], np.random.default_rng(7).uniform(0.5, 2.0, 200)])
     assert all(table(float(z)) == w for z, w in zip(sweep, table(sweep)))
+
+
+def test_g_kernel_bits_pinned():
+    # the exact value before the contour quadrature took a batch of z
+    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145500442242e-06 - 2.0267040950392465e-05j
+
+
+def test_shared_contour_grid_matches_each_z_alone():
+    # one grid sized to the fastest phase of the batch, shells doubled until
+    # every z has converged: each value is the lone z's within the tolerance
+    T = 100.0
+    zs = np.linspace(0.5, 2.0, 8)
+    batch = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
+    alone = np.array([g_kernel(float(z), T, tol=TABLE_TOL) for z in zs])
+    assert np.max(np.abs(batch - alone)) <= TABLE_TOL
+
+
+def test_kernel_table_is_exact_at_its_nodes():
+    # F is exact on every contour node, so at a grid node the table is the
+    # kernel itself, within the contour tolerance
+    T = 100.0
+    table = GKernelTable.build(0.5, 2.0, T)
+    for z in table.grid[np.linspace(0, len(table.grid) - 1, 5).astype(int)]:
+        assert abs(table(float(z)) - g_kernel(float(z), T, tol=TABLE_TOL)) <= TABLE_TOL
 
 
 def test_kernel_table_range_enforcement():

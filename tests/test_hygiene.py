@@ -13,9 +13,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gl3osc"
-# where a package object may be used from: the package, its tests, the
-# demos and the benchmark driver
-USERS = (PACKAGE, ROOT / "tests", ROOT / "demos", ROOT / "perfbench")
+# where a package object may be used or a setting set from: the package,
+# the demos and perfbench/. An object only tests reach, or a knob only tests
+# turn, is nothing a run of the program needs.
+USERS = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
 
 
 def _modules():
@@ -113,10 +114,6 @@ def test_every_package_object_is_referenced():
     assert not orphans, "defined but referenced nowhere:\n" + "\n".join(orphans)
 
 
-# Where a setting may be set from: the package, the demos and the benchmark
-# driver. A setting that only tests set is a knob no run of the program turns.
-CALLERS = (PACKAGE, ROOT / "demos", ROOT / "perfbench")
-
 # settings that keep their default at every call, each with its reason
 UNSET_ALLOWED = {
     # the console script calls main() bare; tests inject argv through it
@@ -199,7 +196,7 @@ def _settable():
 
 def _call_sites():
     """callee name -> (keywords passed, most positionals passed), over every
-    call in CALLERS. A call with *args or **kwargs counts as passing every
+    call in USERS. A call with *args or **kwargs counts as passing every
     positional or keyword. `dataclasses.replace(obj, k=...)` passes k to
     every dataclass (under the name "replace"), `cls(...)` in a classmethod
     calls its class, and the benchmark's `_battery("x", k=...)` calls
@@ -235,7 +232,7 @@ def _call_sites():
                     record(name, args, child.keywords)
             visit(child, scope)
 
-    for folder in CALLERS:
+    for folder in USERS:
         for path in folder.glob("*.py"):
             visit(_tree(path), None)
     return keywords, positionals

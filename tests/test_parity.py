@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gl3osc.cutoffs import g_cutoff, h0_cutoff, h1_cutoff, h_cutoff, v0_cutoff, weight_w0_w
 from gl3osc.gammafactor import DEFAULT_ALPHA, LanglandsParams, gamma_pi, gamma_pi_line
 from gl3osc.util import e
-from gl3osc.whittaker import whittaker_diag
 
 # fixed example stream, so Tier-1 runs the same draws every time
 PARITY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -52,14 +51,6 @@ def test_weight_pair_scalar_equals_array(z):
     # around the support [1, 2] where the weights are nonzero
     for scalar, array in zip(weight_w0_w(z), weight_w0_w(np.array([z]))):
         assert _same_bits(scalar, array[0])
-
-
-@PARITY
-@given(u=st.floats(-0.1, 1.0), T=frequencies)
-def test_whittaker_diag_scalar_equals_array(u, T):
-    # v0(y / T^(3/2)) lives on y < 0.32 T^(3/2)
-    y = 0.4 * u * T**1.5
-    assert _same_bits(whittaker_diag(y, T), whittaker_diag(np.array([y]), T)[0])
 
 
 @PARITY

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from gl3osc.cutoffs import ONE_OVER_2PI
 from gl3osc.errors import ConfigError
 from gl3osc.util import TWO_PI
 from gl3osc.whittaker import (
@@ -10,38 +9,10 @@ from gl3osc.whittaker import (
     LocalZetaParams,
     c_constant,
     local_zeta,
-    whittaker_diag,
     zeta_scaling_study,
 )
 
 V_STAR = 0.3602945695614048  # bump value at 1/(2*pi), c1 = 1
-
-
-def test_diag_vanishes_at_and_below_zero():
-    assert whittaker_diag(0.0, 500.0) == 0.0
-    assert whittaker_diag(-3.0, 500.0) == 0.0
-
-
-def test_diag_modulus_at_center_point():
-    T = 500.0
-    y = T**1.5 * ONE_OVER_2PI
-    got = abs(whittaker_diag(y, T))
-    assert abs(got - T**0.75 * V_STAR) < 1e-10
-
-
-def test_diag_vanishes_beyond_bump_support():
-    T = 500.0
-    y = T**1.5 * (1.0 + 1.0) * ONE_OVER_2PI
-    assert whittaker_diag(y, T) == 0.0
-    assert whittaker_diag(1.01 * y, T) == 0.0
-
-
-def test_diag_vectorized_matches_scalar():
-    T = 300.0
-    ys = np.linspace(0.0, T**1.5 / 3.0, 17)
-    vect = whittaker_diag(ys, T)
-    for y, v in zip(ys, vect):
-        assert v == whittaker_diag(float(y), T)
 
 
 def test_zeta_params_validation():
