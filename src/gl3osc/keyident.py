@@ -20,11 +20,14 @@ and the A01-shape check holds D*(A - O) to it within K_SP_MAIN T^(-3/2) |D|.
 O is summed in shells of r: [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so
 on, until the shell's mass puts the tail below tol/2. A shell is one
 shared-grid batch (`integrate_shifted`): every +-r of the shell, for every n
-still summing, on one grid with one evaluation of V. The dual sum and the
-amplified average always take a batch of n and return one entry per n:
-verify_key_identity and A09 run a batch of one n and read entry 0, and the
-discretized route of `sums` hands its whole window of n to each pair's dual
-sum.
+still summing, on one grid with one evaluation of V. Its phase tables are
+geometric sequences in the integers r and n: an exponential per node heads
+each block of up to 64 consecutive r (or n), and products fill the block,
+so a shell of 8 r costs two exponentials per node, not eight. The dual sum
+and the amplified average always take a batch of n and return one entry per
+n: verify_key_identity and A09 run a batch of one n and read entry 0, and
+the discretized route of `sums` hands its whole window of n to each pair's
+dual sum.
 """
 from __future__ import annotations
 
@@ -136,7 +139,9 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None):
     Sums O at every n of `ns` (default inst.n alone), shell by shell: r in
     [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on. Each shell is one
     integrate_shifted batch over every n still summing and every +-r of
-    the shell, each row held to its own share tol / (32 max(8, r)). An n
+    the shell, at the integers r and the step inst.h, so that its shift
+    table e(-r x/h) is built as a geometric sequence in r. Each row is
+    held to its own share tol / (32 max(8, r)). An n
     stops once its tail estimate falls below tol/2. Returns per-n arrays
     of value, tail and quadrature bound, and the largest r reached.
     """
@@ -148,8 +153,8 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None):
     lo, hi = 1, FIRST_SHELL_R
     while True:
         rs = np.arange(lo, hi + 1)
-        shell = integrate_shifted(inst.osc, tol=inst.tol / (32.0 * np.maximum(8, rs)),
-                                  betas=rs / inst.h, ns=batch[going])
+        shell = integrate_shifted(inst.osc, rs, inst.h, ns=batch[going],
+                                  tol=inst.tol / (32.0 * np.maximum(8, rs)))
         for k, terms, errs in zip(np.flatnonzero(going), shell.values, shell.abs_errs):
             value[k] += kahan_csum(terms)
             quad_sum[k] += float(np.sum(errs))

@@ -7,7 +7,7 @@ Evaluates integrals of the shape
 
 with A a smooth compactly supported amplitude. The family covers the main
 integral x^(-iT) e(-nT/(Nx)) V(x) (c_log = -T, c_inv = nT/N, c_lin = 0), its
-additively shifted companions e(-beta*x) (c_lin = beta), and the local zeta
+additively shifted companions e(-r x/h) (c_lin = r/h), and the local zeta
 integrand in z-coordinates (c_log = T + Im s, c_lin = T).
 
 Method: the support is paneled so no panel spans more than half a local
@@ -24,18 +24,22 @@ Panel partial sums are reduced left to right with compensated summation, so
 results are bit-reproducible.
 
 Shifted integrals come in batches only: the Poisson dual sum needs the rows
-c_inv = nT/N, c_lin = +-beta for many n and beta at once, and within one
-shell these differ only in c_inv and beta. `integrate_shifted` integrates
-every row on one shared grid per pass, paneled by the envelope of the
-largest c_inv and beta (which bounds every row's |Phi'|): the amplitude is
-evaluated once per node, the factors A(x) x^(i c_log) e(-c_inv/x) once per
-n, and the shift table e(-beta x) once per beta, its -beta rows being its
-conjugates. Chunks of ROW_CHUNK panels are reduced by one batched matrix
-product each, so memory stays bounded whatever nodes x rows is, and each
-row keeps its own compensated sum in panel order and its own embedded-rule
-estimate. Every row must meet its own tolerance: the span is halved until
-all do, and a row keeps the first pass that met it. A batch of one n and
-one beta holds the two integrals at +-beta.
+c_inv = nT/N, c_lin = +-r/h for many integers n and r >= 0 at once, and
+within one shell these differ only in c_inv and r. `integrate_shifted`
+integrates every row on one shared grid per pass, paneled by the envelope
+of the largest n and r (which bounds every row's |Phi'|): the amplitude is
+evaluated once per node. The rows sit on integer lattices, so their phase
+tables are geometric sequences: the per-n factors x^(i c_log) e(-nT/(Nx))
+and the shift table e(-r x/h) cost an exact exponential at the head of
+each block of LATTICE_BLOCK consecutive n (or r), and a complex product
+per further row. The shift table holds only the +r rows; a -r row is the
+conjugate of the conjugated factors' product with it. Chunks of ROW_CHUNK
+panels are reduced by one batched matrix product each, so memory stays
+bounded whatever nodes x rows is, and each row keeps its own compensated
+sum in panel order and its own embedded-rule estimate. Every row must meet
+its own tolerance: the span is halved until all do, and a row keeps the
+first pass that met it. A batch of one n and one r holds the two integrals
+at +-r/h.
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -58,9 +62,14 @@ DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
 
 # panels per matrix product of a shifted batch: the partial sums of one
-# chunk hold ROW_CHUNK x (n values) x (rows per n) complex numbers, about
-# 1.3 MB for the 41 n and 32 rows of a route shell
+# chunk hold ROW_CHUNK x (n values) x (rows per n) complex numbers, and its
+# phase tables (n values + r values) x ROW_CHUNK x 16; for the 41 n and 16 r
+# (32 rows) of a route shell that is about 1.3 MB and 0.9 MB
 ROW_CHUNK = 64
+
+# longest run of consecutive lattice offsets one exact exponential heads; a
+# phase table's products of exp(i step) never chain further than this
+LATTICE_BLOCK = 64
 
 # |I - leading term| <= K_SP_MAIN * T^(-3/2) for the default test amplitude;
 # calibrated at T = 250 (residual * T^(3/2) = 0.686) with a 4x cushion, frozen.
@@ -109,10 +118,10 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class ShiftedRows:
-    """Shifted integrals of one amplitude, one row per (n, +-beta).
+    """Shifted integrals of one amplitude, one row per (n, +-r/h).
 
-    values[i, 2j] is the integral at n = ns[i] and shift +betas[j], and
-    values[i, 2j + 1] the one at -betas[j]; abs_errs likewise. panels is
+    values[i, 2j] is the integral at n = ns[i] and shift +rs[j]/h, and
+    values[i, 2j + 1] the one at -rs[j]/h; abs_errs likewise. panels is
     the last grid's panel count, evaluations the amplitude evaluations of
     every pass.
     """
@@ -156,19 +165,21 @@ class PanelGrid:
         err += 4e-16 * float(np.sum(np.abs(s16)))
         return value, err
 
-    def reduce_rows(self, amp_values: np.ndarray, c_log: float, c_inv: np.ndarray,
-                    betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def reduce_rows(self, amp_values: np.ndarray, inst: OscInstance, ns: np.ndarray,
+                    rs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Integrate A(x) exp(i Phi(x)) for every row of a shifted batch.
 
         amp_values holds A at `self.nodes`; the rows are the phases with
-        c_inv[i] and c_lin = +-betas[j], ordered as in ShiftedRows. Each
-        chunk of ROW_CHUNK panels is one batched matrix product of the
-        per-n factors A x^(i c_log) e(-c_inv/x) with the shift table
-        e(-beta x), whose -beta rows are its conjugates. Per row the value
-        is the compensated sum of its panel sums in panel order, and the
-        error is estimated as in `reduce`.
+        c_log = -inst.T, c_inv = n inst.T/inst.N for the integers n of `ns`
+        and c_lin = +-r/h for the integers r of `rs`, ordered as in
+        ShiftedRows. Each chunk of ROW_CHUNK panels is one batched matrix
+        product of the per-n factors A x^(i c_log) e(-c_inv/x) with the
+        shift table e(-r x/h), both built on their lattices by
+        `_lattice_exp`; the -r rows are conj(conj(factors) @ table). Per
+        row the value is the compensated sum of its panel sums in panel
+        order, and the error is estimated as in `reduce`.
         """
-        shape = (c_inv.size, 2 * betas.size)
+        shape = (ns.size, 2 * rs.size)
         s = np.zeros(shape + (2,))
         c = np.zeros_like(s)
         diff = np.zeros(shape)
@@ -176,7 +187,7 @@ class PanelGrid:
         n16 = self.x16.size
         for p0 in range(0, self.panels, ROW_CHUNK):
             p1 = min(p0 + ROW_CHUNK, self.panels)
-            s16, s8 = (self._panel_sums(x, amp, rule, p0, p1, c_log, c_inv, betas)
+            s16, s8 = (self._panel_sums(x, amp, rule, p0, p1, inst, ns, rs, h)
                        for x, amp, rule in ((self.x16, amp_values[:n16], GL16),
                                             (self.x8, amp_values[n16:], GL8)))
             s, c = kahan_add(s, c, s16.view(float).reshape((p1 - p0,) + s.shape))
@@ -185,18 +196,50 @@ class PanelGrid:
         values = np.ascontiguousarray(s + c).view(complex)[..., 0]
         return values, 4.0 * diff + 4e-16 * mag
 
-    def _panel_sums(self, x, amp, rule, p0, p1, c_log, c_inv, betas):
+    def _panel_sums(self, x, amp, rule, p0, p1, inst, ns, rs, h):
         """Rule sums of panels p0..p1-1 for every row: shape (panels, n, rows)."""
         k = rule[0].size
         m = p1 - p0
         x = x[k * p0:k * p1]
-        phase = c_log * np.log(x) - (TWO_PI * c_inv)[:, None] / x
-        base = np.exp(1j * phase) * (amp[k * p0:k * p1] * np.tile(rule[1], m))
-        shift = np.exp(-1j * np.multiply.outer(TWO_PI * betas, x))
-        table = np.stack((shift, shift.conj()), axis=-1)
-        table = table.reshape(betas.size, m, k, 2).transpose(1, 2, 0, 3)
-        sums = base.reshape(c_inv.size, m, k).transpose(1, 0, 2) @ table.reshape(m, k, -1)
-        return sums * self.halfs[p0:p1, None, None]
+        n_lo, r_lo = ns.min(), rs.min()
+        # the head row's phase is formed as for a lone n, so it keeps its bits
+        head = -inst.T * np.log(x) - TWO_PI * (n_lo * inst.T / inst.N) / x
+        factors = _lattice_exp(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo)
+        base = factors * (amp[k * p0:k * p1] * np.tile(rule[1], m))
+        table = _lattice_exp(-TWO_PI * (r_lo / h) * x, -TWO_PI / h * x, rs - r_lo)
+        base = base.reshape(ns.size, m, k).transpose(1, 0, 2)
+        table = table.reshape(rs.size, m, k).transpose(1, 2, 0)
+        sums = np.stack((base @ table, np.conj(base.conj() @ table)), axis=-1)
+        return sums.reshape(m, ns.size, -1) * self.halfs[p0:p1, None, None]
+
+
+def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """exp(i (head + k step)) for each integer k >= 0 of `offsets`.
+
+    Returns shape (offsets.size,) + head.shape. The rows are a geometric
+    sequence: the smallest wanted offset not yet covered heads a block of
+    LATTICE_BLOCK consecutive offsets with an exact np.exp, and the block's
+    other wanted rows are reached by products with exp(i step). So no row
+    is more than LATTICE_BLOCK - 1 products from an exact exponential, a
+    lone offset costs one exponential and gets np.exp's bits, and no set
+    of offsets costs more exponentials than it has rows.
+    """
+    out = np.empty((offsets.size,) + head.shape, dtype=complex)
+    w = None
+    at = first = None
+    for i in np.argsort(offsets, kind="stable"):
+        k = int(offsets[i])
+        if first is None or k - first >= LATTICE_BLOCK:
+            first = at = k
+            cur = np.exp(1j * (head + k * step) if k else 1j * head)
+        else:
+            if w is None:
+                w = np.exp(1j * step)
+            for _ in range(k - at):
+                cur = cur * w
+            at = k
+        out[i] = cur
+    return out
 
 
 def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.ndarray:
@@ -243,23 +286,26 @@ def integrate_main(inst: OscInstance) -> QuadResult:
                            tol=inst.tol)
 
 
-def integrate_shifted(inst: OscInstance, betas, tol=None, ns=None) -> ShiftedRows:
-    """The shifted integrals with the extra linear phase e(-beta*x).
+def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None) -> ShiftedRows:
+    """The shifted integrals with the extra linear phase e(-r x/h).
 
-    A ShiftedRows batch holding every row (n, +beta) and (n, -beta) for n
-    in `ns` (default inst.n alone) and beta >= 0 in `betas`. `tol` is one
-    tolerance per beta, or one for all (default inst.tol), and every row
-    must meet its own. The rows share each pass: one grid sized by the
-    largest live n and beta, one evaluation of the amplitude per node, one
-    shift table (see PanelGrid.reduce_rows). A row keeps the value of the
-    first pass that meets its tolerance; the phase span per panel is halved
-    until every row has, under DEFAULT_EVAL_BUDGET evaluations in all.
+    A ShiftedRows batch holding every row (n, +r/h) and (n, -r/h) for the
+    integers n of `ns` (default inst.n alone) and r >= 0 of `rs`, with the
+    step h > 0. `tol` is one tolerance per r, or one for all (default
+    inst.tol), and every row must meet its own. The rows share each pass:
+    one grid sized by the largest live n and r, one evaluation of the
+    amplitude per node, and phase tables built on the n and r lattices (see
+    PanelGrid.reduce_rows). A row keeps the value of the first pass that
+    meets its tolerance; the phase span per panel is halved until every row
+    has, under DEFAULT_EVAL_BUDGET evaluations in all.
     """
     tol = inst.tol if tol is None else tol
-    c_inv = np.asarray([inst.n] if ns is None else ns, dtype=float) * inst.T / inst.N
-    betas = np.asarray(betas, dtype=float)
-    row_tol = np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), betas.shape), 2)
-    shape = (c_inv.size, row_tol.size)
+    rs = np.asarray(rs)
+    ns = np.asarray([inst.n] if ns is None else ns)
+    if rs.dtype.kind != "i" or ns.dtype.kind != "i":
+        raise ConfigError("rs and ns must be integers: the phase tables step along them")
+    row_tol = np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), rs.shape), 2)
+    shape = (ns.size, row_tol.size)
     values = np.zeros(shape, dtype=complex)
     errs = np.full(shape, np.inf)
     live = np.ones(shape, dtype=bool)
@@ -268,16 +314,16 @@ def integrate_shifted(inst: OscInstance, betas, tol=None, ns=None) -> ShiftedRow
     evals_used = 0
     while True:
         live_n = live.any(axis=1)
-        live_b = live.reshape(c_inv.size, -1, 2).any(axis=(0, 2))
+        live_r = live.reshape(ns.size, -1, 2).any(axis=(0, 2))
         grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, -inst.T,
-                         c_inv[live_n].max(), betas[live_b].max(), span,
-                         max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
+                         ns[live_n].max() * inst.T / inst.N, rs[live_r].max() / h,
+                         span, max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
         _check_budget(evals_used, grid,
                       float(errs[live].max()) if evals_used else None)
         evals_used += grid.evaluations
-        vals, est = grid.reduce_rows(amplitude.fn(grid.nodes), -inst.T,
-                                     c_inv[live_n], betas[live_b])
-        rows = np.ix_(live_n, np.repeat(live_b, 2))
+        vals, est = grid.reduce_rows(amplitude.fn(grid.nodes), inst,
+                                     ns[live_n], rs[live_r], h)
+        rows = np.ix_(live_n, np.repeat(live_r, 2))
         fresh = live[rows]
         values[rows] = np.where(fresh, vals, values[rows])
         errs[rows] = np.where(fresh, est, errs[rows])

@@ -337,7 +337,7 @@ def _batched_rows(inst: KeyIdentityInstance, ns, r_last: int):
     while lo <= r_last:
         rs = np.arange(lo, hi + 1)
         shares = inst.tol / (32.0 * np.maximum(8, rs))
-        shell = integrate_shifted(inst.osc, tol=shares, betas=rs / inst.h, ns=ns)
+        shell = integrate_shifted(inst.osc, tol=shares, rs=rs, h=inst.h, ns=ns)
         for i, n in enumerate(ns):
             for j, r in enumerate(rs):
                 for k, signed in enumerate((int(r), -int(r))):

@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl3osc import oscquad
 from gl3osc.cutoffs import Cutoff
 from gl3osc.errors import ConfigError, ToleranceUnreachableError
 from gl3osc.oscquad import (
     K_SP_MAIN,
+    LATTICE_BLOCK,
     OscInstance,
+    _lattice_exp,
     integrate_main,
     integrate_phase,
     integrate_shifted,
@@ -32,7 +36,7 @@ def _zero_amplitude() -> Cutoff:
 def test_zero_amplitude_integrates_to_zero():
     inst = OscInstance(T=100.0, n=3, N=10.0, amplitude=_zero_amplitude())
     assert integrate_main(inst).value == 0.0
-    assert np.all(integrate_shifted(inst, betas=[2.0]).values == 0.0)
+    assert np.all(integrate_shifted(inst, rs=[2], h=1.0).values == 0.0)
 
 
 def test_instance_validation():
@@ -153,7 +157,7 @@ def test_linearity_in_the_amplitude():
 def test_zero_shift_equals_main():
     inst = OscInstance(T=150.0, n=17, N=100.0, tol=1e-10)
     main = integrate_main(inst)
-    rows = integrate_shifted(inst, betas=[0.0], tol=1e-10)
+    rows = integrate_shifted(inst, rs=[0], h=1.0, tol=1e-10)
     # both beta = 0 rows are the main integral, on the batch's own grid
     for value, err in zip(rows.values[0], rows.abs_errs[0]):
         assert abs(value - main.value) <= err + main.abs_err
@@ -163,10 +167,10 @@ def test_shifted_batch_holds_each_row_to_its_own_tolerance():
     T = 100.0
     N = T**1.5
     inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N)
-    betas = [1.0, 5.0]
+    betas = [1, 5]  # with h = 1 the shifts r/h are the r themselves
     # on the first grid the beta = 5 rows reach about 7e-14 and 4e-14
-    loose = integrate_shifted(inst, tol=1.0, betas=betas)
-    mixed = integrate_shifted(inst, tol=[1.0, 4e-14], betas=betas)
+    loose = integrate_shifted(inst, tol=1.0, rs=betas, h=1.0)
+    mixed = integrate_shifted(inst, tol=[1.0, 4e-14], rs=betas, h=1.0)
     assert np.all(mixed.abs_errs[0, 2:] <= 4e-14)
     assert mixed.evaluations > loose.evaluations
     # rows that met their tolerance on the first pass keep its values
@@ -181,6 +185,66 @@ def test_shifted_batch_holds_each_row_to_its_own_tolerance():
             assert abs(mixed.values[0, row] - one.value) <= mixed.abs_errs[0, row] + one.abs_err
 
 
+def test_shifted_rows_follow_the_layout_on_gapped_lattices():
+    T = 100.0
+    N = T**1.5
+    n0 = int(np.ceil(N / TWO_PI))
+    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
+    ns, rs, h = [n0, n0 + 1, n0 + 5], [1, 2, 7], 0.5
+    batch = integrate_shifted(inst, rs=rs, h=h, ns=ns)
+    assert batch.values.shape == batch.abs_errs.shape == (3, 6)
+    # values[i, 2j] is the row at +rs[j]/h and values[i, 2j + 1] the one at -rs[j]/h
+    for i, n in enumerate(ns):
+        for j, r in enumerate(rs):
+            for k, c_lin in enumerate((r / h, -r / h)):
+                one = integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
+                row = 2 * j + k
+                assert abs(batch.values[i, row] - one.value) <= batch.abs_errs[i, row] + one.abs_err
+
+
+def test_shifted_batch_refuses_shifts_off_the_lattice():
+    inst = OscInstance(T=100.0, n=3, N=10.0)
+    with pytest.raises(ConfigError):
+        integrate_shifted(inst, rs=[1.5], h=1.0)
+
+
+# fixed example stream, so Tier-1 runs the same draws every time
+LATTICE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# |table - exp(i (head + k step))| <= C eps (B + |head| + k |step|): the
+# direct exponential rounds its phase to about eps (|head| + k |step|), and
+# each of the at most LATTICE_BLOCK - 1 products of a chain adds a few eps,
+# which B covers
+LATTICE_C = 4.0
+LATTICE_B = float(LATTICE_BLOCK)
+
+
+@LATTICE
+@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
+       step=st.floats(-2e3, 2e3),
+       offsets=st.lists(st.integers(0, 4000), min_size=1, max_size=40, unique=True))
+def test_lattice_table_matches_direct_exponentials(heads, step, offsets):
+    # offsets in drawn order: sparse, gapped and unsorted sets alike
+    head = np.asarray(heads)
+    steps = step * np.linspace(0.5, 2.0, head.size)
+    ks = np.asarray(offsets)
+    table = _lattice_exp(head, steps, ks)
+    assert table.shape == (ks.size, head.size)
+    theta = np.abs(head) + ks[:, None] * np.abs(steps)
+    want = np.exp(1j * (head + ks[:, None] * steps))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(table - want) <= LATTICE_C * eps * (LATTICE_B + theta))
+
+
+@LATTICE
+@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
+       step=st.floats(-2e3, 2e3), k=st.integers(0, 300))
+def test_one_row_lattice_is_the_direct_exponential(heads, step, k):
+    head = np.asarray(heads)
+    steps = np.full_like(head, step)
+    want = np.exp(1j * head) if k == 0 else np.exp(1j * (head + k * steps))
+    assert _lattice_exp(head, steps, np.asarray([k])).tobytes() == want[None].tobytes()
+
+
 def test_nonstationary_shift_suppresses_the_integral():
     T = 1000.0
     n = 500
@@ -188,7 +252,7 @@ def test_nonstationary_shift_suppresses_the_integral():
     inst = OscInstance(T=T, n=n, N=N, tol=1e-10)
     main = integrate_main(inst)
     # beta = 4T/(2*pi) pushes |Phi'| >= 2T on all of [1/2, 2]
-    shifted = integrate_shifted(inst, betas=[4.0 * T / TWO_PI], tol=1e-10)
+    shifted = integrate_shifted(inst, rs=[1], h=TWO_PI / (4.0 * T), tol=1e-10)
     assert 10.0 * abs(shifted.values[0, 0]) <= abs(main.value)
 
 
