@@ -56,7 +56,7 @@ def main() -> int:
     amp = AmplifierSpec.for_t(T)
     base = KeyIdentityInstance(T=T, n=n, N=N, p=amp.pairs[0][0],
                                l=amp.pairs[0][1], tol=1e-9)
-    a_avg, o_avg = (complex(avg[0]) for avg in amplified_average(base, amp))
+    a_avg, o_avg = amplified_average(base, amp)
     m = integrate_main(base.osc)
     wpc = amp.weighted_pair_count()
     print(f"pairs {amp.pairs}, prime-counting weight {amp.weight:.6f}")

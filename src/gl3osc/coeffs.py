@@ -12,6 +12,7 @@ weighted sums expect without requiring genuine spectral data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -140,7 +141,9 @@ def save_coefficients(table: CoefficientTable, path) -> None:
 
 
 def _dirichlet_power_pass(acc: np.ndarray, exponent: complex) -> np.ndarray:
-    """One Dirichlet convolution of acc with n -> n^exponent."""
+    """One Dirichlet convolution of acc with n -> n^exponent, each out[m]
+    summed in ascending d: a slice per d <= s = isqrt(x_max), then a slice
+    per cofactor j of the larger d, in descending j."""
     x_max = acc.shape[0] - 1
     ns = np.arange(x_max + 1, dtype=float)
     with np.errstate(divide="ignore"):
@@ -148,8 +151,11 @@ def _dirichlet_power_pass(acc: np.ndarray, exponent: complex) -> np.ndarray:
                                           out=np.zeros_like(ns)))
     powers[0] = 0.0
     out = np.zeros_like(acc)
-    for d in range(1, x_max + 1):
+    s = isqrt(x_max)
+    for d in range(1, s + 1):
         out[d::d] += powers[d] * acc[1:x_max // d + 1]
+    for j in range(x_max // (s + 1), 0, -1):
+        out[j * (s + 1):j * (x_max // j) + 1:j] += powers[s + 1:x_max // j + 1] * acc[j]
     return out
 
 

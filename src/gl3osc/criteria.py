@@ -17,6 +17,7 @@ from .coeffs import (CoefficientTable, hecke_mult_check, load_coefficients,
                      rankin_selberg_check, save_coefficients,
                      synth_eisenstein)
 from .cutoffs import ONE_OVER_2PI, g_cutoff, h0_cutoff, mellin, mellin_invert, v0_cutoff
+from .errors import ConfigError
 from .gammafactor import LanglandsParams, f_line_mass, g_kernel, gamma_pi, gamma_pi_line
 from .keyident import (AmplifierSpec, KeyIdentityInstance, amplified_average,
                        dressing_constant, lin_form_leading, verify_key_identity)
@@ -224,10 +225,17 @@ def gamma_battery(t_grid=SCALING_T_GRID, kernel_t: float = 500.0,
 
 def amplified_battery(T: float = 500.0, tol: float = 1e-9,
                       kappa: float = 1.0 / 18.0) -> tuple[dict, tuple]:
-    """Amplified average equality (A09) and the PNT weight window."""
-    base = _center_instance(T, 7, 2, tol)
+    """Amplified average equality (A09) and the PNT weight window; a
+    one-prime segment (T in [64, 90], [329, 462] and [513, 3814] at kappa =
+    1/18) is refused, since its pair count rides on one prime gap."""
     amp = AmplifierSpec.for_t(T, kappa=kappa)
-    a_avg, o_avg = (complex(avg[0]) for avg in amplified_average(base, amp))
+    for name, start, primes in (("P", amp.P, amp.primes_p), ("L", amp.L, amp.primes_l)):
+        if len(primes) < 2:
+            raise ConfigError(
+                f"A09 needs two or more primes per segment; [{name}, 2{name}] = "
+                f"[{start:.6g}, {2.0 * start:.6g}] holds only {primes[0]} at T = {T:g}")
+    base = _center_instance(T, 7, 2, tol)
+    a_avg, o_avg = amplified_average(base, amp)
     m = integrate_main(base.osc)
     wpc = amp.weighted_pair_count()
     resid = abs((a_avg - o_avg) - m.value * wpc)

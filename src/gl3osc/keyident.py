@@ -19,15 +19,17 @@ and the A01-shape check holds D*(A - O) to it within K_SP_MAIN T^(-3/2) |D|.
 
 O is summed in shells of r: [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so
 on, until the shell's mass puts the tail below tol/2. A shell is one
-shared-grid batch (`integrate_shifted`): every +-r of the shell, for every n
-still summing, on one grid with one evaluation of V. Its phase tables are
-geometric sequences in the integers r and n: an exponential per node heads
-each block of up to 64 consecutive r (or n), and products fill the block,
-so a shell of 8 r costs two exponentials per node, not eight. The dual sum
-and the amplified average always take a batch of n and return one entry per
-n: verify_key_identity and A09 run a batch of one n and read entry 0, and
-the discretized route of `sums` hands its whole window of n to each pair's
-dual sum.
+shared-grid batch (`integrate_shifted`): every +-r of the shell on one grid
+with one evaluation of V. Its phase tables are geometric sequences in the
+integers r and n: an exponential per node heads each block of up to 64
+consecutive r (or n), and products fill the block, so a shell of 8 r costs
+two exponentials per node, not eight.
+
+The dual sum and the amplified average dualize a weighted n-sum whole: by
+linearity sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n
+e(-nT/(Nx)), so a shell has one row per +-r, and the tolerances scale with
+sum_n |c_n|. verify_key_identity and A09 run one n of weight 1; the
+discretized route of `sums` hands its whole weighted window to each pair.
 """
 from __future__ import annotations
 
@@ -133,41 +135,36 @@ def _riemann_rounding(inst: KeyIdentityInstance) -> float:
     return 8.0 * eps * inst.T * (np.log(r_hi) + abs(np.log(h)) + 1.0) * mass
 
 
-def _poisson_terms(inst: KeyIdentityInstance, ns=None):
-    """Adaptive dual sums: values, tail estimates, quadrature bounds, last r.
+def _poisson_terms(inst: KeyIdentityInstance, ns=None, cs=None):
+    """Adaptive dual sum: value, tail estimate, quadrature bound, last r.
 
-    Sums O at every n of `ns` (default inst.n alone), shell by shell: r in
-    [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on. Each shell is one
-    integrate_shifted batch over every n still summing and every +-r of
-    the shell, at the integers r and the step inst.h, so that its shift
-    table e(-r x/h) is built as a geometric sequence in r. Each row is
-    held to its own share tol / (32 max(8, r)). An n
-    stops once its tail estimate falls below tol/2. Returns per-n arrays
-    of value, tail and quadrature bound, and the largest r reached.
+    Sums sum_n c_n O_n over the integers n of `ns` with the complex weights
+    `cs` (default inst.n alone, weight 1), shell by shell: r in
+    [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on, each shell one
+    integrate_shifted batch at the integers r and the step inst.h. With
+    tol = inst.tol sum_n |c_n|, each row is held to its own share
+    tol / (32 max(8, r)), and the sum stops once its tail estimate falls
+    below tol/2.
     """
-    batch = np.asarray([inst.n] if ns is None else ns, dtype=np.int64)
-    value = np.zeros(batch.size, dtype=complex)
-    tail = np.zeros(batch.size)
-    quad_sum = np.zeros(batch.size)
-    going = np.ones(batch.size, dtype=bool)
+    ns = [inst.n] if ns is None else ns
+    cs = [1.0] * len(ns) if cs is None else cs
+    tol = inst.tol * float(np.sum(np.abs(cs)))
+    value, quad_sum = 0.0 + 0.0j, 0.0
     lo, hi = 1, FIRST_SHELL_R
     while True:
         rs = np.arange(lo, hi + 1)
-        shell = integrate_shifted(inst.osc, rs, inst.h, ns=batch[going],
-                                  tol=inst.tol / (32.0 * np.maximum(8, rs)))
-        for k, terms, errs in zip(np.flatnonzero(going), shell.values, shell.abs_errs):
-            value[k] += kahan_csum(terms)
-            quad_sum[k] += float(np.sum(errs))
-            # empirical geometric tail: the terms decay superpolynomially
-            # once the linear shift removes the stationary point, so one
-            # doubling bounds the remainder by the last shell's mass
-            tail[k] = 2.0 * float(np.sum(np.abs(terms)))
-        going &= ~(tail < 0.5 * inst.tol)
-        if not going.any():
+        shell = integrate_shifted(inst.osc, rs, inst.h, ns=ns, cs=cs,
+                                  tol=tol / (32.0 * np.maximum(8, rs)))
+        value += kahan_csum(shell.values)
+        quad_sum += float(np.sum(shell.abs_errs))
+        # empirical geometric tail: the terms decay superpolynomially once
+        # the linear shift removes the stationary point, so one doubling
+        # bounds the remainder by the last shell's mass
+        tail = 2.0 * float(np.sum(np.abs(shell.values)))
+        if tail < 0.5 * tol:
             return value, tail, quad_sum, hi
         if 2 * hi > MAX_R:
-            raise TailNotConvergedError(
-                f"dual sum tail still {tail[going].max():.3e} at r_max {hi}")
+            raise TailNotConvergedError(f"dual sum tail still {tail:.3e} at r_max {hi}")
         lo, hi = hi + 1, 2 * hi
 
 
@@ -207,7 +204,6 @@ def verify_key_identity(inst: KeyIdentityInstance) -> KeyIdentityReport:
     m = integrate_main(inst.osc)
     a = riemann_side(inst)
     o, tail, quad_sum, r_used = _poisson_terms(inst)
-    o, tail, quad_sum = complex(o[0]), float(tail[0]), float(quad_sum[0])
     residual = abs(m.value - (a - o))
     a_round = _riemann_rounding(inst)
     # budget from the enforced bounds, not the achieved estimates: M is
@@ -316,8 +312,9 @@ class AmplifierSpec:
 
         Tends to 1 as both segments grow, and is checked against [1/2, 2] at
         desk scale. The window is not promised when a segment holds a single
-        prime (T = 400, 700 and 1500 to 3000 at kappa = 1/18): the count then
-        rides on one prime gap and drops to 0.31-0.45.
+        prime (T = 400, 700 and 1000 to 3000 at kappa = 1/18, for example):
+        the count then rides on one prime gap and drops to 0.31-0.52, so
+        `criteria.amplified_battery` refuses such segments.
         """
         return self.weight * len(self.pairs)
 
@@ -328,23 +325,22 @@ def _li_segment(x: float) -> float:
 
 
 def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,
-                      ns=None) -> tuple[np.ndarray, np.ndarray]:
+                      ns=None, cs=None) -> tuple[complex, complex]:
     """Average the identity over the prime pairs with the amplifier weight.
 
-    Returns per-n arrays (weighted average of A, weighted average of O)
-    over `ns` (default base.n alone), whose dual sums share one batch per
-    pair. Their difference equals M * weight * |pairs| exactly, since M
-    does not depend on (p, l). Pairs are processed in lexicographic order
-    with compensated reduction.
+    Returns the weighted averages of sum_n c_n A_n and of sum_n c_n O_n
+    (default base.n alone, weight 1), one dual sum per pair. Their
+    difference equals sum_n c_n M_n * weight * |pairs| exactly, since M does
+    not depend on (p, l). Pairs are processed in lexicographic order with
+    compensated reduction.
     """
-    batch = [base.n] if ns is None else list(ns)
-    a_terms = np.empty((len(amp.pairs), len(batch)), dtype=complex)
-    o_terms = np.empty_like(a_terms)
-    for i, (p, l) in enumerate(amp.pairs):
+    ns = [base.n] if ns is None else ns
+    cs = [1.0] * len(ns) if cs is None else cs
+    a_terms, o_terms = [], []
+    for p, l in amp.pairs:
         sub = replace(base, p=p, l=l)
-        a_terms[i] = [riemann_side(replace(sub, n=n)) for n in batch]
-        o_terms[i] = _poisson_terms(sub, batch)[0]
+        a_terms.append(kahan_csum([c * riemann_side(replace(sub, n=int(n)))
+                                   for n, c in zip(ns, cs)]))
+        o_terms.append(_poisson_terms(sub, ns, cs)[0])
     w = amp.weight
-    a_avg = np.array([w * kahan_csum(col) for col in a_terms.T])
-    o_avg = np.array([w * kahan_csum(col) for col in o_terms.T])
-    return a_avg, o_avg
+    return w * kahan_csum(a_terms), w * kahan_csum(o_terms)

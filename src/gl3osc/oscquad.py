@@ -23,23 +23,20 @@ spent.
 Panel partial sums are reduced left to right with compensated summation, so
 results are bit-reproducible.
 
-Shifted integrals come in batches only: the Poisson dual sum needs the rows
-c_inv = nT/N, c_lin = +-r/h for many integers n and r >= 0 at once, and
-within one shell these differ only in c_inv and r. `integrate_shifted`
-integrates every row on one shared grid per pass, paneled by the envelope
-of the largest n and r (which bounds every row's |Phi'|): the amplitude is
-evaluated once per node. The rows sit on integer lattices, so their phase
-tables are geometric sequences: the per-n factors x^(i c_log) e(-nT/(Nx))
-and the shift table e(-r x/h) cost an exact exponential at the head of
-each block of LATTICE_BLOCK consecutive n (or r), and a complex product
-per further row. The shift table holds only the +r rows; a -r row is the
-conjugate of the conjugated factors' product with it. Chunks of ROW_CHUNK
-panels are reduced by one batched matrix product each, so memory stays
-bounded whatever nodes x rows is, and each row keeps its own compensated
-sum in panel order and its own embedded-rule estimate. Every row must meet
-its own tolerance: the span is halved until all do, and a row keeps the
-first pass that met it. A batch of one n and one r holds the two integrals
-at +-r/h.
+Shifted integrals come in batches only: the Poisson dual sum of a weighted
+n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
+once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
+`integrate_shifted` integrates every row on one shared grid per pass,
+paneled by the envelope of the largest n and r, which bounds every row's
+|Phi'|. The per-n factors x^(i c_log) e(-nT/(Nx)) and the shift table
+e(-r x/h) sit on integer lattices: an exact exponential heads each block
+of LATTICE_BLOCK consecutive n (or r), and a complex product fills in each
+further row. The weighted factors collapse to one row per node, so the
+batch product has one row per +-r whatever the number of n; a -r row is
+the conjugate of the conjugated factor's product with the +r table. Each
+row keeps its own compensated sum in panel order and its own embedded-rule
+estimate, and keeps the first pass that meets its own tolerance; the span
+is halved until every row has.
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -61,10 +58,9 @@ from .util import GL8, GL16, TWO_PI, adaptive_edges, gl_panels, kahan_add, kahan
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
 
-# panels per matrix product of a shifted batch: the partial sums of one
-# chunk hold ROW_CHUNK x (n values) x (rows per n) complex numbers, and its
-# phase tables (n values + r values) x ROW_CHUNK x 16; for the 41 n and 16 r
-# (32 rows) of a route shell that is about 1.3 MB and 0.9 MB
+# panels per matrix product of a shifted batch: a chunk's phase tables hold
+# (n values + r values) x ROW_CHUNK x 16 complex numbers, 0.9 MB for the 41 n
+# and 16 r of a route shell at T = 64, and 7 MB for the 413 n at T = 300
 ROW_CHUNK = 64
 
 # longest run of consecutive lattice offsets one exact exponential heads; a
@@ -118,17 +114,15 @@ class QuadResult:
 
 @dataclass(frozen=True)
 class ShiftedRows:
-    """Shifted integrals of one amplitude, one row per (n, +-r/h).
+    """Weighted shifted integrals of one amplitude, one row per +-r/h.
 
-    values[i, 2j] is the integral at n = ns[i] and shift +rs[j]/h, and
-    values[i, 2j + 1] the one at -rs[j]/h; abs_errs likewise. panels is
-    the last grid's panel count, evaluations the amplitude evaluations of
-    every pass.
+    values[2j] is sum_n c_n I(n, +rs[j]/h) and values[2j + 1] the sum at
+    -rs[j]/h; abs_errs likewise. evaluations counts the amplitude
+    evaluations of every pass.
     """
 
     values: np.ndarray
     abs_errs: np.ndarray
-    panels: int
     evaluations: int
 
 
@@ -166,28 +160,24 @@ class PanelGrid:
         return value, err
 
     def reduce_rows(self, amp_values: np.ndarray, inst: OscInstance, ns: np.ndarray,
-                    rs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate A(x) exp(i Phi(x)) for every row of a shifted batch.
+                    cs: np.ndarray, rs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Integrate every row sum_n c_n I(n, +-r/h) of a shifted batch.
 
-        amp_values holds A at `self.nodes`; the rows are the phases with
-        c_log = -inst.T, c_inv = n inst.T/inst.N for the integers n of `ns`
-        and c_lin = +-r/h for the integers r of `rs`, ordered as in
-        ShiftedRows. Each chunk of ROW_CHUNK panels is one batched matrix
-        product of the per-n factors A x^(i c_log) e(-c_inv/x) with the
-        shift table e(-r x/h), both built on their lattices by
-        `_lattice_exp`; the -r rows are conj(conj(factors) @ table). Per
-        row the value is the compensated sum of its panel sums in panel
-        order, and the error is estimated as in `reduce`.
+        amp_values holds A at `self.nodes`; the rows are those of the
+        integers n of `ns` with the weights `cs` and the integers r of `rs`,
+        ordered as in ShiftedRows. Each chunk of ROW_CHUNK panels is one
+        batched matrix product of the weighted factor A sum_n c_n x^(-iT)
+        e(-nT/(Nx)) with the shift table e(-r x/h), both built on their
+        lattices by `_lattice_exp`; the -r rows are conj(conj(factor) @
+        table). The error is estimated as in `reduce`.
         """
-        shape = (ns.size, 2 * rs.size)
-        s = np.zeros(shape + (2,))
+        s = np.zeros((2 * rs.size, 2))
         c = np.zeros_like(s)
-        diff = np.zeros(shape)
-        mag = np.zeros(shape)
+        diff, mag = np.zeros((2, 2 * rs.size))
         n16 = self.x16.size
         for p0 in range(0, self.panels, ROW_CHUNK):
             p1 = min(p0 + ROW_CHUNK, self.panels)
-            s16, s8 = (self._panel_sums(x, amp, rule, p0, p1, inst, ns, rs, h)
+            s16, s8 = (self._panel_sums(x, amp, rule, p0, p1, inst, ns, cs, rs, h)
                        for x, amp, rule in ((self.x16, amp_values[:n16], GL16),
                                             (self.x8, amp_values[n16:], GL8)))
             s, c = kahan_add(s, c, s16.view(float).reshape((p1 - p0,) + s.shape))
@@ -196,21 +186,20 @@ class PanelGrid:
         values = np.ascontiguousarray(s + c).view(complex)[..., 0]
         return values, 4.0 * diff + 4e-16 * mag
 
-    def _panel_sums(self, x, amp, rule, p0, p1, inst, ns, rs, h):
-        """Rule sums of panels p0..p1-1 for every row: shape (panels, n, rows)."""
+    def _panel_sums(self, x, amp, rule, p0, p1, inst, ns, cs, rs, h):
+        """Rule sums of panels p0..p1-1 for every row: shape (panels, rows)."""
         k = rule[0].size
         m = p1 - p0
         x = x[k * p0:k * p1]
         n_lo, r_lo = ns.min(), rs.min()
         # the head row's phase is formed as for a lone n, so it keeps its bits
         head = -inst.T * np.log(x) - TWO_PI * (n_lo * inst.T / inst.N) / x
-        factors = _lattice_exp(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo)
-        base = factors * (amp[k * p0:k * p1] * np.tile(rule[1], m))
+        factor = cs @ _lattice_exp(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo)
+        base = (factor * (amp[k * p0:k * p1] * np.tile(rule[1], m))).reshape(m, 1, k)
         table = _lattice_exp(-TWO_PI * (r_lo / h) * x, -TWO_PI / h * x, rs - r_lo)
-        base = base.reshape(ns.size, m, k).transpose(1, 0, 2)
         table = table.reshape(rs.size, m, k).transpose(1, 2, 0)
         sums = np.stack((base @ table, np.conj(base.conj() @ table)), axis=-1)
-        return sums.reshape(m, ns.size, -1) * self.halfs[p0:p1, None, None]
+        return sums.reshape(m, -1) * self.halfs[p0:p1, None]
 
 
 def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -286,51 +275,52 @@ def integrate_main(inst: OscInstance) -> QuadResult:
                            tol=inst.tol)
 
 
-def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None) -> ShiftedRows:
-    """The shifted integrals with the extra linear phase e(-r x/h).
+def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None,
+                      cs=None) -> ShiftedRows:
+    """The weighted shifted integrals with the extra linear phase e(-r x/h).
 
-    A ShiftedRows batch holding every row (n, +r/h) and (n, -r/h) for the
-    integers n of `ns` (default inst.n alone) and r >= 0 of `rs`, with the
-    step h > 0. `tol` is one tolerance per r, or one for all (default
-    inst.tol), and every row must meet its own. The rows share each pass:
-    one grid sized by the largest live n and r, one evaluation of the
-    amplitude per node, and phase tables built on the n and r lattices (see
-    PanelGrid.reduce_rows). A row keeps the value of the first pass that
-    meets its tolerance; the phase span per panel is halved until every row
-    has, under DEFAULT_EVAL_BUDGET evaluations in all.
+    A ShiftedRows batch of the rows sum_n c_n I(n, +-r/h) for the integers
+    r >= 0 of `rs`, the step h > 0, and the integers n of `ns` with the
+    complex weights `cs` (default inst.n alone, weight 1). `tol` is one
+    tolerance per r, or one for all (default inst.tol), and every row must
+    meet its own. The rows share each pass:
+    one grid sized by the largest n and the largest live r, one evaluation
+    of the amplitude per node, and phase tables built on the n and r
+    lattices (see PanelGrid.reduce_rows). A row keeps the value of the
+    first pass that meets its tolerance; the phase span per panel is halved
+    until every row has, under DEFAULT_EVAL_BUDGET evaluations in all.
     """
     tol = inst.tol if tol is None else tol
     rs = np.asarray(rs)
     ns = np.asarray([inst.n] if ns is None else ns)
-    if rs.dtype.kind != "i" or ns.dtype.kind != "i":
-        raise ConfigError("rs and ns must be integers: the phase tables step along them")
+    cs = np.ones(ns.shape, dtype=complex) if cs is None else np.asarray(cs, dtype=complex)
+    if rs.dtype.kind != "i" or ns.dtype.kind != "i" or cs.shape != ns.shape:
+        raise ConfigError("rs and ns must be integers, as the phase tables step "
+                          "along them, and cs must hold one weight per n")
     row_tol = np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), rs.shape), 2)
-    shape = (ns.size, row_tol.size)
-    values = np.zeros(shape, dtype=complex)
-    errs = np.full(shape, np.inf)
-    live = np.ones(shape, dtype=bool)
+    values = np.zeros(row_tol.size, dtype=complex)
+    errs = np.full(row_tol.size, np.inf)
+    live = np.ones(row_tol.size, dtype=bool)
     amplitude = inst.amplitude
     span = np.pi
     evals_used = 0
     while True:
-        live_n = live.any(axis=1)
-        live_r = live.reshape(ns.size, -1, 2).any(axis=(0, 2))
+        live_r = live.reshape(-1, 2).any(axis=1)
         grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, -inst.T,
-                         ns[live_n].max() * inst.T / inst.N, rs[live_r].max() / h,
+                         ns.max() * inst.T / inst.N, rs[live_r].max() / h,
                          span, max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
         _check_budget(evals_used, grid,
                       float(errs[live].max()) if evals_used else None)
         evals_used += grid.evaluations
         vals, est = grid.reduce_rows(amplitude.fn(grid.nodes), inst,
-                                     ns[live_n], rs[live_r], h)
-        rows = np.ix_(live_n, np.repeat(live_r, 2))
+                                     ns, cs, rs[live_r], h)
+        rows = np.repeat(live_r, 2)
         fresh = live[rows]
         values[rows] = np.where(fresh, vals, values[rows])
         errs[rows] = np.where(fresh, est, errs[rows])
         live = ~(errs <= row_tol)  # a NaN estimate stays live
         if not live.any():
-            return ShiftedRows(values=values, abs_errs=errs, panels=grid.panels,
-                               evaluations=evals_used)
+            return ShiftedRows(values=values, abs_errs=errs, evaluations=evals_used)
         span *= 0.5
 
 

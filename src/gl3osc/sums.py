@@ -11,9 +11,11 @@ f0(y) g(y/Y) y^(iT-1/2) d*y, computed as:
     V_n(x) = V0(n/(Nx)) g(1/x) f0(Y/x) / sqrt(x).
   * discretized route: Y^(iT) N^(-1/2) sum_n a(1,n) w(n/N) Mhat_n, where the
     stationary-phase replacement trades V_n for w0(n/N) times the fixed
-    amplitude V(x) = V0(1/x) f0(Y/x)/sqrt(x), and Mhat_n recovers the main
-    integral from the windowed-sum-minus-dual-sum identity averaged over an
-    amplifier's prime pairs.
+    amplitude V(x) = V0(1/x) f0(Y/x)/sqrt(x), and the weighted sum of the
+    Mhat_n is recovered whole from the windowed-sum-minus-dual-sum identity
+    averaged over an amplifier's prime pairs: each pair dualizes the n-sum
+    with weights c_n = a(1,n) w(n/N) at once, one dual sum per pair rather
+    than one per n.
 
 The first two differ by the transformation formula's O(T^(-3/4+eps)) tail;
 the last two by the per-n O(T^(-3/2)) replacement error. Both envelopes
@@ -219,32 +221,28 @@ def _keyident_route(spec: SumSpec,
     if n_hi > spec.table.x_max:
         raise TableTooSmallError(
             f"sum window reaches {n_hi}, table covers {spec.table.x_max}")
-    v_amp = _v_cutoff(spec)
-    wpc = amp.weighted_pair_count()
-    p0, l0 = amp.pairs[0]
     # each pair's identity residual obeys the enforced tolerance-share bound
     pair_budget = 10.0 * 2.0 * spec.tol
-    live = []
+    ns, cs, err = [], [], 0.0
     for n in range(n_lo, n_hi + 1):
         a = spec.table.values[n]
         if a == 0.0:
             continue
         _, w = weight_w0_w(n / spec.N)
         if w != 0.0:
-            live.append((n, a, w))
-    terms = []
-    err = 0.0
-    if live:
-        # every n of the window shares one dual-sum batch per shell
-        base = KeyIdentityInstance(T=spec.T, n=live[0][0], N=spec.N, p=p0, l=l0,
-                                   tol=spec.tol, amplitude=v_amp)
-        a_avg, o_avg = amplified_average(base, amp, [n for n, _, _ in live])
-        for (_, a, w), a_n, o_n in zip(live, a_avg.tolist(), o_avg.tolist()):
-            m_hat = (a_n - o_n) / wpc
-            terms.append(a * w * m_hat)
+            ns.append(n)
+            cs.append(a * w)
             err += abs(a) * w * pair_budget
+    total = 0.0 + 0.0j
+    if ns:
+        # the whole weighted window is one n-sum, dualized once per pair
+        p0, l0 = amp.pairs[0]
+        base = KeyIdentityInstance(T=spec.T, n=ns[0], N=spec.N, p=p0, l=l0,
+                                   tol=spec.tol, amplitude=_v_cutoff(spec))
+        a_avg, o_avg = amplified_average(base, amp, ns, cs)
+        total = (a_avg - o_avg) / amp.weighted_pair_count()
     pref = np.exp(1j * spec.T * np.log(spec.Y)) / np.sqrt(spec.N)
-    return complex(pref * kahan_csum(terms)), float(err / np.sqrt(spec.N))
+    return complex(pref * total), float(err / np.sqrt(spec.N))
 
 
 def keyident_envelope(spec: SumSpec) -> float:

@@ -120,6 +120,20 @@ def test_amplified_below_floor_exits_2(capsys):
     assert "= 64 " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t, segment, prime", [("400", "[P, 2P]", 7), ("700", "[L, 2L]", 3)])
+def test_amplified_at_a_one_prime_segment_exits_2(capsys, t, segment, prime):
+    # at T = 400 [P, 2P] holds only 7, at T = 700 [L, 2L] only 3: a pair
+    # count riding on one prime gap is refused, not checked against [1/2, 2]
+    assert main(["amplified", "--t", t]) == 2
+    err = capsys.readouterr().err
+    assert segment in err and f"holds only {prime} " in err
+
+
+def test_amplified_at_two_primes_per_segment_runs(capsys):
+    assert main(["amplified", "--t", "500"]) == 0
+    assert "all checks passed (2 checks)" in capsys.readouterr().out
+
+
 def test_bump_command_end_to_end(tmp_path, capsys):
     out = tmp_path / "bump.json"
     assert main(["bump", "--out", str(out)]) == 0

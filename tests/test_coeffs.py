@@ -4,6 +4,7 @@ import pytest
 
 from gl3osc.coeffs import (
     CoefficientTable,
+    _dirichlet_power_pass,
     GrowthReport,
     hecke_mult_check,
     load_coefficients,
@@ -122,6 +123,29 @@ def test_synth_matches_bruteforce_triple_sums():
     for n in range(1, 61):
         want = _brute_triple_sum(n, LanglandsParams().alpha)
         assert abs(model.a(n) - want) < 1e-12
+
+
+def _plain_power_pass(acc, exponent):
+    # the reference: one slice per divisor d = 1 .. x_max, ascending
+    x_max = acc.shape[0] - 1
+    ns = np.arange(x_max + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        powers = np.exp(exponent * np.log(ns, where=ns > 0.0, out=np.zeros_like(ns)))
+    powers[0] = 0.0
+    out = np.zeros_like(acc)
+    for d in range(1, x_max + 1):
+        out[d::d] += powers[d] * acc[1:x_max // d + 1]
+    return out
+
+
+@pytest.mark.parametrize("x_max", [1, 2, 3, 7, 100, 1000, 4097, 100_000])
+def test_split_power_pass_is_the_plain_divisor_loop(x_max):
+    rng = np.random.default_rng(x_max)
+    acc = np.zeros(x_max + 1, dtype=complex)
+    acc[1:] = rng.normal(size=x_max) + 1j * rng.normal(size=x_max)
+    for exponent in (0.0j, 0.37j, -1.3j):
+        got = _dirichlet_power_pass(acc, exponent)
+        assert got.tobytes() == _plain_power_pass(acc, exponent).tobytes()
 
 
 def test_synth_validation():

@@ -169,13 +169,13 @@ def test_dual_terms_decay_superpolynomially():
 
 def test_dual_sum_tail_honesty(monkeypatch):
     inst = _instance(500.0, 7, 2)
-    (o_a,), (tail_a,) = _poisson_terms(inst)[:2]
+    o_a, tail_a = _poisson_terms(inst)[:2]
     # widening the first shell must move the value by less than the tail plus
     # the quadrature shares; the wide pass needs a looser tol since the
     # per-term tolerance share shrinks with the index
     monkeypatch.setattr(keyident, "FIRST_SHELL_R", 32)
     wide = replace(inst, tol=1e-7)
-    (o_b,), (tail_b,) = _poisson_terms(wide)[:2]
+    o_b, tail_b = _poisson_terms(wide)[:2]
     assert 0.0 <= tail_a < 0.5 * inst.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
 
@@ -293,7 +293,7 @@ def test_amplifier_validation():
 def test_amplified_average_recovers_main_integral():
     base = _instance(500.0, 7, 2)
     amp = AmplifierSpec.for_t(500.0)
-    (a_avg,), (o_avg,) = amplified_average(base, amp)
+    a_avg, o_avg = amplified_average(base, amp)
     m = integrate_main(base.osc)
     count = amp.weight * len(amp.pairs)
     resid = abs((a_avg - o_avg) - m.value * count)
@@ -307,43 +307,22 @@ def test_amplified_average_single_pair_degenerates():
     base = _instance(250.0, 7, 2)
     amp = AmplifierSpec(kappa=0.3, P=10.0, L=5.0,
                         primes_p=(11,), primes_l=(5,))
-    (a_avg,), (o_avg,) = amplified_average(base, amp)
+    a_avg, o_avg = amplified_average(base, amp)
     sub = replace(base, p=11, l=5)
     assert a_avg == amp.weight * riemann_side(sub)
-    assert o_avg == amp.weight * _poisson_terms(sub)[0][0]
+    assert o_avg == amp.weight * _poisson_terms(sub)[0]
 
 
-def _per_term_dual_sum(inst: KeyIdentityInstance):
-    """Reference: every row a standalone integrate_phase, shells as in
-    _poisson_terms; returns {signed r: QuadResult} and the last r."""
+def _reference_rows(inst: KeyIdentityInstance, ns, cs, r_last: int):
+    """Reference: sum_n c_n I(n, beta) with every I a standalone
+    integrate_phase at the row's share; {signed r: (value, error bound)}."""
     rows = {}
-    lo, hi = 1, keyident.FIRST_SHELL_R
-    while True:
-        mag = 0.0
-        for r in range(lo, hi + 1):
-            per_tol = inst.tol / (32.0 * max(8, r))
-            for signed in (r, -r):
-                rows[signed] = _shifted_reference(inst, signed, per_tol)
-                mag += abs(rows[signed].value)
-        if 2.0 * mag < 0.5 * inst.tol:
-            return rows, hi
-        lo, hi = hi + 1, 2 * hi
-
-
-def _batched_rows(inst: KeyIdentityInstance, ns, r_last: int):
-    """Every shell's integrate_shifted batch up to r_last: {(n, signed r): (value, err, share)}."""
-    rows = {}
-    lo, hi = 1, keyident.FIRST_SHELL_R
-    while lo <= r_last:
-        rs = np.arange(lo, hi + 1)
-        shares = inst.tol / (32.0 * np.maximum(8, rs))
-        shell = integrate_shifted(inst.osc, tol=shares, rs=rs, h=inst.h, ns=ns)
-        for i, n in enumerate(ns):
-            for j, r in enumerate(rs):
-                for k, signed in enumerate((int(r), -int(r))):
-                    rows[n, signed] = (shell.values[i, 2 * j + k],
-                                       shell.abs_errs[i, 2 * j + k], shares[j])
-        lo, hi = hi + 1, 2 * hi
+    for r in range(1, r_last + 1):
+        share = inst.tol / (32.0 * max(8, r))
+        for signed in (r, -r):
+            parts = [_shifted_reference(replace(inst, n=n), signed, share) for n in ns]
+            rows[signed] = (sum(c * q.value for c, q in zip(cs, parts)),
+                            sum(abs(c) * q.abs_err for c, q in zip(cs, parts)))
     return rows
 
 
@@ -360,31 +339,52 @@ def _route_instances():
     return base, ns
 
 
-@pytest.mark.parametrize("case", ["probe-T250", "route-T64"])
-def test_batched_dual_sum_matches_per_term(case):
-    if case == "probe-T250":
-        base = _instance(250.0, 7, 2)
-        ns = [base.n - 1, base.n, base.n + 1]
+@pytest.mark.parametrize("case", ["probe-T100", "route-T64"])
+def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case):
+    # gapped n, one zero weight and complex weights: by linearity the
+    # weighted dual sum is sum_n c_n O_n, within sum_n |c_n| times the
+    # quadrature and tail bounds of both sides
+    if case == "probe-T100":
+        base = _instance(100.0, 7, 2)
+        ns = [base.n - 3, base.n, base.n + 1, base.n + 6]
     else:
         base, ns = _route_instances()
-    reference = {n: _per_term_dual_sum(replace(base, n=n)) for n in ns}
-    r_cover = max(r_last for _, r_last in reference.values())
-    batch = _batched_rows(base, ns, r_cover)
-    for n in ns:
-        single = _batched_rows(replace(base, n=n), [n], r_cover)
-        rows, r_last = reference[n]
-        assert _poisson_terms(replace(base, n=n))[3] == r_last
-        for signed, ref in rows.items():
-            value, err, share = batch[n, signed]
-            assert err <= share
-            assert abs(value - ref.value) <= err + ref.abs_err
-            one, one_err, _ = single[n, signed]
-            assert abs(value - one) <= err + one_err
-    o, tail, quad, r_max = _poisson_terms(base, ns)
-    assert r_max == r_cover
-    for i, n in enumerate(ns):
-        (o_one,), (tail_one,), (quad_one,), _ = _poisson_terms(replace(base, n=n))
-        assert abs(o[i] - o_one) <= quad[i] + quad_one + tail[i] + tail_one
+        ns.append(ns[-1] - 4)
+    cs = [0.7 + 0.2j, 0.0, -0.4 + 0.9j, 1.1j]
+    mass = sum(abs(c) for c in cs)
+    o, tail, quad, r_max = _poisson_terms(base, ns, cs)
+    assert tail < 0.5 * base.tol * mass
+    assert quad <= 0.5 * base.tol * mass
+    alone = [_poisson_terms(replace(base, n=n)) for n in ns]
+    want = sum(c * one[0] for c, one in zip(cs, alone))
+    bound = quad + tail + sum(abs(c) * (one[1] + one[2]) for c, one in zip(cs, alone))
+    assert abs(o - want) <= bound
+    # row by row, every shell up to r_max against standalone integrals
+    reference = _reference_rows(base, ns, cs, r_max)
+    lo, hi = 1, keyident.FIRST_SHELL_R
+    while lo <= r_max:
+        rs = np.arange(lo, hi + 1)
+        shares = mass * base.tol / (32.0 * np.maximum(8, rs))
+        shell = integrate_shifted(base.osc, rs, base.h, tol=shares, ns=ns, cs=cs)
+        assert shell.values.shape == (2 * rs.size,)
+        for j, r in enumerate(rs):
+            for k, signed in enumerate((int(r), -int(r))):
+                value, err = shell.values[2 * j + k], shell.abs_errs[2 * j + k]
+                ref_value, ref_err = reference[signed]
+                assert err <= shares[j]
+                assert abs(value - ref_value) <= err + ref_err
+        lo, hi = hi + 1, 2 * hi
+
+
+def test_single_n_calls_keep_their_bits():
+    # a batch of one n of weight 1 is the dual sum of that n alone: the
+    # A01 instance at T = 250, (p, l) = (5, 3), and the A09 average at
+    # T = 500 keep the bits they had when each n had its own dual sum
+    rep = verify_key_identity(_instance(250.0, 5, 3))
+    assert repr(rep.o_value) == "(-0.002050335572424838-0.007475369168455647j)"
+    assert repr(rep.recovered_m) == "(0.050728088633725105+0.00961294414115161j)"
+    a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
+    assert repr(a_avg - o_avg) == "(-0.003678255325207987+0.0279885702651536j)"
 
 
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):
@@ -394,18 +394,18 @@ def test_batched_dual_sum_raises_past_max_r(monkeypatch):
     with pytest.raises(TailNotConvergedError):
         _poisson_terms(inst)
     with pytest.raises(TailNotConvergedError):
-        _poisson_terms(inst, [inst.n, inst.n + 1])
+        _poisson_terms(inst, [inst.n, inst.n + 1], [1.0, 0.5j])
 
 
 def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     inst = _instance(250.0, 7, 2)
-    ns = [inst.n, inst.n + 1]
+    ns, cs = [inst.n, inst.n + 1], [1.0, 0.5j]
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
     with pytest.raises(ToleranceUnreachableError):
-        _poisson_terms(inst, ns)
+        _poisson_terms(inst, ns, cs)
     # the first shell's grid (37,416 nodes) fits, its refinement (about
     # 75,000) does not fit beside it
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
     with pytest.raises(ToleranceUnreachableError) as info:
-        _poisson_terms(replace(inst, tol=1e-30), ns)
+        _poisson_terms(replace(inst, tol=1e-30), ns, cs)
     assert info.value.achieved > 1e-30

@@ -159,7 +159,7 @@ def test_zero_shift_equals_main():
     main = integrate_main(inst)
     rows = integrate_shifted(inst, rs=[0], h=1.0, tol=1e-10)
     # both beta = 0 rows are the main integral, on the batch's own grid
-    for value, err in zip(rows.values[0], rows.abs_errs[0]):
+    for value, err in zip(rows.values, rows.abs_errs):
         assert abs(value - main.value) <= err + main.abs_err
 
 
@@ -171,18 +171,18 @@ def test_shifted_batch_holds_each_row_to_its_own_tolerance():
     # on the first grid the beta = 5 rows reach about 7e-14 and 4e-14
     loose = integrate_shifted(inst, tol=1.0, rs=betas, h=1.0)
     mixed = integrate_shifted(inst, tol=[1.0, 4e-14], rs=betas, h=1.0)
-    assert np.all(mixed.abs_errs[0, 2:] <= 4e-14)
+    assert np.all(mixed.abs_errs[2:] <= 4e-14)
     assert mixed.evaluations > loose.evaluations
     # rows that met their tolerance on the first pass keep its values
-    kept = loose.abs_errs[0] <= np.repeat([1.0, 4e-14], 2)
+    kept = loose.abs_errs <= np.repeat([1.0, 4e-14], 2)
     assert not kept.all()
-    assert np.array_equal(mixed.values[0, kept], loose.values[0, kept])
+    assert np.array_equal(mixed.values[kept], loose.values[kept])
     c_inv = inst.n * inst.T / inst.N
     for j, beta in enumerate(betas):
         for k, signed in enumerate((beta, -beta)):
             one = integrate_phase(inst.amplitude, -inst.T, c_inv, signed, tol=1e-13)
             row = 2 * j + k
-            assert abs(mixed.values[0, row] - one.value) <= mixed.abs_errs[0, row] + one.abs_err
+            assert abs(mixed.values[row] - one.value) <= mixed.abs_errs[row] + one.abs_err
 
 
 def test_shifted_rows_follow_the_layout_on_gapped_lattices():
@@ -190,22 +190,27 @@ def test_shifted_rows_follow_the_layout_on_gapped_lattices():
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
     inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
-    ns, rs, h = [n0, n0 + 1, n0 + 5], [1, 2, 7], 0.5
-    batch = integrate_shifted(inst, rs=rs, h=h, ns=ns)
-    assert batch.values.shape == batch.abs_errs.shape == (3, 6)
-    # values[i, 2j] is the row at +rs[j]/h and values[i, 2j + 1] the one at -rs[j]/h
-    for i, n in enumerate(ns):
-        for j, r in enumerate(rs):
-            for k, c_lin in enumerate((r / h, -r / h)):
-                one = integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
-                row = 2 * j + k
-                assert abs(batch.values[i, row] - one.value) <= batch.abs_errs[i, row] + one.abs_err
+    ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
+    rs, h = [1, 2, 7], 0.5
+    batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs)
+    assert batch.values.shape == batch.abs_errs.shape == (6,)
+    # values[2j] is sum_n c_n I(n, +rs[j]/h) and values[2j + 1] the sum at -rs[j]/h
+    for j, r in enumerate(rs):
+        for k, c_lin in enumerate((r / h, -r / h)):
+            ones = [integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
+                    for n in ns]
+            want = sum(c * one.value for c, one in zip(cs, ones))
+            want_err = sum(abs(c) * one.abs_err for c, one in zip(cs, ones))
+            row = 2 * j + k
+            assert abs(batch.values[row] - want) <= batch.abs_errs[row] + want_err
 
 
 def test_shifted_batch_refuses_shifts_off_the_lattice():
     inst = OscInstance(T=100.0, n=3, N=10.0)
     with pytest.raises(ConfigError):
         integrate_shifted(inst, rs=[1.5], h=1.0)
+    with pytest.raises(ConfigError):
+        integrate_shifted(inst, rs=[1], h=1.0, ns=[3, 4], cs=[1.0])
 
 
 # fixed example stream, so Tier-1 runs the same draws every time
@@ -253,7 +258,7 @@ def test_nonstationary_shift_suppresses_the_integral():
     main = integrate_main(inst)
     # beta = 4T/(2*pi) pushes |Phi'| >= 2T on all of [1/2, 2]
     shifted = integrate_shifted(inst, rs=[1], h=TWO_PI / (4.0 * T), tol=1e-10)
-    assert 10.0 * abs(shifted.values[0, 0]) <= abs(main.value)
+    assert 10.0 * abs(shifted.values[0]) <= abs(main.value)
 
 
 def test_evaluation_budget_enforced(monkeypatch):

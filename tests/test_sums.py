@@ -10,7 +10,8 @@ from gl3osc.coeffs import CoefficientTable, synth_eisenstein
 from gl3osc.cutoffs import g_cutoff
 from gl3osc.errors import ConfigError, TableTooSmallError
 from gl3osc.gammafactor import LanglandsParams
-from gl3osc.keyident import AmplifierSpec
+from gl3osc.cutoffs import weight_w0_w
+from gl3osc.keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
 from gl3osc.sums import (
     C1,
     K_ROUTE_34,
@@ -20,6 +21,7 @@ from gl3osc.sums import (
     s_sum_form,
     _integral_route,
     _keyident_route,
+    _v_cutoff,
     _vn_cutoff,
 )
 from gl3osc.util import TWO_PI
@@ -190,6 +192,30 @@ def test_keyident_route_agrees_on_single_coefficient():
     s_key = _keyident_route(spec, amp)[0]
     # one live n: the gap is the bare stationary-phase replacement error
     assert abs(s_key - s_int) <= 30.0 * T**-1.5 / math.sqrt(spec.N)
+
+
+def test_keyident_route_matches_one_n_at_a_time():
+    # reference: each n of the window alone through the amplified identity,
+    # as the route ran before it dualized the weighted n-sum whole
+    T = 100.0
+    spec = SumSpec(T=T, table=_sparse_table(T, SPARSE_100), tol=1e-6)
+    amp = _single_pair_amp(T)
+    s_key, key_err = _keyident_route(spec, amp)
+    p, l = amp.pairs[0]
+    base = KeyIdentityInstance(T=T, n=1, N=spec.N, p=p, l=l, tol=spec.tol,
+                               amplitude=_v_cutoff(spec))
+    lo, hi = spec.sum_window()
+    terms = []
+    for n, a in SPARSE_100:
+        _, w = weight_w0_w(n / spec.N)
+        if lo <= n <= hi and w != 0.0:
+            a_n, o_n = amplified_average(replace(base, n=n), amp)
+            terms.append(a * w * (a_n - o_n) / amp.weighted_pair_count())
+    assert len(terms) == len(SPARSE_100)
+    want = cmath.exp(1j * T * math.log(spec.Y)) / math.sqrt(spec.N) * sum(terms)
+    # both sides hold every pair's identity to its tolerance share
+    assert key_err > 0.0
+    assert abs(s_key - want) <= 2.0 * key_err
 
 
 def test_support_padding_changes_nothing(table_100):
