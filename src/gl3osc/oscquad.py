@@ -28,15 +28,19 @@ n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
 once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
 `integrate_shifted` integrates every row on one shared grid per pass,
 paneled by the envelope of the largest n and r, which bounds every row's
-|Phi'|. The per-n factors x^(i c_log) e(-nT/(Nx)) and the shift table
-e(-r x/h) sit on integer lattices: an exact exponential heads each block
-of LATTICE_BLOCK consecutive n (or r), and a complex product fills in each
-further row. The weighted factors collapse to one row per node, so the
-batch product has one row per +-r whatever the number of n; a -r row is
-the conjugate of the conjugated factor's product with the +r table. Each
-row keeps its own compensated sum in panel order and its own embedded-rule
-estimate, and keeps the first pass that meets its own tolerance; the span
-is halved until every row has.
+|Phi'|. A pass runs in blocks of panels, as many as let the block's shift
+table e(-r x/h) hold _TABLE_ELEMENTS complex numbers. In a block the
+weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row: each run of
+LATTICE_BLOCK consecutive n is one exact exponential times its weights
+summed by Horner's rule in w = e(-(T/N)/x). The shift table sits on the r
+lattice the same way: an exact exponential heads each run of LATTICE_BLOCK
+consecutive r, and a complex product fills in each further row. So a block
+holds one factor row and one table row per r whatever the number of n,
+and the batch product has one row per +-r; a -r row is the conjugate of
+the conjugated factor's product with the +r table. Each row keeps its own
+compensated sum in panel order and its own embedded-rule estimate, and
+keeps the first pass that meets its own tolerance; the span is halved
+until every row has.
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -58,10 +62,11 @@ from .util import GL8, GL16, TWO_PI, adaptive_edges, gl_panels, kahan_add, kahan
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
 
-# panels per matrix product of a shifted batch: a chunk's phase tables hold
-# (n values + r values) x ROW_CHUNK x 16 complex numbers, 0.9 MB for the 41 n
-# and 16 r of a route shell at T = 64, and 7 MB for the 413 n at T = 300
-ROW_CHUNK = 64
+# complex numbers in one block's shift table (#r rows by the 16 + 8 nodes of
+# each panel), which sets the panels per block of a shifted batch: 1 MB
+# whatever the number of n, so 170 panels a block for the 16 r of a route
+# shell at T = 64 and 85 for the 32 r of one at T = 1000
+_TABLE_ELEMENTS = 1 << 16
 
 # longest run of consecutive lattice offsets one exact exponential heads; a
 # phase table's products of exp(i step) never chain further than this
@@ -165,49 +170,62 @@ class PanelGrid:
 
         amp_values holds A at `self.nodes`; the rows are those of the
         integers n of `ns` with the weights `cs` and the integers r of `rs`,
-        ordered as in ShiftedRows. Each chunk of ROW_CHUNK panels is one
-        batched matrix product of the weighted factor A sum_n c_n x^(-iT)
-        e(-nT/(Nx)) with the shift table e(-r x/h), both built on their
-        lattices by `_lattice_exp`; the -r rows are conj(conj(factor) @
-        table). The error is estimated as in `reduce`.
+        ordered as in ShiftedRows. The panels run in blocks whose shift
+        table holds at most _TABLE_ELEMENTS complex numbers (see
+        `_panel_sums`). Each row's panel sums are added in panel order,
+        compensated, and its error estimate, as in `reduce`, sums the panels
+        in the same order, so the block size leaves every bit alone.
         """
         s = np.zeros((2 * rs.size, 2))
         c = np.zeros_like(s)
-        diff, mag = np.zeros((2, 2 * rs.size))
-        n16 = self.x16.size
-        for p0 in range(0, self.panels, ROW_CHUNK):
-            p1 = min(p0 + ROW_CHUNK, self.panels)
-            s16, s8 = (self._panel_sums(x, amp, rule, p0, p1, inst, ns, cs, rs, h)
-                       for x, amp, rule in ((self.x16, amp_values[:n16], GL16),
-                                            (self.x8, amp_values[n16:], GL8)))
+        est = np.zeros((2, 2 * rs.size))  # sum |G16 - G8| and sum |G16| per row
+        per_block = max(1, _TABLE_ELEMENTS // (24 * rs.size))
+        for p0 in range(0, self.panels, per_block):
+            p1 = min(p0 + per_block, self.panels)
+            s16, s8 = self._panel_sums(amp_values, p0, p1, inst, ns, cs, rs, h)
             s, c = kahan_add(s, c, s16.view(float).reshape((p1 - p0,) + s.shape))
-            diff += np.sum(np.abs(s16 - s8), axis=0)
-            mag += np.sum(np.abs(s16), axis=0)
+            terms = np.stack((np.abs(s16 - s8), np.abs(s16)), axis=1)
+            est = np.add.accumulate(np.concatenate([est[None], terms]), axis=0)[-1]
         values = np.ascontiguousarray(s + c).view(complex)[..., 0]
-        return values, 4.0 * diff + 4e-16 * mag
+        return values, 4.0 * est[0] + 4e-16 * est[1]
 
-    def _panel_sums(self, x, amp, rule, p0, p1, inst, ns, cs, rs, h):
-        """Rule sums of panels p0..p1-1 for every row: shape (panels, rows)."""
-        k = rule[0].size
+    def _panel_sums(self, amp_values, p0, p1, inst, ns, cs, rs, h):
+        """G16 and G8 sums of panels p0..p1-1 for every row, each (panels, rows).
+
+        One block: its 16-point nodes, then its 8-point nodes, in one row. The
+        weighted factor sum_n c_n x^(-iT) e(-nT/(Nx)) is one row over them
+        (`_lattice_sum`), the shift table e(-r x/h) has one row per r
+        (`_lattice_exp`), and each panel's rule sum is a product of the
+        factor times A and the rule weights with the table; the -r rows are
+        conj(conj(factor) @ table).
+        """
         m = p1 - p0
-        x = x[k * p0:k * p1]
+        n16 = self.x16.size
+        x = np.concatenate([self.x16[16 * p0:16 * p1], self.x8[8 * p0:8 * p1]])
+        amp = np.concatenate([amp_values[16 * p0:16 * p1],
+                              amp_values[n16 + 8 * p0:n16 + 8 * p1]])
+        weights = np.concatenate([np.tile(GL16[1], m), np.tile(GL8[1], m)])
         n_lo, r_lo = ns.min(), rs.min()
         # the head row's phase is formed as for a lone n, so it keeps its bits
         head = -inst.T * np.log(x) - TWO_PI * (n_lo * inst.T / inst.N) / x
-        factor = cs @ _lattice_exp(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo)
-        base = (factor * (amp[k * p0:k * p1] * np.tile(rule[1], m))).reshape(m, 1, k)
+        factor = _lattice_sum(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo, cs)
+        base = factor * (amp * weights)
         table = _lattice_exp(-TWO_PI * (r_lo / h) * x, -TWO_PI / h * x, rs - r_lo)
-        table = table.reshape(rs.size, m, k).transpose(1, 2, 0)
-        sums = np.stack((base @ table, np.conj(base.conj() @ table)), axis=-1)
-        return sums.reshape(m, -1) * self.halfs[p0:p1, None]
+        out = []
+        for k, lo in ((16, 0), (8, 16 * m)):
+            b = base[lo:lo + k * m].reshape(m, 1, k)
+            t = table[:, lo:lo + k * m].reshape(rs.size, m, k).transpose(1, 2, 0)
+            sums = np.stack((b @ t, np.conj(b.conj() @ t)), axis=-1)
+            out.append(sums.reshape(m, -1) * self.halfs[p0:p1, None])
+        return out
 
 
 def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """exp(i (head + k step)) for each integer k >= 0 of `offsets`.
 
     Returns shape (offsets.size,) + head.shape. The rows are a geometric
-    sequence: the smallest wanted offset not yet covered heads a block of
-    LATTICE_BLOCK consecutive offsets with an exact np.exp, and the block's
+    sequence: the smallest wanted offset not yet covered heads a run of
+    LATTICE_BLOCK consecutive offsets with an exact np.exp, and the run's
     other wanted rows are reached by products with exp(i step). So no row
     is more than LATTICE_BLOCK - 1 products from an exact exponential, a
     lone offset costs one exponential and gets np.exp's bits, and no set
@@ -229,6 +247,44 @@ def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.
             at = k
         out[i] = cur
     return out
+
+
+def _lattice_sum(head: np.ndarray, step: np.ndarray, offsets: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] exp(i (head + offsets[j] step)) over integers offsets >= 0.
+
+    Returns head's shape. The offsets fall into runs as in `_lattice_exp`:
+    the smallest one not yet covered heads a run of LATTICE_BLOCK
+    consecutive offsets with an exact np.exp, which multiplies the run's
+    weights summed by Horner's rule in w = exp(i step); the runs are added
+    in ascending order. Weights of a repeated offset are added together
+    first. So no weight is more than LATTICE_BLOCK - 1 products from an
+    exact exponential, a run costs one exponential, and the work holds a
+    few rows whatever the number of offsets.
+    """
+    order = np.argsort(offsets, kind="stable")
+    ks, ws = offsets[order], weights[order]
+    total = w = None
+    i = 0
+    while i < ks.size:
+        first = int(ks[i])
+        j = int(np.searchsorted(ks, first + LATTICE_BLOCK))
+        coef = np.zeros(int(ks[j - 1]) - first + 1, dtype=complex)
+        np.add.at(coef, ks[i:j] - first, ws[i:j])
+        poly = coef[-1]
+        if coef.size > 1:
+            if w is None:
+                w = np.exp(1j * step)
+            poly = poly * w
+            for a in coef[-2:0:-1]:
+                poly += a
+                poly *= w
+            poly += coef[0]
+        run = np.exp(1j * (head + first * step) if first else 1j * head)
+        run *= poly
+        total = run if total is None else total + run
+        i = j
+    return total
 
 
 def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Tests for the oscillatory-integral oracle and its stationary-phase law."""
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,9 @@ from gl3osc.oscquad import (
     K_SP_MAIN,
     LATTICE_BLOCK,
     OscInstance,
+    PanelGrid,
     _lattice_exp,
+    _lattice_sum,
     integrate_main,
     integrate_phase,
     integrate_shifted,
@@ -205,6 +208,62 @@ def test_shifted_rows_follow_the_layout_on_gapped_lattices():
             assert abs(batch.values[row] - want) <= batch.abs_errs[row] + want_err
 
 
+def test_repeated_n_adds_its_weights():
+    inst = OscInstance(T=100.0, n=5, N=TWO_PI * 5.0, tol=1e-10)
+    a, b = 0.7 - 0.2j, -0.3 + 1.1j
+    twice = integrate_shifted(inst, rs=[1, 3], h=0.5, ns=[5, 5], cs=[a, b])
+    once = integrate_shifted(inst, rs=[1, 3], h=0.5, ns=[5], cs=[a + b])
+    assert np.all(np.abs(twice.values - once.values) <= twice.abs_errs + once.abs_errs)
+    assert np.all(np.abs(once.values) > 1e3 * (twice.abs_errs + once.abs_errs))
+
+
+def _gapped_batch():
+    T = 100.0
+    N = T**1.5
+    n0 = int(np.ceil(N / TWO_PI))
+    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
+    ns = [n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3]
+    cs = [0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j]
+    return inst, ns, cs, [1, 2, 7, 90], 0.5
+
+
+def test_block_size_leaves_the_bits_alone(monkeypatch):
+    # blocks of one panel and of 31 panels (4 r): the same bytes, values
+    # and error estimates, on gapped n and r with complex weights
+    inst, ns, cs, rs, h = _gapped_batch()
+    got = []
+    for cap in (24 * 4, 24 * 4 * 31):
+        monkeypatch.setattr(oscquad, "_TABLE_ELEMENTS", cap)
+        batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs)
+        got.append((batch.values.tobytes(), batch.abs_errs.tobytes(), batch.evaluations))
+    assert got[0] == got[1]
+
+
+def test_shifted_pass_memory_does_not_grow_with_the_number_of_n():
+    # one pass of 8 r on a grid of about 1,900 panels, so the shift table
+    # reaches its cap: 400 n cost at most twice the peak of 1 n
+    T = 100.0
+    N = T**1.5
+    n0 = int(np.ceil(N / TWO_PI))
+    inst = OscInstance(T=T, n=n0, N=N)
+    amp = inst.amplitude
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -T, (n0 + 399) * T / N, 8.0,
+                     np.pi / 8.0, max_panels=10**6)
+    assert grid.panels * 24 * 8 > 4 * oscquad._TABLE_ELEMENTS
+    values = amp.fn(grid.nodes)
+    rs = np.arange(1, 9)
+    peaks = []
+    for ns in (np.array([n0]), np.arange(n0, n0 + 400)):
+        cs = np.full(ns.shape, 0.5 + 0.5j)
+        tracemalloc.start()
+        try:
+            grid.reduce_rows(values, inst, ns, cs, rs, 1.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
+
+
 def test_shifted_batch_refuses_shifts_off_the_lattice():
     inst = OscInstance(T=100.0, n=3, N=10.0)
     with pytest.raises(ConfigError):
@@ -248,6 +307,28 @@ def test_one_row_lattice_is_the_direct_exponential(heads, step, k):
     steps = np.full_like(head, step)
     want = np.exp(1j * head) if k == 0 else np.exp(1j * (head + k * steps))
     assert _lattice_exp(head, steps, np.asarray([k])).tobytes() == want[None].tobytes()
+
+
+@LATTICE
+@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
+       step=st.floats(-2e3, 2e3),
+       terms=st.lists(st.tuples(st.integers(0, 4000), st.complex_numbers(max_magnitude=4.0)),
+                      min_size=1, max_size=40))
+def test_lattice_sum_matches_direct_exponentials(heads, step, terms):
+    # sparse, gapped, repeated and unsorted offsets alike; each run's
+    # Horner chain is no longer than a table's product chain, so the
+    # table's bound holds per unit of weight
+    head = np.asarray(heads)
+    steps = step * np.linspace(0.5, 2.0, head.size)
+    ks = np.asarray([k for k, _ in terms])
+    cs = np.asarray([c for _, c in terms], dtype=complex)
+    got = _lattice_sum(head, steps, ks, cs)
+    assert got.shape == head.shape
+    want = np.sum(cs[:, None] * np.exp(1j * (head + ks[:, None] * steps)), axis=0)
+    theta = np.abs(head) + ks.max() * np.abs(steps)
+    eps = np.finfo(float).eps
+    bound = LATTICE_C * eps * (LATTICE_B + theta) * np.sum(np.abs(cs))
+    assert np.all(np.abs(got - want) <= bound)
 
 
 def test_nonstationary_shift_suppresses_the_integral():
