@@ -133,11 +133,11 @@ def load_coefficients(path) -> CoefficientTable:
 def save_coefficients(table: CoefficientTable, path) -> None:
     """Write the canonical CSV form: shortest round-tripping float repr,
     LF line endings. load(save(load(p))) is bit-identical to load(p)."""
+    values = table.values[1:]
+    rows = [f"{n},{re!r},{im!r}\n" for n, re, im in
+            zip(range(1, table.x_max + 1), values.real.tolist(), values.imag.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_HEADER + "\n")
-        for n in range(1, table.x_max + 1):
-            v = complex(table.values[n])
-            fh.write(f"{n},{v.real!r},{v.imag!r}\n")
+        fh.write(_HEADER + "\n" + "".join(rows))
 
 
 def _dirichlet_power_pass(acc: np.ndarray, exponent: complex) -> np.ndarray:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from gl3osc.coeffs import (
+    _HEADER,
     CoefficientTable,
     _dirichlet_power_pass,
     GrowthReport,
@@ -111,6 +112,24 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert np.array_equal(back.values, model.values)
     save_coefficients(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_row_save(table, path):
+    # the reference: one write per row, each float's repr
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_HEADER + "\n")
+        for n in range(1, table.x_max + 1):
+            v = complex(table.values[n])
+            fh.write(f"{n},{v.real!r},{v.imag!r}\n")
+
+
+def test_one_write_save_matches_the_per_row_writer(tmp_path):
+    edge = _table([1.0, -0.0 + 5e-324j, 2.5e-310 - 0.0j, 1e300 - 1e-300j,
+                   -1.0 / 3.0 + 0.1j, 0.0 - 0.0j])
+    for table in (edge, synth_eisenstein(LanglandsParams(), 1000)):
+        save_coefficients(table, tmp_path / "one.csv")
+        _per_row_save(table, tmp_path / "rows.csv")
+        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_synth_matches_bruteforce_triple_sums():
