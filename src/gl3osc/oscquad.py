@@ -157,8 +157,10 @@ class PanelGrid:
     def reduce(self, values: np.ndarray) -> tuple[complex, float]:
         """Integrate from integrand values sampled at `self.nodes`."""
         n16 = self.x16.size
-        s16 = (values[:n16].reshape(self.panels, 16) @ GL16[1]) * self.halfs
-        s8 = (values[n16:].reshape(self.panels, 8) @ GL8[1]) * self.halfs
+        # elementwise products summed along each panel: a matrix-vector
+        # product here would wake a second BLAS thread, which then spins
+        s16 = np.sum(values[:n16].reshape(self.panels, 16) * GL16[1], axis=1) * self.halfs
+        s8 = np.sum(values[n16:].reshape(self.panels, 8) * GL8[1], axis=1) * self.halfs
         value = kahan_csum(s16)
         err = 4.0 * float(np.sum(np.abs(s16 - s8)))
         err += 4e-16 * float(np.sum(np.abs(s16)))
