@@ -134,10 +134,13 @@ def save_coefficients(table: CoefficientTable, path) -> None:
     """Write the canonical CSV form: shortest round-tripping float repr,
     LF line endings. load(save(load(p))) is bit-identical to load(p)."""
     values = table.values[1:]
-    rows = [f"{n},{re!r},{im!r}\n" for n, re, im in
-            zip(range(1, table.x_max + 1), values.real.tolist(), values.imag.tolist())]
+    # one writelines call over a generator: the text of up to MAX_X_MAX rows
+    # never sits in memory at once
+    rows = (f"{n},{re!r},{im!r}\n" for n, re, im in
+            zip(range(1, table.x_max + 1), values.real.tolist(), values.imag.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_HEADER + "\n" + "".join(rows))
+        fh.write(_HEADER + "\n")
+        fh.writelines(rows)
 
 
 def _dirichlet_power_pass(acc: np.ndarray, exponent: complex) -> np.ndarray:
