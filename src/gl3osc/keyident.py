@@ -20,10 +20,11 @@ and the A01-shape check holds D*(A - O) to it within K_SP_MAIN T^(-3/2) |D|.
 O is summed in shells of r: [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so
 on, until the shell's mass puts the tail below tol/2. A shell is one
 shared-grid batch (`integrate_shifted`): every +-r of the shell on one grid
-with one evaluation of V. Its phase tables are geometric sequences in the
-integers r and n: an exponential per node heads each block of up to 64
-consecutive r (or n), and products fill the block, so a shell of 8 r costs
-two exponentials per node, not eight.
+with one evaluation of V. Its phases are geometric sequences in the
+integers r and n: an exponential per node heads each run of up to 64
+consecutive r (or n); products fill the shift table, and Horner's rule sums
+a run's weighted n, so a shell of 8 r costs two exponentials per node, not
+eight.
 
 The dual sum and the amplified average dualize a weighted n-sum whole: by
 linearity sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n

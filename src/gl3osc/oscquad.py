@@ -63,9 +63,10 @@ DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
 
 # complex numbers in one block's shift table (#r rows by the 16 + 8 nodes of
-# each panel), which sets the panels per block of a shifted batch: 1 MB
-# whatever the number of n, so 170 panels a block for the 16 r of a route
-# shell at T = 64 and 85 for the 32 r of one at T = 1000
+# each panel), which sets the panels per block of a shifted batch. The table
+# is 1 MB whatever the number of n: 170 panels a block for the 16 r of a
+# route shell at T = 64, 85 for the 32 r of one at T = 1000. The factor row
+# and its Horner temporaries add a few rows of 24 numbers a panel.
 _TABLE_ELEMENTS = 1 << 16
 
 # longest run of consecutive lattice offsets one exact exponential heads; a
@@ -343,8 +344,8 @@ def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None,
     tolerance per r, or one for all (default inst.tol), and every row must
     meet its own. The rows share each pass:
     one grid sized by the largest n and the largest live r, one evaluation
-    of the amplitude per node, and phase tables built on the n and r
-    lattices (see PanelGrid.reduce_rows). A row keeps the value of the
+    of the amplitude per node, and phases built on the n and r lattices
+    (see PanelGrid.reduce_rows). A row keeps the value of the
     first pass that meets its tolerance; the phase span per panel is halved
     until every row has, under DEFAULT_EVAL_BUDGET evaluations in all.
     """
