@@ -217,24 +217,19 @@ def test_repeated_n_adds_its_weights():
     assert np.all(np.abs(once.values) > 1e3 * (twice.abs_errs + once.abs_errs))
 
 
-def _gapped_batch():
+def test_block_size_leaves_the_bits_alone(monkeypatch):
+    # blocks of one panel and of 31 panels (4 r): the same bytes, values
+    # and error estimates, on gapped n and r with complex weights
     T = 100.0
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
     inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
     ns = [n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3]
     cs = [0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j]
-    return inst, ns, cs, [1, 2, 7, 90], 0.5
-
-
-def test_block_size_leaves_the_bits_alone(monkeypatch):
-    # blocks of one panel and of 31 panels (4 r): the same bytes, values
-    # and error estimates, on gapped n and r with complex weights
-    inst, ns, cs, rs, h = _gapped_batch()
     got = []
     for cap in (24 * 4, 24 * 4 * 31):
         monkeypatch.setattr(oscquad, "_TABLE_ELEMENTS", cap)
-        batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs)
+        batch = integrate_shifted(inst, rs=[1, 2, 7, 90], h=0.5, ns=ns, cs=cs)
         got.append((batch.values.tobytes(), batch.abs_errs.tobytes(), batch.evaluations))
     assert got[0] == got[1]
 
