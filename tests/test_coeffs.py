@@ -123,7 +123,7 @@ def _per_row_save(table, path):
             fh.write(f"{n},{v.real!r},{v.imag!r}\n")
 
 
-def test_one_write_save_matches_the_per_row_writer(tmp_path):
+def test_save_matches_the_per_row_writer(tmp_path):
     edge = _table([1.0, -0.0 + 5e-324j, 2.5e-310 - 0.0j, 1e300 - 1e-300j,
                    -1.0 / 3.0 + 0.1j, 0.0 - 0.0j])
     for table in (edge, synth_eisenstein(LanglandsParams(), 1000)):
