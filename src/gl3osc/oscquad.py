@@ -57,7 +57,8 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import GL8, GL16, TWO_PI, adaptive_edges, gl_panels, kahan_add, kahan_csum
+from .util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, adaptive_edges, gl_panels,
+                   kahan_add, kahan_csum)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
@@ -68,10 +69,6 @@ DEFAULT_TOL = 1e-9
 # route shell at T = 64, 85 for the 32 r of one at T = 1000. The factor row
 # and its Horner temporaries add a few rows of 24 numbers a panel.
 _TABLE_ELEMENTS = 1 << 16
-
-# longest run of consecutive lattice offsets one exact exponential heads; a
-# phase table's products of exp(i step) never chain further than this
-LATTICE_BLOCK = 64
 
 # |I - leading term| <= K_SP_MAIN * T^(-3/2) for the default test amplitude;
 # calibrated at T = 250 (residual * T^(3/2) = 0.686) with a 4x cushion, frozen.
@@ -221,35 +218,6 @@ class PanelGrid:
             sums = np.stack((b @ t, np.conj(b.conj() @ t)), axis=-1)
             out.append(sums.reshape(m, -1) * self.halfs[p0:p1, None])
         return out
-
-
-def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """exp(i (head + k step)) for each integer k >= 0 of `offsets`.
-
-    Returns shape (offsets.size,) + head.shape. The rows are a geometric
-    sequence: the smallest wanted offset not yet covered heads a run of
-    LATTICE_BLOCK consecutive offsets with an exact np.exp, and the run's
-    other wanted rows are reached by products with exp(i step). So no row
-    is more than LATTICE_BLOCK - 1 products from an exact exponential, a
-    lone offset costs one exponential and gets np.exp's bits, and no set
-    of offsets costs more exponentials than it has rows.
-    """
-    out = np.empty((offsets.size,) + head.shape, dtype=complex)
-    w = None
-    at = first = None
-    for i in np.argsort(offsets, kind="stable"):
-        k = int(offsets[i])
-        if first is None or k - first >= LATTICE_BLOCK:
-            first = at = k
-            cur = np.exp(1j * (head + k * step) if k else 1j * head)
-        else:
-            if w is None:
-                w = np.exp(1j * step)
-            for _ in range(k - at):
-                cur = cur * w
-            at = k
-        out[i] = cur
-    return out
 
 
 def _lattice_sum(head: np.ndarray, step: np.ndarray, offsets: np.ndarray,

@@ -16,6 +16,39 @@ TWO_PI = 2.0 * np.pi
 #: quadrature uses, and of the 8-point rule embedded for error estimates.
 GL16, GL8 = (np.polynomial.legendre.leggauss(k) for k in (16, 8))
 
+# longest run of consecutive lattice offsets one exact exponential heads; a
+# phase table's products of exp(i step) never chain further than this
+LATTICE_BLOCK = 64
+
+
+def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """exp(i (head + k step)) for each integer k >= 0 of `offsets`.
+
+    Returns shape (offsets.size,) + head.shape. The rows are a geometric
+    sequence: the smallest wanted offset not yet covered heads a run of
+    LATTICE_BLOCK consecutive offsets with an exact np.exp, and the run's
+    other wanted rows are reached by products with exp(i step). So no row
+    is more than LATTICE_BLOCK - 1 products from an exact exponential, a
+    lone offset costs one exponential and gets np.exp's bits, and no set
+    of offsets costs more exponentials than it has rows.
+    """
+    out = np.empty((offsets.size,) + head.shape, dtype=complex)
+    w = None
+    at = first = None
+    for i in np.argsort(offsets, kind="stable"):
+        k = int(offsets[i])
+        if first is None or k - first >= LATTICE_BLOCK:
+            first = at = k
+            cur = np.exp(1j * (head + k * step) if k else 1j * head)
+        else:
+            if w is None:
+                w = np.exp(1j * step)
+            for _ in range(k - at):
+                cur = cur * w
+            at = k
+        out[i] = cur
+    return out
+
 
 def e(x):
     """exp(2*pi*i*x), the additive character. Accepts scalars or arrays."""

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gl3osc import oscquad
@@ -12,10 +12,8 @@ from gl3osc.cutoffs import Cutoff
 from gl3osc.errors import ConfigError, ToleranceUnreachableError
 from gl3osc.oscquad import (
     K_SP_MAIN,
-    LATTICE_BLOCK,
     OscInstance,
     PanelGrid,
-    _lattice_exp,
     _lattice_sum,
     integrate_main,
     integrate_phase,
@@ -25,6 +23,7 @@ from gl3osc.oscquad import (
     stationary_phase_main,
 )
 from gl3osc.util import TWO_PI, loglog_slope
+from test_util import LATTICE, LATTICE_B, LATTICE_C
 
 # frozen against an independent arbitrary-precision evaluation (30 digits,
 # Gauss-Legendre with degree doubling) of the T=50, n=8, N=50 instance
@@ -265,43 +264,6 @@ def test_shifted_batch_refuses_shifts_off_the_lattice():
         integrate_shifted(inst, rs=[1.5], h=1.0)
     with pytest.raises(ConfigError):
         integrate_shifted(inst, rs=[1], h=1.0, ns=[3, 4], cs=[1.0])
-
-
-# fixed example stream, so Tier-1 runs the same draws every time
-LATTICE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
-# |table - exp(i (head + k step))| <= C eps (B + |head| + k |step|): the
-# direct exponential rounds its phase to about eps (|head| + k |step|), and
-# each of the at most LATTICE_BLOCK - 1 products of a chain adds a few eps,
-# which B covers
-LATTICE_C = 4.0
-LATTICE_B = float(LATTICE_BLOCK)
-
-
-@LATTICE
-@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
-       step=st.floats(-2e3, 2e3),
-       offsets=st.lists(st.integers(0, 4000), min_size=1, max_size=40, unique=True))
-def test_lattice_table_matches_direct_exponentials(heads, step, offsets):
-    # offsets in drawn order: sparse, gapped and unsorted sets alike
-    head = np.asarray(heads)
-    steps = step * np.linspace(0.5, 2.0, head.size)
-    ks = np.asarray(offsets)
-    table = _lattice_exp(head, steps, ks)
-    assert table.shape == (ks.size, head.size)
-    theta = np.abs(head) + ks[:, None] * np.abs(steps)
-    want = np.exp(1j * (head + ks[:, None] * steps))
-    eps = np.finfo(float).eps
-    assert np.all(np.abs(table - want) <= LATTICE_C * eps * (LATTICE_B + theta))
-
-
-@LATTICE
-@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
-       step=st.floats(-2e3, 2e3), k=st.integers(0, 300))
-def test_one_row_lattice_is_the_direct_exponential(heads, step, k):
-    head = np.asarray(heads)
-    steps = np.full_like(head, step)
-    want = np.exp(1j * head) if k == 0 else np.exp(1j * (head + k * steps))
-    assert _lattice_exp(head, steps, np.asarray([k])).tobytes() == want[None].tobytes()
 
 
 @LATTICE

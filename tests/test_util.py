@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl3osc.errors import InsufficientGridError, ToleranceUnreachableError
-from gl3osc.util import (GL8, GL16, TWO_PI, adaptive_edges, e, gl_panels, is_prime,
-                         kahan_add, kahan_csum, kahan_sum, loglog_slope, primes_in)
+from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, adaptive_edges, e,
+                         gl_panels, is_prime, kahan_add, kahan_csum, kahan_sum, loglog_slope,
+                         primes_in)
 
 
 def test_unit_exponential_special_values():
@@ -167,3 +170,40 @@ def test_adaptive_edges_enforces_max_panels():
         adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, max_panels=3)
     with pytest.raises(ToleranceUnreachableError):
         adaptive_edges(0.0, 1.0, 1.0, 1.0, lambda x: 1e6, max_panels=1000)
+
+
+# fixed example stream, so Tier-1 runs the same draws every time
+LATTICE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# |table - exp(i (head + k step))| <= C eps (B + |head| + k |step|): the
+# direct exponential rounds its phase to about eps (|head| + k |step|), and
+# each of the at most LATTICE_BLOCK - 1 products of a chain adds a few eps,
+# which B covers
+LATTICE_C = 4.0
+LATTICE_B = float(LATTICE_BLOCK)
+
+
+@LATTICE
+@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
+       step=st.floats(-2e3, 2e3),
+       offsets=st.lists(st.integers(0, 4000), min_size=1, max_size=40, unique=True))
+def test_lattice_table_matches_direct_exponentials(heads, step, offsets):
+    # offsets in drawn order: sparse, gapped and unsorted sets alike
+    head = np.asarray(heads)
+    steps = step * np.linspace(0.5, 2.0, head.size)
+    ks = np.asarray(offsets)
+    table = _lattice_exp(head, steps, ks)
+    assert table.shape == (ks.size, head.size)
+    theta = np.abs(head) + ks[:, None] * np.abs(steps)
+    want = np.exp(1j * (head + ks[:, None] * steps))
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(table - want) <= LATTICE_C * eps * (LATTICE_B + theta))
+
+
+@LATTICE
+@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
+       step=st.floats(-2e3, 2e3), k=st.integers(0, 300))
+def test_one_row_lattice_is_the_direct_exponential(heads, step, k):
+    head = np.asarray(heads)
+    steps = np.full_like(head, step)
+    want = np.exp(1j * head) if k == 0 else np.exp(1j * (head + k * steps))
+    assert _lattice_exp(head, steps, np.asarray([k])).tobytes() == want[None].tobytes()
