@@ -51,12 +51,8 @@ def bump_battery(c1: float = 1.0) -> tuple[dict, tuple]:
     h0 = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
     lo, hi = h0.support_lo, h0.support_hi
     points = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
-    worst = 0.0
-    recon = []
-    for y in points:
-        got = mellin_invert(h0, float(y))
-        recon.append(got)
-        worst = max(worst, abs(got - h0(float(y))))
+    recon = [complex(v) for v in mellin_invert(h0, points)]
+    worst = max(abs(got - h0(float(y))) for got, y in zip(recon, points))
     outputs = {
         "vstar": vstar,
         "g_normalization": g_norm,

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
-from .util import GL16, gl_panels
+from .util import GL16, _lattice_exp, gl_panels
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -253,10 +253,18 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     last estimate as `achieved`) rather than return an unconverged value.
     A cutoff with a kink converges only like h^2 and is refused that way.
 
-    The exponentials are factored in blocks of B nodes, exp(i t u_(jB+m)) =
-    exp(i t u_jB) * exp(i t m h), so each ordinate costs n/B + B exp calls,
-    and the ordinates are chunked so no temporary exceeds about
-    _LINE_CHUNK elements.
+    The exponentials are factored in blocks of B ~ sqrt(n) nodes,
+    exp(i t u_(jB+m)) = exp(i t u_jB) * exp(i t m h), and both tables are
+    geometric on their integer lattices: the row heads exp(i t (u_lo + jBh))
+    for j <= n/B and the in-block tails exp(i t m h) for m < B are products
+    of exp(i t Bh) and exp(i t h) from an exact exponential heading each run
+    of LATTICE_BLOCK (`_lattice_exp`). So an ordinate costs one exponential
+    per run of 64 rows or tail entries, plus the two steps: 4 at n = 1,024,
+    where one exponential per entry takes n/B + 1 + B = 65. A direct
+    exponential rounds a phase of size |t u|; the products start from
+    t u_lo and add steps, so at contour heights (|t| in the thousands) they
+    are the more accurate. The ordinates are chunked so no temporary
+    exceeds about _LINE_CHUNK elements.
     """
     ts = np.asarray(ts, dtype=float)
     lo = max(f.support_lo, 0.0)
@@ -281,13 +289,15 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         base = f.fn(np.exp(u)) * np.exp(re_line * u) * w
         mass = float(np.sum(np.abs(base)))
         base = base.reshape(rows, blk)
-        heads, tail = u[::blk], h * np.arange(blk)
         even = np.empty(flat.size, dtype=complex)
         odd = np.empty(flat.size, dtype=complex)
         step = max(1, _LINE_CHUNK // max(rows, blk))
         for i in range(0, flat.size, step):
-            t = flat[i : i + step, None]
-            terms = (np.exp(1j * (t * heads)) @ base) * np.exp(1j * (t * tail))
+            t = flat[i : i + step]
+            # exp(i t u_jB) on the row lattice j and exp(i t m h) on m < blk
+            heads = _lattice_exp(t * ulo, t * (blk * h), np.arange(rows))
+            tails = _lattice_exp(np.zeros_like(t), t * h, np.arange(blk))
+            terms = (heads.T @ base) * tails.T
             even[i : i + step] = terms[:, ::2].sum(axis=1)
             odd[i : i + step] = terms[:, 1::2].sum(axis=1)
         # T_n = even + odd, and the n/2 rule is T_(n/2) = 2 * even
@@ -300,31 +310,49 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         f"mass at {LINE_MAX_NODES} nodes", achieved=est)
 
 
-def mellin_invert(f: Cutoff, y: float) -> complex:
-    """Reconstruct f(y) from its Mellin transform on a truncated vertical line.
+def mellin_invert(f: Cutoff, y):
+    """Reconstruct f at every point of y from its Mellin transform on a
+    truncated vertical line.
 
     (1/2*pi) integral over |t| <= S of H(c + it) y^-(c + it) dt with
-    c = INVERT_RE_LINE, from S = INVERT_IM_START, doubling S until the last
-    shell contributes less than INVERT_TOL / 2. Superpolynomial decay of H
-    for smooth compactly supported f makes this converge quickly.
+    c = INVERT_RE_LINE, from S = INVERT_IM_START, doubling S. Each shell
+    S < |t| <= 2S is one `mellin_on_line` call for the whole batch, on GL16
+    panels whose count is set by the largest max(|log y|, 1) of the batch,
+    so points whose |log y| are all at most 1 (A08's) keep each lone point's
+    grid and bits. Each point keeps its own stopping rule: its total is
+    frozen once its added shell is below INVERT_TOL / 2, and the shells
+    double until every point's is. Superpolynomial decay of H for smooth
+    compactly supported f makes this converge quickly. A scalar y gives a
+    complex, an array an array of its shape.
     """
-    if y <= 0.0:
+    ys = np.asarray(y, dtype=float)
+    flat = ys.ravel()
+    if np.any(~(flat > 0.0)):
         raise ConfigError("inversion point must be positive")
+    rate = float(np.max(np.abs(np.log(flat)), initial=1.0))
 
-    def shell(t_lo: float, t_hi: float) -> complex:
-        n = max(64, int(np.ceil((t_hi - t_lo) * max(abs(math.log(y)), 1.0) / np.pi)) + 8)
-        t, wts = gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16)
-        hv = mellin_on_line(f, INVERT_RE_LINE, t)
-        integrand = hv * y ** (-(INVERT_RE_LINE + 1j * t))
-        return complex(np.sum(wts * integrand))
+    def shell(*bands) -> np.ndarray:
+        """Each point's GL16 sums over the bands, added in band order."""
+        grids = []
+        for t_lo, t_hi in bands:
+            n = max(64, int(np.ceil((t_hi - t_lo) * rate / np.pi)) + 8)
+            grids.append(gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16))
+        hv = np.split(mellin_on_line(f, INVERT_RE_LINE, np.concatenate([t for t, _ in grids])),
+                      np.cumsum([t.size for t, _ in grids[:-1]]))
+        sums = [np.sum(wts * (h * flat[:, None] ** (-(INVERT_RE_LINE + 1j * t))), axis=1)
+                for h, (t, wts) in zip(hv, grids)]
+        return sum(sums[1:], sums[0])
 
     s = INVERT_IM_START
-    total = shell(-s, s)
+    total = shell((-s, s))
+    live = np.ones(flat.size, dtype=bool)
     for _ in range(8):
-        added = shell(s, 2.0 * s) + shell(-2.0 * s, -s)
-        total += added
-        if abs(added) < 0.5 * INVERT_TOL:
-            return total / (2.0 * np.pi)
+        added = shell((s, 2.0 * s), (-2.0 * s, -s))
+        total[live] += added[live]
+        live &= np.abs(added) >= 0.5 * INVERT_TOL
+        if not live.any():
+            # divided as Python complexes, as a lone point always was
+            out = np.array([complex(v) / (2.0 * np.pi) for v in total])
+            return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
         s *= 2.0
     raise MellinDivergenceError("inversion tail did not converge")
-

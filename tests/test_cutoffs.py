@@ -215,6 +215,16 @@ def test_mellin_on_line_matches_pointwise_mellin():
         assert abs(got - mellin(f, 0.5 + 1j * t).value) < 1e-10
 
 
+def test_mellin_on_line_at_contour_height():
+    # the deep contour reaches |t| in the thousands on the reflected line;
+    # there a direct exponential rounds a phase of size |t u|, while the
+    # lattice products start from t log(lo) and add steps of t h
+    f = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
+    got = mellin_on_line(f, 3.0, [1000.7])[0]
+    want = _h0_mellin_mp(500.0, 1.0 / 18.0, 0.01, complex(3.0, 1000.7))
+    assert abs(got - want) <= 1e-15
+
+
 @pytest.mark.parametrize("name", ["v0", "g", "h0", "h1"])
 def test_mellin_on_line_converges_for_each_cutoff(name):
     # the line's n/2 estimate must settle for every C-infinity cutoff

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3osc.cutoffs import g_cutoff, h0_cutoff, h1_cutoff, h_cutoff, v0_cutoff, weight_w0_w
+from gl3osc.criteria import bump_battery
+from gl3osc.cutoffs import (g_cutoff, h0_cutoff, h1_cutoff, h_cutoff, mellin_invert, v0_cutoff,
+                            weight_w0_w)
+from gl3osc.errors import ConfigError
 from gl3osc.gammafactor import DEFAULT_ALPHA, LanglandsParams, gamma_pi, gamma_pi_line
 from gl3osc.util import e
 
 # fixed example stream, so Tier-1 runs the same draws every time
 PARITY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+# an inversion takes tens of milliseconds, so fewer draws
+INVERT_PARITY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 CUTOFFS = {
     "v0": lambda T: v0_cutoff(),
@@ -68,3 +73,28 @@ def test_gamma_scalar_equals_line(which, sigma, t, sign):
     params = PARAMS[which]
     s = complex(sigma, sign * t)
     assert _same_bits(gamma_pi(s, params), gamma_pi_line(np.array([s]), params)[0])
+
+
+@INVERT_PARITY
+@given(log_y=st.floats(-3.0, 3.0))
+def test_mellin_invert_scalar_equals_array(log_y):
+    # |log y| past 1 widens the shells' grids, so both grid sizes are drawn
+    f = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
+    y = float(np.exp(log_y))
+    assert _same_bits(mellin_invert(f, y), mellin_invert(f, [y])[0])
+
+
+def test_mellin_invert_batch_equals_each_point_alone():
+    # A08's five points, as bump_battery inverts them in one batch, and
+    # y = 2.7 past the support (|log y| < 1 still), which stops a shell
+    # before them: each point stops on its own shell and keeps its lone grid
+    outputs, _ = bump_battery()
+    f = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
+    points = [*outputs["roundtrip_points"], 2.7]
+    batch = mellin_invert(f, points)
+    assert all(_same_bits(a, b) for a, b in zip(batch, outputs["roundtrip_values"]))
+    for y, got in zip(points, batch, strict=True):
+        assert _same_bits(mellin_invert(f, y), got)
+    for bad in (0.0, -0.5, float("nan")):
+        with pytest.raises(ConfigError):
+            mellin_invert(f, [*points, bad])
