@@ -294,10 +294,10 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         step = max(1, _LINE_CHUNK // max(rows, blk))
         for i in range(0, flat.size, step):
             t = flat[i : i + step]
-            # exp(i t u_jB) on the row lattice j and exp(i t m h) on m < blk
-            heads = _lattice_exp(t * ulo, t * (blk * h), np.arange(rows))
-            tails = _lattice_exp(np.zeros_like(t), t * h, np.arange(blk))
-            terms = (heads.T @ base) * tails.T
+            # exp(i t u_jB) on the row lattice j, then exp(i t m h) on m < blk;
+            # neither table outlives its product
+            terms = _lattice_exp(t * ulo, t * (blk * h), np.arange(rows)).T @ base
+            terms *= _lattice_exp(np.zeros_like(t), t * h, np.arange(blk)).T
             even[i : i + step] = terms[:, ::2].sum(axis=1)
             odd[i : i + step] = terms[:, 1::2].sum(axis=1)
         # T_n = even + odd, and the n/2 rule is T_(n/2) = 2 * even
