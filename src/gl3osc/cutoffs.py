@@ -44,8 +44,8 @@ _G_NORM_TOL = 1e-12
 
 # mellin_invert: the line Re(s) = INVERT_RE_LINE it integrates on, the
 # half-height of its first segment |t| <= INVERT_IM_START before it starts
-# doubling, and the shell contribution INVERT_TOL / 2 that stops it (A08's
-# line and tolerance)
+# doubling, and the shell contribution INVERT_TOL / 2 that stops each point
+# (A08's line and tolerance)
 INVERT_RE_LINE = 1.0
 INVERT_IM_START = 64.0
 INVERT_TOL = 1e-9
@@ -315,15 +315,15 @@ def mellin_invert(f: Cutoff, y):
     truncated vertical line.
 
     (1/2*pi) integral over |t| <= S of H(c + it) y^-(c + it) dt with
-    c = INVERT_RE_LINE, from S = INVERT_IM_START, doubling S. Each shell
-    S < |t| <= 2S is one `mellin_on_line` call for the whole batch, on GL16
-    panels whose count is set by the largest max(|log y|, 1) of the batch,
-    so points whose |log y| are all at most 1 (A08's) keep each lone point's
-    grid and bits. Each point keeps its own stopping rule: its total is
-    frozen once its added shell is below INVERT_TOL / 2, and the shells
-    double until every point's is. Superpolynomial decay of H for smooth
-    compactly supported f makes this converge quickly. A scalar y gives a
-    complex, an array an array of its shape.
+    c = INVERT_RE_LINE, from S = INVERT_IM_START, doubling S. Each half of
+    a shell S < |t| <= 2S is one `mellin_on_line` call for the whole batch,
+    on GL16 panels whose count is set by the largest max(|log y|, 1) of the
+    batch, so points whose |log y| are all at most 1 (A08's) keep each lone
+    point's grid and bits. Each point keeps its own stopping rule: its
+    total is frozen once its added shell is below INVERT_TOL / 2, and the
+    shells double until every point's is. Superpolynomial decay of H for
+    smooth compactly supported f makes this converge quickly. A scalar y
+    gives a complex, an array an array of its shape.
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
@@ -331,23 +331,17 @@ def mellin_invert(f: Cutoff, y):
         raise ConfigError("inversion point must be positive")
     rate = float(np.max(np.abs(np.log(flat)), initial=1.0))
 
-    def shell(*bands) -> np.ndarray:
-        """Each point's GL16 sums over the bands, added in band order."""
-        grids = []
-        for t_lo, t_hi in bands:
-            n = max(64, int(np.ceil((t_hi - t_lo) * rate / np.pi)) + 8)
-            grids.append(gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16))
-        hv = np.split(mellin_on_line(f, INVERT_RE_LINE, np.concatenate([t for t, _ in grids])),
-                      np.cumsum([t.size for t, _ in grids[:-1]]))
-        sums = [np.sum(wts * (h * flat[:, None] ** (-(INVERT_RE_LINE + 1j * t))), axis=1)
-                for h, (t, wts) in zip(hv, grids)]
-        return sum(sums[1:], sums[0])
+    def shell(t_lo: float, t_hi: float) -> np.ndarray:
+        n = max(64, int(np.ceil((t_hi - t_lo) * rate / np.pi)) + 8)
+        t, wts = gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16)
+        hv = mellin_on_line(f, INVERT_RE_LINE, t)
+        return np.sum(wts * (hv * flat[:, None] ** (-(INVERT_RE_LINE + 1j * t))), axis=1)
 
     s = INVERT_IM_START
-    total = shell((-s, s))
+    total = shell(-s, s)
     live = np.ones(flat.size, dtype=bool)
     for _ in range(8):
-        added = shell((s, 2.0 * s), (-2.0 * s, -s))
+        added = shell(s, 2.0 * s) + shell(-2.0 * s, -s)
         total[live] += added[live]
         live &= np.abs(added) >= 0.5 * INVERT_TOL
         if not live.any():
