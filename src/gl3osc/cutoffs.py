@@ -310,7 +310,7 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         f"mass at {LINE_MAX_NODES} nodes", achieved=est)
 
 
-def mellin_invert(f: Cutoff, y):
+def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
     """Reconstruct f at every point of y from its Mellin transform on a
     truncated vertical line.
 
@@ -345,7 +345,8 @@ def mellin_invert(f: Cutoff, y):
         total[live] += added[live]
         live &= np.abs(added) >= 0.5 * INVERT_TOL
         if not live.any():
-            # divided as Python complexes, as a lone point always was
+            # divided as Python complexes: numpy's array / scalar multiplies
+            # by the reciprocal, which rounds differently
             out = np.array([complex(v) / (2.0 * np.pi) for v in total])
             return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
         s *= 2.0
