@@ -213,6 +213,19 @@ def test_coeffs_command_rejects_malformed_file(tmp_path, capsys):
     assert main(["coeffs", "--coeffs", str(path)]) == 2
 
 
+def test_coeffs_command_rejects_bytes_that_are_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("n,re,im\n1,1,0\n2,0.5,0 # \u00e9\n".encode("latin-1"))
+    assert main(["coeffs", "--coeffs", str(path)]) == 2
+    assert "line 3: bytes that are not UTF-8" in capsys.readouterr().err
+
+
+def test_coeffs_command_rejects_an_unreadable_path(tmp_path, capsys):
+    for path in (tmp_path / "missing.csv", tmp_path):
+        assert main(["coeffs", "--coeffs", str(path)]) == 2
+        assert "cannot read coefficient table" in capsys.readouterr().err
+
+
 def test_s_sum_command_with_sparse_table(tmp_path):
     from gl3osc.coeffs import CoefficientTable, save_coefficients
 

@@ -1,9 +1,13 @@
 """Tests for coefficient tables: parsing, the triple-divisor model, growth."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from gl3osc import coeffs
 from gl3osc.coeffs import (
     _HEADER,
+    MAX_X_MAX,
     CoefficientTable,
     _dirichlet_power_pass,
     GrowthReport,
@@ -77,31 +81,141 @@ def test_load_two_row_table(tmp_path):
     assert t.source == str(p)
 
 
-def test_load_rejects_malformed_input(tmp_path):
-    def load_text(text):
-        p = tmp_path / "bad.csv"
-        p.write_text(text, encoding="utf-8")
-        return load_coefficients(p)
+# (file text, refusal class, message, .line) for a file with one fault each
+REFUSALS = [
+    ("", CoefficientIndexError, "table has no coefficient rows", None),
+    ("n,re,im\n", CoefficientIndexError, "table has no coefficient rows", None),
+    ("wrong,header,row\n1,1,0\n", CoefficientParseError,
+     "line 1: expected header 'n,re,im', got 'wrong,header,row'", 1),
+    ("n,re,im\n1,1\n", CoefficientParseError,
+     "line 2: expected 3 comma-separated fields, got 2", 2),
+    ("n,re,im\n1,1,0,0\n", CoefficientParseError,
+     "line 2: expected 3 comma-separated fields, got 4", 2),
+    ("n,re,im\n0,1,0\n", CoefficientParseError,
+     "line 2: index must be a positive integer, got 0", 2),
+    ("n,re,im\n1,1,0\n-3,1,0\n", CoefficientParseError,
+     "line 3: index must be a positive integer, got -3", 3),
+    ("n,re,im\n1,1,0\n1.0,1,0\n", CoefficientParseError,
+     "line 3: index '1.0' is not an integer", 3),
+    ("n,re,im\n1,1,0\n2,abc,0\n", CoefficientParseError,
+     "line 3: value fields must be floats, got 'abc','0'", 3),
+    ("\n \nn,re,im\n1,1,0\n\n2,0,abc\n", CoefficientParseError,
+     "line 6: value fields must be floats, got '0','abc'", 6),
+    ("n,re,im\n1,1,0\n1,2,0\n", CoefficientIndexError,
+     "duplicate index 1", None),
+    ("n,re,im\n1,1,0\n2,0,0\n3,0,0\n3,0,0\n2,0,0\n",
+     CoefficientIndexError, "duplicate index 3", None),
+    ("n,re,im\n1,1,0\n3,2,0\n", CoefficientIndexError,
+     "missing indices (first: 2) below x_max 3", None),
+    ("n,re,im\n1,2,0\n", CoefficientNormalizationError,
+     "a(1,1) must equal 1, got (2+0j)", None),
+    ("n,re,im\n1,1,0\n10000001,1,0\n", ConfigError,
+     "x_max exceeds the supported maximum 10000000", None),
+    ("n,re,im\n1,1,0\n99999999999999999999,1,0\n", ConfigError,
+     "x_max exceeds the supported maximum 10000000", None),
+    ("n,re,im\n1,1,0\n9999999,1,0\n", CoefficientIndexError,
+     "missing indices (first: 2) below x_max 9999999", None),
+]
 
-    with pytest.raises(CoefficientIndexError):
-        load_text("")
-    with pytest.raises(CoefficientIndexError):
-        load_text("n,re,im\n")
+
+def test_load_rejects_malformed_input(tmp_path):
+    _assert_refusals(tmp_path / "bad.csv")
+
+
+def _assert_refusals(p):
+    for text, cls, message, line in REFUSALS:
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(cls) as err:
+            load_coefficients(p)
+        assert type(err.value) is cls
+        assert str(err.value) == message
+        assert getattr(err.value, "line", None) == line
+    p.write_bytes(b"n,re,im\r\n1,1,0\r\n\r\n2,0,\xff\r\n")
     with pytest.raises(CoefficientParseError) as err:
-        load_text("n,re,im\n0,1,0\n")
-    assert err.value.line == 2
-    with pytest.raises(CoefficientParseError):
-        load_text("wrong,header,row\n1,1,0\n")
-    with pytest.raises(CoefficientParseError):
-        load_text("n,re,im\n1,1,0\n2,abc,0\n")
-    with pytest.raises(CoefficientParseError):
-        load_text("n,re,im\n1,1\n")
-    with pytest.raises(CoefficientIndexError):
-        load_text("n,re,im\n1,1,0\n1,2,0\n")
-    with pytest.raises(CoefficientIndexError):
-        load_text("n,re,im\n1,1,0\n3,2,0\n")
-    with pytest.raises(CoefficientNormalizationError):
-        load_text("n,re,im\n1,2,0\n")
+        load_coefficients(p)
+    assert str(err.value) == "line 4: bytes that are not UTF-8 (invalid start byte)"
+
+
+def _per_line_load(path):
+    # the reference: the whole file as one string, one _parse_row per line
+    # and a dict of rows
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    rows = {}
+    header_seen = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not header_seen:
+            assert line == _HEADER
+            header_seen = True
+            continue
+        n, val = coeffs._parse_row(line, lineno)
+        assert n not in rows
+        rows[n] = val
+    x_max = max(rows)
+    assert x_max <= MAX_X_MAX and all(n in rows for n in range(1, x_max + 1))
+    values = np.zeros(x_max + 1, dtype=complex)
+    for n, val in rows.items():
+        values[n] = val
+    return CoefficientTable(values=values, x_max=x_max, source=str(path))
+
+
+# files the loader must read exactly as the per-line reference does
+LOADER_INPUTS = {
+    "crlf": "n,re,im\r\n1,1,0\r\n2,0.5,-0.25\r\n3,1e-300,2.5e300\r\n",
+    "blank lines": "\n\nn,re,im\n1,1,0\n\n   \n2,3,4\n\n\n3,5,6\n\n",
+    "whitespace": "  n,re,im \n\t1 , 1 ,0\n 2,\t-0.5 , 7\t\n",
+    "no final newline": "n,re,im\n1,1,0\n2,0.1,0.2",
+    "out of order": "n,re,im\n3,3,0\n1,1,0\n4,4,0\n2,2,0\n",
+    "python syntax": ("n,re,im\n+1,1,0\n2,nan,-0.0\n3,-nan,inf\n"
+                      "1_0,1_0.5,-1e-5\n4,0,0\n5,1,1\n6,2,2\n7,3,3\n8,4,4\n"
+                      "9,-0.0,0.0\n"),
+}
+
+
+@pytest.mark.parametrize("block", [None, 7, 64])
+def test_load_matches_the_per_line_reader(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
+    p = tmp_path / "t.csv"
+    tables = list(LOADER_INPUTS.values())
+    save_coefficients(synth_eisenstein(LanglandsParams(), 300), p)
+    tables.append(p.read_text(encoding="utf-8"))
+    for text in tables:
+        p.write_bytes(text.encode("utf-8"))
+        got, want = load_coefficients(p), _per_line_load(p)
+        assert got.x_max == want.x_max
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("block", [7, 64])
+def test_load_refuses_alike_in_small_blocks(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
+    _assert_refusals(tmp_path / "bad.csv")
+
+
+def test_load_memory_stays_bounded(tmp_path):
+    table = synth_eisenstein(LanglandsParams(), 100_000)
+    p = tmp_path / "t.csv"
+    save_coefficients(table, p)
+    tracemalloc.start()
+    try:
+        back = load_coefficients(p)
+        peak = tracemalloc.get_traced_memory()[1]
+        # a file claiming n = 9,999,999 in two rows is refused before any
+        # table that size (160 MB) is allocated
+        p.write_text("n,re,im\n1,1,0\n9999999,1,0\n", encoding="utf-8")
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CoefficientIndexError):
+            load_coefficients(p)
+        claim_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * back.values.nbytes
+    assert claim_peak < 10**6
 
 
 def test_round_trip_is_bit_identical(tmp_path):
@@ -123,13 +237,15 @@ def _per_row_save(table, path):
             fh.write(f"{n},{v.real!r},{v.imag!r}\n")
 
 
-def test_save_matches_the_per_row_writer(tmp_path):
+def test_save_matches_the_per_row_writer(tmp_path, monkeypatch):
     edge = _table([1.0, -0.0 + 5e-324j, 2.5e-310 - 0.0j, 1e300 - 1e-300j,
                    -1.0 / 3.0 + 0.1j, 0.0 - 0.0j])
-    for table in (edge, synth_eisenstein(LanglandsParams(), 1000)):
-        save_coefficients(table, tmp_path / "one.csv")
-        _per_row_save(table, tmp_path / "rows.csv")
-        assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    for rows in (coeffs._SAVE_ROWS, 1, 4):
+        monkeypatch.setattr(coeffs, "_SAVE_ROWS", rows)
+        for table in (edge, synth_eisenstein(LanglandsParams(), 3000)):
+            save_coefficients(table, tmp_path / "one.csv")
+            _per_row_save(table, tmp_path / "rows.csv")
+            assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_synth_matches_bruteforce_triple_sums():
