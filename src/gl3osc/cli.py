@@ -5,7 +5,8 @@ Each command runs one named battery and emits a deterministic report; the
 and coefficients first, integral laws, then the heavy sum routes) and keeps
 going after the first failure. A command accepts only the flags it reads
 (READS) plus --out. Exit codes: 0 all checks pass, 1 assertion failure, 2
-configuration error (an ignored flag included), 3 numerical non-convergence.
+configuration error (an ignored flag or an --out that cannot be written
+included), 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -196,13 +197,16 @@ def run(config: RunConfig) -> Report:
 def _write_artifacts(config: RunConfig, report: Report) -> None:
     if config.out_path is None:
         return
-    report.write_json(config.out_path)
-    if config.command == "scaling":
-        out = report.outputs
-        rows = list(zip(config.grid or criteria.SCALING_T_GRID,
-                        out["normalized"]))
-        write_table_csv(str(config.out_path) + ".csv",
-                        ("T", "normalized_abs_z"), rows)
+    try:
+        report.write_json(config.out_path)
+        if config.command == "scaling":
+            out = report.outputs
+            rows = list(zip(config.grid or criteria.SCALING_T_GRID,
+                            out["normalized"]))
+            write_table_csv(str(config.out_path) + ".csv",
+                            ("T", "normalized_abs_z"), rows)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

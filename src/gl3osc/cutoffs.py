@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
-from .util import GL16, _lattice_exp, gl_panels
+from .util import GL16, _lattice_exp, _line_shells, gl_panels
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -313,19 +313,18 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
 
 
 def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
-    """Reconstruct f at every point of y from its Mellin transform on a
-    truncated vertical line.
+    """Reconstruct f at every point of y from its Mellin transform H on
+    the line Re(s) = c = INVERT_RE_LINE: (1/2 pi) int H(c + it) y^-(c + it) dt.
 
-    (1/2*pi) integral over |t| <= S of H(c + it) y^-(c + it) dt with
-    c = INVERT_RE_LINE, from S = INVERT_IM_START, doubling S. Each half of
-    a shell S < |t| <= 2S is one `mellin_on_line` call for the whole batch,
-    on GL16 panels whose count is set by the largest max(|log y|, 1) of the
-    batch, so points whose |log y| are all at most 1 (A08's) keep each lone
-    point's grid and bits. Each point keeps its own stopping rule: its
-    total is frozen once its added shell is below INVERT_TOL / 2, and the
-    shells double until every point's is. Superpolynomial decay of H for
-    smooth compactly supported f makes this converge quickly. A scalar y
-    gives a complex, an array an array of its shape.
+    The shells double on `_line_shells` from |t| <= INVERT_IM_START: each
+    point's total is frozen after its first added shell below INVERT_TOL / 2,
+    and a point still adding after eight doublings raises
+    TailNotConvergedError. Each half-shell is one `mellin_on_line` call for
+    the batch, on GL16 panels whose count is set by the largest
+    max(|log y|, 1), so points with |log y| <= 1 (A08's) keep each lone
+    point's grid and bits. H decays superpolynomially for a smooth compactly
+    supported f, so few shells are needed. A scalar y gives a complex, an
+    array an array of its shape.
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
@@ -339,17 +338,8 @@ def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
         hv = mellin_on_line(f, INVERT_RE_LINE, t)
         return np.sum(wts * (hv * flat[:, None] ** (-(INVERT_RE_LINE + 1j * t))), axis=1)
 
-    s = INVERT_IM_START
-    total = shell(-s, s)
-    live = np.ones(flat.size, dtype=bool)
-    for _ in range(8):
-        added = shell(s, 2.0 * s) + shell(-2.0 * s, -s)
-        total[live] += added[live]
-        live &= np.abs(added) >= 0.5 * INVERT_TOL
-        if not live.any():
-            # divided as Python complexes: numpy's array / scalar multiplies
-            # by the reciprocal, which rounds differently
-            out = np.array([complex(v) / (2.0 * np.pi) for v in total])
-            return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
-        s *= 2.0
-    raise MellinDivergenceError("inversion tail did not converge")
+    total = _line_shells(shell, INVERT_IM_START, INVERT_TOL, INVERT_IM_START * 2**7)
+    # divided as Python complexes: numpy's array / scalar multiplies by the
+    # reciprocal, which rounds differently
+    out = np.array([complex(v) / (2.0 * np.pi) for v in total])
+    return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)

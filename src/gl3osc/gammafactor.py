@@ -28,6 +28,11 @@ contour quadrature serves a whole batch of z on one shared grid: F(-s) (exact,
 from the cutoff's Mellin line) and gamma are evaluated once per node, and each
 z adds only its exponential and its sum.  `g_kernel` is the batch of one;
 `GKernelTable` tabulates a batch per grid.
+
+The contour, the line mass C_F (`f_line_mass`) and `cutoffs.mellin_invert`
+double their shells along a vertical line in one driver, `util._line_shells`:
+each point of a batch stops after its first added shell below tol/2, none is
+cut at a fixed height, and one still adding past a cap raises.
 """
 
 from __future__ import annotations
@@ -39,13 +44,8 @@ from scipy.interpolate import CubicSpline
 from scipy.special import loggamma
 
 from .cutoffs import h0_cutoff, mellin_on_line
-from .errors import (
-    ConfigError,
-    GammaPoleError,
-    TailNotConvergedError,
-    ToleranceUnreachableError,
-)
-from .util import GL16, TWO_PI, adaptive_edges, gl_panels, kahan_csum
+from .errors import ConfigError, GammaPoleError, ToleranceUnreachableError
+from .util import GL16, TWO_PI, _line_shells, adaptive_edges, gl_panels, kahan_csum
 
 #: Tempered self-dual-ish default triple; purely imaginary, summing to zero.
 DEFAULT_ALPHA = (0.5j, -0.3j, -0.2j)
@@ -56,12 +56,12 @@ _POLE_EPS = 1e-12
 # exhaust memory
 _SHELL_MAX_PANELS = 1 << 18
 
-# every contour integral first takes |Im s| <= CONTOUR_IM_START, then doubles
-# the height until the added shells fall below tolerance
+# half-height |Im s| of every contour integral's first shell
 CONTOUR_IM_START = 48.0
 
-# f_line_mass integrates |F(it)| no higher than this
-LINE_MASS_IM_CUT = 512.0
+# f_line_mass raises rather than add shells past this height; its shells
+# stop near 2048 for T from 11 to 1e5
+LINE_MASS_TOP = 4096.0
 
 # exponents of the dyadic window h0 whose Mellin transform F enters the
 # kernel: h0(y) = h(y T^eps) - h(y T^kappa)
@@ -141,11 +141,7 @@ def gamma_pi_line(s: np.ndarray, params: LanglandsParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Vertical line Re(s) = re_line for the kernel's contour integral.
-
-    Integration starts at |Im s| <= CONTOUR_IM_START and keeps doubling the
-    height until the newly added shells fall below tolerance.
-    """
+    """Vertical line Re(s) = re_line for the kernel's contour integral."""
 
     re_line: float = 0.0
 
@@ -155,28 +151,27 @@ class ContourSpec:
 
 
 def f_line_mass(T: float) -> float:
-    """(1 / 2 pi) * int |F(it)| dt for the dyadic-window cutoff's Mellin
-    transform F, truncated once shells stop contributing or at
-    |t| = LINE_MASS_IM_CUT.
+    """(1 / 2 pi) * int |F(it)| dt over the whole line, for the dyadic-window
+    cutoff's Mellin transform F: GL16 shells on `_line_shells`, frozen after
+    the first shell that adds less than 5e-13.
 
     This is the constant C with |G(z)| <= C * max |gamma| on the Re(s) = 0
-    line; it grows like log T through the window's width.  |F(-it)| equals
-    |F(it)| because the cutoff is real, so only t >= 0 is integrated.
+    line; it grows like log T through the window's width.
     """
     h0 = h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
-    total = 0.0
-    lo, hi = 0.0, 8.0
-    while True:
-        ts = np.linspace(lo, hi, max(128, int(64 * (hi - lo))))
-        vals = np.abs(mellin_on_line(h0, 0.0, ts))
-        shell = float(np.trapezoid(vals, ts))
-        total += shell
-        if lo > 0.0 and shell < 1e-12 * max(total, 1.0):
-            break
-        if hi >= LINE_MASS_IM_CUT:
-            break
-        lo, hi = hi, min(2.0 * hi, LINE_MASS_IM_CUT)
-    return 2.0 * total / TWO_PI
+    # h0(e^u) = R(u + eps log T) - R(u + kappa log T) for one ramp R, so F(it)
+    # carries the factor e^(-it eps log T) - e^(-it kappa log T) and |F| has
+    # a kink at each of its zeros.  Panel edges on a lattice through them, at
+    # most 8 apart, leave GL16 only smooth pieces.
+    zero = TWO_PI / ((KERNEL_KAPPA - KERNEL_EPS) * np.log(T))
+    step = zero / np.ceil(zero / 8.0)
+
+    def shell(lo: float, hi: float) -> np.ndarray:
+        lattice = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1.0)
+        ts, wts = gl_panels(np.unique(np.concatenate([[lo, hi], lattice])), *GL16)
+        return np.array([np.sum(wts * np.abs(mellin_on_line(h0, 0.0, ts)))])
+
+    return float(_line_shells(shell, 16.0, 1e-12, LINE_MASS_TOP)[0]) / TWO_PI
 
 
 def _auto_re_line(z: float) -> float:
@@ -188,12 +183,8 @@ def _auto_re_line(z: float) -> float:
     return -3.0 if z < 0.25 else 0.0
 
 
-def g_kernel(
-    z: float,
-    T: float,
-    contour: ContourSpec | None = None,
-    tol: float = 1e-8,
-) -> complex:
+def g_kernel(z: float, T: float, contour: ContourSpec | None = None,
+             tol: float = 1e-8) -> complex:
     """Inverse-Mellin kernel G(z) by explicit contour integration.
 
     With contour=None the line is chosen automatically: deep (very negative)
@@ -221,8 +212,10 @@ def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
     (exactly, by `mellin_on_line` for the (kappa, eps) window) and gamma once,
     and each z adds one exponential and one compensated sum.  Panels span
     two cycles of the fastest local phase over the batch, the Mellin
-    factor's own band included, and the shells double until every z's added
-    shell is below tol/2.  A batch of one is exactly g_kernel's grid.
+    factor's own band included.  The shells double on `_line_shells` from
+    |Im s| <= CONTOUR_IM_START: each z's value is frozen after its first
+    added shell below tol/2, and a z still adding past height 16 T raises
+    TailNotConvergedError.  A batch of one is exactly g_kernel's grid.
     """
     h0 = h0_cutoff(T, kappa, eps)
     u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
@@ -248,18 +241,7 @@ def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
         return np.array([kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
                          for log_x in log_xs])
 
-    total = shell(-CONTOUR_IM_START, CONTOUR_IM_START)
-    lo = CONTOUR_IM_START
-    while True:
-        hi = 2.0 * lo
-        added = shell(lo, hi) + shell(-hi, -lo)
-        total += added
-        worst = float(np.max(np.abs(added)))
-        if worst < max(tol, 1e-15) / 2.0:
-            return total
-        if hi > 16.0 * T:
-            raise TailNotConvergedError(f"contour tail still {worst:.3e} at height {hi:.0f}")
-        lo = hi
+    return _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T)
 
 
 def _model_phase(z, T: float, u_mid: float):
@@ -298,14 +280,8 @@ class GKernelTable:
     max_rel_error: float = np.nan
 
     @classmethod
-    def build(
-        cls,
-        z_lo: float,
-        z_hi: float,
-        T: float,
-        kappa: float = KERNEL_KAPPA,
-        eps: float = KERNEL_EPS,
-    ) -> "GKernelTable":
+    def build(cls, z_lo: float, z_hi: float, T: float, kappa: float = KERNEL_KAPPA,
+              eps: float = KERNEL_EPS) -> "GKernelTable":
         if not 0.0 < z_lo < z_hi:
             raise ConfigError("need 0 < z_lo < z_hi")
         if z_lo < 0.25:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientGridError, ToleranceUnreachableError
+from .errors import InsufficientGridError, TailNotConvergedError, ToleranceUnreachableError
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,6 +123,31 @@ def adaptive_edges(lo, hi, cap, span, rate, max_panels: int) -> np.ndarray:
         if len(edges) > max_panels + 1:
             raise ToleranceUnreachableError("panel budget exhausted while gridding")
     return np.asarray(edges)
+
+
+def _line_shells(shell, start: float, tol: float, top: float) -> np.ndarray:
+    """Shell-doubled integrals along a vertical line, one per point.
+
+    shell(lo, hi) returns each point's integral over lo < t < hi. The sum
+    starts with shell(-start, start) and adds shell(lo, 2 lo) +
+    shell(-2 lo, -lo) for lo = start, 2 start, .... Each point's total is
+    frozen after its first added shell below tol / 2; a point still live
+    once the height passes `top` raises TailNotConvergedError.
+    """
+    total = shell(-start, start)
+    live = np.ones(np.shape(total), dtype=bool)
+    lo = start
+    while True:
+        hi = 2.0 * lo
+        added = shell(lo, hi) + shell(-hi, -lo)
+        total[live] += added[live]
+        live &= np.abs(added) >= tol / 2.0
+        if not live.any():
+            return total
+        if hi > top:
+            worst = float(np.max(np.abs(added[live])))
+            raise TailNotConvergedError(f"tail still {worst:.3e} at height {hi:.0f}")
+        lo = hi
 
 
 def loglog_slope(xs, ys) -> tuple[float, float]:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gl3osc import cli, criteria, whittaker
+from gl3osc import cli, criteria, cutoffs, whittaker
 from gl3osc.cli import RunConfig, config_from_args, build_parser, main, run
 from gl3osc.errors import ConfigError
 from gl3osc.reports import Check, Report, encode_value
@@ -146,6 +146,23 @@ def test_bump_command_end_to_end(tmp_path, capsys):
     assert report["first_failure"] is None
     # the file is canonical: re-serialized, it reproduces itself byte for byte
     assert json.dumps(report, sort_keys=True, indent=2) + "\n" == out.read_text()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # the checks run, but a report that cannot be written is no pass
+    out = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main(["bump", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: cannot write report: " in captured.err
+    assert str(out) in captured.err
+    assert "all checks passed" not in captured.out
+    assert not out.parent.exists()
+
+
+def test_bump_exits_3_when_the_inversion_does_not_converge(monkeypatch, capsys):
+    monkeypatch.setattr(cutoffs, "INVERT_TOL", 0.0)
+    assert main(["bump"]) == 3
+    assert "non-convergence: tail still " in capsys.readouterr().err
 
 
 def test_report_inputs_are_the_fields_the_command_reads(tmp_path, monkeypatch):

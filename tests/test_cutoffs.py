@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gl3osc import cutoffs
 from gl3osc.cutoffs import (
     ONE_OVER_2PI,
     ONE_OVER_4PI,
@@ -19,7 +20,8 @@ from gl3osc.cutoffs import (
     v0_cutoff,
     weight_w0_w,
 )
-from gl3osc.errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
+from gl3osc.errors import (ConfigError, MellinDivergenceError, TailNotConvergedError,
+                           ToleranceUnreachableError)
 
 # pinned value of the mollifier bump at 1/(2*pi) with c1 = 1; equals
 # exp(-49/48) because 1/(2*pi) maps to u = -1/7 on the reference interval
@@ -262,3 +264,10 @@ def test_mellin_invert_rejects_nonpositive_point():
     with pytest.raises(ConfigError):
         mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), 0.0)
 
+
+
+def test_mellin_invert_raises_when_its_tail_never_settles(monkeypatch):
+    # at tol 0 no shell is small enough: eight doublings from 64, then refused
+    monkeypatch.setattr(cutoffs, "INVERT_TOL", 0.0)
+    with pytest.raises(TailNotConvergedError, match=r"^tail still \S+ at height 16384$"):
+        mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), [0.5, 0.9])

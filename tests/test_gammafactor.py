@@ -23,7 +23,7 @@ from gl3osc.gammafactor import (
     gamma_pi,
     gamma_pi_line,
 )
-from gl3osc.util import TWO_PI, loglog_slope
+from gl3osc.util import TWO_PI, _line_shells, loglog_slope
 
 ZERO_PARAMS = LanglandsParams(alpha=(0.0j, 0.0j, 0.0j))
 
@@ -133,6 +133,31 @@ def test_f_line_mass_pinned():
     got = f_line_mass(500.0)
     assert abs(got - C_F_500) < 1e-3
     assert f_line_mass(200.0) > 0.0
+
+
+@pytest.mark.parametrize("T", [11.0, 500.0, 1e5])
+def test_f_line_mass_converges_with_no_height_cut(monkeypatch, T):
+    # watch the driver: its tolerance, its cap, the shell and the height it
+    # stopped at; the next shell above that adds less than the tolerance
+    seen = {}
+
+    def watched(shell, start, tol, top):
+        heights = []
+
+        def traced(lo, hi):
+            heights.append(max(abs(lo), abs(hi)))
+            return shell(lo, hi)
+
+        total = _line_shells(traced, start, tol, top)
+        seen.update(shell=shell, tol=tol, top=top, height=max(heights))
+        return total
+
+    monkeypatch.setattr(gammafactor, "_line_shells", watched)
+    mass = f_line_mass(T)
+    assert 0.0 < mass < 2.0
+    h, shell = seen["height"], seen["shell"]
+    assert h < seen["top"]
+    assert abs(float((shell(h, 2.0 * h) + shell(-2.0 * h, -h))[0])) < seen["tol"]
 
 
 def test_g_kernel_bounded_by_line_mass():

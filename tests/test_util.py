@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3osc.errors import InsufficientGridError, ToleranceUnreachableError
-from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, adaptive_edges, e,
-                         gl_panels, is_prime, kahan_add, kahan_csum, kahan_sum, loglog_slope,
-                         primes_in)
+from gl3osc.errors import InsufficientGridError, TailNotConvergedError, ToleranceUnreachableError
+from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, _line_shells,
+                         adaptive_edges, e, gl_panels, is_prime, kahan_add, kahan_csum,
+                         kahan_sum, loglog_slope, primes_in)
 
 
 def test_unit_exponential_special_values():
@@ -170,6 +170,44 @@ def test_adaptive_edges_enforces_max_panels():
         adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, max_panels=3)
     with pytest.raises(ToleranceUnreachableError):
         adaptive_edges(0.0, 1.0, 1.0, 1.0, lambda x: 1e6, max_panels=1000)
+
+
+def _scripted(first, positive):
+    """A synthetic line: shell(-start, start) gives `first`, shell(lo, 2 lo)
+    gives positive[lo], the negative half gives nothing; every call is kept."""
+    calls = []
+
+    def shell(lo, hi):
+        calls.append((lo, hi))
+        if lo < 0.0 < hi:
+            return np.array(first, dtype=float)
+        return np.array(positive[lo] if lo > 0.0 else [0.0] * len(first), dtype=float)
+
+    return shell, calls
+
+
+def test_line_shells_freezes_each_point_on_its_own():
+    # point 0 settles at lo = 2 (1e-9 < tol/2); its 5.0 at lo = 4 comes while
+    # point 1 is still adding, and must not reach its total
+    shell, calls = _scripted([1.0, 1.0], {1.0: [0.1, 0.1], 2.0: [1e-9, 0.1],
+                                          4.0: [5.0, 0.1], 8.0: [7.0, 1e-9]})
+    total = _line_shells(shell, 1.0, 1e-6, 100.0)
+    assert total[0] == 1.0 + 0.1 + 1e-9
+    assert total[1] == 1.0 + 0.1 + 0.1 + 0.1 + 1e-9
+    assert calls == [(-1.0, 1.0), (1.0, 2.0), (-2.0, -1.0), (2.0, 4.0), (-4.0, -2.0),
+                     (4.0, 8.0), (-8.0, -4.0), (8.0, 16.0), (-16.0, -8.0)]
+
+
+def test_line_shells_refuses_a_point_live_past_top():
+    # point 1 settles at once; point 0 adds 0.5 per shell for ever, so after
+    # the shell up to 16 > top = 8 the tail it names is point 0's
+    shell, _ = _scripted([1.0, 1.0], {lo: [0.5, 3.0 if lo == 1.0 else 0.0]
+                                      for lo in (1.0, 2.0, 4.0, 8.0)})
+    with pytest.raises(TailNotConvergedError, match=r"^tail still 5\.000e-01 at height 16$"):
+        _line_shells(shell, 1.0, 1e-6, 8.0)
+    # a point that settles on the shell past top is returned, not refused
+    shell, _ = _scripted([1.0], {1.0: [0.5], 2.0: [0.5], 4.0: [0.5], 8.0: [0.0]})
+    assert _line_shells(shell, 1.0, 1e-6, 8.0)[0] == 2.5
 
 
 # fixed example stream, so Tier-1 runs the same draws every time
