@@ -199,8 +199,8 @@ def test_line_shells_freezes_each_point_on_its_own():
 
 
 def test_line_shells_refuses_a_point_live_past_top():
-    # point 1 settles at once; point 0 adds 0.5 per shell for ever, so after
-    # the shell up to 16 > top = 8 the tail it names is point 0's
+    # point 1 settles on its second shell; point 0 adds 0.5 per shell for
+    # ever, so after the shell up to 16 > top = 8 the tail named is point 0's
     shell, _ = _scripted([1.0, 1.0], {lo: [0.5, 3.0 if lo == 1.0 else 0.0]
                                       for lo in (1.0, 2.0, 4.0, 8.0)})
     with pytest.raises(TailNotConvergedError, match=r"^tail still 5\.000e-01 at height 16$"):
