@@ -11,6 +11,7 @@ included), 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -71,6 +72,11 @@ class RunConfig:
         if self.command not in COMMANDS:
             raise ConfigError(
                 f"unknown command {self.command!r}; choose from {COMMANDS}")
+        # NaN passes every comparison below and inf most of them
+        for name, value in (("T", self.T), ("tol", self.tol), ("kappa", self.kappa),
+                            ("c1", self.c1), *(("grid", t) for t in self.grid or ())):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, not {value}")
         if self.T <= 10.0:
             raise ConfigError("T must exceed 10 (desk-scale asymptotics)")
         if self.tol <= 0.0:

@@ -338,7 +338,8 @@ def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
         hv = mellin_on_line(f, INVERT_RE_LINE, t)
         return np.sum(wts * (hv * flat[:, None] ** (-(INVERT_RE_LINE + 1j * t))), axis=1)
 
-    total = _line_shells(shell, INVERT_IM_START, INVERT_TOL, INVERT_IM_START * 2**7)
+    total = _line_shells(shell, INVERT_IM_START, INVERT_TOL, INVERT_IM_START * 2**7,
+                         "inversion")
     # divided as Python complexes: numpy's array / scalar multiplies by the
     # reciprocal, which rounds differently
     out = np.array([complex(v) / (2.0 * np.pi) for v in total])

@@ -171,7 +171,7 @@ def f_line_mass(T: float) -> float:
         ts, wts = gl_panels(np.unique(np.concatenate([[lo, hi], lattice])), *GL16)
         return np.array([np.sum(wts * np.abs(mellin_on_line(h0, 0.0, ts)))])
 
-    return float(_line_shells(shell, 16.0, 1e-12, LINE_MASS_TOP)[0]) / TWO_PI
+    return float(_line_shells(shell, 16.0, 1e-12, LINE_MASS_TOP, "line-mass")[0]) / TWO_PI
 
 
 def _auto_re_line(z: float) -> float:
@@ -241,7 +241,7 @@ def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
         return np.array([kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
                          for log_x in log_xs])
 
-    return _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T)
+    return _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T, "contour")
 
 
 def _model_phase(z, T: float, u_mid: float):

@@ -17,30 +17,29 @@ oscillation, using the decreasing envelope
 
 Each panel gets a 16-point Gauss-Legendre rule with an embedded 8-point rule;
 the error estimate is 4x the summed embedded difference (conservative), plus a
-roundoff floor. If the estimate misses the tolerance the phase span per panel
-is halved and the grid rebuilt, until DEFAULT_EVAL_BUDGET evaluations are
-spent.
-Panel partial sums are reduced left to right with compensated summation, so
-results are bit-reproducible.
+roundoff floor. Panel partial sums are reduced left to right with compensated
+summation, so results are bit-reproducible. Both integrators run one loop,
+`_halve_spans`, over rows that share the amplitude (`integrate_phase` is one
+row): a pass grids for the largest |c_lin| among the live rows, evaluates A
+once per node, and a row keeps the first pass that meets its tolerance. The
+span per panel is halved from pi until every row has, within
+DEFAULT_EVAL_BUDGET evaluations.
 
 Shifted integrals come in batches only: the Poisson dual sum of a weighted
 n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
 once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
-`integrate_shifted` integrates every row on one shared grid per pass,
-paneled by the envelope of the largest n and r, which bounds every row's
-|Phi'|. A pass runs in blocks of panels, as many as let the block's shift
-table e(-r x/h) hold _TABLE_ELEMENTS complex numbers. In a block the
-weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row: each run of
-LATTICE_BLOCK consecutive n is one exact exponential times its weights
-summed by Horner's rule in w = e(-(T/N)/x). The shift table sits on the r
-lattice the same way: an exact exponential heads each run of LATTICE_BLOCK
-consecutive r, and a complex product fills in each further row. So a block
-holds one factor row and one table row per r whatever the number of n,
-and the batch product has one row per +-r; a -r row is the conjugate of
-the conjugated factor's product with the +r table. Each row keeps its own
-compensated sum in panel order and its own embedded-rule estimate, and
-keeps the first pass that meets its own tolerance; the span is halved
-until every row has.
+`integrate_shifted` grids by the largest n, which with the largest live r
+bounds every row's |Phi'|. A pass runs in blocks of panels, as many as let
+the block's shift table e(-r x/h) hold _TABLE_ELEMENTS complex numbers. In
+a block the weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row:
+each run of LATTICE_BLOCK consecutive n is one exact exponential times its
+weights summed by Horner's rule in w = e(-(T/N)/x). The shift table sits on
+the r lattice the same way: an exact exponential heads each run of
+LATTICE_BLOCK consecutive r, and a complex product fills in each further
+row. So a block holds one factor row and one table row per r whatever the
+number of n, and the batch product has one row per +-r; a -r row is the
+conjugate of the conjugated factor's product with the +r table. Each row
+keeps its own compensated sum and embedded-rule estimate, in panel order.
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -51,7 +50,6 @@ A - O of the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -138,10 +136,10 @@ class PanelGrid:
     """
 
     def __init__(self, lo: float, hi: float, c_log: float, c_inv: float,
-                 c_lin: float, span: float, max_panels: int):
+                 c_lin: float, span: float):
         a, b, c = float(abs(c_log)), float(TWO_PI * abs(c_inv)), float(TWO_PI * abs(c_lin))
-        edges = adaptive_edges(lo, hi, (hi - lo) / 8.0, span,
-                               lambda x: a / x + b / (x * x) + c, max_panels)
+        edges = adaptive_edges(lo, hi, (hi - lo) / 8.0, span, lambda x: a / x + b / (x * x) + c,
+                               max(64, DEFAULT_EVAL_BUDGET // 24))
         self.x16, _ = gl_panels(edges, *GL16)
         self.x8, _ = gl_panels(edges, *GL8)
         self.halfs = 0.5 * np.diff(edges)
@@ -263,37 +261,50 @@ def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.
     return c_log * np.log(x) - TWO_PI * c_inv / x - TWO_PI * c_lin * x
 
 
-def _check_budget(evals_used: int, grid: PanelGrid, achieved: Optional[float]) -> None:
-    """Raise once the next pass would overrun DEFAULT_EVAL_BUDGET."""
-    if evals_used + grid.evaluations > DEFAULT_EVAL_BUDGET:
-        if achieved is not None:
+def _halve_spans(amplitude: Cutoff, c_log: float, c_inv: float, c_lins: np.ndarray,
+                 tol: np.ndarray, reduce):
+    """The span-halving loop of the module docstring; row j has the linear
+    phase c_lins[j] and the tolerance tol[j].
+
+    reduce(grid, amp_values, live) turns A at grid.nodes into the value and
+    error estimate of each live row. A NaN estimate stays live. Returns
+    (values, errs, evaluations, panels of the last grid).
+    """
+    values = np.zeros(tol.size, dtype=complex)
+    errs = np.full(tol.size, np.inf)
+    live = np.ones(tol.size, dtype=bool)
+    c_lins = np.abs(c_lins)
+    span, evals_used = np.pi, 0
+    while True:
+        grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, c_log, c_inv,
+                         c_lins[live].max(), span)
+        if evals_used + grid.evaluations > DEFAULT_EVAL_BUDGET:
+            if not evals_used:
+                raise ToleranceUnreachableError("evaluation budget too small for one pass")
+            achieved = float(errs[live].max())
             raise ToleranceUnreachableError(
                 f"budget {DEFAULT_EVAL_BUDGET} exhausted; achieved {achieved:.3e}",
                 achieved=achieved)
-        raise ToleranceUnreachableError("evaluation budget too small for one pass")
+        evals_used += grid.evaluations
+        values[live], errs[live] = reduce(grid, amplitude.fn(grid.nodes), live)
+        live = ~(errs <= tol)  # a NaN estimate stays live
+        if not live.any():
+            return values, errs, evals_used, grid.panels
+        span *= 0.5
 
 
 def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
                     tol: float = DEFAULT_TOL) -> QuadResult:
     """Adaptive driver for the generic amplitude/phase family, over the
     amplitude's support, within DEFAULT_EVAL_BUDGET evaluations."""
-    a, b = amplitude.support_lo, amplitude.support_hi
-    if not (0.0 < a < b):
+    if not (0.0 < amplitude.support_lo < amplitude.support_hi):
         raise ConfigError("integration range must sit inside (0, inf)")
-    span = np.pi
-    evals_used = 0
-    err = None
-    while True:
-        grid = PanelGrid(a, b, c_log, c_inv, c_lin, span,
-                         max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
-        _check_budget(evals_used, grid, err)
-        vals = amplitude.fn(grid.nodes) * np.exp(1j * phase_values(grid.nodes, c_log, c_inv, c_lin))
-        evals_used += grid.evaluations
-        value, err = grid.reduce(vals)
-        if err <= tol:
-            return QuadResult(value=value, abs_err=err, panels=grid.panels,
-                              evaluations=evals_used)
-        span *= 0.5
+    values, errs, evaluations, panels = _halve_spans(
+        amplitude, c_log, c_inv, np.array([c_lin]), np.array([tol]),
+        lambda grid, amp, live: grid.reduce(
+            amp * np.exp(1j * phase_values(grid.nodes, c_log, c_inv, c_lin))))
+    return QuadResult(value=complex(values[0]), abs_err=float(errs[0]), panels=panels,
+                      evaluations=evaluations)
 
 
 def integrate_main(inst: OscInstance) -> QuadResult:
@@ -310,12 +321,8 @@ def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None,
     r >= 0 of `rs`, the step h > 0, and the integers n of `ns` with the
     complex weights `cs` (default inst.n alone, weight 1). `tol` is one
     tolerance per r, or one for all (default inst.tol), and every row must
-    meet its own. The rows share each pass:
-    one grid sized by the largest n and the largest live r, one evaluation
-    of the amplitude per node, and phases built on the n and r lattices
-    (see PanelGrid.reduce_rows). A row keeps the value of the
-    first pass that meets its tolerance; the phase span per panel is halved
-    until every row has, under DEFAULT_EVAL_BUDGET evaluations in all.
+    meet its own. The rows share each pass of `_halve_spans`, with phases
+    built on the n and r lattices (see PanelGrid.reduce_rows).
     """
     tol = inst.tol if tol is None else tol
     rs = np.asarray(rs)
@@ -324,31 +331,17 @@ def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None,
     if rs.dtype.kind != "i" or ns.dtype.kind != "i" or cs.shape != ns.shape:
         raise ConfigError("rs and ns must be integers, as the phase tables step "
                           "along them, and cs must hold one weight per n")
-    row_tol = np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), rs.shape), 2)
-    values = np.zeros(row_tol.size, dtype=complex)
-    errs = np.full(row_tol.size, np.inf)
-    live = np.ones(row_tol.size, dtype=bool)
-    amplitude = inst.amplitude
-    span = np.pi
-    evals_used = 0
-    while True:
+
+    def reduce(grid, amp_values, live):
         live_r = live.reshape(-1, 2).any(axis=1)
-        grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, -inst.T,
-                         ns.max() * inst.T / inst.N, rs[live_r].max() / h,
-                         span, max_panels=max(64, DEFAULT_EVAL_BUDGET // 24))
-        _check_budget(evals_used, grid,
-                      float(errs[live].max()) if evals_used else None)
-        evals_used += grid.evaluations
-        vals, est = grid.reduce_rows(amplitude.fn(grid.nodes), inst,
-                                     ns, cs, rs[live_r], h)
-        rows = np.repeat(live_r, 2)
-        fresh = live[rows]
-        values[rows] = np.where(fresh, vals, values[rows])
-        errs[rows] = np.where(fresh, est, errs[rows])
-        live = ~(errs <= row_tol)  # a NaN estimate stays live
-        if not live.any():
-            return ShiftedRows(values=values, abs_errs=errs, evaluations=evals_used)
-        span *= 0.5
+        vals, est = grid.reduce_rows(amp_values, inst, ns, cs, rs[live_r], h)
+        fresh = live[np.repeat(live_r, 2)]
+        return vals[fresh], est[fresh]
+
+    values, errs, evaluations, _ = _halve_spans(
+        inst.amplitude, -inst.T, ns.max() * inst.T / inst.N, np.repeat(rs / h, 2),
+        np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), rs.shape), 2), reduce)
+    return ShiftedRows(values=values, abs_errs=errs, evaluations=evaluations)
 
 
 def stationary_phase_main(inst: OscInstance) -> tuple[complex, float]:

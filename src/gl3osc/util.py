@@ -125,14 +125,15 @@ def adaptive_edges(lo, hi, cap, span, rate, max_panels: int) -> np.ndarray:
     return np.asarray(edges)
 
 
-def _line_shells(shell, start: float, tol: float, top: float) -> np.ndarray:
+def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.ndarray:
     """Shell-doubled integrals along a vertical line, one per point.
 
     shell(lo, hi) returns each point's integral over lo < t < hi. The sum
     starts with shell(-start, start) and adds shell(lo, 2 lo) +
     shell(-2 lo, -lo) for lo = start, 2 start, .... Each point's total is
     frozen after its first added shell below tol / 2; a point still live
-    once the height passes `top` raises TailNotConvergedError.
+    once the height passes `top` raises TailNotConvergedError, whose
+    message starts with `label`, the caller's name for its integral.
     """
     total = shell(-start, start)
     live = np.ones(np.shape(total), dtype=bool)
@@ -146,7 +147,7 @@ def _line_shells(shell, start: float, tol: float, top: float) -> np.ndarray:
             return total
         if hi > top:
             worst = float(np.max(np.abs(added[live])))
-            raise TailNotConvergedError(f"tail still {worst:.3e} at height {hi:.0f}")
+            raise TailNotConvergedError(f"{label} tail still {worst:.3e} at height {hi:.0f}")
         lo = hi
 
 

@@ -58,6 +58,21 @@ def test_invalid_kappa_exits_2(capsys):
     assert "kappa must lie" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["key-identity", "--t", "inf"], "T must be finite, not inf"),
+    (["zeta-local", "--t", "nan"], "T must be finite, not nan"),
+    (["zeta-local", "--tol", "nan"], "tol must be finite, not nan"),
+    (["amplified", "--kappa", "nan"], "kappa must be finite, not nan"),
+    (["bump", "--c1", "inf"], "c1 must be finite, not inf"),
+    (["oscint", "--grid", "nan,500,1000"], "grid must be finite, not nan"),
+    (["gamma", "--grid", "250,-inf"], "grid must be finite, not -inf"),
+])
+def test_non_finite_flags_exit_2_and_are_named(capsys, argv, named):
+    # NaN slips past every <= check, inf past the lower bounds
+    assert main(argv) == 2
+    assert f"config error: {named}\n" == capsys.readouterr().err
+
+
 # a valid value for each flag but --out
 FLAG_VALUES = {"--t": "300", "--tol": "1e-6", "--kappa": "0.1", "--c1": "1.5",
                "--coeffs": "table.csv", "--seed": "7", "--grid": "250,500,1000"}
@@ -162,7 +177,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 def test_bump_exits_3_when_the_inversion_does_not_converge(monkeypatch, capsys):
     monkeypatch.setattr(cutoffs, "INVERT_TOL", 0.0)
     assert main(["bump"]) == 3
-    assert "non-convergence: tail still " in capsys.readouterr().err
+    assert "non-convergence: inversion tail still " in capsys.readouterr().err
 
 
 def test_report_inputs_are_the_fields_the_command_reads(tmp_path, monkeypatch):

@@ -268,5 +268,5 @@ def test_mellin_invert_rejects_nonpositive_point():
 def test_mellin_invert_raises_when_its_tail_never_settles(monkeypatch):
     # at tol 0 no shell is small enough: eight doublings from 64, then refused
     monkeypatch.setattr(cutoffs, "INVERT_TOL", 0.0)
-    with pytest.raises(TailNotConvergedError, match=r"^tail still \S+ at height 16384$"):
+    with pytest.raises(TailNotConvergedError, match=r"^inversion tail still \S+ at height 16384$"):
         mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), [0.5, 0.9])

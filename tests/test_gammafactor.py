@@ -7,6 +7,7 @@ from gl3osc.errors import (
     ConfigError,
     GammaPoleError,
     InsufficientGridError,
+    TailNotConvergedError,
     ToleranceUnreachableError,
 )
 from gl3osc.gammafactor import (
@@ -141,14 +142,14 @@ def test_f_line_mass_converges_with_no_height_cut(monkeypatch, T):
     # stopped at; the next shell above that adds less than the tolerance
     seen = {}
 
-    def watched(shell, start, tol, top):
+    def watched(shell, start, tol, top, label):
         heights = []
 
         def traced(lo, hi):
             heights.append(max(abs(lo), abs(hi)))
             return shell(lo, hi)
 
-        total = _line_shells(traced, start, tol, top)
+        total = _line_shells(traced, start, tol, top, label)
         seen.update(shell=shell, tol=tol, top=top, height=max(heights))
         return total
 
@@ -252,3 +253,10 @@ def test_kernel_table_range_enforcement():
         table(2.5)
     with pytest.raises(ConfigError):
         GKernelTable.build(0.1, 2.0, 200.0)  # below the shallow-contour range
+
+
+def test_line_mass_refusal_names_its_integral(monkeypatch):
+    # C_F settles near |t| = 2048, so a cap of 32 leaves it live at 64
+    monkeypatch.setattr(gammafactor, "LINE_MASS_TOP", 32.0)
+    with pytest.raises(TailNotConvergedError, match=r"^line-mass tail still \S+ at height 64$"):
+        f_line_mass(500.0)

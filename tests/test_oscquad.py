@@ -242,7 +242,7 @@ def test_shifted_pass_memory_does_not_grow_with_the_number_of_n():
     inst = OscInstance(T=T, n=n0, N=N)
     amp = inst.amplitude
     grid = PanelGrid(amp.support_lo, amp.support_hi, -T, (n0 + 399) * T / N, 8.0,
-                     np.pi / 8.0, max_panels=10**6)
+                     np.pi / 8.0)
     assert grid.panels * 24 * 8 > 4 * oscquad._TABLE_ELEMENTS
     values = amp.fn(grid.nodes)
     rs = np.arange(1, 9)
@@ -304,4 +304,58 @@ def test_evaluation_budget_enforced(monkeypatch):
     inst = OscInstance(T=1000.0, n=1000, N=TWO_PI * 1000.0)
     with pytest.raises(ToleranceUnreachableError):
         integrate_main(inst)
+
+
+# T = 20, n = 1, N = 4: 25 panels (600 evaluations) at span pi for the main
+# integral (integrate_phase's batch of one), 28 with the shift r/h = 1
+SMALL = OscInstance(T=20.0, n=1, N=4.0)
+BOTH_INTEGRATORS = {"phase": integrate_main,
+                    "shifted": lambda inst: integrate_shifted(inst, rs=[0, 1], h=1.0)}
+
+
+@pytest.mark.parametrize("integrate", BOTH_INTEGRATORS.values(), ids=BOTH_INTEGRATORS)
+def test_budget_too_small_for_one_pass_is_refused(monkeypatch, integrate):
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
+    with pytest.raises(ToleranceUnreachableError,
+                       match="^evaluation budget too small for one pass$") as info:
+        integrate(SMALL)
+    assert np.isnan(info.value.achieved)
+
+
+def test_phase_budget_refusal_reports_the_last_estimate(monkeypatch):
+    # the first pass fits, its refinement does not fit beside it
+    amp = SMALL.amplitude
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -20.0, 5.0, 0.0, np.pi)
+    phase = phase_values(grid.nodes, -20.0, 5.0, 0.0)
+    _, err = grid.reduce(amp.fn(grid.nodes) * np.exp(1j * phase))
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", grid.evaluations + 1)
+    with pytest.raises(ToleranceUnreachableError, match="exhausted; achieved") as info:
+        BOTH_INTEGRATORS["phase"](replace(SMALL, tol=1e-30))
+    assert info.value.achieved == err
+
+
+def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
+    # r = 40 meets its loose tolerance on the first pass, with a larger
+    # estimate than r = 0 has; only r = 0's rows, still live, may be named
+    inst = OscInstance(T=100.0, n=3, N=10.0)
+    amp, rs, h = inst.amplitude, np.array([0, 40]), 0.25
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -100.0, 30.0, 40 / h, np.pi)
+    _, est = grid.reduce_rows(amp.fn(grid.nodes), inst, np.array([3]), np.array([1.0 + 0j]), rs, h)
+    assert est[2:].min() > est[:2].max()
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", grid.evaluations + 1)
+    with pytest.raises(ToleranceUnreachableError, match="exhausted; achieved") as info:
+        integrate_shifted(inst, rs, h, tol=[1e-30, 1e-6])
+    assert info.value.achieved == est[:2].max()
+
+
+@pytest.mark.parametrize("integrate", BOTH_INTEGRATORS.values(), ids=BOTH_INTEGRATORS)
+def test_nan_amplitude_is_refused_not_returned(monkeypatch, integrate):
+    # a NaN estimate never meets a tolerance, so the passes run to the budget
+    probe = probe_amplitude()
+    amp = Cutoff(support_lo=0.5, support_hi=2.0,
+                 fn=lambda x: np.where(x > 1.3, np.nan, probe.fn(x)))
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
+    with pytest.raises(ToleranceUnreachableError, match="exhausted; achieved nan") as info:
+        integrate(replace(SMALL, amplitude=amp))
+    assert np.isnan(info.value.achieved)
 

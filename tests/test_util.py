@@ -191,7 +191,7 @@ def test_line_shells_freezes_each_point_on_its_own():
     # point 1 is still adding, and must not reach its total
     shell, calls = _scripted([1.0, 1.0], {1.0: [0.1, 0.1], 2.0: [1e-9, 0.1],
                                           4.0: [5.0, 0.1], 8.0: [7.0, 1e-9]})
-    total = _line_shells(shell, 1.0, 1e-6, 100.0)
+    total = _line_shells(shell, 1.0, 1e-6, 100.0, "test")
     assert total[0] == 1.0 + 0.1 + 1e-9
     assert total[1] == 1.0 + 0.1 + 0.1 + 0.1 + 1e-9
     assert calls == [(-1.0, 1.0), (1.0, 2.0), (-2.0, -1.0), (2.0, 4.0), (-4.0, -2.0),
@@ -203,11 +203,11 @@ def test_line_shells_refuses_a_point_live_past_top():
     # ever, so after the shell up to 16 > top = 8 the tail named is point 0's
     shell, _ = _scripted([1.0, 1.0], {lo: [0.5, 3.0 if lo == 1.0 else 0.0]
                                       for lo in (1.0, 2.0, 4.0, 8.0)})
-    with pytest.raises(TailNotConvergedError, match=r"^tail still 5\.000e-01 at height 16$"):
-        _line_shells(shell, 1.0, 1e-6, 8.0)
+    with pytest.raises(TailNotConvergedError, match=r"^test tail still 5\.000e-01 at height 16$"):
+        _line_shells(shell, 1.0, 1e-6, 8.0, "test")
     # a point that settles on the shell past top is returned, not refused
     shell, _ = _scripted([1.0], {1.0: [0.5], 2.0: [0.5], 4.0: [0.5], 8.0: [0.0]})
-    assert _line_shells(shell, 1.0, 1e-6, 8.0)[0] == 2.5
+    assert _line_shells(shell, 1.0, 1e-6, 8.0, "test")[0] == 2.5
 
 
 # fixed example stream, so Tier-1 runs the same draws every time
