@@ -25,9 +25,12 @@ guarantee near it (z = 0.2 at T = 100 converges at tol 1e-8, not at 1e-10).
 
 Of the integrand only X^s = (T^3 / (4 pi^2 z))^s depends on z.  So one
 contour quadrature serves a whole batch of z on one shared grid: F(-s) (exact,
-from the cutoff's Mellin line) and gamma are evaluated once per node, and each
-z adds only its exponential and its sum.  `g_kernel` is the batch of one;
-`GKernelTable` tabulates a batch per grid.
+from the cutoff's Mellin line), gamma and the weight are multiplied once per
+node, and the batch's rows exp(i t log X_z) meet them in one matrix product
+per block of nodes.  A geometric run of z makes log X_z a progression, so its
+rows are products on an integer lattice; X_z^sigma scales each row's sum.
+`g_kernel` is the batch of one; `GKernelTable` tabulates its grid as one
+progression.
 
 The contour, the line mass C_F (`f_line_mass`) and `cutoffs.mellin_invert`
 double their shells along a vertical line in one driver, `util._line_shells`:
@@ -43,9 +46,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.special import loggamma
 
-from .cutoffs import h0_cutoff, mellin_on_line
+from .cutoffs import _LINE_CHUNK, h0_cutoff, mellin_on_line
 from .errors import ConfigError, GammaPoleError, ToleranceUnreachableError
-from .util import GL16, TWO_PI, _line_shells, adaptive_edges, gl_panels, kahan_csum
+from .util import (GL16, TWO_PI, _lattice_exp, _line_shells, adaptive_edges, gl_panels,
+                   kahan_csum)
 
 #: Tempered self-dual-ish default triple; purely imaginary, summing to zero.
 DEFAULT_ALPHA = (0.5j, -0.3j, -0.2j)
@@ -194,34 +198,46 @@ def g_kernel(z: float, T: float, contour: ContourSpec | None = None,
     moderate z with TailNotConvergedError (see the module docstring).  The
     value is `_contour_quad`'s batch of one.
     """
-    if z <= 0.0:
-        raise ConfigError("kernel argument must be positive")
-    if T <= 1.0:
-        raise ConfigError("T must exceed 1")
+    # compared so that NaN fails
+    if not 0.0 < z < np.inf:
+        raise ConfigError("kernel argument must be positive and finite")
+    if not 1.0 < T < np.inf:
+        raise ConfigError("T must be finite and exceed 1")
     if contour is None:
         contour = ContourSpec(re_line=_auto_re_line(z))
     return complex(_contour_quad([z], T, contour.re_line, tol, KERNEL_KAPPA, KERNEL_EPS)[0])
 
 
-def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
-                  eps: float) -> np.ndarray:
-    """G(z) for every z of zs: shell-doubled GL16 quadrature of the kernel
-    integrand along Re(s) = sigma, all z on one shared grid.
+def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
+                  eps: float, step: float = 0.0, count: int = 1) -> np.ndarray:
+    """G(z) for the batch z = head * exp(k step), k < count, of each head:
+    shell-doubled GL16 quadrature of the kernel integrand along
+    Re(s) = sigma, all z on one shared grid, head by head in that order.
 
-    Only X^s = exp(s log X_z) depends on z, so each node evaluates F(-s)
-    (exactly, by `mellin_on_line` for the (kappa, eps) window) and gamma once,
-    and each z adds one exponential and one compensated sum.  Panels span
-    two cycles of the fastest local phase over the batch, the Mellin
-    factor's own band included.  The shells double on `_line_shells` from
-    |Im s| <= CONTOUR_IM_START: each z's value is frozen after its first
-    added shell below tol/2, and a z still adding past height 16 T raises
-    TailNotConvergedError.  A batch of one is exactly g_kernel's grid.
+    Only X^s = X_z^sigma exp(i t log X_z) depends on z, so each node
+    evaluates base = F(-s) gamma w once (F exactly, by `mellin_on_line` for
+    the (kappa, eps) window). log X_z = log X_head - k step, so the rows
+    exp(i t log X_z) are `_lattice_exp` tables on k: a few exact
+    exponentials per node for a whole progression, and np.exp's own bits
+    for a head of count one. Nodes go in blocks whose phase table holds
+    about _LINE_CHUNK elements; each block is one product rows @ base, each
+    z's block partials are joined by one compensated sum, and X_z^sigma
+    scales that sum. Panels span two cycles of the fastest local phase over
+    the batch, the Mellin factor's own band included. The shells double on
+    `_line_shells` from |Im s| <= CONTOUR_IM_START: each z's value is frozen
+    after its first added shell below tol/2, and a z still adding past
+    height 16 T raises TailNotConvergedError. A batch of one is exactly
+    g_kernel's grid.
     """
     h0 = h0_cutoff(T, kappa, eps)
     u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
-    # per z, as scalars: a batch of one rounds as a lone z always has
-    log_xs = [3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z) for z in zs]
-    x_lo, x_hi = min(log_xs), max(log_xs)
+    # per head, as scalars: a lone head rounds as a lone z always has
+    log_heads = np.array([3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z) for z in heads])
+    # rows k-major, as `_lattice_exp` lays out its offsets
+    log_xs = (log_heads - step * np.arange(count)[:, None]).ravel()
+    x_lo, x_hi = float(np.min(log_xs)), float(np.max(log_xs))
+    scales = np.exp(sigma * log_xs)
+    width = max(1, _LINE_CHUNK // log_xs.size)
 
     def local_freq(t: float) -> float:
         # phase rate of X^(it) * gamma(1/2 + sigma + i(T + t)), fastest over
@@ -235,13 +251,19 @@ def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
         s = sigma + 1j * ts
         fvals = mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
         gvals = gamma_pi_line(0.5 + s + 1j * T, KERNEL_PARAMS)
+        base = fvals * gvals * wts
+        partials = np.empty((log_xs.size, -(-ts.size // width)), dtype=complex)
+        for col, i in enumerate(range(0, ts.size, width)):
+            t = ts[i : i + width]
+            rows = _lattice_exp(np.outer(log_heads, t), -step * t, np.arange(count))
+            partials[:, col] = rows.reshape(log_xs.size, -1) @ base[i : i + width]
         # ds = i dt cancels the i in the 1/(2 pi i) prefactor.  Each sum is
         # divided as a Python complex: numpy's array / scalar multiplies by
         # the reciprocal, which rounds differently.
-        return np.array([kahan_csum(fvals * np.exp(s * log_x) * gvals * wts) / TWO_PI
-                         for log_x in log_xs])
+        return np.array([kahan_csum(p) * float(x) / TWO_PI for p, x in zip(partials, scales)])
 
-    return _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T, "contour")
+    total = _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T, "contour")
+    return total.reshape(count, -1).T.ravel()
 
 
 def _model_phase(z, T: float, u_mid: float):
@@ -284,15 +306,17 @@ class GKernelTable:
               eps: float = KERNEL_EPS) -> "GKernelTable":
         if not 0.0 < z_lo < z_hi:
             raise ConfigError("need 0 < z_lo < z_hi")
+        if not 1.0 < T < np.inf:
+            raise ConfigError("T must be finite and exceed 1")
         if z_lo < 0.25:
             raise ConfigError("table covers the moderate-z regime (z >= 0.25) only")
         u_lo = -kappa * np.log(T)
         u_hi = np.log(2.0) - eps * np.log(T)
         u_mid = 0.5 * (u_lo + u_hi)
 
-        def direct(zs) -> np.ndarray:
+        def direct(heads, step: float = 0.0, count: int = 1) -> np.ndarray:
             # bounded-regime line Re(s) = 0; the value is line-independent
-            return _contour_quad(zs, T, 0.0, TABLE_TOL, kappa, eps)
+            return _contour_quad(heads, T, 0.0, TABLE_TOL, kappa, eps, step, count)
 
         # Node count from the residual phase rate after dividing the model
         # phase out: the window edges sit (u_hi - u_lo)/2 either side of
@@ -308,7 +332,8 @@ class GKernelTable:
         truths = direct(checks)
         for _ in range(3):
             grid = np.geomspace(z_lo, z_hi, n)
-            vals = direct(grid)
+            # the grid as one progression from z_lo: its rows come from lattices
+            vals = direct([z_lo], np.log(z_hi / z_lo) / (n - 1), n)
             hat = vals * np.exp(-1j * _model_phase(grid, T, u_mid))
             lg = np.log(grid)
             re_s = CubicSpline(lg, hat.real)

@@ -95,11 +95,12 @@ class OscInstance:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        if self.T < 0.0 or self.N <= 0.0:
+        # compared so that NaN fails
+        if not (self.T >= 0.0 and self.N > 0.0):
             raise ConfigError("need T >= 0 and N > 0")
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ConfigError("tol must be positive")
         if self.amplitude.support_lo <= 0.0:
             raise ConfigError("amplitude support must sit inside (0, inf)")

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InsufficientGridError, TailNotConvergedError, ToleranceUnreachableError
+from .errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
+                     ToleranceUnreachableError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -24,7 +25,7 @@ LATTICE_BLOCK = 64
 def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """exp(i (head + k step)) for each integer k >= 0 of `offsets`.
 
-    Returns shape (offsets.size,) + head.shape. The rows are a geometric
+    Returns shape (offsets.size,) + head.shape; step broadcasts against head. The rows are a geometric
     sequence: the smallest wanted offset not yet covered heads a run of
     LATTICE_BLOCK consecutive offsets with an exact np.exp, and the run's
     other wanted rows are reached by products with exp(i step). So no row
@@ -133,8 +134,12 @@ def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.
     shell(-2 lo, -lo) for lo = start, 2 start, .... Each point's total is
     frozen after its first added shell below tol / 2; a point still live
     once the height passes `top` raises TailNotConvergedError, whose
-    message starts with `label`, the caller's name for its integral.
+    message starts with `label`, the caller's name for its integral. A tol
+    of 0 keeps every point live up to `top`; a negative, infinite or NaN
+    tol raises ConfigError, as NaN would freeze every point at once.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"{label} tolerance must be finite and >= 0, not {tol}")
     total = shell(-start, start)
     live = np.ones(np.shape(total), dtype=bool)
     lo = start

@@ -51,11 +51,12 @@ class LocalZetaParams:
     c1: float = 1.0
 
     def __post_init__(self):
-        if self.T <= 0.0:
+        # compared so that NaN fails
+        if not self.T > 0.0:
             raise ConfigError("T must be positive")
         if not (-0.5 <= self.s.real <= 0.5):
             raise ConfigError("Re(s) must lie in [-1/2, 1/2]")
-        if self.c1 <= 0.0:
+        if not self.c1 > 0.0:
             raise ConfigError("c1 must be positive")
 
 

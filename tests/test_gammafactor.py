@@ -1,4 +1,7 @@
 """Tests for the degree-3 gamma factor and the contour kernel."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +133,24 @@ def test_g_kernel_argument_validation():
         g_kernel(1.0, 0.5)
 
 
+@pytest.mark.parametrize("z, T", [(math.nan, 100.0), (1.0, math.nan), (math.inf, 100.0)])
+def test_g_kernel_refuses_a_nonfinite_argument(z, T):
+    # NaN fails every comparison, so a check written with <= let it through
+    with pytest.raises(ConfigError):
+        g_kernel(z, T)
+
+
+def test_g_kernel_refuses_a_nan_tolerance():
+    # max(nan, 1e-15) is nan, which froze every point after its first shell
+    with pytest.raises(ConfigError, match="^contour tolerance"):
+        g_kernel(1.0, 100.0, tol=math.nan)
+
+
+def test_kernel_table_refuses_a_nan_height():
+    with pytest.raises(ConfigError):
+        GKernelTable.build(0.5, 2.0, math.nan)
+
+
 def test_f_line_mass_pinned():
     got = f_line_mass(500.0)
     assert abs(got - C_F_500) < 1e-3
@@ -220,10 +241,12 @@ def test_kernel_table_accuracy_and_parts():
 
 
 def test_g_kernel_bits_pinned():
-    # the exact value since the Mellin line fills its phase tables by
-    # products on their lattices (3.8e-11 relative from the direct
-    # exponentials' value, within the contour tolerance)
-    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145501205267e-06 - 2.0267040950680673e-05j
+    # the exact value since the contour sums each shell by block products
+    # rows @ (F gamma w), joined by one compensated sum, and scales by
+    # X^sigma after the sum; it was 6.602145501205267e-06 -
+    # 2.0267040950680673e-05j with one exponential and sum per node, 3e-13
+    # relative away, within the contour tolerance
+    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145501211393e-06 - 2.0267040950690604e-05j
 
 
 def test_shared_contour_grid_matches_each_z_alone():
@@ -234,6 +257,40 @@ def test_shared_contour_grid_matches_each_z_alone():
     batch = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
     alone = np.array([g_kernel(float(z), T, tol=TABLE_TOL) for z in zs])
     assert np.max(np.abs(batch - alone)) <= TABLE_TOL
+
+
+def test_contour_lattice_rows_match_direct_exponentials():
+    # the table's progression z_lo e^(k h) (lattice rows) against the same 97
+    # z as lone heads (one np.exp per node each)
+    T, n = 100.0, 97
+    h = math.log(4.0) / (n - 1)
+    zs = [0.5 * math.exp(k * h) for k in range(n)]
+    lattice = _contour_quad([0.5], T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS, h, n)
+    direct = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
+    assert lattice.shape == direct.shape == (n,)
+    assert np.max(np.abs(lattice - direct)) <= 1e-12
+
+
+def test_contour_batch_is_head_major():
+    # two heads of two: z = 0.5, 0.5 e^h, 1.5, 1.5 e^h, each its lone value
+    T, h = 100.0, 0.25
+    batch = _contour_quad([0.5, 1.5], T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS, h, 2)
+    zs = [0.5, 0.5 * math.exp(h), 1.5, 1.5 * math.exp(h)]
+    alone = np.array([g_kernel(z, T, tol=TABLE_TOL) for z in zs])
+    assert np.max(np.abs(batch - alone)) <= TABLE_TOL
+
+
+def test_kernel_table_build_peak_memory():
+    # the contour's node blocks bound its phase tables; one build traced
+    # 8.8 MB when this bound was set
+    GKernelTable.build(0.5, 2.0, 100.0)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        GKernelTable.build(0.5, 2.0, 100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_kernel_table_is_exact_at_its_nodes():

@@ -1,4 +1,5 @@
 """Tests for the oscillatory-integral oracle and its stationary-phase law."""
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -53,6 +54,14 @@ def test_instance_validation():
     bad = Cutoff(support_lo=-1.0, support_hi=2.0, fn=lambda y: y)
     with pytest.raises(ConfigError):
         OscInstance(T=1.0, n=1, N=1.0, amplitude=bad)
+
+
+@pytest.mark.parametrize("field", ["T", "N", "tol"])
+def test_instance_refuses_nan(field):
+    # NaN fails every comparison, so a check written with <= let it through
+    kwargs = {"T": 100.0, "n": 3, "N": 10.0, "tol": 1e-9, field: math.nan}
+    with pytest.raises(ConfigError):
+        OscInstance(**kwargs)
 
 
 def test_phase_stationary_at_predicted_point():

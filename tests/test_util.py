@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3osc.errors import InsufficientGridError, TailNotConvergedError, ToleranceUnreachableError
+from gl3osc.errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
+                           ToleranceUnreachableError)
 from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, _line_shells,
                          adaptive_edges, e, gl_panels, is_prime, kahan_add, kahan_csum,
                          kahan_sum, loglog_slope, primes_in)
@@ -210,6 +211,15 @@ def test_line_shells_refuses_a_point_live_past_top():
     assert _line_shells(shell, 1.0, 1e-6, 8.0, "test")[0] == 2.5
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, math.inf])
+def test_line_shells_refuses_a_negative_or_nonfinite_tolerance(tol):
+    # a NaN tol would freeze every point after its first shell
+    shell, calls = _scripted([1.0], {})
+    with pytest.raises(ConfigError, match=r"^test tolerance must be finite and >= 0"):
+        _line_shells(shell, 1.0, tol, 8.0, "test")
+    assert calls == []
+
+
 # fixed example stream, so Tier-1 runs the same draws every time
 LATTICE = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 # |table - exp(i (head + k step))| <= C eps (B + |head| + k |step|): the
@@ -220,28 +230,38 @@ LATTICE_C = 4.0
 LATTICE_B = float(LATTICE_BLOCK)
 
 
+def _lattice_head(heads, rows):
+    """The drawn heads as a 1-D head (rows = 0) or a 2-D one of shape
+    (rows, nodes), each row a scaled copy as the contour's outer products
+    log X_j * t are; phases stay within the drawn range."""
+    head = np.asarray(heads)
+    return head if rows == 0 else np.outer(np.linspace(1.0, -0.5, rows), head)
+
+
 @LATTICE
 @given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
-       step=st.floats(-2e3, 2e3),
+       rows=st.integers(0, 3), step=st.floats(-2e3, 2e3),
        offsets=st.lists(st.integers(0, 4000), min_size=1, max_size=40, unique=True))
-def test_lattice_table_matches_direct_exponentials(heads, step, offsets):
-    # offsets in drawn order: sparse, gapped and unsorted sets alike
-    head = np.asarray(heads)
-    steps = step * np.linspace(0.5, 2.0, head.size)
+def test_lattice_table_matches_direct_exponentials(heads, rows, step, offsets):
+    # offsets in drawn order: sparse, gapped and unsorted sets alike; a
+    # per-node step broadcasts over a 2-D head's rows
+    head = _lattice_head(heads, rows)
+    steps = step * np.linspace(0.5, 2.0, len(heads))
     ks = np.asarray(offsets)
     table = _lattice_exp(head, steps, ks)
-    assert table.shape == (ks.size, head.size)
-    theta = np.abs(head) + ks[:, None] * np.abs(steps)
-    want = np.exp(1j * (head + ks[:, None] * steps))
+    assert table.shape == (ks.size,) + head.shape
+    k = ks.reshape((-1,) + (1,) * head.ndim)
+    theta = np.abs(head) + k * np.abs(steps)
+    want = np.exp(1j * (head + k * steps))
     eps = np.finfo(float).eps
     assert np.all(np.abs(table - want) <= LATTICE_C * eps * (LATTICE_B + theta))
 
 
 @LATTICE
 @given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
-       step=st.floats(-2e3, 2e3), k=st.integers(0, 300))
-def test_one_row_lattice_is_the_direct_exponential(heads, step, k):
-    head = np.asarray(heads)
-    steps = np.full_like(head, step)
+       rows=st.integers(0, 3), step=st.floats(-2e3, 2e3), k=st.integers(0, 300))
+def test_one_row_lattice_is_the_direct_exponential(heads, rows, step, k):
+    head = _lattice_head(heads, rows)
+    steps = np.full(len(heads), step)
     want = np.exp(1j * head) if k == 0 else np.exp(1j * (head + k * steps))
     assert _lattice_exp(head, steps, np.asarray([k])).tobytes() == want[None].tobytes()

@@ -1,4 +1,6 @@
 """Tests for the diagonal special function and the local zeta integrals."""
+import math
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ def test_zeta_params_validation():
         LocalZetaParams(T=100.0, s=0.6 + 0.0j)
     with pytest.raises(ConfigError):
         LocalZetaParams(T=100.0, c1=0.0)
+
+
+@pytest.mark.parametrize("field", ["T", "c1"])
+def test_zeta_params_refuse_nan(field):
+    # NaN fails every comparison, so a check written with <= let it through
+    with pytest.raises(ConfigError):
+        LocalZetaParams(**{"T": 100.0, field: math.nan})
 
 
 def test_zeta_level_matches_constant_modulus():
