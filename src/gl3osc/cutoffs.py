@@ -20,6 +20,11 @@ stationary point: w0(z) = v0(1/(2*pi)) * g(1/(2*pi*z)) / v0(1/(2*pi*z)),
 supported on [1, 2], and w(z) = w0(z)/z.
 
 All callables are numpy-vectorized; scalars in give floats out.
+
+g's normalization is GL16 on uniform panels, checked against the same rule
+on half as many; so building g, w0 and w imports no scipy. Only the scalar
+Mellin transform `mellin` (scipy's adaptive `quad`, imported at its call)
+does; the line transform `mellin_on_line` and `mellin_invert` are numpy.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
 from .util import GL16, _lattice_exp, _line_shells, gl_panels
@@ -38,8 +42,10 @@ ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
 ONE_OVER_2PI = 1.0 / (2.0 * np.pi)
 
-# error bound the g normalization quadrature must report; the bump-gnorm
-# check then holds integral g d*y = 1 to its own budget of 1e-10
+# g's normalization integral g d*y: GL16 on _G_NORM_PANELS uniform panels,
+# refused unless the rule on half as many agrees within _G_NORM_TOL; the
+# bump-gnorm check then holds integral g d*y = 1 to its own budget of 1e-10
+_G_NORM_PANELS = 64
 _G_NORM_TOL = 1e-12
 
 # mellin_invert: the line Re(s) = INVERT_RE_LINE it integrates on, the
@@ -177,9 +183,12 @@ def g_cutoff() -> Cutoff:
     """Positive bump on [1/(4*pi), 1/(2*pi)] with integral g(y) dy/y = 1."""
     if "g" not in _G_CACHE:
         raw = _exp_bump_fn(ONE_OVER_4PI, ONE_OVER_2PI)
-        norm, err = quad(lambda y: raw(y) / y, ONE_OVER_4PI, ONE_OVER_2PI,
-                         epsabs=1e-14, epsrel=1e-13, limit=200)
-        if not np.isfinite(norm) or norm <= 0.0 or err > _G_NORM_TOL:
+        masses = []
+        for n in (_G_NORM_PANELS // 2, _G_NORM_PANELS):
+            y, w = gl_panels(np.linspace(ONE_OVER_4PI, ONE_OVER_2PI, n + 1), *GL16)
+            masses.append(float(np.sum(w * raw(y) / y)))
+        coarse, norm = masses
+        if not np.isfinite(norm) or norm <= 0.0 or abs(norm - coarse) > _G_NORM_TOL:
             raise ConfigError("g normalization quadrature failed")
         _G_CACHE["g"] = Cutoff(
             support_lo=ONE_OVER_4PI, support_hi=ONE_OVER_2PI,
@@ -227,6 +236,8 @@ def mellin(f: Cutoff, s: complex) -> MellinSample:
 
     The support must sit away from 0; the integral then converges for every s.
     """
+    from scipy.integrate import quad
+
     s = complex(s)
     if f.support_lo <= 0.0:
         raise MellinDivergenceError("Mellin transform needs support away from 0")

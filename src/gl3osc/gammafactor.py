@@ -36,15 +36,18 @@ The contour, the line mass C_F (`f_line_mass`) and `cutoffs.mellin_invert`
 double their shells along a vertical line in one driver, `util._line_shells`:
 each point of a batch stops after its first added shell below tol/2, none is
 cut at a fixed height, and one still adding past a cap raises.
+
+scipy is imported where it is used, in `_log_gamma_ratio` (loggamma) and
+`GKernelTable.build` (CubicSpline), so a process that never evaluates the
+gamma factor never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.special import loggamma
 
 from .cutoffs import _LINE_CHUNK, h0_cutoff, mellin_on_line
 from .errors import ConfigError, GammaPoleError, ToleranceUnreachableError
@@ -112,6 +115,8 @@ def _log_gamma_ratio(s, alpha) -> np.ndarray:
     No pole handling: exact pole hits produce inf/nan and are the caller's
     problem (scalar entry points check first).
     """
+    from scipy.special import loggamma
+
     s = np.asarray(s, dtype=complex)
     total = np.zeros_like(s)
     for a in alpha:
@@ -297,13 +302,15 @@ class GKernelTable:
     T: float
     u_mid: float
     grid: np.ndarray = field(repr=False, compare=False)
-    _re: CubicSpline = field(repr=False, compare=False)
-    _im: CubicSpline = field(repr=False, compare=False)
+    _re: Callable = field(repr=False, compare=False)
+    _im: Callable = field(repr=False, compare=False)
     max_rel_error: float = np.nan
 
     @classmethod
     def build(cls, z_lo: float, z_hi: float, T: float, kappa: float = KERNEL_KAPPA,
               eps: float = KERNEL_EPS) -> "GKernelTable":
+        from scipy.interpolate import CubicSpline
+
         if not 0.0 < z_lo < z_hi:
             raise ConfigError("need 0 < z_lo < z_hi")
         if not 1.0 < T < np.inf:

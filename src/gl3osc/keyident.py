@@ -31,13 +31,19 @@ linearity sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n
 e(-nT/(Nx)), so a shell has one row per +-r, and the tolerances scale with
 sum_n |c_n|. verify_key_identity and A09 run one n of weight 1; the
 discretized route of `sums` hands its whole weighted window to each pair.
+
+The amplifier's weight 1 / (D(P) D(L)), with D(x) = li(2x) - li(x), is
+computed here (`_li_segment`: a positive series below x = e, one GL16 panel
+from there on), within 3e-16 relative of mpmath up to the sieve's ceiling
+MAX_SIEVE. So nothing on the identity's path imports scipy. `for_t` refuses
+a kappa whose segment [P, 2P] passes that ceiling before it sieves at all.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expi
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, TailNotConvergedError
@@ -47,12 +53,21 @@ from .oscquad import (
     integrate_shifted,
     probe_amplitude,
 )
-from .util import TWO_PI, is_prime, kahan_csum, primes_in
+from .util import GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 
 # the dual sum's first shell is r in [1, FIRST_SHELL_R]; MAX_R is the hard
 # ceiling of its adaptive truncation
 FIRST_SHELL_R = 8
 MAX_R = 4096
+# AmplifierSpec.for_t sieves no further than 2P <= MAX_SIEVE. At T = 500 a
+# pair's dual sum costs three times as much at p = 1009 as at p = 101, and
+# [P, 2P] x [L, 2L] holds about 800 pairs at P = 1009; at p = 10007 the dual
+# sum exhausts its panel budget
+MAX_SIEVE = 1024
+
+# _li_segment's rule: GL16 nodes s on [1, 2], their weights, and log s
+_LI_S, _LI_W = gl_panels(np.array([1.0, 2.0]), *GL16)
+_LI_LOG_S = np.log(_LI_S)
 
 
 @dataclass(frozen=True)
@@ -287,6 +302,13 @@ class AmplifierSpec:
                 f"the amplifier needs T >= 2^(1/(3 kappa)) = {floor:.6g} at "
                 f"kappa = {kappa:.6g}, so that [L, 2L] and [P, 2P] are "
                 f"disjoint; got T = {T:.6g}")
+        if 2.0 * P > MAX_SIEVE:
+            top = (0.5 * MAX_SIEVE) ** (1.0 / (5.0 * kappa))
+            raise ConfigError(
+                f"the amplifier sieves [P, 2P] only up to the desk-scale "
+                f"ceiling MAX_SIEVE = {MAX_SIEVE}, so it needs T <= "
+                f"(MAX_SIEVE/2)^(1/(5 kappa)) = {top:.6g} at kappa = "
+                f"{kappa:.6g}; got T = {T:.6g}, where 2P = {2.0 * P:.6g}")
         spec = cls(kappa=kappa, P=P, L=L,
                    primes_p=tuple(primes_in(P, 2.0 * P)),
                    primes_l=tuple(primes_in(L, 2.0 * L)))
@@ -321,8 +343,27 @@ class AmplifierSpec:
 
 
 def _li_segment(x: float) -> float:
-    """li(2x) - li(x) for x > 1, via li(y) = Ei(log y)."""
-    return float(expi(np.log(2.0 * x)) - expi(np.log(x)))
+    """li(2x) - li(x) = integral_x^2x dt / log t, for x > 1.
+
+    From x = e on it is x * integral_1^2 ds / (log x + log s) on one GL16
+    panel: the integrand's pole s = 1/x lies at least 0.63 below [1, 2],
+    which puts the rule's error near 1e-20, and log x enters only a
+    denominator, so its rounding stays relative. Below e, with a = log 2x
+    and b = log x, li(y) = gamma + log log y + sum_k (log y)^k / (k k!)
+    gives log(a / b) + sum_(k <= 30) (a^k - b^k) / (k k!): every term is
+    positive, and with a < 1.7 the 30th is below 1e-26.
+    """
+    b = math.log(x)
+    if b >= 1.0:
+        return x * math.fsum(_LI_W / (b + _LI_LOG_S))
+    a = math.log(2.0 * x)
+    ta = tb = 1.0
+    terms = [math.log(a / b)]
+    for k in range(1, 31):
+        ta *= a / k
+        tb *= b / k
+        terms.append((ta - tb) / k)
+    return math.fsum(terms)
 
 
 def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,

@@ -1,13 +1,17 @@
 """Tests for the command-line front end: config, dispatch, reports, exits."""
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from gl3osc import cli, criteria, cutoffs, whittaker
+from gl3osc import cli, criteria, cutoffs, keyident, whittaker
 from gl3osc.cli import RunConfig, config_from_args, build_parser, main, run
 from gl3osc.errors import ConfigError
 from gl3osc.reports import Check, Report, encode_value
@@ -142,6 +146,16 @@ def test_amplified_at_a_one_prime_segment_exits_2(capsys, t, segment, prime):
     assert main(["amplified", "--t", t]) == 2
     err = capsys.readouterr().err
     assert segment in err and f"holds only {prime} " in err
+
+
+def test_amplified_past_the_sieve_ceiling_exits_2_before_sieving(capsys, monkeypatch):
+    # kappa = 3/2 is inside the CLI's range but would sieve up to 2P = 3e20
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved [{lo}, {hi}]")
+
+    monkeypatch.setattr(keyident, "primes_in", no_sieve)
+    assert main(["amplified", "--kappa", "1.5"]) == 2
+    assert "desk-scale ceiling MAX_SIEVE = 1024" in capsys.readouterr().err
 
 
 def test_amplified_at_two_primes_per_segment_runs(capsys):
@@ -387,3 +401,21 @@ def test_report_wall_time_excluded_from_canonical_form():
                 wall_time_ms=99.0)
     assert r1.canonical_json() == r2.canonical_json()
     assert "wall_time_ms" not in json.loads(r1.canonical_json())
+
+
+def test_identity_and_route_paths_start_without_scipy():
+    # a fresh interpreter: the package, the CLI and the batteries import no
+    # scipy, nor do the amplifier weight and the cutoffs g, w0 and w
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, gl3osc, gl3osc.cli, gl3osc.criteria\n"
+            "from gl3osc.cutoffs import g_cutoff, weight_w0_w\n"
+            "from gl3osc.keyident import AmplifierSpec\n"
+            "AmplifierSpec.for_t(500.0).weight; g_cutoff(); weight_w0_w(1.5)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

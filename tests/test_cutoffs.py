@@ -126,6 +126,25 @@ def test_bump_g_support_and_normalization():
     assert abs(mass - 1.0) < 1e-10
 
 
+def test_g_normalization_keeps_adaptive_quads_value():
+    # scipy's adaptive quad, here only as an oracle: the GL16 rule on
+    # _G_NORM_PANELS panels gives g the normalization quad gave it, bit for bit
+    raw = cutoffs._exp_bump_fn(ONE_OVER_4PI, ONE_OVER_2PI)
+    norm, err = quad(lambda y: raw(y) / y, ONE_OVER_4PI, ONE_OVER_2PI,
+                     epsabs=1e-14, epsrel=1e-13, limit=200)
+    assert err <= cutoffs._G_NORM_TOL
+    ys = np.linspace(ONE_OVER_4PI, ONE_OVER_2PI, 101)
+    np.testing.assert_array_equal(g_cutoff()(ys), raw(ys) / norm)
+
+
+def test_g_normalization_refuses_a_rule_that_misses_its_tolerance(monkeypatch):
+    # 2 panels against 1 differ by far more than _G_NORM_TOL
+    monkeypatch.setattr(cutoffs, "_G_CACHE", {})
+    monkeypatch.setattr(cutoffs, "_G_NORM_PANELS", 2)
+    with pytest.raises(ConfigError, match="g normalization quadrature failed"):
+        g_cutoff()
+
+
 def test_weight_w0_w_support_and_ratio():
     assert weight_w0_w(0.5) == (0.0, 0.0)
     assert weight_w0_w(2.5) == (0.0, 0.0)

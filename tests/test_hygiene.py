@@ -1,5 +1,6 @@
 """Static guards on the package: no dead imports, no unreferenced objects,
-and no setting with a default that no call sets.
+no setting with a default that no call sets, and no scipy import outside
+the few functions that need it.
 
 All read the source with the standard library's `ast`, so they need no
 linter. A name counts as referenced when it is read as a variable, read as
@@ -254,3 +255,54 @@ def test_every_setting_has_a_caller():
                     unset.append(f"{key}.{param}")
     assert not unset, ("settings with a default that no call in src/, demos/ or "
                        "perfbench/ sets:\n" + "\n".join(sorted(unset)))
+
+
+# the only functions that import scipy, each at its call: the gamma factor's
+# log-gamma values, the kernel table's spline and the scalar Mellin
+# transform. An import at module level would load scipy (about 0.8 s) in
+# every process, the key-identity and route paths included.
+SCIPY_IMPORTERS = {
+    "gammafactor._log_gamma_ratio",
+    "gammafactor.GKernelTable.build",
+    "cutoffs.mellin",
+}
+
+
+def _scipy_imports(tree: ast.Module) -> list:
+    """(dotted name of the enclosing function, or None at import time,
+    line) for each import from scipy."""
+    found = []
+
+    def visit(node, path, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name],
+                      in_function or not isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append((".".join(path) if in_function else None, child.lineno))
+            visit(child, path, in_function)
+
+    visit(tree, [], False)
+    return found
+
+
+def test_scipy_is_imported_only_inside_the_functions_that_need_it():
+    stray, seen = [], set()
+    for path in _modules():
+        for where, line in _scipy_imports(_tree(path)):
+            if where is None:
+                stray.append(f"{path.name}:{line} imports scipy at module level")
+            elif f"{path.stem}.{where}" not in SCIPY_IMPORTERS:
+                stray.append(f"{path.name}:{line} imports scipy in {where}")
+            else:
+                seen.add(f"{path.stem}.{where}")
+    assert not stray, "scipy imported outside SCIPY_IMPORTERS:\n" + "\n".join(stray)
+    # the rule sees the imports it allows, so it is not vacuous
+    assert seen == SCIPY_IMPORTERS

@@ -250,6 +250,38 @@ def test_amplifier_spec_at_desk_scales():
         AmplifierSpec.for_t(500.0, kappa=0.0)
 
 
+def test_li_segment_matches_mpmath_up_to_the_sieve_ceiling():
+    # li(2x) - li(x) at 30 digits, from just above li's pole at 1, across
+    # the series/panel switch at e, up to the largest x the sieve reaches;
+    # scipy's expi(log 2x) - expi(log x) was 3.1e-15 off at x = 109.39...
+    xs = [1.0 + 2.0**-40, 1.0 + 1e-9, 1.5, 2.0, math.nextafter(math.e, 0.0), math.e,
+          500.0 ** (1.0 / 9.0), 500.0 ** (5.0 / 18.0), 109.39560421846284,
+          float(keyident.MAX_SIEVE)]
+    xs += list(1.0 + np.geomspace(1e-12, keyident.MAX_SIEVE - 1.0, 160))
+    with mp.workdps(30):
+        for x in xs:
+            ref = mp.li(2 * mp.mpf(x)) - mp.li(mp.mpf(x))
+            assert abs(keyident._li_segment(x) - ref) <= 1e-15 * ref, x
+
+
+def test_amplifier_refuses_a_sieve_past_its_ceiling(monkeypatch):
+    def no_sieve(lo, hi):
+        raise AssertionError(f"sieved [{lo}, {hi}]")
+
+    monkeypatch.setattr(keyident, "primes_in", no_sieve)
+    # kappa = 3/2 asks for a sieve of 3e20 bytes, kappa = 0.7 for 5.6e9
+    for kappa in (1.5, 0.7):
+        with pytest.raises(ConfigError, match=r"ceiling MAX_SIEVE = 1024, so it needs T <= "):
+            AmplifierSpec.for_t(500.0, kappa=kappa)
+    # at kappa = 1/5, P = T: T = 512 sieves exactly up to the ceiling
+    with pytest.raises(ConfigError, match=r"= 512 at kappa = 0.2; got T = 513, where 2P = 1026"):
+        AmplifierSpec.for_t(513.0, kappa=0.2)
+    monkeypatch.undo()
+    top = AmplifierSpec.for_t(512.0, kappa=0.2)
+    assert top.primes_p[0] == 521 and top.primes_p[-1] == 1021
+    assert AmplifierSpec.for_t(500.0).primes_p == (7, 11)
+
+
 def test_amplifier_floor_is_named():
     # the segments [L, 2L] and [P, 2P] separate only from T = 2^(1/(3 kappa)),
     # which is 64 at kappa = 1/18
@@ -379,12 +411,17 @@ def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case):
 def test_single_n_calls_keep_their_bits():
     # a batch of one n of weight 1 is the dual sum of that n alone: the
     # A01 instance at T = 250, (p, l) = (5, 3), and the A09 average at
-    # T = 500 keep the bits they had when each n had its own dual sum
+    # T = 500 keep the bits they had when each n had its own dual sum.
+    # The A09 pin moved once, with the amplifier weight 1 / (D(P) D(L)):
+    # D = li(2x) - li(x) from scipy's expi gave the weight
+    # 0.19377997918206064 and (-0.003678255325207987+0.0279885702651536j);
+    # `_li_segment`, within 3e-16 of mpmath, gives 0.19377997918206083 and
+    # the value below, 9.9e-16 relative to the old one
     rep = verify_key_identity(_instance(250.0, 5, 3))
     assert repr(rep.o_value) == "(-0.002050335572424838-0.007475369168455647j)"
     assert repr(rep.recovered_m) == "(0.050728088633725105+0.00961294414115161j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
-    assert repr(a_avg - o_avg) == "(-0.003678255325207987+0.0279885702651536j)"
+    assert repr(a_avg - o_avg) == "(-0.003678255325207991+0.02798857026515363j)"
 
 
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):
