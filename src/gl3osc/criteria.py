@@ -257,12 +257,13 @@ def route_battery(T: float = 200.0, tol: float = 1e-6,
                   table: CoefficientTable | None = None,
                   amp_kappa: float = 1.0 / 18.0) -> tuple[dict, tuple]:
     """Three-route agreement on the d3 model (A10)."""
+    # one pair from the canonical segments: the per-pair identity is exact,
+    # and multi-pair averaging is covered by A09 at T = 500. The segments
+    # come first, so a kappa they refuse costs no coefficient table
+    base = AmplifierSpec.for_t(T, kappa=amp_kappa)
     if table is None:
         table = synth_eisenstein(D3_PARAMS, 2 * int(np.ceil(T ** (1.5 + WINDOW_EPS))))
     spec = SumSpec(T=T, table=table, tol=tol)
-    # one pair from the canonical segments: the per-pair identity is exact,
-    # and multi-pair averaging is covered by A09 at T = 500
-    base = AmplifierSpec.for_t(T, kappa=amp_kappa)
     amp = AmplifierSpec(kappa=base.kappa, P=base.P, L=base.L,
                         primes_p=(base.primes_p[0],),
                         primes_l=(base.primes_l[0],))

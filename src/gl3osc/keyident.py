@@ -60,9 +60,10 @@ from .util import GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 FIRST_SHELL_R = 8
 MAX_R = 4096
 # AmplifierSpec.for_t sieves no further than 2P <= MAX_SIEVE. At T = 500 a
-# pair's dual sum costs three times as much at p = 1009 as at p = 101, and
-# [P, 2P] x [L, 2L] holds about 800 pairs at P = 1009; at p = 10007 the dual
-# sum exhausts its panel budget
+# pair's dual sum grows with p / l, as its shifts r/h do (0.06 s at
+# (p, l) = (101, 3), 0.7 s at (1009, 3)), [P, 2P] x [L, 2L] holds about 800
+# pairs at P = 1009, and at (10007, 3) one pass needs more panels than the
+# evaluation budget allows
 MAX_SIEVE = 1024
 
 # _li_segment's rule: GL16 nodes s on [1, 2], their weights, and log s

@@ -15,8 +15,12 @@ oscillation, using the decreasing envelope
 
     E(x) = |c_log|/x + 2*pi*|c_inv|/x^2 + 2*pi*|c_lin|  >=  |Phi'(x)|.
 
-Each panel gets a 16-point Gauss-Legendre rule with an embedded 8-point rule;
-the error estimate is 4x the summed embedded difference (conservative), plus a
+The panels come in runs of equal width: the width min(cap, span / E(x)) at
+a run's left edge x holds for up to 64 panels, or fewer where E falls fast,
+and the last panel is cut at the support's end. E decreases, so no panel
+spans more than `span` radians, and E is evaluated once per run. Each panel
+gets a 16-point Gauss-Legendre rule with an embedded 8-point rule; the
+error estimate is 4x the summed embedded difference (conservative), plus a
 roundoff floor. Panel partial sums are reduced left to right with compensated
 summation, so results are bit-reproducible. Both integrators run one loop,
 `_halve_spans`, over rows that share the amplitude (`integrate_phase` is one
@@ -29,17 +33,22 @@ Shifted integrals come in batches only: the Poisson dual sum of a weighted
 n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
 once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
 `integrate_shifted` grids by the largest n, which with the largest live r
-bounds every row's |Phi'|. A pass runs in blocks of panels, as many as let
-the block's shift table e(-r x/h) hold _TABLE_ELEMENTS complex numbers. In
-a block the weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row:
-each run of LATTICE_BLOCK consecutive n is one exact exponential times its
-weights summed by Horner's rule in w = e(-(T/N)/x). The shift table sits on
-the r lattice the same way: an exact exponential heads each run of
+bounds every row's |Phi'|. A pass runs in blocks of whole runs of panels
+(see _TABLE_ELEMENTS). In a block the weighted factor sum_n c_n x^(i c_log)
+e(-nT/(Nx)) is one row: each run of LATTICE_BLOCK consecutive n is one exact
+exponential times its weights summed by Horner's rule in w = e(-(T/N)/x).
+The shift phase factors: a node of a run is x = mid + half u_k, with the
+run's half-width and the rule's nodes u_k, so e(-r x/h) = e(-r mid/h)
+e(-r half u_k/h), one row per panel mid times a table of 24 nodes per run.
+Both sit on the r lattice: an exact exponential heads each run of
 LATTICE_BLOCK consecutive r, and a complex product fills in each further
-row. So a block holds one factor row and one table row per r whatever the
-number of n, and the batch product has one row per +-r; a -r row is the
-conjugate of the conjugated factor's product with the +r table. Each row
-keeps its own compensated sum and embedded-rule estimate, in panel order.
+row. So a block costs exponentials per panel and per run, not per node,
+and one factor row whatever the number of n; each run's G16 and G8 sums
+are one product of its factor rows with its node table, +r and -r columns
+alternating (a -r column takes the conjugate tables). Each row keeps its
+own compensated sum and embedded-rule estimate, in panel order. The mid
+row scales both rules' sums alike, so the estimate |G16 - G8| does not
+carry the rounding of the large phase r mid/h.
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -55,18 +64,27 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, adaptive_edges, gl_panels,
-                   kahan_add, kahan_csum)
+from .util import GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, kahan_add, kahan_csum
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
 
-# complex numbers in one block's shift table (#r rows by the 16 + 8 nodes of
-# each panel), which sets the panels per block of a shifted batch. The table
-# is 1 MB whatever the number of n: 170 panels a block for the 16 r of a
-# route shell at T = 64, 85 for the 32 r of one at T = 1000. The factor row
-# and its Horner temporaries add a few rows of 24 numbers a panel.
+# a block of a shifted batch holds as many runs of panels as keep its nodes
+# (24 a panel) times the r of one chunk (at most LATTICE_BLOCK of them)
+# within this many, and at least one run: 5 runs of 64 panels for the 8 r
+# of a first shell, 2 for 16 r, 1 from 22 r on. The block's products, mid
+# rows and sums hold about ten numbers per panel and r, and the factor row
+# and its Horner temporaries a few rows of 24 numbers a panel, whatever the
+# number of n.
 _TABLE_ELEMENTS = 1 << 16
+
+# panels of one run, which share a width and a table of shift phases, and
+# the share of the envelope a run may lose to its left edge's width
+_PANEL_RUN = 64
+_RUN_DROP = 1.0 / 8.0
+# a panel's 16 + 8 rule nodes on [-1, 1] and their weights, in node order
+_NODES24 = np.concatenate([GL16[0], GL8[0]])
+_WEIGHTS24 = np.concatenate([GL16[1], GL8[1]])
 
 # |I - leading term| <= K_SP_MAIN * T^(-3/2) for the default test amplitude;
 # calibrated at T = 250 (residual * T^(3/2) = 0.686) with a 4x cushion, frozen.
@@ -131,21 +149,30 @@ class ShiftedRows:
 class PanelGrid:
     """Oscillation-resolving panel grid with an embedded error rule.
 
-    Holds the nodes of a fixed (amplitude-independent) paneling, stepped by
-    the envelope E(x); `reduce` turns integrand values at the nodes into a
-    value and an error estimate.
+    Holds the nodes of a fixed (amplitude-independent) paneling in runs of
+    equal panels (`_panel_runs`, stepped by the envelope E(x)), 24 a panel:
+    its 16 GL16 nodes, then its 8 GL8 nodes, each mid + half u_k with the
+    run's half-width. `reduce` turns integrand values at the nodes into a
+    value and an error estimate, and `reduce_rows` does so for every row
+    of a shifted batch, with the shift phase factored per run as the module
+    docstring says.
     """
 
     def __init__(self, lo: float, hi: float, c_log: float, c_inv: float,
                  c_lin: float, span: float):
         a, b, c = float(abs(c_log)), float(TWO_PI * abs(c_inv)), float(TWO_PI * abs(c_lin))
-        edges = adaptive_edges(lo, hi, (hi - lo) / 8.0, span, lambda x: a / x + b / (x * x) + c,
-                               max(64, DEFAULT_EVAL_BUDGET // 24))
-        self.x16, _ = gl_panels(edges, *GL16)
-        self.x8, _ = gl_panels(edges, *GL8)
-        self.halfs = 0.5 * np.diff(edges)
-        self.panels = self.halfs.size
-        self.nodes = np.concatenate([self.x16, self.x8])
+        self.edges, sizes, widths = _panel_runs(
+            lo, hi, (hi - lo) / 8.0, span, lambda x: a / x + b / (x * x) + c,
+            max(64, DEFAULT_EVAL_BUDGET // 24))
+        self.run_halfs = 0.5 * widths
+        self.run_starts = np.concatenate([[0], np.cumsum(sizes)])
+        self.panels = int(self.run_starts[-1])
+        self.halfs = np.repeat(self.run_halfs, sizes)
+        self.mids = self.edges[:-1] + self.halfs
+        # a panel's row in its block's stack of runs, each padded to _PANEL_RUN rows
+        run_of = np.repeat(np.arange(sizes.size), sizes)
+        self.slots = run_of * _PANEL_RUN + np.arange(self.panels) - self.run_starts[run_of]
+        self.nodes = (self.mids[:, None] + self.halfs[:, None] * _NODES24).ravel()
 
     @property
     def evaluations(self) -> int:
@@ -153,11 +180,11 @@ class PanelGrid:
 
     def reduce(self, values: np.ndarray) -> tuple[complex, float]:
         """Integrate from integrand values sampled at `self.nodes`."""
-        n16 = self.x16.size
+        values = values.reshape(self.panels, 24)
         # elementwise products summed along each panel: a matrix-vector
         # product here would wake a second BLAS thread, which then spins
-        s16 = np.sum(values[:n16].reshape(self.panels, 16) * GL16[1], axis=1) * self.halfs
-        s8 = np.sum(values[n16:].reshape(self.panels, 8) * GL8[1], axis=1) * self.halfs
+        s16 = np.sum(values[:, :16] * GL16[1], axis=1) * self.halfs
+        s8 = np.sum(values[:, 16:] * GL8[1], axis=1) * self.halfs
         value = kahan_csum(s16)
         err = 4.0 * float(np.sum(np.abs(s16 - s8)))
         err += 4e-16 * float(np.sum(np.abs(s16)))
@@ -169,54 +196,116 @@ class PanelGrid:
 
         amp_values holds A at `self.nodes`; the rows are those of the
         integers n of `ns` with the weights `cs` and the integers r of `rs`,
-        ordered as in ShiftedRows. The panels run in blocks whose shift
-        table holds at most _TABLE_ELEMENTS complex numbers (see
-        `_panel_sums`). Each row's panel sums are added in panel order,
+        ordered as in ShiftedRows. The panels run in blocks of whole runs,
+        as many as keep 24 nodes a panel by the r of one chunk (up to
+        LATTICE_BLOCK of them, see `_panel_sums`) within _TABLE_ELEMENTS,
+        and at least one. Each row's panel sums are added in panel order,
         compensated, and its error estimate, as in `reduce`, sums the panels
-        in the same order, so the block size leaves every bit alone.
+        in the same order; a chunk's products have the same shape whatever
+        the block size, so the block size leaves every bit alone.
         """
         s = np.zeros((2 * rs.size, 2))
         c = np.zeros_like(s)
         est = np.zeros((2, 2 * rs.size))  # sum |G16 - G8| and sum |G16| per row
-        per_block = max(1, _TABLE_ELEMENTS // (24 * rs.size))
-        for p0 in range(0, self.panels, per_block):
-            p1 = min(p0 + per_block, self.panels)
-            s16, s8 = self._panel_sums(amp_values, p0, p1, inst, ns, cs, rs, h)
-            s, c = kahan_add(s, c, s16.view(float).reshape((p1 - p0,) + s.shape))
+        per_block = max(1, _TABLE_ELEMENTS // (24 * _PANEL_RUN * min(rs.size, LATTICE_BLOCK)))
+        runs = self.run_starts.size - 1
+        for q0 in range(0, runs, per_block):
+            q1 = min(q0 + per_block, runs)
+            s16, s8 = self._panel_sums(amp_values, q0, q1, inst, ns, cs, rs, h)
+            m = s16.shape[0]
+            s, c = kahan_add(s, c, s16.view(float).reshape((m,) + s.shape))
             terms = np.stack((np.abs(s16 - s8), np.abs(s16)), axis=1)
             est = np.add.accumulate(np.concatenate([est[None], terms]), axis=0)[-1]
         values = np.ascontiguousarray(s + c).view(complex)[..., 0]
         return values, 4.0 * est[0] + 4e-16 * est[1]
 
-    def _panel_sums(self, amp_values, p0, p1, inst, ns, cs, rs, h):
-        """G16 and G8 sums of panels p0..p1-1 for every row, each (panels, rows).
+    def _panel_sums(self, amp_values, q0, q1, inst, ns, cs, rs, h):
+        """G16 and G8 sums of the panels of runs q0..q1-1 for every row,
+        as one (2, panels, rows) array (see the module docstring).
 
-        One block: its 16-point nodes, then its 8-point nodes, in one row. The
-        weighted factor sum_n c_n x^(-iT) e(-nT/(Nx)) is one row over them
-        (`_lattice_sum`), the shift table e(-r x/h) has one row per r
-        (`_lattice_exp`), and each panel's rule sum is a product of the
-        factor times A and the rule weights with the table; the -r rows are
-        conj(conj(factor) @ table).
+        For each chunk of LATTICE_BLOCK r, one `_lattice_exp` gives the rows
+        e(-r mid/h) on the panel mids and e(-r half u_k/h) on each run's 24
+        nodes. A run's rule sums are one product of its panels' factor rows,
+        padded with zero rows to _PANEL_RUN, with its node table; the mid
+        row then scales each panel's sums.
         """
-        m = p1 - p0
-        n16 = self.x16.size
-        x = np.concatenate([self.x16[16 * p0:16 * p1], self.x8[8 * p0:8 * p1]])
-        amp = np.concatenate([amp_values[16 * p0:16 * p1],
-                              amp_values[n16 + 8 * p0:n16 + 8 * p1]])
-        weights = np.concatenate([np.tile(GL16[1], m), np.tile(GL8[1], m)])
-        n_lo, r_lo = ns.min(), rs.min()
+        p0, p1 = self.run_starts[q0], self.run_starts[q1]
+        m, runs = p1 - p0, q1 - q0
+        x = self.nodes[24 * p0:24 * p1]
+        n_lo = ns.min()
         # the head row's phase is formed as for a lone n, so it keeps its bits
         head = -inst.T * np.log(x) - TWO_PI * (n_lo * inst.T / inst.N) / x
         factor = _lattice_sum(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo, cs)
-        base = factor * (amp * weights)
-        table = _lattice_exp(-TWO_PI * (r_lo / h) * x, -TWO_PI / h * x, rs - r_lo)
-        out = []
-        for k, lo in ((16, 0), (8, 16 * m)):
-            b = base[lo:lo + k * m].reshape(m, 1, k)
-            t = table[:, lo:lo + k * m].reshape(rs.size, m, k).transpose(1, 2, 0)
-            sums = np.stack((b @ t, np.conj(b.conj() @ t)), axis=-1)
-            out.append(sums.reshape(m, -1) * self.halfs[p0:p1, None])
+        base = factor.reshape(m, 24) * (amp_values[24 * p0:24 * p1].reshape(m, 24) * _WEIGHTS24)
+        slots = self.slots[p0:p1] - q0 * _PANEL_RUN
+        padded = np.zeros((runs * _PANEL_RUN, 24), dtype=complex)
+        padded[slots] = base
+        padded = padded.reshape(runs, _PANEL_RUN, 24)
+        steps = -TWO_PI / h * np.concatenate(
+            [self.mids[p0:p1], (self.run_halfs[q0:q1, None] * _NODES24).ravel()])
+        out = np.empty((2, m, 2 * rs.size), dtype=complex)
+        for i0 in range(0, rs.size, LATTICE_BLOCK):
+            chunk = rs[i0:i0 + LATTICE_BLOCK]
+            cols = slice(2 * i0, 2 * (i0 + chunk.size))
+            rows = _lattice_exp(np.zeros(steps.size), steps, chunk)
+            mid = rows[:, :m].T * self.halfs[p0:p1, None]
+            mid = np.stack((mid, mid.conj()), axis=-1).reshape(m, -1)
+            table = rows[:, m:].reshape(chunk.size, runs, 24).transpose(1, 2, 0)
+            table = np.stack((table, table.conj()), axis=-1).reshape(runs, 24, -1)
+            for j, rule in enumerate((slice(0, 16), slice(16, 24))):
+                sums = (padded[:, :, rule] @ table[:, rule]).reshape(runs * _PANEL_RUN, -1)
+                out[j, :, cols] = sums[slots] * mid
         return out
+
+
+def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
+    """Panel edges from lo to hi in runs of equal panels.
+
+    rate(x) is the integrand's phase rate, convex and decreasing like the
+    envelope E, and it is called once per run, at the run's left edge x.
+    The run's panels take the width min(cap, span / rate(x)), so none
+    covers more than `span` radians of phase. A rate-bound run holds for
+    up to _PANEL_RUN panels, but not so far that the secant from the last
+    run's left edge lets the rate fall by more than _RUN_DROP of rate(x);
+    so a panel covers at least 1 - _RUN_DROP of `span`, and a rate-bound
+    first run, which has no secant, is one panel. The last panel is cut at
+    hi and is a run of its own. Returns (edges, panels per run, width per
+    run); raises ToleranceUnreachableError once more than max_panels panels
+    are needed.
+    """
+    # plain floats: the same rounding as numpy scalars, at a fraction of the cost
+    lo, hi, cap, span = float(lo), float(hi), float(cap), float(span)
+    steps = np.arange(1.0, _PANEL_RUN + 1.0)
+    edges, sizes, widths = [np.array([lo])], [], []
+    x, panels, last = lo, 0, None
+    while x < hi:
+        r = rate(x)
+        # min(cap, span / r), compared so that a zero rate takes the cap
+        if r * cap <= span:
+            w, run = cap, _PANEL_RUN
+        else:
+            w, run = span / r, 1 if last is None else _PANEL_RUN
+            if last is not None and last[1] > r:
+                # convexity: rate(x + L) >= r - L (last rate - r) / (x - last x)
+                reach = _RUN_DROP * r * (x - last[0]) / (last[1] - r)
+                run = int(min(_PANEL_RUN, max(1.0, reach // w)))
+        last = (x, r)
+        ends = x + w * steps[:run]
+        k = int(np.searchsorted(ends, hi))  # ends[:k] < hi
+        if k:
+            edges.append(ends[:k])
+            sizes.append(k)
+            widths.append(w)
+            x = float(ends[k - 1])
+        if k < run:
+            edges.append(np.array([hi]))
+            sizes.append(1)
+            widths.append(hi - x)
+            x = hi
+        panels += k + (k < run)
+        if panels > max_panels:
+            raise ToleranceUnreachableError("panel budget exhausted while gridding")
+    return np.concatenate(edges), np.asarray(sizes), np.asarray(widths)
 
 
 def _lattice_sum(head: np.ndarray, step: np.ndarray, offsets: np.ndarray,

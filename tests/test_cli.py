@@ -158,6 +158,19 @@ def test_amplified_past_the_sieve_ceiling_exits_2_before_sieving(capsys, monkeyp
     assert "desk-scale ceiling MAX_SIEVE = 1024" in capsys.readouterr().err
 
 
+def test_s_sum_past_the_sieve_ceiling_exits_2_before_the_table(capsys, monkeypatch):
+    # the segments are refused before the coefficient table up to
+    # 2 T^(1.5 + eps) is built
+    def no_table(params, x_max):
+        raise AssertionError(f"built a table up to {x_max}")
+
+    monkeypatch.setattr(criteria, "synth_eisenstein", no_table)
+    with pytest.raises(ConfigError, match="MAX_SIEVE = 1024"):
+        criteria.route_battery(amp_kappa=1.5)
+    assert main(["s-sum", "--kappa", "1.5"]) == 2
+    assert "desk-scale ceiling MAX_SIEVE = 1024" in capsys.readouterr().err
+
+
 def test_amplified_at_two_primes_per_segment_runs(capsys):
     assert main(["amplified", "--t", "500"]) == 0
     assert "all checks passed (2 checks)" in capsys.readouterr().out

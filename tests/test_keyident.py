@@ -132,6 +132,16 @@ def test_identity_holds_at_desk_scale():
         assert rep.o_tail <= 0.5 * inst_tol
 
 
+def test_identity_holds_at_a_prime_pair_past_the_sieve_ceiling():
+    # (p, l) = (10007, 41) at T = 500: shifts r/h up to 4.4e4, where the
+    # rounding of the phase r x/h used to hold the shell's estimate above
+    # its share until a refinement ran out of panels; the factored phase
+    # meets it on the first pass
+    rep = verify_key_identity(_instance(500.0, 10007, 41))
+    assert rep.passed
+    assert rep.o_quad_err <= 0.5e-9
+
+
 def test_recovered_m_is_step_independent():
     reports = [verify_key_identity(_instance(500.0, p, l))
                for p, l in ((5, 3), (7, 2), (11, 3), (13, 2))]
@@ -416,12 +426,18 @@ def test_single_n_calls_keep_their_bits():
     # D = li(2x) - li(x) from scipy's expi gave the weight
     # 0.19377997918206064 and (-0.003678255325207987+0.0279885702651536j);
     # `_li_segment`, within 3e-16 of mpmath, gives 0.19377997918206083 and
-    # the value below, 9.9e-16 relative to the old one
+    # the value (-0.003678255325207991+0.02798857026515363j), 9.9e-16
+    # relative to the old one. All three moved again when the panels came
+    # in runs of equal width and the shift phase factored per run (new grid,
+    # new rounding): O from (-0.002050335572424838-0.007475369168455647j),
+    # A - O from (0.050728088633725105+0.00961294414115161j), by 1.9e-14
+    # each against a quadrature bound of 3.2e-13 on O; the A09 average by
+    # 8.5e-15 against its tol 1e-9
     rep = verify_key_identity(_instance(250.0, 5, 3))
-    assert repr(rep.o_value) == "(-0.002050335572424838-0.007475369168455647j)"
-    assert repr(rep.recovered_m) == "(0.050728088633725105+0.00961294414115161j)"
+    assert repr(rep.o_value) == "(-0.002050335572431335-0.00747536916847352j)"
+    assert repr(rep.recovered_m) == "(0.0507280886337316+0.00961294414116948j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
-    assert repr(a_avg - o_avg) == "(-0.003678255325207991+0.02798857026515363j)"
+    assert repr(a_avg - o_avg) == "(-0.0036782553252046567+0.027988570265161432j)"
 
 
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):
@@ -440,7 +456,7 @@ def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
     with pytest.raises(ToleranceUnreachableError):
         _poisson_terms(inst, ns, cs)
-    # the first shell's grid (37,416 nodes) fits, its refinement (about
+    # the first shell's grid (37,704 nodes) fits, its refinement (about
     # 75,000) does not fit beside it
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
     with pytest.raises(ToleranceUnreachableError) as info:

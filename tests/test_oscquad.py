@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl3osc import oscquad
@@ -16,6 +16,7 @@ from gl3osc.oscquad import (
     OscInstance,
     PanelGrid,
     _lattice_sum,
+    _panel_runs,
     integrate_main,
     integrate_phase,
     integrate_shifted,
@@ -23,7 +24,7 @@ from gl3osc.oscquad import (
     probe_amplitude,
     stationary_phase_main,
 )
-from gl3osc.util import TWO_PI, loglog_slope
+from gl3osc.util import GL8, GL16, TWO_PI, _lattice_exp, kahan_csum, loglog_slope
 from test_util import LATTICE, LATTICE_B, LATTICE_C
 
 # frozen against an independent arbitrary-precision evaluation (30 digits,
@@ -179,13 +180,14 @@ def test_shifted_batch_holds_each_row_to_its_own_tolerance():
     N = T**1.5
     inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N)
     betas = [1, 5]  # with h = 1 the shifts r/h are the r themselves
-    # on the first grid the beta = 5 rows reach about 7e-14 and 4e-14
+    # on the first grid the beta = 5 rows reach about 4.9e-15 and 4.5e-15,
+    # and 3.9e-15 on the second
     loose = integrate_shifted(inst, tol=1.0, rs=betas, h=1.0)
-    mixed = integrate_shifted(inst, tol=[1.0, 4e-14], rs=betas, h=1.0)
-    assert np.all(mixed.abs_errs[2:] <= 4e-14)
+    mixed = integrate_shifted(inst, tol=[1.0, 4e-15], rs=betas, h=1.0)
+    assert np.all(mixed.abs_errs[2:] <= 4e-15)
     assert mixed.evaluations > loose.evaluations
     # rows that met their tolerance on the first pass keep its values
-    kept = loose.abs_errs <= np.repeat([1.0, 4e-14], 2)
+    kept = loose.abs_errs <= np.repeat([1.0, 4e-15], 2)
     assert not kept.all()
     assert np.array_equal(mixed.values[kept], loose.values[kept])
     c_inv = inst.n * inst.T / inst.N
@@ -226,8 +228,9 @@ def test_repeated_n_adds_its_weights():
 
 
 def test_block_size_leaves_the_bits_alone(monkeypatch):
-    # blocks of one panel and of 31 panels (4 r): the same bytes, values
-    # and error estimates, on gapped n and r with complex weights
+    # blocks of one run of panels (the caps of one panel and of 31 panels
+    # for 4 r) and of three runs: the same bytes, values and error
+    # estimates, on gapped n and r with complex weights
     T = 100.0
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
@@ -235,11 +238,138 @@ def test_block_size_leaves_the_bits_alone(monkeypatch):
     ns = [n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3]
     cs = [0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j]
     got = []
-    for cap in (24 * 4, 24 * 4 * 31):
+    for cap in (24 * 4, 24 * 4 * 31, 24 * 64 * 4 * 3):
         monkeypatch.setattr(oscquad, "_TABLE_ELEMENTS", cap)
         batch = integrate_shifted(inst, rs=[1, 2, 7, 90], h=0.5, ns=ns, cs=cs)
         got.append((batch.values.tobytes(), batch.abs_errs.tobytes(), batch.evaluations))
-    assert got[0] == got[1]
+    assert got[0] == got[1] == got[2]
+
+
+def _per_node_rows(grid, amp_values, inst, ns, cs, rs, h):
+    """The rows of `PanelGrid.reduce_rows` from a shift table per node.
+
+    The path the shifted batches took before the shift phase factored per
+    run, unblocked: the factor row and the table e(-r x/h) on every node,
+    each panel's rule sums as products of the two, and each row's panel
+    sums added in panel order. Returns (values, estimates, mass), the mass
+    being sum_p half_p sum_k |factor A w_k| over the G16 nodes.
+    """
+    ns, rs = np.asarray(ns), np.asarray(rs)
+    m, x = grid.panels, grid.nodes
+    n_lo, r_lo = ns.min(), rs.min()
+    head = -inst.T * np.log(x) - TWO_PI * (n_lo * inst.T / inst.N) / x
+    factor = _lattice_sum(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo,
+                          np.asarray(cs, dtype=complex))
+    base = (factor * amp_values).reshape(m, 24)
+    table = _lattice_exp(-TWO_PI * (r_lo / h) * x, -TWO_PI / h * x, rs - r_lo)
+    table = table.reshape(rs.size, m, 24).transpose(1, 2, 0)
+    sums = []
+    for rule, weights in ((slice(0, 16), GL16[1]), (slice(16, 24), GL8[1])):
+        b = (base[:, rule] * weights)[:, None, :]
+        t = table[:, rule]
+        rows = np.stack((b @ t, np.conj(b.conj() @ t)), axis=-1)
+        sums.append(rows.reshape(m, -1) * grid.halfs[:, None])
+    values = np.array([kahan_csum(col) for col in sums[0].T])
+    est = 4.0 * np.sum(np.abs(sums[0] - sums[1]), axis=0) + 4e-16 * np.sum(np.abs(sums[0]), axis=0)
+    mass = np.sum(np.abs(base[:, :16] * GL16[1]) * grid.halfs[:, None])
+    return values, est, mass
+
+
+@pytest.mark.parametrize("T, rs, h", [(100.0, [7, 1, 90, 2] + list(range(10, 75)), 0.5),
+                                      (1000.0, [9, 10, 13, 16, 80], 3 / (11 * 1000.0**0.5))])
+def test_factored_rows_match_a_table_per_node(T, rs, h):
+    # gapped n and r, unsorted r, complex weights, on one grid (69 r make
+    # two chunks of LATTICE_BLOCK); the factored rows
+    # e(-r mid/h) e(-r half u_k/h) and the per-node table e(-r x/h) are
+    # lattice products of their own, each within LATTICE_C eps (LATTICE_B +
+    # theta) of exp, theta the largest phase 2 pi r x / h, and the node
+    # x = mid + half u_k rounds by eps theta; so every row agrees within
+    # 3 LATTICE_C eps (LATTICE_B + theta) times its mass
+    N = T**1.5
+    n0 = int(np.ceil(N / TWO_PI))
+    inst = OscInstance(T=T, n=n0, N=N)
+    ns = np.array([n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3])
+    cs = np.array([0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j])
+    amp = inst.amplitude
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -T, ns.max() * T / N, max(rs) / h, np.pi)
+    values = amp.fn(grid.nodes)
+    got, _ = grid.reduce_rows(values, inst, ns, cs, np.asarray(rs), h)
+    want, _, mass = _per_node_rows(grid, values, inst, ns, cs, rs, h)
+    theta = TWO_PI * max(rs) * amp.support_hi / h
+    eps = np.finfo(float).eps
+    bound = 3.0 * LATTICE_C * eps * (LATTICE_B + theta) * mass
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("T", [20.0, 100.0])
+def test_factored_estimate_bounds_the_true_error(T):
+    # the first pass's estimate, which does not carry the rounding of the
+    # mid phase r mid/h, still bounds each row's distance to the sum of
+    # integrate_phase references at tol 1e-13 (their own errors are far
+    # below their estimates, which are of the per-node kind)
+    N = T**1.5
+    n0 = int(np.ceil(N / TWO_PI))
+    inst = OscInstance(T=T, n=n0, N=N)
+    ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
+    rs, h = [1, 2, 7, 70], 0.5
+    batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs, tol=1.0)
+    for j, r in enumerate(rs):
+        for k, c_lin in enumerate((r / h, -r / h)):
+            ones = [integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
+                    for n in ns]
+            want = sum(c * one.value for c, one in zip(cs, ones))
+            row = 2 * j + k
+            assert abs(batch.values[row] - want) <= batch.abs_errs[row]
+
+
+def test_shifted_shell_memory_stays_bounded():
+    # one shell of the T = 1000 identity at (p, l) = (11, 3), r = 9..16, at
+    # tol 1e-12: the blocks of whole runs keep its traced peak at 7.9 MB
+    T = 1000.0
+    N = T**1.5
+    inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N)
+    h = 3 * T / (N * 11)
+    tracemalloc.start()
+    try:
+        integrate_shifted(inst, np.arange(9, 17), h, tol=1e-12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(c_log=st.floats(-1e3, 1e3), c_inv=st.floats(-100.0, 100.0),
+       c_lin=st.floats(-1e3, 1e3), span=st.floats(np.pi / 8, np.pi),
+       lo=st.floats(0.25, 2.0), length=st.floats(0.01, 2.0))
+def test_panel_runs_tile_the_support_within_cap_and_span(c_log, c_inv, c_lin, span, lo,
+                                                         length):
+    hi = lo + length
+    cap = (hi - lo) / 8.0  # as PanelGrid caps a panel
+    a, b, c = abs(c_log), TWO_PI * abs(c_inv), TWO_PI * abs(c_lin)
+    calls = []
+
+    def envelope(x):
+        calls.append(x)
+        return a / x + b / (x * x) + c
+
+    edges, sizes, widths = _panel_runs(lo, hi, cap, span, envelope, 10**6)
+    # at most once per run, at its left edge (a panel cut at hi takes none)
+    assert len(calls) <= sizes.size
+    # no gap: one edge list from lo to hi, as many panels as the runs hold
+    assert edges[0] == lo and edges[-1] == hi
+    assert np.all(np.diff(edges) > 0.0)
+    assert sizes.sum() == edges.size - 1 and np.all(sizes >= 1)
+    # every panel has its run's width, to rounding
+    panel_w = np.repeat(widths, sizes)
+    assert np.allclose(np.diff(edges), panel_w, rtol=1e-9, atol=4 * np.finfo(float).eps * hi)
+    assert np.all(np.diff(edges) <= cap * (1 + 1e-12))
+    # E only falls, so a panel covers at most E at its left edge times its width
+    assert np.all(np.diff(edges) * envelope(edges[:-1]) <= span * (1 + 1e-9))
+    # PanelGrid steps by the same envelope
+    grid = PanelGrid(lo, hi, c_log, c_inv, c_lin, span)
+    assert np.array_equal(grid.edges, edges)
+    assert np.array_equal(grid.halfs, 0.5 * panel_w)
 
 
 def test_shifted_pass_memory_does_not_grow_with_the_number_of_n():
