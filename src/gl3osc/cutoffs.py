@@ -339,8 +339,8 @@ def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
-    if np.any(~(flat > 0.0)):
-        raise ConfigError("inversion point must be positive")
+    if np.any(~((flat > 0.0) & (flat < np.inf))):
+        raise ConfigError("inversion point must be positive and finite")
     rate = float(np.max(np.abs(np.log(flat)), initial=1.0))
 
     def shell(t_lo: float, t_hi: float) -> np.ndarray:

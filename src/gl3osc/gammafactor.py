@@ -30,7 +30,8 @@ node, and the batch's rows exp(i t log X_z) meet them in one matrix product
 per block of nodes.  A geometric run of z makes log X_z a progression, so its
 rows are products on an integer lattice; X_z^sigma scales each row's sum.
 `g_kernel` is the batch of one; `GKernelTable` tabulates its grid as one
-progression.
+progression. The shells' panels come in runs from `util._panel_runs`, as
+`oscquad`'s grids do, each run sized by the higher end of the local rate.
 
 The contour, the line mass C_F (`f_line_mass`) and `cutoffs.mellin_invert`
 double their shells along a vertical line in one driver, `util._line_shells`:
@@ -51,8 +52,7 @@ import numpy as np
 
 from .cutoffs import _LINE_CHUNK, h0_cutoff, mellin_on_line
 from .errors import ConfigError, GammaPoleError, ToleranceUnreachableError
-from .util import (GL16, TWO_PI, _lattice_exp, _line_shells, adaptive_edges, gl_panels,
-                   kahan_csum)
+from .util import GL16, TWO_PI, _lattice_exp, _line_shells, _panel_runs, gl_panels, kahan_csum
 
 #: Tempered self-dual-ish default triple; purely imaginary, summing to zero.
 DEFAULT_ALPHA = (0.5j, -0.3j, -0.2j)
@@ -162,7 +162,8 @@ class ContourSpec:
 def f_line_mass(T: float) -> float:
     """(1 / 2 pi) * int |F(it)| dt over the whole line, for the dyadic-window
     cutoff's Mellin transform F: GL16 shells on `_line_shells`, frozen after
-    the first shell that adds less than 5e-13.
+    the first shell that adds less than 5e-13. |F(-it)| = |F(it)|, so each
+    shell integrates its part on t >= 0 and doubles it.
 
     This is the constant C with |G(z)| <= C * max |gamma| on the Re(s) = 0
     line; it grows like log T through the window's width.
@@ -176,9 +177,13 @@ def f_line_mass(T: float) -> float:
     step = zero / np.ceil(zero / 8.0)
 
     def shell(lo: float, hi: float) -> np.ndarray:
+        # |F(-it)| = |F(it)|: twice the shell's part on t >= 0, none below
+        lo, hi = max(lo, 0.0), max(hi, 0.0)
+        if hi <= lo:
+            return np.zeros(1)
         lattice = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1.0)
         ts, wts = gl_panels(np.unique(np.concatenate([[lo, hi], lattice])), *GL16)
-        return np.array([np.sum(wts * np.abs(mellin_on_line(h0, 0.0, ts)))])
+        return np.array([2.0 * np.sum(wts * np.abs(mellin_on_line(h0, 0.0, ts)))])
 
     return float(_line_shells(shell, 16.0, 1e-12, LINE_MASS_TOP, "line-mass")[0]) / TWO_PI
 
@@ -227,12 +232,13 @@ def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
     for a head of count one. Nodes go in blocks whose phase table holds
     about _LINE_CHUNK elements; each block is one product rows @ base, each
     z's block partials are joined by one compensated sum, and X_z^sigma
-    scales that sum. Panels span two cycles of the fastest local phase over
-    the batch, the Mellin factor's own band included. The shells double on
-    `_line_shells` from |Im s| <= CONTOUR_IM_START: each z's value is frozen
-    after its first added shell below tol/2, and a z still adding past
-    height 16 T raises TailNotConvergedError. A batch of one is exactly
-    g_kernel's grid.
+    scales that sum. Panels span at most two cycles of the fastest local
+    phase over the batch, the Mellin factor's own band included, where it
+    rises too: `_panel_runs` sizes each run by its higher end. The shells
+    double on `_line_shells` from |Im s| <= CONTOUR_IM_START: each z's
+    value is frozen after its first added shell below tol/2, and a z still
+    adding past height 16 T raises TailNotConvergedError. A batch of one is
+    exactly g_kernel's grid.
     """
     h0 = h0_cutoff(T, kappa, eps)
     u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
@@ -251,7 +257,7 @@ def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
         return max(abs(x_lo - b), abs(x_hi - b)) + u_band + 0.5
 
     def shell(lo: float, hi: float) -> np.ndarray:
-        edges = adaptive_edges(lo, hi, 16.0, 2.0 * TWO_PI, local_freq, _SHELL_MAX_PANELS)
+        edges, _, _ = _panel_runs(lo, hi, 16.0, 2.0 * TWO_PI, local_freq, _SHELL_MAX_PANELS)
         ts, wts = gl_panels(edges, *GL16)
         s = sigma + 1j * ts
         fvals = mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
@@ -311,8 +317,8 @@ class GKernelTable:
               eps: float = KERNEL_EPS) -> "GKernelTable":
         from scipy.interpolate import CubicSpline
 
-        if not 0.0 < z_lo < z_hi:
-            raise ConfigError("need 0 < z_lo < z_hi")
+        if not 0.0 < z_lo < z_hi < np.inf:
+            raise ConfigError("need 0 < z_lo < z_hi < inf")
         if not 1.0 < T < np.inf:
             raise ConfigError("T must be finite and exceed 1")
         if z_lo < 0.25:

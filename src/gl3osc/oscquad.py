@@ -15,13 +15,13 @@ oscillation, using the decreasing envelope
 
     E(x) = |c_log|/x + 2*pi*|c_inv|/x^2 + 2*pi*|c_lin|  >=  |Phi'(x)|.
 
-The panels come in runs of equal width: the width min(cap, span / E(x)) at
-a run's left edge x holds for up to 64 panels, or fewer where E falls fast,
-and the last panel is cut at the support's end. E decreases, so no panel
-spans more than `span` radians, and E is evaluated once per run. Each panel
-gets a 16-point Gauss-Legendre rule with an embedded 8-point rule; the
-error estimate is 4x the summed embedded difference (conservative), plus a
-roundoff floor. Panel partial sums are reduced left to right with compensated
+The panels come in runs of equal width (`util._panel_runs`): the width
+min(cap, span / E(x)) at a run's left edge x holds for up to 64 panels, or
+fewer where E falls fast, and the last panel is cut at the support's end.
+E decreases, so no panel spans more than `span` radians, and E is evaluated
+once per run. Each panel gets a 16-point Gauss-Legendre rule with an
+embedded 8-point rule; the error estimate is 4x the summed embedded
+difference (conservative), plus a roundoff floor. Panel partial sums are reduced left to right with compensated
 summation, so results are bit-reproducible. Both integrators run one loop,
 `_halve_spans`, over rows that share the amplitude (`integrate_phase` is one
 row): a pass grids for the largest |c_lin| among the live rows, evaluates A
@@ -64,7 +64,8 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, kahan_add, kahan_csum
+from .util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _PANEL_RUN, _lattice_exp, _panel_runs,
+                   kahan_add, kahan_csum)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
@@ -78,10 +79,6 @@ DEFAULT_TOL = 1e-9
 # number of n.
 _TABLE_ELEMENTS = 1 << 16
 
-# panels of one run, which share a width and a table of shift phases, and
-# the share of the envelope a run may lose to its left edge's width
-_PANEL_RUN = 64
-_RUN_DROP = 1.0 / 8.0
 # a panel's 16 + 8 rule nodes on [-1, 1] and their weights, in node order
 _NODES24 = np.concatenate([GL16[0], GL8[0]])
 _WEIGHTS24 = np.concatenate([GL16[1], GL8[1]])
@@ -150,7 +147,7 @@ class PanelGrid:
     """Oscillation-resolving panel grid with an embedded error rule.
 
     Holds the nodes of a fixed (amplitude-independent) paneling in runs of
-    equal panels (`_panel_runs`, stepped by the envelope E(x)), 24 a panel:
+    equal panels (`util._panel_runs`, stepped by the envelope E(x)), 24 a panel:
     its 16 GL16 nodes, then its 8 GL8 nodes, each mid + half u_k with the
     run's half-width. `reduce` turns integrand values at the nodes into a
     value and an error estimate, and `reduce_rows` does so for every row
@@ -215,7 +212,7 @@ class PanelGrid:
             m = s16.shape[0]
             s, c = kahan_add(s, c, s16.view(float).reshape((m,) + s.shape))
             terms = np.stack((np.abs(s16 - s8), np.abs(s16)), axis=1)
-            est = np.add.accumulate(np.concatenate([est[None], terms]), axis=0)[-1]
+            est = np.concatenate([est[None], terms]).sum(axis=0)
         values = np.ascontiguousarray(s + c).view(complex)[..., 0]
         return values, 4.0 * est[0] + 4e-16 * est[1]
 
@@ -256,56 +253,6 @@ class PanelGrid:
                 sums = (padded[:, :, rule] @ table[:, rule]).reshape(runs * _PANEL_RUN, -1)
                 out[j, :, cols] = sums[slots] * mid
         return out
-
-
-def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
-    """Panel edges from lo to hi in runs of equal panels.
-
-    rate(x) is the integrand's phase rate, convex and decreasing like the
-    envelope E, and it is called once per run, at the run's left edge x.
-    The run's panels take the width min(cap, span / rate(x)), so none
-    covers more than `span` radians of phase. A rate-bound run holds for
-    up to _PANEL_RUN panels, but not so far that the secant from the last
-    run's left edge lets the rate fall by more than _RUN_DROP of rate(x);
-    so a panel covers at least 1 - _RUN_DROP of `span`, and a rate-bound
-    first run, which has no secant, is one panel. The last panel is cut at
-    hi and is a run of its own. Returns (edges, panels per run, width per
-    run); raises ToleranceUnreachableError once more than max_panels panels
-    are needed.
-    """
-    # plain floats: the same rounding as numpy scalars, at a fraction of the cost
-    lo, hi, cap, span = float(lo), float(hi), float(cap), float(span)
-    steps = np.arange(1.0, _PANEL_RUN + 1.0)
-    edges, sizes, widths = [np.array([lo])], [], []
-    x, panels, last = lo, 0, None
-    while x < hi:
-        r = rate(x)
-        # min(cap, span / r), compared so that a zero rate takes the cap
-        if r * cap <= span:
-            w, run = cap, _PANEL_RUN
-        else:
-            w, run = span / r, 1 if last is None else _PANEL_RUN
-            if last is not None and last[1] > r:
-                # convexity: rate(x + L) >= r - L (last rate - r) / (x - last x)
-                reach = _RUN_DROP * r * (x - last[0]) / (last[1] - r)
-                run = int(min(_PANEL_RUN, max(1.0, reach // w)))
-        last = (x, r)
-        ends = x + w * steps[:run]
-        k = int(np.searchsorted(ends, hi))  # ends[:k] < hi
-        if k:
-            edges.append(ends[:k])
-            sizes.append(k)
-            widths.append(w)
-            x = float(ends[k - 1])
-        if k < run:
-            edges.append(np.array([hi]))
-            sizes.append(1)
-            widths.append(hi - x)
-            x = hi
-        panels += k + (k < run)
-        if panels > max_panels:
-            raise ToleranceUnreachableError("panel budget exhausted while gridding")
-    return np.concatenate(edges), np.asarray(sizes), np.asarray(widths)
 
 
 def _lattice_sum(head: np.ndarray, step: np.ndarray, offsets: np.ndarray,

@@ -2,6 +2,7 @@
 
 Summation and reduction order are fixed and compensated so every result is
 bit-reproducible run to run; nothing here depends on scheduling.
+`_panel_runs` builds the edges of every integral paneled by its phase rate.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ GL16, GL8 = (np.polynomial.legendre.leggauss(k) for k in (16, 8))
 # longest run of consecutive lattice offsets one exact exponential heads; a
 # phase table's products of exp(i step) never chain further than this
 LATTICE_BLOCK = 64
+
+# panels of one run (`_panel_runs`), which share a width, and the share of
+# a falling rate a run may lose to its left edge's width
+_PANEL_RUN = 64
+_RUN_DROP = 1.0 / 8.0
 
 
 def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -104,26 +110,70 @@ def gl_panels(edges, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def adaptive_edges(lo, hi, cap, span, rate, max_panels: int) -> np.ndarray:
-    """Panel edges from lo to hi, each step min(cap, span / rate(x)).
+def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
+    """Panel edges from lo to hi in runs of equal panels: the edge builder
+    of every integral paneled by its phase rate.
 
-    x is the panel's left edge and rate(x) the integrand's phase rate
-    there, so a panel covers about `span` radians of phase (at most that
-    where the rate only falls). Raises ToleranceUnreachableError once more
-    than max_panels panels are needed.
+    rate(x) is quasiconvex, falling and then rising (oscquad's envelope E
+    only falls), so on any interval it peaks at an end. It is called at lo
+    and at each run's right end, whose value serves the next run as its
+    left-edge rate r (after a rise, as a bound on it). A run's panels take
+    the width min(cap, span / r), or span / the right-end rate where that
+    is higher, so none covers more than `span` radians of phase. A
+    rate-bound run holds for up to _PANEL_RUN panels, but not so far that
+    the secant from the last run lets a falling convex rate drop by more
+    than _RUN_DROP of r; a rate-bound first run, which has no secant, is
+    one panel. The last panel is cut at hi and is a run of its own. Returns
+    (edges, panels per run, width per run); raises ConfigError on a
+    non-finite rate, and ToleranceUnreachableError once more than
+    max_panels panels are needed.
     """
     # plain floats: the same rounding as numpy scalars, at a fraction of the cost
     lo, hi, cap, span = float(lo), float(hi), float(cap), float(span)
-    edges = [lo]
-    x = lo
+    steps = np.arange(1.0, _PANEL_RUN + 1.0)
+    edges, sizes, widths = [np.array([lo])], [], []
+    x, panels, last = lo, 0, None
+    r = _finite_rate(rate, lo)
     while x < hi:
-        r = rate(x)
         # min(cap, span / r), compared so that a zero rate takes the cap
-        x = min(x + (cap if r * cap <= span else span / r), hi)
-        edges.append(x)
-        if len(edges) > max_panels + 1:
+        if r * cap <= span:
+            w, run = cap, _PANEL_RUN
+        else:
+            w, run = span / r, 1 if last is None else _PANEL_RUN
+            if last is not None and last[1] > r:
+                # convexity: rate(x + L) >= r - L (last rate - r) / (x - last x)
+                reach = _RUN_DROP * r * (x - last[0]) / (last[1] - r)
+                run = int(min(_PANEL_RUN, max(1.0, reach // w)))
+        last = (x, r)
+        ends = x + w * steps[:run]
+        r_end = _finite_rate(rate, min(float(ends[-1]), hi))
+        if r_end > r:
+            # the rate rises across the run: its right end bounds it there
+            w = min(w, span / r_end)
+            ends = x + w * steps[:run]
+        r = r_end
+        k = int(np.searchsorted(ends, hi))  # ends[:k] < hi
+        if k:
+            edges.append(ends[:k])
+            sizes.append(k)
+            widths.append(w)
+            x = float(ends[k - 1])
+        if k < run:
+            edges.append(np.array([hi]))
+            sizes.append(1)
+            widths.append(hi - x)
+            x = hi
+        panels += k + (k < run)
+        if panels > max_panels:
             raise ToleranceUnreachableError("panel budget exhausted while gridding")
-    return np.asarray(edges)
+    return np.concatenate(edges), np.asarray(sizes), np.asarray(widths)
+
+
+def _finite_rate(rate, x: float) -> float:
+    r = rate(x)
+    if not abs(r) < np.inf:
+        raise ConfigError(f"phase rate at {x!r} must be finite, not {r}")
+    return r
 
 
 def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.ndarray:

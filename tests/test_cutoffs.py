@@ -1,4 +1,6 @@
 """Tests for the smooth cutoff family and its Mellin machinery."""
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -282,6 +284,12 @@ def test_mellin_inversion_round_trip():
 def test_mellin_invert_rejects_nonpositive_point():
     with pytest.raises(ConfigError):
         mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), 0.0)
+
+
+def test_mellin_invert_rejects_an_infinite_point():
+    # an infinite point had ended in an OverflowError from its power
+    with pytest.raises(ConfigError):
+        mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), [math.inf])
 
 
 def test_mellin_invert_raises_when_its_tail_never_settles(monkeypatch):

@@ -27,7 +27,7 @@ from gl3osc.gammafactor import (
     gamma_pi,
     gamma_pi_line,
 )
-from gl3osc.util import TWO_PI, _line_shells, loglog_slope
+from gl3osc.util import GL16, TWO_PI, _line_shells, _panel_runs, gl_panels, loglog_slope
 
 ZERO_PARAMS = LanglandsParams(alpha=(0.0j, 0.0j, 0.0j))
 
@@ -151,6 +151,33 @@ def test_kernel_table_refuses_a_nan_height():
         GKernelTable.build(0.5, 2.0, math.nan)
 
 
+def test_kernel_table_refuses_an_infinite_range():
+    # an infinite z_hi had ended in a ValueError from its node count
+    with pytest.raises(ConfigError):
+        GKernelTable.build(0.5, math.inf, 100.0)
+
+
+def test_contour_panels_cover_at_most_two_cycles(monkeypatch):
+    # every contour panel of a table build and of a deep-line kernel value,
+    # sampled at 17 points: where the local rate rises inside a shell, a
+    # panel stepped by its left-edge rate alone covers up to 1.022 x span
+    worst = []
+
+    def watched(lo, hi, cap, span, rate, max_panels):
+        out = _panel_runs(lo, hi, cap, span, rate, max_panels)
+        edges = out[0]
+        u = np.linspace(0.0, 1.0, 17)
+        for a, b in zip(edges[:-1], edges[1:]):
+            peak = max(rate(float(a + (b - a) * t)) for t in u)
+            worst.append((b - a) * peak / span)
+        return out
+
+    monkeypatch.setattr(gammafactor, "_panel_runs", watched)
+    GKernelTable.build(0.5, 2.0, 100.0)
+    g_kernel(500.0**-0.5, 500.0, tol=1e-10)
+    assert worst and max(worst) <= 1.0 + 1e-9
+
+
 def test_f_line_mass_pinned():
     got = f_line_mass(500.0)
     assert abs(got - C_F_500) < 1e-3
@@ -180,6 +207,24 @@ def test_f_line_mass_converges_with_no_height_cut(monkeypatch, T):
     h, shell = seen["height"], seen["shell"]
     assert h < seen["top"]
     assert abs(float((shell(h, 2.0 * h) + shell(-2.0 * h, -h))[0])) < seen["tol"]
+
+
+@pytest.mark.parametrize("T", [100.0, 500.0, 2000.0])
+def test_f_line_mass_matches_the_two_sided_sum(T):
+    # the half-line shells, doubled, against both half-lines summed as the
+    # mass once was: the same shells stop, so only rounding may differ
+    h0 = gammafactor.h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
+    zero = TWO_PI / ((KERNEL_KAPPA - KERNEL_EPS) * np.log(T))
+    step = zero / np.ceil(zero / 8.0)
+
+    def shell(lo, hi):
+        lattice = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1.0)
+        ts, wts = gl_panels(np.unique(np.concatenate([[lo, hi], lattice])), *GL16)
+        return np.array([np.sum(wts * np.abs(gammafactor.mellin_on_line(h0, 0.0, ts)))])
+
+    two_sided = float(_line_shells(shell, 16.0, 1e-12, gammafactor.LINE_MASS_TOP,
+                                   "line-mass")[0]) / TWO_PI
+    assert abs(f_line_mass(T) - two_sided) <= 4 * np.spacing(two_sided)
 
 
 def test_g_kernel_bounded_by_line_mass():
@@ -241,12 +286,13 @@ def test_kernel_table_accuracy_and_parts():
 
 
 def test_g_kernel_bits_pinned():
-    # the exact value since the contour sums each shell by block products
-    # rows @ (F gamma w), joined by one compensated sum, and scales by
-    # X^sigma after the sum; it was 6.602145501205267e-06 -
-    # 2.0267040950680673e-05j with one exponential and sum per node, 3e-13
-    # relative away, within the contour tolerance
-    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145501211393e-06 - 2.0267040950690604e-05j
+    # the exact value since the contour shells take their edges from the run
+    # builder, whose right-end rate bounds each run where the rate rises; it
+    # was 6.602145501211393e-06 - 2.0267040950690604e-05j with one rate call
+    # per panel at its left edge (1.8e-14 away, within the contour
+    # tolerance), and 6.602145501205267e-06 - 2.0267040950680673e-05j before
+    # the block products rows @ (F gamma w)
+    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145483334852e-06 - 2.0267040947780852e-05j
 
 
 def test_shared_contour_grid_matches_each_z_alone():

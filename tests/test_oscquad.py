@@ -1,5 +1,6 @@
 """Tests for the oscillatory-integral oracle and its stationary-phase law."""
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from gl3osc.oscquad import (
     OscInstance,
     PanelGrid,
     _lattice_sum,
-    _panel_runs,
     integrate_main,
     integrate_phase,
     integrate_shifted,
@@ -24,7 +24,7 @@ from gl3osc.oscquad import (
     probe_amplitude,
     stationary_phase_main,
 )
-from gl3osc.util import GL8, GL16, TWO_PI, _lattice_exp, kahan_csum, loglog_slope
+from gl3osc.util import GL8, GL16, TWO_PI, _lattice_exp, _panel_runs, kahan_csum, loglog_slope
 from test_util import LATTICE, LATTICE_B, LATTICE_C
 
 # frozen against an independent arbitrary-precision evaluation (30 digits,
@@ -354,8 +354,9 @@ def test_panel_runs_tile_the_support_within_cap_and_span(c_log, c_inv, c_lin, sp
         return a / x + b / (x * x) + c
 
     edges, sizes, widths = _panel_runs(lo, hi, cap, span, envelope, 10**6)
-    # at most once per run, at its left edge (a panel cut at hi takes none)
-    assert len(calls) <= sizes.size
+    # at lo, then at most once per run, at its right end (a panel cut at hi
+    # takes none)
+    assert len(calls) <= sizes.size + 1
     # no gap: one edge list from lo to hi, as many panels as the runs hold
     assert edges[0] == lo and edges[-1] == hi
     assert np.all(np.diff(edges) > 0.0)
@@ -403,6 +404,35 @@ def test_shifted_batch_refuses_shifts_off_the_lattice():
         integrate_shifted(inst, rs=[1.5], h=1.0)
     with pytest.raises(ConfigError):
         integrate_shifted(inst, rs=[1], h=1.0, ns=[3, 4], cs=[1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_linear_phase_is_refused_at_once(bad):
+    # refused before the first grid: a NaN rate would grid one panel a pass
+    # until the evaluation budget ran out
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match="rate"):
+        integrate_phase(probe_amplitude(), -100.0, 30.0, bad)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_shifted_batch_refuses_a_nan_step_at_once():
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match="rate"):
+        integrate_shifted(OscInstance(T=100.0, n=3, N=10.0), rs=[1, 2], h=math.nan)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_estimate_sum_keeps_the_prefix_sums_last_row():
+    # reduce_rows adds each block's (panels, 2, rows) estimate terms to its
+    # running (2, rows) sums in one .sum(axis=0): the same left-to-right
+    # chain, bit for bit, as the last of the prefix sums it replaced
+    rng = np.random.default_rng(20)
+    for rows in range(2, 257, 2):
+        for m in (1, 64, 320):
+            stacked = rng.exponential(rng.uniform(1e-18, 1.0), (m + 1, 2, rows))
+            want = np.add.accumulate(stacked, axis=0)[-1]
+            assert np.array_equal(stacked.sum(axis=0), want)
 
 
 @LATTICE

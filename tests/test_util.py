@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gl3osc.errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
                            ToleranceUnreachableError)
 from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, _line_shells,
-                         adaptive_edges, e, gl_panels, is_prime, kahan_add, kahan_csum,
+                         _panel_runs, e, gl_panels, is_prime, kahan_add, kahan_csum,
                          kahan_sum, loglog_slope, primes_in)
 
 
@@ -150,27 +150,57 @@ def test_gl_panels_matches_panel_by_panel_loop():
         np.testing.assert_array_equal(w, np.concatenate([h * weights for h in half]))
 
 
-def test_adaptive_edges_steps_and_stops_at_hi():
-    rate = lambda x: 3.0 + x * x  # noqa: E731
-    edges = adaptive_edges(0.25, 7.0, 0.5, np.pi, rate, max_panels=1000)
-    assert edges[0] == 0.25
-    assert edges[-1] == 7.0
-    # every step but the last is min(cap, span / rate) at its left edge;
-    # the last one is cut short at hi
-    want = np.minimum(0.5, np.pi / rate(edges[:-1]))
-    np.testing.assert_array_equal(edges[1:-1], edges[:-2] + want[:-1])
-    assert 0.0 < edges[-1] - edges[-2] <= want[-1]
-    # a zero rate takes the cap at every step
-    np.testing.assert_array_equal(adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, 4),
-                                  [0.0, 0.25, 0.5, 0.75, 1.0])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bottom=st.floats(0.0, 1.0), floor=st.floats(0.0, 50.0), fall=st.floats(0.0, 1e3),
+       bend=st.floats(0.0, 1e3), rise=st.floats(0.0, 1e3), knee=st.floats(0.1, 100.0),
+       span=st.floats(np.pi / 8, 4 * np.pi), lo=st.floats(-2.0, 2.0),
+       length=st.floats(0.01, 4.0))
+def test_panel_runs_hold_span_on_a_v_shaped_rate(bottom, floor, fall, bend, rise, knee, span,
+                                                lo, length):
+    # a quasiconvex rate like the contour's: convex while it falls to its
+    # floor at x0, concave as it rises beyond
+    hi = lo + length
+    x0 = lo + bottom * length
+    cap = (hi - lo) / 8.0
+    calls = []
+
+    def rate(x):
+        calls.append(x)
+        if x <= x0:
+            return floor + fall * (x0 - x) + bend * (x0 - x) ** 2
+        return floor + rise * math.log1p(knee * (x - x0))
+
+    edges, sizes, widths = _panel_runs(lo, hi, cap, span, rate, 10**6)
+    # at lo, then once per run at its right end (a panel cut at hi takes none)
+    assert len(calls) <= sizes.size + 1 <= 2 * sizes.size
+    # the panels tile [lo, hi], within the cap
+    assert edges[0] == lo and edges[-1] == hi
+    assert np.all(np.diff(edges) > 0.0)
+    assert sizes.sum() == edges.size - 1 and np.all(sizes >= 1)
+    assert np.all(np.diff(edges) <= cap * (1 + 1e-12))
+    # no panel covers more than `span` radians, sampled densely inside it
+    inner = np.linspace(0.0, 1.0, 33)
+    for a, b in zip(edges[:-1], edges[1:]):
+        assert (b - a) * max(rate(float(a + (b - a) * u)) for u in inner) <= span * (1 + 1e-9)
 
 
-def test_adaptive_edges_enforces_max_panels():
-    adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, max_panels=4)
+def test_panel_runs_refuse_a_non_finite_rate():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="rate"):
+            _panel_runs(0.0, 1.0, 0.25, 1.0, lambda x: bad, 1000)
+    # the rate rises to a non-finite value at a run's right end
+    with pytest.raises(ConfigError, match="rate"):
+        _panel_runs(0.0, 1.0, 0.25, 1.0, lambda x: 1.0 if x < 0.5 else math.inf, 1000)
+
+
+def test_panel_runs_enforce_max_panels():
+    # a zero rate takes the cap: four panels of a quarter, one run and the cut
+    edges = _panel_runs(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, 4)[0]
+    np.testing.assert_array_equal(edges, [0.0, 0.25, 0.5, 0.75, 1.0])
     with pytest.raises(ToleranceUnreachableError):
-        adaptive_edges(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, max_panels=3)
+        _panel_runs(0.0, 1.0, 0.25, 1.0, lambda x: 0.0, 3)
     with pytest.raises(ToleranceUnreachableError):
-        adaptive_edges(0.0, 1.0, 1.0, 1.0, lambda x: 1e6, max_panels=1000)
+        _panel_runs(0.0, 1.0, 1.0, 1.0, lambda x: 1e6, 1000)
 
 
 def _scripted(first, positive):
