@@ -76,11 +76,19 @@ def _scalar_or_array(x, out):
 
 @dataclass(frozen=True)
 class Cutoff:
-    """A smooth cutoff fn, exactly zero outside [support_lo, support_hi]."""
+    """A smooth cutoff fn, exactly zero outside [support_lo, support_hi].
+
+    `jet`, when set, gives the Taylor coefficients in closed form:
+    jet(y, k)[i] = fn^(i)(y) / i! for i = 0..k, an array of shape
+    (k + 1,) + y.shape that is zero outside the open support. The exp-bump
+    family (v0, g and the probe amplitude) carries one; the Poisson dual
+    sum bounds its tail with it (see `keyident`).
+    """
 
     support_lo: float
     support_hi: float
     fn: Callable = field(repr=False, compare=False)
+    jet: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.support_lo < self.support_hi):
@@ -108,13 +116,47 @@ def _exp_bump_fn(lo: float, hi: float) -> Callable:
     return fn
 
 
+def _exp_bump_jet(lo: float, hi: float) -> Callable:
+    """Taylor coefficients of `_exp_bump_fn(lo, hi)`, as `Cutoff.jet`.
+
+    With a = hi - y and b = y - lo, the bump is exp(E) with
+    E = -(half/2) (1/a + 1/b), so E's coefficients are
+    E_i = -(half/2) (a^-(i+1) + (-1)^i b^-(i+1)) in closed form, and those
+    of exp(E) follow from (exp E)' = E' exp E:
+    f_0 = exp(E_0), f_j = (1/j) sum_(i=1..j) i E_i f_(j-i). Against mpmath
+    the relative error stays below 1e-13 (1 + |E_0|) to order 8, from 1e-3
+    of an edge inward; |E_0| eps is the error of exp(E_0) itself.
+    """
+    half = 0.5 * (hi - lo)
+
+    def jet(y, k: int):
+        y = np.asarray(y, dtype=float)
+        out = np.zeros((k + 1,) + y.shape)
+        inside = (y > lo) & (y < hi)
+        order = np.arange(1.0, k + 2.0)[:, None]
+        a, b = hi - y[inside], y[inside] - lo
+        e = -0.5 * half * (a ** -order + (-1.0) ** (order + 1.0) * b ** -order)
+        f = np.empty_like(e)
+        f[0] = np.exp(e[0])
+        for j in range(1, k + 1):
+            f[j] = np.sum(order[:j] * e[1:j + 1] * f[j - 1::-1], axis=0) / j
+        out[:, inside] = f
+        return out
+
+    return jet
+
+
+def _exp_bump(lo: float, hi: float) -> Cutoff:
+    """The exp bump on [lo, hi] with its jet."""
+    return Cutoff(support_lo=lo, support_hi=hi, fn=_exp_bump_fn(lo, hi),
+                  jet=_exp_bump_jet(lo, hi))
+
+
 def v0_cutoff(c1: float = 1.0) -> Cutoff:
     """The basic bump on [1/(8*pi), (1+c1)/(2*pi)]."""
     if c1 <= 0.0:
         raise ConfigError("c1 must be positive")
-    lo = ONE_OVER_8PI
-    hi = (1.0 + c1) * ONE_OVER_2PI
-    return Cutoff(support_lo=lo, support_hi=hi, fn=_exp_bump_fn(lo, hi))
+    return _exp_bump(ONE_OVER_8PI, (1.0 + c1) * ONE_OVER_2PI)
 
 
 def _smoothstep_down(t):
@@ -190,9 +232,11 @@ def g_cutoff() -> Cutoff:
         coarse, norm = masses
         if not np.isfinite(norm) or norm <= 0.0 or abs(norm - coarse) > _G_NORM_TOL:
             raise ConfigError("g normalization quadrature failed")
+        raw_jet = _exp_bump_jet(ONE_OVER_4PI, ONE_OVER_2PI)
         _G_CACHE["g"] = Cutoff(
             support_lo=ONE_OVER_4PI, support_hi=ONE_OVER_2PI,
             fn=lambda y, _r=raw, _n=norm: _r(y) / _n,
+            jet=lambda y, k, _j=raw_jet, _n=norm: _j(y, k) / _n,
         )
     return _G_CACHE["g"]
 

@@ -18,13 +18,23 @@ cutoff evaluated at x0 = 2*pi*n/N. `lin_form_leading` is that closed form,
 and the A01-shape check holds D*(A - O) to it within K_SP_MAIN T^(-3/2) |D|.
 
 O is summed in shells of r: [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so
-on, until the shell's mass puts the tail below tol/2. A shell is one
-shared-grid batch (`integrate_shifted`): every +-r of the shell on one grid
-with one evaluation of V. Its phases are geometric sequences in the
-integers r and n: an exponential per node heads each run of up to 64
-consecutive r (or n); products fill the shift table, and Horner's rule sums
-a run's weighted n, so a shell of 8 r costs two exponentials per node, not
-eight.
+on, until the tail is below tol/2. Past the stationary range
+r <= h max|Phi'|/(2 pi) of the main phase Phi, k-fold integration by parts
+bounds every further term (`_IbpTail`; the mechanism that keeps the dual
+side short in the Munshi and Holowinsky-Nelson arguments). So for an
+amplitude with a closed-form jet (`Cutoff.jet`: v0, g and the probe bump)
+the sum stops, before gridding a shell that starts past that range, once
+the bound on all its further r is below tol/2, and `o_tail` is that bound.
+The instances of A01 and A09 stop after r = 8, and a pair with no
+stationary r >= 1, such as (10007, 3) at T = 500, builds no grid at all.
+An amplitude without a jet (the route amplitude of `sums`, the kernel
+table's weights) stops once twice the last shell's mass is below tol/2,
+an estimate. A shell is one shared-grid batch (`integrate_shifted`): every
++-r of the shell on one grid with one evaluation of V. Its phases are
+geometric sequences in the integers r and n: an exponential per node heads
+each run of up to 64 consecutive r (or n); products fill the shift table,
+and Horner's rule sums a run's weighted n, so a shell of 8 r costs two
+exponentials per node, not eight.
 
 The dual sum and the amplified average dualize a weighted n-sum whole: by
 linearity sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n
@@ -42,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -59,11 +70,21 @@ from .util import GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 # ceiling of its adaptive truncation
 FIRST_SHELL_R = 8
 MAX_R = 4096
-# AmplifierSpec.for_t sieves no further than 2P <= MAX_SIEVE. At T = 500 a
-# pair's dual sum grows with p / l, as its shifts r/h do (0.06 s at
-# (p, l) = (101, 3), 0.7 s at (1009, 3)), [P, 2P] x [L, 2L] holds about 800
-# pairs at P = 1009, and at (10007, 3) one pass needs more panels than the
-# evaluation budget allows
+# the dual sum's integration-by-parts tail bound (`_IbpTail`): IBP_ORDER
+# integrations by parts; each L1 norm a trapezoid sum on IBP_POINTS uniform
+# nodes of the support times IBP_CUSHION (on the A01 instances the sums on
+# 801 nodes are within 1% of those on 8,001); IBP_ROWS values of r bounded
+# row by row, the rest in closed form
+IBP_ORDER = 8
+IBP_POINTS = 801
+IBP_CUSHION = 2.0
+IBP_ROWS = 8
+# AmplifierSpec.for_t sieves no further than 2P <= MAX_SIEVE: [P, 2P] x
+# [L, 2L] holds about 800 pairs at P = 1009, each with a windowed sum of
+# about p sqrt(T) / l terms. A pair's dual sum grids only while some r is
+# stationary: at T = 500 every pair with p / l above about 7.1 has no
+# stationary r >= 1 and is bounded without a grid (3 ms at (1009, 3) and
+# at (10007, 3))
 MAX_SIEVE = 1024
 
 # _li_segment's rule: GL16 nodes s on [1, 2], their weights, and log s
@@ -152,42 +173,176 @@ def _riemann_rounding(inst: KeyIdentityInstance) -> float:
     return 8.0 * eps * inst.T * (np.log(r_hi) + abs(np.log(h)) + 1.0) * mass
 
 
+def _phase_rate_max(inst: KeyIdentityInstance, n: int) -> float:
+    """max |Phi'| over the support for the main phase of n, in closed form.
+
+    Phi' = -T/x + 2 pi (nT/N)/x^2 is the quadratic f(t) = -T t + C t^2 in
+    t = 1/x, C = 2 pi n T/N; |f| peaks at an end of [1/hi, 1/lo] or at the
+    vertex t = T/(2C), where f = -T^2/(4C).
+    """
+    c = TWO_PI * n * inst.T / inst.N
+    t_lo, t_hi = 1.0 / inst.amplitude.support_hi, 1.0 / inst.amplitude.support_lo
+    peak = max(abs(c * t_lo - inst.T) * t_lo, abs(c * t_hi - inst.T) * t_hi)
+    if t_lo <= inst.T / (2.0 * c) <= t_hi:
+        peak = max(peak, inst.T * inst.T / (4.0 * c))
+    return peak
+
+
+def _taylor_inverse_power(x: np.ndarray, j: int, k: int) -> np.ndarray:
+    """Taylor coefficients of t^(-j) at t = x to order k: binom(-j, i) x^(-j-i)."""
+    coef = np.array([(-1) ** i * math.comb(j + i - 1, i) for i in range(k + 1)], dtype=float)
+    return coef[:, None] * x ** -(j + np.arange(k + 1.0))[:, None]
+
+
+class _IbpTail:
+    """Integration-by-parts bound on the dual sum's rows past a given r.
+
+    For n and r with 2 pi r/h > max |Phi_n'| (r past the stationary range),
+    the phase Psi_r = Phi_n -+ 2 pi r x/h of the row +-r has no stationary
+    point on the support, and k integrations by parts give
+    |I(n, +-r/h)| <= integral |D^k A| dx with D f = (f/Psi_r')': the boundary
+    terms vanish with every derivative of A. Psi_r'' = Phi_n'' for every r,
+    so D^k A = sum_(m=k..2k) q_m (Psi_r')^(-m), with q_m independent of r:
+    on f = sum q_m g^m, g = 1/Psi', D maps q_m to q_m' at m + 1 and to
+    -(m + 1) Phi_n'' q_m at m + 2. The q_m are formed once per n, in Taylor
+    arithmetic on the amplitude's jet and the closed-form jet of Phi_n'',
+    on IBP_POINTS nodes.
+
+    `bound(lo)` bounds sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|: rows
+    lo..lo + IBP_ROWS - 1 by Horner's rule in 1/Psi_r', the rest from
+    ||q_m||_1 and |Psi_r'| >= d_r = 2 pi r/h - max |Phi_n'|, with
+    sum_(r >= R) d_r^(-m) <= d_R^(-m) + (h/2 pi) d_R^(1-m)/(m - 1). Every
+    L1 norm is a trapezoid sum times IBP_CUSHION. `r_stat`, the top of the
+    stationary range over all n, is closed form; `bound` needs lo > r_stat.
+    """
+
+    def __init__(self, inst: KeyIdentityInstance, ns, cs):
+        self.inst = inst
+        weights = {}
+        for n, c in zip(ns, cs):
+            weights[int(n)] = weights.get(int(n), 0.0) + abs(c)
+        self.weights = {n: w for n, w in weights.items() if w != 0.0}
+        self.rates = {n: _phase_rate_max(inst, n) for n in self.weights}
+        self.r_stat = inst.h * max(self.rates.values()) / TWO_PI
+        amp = inst.amplitude
+        self.dx = (amp.support_hi - amp.support_lo) / (IBP_POINTS - 1)
+
+    @cached_property
+    def _parts(self) -> list:
+        """Per n: (weight, max |Phi'|, Phi' on the nodes, q_k..q_2k on the nodes)."""
+        inst, k = self.inst, IBP_ORDER
+        amp = inst.amplitude
+        x = np.linspace(amp.support_lo, amp.support_hi, IBP_POINTS)[1:-1]
+        jet = amp.jet(x, k)
+        parts = []
+        for n, peak in self.rates.items():
+            c_inv = TWO_PI * n * inst.T / inst.N
+            # the jet of Phi'' = T/x^2 - 2 c_inv/x^3 to order k - 1
+            curv = (inst.T * _taylor_inverse_power(x, 2, k - 1)
+                    - 2.0 * c_inv * _taylor_inverse_power(x, 3, k - 1))
+            q = jet[None]  # after s steps, q[m - s] is the jet of q_m to order k - s
+            for s in range(k):
+                order = k - s
+                nxt = np.zeros((s + 2, order, x.size))
+                nxt[:s + 1] = q[:, 1:] * np.arange(1.0, order + 1.0)[:, None]
+                prod = curv[0] * q[:, :order]
+                for i in range(1, order):
+                    prod[:, i:] += curv[i] * q[:, :order - i]
+                nxt[1:] -= np.arange(s + 1.0, 2.0 * s + 2.0)[:, None, None] * prod
+                q = nxt
+            parts.append((self.weights[n], peak, c_inv / (x * x) - inst.T / x, q[:, 0]))
+        return parts
+
+    def row_norms(self, rs: np.ndarray) -> np.ndarray:
+        """sum_n |c_n| times the trapezoid sum of |D^k A| for the rows +r
+        (first half) and -r (second half) of each r in rs; no cushion."""
+        inst, k = self.inst, IBP_ORDER
+        shifts = TWO_PI / inst.h * np.asarray(rs, dtype=float)[:, None]
+        total = 0.0
+        for weight, _, rate, q in self._parts:
+            g = 1.0 / np.concatenate([rate - shifts, rate + shifts])
+            # Horner's rule on sum_(m <= 2k) q_m g^m, with q_m = 0 below m = k
+            acc = q[k] * g
+            for j in range(k - 1, -1, -1):
+                acc += q[j]
+                acc *= g
+            for _ in range(k - 1):
+                acc *= g
+            total = total + weight * self.dx * np.sum(np.abs(acc), axis=1)
+        return total
+
+    def bound(self, lo: int) -> float:
+        """The bound on sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|, for lo > r_stat."""
+        inst, k = self.inst, IBP_ORDER
+        rows = float(np.sum(self.row_norms(np.arange(lo, lo + IBP_ROWS))))
+        top = TWO_PI / inst.h * (lo + IBP_ROWS)
+        m = np.arange(k, 2.0 * k + 1.0)
+        beyond = 0.0
+        for weight, peak, _, q in self._parts:
+            gap = top - peak
+            norms = self.dx * np.sum(np.abs(q), axis=1)
+            beyond += 2.0 * weight * float(np.sum(
+                norms * (gap ** -m + inst.h / TWO_PI * gap ** (1.0 - m) / (m - 1.0))))
+        return IBP_CUSHION * (rows + beyond)
+
+
 def _poisson_terms(inst: KeyIdentityInstance, ns=None, cs=None):
-    """Adaptive dual sum: value, tail estimate, quadrature bound, last r.
+    """Adaptive dual sum: value, tail bound, quadrature bound, last r.
 
     Sums sum_n c_n O_n over the integers n of `ns` with the complex weights
     `cs` (default inst.n alone, weight 1), shell by shell: r in
     [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on, each shell one
     integrate_shifted batch at the integers r and the step inst.h. With
     tol = inst.tol sum_n |c_n|, each row is held to its own share
-    tol / (32 max(8, r)), and the sum stops once its tail estimate falls
-    below tol/2.
+    tol / (32 max(8, r)), and the sum stops once its tail falls below tol/2.
+    All-zero weights give an exact zero at once.
+
+    For an amplitude with a jet the tail is the integration-by-parts bound
+    of `_IbpTail`. Before a shell whose lowest r lies past the stationary
+    range of every n, the bound on all |r| >= that r is taken, and the sum
+    stops there, without gridding the shell, once the bound is below tol/2.
+    The last r is then the top of the last shell gridded: 0 when no r >= 1
+    is stationary. An amplitude without a jet keeps an estimate: the terms
+    decay superpolynomially once the linear shift removes the stationary
+    point, so one doubling bounds the remainder by the last shell's mass,
+    and the sum stops once twice that mass is below tol/2.
     """
     ns = [inst.n] if ns is None else ns
     cs = [1.0] * len(ns) if cs is None else cs
     tol = inst.tol * float(np.sum(np.abs(cs)))
-    value, quad_sum = 0.0 + 0.0j, 0.0
+    if tol == 0.0:
+        return 0.0 + 0.0j, 0.0, 0.0, 0
+    bounder = _IbpTail(inst, ns, cs) if inst.amplitude.jet is not None else None
+    value, quad_sum, tail = 0.0 + 0.0j, 0.0, math.inf
     lo, hi = 1, FIRST_SHELL_R
     while True:
+        if bounder is not None and lo > bounder.r_stat:
+            tail = bounder.bound(lo)
+            if tail < 0.5 * tol:
+                return value, tail, quad_sum, lo - 1
+        if lo > MAX_R:
+            raise TailNotConvergedError(f"dual sum tail still {tail:.3e} at r_max {lo - 1}")
         rs = np.arange(lo, hi + 1)
         shell = integrate_shifted(inst.osc, rs, inst.h, ns=ns, cs=cs,
                                   tol=tol / (32.0 * np.maximum(8, rs)))
         value += kahan_csum(shell.values)
         quad_sum += float(np.sum(shell.abs_errs))
-        # empirical geometric tail: the terms decay superpolynomially once
-        # the linear shift removes the stationary point, so one doubling
-        # bounds the remainder by the last shell's mass
-        tail = 2.0 * float(np.sum(np.abs(shell.values)))
-        if tail < 0.5 * tol:
-            return value, tail, quad_sum, hi
-        if 2 * hi > MAX_R:
-            raise TailNotConvergedError(f"dual sum tail still {tail:.3e} at r_max {hi}")
+        if bounder is None:
+            tail = 2.0 * float(np.sum(np.abs(shell.values)))
+            if tail < 0.5 * tol:
+                return value, tail, quad_sum, hi
         lo, hi = hi + 1, 2 * hi
 
 
 @dataclass(frozen=True)
 class KeyIdentityReport:
-    """All three routes of one identity instance plus the residual bound."""
+    """All three routes of one identity instance plus the residual bound.
+
+    `o_tail` bounds the dual sum's terms past `r_max_used`: a bound by
+    integration by parts when the amplitude has a jet (its L1 norms are
+    cushioned trapezoid sums), an estimate from the last shell's mass
+    otherwise. `o_quad_err` sums the gridded rows' quadrature estimates.
+    """
 
     T: float
     n: int

@@ -94,9 +94,9 @@ def probe_amplitude() -> Cutoff:
     A plain C-infinity bump supported on [1/2, 2]; its support contains the
     stationary point x0 = 2*pi*n/N ~ 1 of the standard instances.
     """
-    from .cutoffs import _exp_bump_fn  # same mollifier family as v0
+    from .cutoffs import _exp_bump  # same mollifier family as v0
 
-    return Cutoff(support_lo=0.5, support_hi=2.0, fn=_exp_bump_fn(0.5, 2.0))
+    return _exp_bump(0.5, 2.0)
 
 
 @dataclass(frozen=True)

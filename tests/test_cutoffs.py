@@ -297,3 +297,38 @@ def test_mellin_invert_raises_when_its_tail_never_settles(monkeypatch):
     monkeypatch.setattr(cutoffs, "INVERT_TOL", 0.0)
     with pytest.raises(TailNotConvergedError, match=r"^inversion tail still \S+ at height 16384$"):
         mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), [0.5, 0.9])
+
+
+@pytest.mark.parametrize("name", ["v0", "g", "probe"])
+def test_exp_bump_jets_match_mpmath_taylor_coefficients(name):
+    # the closed-form jets of the exp-bump family against mpmath's Taylor
+    # coefficients of exp(-1/(1 - u^2)) at 30 digits, to order 8, at points
+    # across the support and within 1e-2 and 1e-3 of both edges; g carries
+    # its normalization, read off at the bump's centre
+    from gl3osc.oscquad import probe_amplitude
+    cut = {"v0": v0_cutoff(), "g": g_cutoff(), "probe": probe_amplitude()}[name]
+    lo, hi = cut.support_lo, cut.support_hi
+    width = hi - lo
+    ys = np.array([lo + 1e-3, lo + 1e-2, lo + 0.13 * width, lo + 0.31 * width,
+                   lo + 0.62 * width, lo + 0.87 * width, hi - 1e-2, hi - 1e-3])
+    jets = cut.jet(ys, 8)
+    assert jets.shape == (9, ys.size)
+    np.testing.assert_array_equal(cut.jet(np.array([lo, hi, lo - 1.0, hi + 1.0]), 8), 0.0)
+    scale = float(cut(0.5 * (lo + hi))) / math.exp(-1.0)
+    with mp.workdps(30):
+        mid, half = (mp.mpf(lo) + hi) / 2, (mp.mpf(hi) - lo) / 2
+
+        def bump(y):
+            u = (y - mid) / half
+            return mp.exp(-1 / (1 - u * u))
+
+        for y, got in zip(ys, jets.T):
+            # mp.taylor rounds tiny coefficients to zero, so it differentiates
+            # the bump divided by its value at y
+            at_y = bump(mp.mpf(y))
+            coefs = mp.taylor(lambda t: bump(t) / at_y, mp.mpf(y), 8)
+            want = [scale * float(at_y * c) for c in coefs]
+            # exp(E_0) carries a relative error of about |E_0| eps
+            e0 = float(-mp.log(at_y))
+            for i in range(9):
+                assert abs(got[i] - want[i]) <= 1e-13 * (1.0 + e0) * abs(want[i]), (y, i)

@@ -1,6 +1,7 @@
 """Tests for the sum-versus-integral identity and its prime-pair averaging."""
 import functools
 import math
+import time
 from dataclasses import replace
 
 import mpmath as mp
@@ -23,7 +24,7 @@ from gl3osc.keyident import (
     verify_key_identity,
 )
 from gl3osc.oscquad import (K_SP_MAIN, OscInstance, integrate_main, integrate_phase,
-                            integrate_shifted, stationary_phase_main)
+                            integrate_shifted, probe_amplitude, stationary_phase_main)
 from gl3osc.util import TWO_PI, kahan_csum, primes_in
 
 # frozen against a plain-loop evaluation (fsum over scalar cmath terms with
@@ -140,6 +141,15 @@ def test_identity_holds_at_a_prime_pair_past_the_sieve_ceiling():
     rep = verify_key_identity(_instance(500.0, 10007, 41))
     assert rep.passed
     assert rep.o_quad_err <= 0.5e-9
+    # (10007, 3): the stationary range ends at r = 0.002, so the bound on
+    # every |r| >= 1 stops the dual sum before its first grid, whose single
+    # pass would need about 1.8M panels
+    inst = _instance(500.0, 10007, 3)
+    assert keyident._IbpTail(inst, [inst.n], [1.0]).r_stat < 0.01
+    rep = verify_key_identity(inst)
+    assert rep.passed
+    assert rep.r_max_used == 0 and rep.o_value == 0.0 and rep.o_quad_err == 0.0
+    assert rep.o_tail < 1e-30
 
 
 def test_recovered_m_is_step_independent():
@@ -188,6 +198,23 @@ def test_dual_sum_tail_honesty(monkeypatch):
     o_b, tail_b = _poisson_terms(wide)[:2]
     assert 0.0 <= tail_a < 0.5 * inst.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
+
+
+def test_all_zero_weights_give_an_exact_zero_at_once(monkeypatch):
+    # sum |c_n| = 0 made the tolerance 0, which no tail could get below,
+    # so the shells doubled on toward MAX_R
+    def no_grid(*args, **kwargs):
+        raise AssertionError("gridded a shell")
+
+    monkeypatch.setattr(keyident, "integrate_shifted", no_grid)
+    inst = _instance(250.0, 7, 2)
+    started = time.perf_counter()
+    assert _poisson_terms(inst, [inst.n], [0.0]) == (0.0, 0.0, 0.0, 0)
+    assert _poisson_terms(inst, [inst.n, inst.n + 1], [0.0, 0.0j]) == (0.0, 0.0, 0.0, 0)
+    amp = AmplifierSpec.for_t(500.0)
+    base = _instance(500.0, 7, 2)
+    assert amplified_average(base, amp, [base.n, base.n + 1], [0.0, 0.0]) == (0.0, 0.0)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_zero_amplitude_gives_exact_zero_identity():
@@ -432,22 +459,42 @@ def test_single_n_calls_keep_their_bits():
     # new rounding): O from (-0.002050335572424838-0.007475369168455647j),
     # A - O from (0.050728088633725105+0.00961294414115161j), by 1.9e-14
     # each against a quadrature bound of 3.2e-13 on O; the A09 average by
-    # 8.5e-15 against its tol 1e-9
+    # 8.5e-15 against its tol 1e-9. They moved once more when the dual sum
+    # came to stop on its integration-by-parts bound and no longer added
+    # the rounding of the shell r = 9..16: O from
+    # (-0.002050335572431335-0.00747536916847352j) and A - O from
+    # (0.0507280886337316+0.00961294414116948j), by 9.2e-15 each against a
+    # quadrature bound of 1.6e-13 on O; the A09 average from
+    # (-0.0036782553252046567+0.027988570265161432j), by 6.3e-15
     rep = verify_key_identity(_instance(250.0, 5, 3))
-    assert repr(rep.o_value) == "(-0.002050335572431335-0.00747536916847352j)"
-    assert repr(rep.recovered_m) == "(0.0507280886337316+0.00961294414116948j)"
+    assert repr(rep.o_value) == "(-0.002050335572434218-0.007475369168464736j)"
+    assert repr(rep.recovered_m) == "(0.050728088633734486+0.009612944141160698j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
-    assert repr(a_avg - o_avg) == "(-0.0036782553252046567+0.027988570265161432j)"
+    assert repr(a_avg - o_avg) == "(-0.0036782553252052382+0.027988570265155135j)"
 
 
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):
-    # the probe instance needs r up to 16, so a ceiling of 8 stops it
+    # without a jet the probe bump keeps the shell-mass rule, which needs
+    # r up to 16 at this instance, so a ceiling of 8 stops it
     monkeypatch.setattr(keyident, "MAX_R", 8)
-    inst = _instance(250.0, 7, 2)
+    inst = _instance(250.0, 7, 2, amplitude=replace(probe_amplitude(), jet=None))
     with pytest.raises(TailNotConvergedError):
         _poisson_terms(inst)
     with pytest.raises(TailNotConvergedError):
         _poisson_terms(inst, [inst.n, inst.n + 1], [1.0, 0.5j])
+
+
+def test_dual_sum_bound_refuses_past_max_r(monkeypatch):
+    # at T = 1000, (p, l) = (13, 11) the stationary range ends at r = 8.52,
+    # and the bound on |r| >= 9 is 1.8e-9, above tol/2: with MAX_R = 8 the
+    # sum may grid no further shell, so it refuses; with the default
+    # ceiling it grids r = 9..16 and stops on the bound at 17
+    inst = _instance(1000.0, 13, 11)
+    o, tail, quad, r_max = _poisson_terms(inst)
+    assert r_max == 16 and tail < 0.5 * inst.tol
+    monkeypatch.setattr(keyident, "MAX_R", 8)
+    with pytest.raises(TailNotConvergedError, match="r_max 8"):
+        _poisson_terms(inst)
 
 
 def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
@@ -462,3 +509,67 @@ def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     with pytest.raises(ToleranceUnreachableError) as info:
         _poisson_terms(replace(inst, tol=1e-30), ns, cs)
     assert info.value.achieved > 1e-30
+
+
+@pytest.mark.parametrize("T", criteria.KEY_T_VALUES)
+@pytest.mark.parametrize("pair", criteria.KEY_PAIRS)
+def test_ibp_bound_lies_above_the_computed_shells(T, pair):
+    # the shells r = 9..16 and 17..32 of every A01 instance, at tol 1e-13:
+    # their rows are rounding (each below its abs_err), so the bound on
+    # |r| >= 9 (resp. 17) must hold the sum of their moduli within their
+    # summed quadrature bounds
+    inst = _instance(T, *pair)
+    tail = keyident._IbpTail(inst, [inst.n], [1.0])
+    assert tail.r_stat < 9.0
+    for lo, hi in ((9, 16), (17, 32)):
+        shell = integrate_shifted(inst.osc, np.arange(lo, hi + 1), inst.h, tol=1e-13)
+        mass = float(np.sum(np.abs(shell.values)))
+        assert mass <= tail.bound(lo) + float(np.sum(shell.abs_errs))
+        assert tail.bound(lo) < 0.5 * inst.tol
+
+
+def test_ibp_bound_holds_next_to_the_stationary_range():
+    # at T = 250, (p, l) = (5, 3) the stationary range ends at r = 3.03;
+    # the rows 4..11 hold about 2e-8 there, far above their rounding, and
+    # the bound on |r| >= 4 is about five times that
+    inst = _instance(250.0, 5, 3)
+    tail = keyident._IbpTail(inst, [inst.n], [1.0])
+    assert 3.0 < tail.r_stat < 4.0
+    shell = integrate_shifted(inst.osc, np.arange(4, 12), inst.h, tol=1e-14)
+    mass = float(np.sum(np.abs(shell.values)))
+    assert mass > 1e5 * float(np.sum(shell.abs_errs))
+    assert mass <= tail.bound(4) < 10.0 * mass
+
+
+def test_ibp_trapezoid_norm_matches_mpmath_quadrature():
+    # the row +9 at T = 250, (p, l) = (5, 3): D^8 A formed in mpmath at 30
+    # digits by applying D f = (f g)', g = 1/Psi', to the Taylor series of
+    # A and of g (not through the q_m), then integrated by Gauss-Legendre
+    # on panels graded toward the support's edges, where |D^8 A| peaks. The
+    # 801-node trapezoid sum is within 1% of it (0.15% here); the bound
+    # multiplies every such sum by IBP_CUSHION = 2
+    inst = _instance(250.0, 5, 3)
+    tail = keyident._IbpTail(inst, [inst.n], [1.0])
+    got = float(tail.row_norms(np.array([9]))[0])
+    k = keyident.IBP_ORDER
+    with mp.workdps(30):
+        T, C = mp.mpf(inst.T), 2 * mp.pi * inst.n * mp.mpf(inst.T) / mp.mpf(inst.N)
+        shift = 2 * mp.pi * 9 / mp.mpf(inst.h)
+
+        def bump(x):
+            u = (x - mp.mpf(5) / 4) / (mp.mpf(3) / 4)
+            return mp.exp(-1 / (1 - u * u))
+
+        def dka(x):
+            f = mp.taylor(bump, x, k)
+            g = mp.taylor(lambda t: 1 / (C / t**2 - T / t - shift), x, k)
+            for _ in range(k):
+                fg = [mp.fsum(f[i] * g[j - i] for i in range(j + 1)) for j in range(len(f))]
+                f = [j * fg[j] for j in range(1, len(fg))]
+            return abs(f[0])
+
+        edges = [mp.mpf(e) for e in (0.5, 0.53, 0.56, 0.6, 0.7, 0.85, 1.0, 1.25, 1.5, 1.7,
+                                     1.85, 1.94, 1.97, 2.0)]
+        want = float(mp.quad(dka, edges, method="gauss-legendre", maxdegree=4))
+    assert abs(got - want) <= 0.01 * want
+    assert keyident.IBP_CUSHION * got >= 1.5 * want
