@@ -16,7 +16,8 @@ import numpy as np
 from .coeffs import (CoefficientTable, hecke_mult_check, load_coefficients,
                      rankin_selberg_check, save_coefficients,
                      synth_eisenstein)
-from .cutoffs import ONE_OVER_2PI, g_cutoff, h0_cutoff, mellin, mellin_invert, v0_cutoff
+from .cutoffs import (ONE_OVER_2PI, g_cutoff, h0_cutoff, mellin_invert, mellin_on_line,
+                      v0_cutoff)
 from .errors import ConfigError
 from .gammafactor import LanglandsParams, f_line_mass, g_kernel, gamma_pi, gamma_pi_line
 from .keyident import (AmplifierSpec, KeyIdentityInstance, amplified_average,
@@ -47,7 +48,8 @@ def _center_instance(T: float, p: int = 5, l: int = 3,
 def bump_battery(c1: float = 1.0) -> tuple[dict, tuple]:
     """Golden cutoff values and the Mellin round-trip (A08)."""
     vstar = float(v0_cutoff(c1)(ONE_OVER_2PI))
-    g_norm = mellin(g_cutoff(), 0.0).value
+    # a trapezoid sum, independent of the GL16 rule that normalized g
+    g_norm = complex(mellin_on_line(g_cutoff(), 0.0, [0.0])[0])
     h0 = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
     lo, hi = h0.support_lo, h0.support_hi
     points = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)

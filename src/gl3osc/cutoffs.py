@@ -22,9 +22,9 @@ supported on [1, 2], and w(z) = w0(z)/z.
 All callables are numpy-vectorized; scalars in give floats out.
 
 g's normalization is GL16 on uniform panels, checked against the same rule
-on half as many; so building g, w0 and w imports no scipy. Only the scalar
-Mellin transform `mellin` (scipy's adaptive `quad`, imported at its call)
-does; the line transform `mellin_on_line` and `mellin_invert` are numpy.
+on half as many. The Mellin transform is taken on vertical lines
+(`mellin_on_line`, a trapezoid rule in log y) and inverted from one
+(`mellin_invert`).
 """
 
 from __future__ import annotations
@@ -264,31 +264,6 @@ def weight_w0_w(z):
     w = np.zeros_like(z_arr)
     w[live] = w0[live] / z_arr[live]
     return _scalar_or_array(z, w0), _scalar_or_array(z, w)
-
-
-@dataclass(frozen=True)
-class MellinSample:
-    """One Mellin-transform evaluation with its quadrature error bound."""
-
-    s: complex
-    value: complex
-    abs_err: float
-
-
-def mellin(f: Cutoff, s: complex) -> MellinSample:
-    """H(s) = integral f(y) y^s dy/y over (0, infinity), by adaptive quadrature.
-
-    The support must sit away from 0; the integral then converges for every s.
-    """
-    from scipy.integrate import quad
-
-    s = complex(s)
-    if f.support_lo <= 0.0:
-        raise MellinDivergenceError("Mellin transform needs support away from 0")
-    val, err = quad(lambda y: f.fn(np.asarray(y)) * y ** (s - 1.0),
-                    f.support_lo, f.support_hi,
-                    complex_func=True, limit=400, epsabs=1e-13, epsrel=1e-12)
-    return MellinSample(s=s, value=val, abs_err=float(abs(err)))
 
 
 def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:

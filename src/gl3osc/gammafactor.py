@@ -38,15 +38,14 @@ double their shells along a vertical line in one driver, `util._line_shells`:
 each point of a batch stops after its first added shell below tol/2, none is
 cut at a fixed height, and one still adding past a cap raises.
 
-scipy is imported where it is used, in `_log_gamma_ratio` (loggamma) and
-`GKernelTable.build` (CubicSpline), so a process that never evaluates the
-gamma factor never loads it.
+The log-gamma values are numpy's own (`_loggamma`): the Stirling series
+after a recurrence shift, on the principal branch. The kernel table's
+interpolant is a not-a-knot cubic spline (`_not_a_knot`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -81,6 +80,17 @@ TABLE_TOL = 1e-8
 TABLE_REL_TOL = 0.02
 TABLE_SEED = 20260814
 
+# _loggamma: a point with Re z + |Im z| below LOGGAMMA_SHIFT is moved right
+# before the Stirling series, whose coefficients B_2k / (2k (2k - 1)) are
+# listed for k = 8 down to 1, in Horner's order
+LOGGAMMA_SHIFT = 12.0
+_STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in zip(
+    range(8, 0, -1), (-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)))
+_HALF_LOG_2PI = 0.5 * np.log(TWO_PI)
+
+# _log_gamma_ratio: points per block, six log-gamma values each
+_GAMMA_BLOCK = 1024
+
 
 def _near_nonpositive_integer(z: complex) -> bool:
     if abs(z.imag) > _POLE_EPS:
@@ -109,19 +119,93 @@ class LanglandsParams:
 KERNEL_PARAMS = LanglandsParams()
 
 
+def _shift_logs(z: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """sum_(j < steps) Log(z + j) for each z, with principal logs.
+
+    The real part sums log|z + j|^2 / 2 and the imaginary part arg(z + j),
+    each by a running sum down the steps, which adds in the order j = 0, 1,
+    ... whatever the batch: past its own steps a point adds exact zeros.
+    """
+    j = np.arange(int(steps.max()))[:, None]
+    live = j < steps
+    x, y = z.real + j, z.imag
+    out = np.empty_like(z)
+    out.real = 0.5 * np.cumsum(np.log(np.where(live, x * x + y * y, 1.0)), axis=0)[-1]
+    out.imag = np.cumsum(np.where(live, np.arctan2(y, x), 0.0), axis=0)[-1]
+    return out
+
+
+def _loggamma(z) -> np.ndarray:
+    """log Gamma(z) elementwise, on the principal branch: analytic on the
+    plane cut along (-inf, 0], like scipy.special.loggamma.
+
+    A point with Re z + |Im z| < LOGGAMMA_SHIFT moves right by m =
+    ceil(LOGGAMMA_SHIFT - Re z - |Im z|) steps first, and log Gamma(z) =
+    log Gamma(z + m) - sum_(j < m) Log(z + j): a sum of principal logs, so
+    the branch is the cut plane's, and on the cut the sign of a zero Im z
+    picks the side, as in scipy. Every point then has Re z + |Im z| >=
+    LOGGAMMA_SHIFT, so |z| >= 8.48, and for Re z >= -2.5 (every argument
+    the gamma factor takes) arg z <= 100 degrees. There the Stirling series
+    to its eighth term is off by less than 1e-16, about its first omitted
+    term 0.18 |z|^-17 (checked against mpmath). log z is taken as
+    log|z| + i arg z: two real ufuncs cost a tenth of numpy's complex log.
+    At a pole the value is inf or nan.
+    """
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()
+    need = np.abs(z.imag)
+    need += z.real
+    np.subtract(LOGGAMMA_SHIFT, need, out=need)
+    near = np.flatnonzero(need > 0.0)
+    steps = np.ceil(need[near])
+    w = z
+    if near.size:
+        w = z.copy()
+        w[near] += steps
+    log_w = np.empty_like(w)
+    np.log(np.abs(w), out=log_w.real)
+    np.arctan2(w.imag, w.real, out=log_w.imag)
+    # (w - 1/2) log w - w + log(2 pi)/2 + the series in r = 1/w by Horner's
+    # rule. No complex product is taken in place: numpy rounds an in-place
+    # one of a single element differently (without the fused multiply-add)
+    r = np.reciprocal(w)
+    r2 = r * r
+    series = r2 * _STIRLING[0]
+    series += _STIRLING[1]
+    for coeff in _STIRLING[2:]:
+        series = series * r2
+        series += coeff
+    out = (w - 0.5) * log_w
+    out -= w
+    out += _HALF_LOG_2PI
+    out += series * r
+    if near.size:
+        out[near] -= _shift_logs(z[near], steps)
+    return out.reshape(shape)
+
+
 def _log_gamma_ratio(s, alpha) -> np.ndarray:
     """log of prod Gamma((1 - s + a)/2) / Gamma((s - a)/2), vectorized in s.
+
+    All six log-gamma arguments of a block of _GAMMA_BLOCK points go to one
+    `_loggamma` call, so its temporaries stay in cache. On the critical line
+    with imaginary a the two arguments of each ratio are exact conjugates,
+    and so are their log-gamma values: the log of the ratio is then purely
+    imaginary, as |gamma| = 1 there.
 
     No pole handling: exact pole hits produce inf/nan and are the caller's
     problem (scalar entry points check first).
     """
-    from scipy.special import loggamma
-
     s = np.asarray(s, dtype=complex)
-    total = np.zeros_like(s)
-    for a in alpha:
-        total = total + loggamma((1.0 - s + a) / 2.0) - loggamma((s - a) / 2.0)
-    return total
+    flat = s.ravel()
+    total = np.empty_like(flat)
+    shifts = np.array(alpha, dtype=complex)[:, None]
+    for i in range(0, flat.size, _GAMMA_BLOCK):
+        block = flat[i : i + _GAMMA_BLOCK]
+        lg = _loggamma(np.concatenate([(1.0 - block + shifts) / 2.0, (block - shifts) / 2.0]))
+        # row by row: a reduction's order could depend on the batch's length
+        total[i : i + _GAMMA_BLOCK] = lg[0] - lg[3] + lg[1] - lg[4] + lg[2] - lg[5]
+    return total.reshape(s.shape)
 
 
 def gamma_pi(s: complex, params: LanglandsParams | None = None) -> complex:
@@ -129,6 +213,7 @@ def gamma_pi(s: complex, params: LanglandsParams | None = None) -> complex:
 
     A pole of a numerator Gamma is a genuine pole of the factor and raises
     GammaPoleError; a pole of a denominator Gamma is a zero and returns 0.
+    Otherwise the value is `gamma_pi_line`'s at the one point, bit for bit.
     """
     params = params or LanglandsParams()
     s = complex(s)
@@ -138,8 +223,7 @@ def gamma_pi(s: complex, params: LanglandsParams | None = None) -> complex:
     for a in params.alpha:
         if _near_nonpositive_integer((s - a) / 2.0):
             return 0.0 + 0.0j
-    log_val = (3.0 * s - 1.5) * np.log(np.pi) + _log_gamma_ratio(s, params.alpha)
-    return complex(np.exp(log_val))
+    return complex(gamma_pi_line(np.array([s]), params)[0])
 
 
 def gamma_pi_line(s: np.ndarray, params: LanglandsParams) -> np.ndarray:
@@ -277,6 +361,54 @@ def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
     return total.reshape(count, -1).T.ravel()
 
 
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the not-a-knot cubic spline through (x_i, y_i), the
+    interpolant of scipy's CubicSpline by default, in its PPoly layout:
+    shape (4, n - 1), piece i a cubic in t - x_i, highest power first.
+
+    The slopes at the n >= 4 knots solve one tridiagonal system, whose
+    first and last rows carry the not-a-knot conditions (third derivative
+    continuous at x_1 and x_(n-2)). One forward and one back sweep solve it
+    without pivoting, which is stable on near-uniform knots: there the end
+    rows' multipliers are about 1 and every interior row is diagonally
+    dominant.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d_lo, d_hi = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate([[dx[1]], 2.0 * (dx[:-1] + dx[1:]), [dx[-2]]]).tolist()
+    upper = [d_lo, *dx[:-1].tolist()]
+    lower = [*dx[1:].tolist(), d_hi]
+    rhs = [((dx[0] + 2.0 * d_lo) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d_lo,
+           *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+           (dx[-1] ** 2 * slope[-2] + (2.0 * d_hi + dx[-1]) * dx[-2] * slope[-1]) / d_hi]
+    for i in range(1, len(diag)):
+        m = lower[i - 1] / diag[i - 1]
+        diag[i] -= m * upper[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    rhs[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    s = np.array(rhs)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.array([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+
+
+@dataclass(frozen=True)
+class _Cubic:
+    """A piecewise cubic in scipy's PPoly layout (see `_not_a_knot`), its
+    end pieces continued past the knots."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        piece = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, self.x.size - 2)
+        d = t - self.x[piece]
+        c = self.c[:, piece]
+        return ((c[0] * d + c[1]) * d + c[2]) * d + c[3]
+
+
 def _model_phase(z, T: float, u_mid: float):
     """Leading phase of G(z) for moderate z, from the stationary band of the
     contour integrand at height T + t* with T + t* = T (2 pi / z)^(1/3):
@@ -308,15 +440,13 @@ class GKernelTable:
     T: float
     u_mid: float
     grid: np.ndarray = field(repr=False, compare=False)
-    _re: Callable = field(repr=False, compare=False)
-    _im: Callable = field(repr=False, compare=False)
+    _re: _Cubic = field(repr=False, compare=False)
+    _im: _Cubic = field(repr=False, compare=False)
     max_rel_error: float = np.nan
 
     @classmethod
     def build(cls, z_lo: float, z_hi: float, T: float, kappa: float = KERNEL_KAPPA,
               eps: float = KERNEL_EPS) -> "GKernelTable":
-        from scipy.interpolate import CubicSpline
-
         if not 0.0 < z_lo < z_hi < np.inf:
             raise ConfigError("need 0 < z_lo < z_hi < inf")
         if not 1.0 < T < np.inf:
@@ -349,8 +479,8 @@ class GKernelTable:
             vals = direct([z_lo], np.log(z_hi / z_lo) / (n - 1), n)
             hat = vals * np.exp(-1j * _model_phase(grid, T, u_mid))
             lg = np.log(grid)
-            re_s = CubicSpline(lg, hat.real)
-            im_s = CubicSpline(lg, hat.imag)
+            re_s = _Cubic(lg, _not_a_knot(lg, hat.real))
+            im_s = _Cubic(lg, _not_a_knot(lg, hat.imag))
             approx = (re_s(np.log(checks)) + 1j * im_s(np.log(checks))) * np.exp(
                 1j * _model_phase(checks, T, u_mid)
             )

@@ -45,8 +45,8 @@ discretized route of `sums` hands its whole weighted window to each pair.
 The amplifier's weight 1 / (D(P) D(L)), with D(x) = li(2x) - li(x), is
 computed here (`_li_segment`: a positive series below x = e, one GL16 panel
 from there on), within 3e-16 relative of mpmath up to the sieve's ceiling
-MAX_SIEVE. So nothing on the identity's path imports scipy. `for_t` refuses
-a kappa whose segment [P, 2P] passes that ceiling before it sieves at all.
+MAX_SIEVE. `for_t` refuses a kappa whose segment [P, 2P] passes that
+ceiling before it sieves at all.
 """
 from __future__ import annotations
 
@@ -214,22 +214,29 @@ class _IbpTail:
     sum_(r >= R) d_r^(-m) <= d_R^(-m) + (h/2 pi) d_R^(1-m)/(m - 1). Every
     L1 norm is a trapezoid sum times IBP_CUSHION. `r_stat`, the top of the
     stationary range over all n, is closed form; `bound` needs lo > r_stat.
+
+    The q_m depend on the amplitude, T, N and n, not on h: a `lender` of
+    the same amplitude, T, N, ns and cs (another prime pair's tail) lends
+    them, so the pairs of one `amplified_average` build them once.
     """
 
-    def __init__(self, inst: KeyIdentityInstance, ns, cs):
+    def __init__(self, inst: KeyIdentityInstance, ns, cs, lender: "_IbpTail | None" = None):
         self.inst = inst
+        self.lender = lender
         weights = {}
         for n, c in zip(ns, cs):
             weights[int(n)] = weights.get(int(n), 0.0) + abs(c)
         self.weights = {n: w for n, w in weights.items() if w != 0.0}
         self.rates = {n: _phase_rate_max(inst, n) for n in self.weights}
-        self.r_stat = inst.h * max(self.rates.values()) / TWO_PI
+        self.r_stat = inst.h * max(self.rates.values(), default=0.0) / TWO_PI
         amp = inst.amplitude
         self.dx = (amp.support_hi - amp.support_lo) / (IBP_POINTS - 1)
 
     @cached_property
     def _parts(self) -> list:
         """Per n: (weight, max |Phi'|, Phi' on the nodes, q_k..q_2k on the nodes)."""
+        if self.lender is not None:
+            return self.lender._parts
         inst, k = self.inst, IBP_ORDER
         amp = inst.amplitude
         x = np.linspace(amp.support_lo, amp.support_hi, IBP_POINTS)[1:-1]
@@ -286,7 +293,7 @@ class _IbpTail:
         return IBP_CUSHION * (rows + beyond)
 
 
-def _poisson_terms(inst: KeyIdentityInstance, ns=None, cs=None):
+def _poisson_terms(inst: KeyIdentityInstance, ns=None, cs=None, lender=None):
     """Adaptive dual sum: value, tail bound, quadrature bound, last r.
 
     Sums sum_n c_n O_n over the integers n of `ns` with the complex weights
@@ -312,7 +319,7 @@ def _poisson_terms(inst: KeyIdentityInstance, ns=None, cs=None):
     tol = inst.tol * float(np.sum(np.abs(cs)))
     if tol == 0.0:
         return 0.0 + 0.0j, 0.0, 0.0, 0
-    bounder = _IbpTail(inst, ns, cs) if inst.amplitude.jet is not None else None
+    bounder = _IbpTail(inst, ns, cs, lender) if inst.amplitude.jet is not None else None
     value, quad_sum, tail = 0.0 + 0.0j, 0.0, math.inf
     lo, hi = 1, FIRST_SHELL_R
     while True:
@@ -530,15 +537,17 @@ def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,
     (default base.n alone, weight 1), one dual sum per pair. Their
     difference equals sum_n c_n M_n * weight * |pairs| exactly, since M does
     not depend on (p, l). Pairs are processed in lexicographic order with
-    compensated reduction.
+    compensated reduction. The pairs' dual-sum tail bounds share one set of
+    q_m (see `_IbpTail`), which does not depend on the pair.
     """
     ns = [base.n] if ns is None else ns
     cs = [1.0] * len(ns) if cs is None else cs
+    lender = _IbpTail(base, ns, cs) if base.amplitude.jet is not None else None
     a_terms, o_terms = [], []
     for p, l in amp.pairs:
         sub = replace(base, p=p, l=l)
         a_terms.append(kahan_csum([c * riemann_side(replace(sub, n=int(n)))
                                    for n, c in zip(ns, cs)]))
-        o_terms.append(_poisson_terms(sub, ns, cs)[0])
+        o_terms.append(_poisson_terms(sub, ns, cs, lender)[0])
     w = amp.weight
     return w * kahan_csum(a_terms), w * kahan_csum(o_terms)

@@ -418,7 +418,8 @@ def test_report_wall_time_excluded_from_canonical_form():
 
 def test_identity_and_route_paths_start_without_scipy():
     # a fresh interpreter: the package, the CLI and the batteries import no
-    # scipy, nor do the amplifier weight and the cutoffs g, w0 and w
+    # scipy, nor do the amplifier weight, the cutoffs g, w0 and w, the bump
+    # and gamma batteries and a kernel table
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -427,6 +428,9 @@ def test_identity_and_route_paths_start_without_scipy():
             "from gl3osc.cutoffs import g_cutoff, weight_w0_w\n"
             "from gl3osc.keyident import AmplifierSpec\n"
             "AmplifierSpec.for_t(500.0).weight; g_cutoff(); weight_w0_w(1.5)\n"
+            "from gl3osc.gammafactor import GKernelTable\n"
+            "gl3osc.criteria.bump_battery(); gl3osc.criteria.gamma_battery(kernel_t=100.0)\n"
+            "GKernelTable.build(0.5, 2.0, 100.0)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -2,8 +2,10 @@
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from gl3osc import criteria, gammafactor
 from gl3osc.errors import (
@@ -17,11 +19,14 @@ from gl3osc.gammafactor import (
     DEFAULT_ALPHA,
     KERNEL_EPS,
     KERNEL_KAPPA,
+    LOGGAMMA_SHIFT,
     TABLE_TOL,
     ContourSpec,
     GKernelTable,
     LanglandsParams,
     _contour_quad,
+    _loggamma,
+    _not_a_knot,
     f_line_mass,
     g_kernel,
     gamma_pi,
@@ -99,10 +104,15 @@ def test_gamma_finite_in_pole_free_strip():
 
 
 def test_gamma_line_matches_scalar():
-    ss = np.array([0.5 + 10.0j, -1.0 + 50.0j, -2.5 + 300.0j])
+    # bit for bit, also on the log-gamma's shift path (|Im s| below about
+    # 2 LOGGAMMA_SHIFT) and next to the real axis
+    ss = np.array([0.5 + 10.0j, -1.0 + 50.0j, -2.5 + 300.0j, 0.5 + 3.0j, -2.5 - 7.0j,
+                   0.25 + 0.001j, -0.7 - 1e-9j, 0.3 + 12.4j, -1.3 + 24.0j])
+    rng = np.random.default_rng(22)
+    ss = np.concatenate([ss, rng.uniform(-3.0, 0.5, 200) + 1j * rng.uniform(-30.0, 30.0, 200)])
     line = gamma_pi_line(ss, LanglandsParams(alpha=DEFAULT_ALPHA))
     for s, got in zip(ss, line):
-        assert abs(got - gamma_pi(complex(s))) < 1e-10 * abs(got)
+        assert gamma_pi(complex(s)) == got
 
 
 def test_decay_fit_slopes():
@@ -286,13 +296,14 @@ def test_kernel_table_accuracy_and_parts():
 
 
 def test_g_kernel_bits_pinned():
-    # the exact value since the contour shells take their edges from the run
-    # builder, whose right-end rate bounds each run where the rate rises; it
-    # was 6.602145501211393e-06 - 2.0267040950690604e-05j with one rate call
-    # per panel at its left edge (1.8e-14 away, within the contour
-    # tolerance), and 6.602145501205267e-06 - 2.0267040950680673e-05j before
-    # the block products rows @ (F gamma w)
-    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145483334852e-06 - 2.0267040947780852e-05j
+    # the exact value since the gamma factor takes numpy's log-gamma; it was
+    # 6.602145483334852e-06 - 2.0267040947780852e-05j with scipy's loggamma
+    # (7.3e-15 away, within the contour tolerance). Before the run builder
+    # it was 6.602145501211393e-06 - 2.0267040950690604e-05j with one rate
+    # call per panel at its left edge (1.8e-14 away), and
+    # 6.602145501205267e-06 - 2.0267040950680673e-05j before the block
+    # products rows @ (F gamma w)
+    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145478580414e-06 - 2.026704094226371e-05j
 
 
 def test_shared_contour_grid_matches_each_z_alone():
@@ -363,3 +374,61 @@ def test_line_mass_refusal_names_its_integral(monkeypatch):
     monkeypatch.setattr(gammafactor, "LINE_MASS_TOP", 32.0)
     with pytest.raises(TailNotConvergedError, match=r"^line-mass tail still \S+ at height 64$"):
         f_line_mass(500.0)
+
+
+def _mp_loggamma(z: complex) -> complex:
+    with mp.workdps(30):
+        return complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+
+
+def test_loggamma_matches_mpmath_on_the_contours_arguments():
+    # Re z in [-2.5, 1.75] holds the arguments s - a of both contour lines
+    # and the halves (1 - s + a)/2, (s - a)/2 of A06's points; |Im z| runs
+    # to 16 T at T = 500, where the deep line stops. Near the real axis the
+    # shift path's sum of logs, about 30 in size, cancels against the
+    # Stirling value; far from it the error is the rounding of |z log z|
+    rng = np.random.default_rng(20261019)
+    z = np.concatenate([
+        rng.uniform(-2.5, 1.75, 150) + 1j * rng.uniform(-8000.0, 8000.0, 150),
+        rng.uniform(-2.5, 1.75, 150) + 1j * rng.uniform(-2.0, 2.0, 150) * LOGGAMMA_SHIFT,
+        rng.uniform(-2.5, 1.75, 100) + 1j * rng.uniform(-1e-3, 1e-3, 100),
+        [0.25, 1.0, 2.0, -1.25 + 0.0j, -1.25 - 0.0j, 0.5 + 4000.0j, -2.5 - 8000.0j]])
+    got = _loggamma(z)
+    want = np.array([_mp_loggamma(v) for v in z])
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - want) <= eps * (64.0 + 4.0 * np.abs(z * np.log(z))))
+
+
+def test_loggamma_is_the_principal_branch():
+    # log Gamma(z + 1) - log Gamma(z) = Log z on the plane cut along
+    # (-inf, 0]; each side of the cut is taken by the sign of a zero Im z
+    rng = np.random.default_rng(7)
+    z = np.concatenate([
+        rng.uniform(-2.5, 1.75, 200) + 1j * rng.uniform(-20.0, 20.0, 200),
+        rng.uniform(-2.5, 1.75, 50) + 1j * rng.choice([-1e-9, 1e-9], 50),
+        [-1.25 + 0.0j, complex(-1.25, -0.0), -0.4 + 0.0j, complex(-2.3, -0.0), 0.7 + 0.0j]])
+    z_next = z.copy()
+    z_next.real += 1.0  # keeps the sign of a zero Im z, as z + 1.0 does not
+    gap = _loggamma(z_next) - _loggamma(z)
+    assert np.max(np.abs(gap - np.log(z))) <= 1e-13
+    # the cut plane's branch, not a value mod 2 pi: continued from z > 0,
+    # Im log Gamma is -3 pi just above (-3, -2) and +3 pi just below
+    assert abs(_loggamma(complex(-2.3, 1e-9)) - _loggamma(complex(-2.3, -1e-9))
+               + 6j * math.pi) <= 1e-6
+
+
+def test_kernel_spline_coefficients_match_cubic_spline():
+    # scipy's CubicSpline, an oracle only: its default (not-a-knot) spline
+    # on a table's own knots and values, in the PPoly layout the benchmark
+    # reads
+    table = GKernelTable.build(0.5, 2.0, 100.0)
+    x = np.log(table.grid)
+    for part in (table._re, table._im):
+        assert part.c.shape == (4, x.size - 1)
+        y = np.append(part.c[3], part(x[-1:]))
+        oracle = CubicSpline(x, y).c
+        scale = np.max(np.abs(oracle), axis=1, keepdims=True)
+        assert np.max(np.abs(_not_a_knot(x, y) - oracle) / scale) <= 1e-12
+        assert np.max(np.abs(part.c - oracle) / scale) <= 1e-12
+        mids = 0.5 * (x[:-1] + x[1:])
+        assert np.max(np.abs(part(mids) - CubicSpline(x, y)(mids))) <= 1e-12 * np.max(np.abs(y))

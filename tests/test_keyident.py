@@ -473,6 +473,25 @@ def test_single_n_calls_keep_their_bits():
     assert repr(a_avg - o_avg) == "(-0.0036782553252052382+0.027988570265155135j)"
 
 
+def test_amplified_average_builds_the_q_m_once(monkeypatch):
+    # the q_m depend on the amplitude, T, N and n, not on the pair: A09's
+    # four pairs share one build (two Taylor tables of Phi'' per n), where
+    # each pair had built its own, and the average keeps its bits (pinned
+    # in test_single_n_calls_keep_their_bits)
+    calls = []
+    real = keyident._taylor_inverse_power
+
+    def counted(x, j, k):
+        calls.append(j)
+        return real(x, j, k)
+
+    monkeypatch.setattr(keyident, "_taylor_inverse_power", counted)
+    amp = AmplifierSpec.for_t(500.0)
+    a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), amp)
+    assert len(amp.pairs) == 4 and calls == [2, 3]
+    assert repr(a_avg - o_avg) == "(-0.0036782553252052382+0.027988570265155135j)"
+
+
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):
     # without a jet the probe bump keeps the shell-mass rule, which needs
     # r up to 16 at this instance, so a ceiling of 8 stops it
