@@ -17,7 +17,7 @@ from .errors import (CoefficientError, ConfigError, GL3OscError,
 from .gammafactor import LanglandsParams
 from .keyident import (AmplifierSpec, KeyIdentityInstance, amplified_average,
                        verify_key_identity)
-from .oscquad import integrate_main, stationary_phase_main
+from .oscquad import stationary_phase_main
 from .sums import SumSpec, compare_routes
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ToleranceUnreachableError",
     "amplified_average",
     "compare_routes",
-    "integrate_main",
     "stationary_phase_main",
     "synth_eisenstein",
     "verify_key_identity",

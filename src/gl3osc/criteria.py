@@ -8,6 +8,7 @@ enters a report's canonical content.
 from __future__ import annotations
 
 import tempfile
+from itertools import combinations
 from math import ceil
 from pathlib import Path
 
@@ -38,8 +39,7 @@ KEY_PAIRS = ((5, 3), (7, 2), (11, 3))
 SCALING_T_GRID = (250.0, 500.0, 1000.0, 2000.0)
 
 
-def _center_instance(T: float, p: int = 5, l: int = 3,
-                     tol: float = 1e-9) -> KeyIdentityInstance:
+def _center_instance(T: float, p: int = 5, l: int = 3, tol: float = 1e-9) -> KeyIdentityInstance:
     """The canonical instance: N = T^(3/2), n at the stationary center."""
     N = T**1.5
     return KeyIdentityInstance(T=T, n=ceil(N / TWO_PI), N=N, p=p, l=l, tol=tol)
@@ -83,30 +83,26 @@ def key_identity_battery(t_values=KEY_T_VALUES, pairs=KEY_PAIRS,
     outputs = {}
     checks = []
     for T in t_values:
-        reports = []
-        for p, l in pairs:
-            inst = _center_instance(T, p, l, tol)
-            rep = verify_key_identity(inst)
-            reports.append(rep)
+        # one pair loop per T: M, D and the leading shape do not depend on the pair
+        base = _center_instance(T, tol=tol)
+        reports = verify_key_identity(base, pairs)
+        d = dressing_constant(base.T, base.N)
+        lead = lin_form_leading(base)
+        for (p, l), rep in zip(pairs, reports):
             tag = f"T{T:g}-p{p}l{l}"
             outputs[f"m-{tag}"] = rep.m_value
             outputs[f"recovered-{tag}"] = rep.recovered_m
             checks.append(Check(
                 f"A01-{tag}", "key identity residual |M - (A - O)|",
                 rep.residual, 1e-6 * rep.scale))
-            d = dressing_constant(inst.T, inst.N)
             checks.append(Check(
                 f"A01-shape-{tag}",
                 "|D (A - O) - n^(-iT) sqrt(2 pi) e^(-i pi/4) x0 V(x0)| "
                 "within K_SP_MAIN T^(-3/2) |D|",
-                abs(d * rep.recovered_m - lin_form_leading(inst)),
+                abs(d * rep.recovered_m - lead),
                 K_SP_MAIN * T**-1.5 * abs(d)))
-        worst = 0.0
-        for i in range(len(reports)):
-            for j in range(i + 1, len(reports)):
-                gap = abs(reports[i].recovered_m - reports[j].recovered_m)
-                allowed = 2.0 * (reports[i].budget + reports[j].budget)
-                worst = max(worst, gap / allowed)
+        worst = max((abs(a.recovered_m - b.recovered_m) / (2.0 * (a.budget + b.budget))
+                     for a, b in combinations(reports, 2)), default=0.0)
         checks.append(Check(
             f"A02-T{T:g}",
             "recovered M pairwise within 2x combined budgets (worst ratio)",

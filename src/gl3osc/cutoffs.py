@@ -299,6 +299,8 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     _LINE_CHUNK elements.
     """
     ts = np.asarray(ts, dtype=float)
+    if not (math.isfinite(re_line) and np.all(np.isfinite(ts))):
+        raise ConfigError("the Mellin line needs a finite re_line and finite ordinates")
     lo = max(f.support_lo, 0.0)
     if lo <= 0.0:
         raise MellinDivergenceError("line sampling needs support away from 0")

@@ -110,8 +110,9 @@ class LanglandsParams:
             raise ConfigError("alpha must have exactly three entries")
         alpha = tuple(complex(a) for a in self.alpha)
         for a in alpha:
-            if abs(a.real) >= 0.5:
-                raise ConfigError(f"Re(alpha) must lie in (-1/2, 1/2), got {a}")
+            # compared so that NaN fails
+            if not (abs(a.real) < 0.5 and abs(a.imag) < np.inf):
+                raise ConfigError(f"alpha needs |Re| < 1/2 and a finite Im, got {a}")
         object.__setattr__(self, "alpha", alpha)
 
 
@@ -217,6 +218,8 @@ def gamma_pi(s: complex, params: LanglandsParams | None = None) -> complex:
     """
     params = params or LanglandsParams()
     s = complex(s)
+    if not np.isfinite(s):
+        raise ConfigError(f"the gamma factor needs a finite s, got {s}")
     for a in params.alpha:
         if _near_nonpositive_integer((1.0 - s + a) / 2.0):
             raise GammaPoleError(f"gamma factor has a pole at s = {s}")
@@ -507,7 +510,8 @@ class GKernelTable:
         # scalars go through the array path too: numpy's scalar complex
         # multiply rounds differently from the array loop
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(z < self.z_lo * (1.0 - 1e-12)) or np.any(z > self.z_hi * (1.0 + 1e-12)):
+        # compared so that NaN fails
+        if not np.all((z >= self.z_lo * (1.0 - 1e-12)) & (z <= self.z_hi * (1.0 + 1e-12))):
             raise ConfigError("argument outside tabulated range")
         lg = np.log(z)
         out = (self._re(lg) + 1j * self._im(lg)) * np.exp(

@@ -36,11 +36,13 @@ each run of up to 64 consecutive r (or n); products fill the shift table,
 and Horner's rule sums a run's weighted n, so a shell of 8 r costs two
 exponentials per node, not eight.
 
-The dual sum and the amplified average dualize a weighted n-sum whole: by
-linearity sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n
-e(-nT/(Nx)), so a shell has one row per +-r, and the tolerances scale with
-sum_n |c_n|. verify_key_identity and A09 run one n of weight 1; the
-discretized route of `sums` hands its whole weighted window to each pair.
+One pair loop (`_pair_terms`) serves verify_key_identity and
+amplified_average. M and the tail bound's q_m depend on the amplitude, T,
+N and n, never on (p, l): a call makes each once for all its pairs. The
+dual sum dualizes a weighted n-sum whole: sum_n c_n O_n is the dual sum of
+V(x) x^(-iT) sum_n c_n e(-nT/(Nx)), so a shell has one row per +-r, and
+the tolerances scale with sum_n |c_n|. A01 and A09 run one n of weight 1;
+the discretized route of `sums` hands its whole weighted window to a pair.
 
 The amplifier's weight 1 / (D(P) D(L)), with D(x) = li(2x) - li(x), is
 computed here (`_li_segment`: a positive series below x = e, one GL16 panel
@@ -58,12 +60,7 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, TailNotConvergedError
-from .oscquad import (
-    OscInstance,
-    integrate_main,
-    integrate_shifted,
-    probe_amplitude,
-)
+from .oscquad import OscInstance, integrate_main, integrate_shifted, probe_amplitude
 from .util import GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 
 # the dual sum's first shell is r in [1, FIRST_SHELL_R]; MAX_R is the hard
@@ -173,18 +170,18 @@ def _riemann_rounding(inst: KeyIdentityInstance) -> float:
     return 8.0 * eps * inst.T * (np.log(r_hi) + abs(np.log(h)) + 1.0) * mass
 
 
-def _phase_rate_max(inst: KeyIdentityInstance, n: int) -> float:
+def _phase_rate_max(osc: OscInstance, n: int) -> float:
     """max |Phi'| over the support for the main phase of n, in closed form.
 
     Phi' = -T/x + 2 pi (nT/N)/x^2 is the quadratic f(t) = -T t + C t^2 in
     t = 1/x, C = 2 pi n T/N; |f| peaks at an end of [1/hi, 1/lo] or at the
     vertex t = T/(2C), where f = -T^2/(4C).
     """
-    c = TWO_PI * n * inst.T / inst.N
-    t_lo, t_hi = 1.0 / inst.amplitude.support_hi, 1.0 / inst.amplitude.support_lo
-    peak = max(abs(c * t_lo - inst.T) * t_lo, abs(c * t_hi - inst.T) * t_hi)
-    if t_lo <= inst.T / (2.0 * c) <= t_hi:
-        peak = max(peak, inst.T * inst.T / (4.0 * c))
+    c = TWO_PI * n * osc.T / osc.N
+    t_lo, t_hi = 1.0 / osc.amplitude.support_hi, 1.0 / osc.amplitude.support_lo
+    peak = max(abs(c * t_lo - osc.T) * t_lo, abs(c * t_hi - osc.T) * t_hi)
+    if t_lo <= osc.T / (2.0 * c) <= t_hi:
+        peak = max(peak, osc.T * osc.T / (4.0 * c))
     return peak
 
 
@@ -208,44 +205,43 @@ class _IbpTail:
     arithmetic on the amplitude's jet and the closed-form jet of Phi_n'',
     on IBP_POINTS nodes.
 
-    `bound(lo)` bounds sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|: rows
+    The tail is h-free: it holds the amplitude, T, N (of `osc`) and the
+    weighted n, and the step h enters each method as an argument, so one
+    tail, with one build of the q_m, serves every pair of a pair loop.
+    `bound(lo, h)` bounds sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|: rows
     lo..lo + IBP_ROWS - 1 by Horner's rule in 1/Psi_r', the rest from
     ||q_m||_1 and |Psi_r'| >= d_r = 2 pi r/h - max |Phi_n'|, with
     sum_(r >= R) d_r^(-m) <= d_R^(-m) + (h/2 pi) d_R^(1-m)/(m - 1). Every
-    L1 norm is a trapezoid sum times IBP_CUSHION. `r_stat`, the top of the
-    stationary range over all n, is closed form; `bound` needs lo > r_stat.
-
-    The q_m depend on the amplitude, T, N and n, not on h: a `lender` of
-    the same amplitude, T, N, ns and cs (another prime pair's tail) lends
-    them, so the pairs of one `amplified_average` build them once.
+    L1 norm is a trapezoid sum times IBP_CUSHION. `r_stat(h)`, the top of
+    the stationary range over all n, is closed form; `bound` needs lo > r_stat(h).
     """
 
-    def __init__(self, inst: KeyIdentityInstance, ns, cs, lender: "_IbpTail | None" = None):
-        self.inst = inst
-        self.lender = lender
+    def __init__(self, osc: OscInstance, ns, cs):
+        self.osc = osc
         weights = {}
         for n, c in zip(ns, cs):
             weights[int(n)] = weights.get(int(n), 0.0) + abs(c)
         self.weights = {n: w for n, w in weights.items() if w != 0.0}
-        self.rates = {n: _phase_rate_max(inst, n) for n in self.weights}
-        self.r_stat = inst.h * max(self.rates.values(), default=0.0) / TWO_PI
-        amp = inst.amplitude
+        self.rates = {n: _phase_rate_max(osc, n) for n in self.weights}
+        amp = osc.amplitude
         self.dx = (amp.support_hi - amp.support_lo) / (IBP_POINTS - 1)
+
+    def r_stat(self, h: float) -> float:
+        """h max |Phi_n'| / 2 pi."""
+        return h * max(self.rates.values(), default=0.0) / TWO_PI
 
     @cached_property
     def _parts(self) -> list:
         """Per n: (weight, max |Phi'|, Phi' on the nodes, q_k..q_2k on the nodes)."""
-        if self.lender is not None:
-            return self.lender._parts
-        inst, k = self.inst, IBP_ORDER
-        amp = inst.amplitude
+        osc, k = self.osc, IBP_ORDER
+        amp = osc.amplitude
         x = np.linspace(amp.support_lo, amp.support_hi, IBP_POINTS)[1:-1]
         jet = amp.jet(x, k)
         parts = []
         for n, peak in self.rates.items():
-            c_inv = TWO_PI * n * inst.T / inst.N
+            c_inv = TWO_PI * n * osc.T / osc.N
             # the jet of Phi'' = T/x^2 - 2 c_inv/x^3 to order k - 1
-            curv = (inst.T * _taylor_inverse_power(x, 2, k - 1)
+            curv = (osc.T * _taylor_inverse_power(x, 2, k - 1)
                     - 2.0 * c_inv * _taylor_inverse_power(x, 3, k - 1))
             q = jet[None]  # after s steps, q[m - s] is the jet of q_m to order k - s
             for s in range(k):
@@ -257,14 +253,14 @@ class _IbpTail:
                     prod[:, i:] += curv[i] * q[:, :order - i]
                 nxt[1:] -= np.arange(s + 1.0, 2.0 * s + 2.0)[:, None, None] * prod
                 q = nxt
-            parts.append((self.weights[n], peak, c_inv / (x * x) - inst.T / x, q[:, 0]))
+            parts.append((self.weights[n], peak, c_inv / (x * x) - osc.T / x, q[:, 0]))
         return parts
 
-    def row_norms(self, rs: np.ndarray) -> np.ndarray:
+    def row_norms(self, rs: np.ndarray, h: float) -> np.ndarray:
         """sum_n |c_n| times the trapezoid sum of |D^k A| for the rows +r
         (first half) and -r (second half) of each r in rs; no cushion."""
-        inst, k = self.inst, IBP_ORDER
-        shifts = TWO_PI / inst.h * np.asarray(rs, dtype=float)[:, None]
+        k = IBP_ORDER
+        shifts = TWO_PI / h * np.asarray(rs, dtype=float)[:, None]
         total = 0.0
         for weight, _, rate, q in self._parts:
             g = 1.0 / np.concatenate([rate - shifts, rate + shifts])
@@ -278,67 +274,76 @@ class _IbpTail:
             total = total + weight * self.dx * np.sum(np.abs(acc), axis=1)
         return total
 
-    def bound(self, lo: int) -> float:
-        """The bound on sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|, for lo > r_stat."""
-        inst, k = self.inst, IBP_ORDER
-        rows = float(np.sum(self.row_norms(np.arange(lo, lo + IBP_ROWS))))
-        top = TWO_PI / inst.h * (lo + IBP_ROWS)
+    def bound(self, lo: int, h: float) -> float:
+        """The bound on sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|, for lo > r_stat(h)."""
+        k = IBP_ORDER
+        rows = float(np.sum(self.row_norms(np.arange(lo, lo + IBP_ROWS), h)))
+        top = TWO_PI / h * (lo + IBP_ROWS)
         m = np.arange(k, 2.0 * k + 1.0)
         beyond = 0.0
         for weight, peak, _, q in self._parts:
             gap = top - peak
             norms = self.dx * np.sum(np.abs(q), axis=1)
             beyond += 2.0 * weight * float(np.sum(
-                norms * (gap ** -m + inst.h / TWO_PI * gap ** (1.0 - m) / (m - 1.0))))
+                norms * (gap ** -m + h / TWO_PI * gap ** (1.0 - m) / (m - 1.0))))
         return IBP_CUSHION * (rows + beyond)
 
 
-def _poisson_terms(inst: KeyIdentityInstance, ns=None, cs=None, lender=None):
+def _poisson_terms(inst: KeyIdentityInstance, ns, cs, tail: _IbpTail | None):
     """Adaptive dual sum: value, tail bound, quadrature bound, last r.
 
     Sums sum_n c_n O_n over the integers n of `ns` with the complex weights
-    `cs` (default inst.n alone, weight 1), shell by shell: r in
-    [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on, each shell one
-    integrate_shifted batch at the integers r and the step inst.h. With
+    `cs`, shell by shell: r in [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and
+    so on, each shell one integrate_shifted batch at the integers r and the
+    step inst.h. With
     tol = inst.tol sum_n |c_n|, each row is held to its own share
     tol / (32 max(8, r)), and the sum stops once its tail falls below tol/2.
     All-zero weights give an exact zero at once.
 
-    For an amplitude with a jet the tail is the integration-by-parts bound
-    of `_IbpTail`. Before a shell whose lowest r lies past the stationary
-    range of every n, the bound on all |r| >= that r is taken, and the sum
-    stops there, without gridding the shell, once the bound is below tol/2.
-    The last r is then the top of the last shell gridded: 0 when no r >= 1
-    is stationary. An amplitude without a jet keeps an estimate: the terms
-    decay superpolynomially once the linear shift removes the stationary
-    point, so one doubling bounds the remainder by the last shell's mass,
-    and the sum stops once twice that mass is below tol/2.
+    `tail` is the `_IbpTail` of ns and cs, None for an amplitude without a
+    jet. Before a shell whose lowest r lies past the stationary range of
+    every n, the bound on all |r| >= that r is taken, and the sum stops
+    there, without gridding the shell, once the bound is below tol/2. The
+    last r is then the top of the last shell gridded: 0 when no r >= 1 is
+    stationary. Without a tail the sum keeps an estimate: the terms decay
+    superpolynomially once the linear shift removes the stationary point,
+    so one doubling bounds the remainder by the last shell's mass, and the
+    sum stops once twice that mass is below tol/2.
     """
-    ns = [inst.n] if ns is None else ns
-    cs = [1.0] * len(ns) if cs is None else cs
     tol = inst.tol * float(np.sum(np.abs(cs)))
     if tol == 0.0:
         return 0.0 + 0.0j, 0.0, 0.0, 0
-    bounder = _IbpTail(inst, ns, cs, lender) if inst.amplitude.jet is not None else None
-    value, quad_sum, tail = 0.0 + 0.0j, 0.0, math.inf
+    h = inst.h
+    value, quad_sum, rest = 0.0 + 0.0j, 0.0, math.inf
     lo, hi = 1, FIRST_SHELL_R
     while True:
-        if bounder is not None and lo > bounder.r_stat:
-            tail = bounder.bound(lo)
-            if tail < 0.5 * tol:
-                return value, tail, quad_sum, lo - 1
+        if tail is not None and lo > tail.r_stat(h):
+            rest = tail.bound(lo, h)
+            if rest < 0.5 * tol:
+                return value, rest, quad_sum, lo - 1
         if lo > MAX_R:
-            raise TailNotConvergedError(f"dual sum tail still {tail:.3e} at r_max {lo - 1}")
+            raise TailNotConvergedError(f"dual sum tail still {rest:.3e} at r_max {lo - 1}")
         rs = np.arange(lo, hi + 1)
-        shell = integrate_shifted(inst.osc, rs, inst.h, ns=ns, cs=cs,
+        shell = integrate_shifted(inst.osc, rs, h, ns=ns, cs=cs,
                                   tol=tol / (32.0 * np.maximum(8, rs)))
         value += kahan_csum(shell.values)
         quad_sum += float(np.sum(shell.abs_errs))
-        if bounder is None:
-            tail = 2.0 * float(np.sum(np.abs(shell.values)))
-            if tail < 0.5 * tol:
-                return value, tail, quad_sum, hi
+        if tail is None:
+            rest = 2.0 * float(np.sum(np.abs(shell.values)))
+            if rest < 0.5 * tol:
+                return value, rest, quad_sum, hi
         lo, hi = hi + 1, 2 * hi
+
+
+def _pair_terms(base: KeyIdentityInstance, pairs, ns, cs):
+    """Per (p, l) of `pairs`, in order: the pair's instance, sum_n c_n A_n
+    and the `_poisson_terms` tuple. The tail bound, which does not depend
+    on the pair, is built once (for an amplitude with a jet)."""
+    tail = _IbpTail(base.osc, ns, cs) if base.amplitude.jet is not None else None
+    for p, l in pairs:
+        inst = replace(base, p=p, l=l)
+        a = kahan_csum([c * riemann_side(replace(inst, n=int(n))) for n, c in zip(ns, cs)])
+        yield inst, a, _poisson_terms(inst, ns, cs, tail)
 
 
 @dataclass(frozen=True)
@@ -377,24 +382,26 @@ class KeyIdentityReport:
         return abs(self.m_value) + abs(self.a_value) + abs(self.o_value)
 
 
-def verify_key_identity(inst: KeyIdentityInstance) -> KeyIdentityReport:
-    """Check M = A - O; the residual is pure numerics and must sit inside
+def verify_key_identity(base: KeyIdentityInstance, pairs=None) -> list[KeyIdentityReport]:
+    """Check M = A - O at each pair of `pairs` (default base's own), one
+    report per pair in order; M, which does not depend on the pair, is
+    integrated once. The residual is pure numerics and must sit inside
     ten times the sum of the constituent quadrature bounds."""
-    m = integrate_main(inst.osc)
-    a = riemann_side(inst)
-    o, tail, quad_sum, r_used = _poisson_terms(inst)
-    residual = abs(m.value - (a - o))
-    a_round = _riemann_rounding(inst)
-    # budget from the enforced bounds, not the achieved estimates: M is
-    # integrated to inst.tol and the shifted terms to a tol/2 share, so the
-    # bound scales linearly when every tolerance is tightened together
-    budget = 10.0 * (2.0 * inst.tol + a_round)
-    return KeyIdentityReport(
-        T=inst.T, n=inst.n, p=inst.p, l=inst.l, h=inst.h,
-        m_value=m.value, a_value=a, o_value=o,
-        m_err=m.abs_err, o_tail=tail, o_quad_err=quad_sum,
-        r_max_used=r_used, residual=residual, budget=budget,
-        passed=residual <= budget)
+    pairs = [(base.p, base.l)] if pairs is None else pairs
+    m = integrate_main(base.osc)
+    reports = []
+    for inst, a, (o, tail, quad_sum, r_used) in _pair_terms(base, pairs, [base.n], [1.0]):
+        residual = abs(m.value - (a - o))
+        # budget from the enforced bounds (M to inst.tol, the shifted terms to a
+        # tol/2 share), not the achieved estimates: it scales linearly with tol
+        budget = 10.0 * (2.0 * inst.tol + _riemann_rounding(inst))
+        reports.append(KeyIdentityReport(
+            T=inst.T, n=inst.n, p=inst.p, l=inst.l, h=inst.h,
+            m_value=m.value, a_value=a, o_value=o,
+            m_err=m.abs_err, o_tail=tail, o_quad_err=quad_sum,
+            r_max_used=r_used, residual=residual, budget=budget,
+            passed=residual <= budget))
+    return reports
 
 
 def lin_form_leading(inst: KeyIdentityInstance) -> complex:
@@ -453,9 +460,10 @@ class AmplifierSpec:
         the smallest prime. The segments are disjoint (2L <= P) only from
         T = 2^(1/(3*kappa)) on, which is 64 at kappa = 1/18.
         """
-        if T <= 1.0:
+        # compared so that NaN fails
+        if not T > 1.0:
             raise ConfigError("need T > 1")
-        if kappa <= 0.0:
+        if not kappa > 0.0:
             raise ConfigError("kappa must be positive")
         P = T ** (5.0 * kappa)
         L = T ** (2.0 * kappa)
@@ -472,10 +480,8 @@ class AmplifierSpec:
                 f"ceiling MAX_SIEVE = {MAX_SIEVE}, so it needs T <= "
                 f"(MAX_SIEVE/2)^(1/(5 kappa)) = {top:.6g} at kappa = "
                 f"{kappa:.6g}; got T = {T:.6g}, where 2P = {2.0 * P:.6g}")
-        spec = cls(kappa=kappa, P=P, L=L,
-                   primes_p=tuple(primes_in(P, 2.0 * P)),
+        return cls(kappa=kappa, P=P, L=L, primes_p=tuple(primes_in(P, 2.0 * P)),
                    primes_l=tuple(primes_in(L, 2.0 * L)))
-        return spec
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -537,17 +543,10 @@ def amplified_average(base: KeyIdentityInstance, amp: AmplifierSpec,
     (default base.n alone, weight 1), one dual sum per pair. Their
     difference equals sum_n c_n M_n * weight * |pairs| exactly, since M does
     not depend on (p, l). Pairs are processed in lexicographic order with
-    compensated reduction. The pairs' dual-sum tail bounds share one set of
-    q_m (see `_IbpTail`), which does not depend on the pair.
+    compensated reduction, by the pair loop `_pair_terms`.
     """
     ns = [base.n] if ns is None else ns
     cs = [1.0] * len(ns) if cs is None else cs
-    lender = _IbpTail(base, ns, cs) if base.amplitude.jet is not None else None
-    a_terms, o_terms = [], []
-    for p, l in amp.pairs:
-        sub = replace(base, p=p, l=l)
-        a_terms.append(kahan_csum([c * riemann_side(replace(sub, n=int(n)))
-                                   for n, c in zip(ns, cs)]))
-        o_terms.append(_poisson_terms(sub, ns, cs, lender)[0])
+    terms = [(a, dual[0]) for _, a, dual in _pair_terms(base, amp.pairs, ns, cs)]
     w = amp.weight
-    return w * kahan_csum(a_terms), w * kahan_csum(o_terms)
+    return w * kahan_csum([a for a, _ in terms]), w * kahan_csum([o for _, o in terms])

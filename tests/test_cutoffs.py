@@ -280,6 +280,20 @@ def test_mellin_on_line_refuses_a_kink():
     assert info.value.achieved > 0.0
 
 
+@pytest.mark.parametrize("re_line, t", [(0.0, math.nan), (math.nan, 0.0), (0.0, math.inf)])
+def test_mellin_on_line_refuses_a_nonfinite_argument(re_line, t):
+    # a NaN doubled the nodes up to LINE_MAX_NODES before it raised
+    # ToleranceUnreachableError, and an infinite ordinate raised that at
+    # once; both are refused before the cutoff is evaluated at all
+    def never(y):
+        raise AssertionError("evaluated the cutoff")
+
+    with pytest.raises(ConfigError, match="finite"):
+        mellin_on_line(Cutoff(support_lo=1.0, support_hi=2.0, fn=never), re_line, [1.0, t])
+    with pytest.raises(ConfigError, match="finite"):
+        mellin_on_line(g_cutoff(), re_line, [t])
+
+
 def test_mellin_inversion_round_trip():
     # reconstruct the window from its transform on the Re(s) = 1 line
     f = h0_cutoff(500.0, 1.0 / 18.0, 0.01)

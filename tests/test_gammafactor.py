@@ -51,6 +51,25 @@ def test_params_validation_and_dual():
     assert tuple(-a.conjugate() for a in DEFAULT_ALPHA) == LanglandsParams().alpha
 
 
+@pytest.mark.parametrize("alpha", [(math.nan, 0.0j, 0.0j), (complex(0.1, math.nan), 0.0j, 0.0j),
+                                   (0.0j, complex(0.0, math.inf), 0.0j)])
+def test_params_refuse_a_nonfinite_alpha(alpha):
+    # a NaN real part passed the |Re a| >= 1/2 test
+    with pytest.raises(ConfigError):
+        LanglandsParams(alpha=alpha)
+
+
+@pytest.mark.parametrize("s", [complex(math.nan, 0.0), complex(0.5, math.nan),
+                               complex(math.inf, 0.0), complex(0.5, -math.inf)])
+def test_gamma_refuses_a_nonfinite_point(s):
+    # round() in the pole test raised a bare ValueError (NaN) or
+    # OverflowError (inf)
+    with pytest.raises(ConfigError):
+        gamma_pi(s, ZERO_PARAMS)
+    with pytest.raises(ConfigError):
+        gamma_pi(s)
+
+
 def test_gamma_at_half_with_trivial_parameters():
     assert abs(gamma_pi(0.5, ZERO_PARAMS) - 1.0) < 1e-12
 
@@ -365,6 +384,11 @@ def test_kernel_table_range_enforcement():
         table(0.2)
     with pytest.raises(ConfigError):
         table(2.5)
+    # NaN passed the range test and came back as nan+nanj
+    with pytest.raises(ConfigError):
+        table(math.nan)
+    with pytest.raises(ConfigError):
+        table(np.array([1.0, math.nan, 1.5]))
     with pytest.raises(ConfigError):
         GKernelTable.build(0.1, 2.0, 200.0)  # below the shallow-contour range
 

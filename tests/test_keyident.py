@@ -17,7 +17,6 @@ from gl3osc.keyident import (
     KeyIdentityInstance,
     amplified_average,
     dressing_constant,
-    _poisson_terms,
     _riemann_rounding,
     lin_form_leading,
     riemann_side,
@@ -42,6 +41,14 @@ def _shifted_reference(inst: KeyIdentityInstance, signed_r: int, tol: float):
     """One shifted integral at beta = signed_r / h, by the one-row driver."""
     return integrate_phase(inst.amplitude, -inst.T, inst.n * inst.T / inst.N,
                            signed_r / inst.h, tol=tol)
+
+
+def _dual_sum(inst: KeyIdentityInstance, ns=None, cs=None):
+    """The `_poisson_terms` tuple of inst.n alone (weight 1), or of ns with
+    the weights cs, as the pair loop makes it at the instance's own pair."""
+    ns = [inst.n] if ns is None else ns
+    cs = [1.0] * len(ns) if cs is None else cs
+    return next(keyident._pair_terms(inst, [(inst.p, inst.l)], ns, cs))[2]
 
 
 def _zero_amplitude() -> Cutoff:
@@ -101,7 +108,7 @@ def test_riemann_rounding_bounds_the_windowed_sum():
     err = abs(riemann_side(inst) - want)
     assert err <= _riemann_rounding(inst)
     # the bound is the charge verify_key_identity puts on A
-    rep = verify_key_identity(inst)
+    [rep] = verify_key_identity(inst)
     assert rep.budget == 10.0 * (2.0 * inst.tol + _riemann_rounding(inst))
 
 
@@ -122,8 +129,7 @@ def test_riemann_side_pad_invariance():
 
 
 def test_identity_holds_at_desk_scale():
-    for p, l in ((5, 3), (7, 2), (11, 3)):
-        rep = verify_key_identity(_instance(250.0, p, l))
+    for rep in verify_key_identity(_instance(250.0, 5, 3), ((5, 3), (7, 2), (11, 3))):
         assert rep.passed
         assert rep.residual <= 1e-6 * rep.scale
         # the error components must sit inside their enforced shares
@@ -138,23 +144,22 @@ def test_identity_holds_at_a_prime_pair_past_the_sieve_ceiling():
     # rounding of the phase r x/h used to hold the shell's estimate above
     # its share until a refinement ran out of panels; the factored phase
     # meets it on the first pass
-    rep = verify_key_identity(_instance(500.0, 10007, 41))
+    [rep] = verify_key_identity(_instance(500.0, 10007, 41))
     assert rep.passed
     assert rep.o_quad_err <= 0.5e-9
     # (10007, 3): the stationary range ends at r = 0.002, so the bound on
     # every |r| >= 1 stops the dual sum before its first grid, whose single
     # pass would need about 1.8M panels
     inst = _instance(500.0, 10007, 3)
-    assert keyident._IbpTail(inst, [inst.n], [1.0]).r_stat < 0.01
-    rep = verify_key_identity(inst)
+    assert keyident._IbpTail(inst.osc, [inst.n], [1.0]).r_stat(inst.h) < 0.01
+    [rep] = verify_key_identity(inst)
     assert rep.passed
     assert rep.r_max_used == 0 and rep.o_value == 0.0 and rep.o_quad_err == 0.0
     assert rep.o_tail < 1e-30
 
 
 def test_recovered_m_is_step_independent():
-    reports = [verify_key_identity(_instance(500.0, p, l))
-               for p, l in ((5, 3), (7, 2), (11, 3), (13, 2))]
+    reports = verify_key_identity(_instance(500.0, 5, 3), ((5, 3), (7, 2), (11, 3), (13, 2)))
     hs = {rep.h for rep in reports}
     assert len(hs) == len(reports)
     for i, ri in enumerate(reports):
@@ -165,8 +170,8 @@ def test_recovered_m_is_step_independent():
 
 def test_budget_scales_with_tolerance():
     inst = _instance(500.0, 7, 2)
-    rep = verify_key_identity(inst)
-    half = verify_key_identity(replace(inst, tol=inst.tol / 2.0))
+    [rep] = verify_key_identity(inst)
+    [half] = verify_key_identity(replace(inst, tol=inst.tol / 2.0))
     assert rep.passed and half.passed
     ratio = half.budget / rep.budget
     assert 0.4 <= ratio <= 0.6
@@ -189,13 +194,13 @@ def test_dual_terms_decay_superpolynomially():
 
 def test_dual_sum_tail_honesty(monkeypatch):
     inst = _instance(500.0, 7, 2)
-    o_a, tail_a = _poisson_terms(inst)[:2]
+    o_a, tail_a = _dual_sum(inst)[:2]
     # widening the first shell must move the value by less than the tail plus
     # the quadrature shares; the wide pass needs a looser tol since the
     # per-term tolerance share shrinks with the index
     monkeypatch.setattr(keyident, "FIRST_SHELL_R", 32)
     wide = replace(inst, tol=1e-7)
-    o_b, tail_b = _poisson_terms(wide)[:2]
+    o_b, tail_b = _dual_sum(wide)[:2]
     assert 0.0 <= tail_a < 0.5 * inst.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
 
@@ -209,8 +214,8 @@ def test_all_zero_weights_give_an_exact_zero_at_once(monkeypatch):
     monkeypatch.setattr(keyident, "integrate_shifted", no_grid)
     inst = _instance(250.0, 7, 2)
     started = time.perf_counter()
-    assert _poisson_terms(inst, [inst.n], [0.0]) == (0.0, 0.0, 0.0, 0)
-    assert _poisson_terms(inst, [inst.n, inst.n + 1], [0.0, 0.0j]) == (0.0, 0.0, 0.0, 0)
+    assert _dual_sum(inst, [inst.n], [0.0]) == (0.0, 0.0, 0.0, 0)
+    assert _dual_sum(inst, [inst.n, inst.n + 1], [0.0, 0.0j]) == (0.0, 0.0, 0.0, 0)
     amp = AmplifierSpec.for_t(500.0)
     base = _instance(500.0, 7, 2)
     assert amplified_average(base, amp, [base.n, base.n + 1], [0.0, 0.0]) == (0.0, 0.0)
@@ -218,7 +223,7 @@ def test_all_zero_weights_give_an_exact_zero_at_once(monkeypatch):
 
 
 def test_zero_amplitude_gives_exact_zero_identity():
-    rep = verify_key_identity(
+    [rep] = verify_key_identity(
         _instance(250.0, 7, 2, amplitude=_zero_amplitude()))
     assert rep.m_value == 0.0
     assert rep.a_value == 0.0
@@ -285,6 +290,14 @@ def test_amplifier_spec_at_desk_scales():
         AmplifierSpec.for_t(1.0)
     with pytest.raises(ConfigError):
         AmplifierSpec.for_t(500.0, kappa=0.0)
+
+
+@pytest.mark.parametrize("T, kappa", [(math.nan, 1.0 / 18.0), (500.0, math.nan)])
+def test_amplifier_refuses_nan(T, kappa):
+    # NaN passed `T <= 1` and `kappa <= 0` and reached the sieve as a bare
+    # ValueError ("cannot convert float NaN to integer")
+    with pytest.raises(ConfigError):
+        AmplifierSpec.for_t(T, kappa=kappa)
 
 
 def test_li_segment_matches_mpmath_up_to_the_sieve_ceiling():
@@ -379,7 +392,7 @@ def test_amplified_average_single_pair_degenerates():
     a_avg, o_avg = amplified_average(base, amp)
     sub = replace(base, p=11, l=5)
     assert a_avg == amp.weight * riemann_side(sub)
-    assert o_avg == amp.weight * _poisson_terms(sub)[0]
+    assert o_avg == amp.weight * _dual_sum(sub)[0]
 
 
 def _reference_rows(inst: KeyIdentityInstance, ns, cs, r_last: int):
@@ -421,10 +434,10 @@ def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case):
         ns.append(ns[-1] - 4)
     cs = [0.7 + 0.2j, 0.0, -0.4 + 0.9j, 1.1j]
     mass = sum(abs(c) for c in cs)
-    o, tail, quad, r_max = _poisson_terms(base, ns, cs)
+    o, tail, quad, r_max = _dual_sum(base, ns, cs)
     assert tail < 0.5 * base.tol * mass
     assert quad <= 0.5 * base.tol * mass
-    alone = [_poisson_terms(replace(base, n=n)) for n in ns]
+    alone = [_dual_sum(replace(base, n=n)) for n in ns]
     want = sum(c * one[0] for c, one in zip(cs, alone))
     bound = quad + tail + sum(abs(c) * (one[1] + one[2]) for c, one in zip(cs, alone))
     assert abs(o - want) <= bound
@@ -466,7 +479,7 @@ def test_single_n_calls_keep_their_bits():
     # (0.0507280886337316+0.00961294414116948j), by 9.2e-15 each against a
     # quadrature bound of 1.6e-13 on O; the A09 average from
     # (-0.0036782553252046567+0.027988570265161432j), by 6.3e-15
-    rep = verify_key_identity(_instance(250.0, 5, 3))
+    [rep] = verify_key_identity(_instance(250.0, 5, 3))
     assert repr(rep.o_value) == "(-0.002050335572434218-0.007475369168464736j)"
     assert repr(rep.recovered_m) == "(0.050728088633734486+0.009612944141160698j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
@@ -477,19 +490,43 @@ def test_amplified_average_builds_the_q_m_once(monkeypatch):
     # the q_m depend on the amplitude, T, N and n, not on the pair: A09's
     # four pairs share one build (two Taylor tables of Phi'' per n), where
     # each pair had built its own, and the average keeps its bits (pinned
-    # in test_single_n_calls_keep_their_bits)
-    calls = []
-    real = keyident._taylor_inverse_power
+    # in test_single_n_calls_keep_their_bits). A01's battery checks its
+    # three pairs of each T in one pair loop: one M and one q_m build per
+    # T, three of each in all, where each (T, p, l) had made its own
+    calls, mains = [], []
+    real, real_main = keyident._taylor_inverse_power, keyident.integrate_main
 
     def counted(x, j, k):
         calls.append(j)
         return real(x, j, k)
 
+    def counted_main(osc):
+        mains.append(osc.T)
+        return real_main(osc)
+
     monkeypatch.setattr(keyident, "_taylor_inverse_power", counted)
+    monkeypatch.setattr(keyident, "integrate_main", counted_main)
     amp = AmplifierSpec.for_t(500.0)
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), amp)
     assert len(amp.pairs) == 4 and calls == [2, 3]
     assert repr(a_avg - o_avg) == "(-0.0036782553252052382+0.027988570265155135j)"
+    calls.clear()
+    _, checks = criteria.key_identity_battery()
+    assert mains == list(criteria.KEY_T_VALUES)
+    assert calls == [2, 3] * len(criteria.KEY_T_VALUES)
+    assert all(c.passed for c in checks)
+
+
+def test_pair_loop_reports_keep_each_pairs_bits():
+    # one verify_key_identity call over three pairs gives, pair by pair, the
+    # report a call at that pair alone gives, bit for bit
+    base = _instance(500.0, 5, 3)
+    pairs = ((11, 3), (5, 3), (7, 2))
+    together = verify_key_identity(base, pairs)
+    assert [(rep.p, rep.l) for rep in together] == list(pairs)
+    for (p, l), rep in zip(pairs, together):
+        assert verify_key_identity(replace(base, p=p, l=l)) == [rep]
+    assert verify_key_identity(base, ()) == []
 
 
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):
@@ -498,9 +535,9 @@ def test_batched_dual_sum_raises_past_max_r(monkeypatch):
     monkeypatch.setattr(keyident, "MAX_R", 8)
     inst = _instance(250.0, 7, 2, amplitude=replace(probe_amplitude(), jet=None))
     with pytest.raises(TailNotConvergedError):
-        _poisson_terms(inst)
+        _dual_sum(inst)
     with pytest.raises(TailNotConvergedError):
-        _poisson_terms(inst, [inst.n, inst.n + 1], [1.0, 0.5j])
+        _dual_sum(inst, [inst.n, inst.n + 1], [1.0, 0.5j])
 
 
 def test_dual_sum_bound_refuses_past_max_r(monkeypatch):
@@ -509,11 +546,11 @@ def test_dual_sum_bound_refuses_past_max_r(monkeypatch):
     # sum may grid no further shell, so it refuses; with the default
     # ceiling it grids r = 9..16 and stops on the bound at 17
     inst = _instance(1000.0, 13, 11)
-    o, tail, quad, r_max = _poisson_terms(inst)
+    o, tail, quad, r_max = _dual_sum(inst)
     assert r_max == 16 and tail < 0.5 * inst.tol
     monkeypatch.setattr(keyident, "MAX_R", 8)
     with pytest.raises(TailNotConvergedError, match="r_max 8"):
-        _poisson_terms(inst)
+        _dual_sum(inst)
 
 
 def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
@@ -521,12 +558,12 @@ def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     ns, cs = [inst.n, inst.n + 1], [1.0, 0.5j]
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
     with pytest.raises(ToleranceUnreachableError):
-        _poisson_terms(inst, ns, cs)
+        _dual_sum(inst, ns, cs)
     # the first shell's grid (37,704 nodes) fits, its refinement (about
     # 75,000) does not fit beside it
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
     with pytest.raises(ToleranceUnreachableError) as info:
-        _poisson_terms(replace(inst, tol=1e-30), ns, cs)
+        _dual_sum(replace(inst, tol=1e-30), ns, cs)
     assert info.value.achieved > 1e-30
 
 
@@ -538,13 +575,13 @@ def test_ibp_bound_lies_above_the_computed_shells(T, pair):
     # |r| >= 9 (resp. 17) must hold the sum of their moduli within their
     # summed quadrature bounds
     inst = _instance(T, *pair)
-    tail = keyident._IbpTail(inst, [inst.n], [1.0])
-    assert tail.r_stat < 9.0
+    tail = keyident._IbpTail(inst.osc, [inst.n], [1.0])
+    assert tail.r_stat(inst.h) < 9.0
     for lo, hi in ((9, 16), (17, 32)):
         shell = integrate_shifted(inst.osc, np.arange(lo, hi + 1), inst.h, tol=1e-13)
         mass = float(np.sum(np.abs(shell.values)))
-        assert mass <= tail.bound(lo) + float(np.sum(shell.abs_errs))
-        assert tail.bound(lo) < 0.5 * inst.tol
+        assert mass <= tail.bound(lo, inst.h) + float(np.sum(shell.abs_errs))
+        assert tail.bound(lo, inst.h) < 0.5 * inst.tol
 
 
 def test_ibp_bound_holds_next_to_the_stationary_range():
@@ -552,12 +589,12 @@ def test_ibp_bound_holds_next_to_the_stationary_range():
     # the rows 4..11 hold about 2e-8 there, far above their rounding, and
     # the bound on |r| >= 4 is about five times that
     inst = _instance(250.0, 5, 3)
-    tail = keyident._IbpTail(inst, [inst.n], [1.0])
-    assert 3.0 < tail.r_stat < 4.0
+    tail = keyident._IbpTail(inst.osc, [inst.n], [1.0])
+    assert 3.0 < tail.r_stat(inst.h) < 4.0
     shell = integrate_shifted(inst.osc, np.arange(4, 12), inst.h, tol=1e-14)
     mass = float(np.sum(np.abs(shell.values)))
     assert mass > 1e5 * float(np.sum(shell.abs_errs))
-    assert mass <= tail.bound(4) < 10.0 * mass
+    assert mass <= tail.bound(4, inst.h) < 10.0 * mass
 
 
 def test_ibp_trapezoid_norm_matches_mpmath_quadrature():
@@ -568,8 +605,8 @@ def test_ibp_trapezoid_norm_matches_mpmath_quadrature():
     # 801-node trapezoid sum is within 1% of it (0.15% here); the bound
     # multiplies every such sum by IBP_CUSHION = 2
     inst = _instance(250.0, 5, 3)
-    tail = keyident._IbpTail(inst, [inst.n], [1.0])
-    got = float(tail.row_norms(np.array([9]))[0])
+    tail = keyident._IbpTail(inst.osc, [inst.n], [1.0])
+    got = float(tail.row_norms(np.array([9]), inst.h)[0])
     k = keyident.IBP_ORDER
     with mp.workdps(30):
         T, C = mp.mpf(inst.T), 2 * mp.pi * inst.n * mp.mpf(inst.T) / mp.mpf(inst.N)
