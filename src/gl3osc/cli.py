@@ -3,10 +3,11 @@
 Each command runs one named battery and emits a deterministic report; the
 `suite` command runs the whole battery in dependency order (cutoff goldens
 and coefficients first, integral laws, then the heavy sum routes) and keeps
-going after the first failure. A command accepts only the flags it reads
-(READS) plus --out. Exit codes: 0 all checks pass, 1 assertion failure, 2
-configuration error (an ignored flag or an --out that cannot be written
-included), 3 numerical non-convergence.
+going after the first failure. Every command is declared once, in COMMANDS:
+the flags it reads besides --out (any other flag exits 2), its battery, and
+the T and tol it runs at unless --t / --tol say otherwise. Exit codes: 0 all
+checks pass, 1 assertion failure, 2 configuration error (an ignored flag or
+an --out that cannot be written included), 3 numerical non-convergence.
 """
 from __future__ import annotations
 
@@ -15,22 +16,15 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import criteria
 from .coeffs import load_coefficients
 from .errors import (ConfigError, GL3OscError, GammaPoleError,
                      MellinDivergenceError, TailNotConvergedError,
                      ToleranceUnreachableError)
-from .reports import Check, Report, write_table_csv
-from .whittaker import K_ZETA_REL, LocalZetaParams, c_constant, local_zeta
+from .reports import Report, write_table_csv
 
-COMMANDS = ("bump", "oscint", "zeta-local", "gamma", "key-identity",
-            "amplified", "scaling", "coeffs", "s-sum", "suite")
-
-# per-command fallbacks; an explicit --t / --tol wins
-DEFAULT_T = {"s-sum": 200.0}
-DEFAULT_TOL = {"zeta-local": 1e-10, "scaling": 1e-10, "oscint": 1e-10,
-               "gamma": 1e-10, "s-sum": 1e-6}
 FALLBACK_T = 500.0
 FALLBACK_TOL = 1e-9
 
@@ -38,20 +32,16 @@ FALLBACK_TOL = 1e-9
 FLAG_DESTS = {"--t": "T", "--tol": "tol", "--kappa": "kappa", "--c1": "c1",
               "--coeffs": "coeff_path", "--seed": "seed", "--grid": "grid"}
 
-# the flags each command reads; any other flag but --out exits 2. `suite`
-# runs every command at its own T and tol, and hands the rest on.
-READS = {
-    "bump": ("--c1",),
-    "oscint": ("--tol", "--grid"),
-    "zeta-local": ("--t", "--tol", "--c1"),
-    "gamma": ("--t", "--tol", "--grid"),
-    "key-identity": ("--t", "--tol"),
-    "amplified": ("--t", "--tol", "--kappa"),
-    "scaling": ("--tol", "--c1", "--grid"),
-    "coeffs": ("--coeffs", "--seed"),
-    "s-sum": ("--t", "--tol", "--kappa", "--coeffs"),
-    "suite": ("--kappa", "--c1", "--coeffs", "--seed", "--grid"),
-}
+
+@dataclass(frozen=True)
+class Command:
+    """One command: the flags it reads besides --out, the battery it runs on
+    a RunConfig, and its T and tol when --t / --tol are not given."""
+
+    reads: tuple
+    battery: Callable
+    T: float = FALLBACK_T
+    tol: float = FALLBACK_TOL
 
 
 @dataclass(frozen=True)
@@ -71,7 +61,7 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(
-                f"unknown command {self.command!r}; choose from {COMMANDS}")
+                f"unknown command {self.command!r}; choose from {tuple(COMMANDS)}")
         # NaN passes every comparison below and inf most of them
         for name, value in (("T", self.T), ("tol", self.tol), ("kappa", self.kappa),
                             ("c1", self.c1), *(("grid", t) for t in self.grid or ())):
@@ -92,74 +82,66 @@ class RunConfig:
                 raise ConfigError("grid values must exceed 10")
 
 
+def _grid(config: RunConfig):
+    return config.grid or criteria.SCALING_T_GRID
+
+
 def _load_table(config: RunConfig):
     return (load_coefficients(config.coeff_path)
             if config.coeff_path else None)
 
 
-def _cmd_bump(config: RunConfig):
-    return criteria.bump_battery(c1=config.c1)
-
-
-def _cmd_oscint(config: RunConfig):
-    grid = config.grid or criteria.SCALING_T_GRID
-    return criteria.stationary_phase_battery(grid, tol=config.tol)
-
-
-def _cmd_zeta_local(config: RunConfig):
-    """Single-T check of Z against its stationary-phase constant."""
-    z = local_zeta(LocalZetaParams(T=config.T, c1=config.c1), tol=config.tol)
-    lead = c_constant(config.T, config.c1) * config.T**-0.5
-    resid = abs(z.value - lead)
-    outputs = {"z": z.value, "leading": lead,
-               "normalized": abs(z.value) * config.T**0.5}
-    checks = (Check("zeta-local-residual",
-                    "|Z - C_T T^(-1/2)| within the calibrated K/T envelope",
-                    resid, (K_ZETA_REL / config.T) * abs(lead)),)
-    return outputs, checks
-
-
-def _cmd_gamma(config: RunConfig):
-    grid = config.grid or criteria.SCALING_T_GRID
-    return criteria.gamma_battery(grid, kernel_t=config.T, tol=config.tol)
-
-
-def _cmd_key_identity(config: RunConfig):
-    return criteria.key_identity_battery((config.T,), tol=config.tol)
-
-
-def _cmd_amplified(config: RunConfig):
-    return criteria.amplified_battery(config.T, tol=config.tol,
-                                      kappa=config.kappa)
-
-
-def _cmd_scaling(config: RunConfig):
-    grid = config.grid or criteria.SCALING_T_GRID
+def _scaling(config: RunConfig):
+    grid = _grid(config)
     if len(grid) < 3:
         raise ConfigError("scaling slopes need at least 3 grid points")
     return criteria.local_zeta_battery(grid, tol=config.tol, c1=config.c1)
 
 
-def _cmd_coeffs(config: RunConfig):
-    return criteria.coeff_battery(seed=config.seed, table=_load_table(config))
+def _run_suite(config: RunConfig):
+    """Every command at its own canonical T and tol; shared flags propagate."""
+    outputs = {}
+    checks = []
+    for name in SUITE_ORDER:
+        command = COMMANDS[name]
+        sub = RunConfig(command=name, T=command.T, tol=command.tol,
+                        kappa=config.kappa, c1=config.c1,
+                        coeff_path=config.coeff_path, seed=config.seed,
+                        grid=config.grid)
+        sub_out, sub_checks = command.battery(sub)
+        outputs[name] = sub_out
+        checks.extend(sub_checks)
+    return outputs, tuple(checks)
 
 
-def _cmd_s_sum(config: RunConfig):
-    return criteria.route_battery(T=config.T, tol=config.tol,
-                                  table=_load_table(config),
-                                  amp_kappa=config.kappa)
-
-
-DISPATCH = {
-    "bump": _cmd_bump,
-    "oscint": _cmd_oscint,
-    "zeta-local": _cmd_zeta_local,
-    "gamma": _cmd_gamma,
-    "key-identity": _cmd_key_identity,
-    "amplified": _cmd_amplified,
-    "scaling": _cmd_scaling,
-    "coeffs": _cmd_coeffs,
-    "s-sum": _cmd_s_sum,
+# the batteries are looked up on `criteria` at call time
+COMMANDS = {
+    "bump": Command(("--c1",), lambda c: criteria.bump_battery(c1=c.c1)),
+    "oscint": Command(
+        ("--tol", "--grid"),
+        lambda c: criteria.stationary_phase_battery(_grid(c), tol=c.tol), tol=1e-10),
+    "zeta-local": Command(
+        ("--t", "--tol", "--c1"),
+        lambda c: criteria.zeta_point_battery(c.T, c.tol, c.c1), tol=1e-10),
+    "gamma": Command(
+        ("--t", "--tol", "--grid"),
+        lambda c: criteria.gamma_battery(_grid(c), kernel_t=c.T, tol=c.tol), tol=1e-10),
+    "key-identity": Command(
+        ("--t", "--tol"), lambda c: criteria.key_identity_battery((c.T,), tol=c.tol)),
+    "amplified": Command(
+        ("--t", "--tol", "--kappa"),
+        lambda c: criteria.amplified_battery(c.T, tol=c.tol, kappa=c.kappa)),
+    "scaling": Command(("--tol", "--c1", "--grid"), _scaling, tol=1e-10),
+    "coeffs": Command(
+        ("--coeffs", "--seed"),
+        lambda c: criteria.coeff_battery(seed=c.seed, table=_load_table(c))),
+    "s-sum": Command(
+        ("--t", "--tol", "--kappa", "--coeffs"),
+        lambda c: criteria.route_battery(T=c.T, tol=c.tol, table=_load_table(c),
+                                         amp_kappa=c.kappa),
+        T=200.0, tol=1e-6),
+    # runs every command at its own T and tol, and hands the rest on
+    "suite": Command(("--kappa", "--c1", "--coeffs", "--seed", "--grid"), _run_suite),
 }
 
 # dependency order: goldens and coefficients first, pointwise integral laws
@@ -168,33 +150,15 @@ SUITE_ORDER = ("bump", "coeffs", "oscint", "scaling", "gamma",
                "key-identity", "amplified", "s-sum")
 
 
-def _run_suite(config: RunConfig):
-    """Every command at its own canonical T and tol; shared flags propagate."""
-    outputs = {}
-    checks = []
-    for name in SUITE_ORDER:
-        sub = RunConfig(command=name, T=DEFAULT_T.get(name, FALLBACK_T),
-                        tol=DEFAULT_TOL.get(name, FALLBACK_TOL),
-                        kappa=config.kappa, c1=config.c1,
-                        coeff_path=config.coeff_path, seed=config.seed,
-                        grid=config.grid)
-        sub_out, sub_checks = DISPATCH[name](sub)
-        outputs[name] = sub_out
-        checks.extend(sub_checks)
-    return outputs, tuple(checks)
-
-
 def run(config: RunConfig) -> Report:
     """Execute one command and assemble its report (no I/O)."""
     started = time.perf_counter()
-    if config.command == "suite":
-        outputs, checks = _run_suite(config)
-    else:
-        outputs, checks = DISPATCH[config.command](config)
+    command = COMMANDS[config.command]
+    outputs, checks = command.battery(config)
     wall_ms = 1000.0 * (time.perf_counter() - started)
     # only what the command reads: a default it never looks at is no input
     inputs = {FLAG_DESTS[flag]: getattr(config, FLAG_DESTS[flag])
-              for flag in READS[config.command]}
+              for flag in command.reads}
     return Report(command=config.command, inputs=inputs,
                   outputs=outputs, checks=tuple(checks),
                   wall_time_ms=wall_ms)
@@ -206,9 +170,7 @@ def _write_artifacts(config: RunConfig, report: Report) -> None:
     try:
         report.write_json(config.out_path)
         if config.command == "scaling":
-            out = report.outputs
-            rows = list(zip(config.grid or criteria.SCALING_T_GRID,
-                            out["normalized"]))
+            rows = list(zip(_grid(config), report.outputs["normalized"]))
             write_table_csv(str(config.out_path) + ".csv",
                             ("T", "normalized_abs_z"), rows)
     except OSError as exc:
@@ -244,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args) -> RunConfig:
     """The RunConfig of a parsed command line; a flag the command does not
     read is a ConfigError that names it."""
+    command = COMMANDS[args.command]
     ignored = [flag for flag, dest in FLAG_DESTS.items()
-               if getattr(args, dest) is not None and flag not in READS[args.command]]
+               if getattr(args, dest) is not None and flag not in command.reads]
     if ignored:
         raise ConfigError(f"{args.command} does not read {', '.join(ignored)}")
     grid = None
@@ -254,9 +217,8 @@ def config_from_args(args) -> RunConfig:
             grid = tuple(float(part) for part in args.grid.split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --grid value: {exc}") from None
-    t = args.T if args.T is not None else DEFAULT_T.get(args.command, FALLBACK_T)
-    tol = (args.tol if args.tol is not None
-           else DEFAULT_TOL.get(args.command, FALLBACK_TOL))
+    t = args.T if args.T is not None else command.T
+    tol = args.tol if args.tol is not None else command.tol
     given = {name: getattr(args, name) for name in ("kappa", "c1", "seed")
              if getattr(args, name) is not None}
     return RunConfig(command=args.command, T=t, tol=tol,

@@ -278,6 +278,9 @@ def _dirichlet_power_pass(acc: np.ndarray, exponent: complex) -> np.ndarray:
 
 def synth_eisenstein(params: LanglandsParams, x_max: int) -> CoefficientTable:
     """Triple-divisor model a(1,n) = sum_{d1 d2 d3 = n} d1^a1 d2^a2 d3^a3."""
+    # a float (NaN, 2.5, even 100.0) or a bool is no table size
+    if isinstance(x_max, bool) or not isinstance(x_max, (int, np.integer)):
+        raise ConfigError(f"x_max must be an integer, not {x_max!r}")
     if x_max < 1:
         raise ConfigError("x_max must be at least 1")
     if x_max > MAX_X_MAX:

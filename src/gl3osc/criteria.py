@@ -1,9 +1,11 @@
 """Named verification batteries shared by the CLI and the acceptance gate.
 
-Each battery returns (outputs, checks): deterministic values for the report
-body plus Check records whose ids (A01..A11 with sub-letters) are the stable
-criterion names. Wall-clock limits are asserted by callers; timing never
-enters a report's canonical content.
+Every check the verifier makes lives here. Each battery returns (outputs,
+checks): deterministic values for the report body plus Check records whose
+ids (A01..A11 with sub-letters, and zeta-local-residual) are the stable
+criterion names. A battery that checks a decay law fits its own log-log
+slope. Wall-clock limits are asserted by callers; timing never enters a
+report's canonical content.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import whittaker
 from .coeffs import (CoefficientTable, hecke_mult_check, load_coefficients,
                      rankin_selberg_check, save_coefficients,
                      synth_eisenstein)
@@ -27,7 +30,6 @@ from .oscquad import K_SP_MAIN, integrate_main, stationary_phase_main
 from .reports import Check
 from .sums import WINDOW_EPS, SumSpec, compare_routes
 from .util import TWO_PI, loglog_slope
-from .whittaker import zeta_scaling_study
 
 # pinned plateau-point value v* = V0(1/(2*pi)) of the c1 = 1 bump
 VSTAR_GOLDEN = 0.3602945695614048
@@ -139,30 +141,60 @@ def stationary_phase_battery(t_values=SCALING_T_GRID,
     return outputs, checks
 
 
+def zeta_point_battery(T: float, tol: float, c1: float) -> tuple[dict, tuple]:
+    """Single-T check of Z against its stationary-phase constant."""
+    z = whittaker.local_zeta(whittaker.LocalZetaParams(T=T, c1=c1), tol=tol)
+    lead = whittaker.c_constant(T, c1) * T**-0.5
+    resid = abs(z.value - lead)
+    outputs = {"z": z.value, "leading": lead,
+               "normalized": abs(z.value) * T**0.5}
+    checks = (Check("zeta-local-residual",
+                    "|Z - C_T T^(-1/2)| within the calibrated K/T envelope",
+                    resid, (whittaker.K_ZETA_REL / T) * abs(lead)),)
+    return outputs, checks
+
+
 def local_zeta_battery(t_grid=SCALING_T_GRID, strip_ts=(250.0, 1000.0),
                        tol: float = 1e-10, c1: float = 1.0) -> tuple[dict, tuple]:
-    """Critical-line decay (A04) and the Re(s) = -1/2 strip level (A05)."""
-    study = zeta_scaling_study(t_grid, sigma=0.0, tol=tol, c1=c1)
-    strip = zeta_scaling_study(strip_ts, sigma=-0.5, tol=tol, c1=c1)
+    """Critical-line decay (A04) and the Re(s) = -1/2 strip level (A05).
+
+    On the critical line |Z| falls like T^(-1/2) and its residual against
+    C_T T^(-1/2) like T^(-3/2); at Re(s) = -1/2, |Z| T^(5/4) stays level.
+    """
+    if len(strip_ts) < 2:
+        raise ConfigError("the strip level needs at least two T values")
+    abs_z, normalized, residuals = [], [], []
+    for T in t_grid:
+        z = whittaker.local_zeta(whittaker.LocalZetaParams(T=T, c1=c1), tol=tol).value
+        abs_z.append(abs(z))
+        normalized.append(abs(z) * T**0.5)
+        residuals.append(abs(z - whittaker.c_constant(T, c1) * T**-0.5))
+    strip = []  # |Z| T^(1/2 - 3 Re(s)/2) at Re(s) = -1/2
+    for T in strip_ts:
+        z = whittaker.local_zeta(whittaker.LocalZetaParams(T=T, s=-0.5 + 0j, c1=c1), tol=tol)
+        strip.append(abs(z.value) * T**1.25)
+    slope_abs_z, _ = loglog_slope(t_grid, abs_z)
+    slope_residual, _ = loglog_slope(t_grid, residuals)
+    band_ratio = max(strip) / min(strip)
     level = TWO_PI * VSTAR_GOLDEN
     outputs = {
-        "normalized": list(study.normalized),
-        "slope_abs_z": study.slope_abs_z,
-        "slope_residual": study.slope_residual,
-        "strip_normalized": list(strip.normalized),
-        "strip_band_ratio": strip.band_ratio,
+        "normalized": normalized,
+        "slope_abs_z": slope_abs_z,
+        "slope_residual": slope_residual,
+        "strip_normalized": strip,
+        "strip_band_ratio": band_ratio,
     }
     checks = (
         Check("A04-level", "|Z| * sqrt(T) within 2% of 2*pi*v* at the top T",
-              abs(study.normalized[-1] - level), 0.02 * level),
+              abs(normalized[-1] - level), 0.02 * level),
         Check("A04-slope", "|Z| decays with slope -1/2 (+-0.05)",
-              abs(study.slope_abs_z + 0.5), 0.05),
+              abs(slope_abs_z + 0.5), 0.05),
         Check("A04-residual-slope",
               "|Z - C_T T^(-1/2)| decays with slope -3/2 (+-0.3)",
-              abs(study.slope_residual + 1.5), 0.3),
+              abs(slope_residual + 1.5), 0.3),
         Check("A05-band",
               "|Z| * T^(5/4) at Re(s) = -1/2 level-bounded within factor 2",
-              strip.band_ratio, 2.0),
+              band_ratio, 2.0),
     )
     return outputs, checks
 

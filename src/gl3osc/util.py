@@ -57,11 +57,6 @@ def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.
     return out
 
 
-def e(x):
-    """exp(2*pi*i*x), the additive character. Accepts scalars or arrays."""
-    return np.exp(2j * np.pi * np.asarray(x, dtype=float))
-
-
 def kahan_add(s, c, block):
     """Add block[0], block[1], ... in that order to compensated sums (s, c).
 
@@ -209,13 +204,13 @@ def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.
 def loglog_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope and intercept of log(y) against log(x).
 
-    Used for all decay-rate fits; requires at least 3 strictly positive
-    points so a slope estimate is meaningful.
+    Used for all decay-rate fits; requires strictly positive points at 3 or
+    more distinct x, so a slope estimate is meaningful.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.size < 3:
-        raise InsufficientGridError("slope fit needs at least 3 grid points")
+    if len(set(xs.tolist())) < 3:
+        raise InsufficientGridError("slope fit needs at least 3 distinct grid points")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise InsufficientGridError("slope fit needs strictly positive data")
     slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)

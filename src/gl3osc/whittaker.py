@@ -19,9 +19,10 @@ phase gives Z = C_T * T^(-1/2) + O(T^(-3/2)) with the explicit constant
 z0 leaves the support of V0 exactly when Im s leaves [-3T/4, c1*T], which is
 why |Z| collapses outside that window.
 
-`zeta_scaling_study` feeds the critical-line checks (A04) and the
-Re(s) = -1/2 strip level (A05); the `zeta-local` command holds a single Z to
-C_T T^(-1/2) within K_ZETA_REL / T.
+This module holds the paper's objects only: W, Z and C_T. The checks built
+on them, the critical-line decay (A04), the Re(s) = -1/2 strip level (A05)
+and the single-T comparison of Z with C_T T^(-1/2) within K_ZETA_REL / T,
+are batteries in `criteria`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .cutoffs import ONE_OVER_2PI, Cutoff, v0_cutoff
 from .errors import ConfigError
 from .oscquad import QuadResult, integrate_phase
-from .util import TWO_PI, loglog_slope
+from .util import TWO_PI
 
 # Relative gap between local_zeta(s=0) and C_T * T^(-1/2) is <= K_ZETA_REL / T;
 # calibrated at T = 250 (rel * T = 1.127) with a 4x cushion and frozen.
@@ -101,49 +102,3 @@ def c_constant(T: float, c1: float = 1.0) -> complex:
                    * np.exp(1.5j * T * np.log(T))
                    * np.exp(-1j * T)
                    * vstar)
-
-
-@dataclass(frozen=True)
-class ZetaScalingStudy:
-    """Scaling table of |Z| across a T grid at fixed Re(s) = sigma."""
-
-    sigma: float
-    t_grid: tuple
-    abs_z: tuple
-    normalized: tuple      # |Z| * T^(1/2 - 3*sigma/2)
-    residuals: tuple       # |Z - C_T T^(-1/2)|, sigma = 0 only, else ()
-    slope_abs_z: float
-    slope_residual: float  # nan when residuals are absent
-
-    @property
-    def band_ratio(self) -> float:
-        """max/min of the normalized level across the grid."""
-        return max(self.normalized) / min(self.normalized)
-
-
-def zeta_scaling_study(t_grid, sigma: float = 0.0,
-                       tol: float = DEFAULT_ZETA_TOL, c1: float = 1.0) -> ZetaScalingStudy:
-    """Evaluate Z on a T grid at Re(s) = sigma and fit decay slopes.
-
-    |Z| should fall like T^(3*sigma/2 - 1/2); for sigma = 0 the residual
-    against C_T * T^(-1/2) should fall like T^(-3/2).
-    """
-    t_grid = tuple(float(t) for t in t_grid)
-    if len(t_grid) < 2:
-        raise ConfigError("scaling study needs at least two T values")
-    abs_z, normalized, residuals = [], [], []
-    for T in t_grid:
-        z = local_zeta(LocalZetaParams(T=T, s=complex(sigma, 0.0), c1=c1), tol=tol)
-        abs_z.append(abs(z.value))
-        normalized.append(abs(z.value) * T ** (0.5 - 1.5 * sigma))
-        if sigma == 0.0:
-            residuals.append(abs(z.value - c_constant(T, c1) * T**-0.5))
-    if len(t_grid) >= 3:
-        slope_abs_z, _ = loglog_slope(t_grid, abs_z)
-        slope_residual = loglog_slope(t_grid, residuals)[0] if residuals else float("nan")
-    else:
-        slope_abs_z = float("nan")
-        slope_residual = float("nan")
-    return ZetaScalingStudy(sigma=sigma, t_grid=t_grid, abs_z=tuple(abs_z),
-                            normalized=tuple(normalized), residuals=tuple(residuals),
-                            slope_abs_z=slope_abs_z, slope_residual=slope_residual)

@@ -5,8 +5,8 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +19,13 @@ from gl3osc.reports import Check, Report, encode_value
 
 def _args(*argv):
     return build_parser().parse_args(argv)
+
+
+def _stub_batteries(monkeypatch, battery):
+    """Give every command but `suite` the stand-in battery."""
+    monkeypatch.setattr(cli, "COMMANDS", {
+        name: command if name == "suite" else replace(command, battery=battery)
+        for name, command in cli.COMMANDS.items()})
 
 
 def test_run_config_validates_fields():
@@ -87,7 +94,7 @@ def test_command_accepts_the_flags_it_reads_and_refuses_the_rest(command):
     assert set(FLAG_VALUES) == set(cli.FLAG_DESTS)
     for flag, value in FLAG_VALUES.items():
         args = _args(command, flag, value, "--out", "report.json")
-        if flag in cli.READS[command]:
+        if flag in cli.COMMANDS[command].reads:
             assert config_from_args(args).out_path == "report.json"
         else:
             with pytest.raises(ConfigError, match=f"does not read {re.escape(flag)}$"):
@@ -116,21 +123,16 @@ class _Spy:
 
 
 def test_reads_lists_exactly_the_flags_each_command_reads(monkeypatch):
-    for battery in ("bump", "stationary_phase", "local_zeta", "gamma",
+    for battery in ("bump", "stationary_phase", "zeta_point", "local_zeta", "gamma",
                     "key_identity", "amplified", "coeff", "route"):
         monkeypatch.setattr(cli.criteria, f"{battery}_battery",
                             lambda *args, **kwargs: ({}, ()))
-    monkeypatch.setattr(cli, "local_zeta", lambda params, tol: SimpleNamespace(value=0j))
-    monkeypatch.setattr(cli, "c_constant", lambda T, c1: 1.0)
-    for command in cli.COMMANDS:
-        spy = _Spy(RunConfig(command=command))
-        if command == "suite":
-            cli._run_suite(spy)
-        else:
-            cli.DISPATCH[command](spy)
+    for name, command in cli.COMMANDS.items():
+        spy = _Spy(RunConfig(command=name))
+        command.battery(spy)
         read = {flag for flag, dest in cli.FLAG_DESTS.items()
                 if dest in spy.read}
-        assert read == set(cli.READS[command]), command
+        assert read == set(command.reads), name
 
 
 def test_amplified_below_floor_exits_2(capsys):
@@ -211,12 +213,23 @@ def test_report_inputs_are_the_fields_the_command_reads(tmp_path, monkeypatch):
     out = tmp_path / "bump.json"
     assert main(["bump", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["inputs"] == {"c1": 1.0}
-    monkeypatch.setattr(cli, "DISPATCH", {name: lambda config: ({}, ())
-                                          for name in cli.DISPATCH})
+    _stub_batteries(monkeypatch, lambda config: ({}, ()))
     assert run(config_from_args(_args("gamma"))).inputs == {
         "T": 500.0, "tol": 1e-10, "grid": None}
     assert set(run(config_from_args(_args("suite"))).inputs) == {
         "kappa", "c1", "coeff_path", "seed", "grid"}
+
+
+def test_readme_flag_table_lists_each_command_and_its_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    head = "| command | flags it reads besides `--out` |\n|---|---|\n"
+    assert readme.count(head) == 1
+    table = readme.split(head)[1].split("\n\n")[0]
+    rows = []
+    for line in table.splitlines():
+        command, flags = re.fullmatch(r"\| `([a-z-]+)` \| (.*) \|", line).groups()
+        rows.append((command, tuple(re.findall(r"`(--[a-z0-9]+)`", flags))))
+    assert rows == [(name, command.reads) for name, command in cli.COMMANDS.items()]
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):
@@ -247,6 +260,15 @@ def test_scaling_writes_csv_next_to_json(tmp_path):
 def test_scaling_needs_three_grid_points(capsys):
     assert main(["scaling", "--grid", "250,500"]) == 2
     assert "3 grid points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scaling", "oscint"])
+def test_a_grid_of_one_repeated_t_exits_2(capsys, command):
+    # three points on one abscissa fit no slope: a bad input, not a failed check
+    assert main([command, "--grid", "500,500,500"]) == 2
+    captured = capsys.readouterr()
+    assert "slope fit needs at least 3 distinct grid points" in captured.err
+    assert "FAIL" not in captured.out
 
 
 def test_coeffs_command_with_explicit_table(tmp_path, capsys):
@@ -315,8 +337,7 @@ def test_suite_aggregates_and_records_first_failure(monkeypatch, tmp_path):
         bad = Check(f"{config.command}-bad", "stub", 2.0, 1.0)
         return {"t": config.T}, (ok, bad) if config.command == "gamma" else (ok,)
 
-    monkeypatch.setattr(cli, "DISPATCH",
-                        {name: fake_battery for name in cli.DISPATCH})
+    _stub_batteries(monkeypatch, fake_battery)
     monkeypatch.setattr(cli, "SUITE_ORDER", ("bump", "gamma", "coeffs"))
     out = tmp_path / "suite.json"
     assert main(["suite", "--out", str(out)]) == 1
@@ -335,8 +356,7 @@ def test_suite_uses_per_command_defaults(monkeypatch):
         seen[config.command] = (config.T, config.tol)
         return {}, (Check(f"{config.command}-ok", "stub", 0.0, 1.0),)
 
-    monkeypatch.setattr(cli, "DISPATCH",
-                        {name: fake_battery for name in cli.DISPATCH})
+    _stub_batteries(monkeypatch, fake_battery)
     monkeypatch.setattr(cli, "SUITE_ORDER", ("oscint", "s-sum"))
     assert main(["suite"]) == 0
     assert seen["s-sum"] == (200.0, 1e-6)
@@ -364,7 +384,7 @@ def test_sign_mutation_breaks_asymptotics_but_not_identity(monkeypatch):
     # flipping the stationary-phase constant's sign must trip the zeta-local
     # comparison while leaving the self-contained key identity untouched
     true_c = whittaker.c_constant
-    monkeypatch.setattr(cli, "c_constant", lambda T, c1=1.0: -true_c(T, c1))
+    monkeypatch.setattr(whittaker, "c_constant", lambda T, c1=1.0: -true_c(T, c1))
     assert main(["zeta-local"]) == 1
     assert main(["key-identity", "--t", "60", "--tol", "1e-8"]) == 0
 
@@ -373,7 +393,8 @@ def test_exit_code_1_on_failed_check(monkeypatch, capsys):
     def fake_battery(config):
         return {}, (Check("doomed", "stub", 5.0, 1.0),)
 
-    monkeypatch.setattr(cli, "DISPATCH", dict(cli.DISPATCH, bump=fake_battery))
+    monkeypatch.setitem(cli.COMMANDS, "bump",
+                        replace(cli.COMMANDS["bump"], battery=fake_battery))
     assert main(["bump"]) == 1
     assert "FAIL doomed" in capsys.readouterr().out
 

@@ -290,6 +290,19 @@ def test_synth_validation():
         synth_eisenstein(LanglandsParams(alpha=(0.1, -0.1, 0.0)), 10)
 
 
+@pytest.mark.parametrize("x_max", [np.nan, 2.5, 100.0, True])
+def test_synth_refuses_an_x_max_that_is_not_an_integer(x_max):
+    # a float reached np.zeros(x_max + 1) and raised a bare TypeError, and
+    # True passed as a table up to 1
+    with pytest.raises(ConfigError, match="x_max must be an integer"):
+        synth_eisenstein(ZERO_ALPHA, x_max)
+
+
+def test_synth_takes_a_numpy_integer():
+    got = synth_eisenstein(ZERO_ALPHA, np.int64(16))
+    assert got.values.tobytes() == synth_eisenstein(ZERO_ALPHA, 16).values.tobytes()
+
+
 def test_synth_bounded_by_divisor_count():
     model = synth_eisenstein(LanglandsParams(), 10**4)
     d3 = synth_eisenstein(ZERO_ALPHA, 10**4)

@@ -2,10 +2,12 @@
 no setting with a default that no call sets, and no scipy import.
 
 All read the source with the standard library's `ast`, so they need no
-linter. A name counts as referenced when it is read as a variable, read as
-an attribute, imported by name, or spelled out in a dotted string such as
-"gl3osc.keyident.riemann_side" (the benchmark's layer trace wraps bindings
-by those names). A mention in a docstring or comment does not count.
+linter. A name counts as referenced when it is read as an attribute, spelled
+out in a dotted string such as "gl3osc.keyident.riemann_side" (the
+benchmark's layer trace wraps bindings by those names), imported by name
+from the module that defines it, or read as a variable in that module. A
+variable of the same name elsewhere (a local `e` in another module) does
+not count, nor does a mention in a docstring or comment.
 """
 import ast
 import re
@@ -30,21 +32,38 @@ def _tree(path: Path) -> ast.Module:
 DOTTED = re.compile(r"gl3osc(\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 
-def _reads(tree: ast.AST) -> set:
-    """Every identifier the code reads, imports by name or names by a
-    dotted string."""
-    names = set()
-    for node in ast.walk(tree):
+def _source_module(node: ast.ImportFrom, path: Path) -> str | None:
+    """The package module (file stem) an import takes names from, if any."""
+    if node.level:
+        # `from . import m` (module None) takes a module, not a name
+        return node.module if path.parent == PACKAGE else None
+    parts = (node.module or "").split(".")
+    if parts[0] != "gl3osc":
+        return None
+    return parts[1] if len(parts) > 1 else "__init__"
+
+
+def _reads(path: Path) -> tuple[set, set]:
+    """(names the file reads as an attribute or by a dotted string, which
+    count for any module; (module, name) pairs it reads by a bare name:
+    its own names if it is a package module, and each name it imports from
+    a package module)."""
+    anywhere, scoped = set(), set()
+    own = path.stem if path.parent == PACKAGE else None
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            names.add(node.id)
+            if own:
+                scoped.add((own, node.id))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.split(".")[-1])
+            anywhere.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            source = _source_module(node, path)
+            if source:
+                scoped.update((source, alias.name) for alias in node.names)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
-            names.update(node.value.split("."))
-    return names
+            anywhere.update(node.value.split("."))
+    return anywhere, scoped
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -101,15 +120,16 @@ def test_package_modules_read_every_name_they_import():
 
 
 def test_every_package_object_is_referenced():
-    readers = {}
+    anywhere, scoped = set(), set()
     for folder in USERS:
         for path in folder.glob("*.py"):
-            readers[path] = _reads(_tree(path))
+            names, pairs = _reads(path)
+            anywhere |= names
+            scoped |= pairs
     orphans = []
     for path in _modules():
-        tree = _tree(path)
-        for name, line in _definitions(tree).items():
-            if not any(name in reads for reads in readers.values()):
+        for name, line in _definitions(_tree(path)).items():
+            if name not in anywhere and (path.stem, name) not in scoped:
                 orphans.append(f"{path.name}:{line} defines {name}")
     assert not orphans, "defined but referenced nowhere:\n" + "\n".join(orphans)
 

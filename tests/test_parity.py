@@ -10,7 +10,6 @@ from gl3osc.cutoffs import (g_cutoff, h0_cutoff, h1_cutoff, h_cutoff, mellin_inv
                             weight_w0_w)
 from gl3osc.errors import ConfigError
 from gl3osc.gammafactor import DEFAULT_ALPHA, LanglandsParams, gamma_pi, gamma_pi_line
-from gl3osc.util import e
 
 # fixed example stream, so Tier-1 runs the same draws every time
 PARITY = settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -56,12 +55,6 @@ def test_weight_pair_scalar_equals_array(z):
     # around the support [1, 2] where the weights are nonzero
     for scalar, array in zip(weight_w0_w(z), weight_w0_w(np.array([z]))):
         assert _same_bits(scalar, array[0])
-
-
-@PARITY
-@given(x=st.floats(-1e6, 1e6))
-def test_unit_exponential_scalar_equals_array(x):
-    assert _same_bits(e(x), e(np.array([x]))[0])
 
 
 @pytest.mark.parametrize("which", sorted(PARAMS))

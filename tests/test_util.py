@@ -9,22 +9,8 @@ from hypothesis import strategies as st
 from gl3osc.errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
                            ToleranceUnreachableError)
 from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, _line_shells,
-                         _panel_runs, e, gl_panels, is_prime, kahan_add, kahan_csum,
+                         _panel_runs, gl_panels, is_prime, kahan_add, kahan_csum,
                          kahan_sum, loglog_slope, primes_in)
-
-
-def test_unit_exponential_special_values():
-    assert e(0.0) == 1.0 + 0.0j
-    assert abs(e(0.5) - (-1.0 + 0.0j)) < 1e-15
-    assert abs(e(0.25) - 1.0j) < 1e-15
-
-
-def test_unit_exponential_periodic_and_unimodular():
-    rng = np.random.default_rng(20260814)
-    xs = rng.uniform(-50.0, 50.0, size=200)
-    vals = e(xs)
-    np.testing.assert_allclose(np.abs(vals), 1.0, atol=1e-12)
-    np.testing.assert_allclose(e(xs + 1.0), vals, atol=1e-9)
 
 
 def test_kahan_sum_survives_cancellation():
@@ -93,6 +79,11 @@ def test_loglog_slope_rejects_bad_grids():
         loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
     with pytest.raises(InsufficientGridError):
         loglog_slope([0.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    # three points on one abscissa are one point: polyfit warned and fit noise
+    with pytest.raises(InsufficientGridError, match="3 distinct grid points"):
+        loglog_slope([500.0, 500.0, 500.0], [1.0, 2.0, 3.0])
+    with pytest.raises(InsufficientGridError):
+        loglog_slope([250.0, 500.0, 500.0, 250.0], [1.0, 2.0, 3.0, 4.0])
 
 
 def test_primes_in_window():

@@ -1,18 +1,14 @@
-"""Tests for the diagonal special function and the local zeta integrals."""
+"""Tests for the diagonal special function and the local zeta integrals,
+whose scaling laws are fit by `criteria.local_zeta_battery`."""
 import math
 
 import numpy as np
 import pytest
 
-from gl3osc.errors import ConfigError
+from gl3osc.criteria import SCALING_T_GRID, local_zeta_battery
+from gl3osc.errors import ConfigError, InsufficientGridError
 from gl3osc.util import TWO_PI
-from gl3osc.whittaker import (
-    K_ZETA_REL,
-    LocalZetaParams,
-    c_constant,
-    local_zeta,
-    zeta_scaling_study,
-)
+from gl3osc.whittaker import K_ZETA_REL, LocalZetaParams, c_constant, local_zeta
 
 V_STAR = 0.3602945695614048  # bump value at 1/(2*pi), c1 = 1
 
@@ -50,24 +46,33 @@ def test_zeta_relative_error_envelope():
         assert rel <= K_ZETA_REL / T
 
 
-def test_zeta_scaling_study_slopes_and_level():
-    study = zeta_scaling_study([250.0, 500.0, 1000.0, 2000.0], tol=1e-11)
-    assert -0.55 <= study.slope_abs_z <= -0.45
-    assert -1.8 <= study.slope_residual <= -1.2
+@pytest.fixture(scope="module")
+def zeta_outputs():
+    # the A04 grid and the A05 strip, at a tighter tol than the battery's own
+    return local_zeta_battery(SCALING_T_GRID, strip_ts=(250.0, 1000.0), tol=1e-11)[0]
+
+
+def test_zeta_scaling_study_slopes_and_level(zeta_outputs):
+    assert -0.55 <= zeta_outputs["slope_abs_z"] <= -0.45
+    assert -1.8 <= zeta_outputs["slope_residual"] <= -1.2
     want = TWO_PI * V_STAR
-    assert abs(study.normalized[-1] - want) <= 0.02 * want
+    assert abs(zeta_outputs["normalized"][-1] - want) <= 0.02 * want
 
 
-def test_zeta_negative_half_line_band():
+def test_zeta_negative_half_line_band(zeta_outputs):
     # at Re(s) = -1/2 the normalized level |Z| * T^(5/4) stays in a 2x band
-    study = zeta_scaling_study([250.0, 1000.0], sigma=-0.5, tol=1e-11)
-    assert study.band_ratio <= 2.0
-    assert study.residuals == ()
+    strip = zeta_outputs["strip_normalized"]
+    assert len(strip) == 2
+    assert zeta_outputs["strip_band_ratio"] == max(strip) / min(strip)
+    assert zeta_outputs["strip_band_ratio"] <= 2.0
 
 
 def test_zeta_scaling_study_needs_a_grid():
+    # a strip of one T has no band; two critical-line T fit no slope
     with pytest.raises(ConfigError):
-        zeta_scaling_study([500.0])
+        local_zeta_battery(strip_ts=(500.0,))
+    with pytest.raises(InsufficientGridError):
+        local_zeta_battery((250.0, 500.0))
 
 
 def test_zeta_negligible_far_outside_core_imaginary_range():
