@@ -269,7 +269,9 @@ def f_line_mass(T: float) -> float:
         if hi <= lo:
             return np.zeros(1)
         lattice = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1.0)
-        ts, wts = gl_panels(np.unique(np.concatenate([[lo, hi], lattice])), *GL16)
+        # the sorted distinct edges, as np.unique would give them without loading numpy.ma
+        edges = np.sort(np.concatenate([[lo, hi], lattice]))
+        ts, wts = gl_panels(edges[np.diff(edges, prepend=-np.inf) > 0.0], *GL16)
         return np.array([2.0 * np.sum(wts * np.abs(mellin_on_line(h0, 0.0, ts)))])
 
     return float(_line_shells(shell, 16.0, 1e-12, LINE_MASS_TOP, "line-mass")[0]) / TWO_PI

@@ -1,6 +1,10 @@
 """Tests for the degree-3 gamma factor and the contour kernel."""
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -211,6 +215,23 @@ def test_f_line_mass_pinned():
     got = f_line_mass(500.0)
     assert abs(got - C_F_500) < 1e-3
     assert f_line_mass(200.0) > 0.0
+
+
+def test_gamma_battery_leaves_numpy_ma_unloaded():
+    # a fresh interpreter: the line mass takes its shell edges without
+    # np.unique, whose first call loads numpy.ma (about 10 ms a process)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys\n"
+            "from gl3osc.criteria import gamma_battery\n"
+            "gamma_battery()\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("T", [11.0, 500.0, 1e5])

@@ -6,12 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gl3osc import sums
 from gl3osc.coeffs import CoefficientTable, synth_eisenstein
-from gl3osc.cutoffs import g_cutoff
+from gl3osc.cutoffs import Cutoff, g_cutoff, v0_cutoff
 from gl3osc.errors import ConfigError, TableTooSmallError
 from gl3osc.gammafactor import LanglandsParams
 from gl3osc.cutoffs import weight_w0_w
 from gl3osc.keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
+from gl3osc.oscquad import OscInstance, integrate_main
 from gl3osc.sums import (
     C1,
     K_ROUTE_34,
@@ -22,7 +24,6 @@ from gl3osc.sums import (
     _integral_route,
     _keyident_route,
     _v_cutoff,
-    _vn_cutoff,
 )
 from gl3osc.util import TWO_PI
 from gl3osc.whittaker import c_constant
@@ -87,6 +88,12 @@ def test_spec_rejects_short_table():
         SumSpec(T=100.0, table=_d3_table(60.0))
 
 
+@pytest.mark.parametrize("T, tol", [(math.inf, 1e-8), (100.0, math.nan), (100.0, math.inf)])
+def test_spec_refuses_non_finite_t_and_tol(table_100, T, tol):
+    with pytest.raises(ConfigError):
+        SumSpec(T=T, table=table_100, tol=tol)
+
+
 def test_h2_weight_needs_wide_window(table_100):
     # Y = 1 drags the kernel argument below the tabulated moderate-z floor
     with pytest.raises(ConfigError):
@@ -98,18 +105,6 @@ def test_windows_match_support_arithmetic(spec_100):
     assert spec_100.sum_window() == (80, 159)
     assert spec_100.integral_window() == (20, 318)
     assert spec_100.N == pytest.approx(100.0**1.5 / (4.0 * np.pi))
-
-
-def test_vn_cutoff_support_and_vanishing(spec_100):
-    n_lo, n_hi = spec_100.integral_window()
-    amp = _vn_cutoff(spec_100, 200)
-    assert amp is not None
-    # V0(n/(N x)) g(1/x) support: x in (n/(N v0_hi), n/(N v0_lo)) cap (2pi, 4pi)
-    ratio = 200 / spec_100.N
-    assert amp.support_lo == pytest.approx(max(TWO_PI, ratio * TWO_PI / 2.0))
-    assert amp.support_hi <= 2.0 * TWO_PI
-    assert _vn_cutoff(spec_100, n_hi + 2) is None
-    assert _vn_cutoff(spec_100, max(1, n_lo - 2)) is None
 
 
 def test_sum_route_matches_scalar_loop(spec_100):
@@ -192,6 +187,49 @@ def test_keyident_route_agrees_on_single_coefficient():
     s_key = _keyident_route(spec, amp)[0]
     # one live n: the gap is the bare stationary-phase replacement error
     assert abs(s_key - s_int) <= 30.0 * T**-1.5 / math.sqrt(spec.N)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["d3", "sparse"])
+def test_integral_route_matches_one_n_at_a_time(table_100, sparse):
+    # reference: each n of the window on its own grid, with its own V_n,
+    # as the route ran before it took the window as one integral
+    T = 100.0
+    table = _sparse_table(T, SPARSE_100) if sparse else table_100
+    spec = SumSpec(T=T, table=table, tol=1e-6)
+    got, err = _integral_route(spec)
+    v0, g, N = v0_cutoff(C1), g_cutoff(), spec.N
+    lo, hi = spec.integral_window()
+    terms, ref_err, mass = [], 0.0, 0.0
+    for n in range(lo, hi + 1):
+        a = complex(table.values[n])
+        if a == 0.0:
+            continue
+        mass += abs(a) / n
+        vn = Cutoff(support_lo=max(TWO_PI, n / (N * v0.support_hi)),
+                    support_hi=min(2.0 * TWO_PI, n / (N * v0.support_lo)),
+                    fn=lambda x, n=n: (v0.fn(n / (N * x)) * g.fn(1.0 / x)
+                                       * spec.f0(spec.Y / x) / np.sqrt(x)))
+        res = integrate_main(OscInstance(T=T, n=n, N=N, amplitude=vn, tol=spec.tol))
+        terms.append(a / n * res.value)
+        ref_err += abs(a) / n * res.abs_err
+    assert len(terms) == (len(SPARSE_100) if sparse else hi - lo + 1)
+    want = cmath.exp(1j * T * math.log(spec.Y)) * math.sqrt(N) * sum(terms)
+    # each side holds its quadrature to the summed tolerance spec.tol |a_n|/n
+    assert 0.0 < err <= spec.tol * math.sqrt(N) * mass
+    assert abs(got - want) <= err + math.sqrt(N) * ref_err
+
+
+def test_integral_route_is_one_integral(spec_100, monkeypatch):
+    calls = []
+
+    def counted(inst):
+        calls.append(inst.n)
+        return integrate_main(inst)
+
+    monkeypatch.setattr(sums, "integrate_main", counted)
+    _integral_route(spec_100)
+    # one main integral, at the window's largest n
+    assert calls == [spec_100.integral_window()[1]]
 
 
 def test_keyident_route_matches_one_n_at_a_time():
