@@ -59,12 +59,12 @@ INVERT_TOL = 1e-9
 # mellin_on_line: the fewest trapezoid nodes, the band beyond max|t| that
 # the n/2 rule must still resolve, the n/2 estimate's target relative to
 # sum |base|, the most nodes before the line is refused, and the largest
-# temporary (complex elements) of one chunk of ordinates
+# temporary (complex elements, 1 MB) of one chunk of ordinates
 LINE_MIN_NODES = 64
 LINE_MARGIN = 1024.0
 LINE_REL_TOL = 1e-13
 LINE_MAX_NODES = 1 << 20
-_LINE_CHUNK = 250_000
+_LINE_CHUNK = 1 << 16
 
 
 def _scalar_or_array(x, out):
@@ -101,17 +101,18 @@ class Cutoff:
 
 def _exp_bump_fn(lo: float, hi: float) -> Callable:
     """exp(-1/(1-u^2)) with u the affine map of [lo, hi] onto [-1, 1]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def fn(y):
-        y = np.asarray(y, dtype=float)
-        u = (y - mid) / half
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        ui = u[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-        return out
+        t = np.array(y, dtype=float)  # t = 1 - u^2 in place: -inf past |u| = 1e154
+        t -= mid
+        t /= half
+        with np.errstate(over="ignore"):
+            t *= t
+        np.subtract(1.0, t, out=t)
+        # exp(-inf) = 0 wherever t <= 0 or NaN: no gather or scatter
+        out = np.divide(-1.0, t, out=np.full_like(t, -np.inf), where=t > 0.0)
+        return np.exp(out, out=out)
 
     return fn
 
@@ -295,8 +296,10 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     t u_lo and add steps, so at contour heights (|t| in the hundreds and
     up) they are the more accurate, and near t = 0, where the phases are
     small, a chain of products rounds more (1.6e-15 relative at worst in
-    a sweep against mpmath). The ordinates are chunked so no temporary exceeds about
-    _LINE_CHUNK elements.
+    a sweep against mpmath). The ordinates go in chunks whose temporaries
+    hold about _LINE_CHUNK elements, within a core's L2 cache; the bits do
+    not depend on the chunk unless one holds a lone ordinate (numpy's
+    matrix-vector product rounds differently).
     """
     ts = np.asarray(ts, dtype=float)
     if not (math.isfinite(re_line) and np.all(np.isfinite(ts))):

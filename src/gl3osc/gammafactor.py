@@ -19,24 +19,16 @@ integrand sit in Re(s) > 0, so mathematically any line Re(s) = sigma <= 0
 gives the same value.  Numerically the lines are not interchangeable: the
 shell-doubled quadrature on Re(s) = -3 stops converging at moderate z (at
 T = 100 and tol 1e-10 it raises TailNotConvergedError for z = 0.2, 0.5 and
-0.7, where Re(s) = 0 converges).  That is why `_auto_re_line` takes the deep
+0.7, where Re(s) = 0 converges).  That is why `g_kernel_batch` takes the deep
 line only below z = 0.25 and Re(s) = 0 everywhere else; the switch is not a
 guarantee near it (z = 0.2 at T = 100 converges at tol 1e-8, not at 1e-10).
 
-Of the integrand only X^s = (T^3 / (4 pi^2 z))^s depends on z.  So one
-contour quadrature serves a whole batch of z on one shared grid: F(-s) (exact,
-from the cutoff's Mellin line), gamma and the weight are multiplied once per
-node, and the batch's rows exp(i t log X_z) meet them in one matrix product
-per block of nodes.  A geometric run of z makes log X_z a progression, so its
-rows are products on an integer lattice; X_z^sigma scales each row's sum.
-`g_kernel` is the batch of one; `GKernelTable` tabulates its grid as one
-progression. The shells' panels come in runs from `util._panel_runs`, as
-`oscquad`'s grids do, each run sized by the higher end of the local rate.
-
-The contour, the line mass C_F (`f_line_mass`) and `cutoffs.mellin_invert`
-double their shells along a vertical line in one driver, `util._line_shells`:
-each point of a batch stops after its first added shell below tol/2, none is
-cut at a fixed height, and one still adding past a cap raises.
+Of the integrand only X^s = (T^3 / (4 pi^2 z))^s depends on z, so one
+contour quadrature (`_contour_quad`) serves a batch of z on one shared grid,
+and F(-s) gamma is formed once per node for all of them: `g_kernel_batch`
+takes a few z, `g_kernel` one, and `GKernelTable` its grid as one geometric
+progression. The contour, the line mass C_F (`f_line_mass`) and
+`cutoffs.mellin_invert` double their shells in one driver, `util._line_shells`.
 
 The log-gamma values are numpy's own (`_loggamma`): the Stirling series
 after a recurrence shift, on the principal branch. The kernel table's
@@ -49,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import _LINE_CHUNK, h0_cutoff, mellin_on_line
+from .cutoffs import h0_cutoff, mellin_on_line
 from .errors import ConfigError, GammaPoleError, ToleranceUnreachableError
 from .util import GL16, TWO_PI, _lattice_exp, _line_shells, _panel_runs, gl_panels, kahan_csum
 
@@ -88,8 +80,10 @@ _STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in zip(
     range(8, 0, -1), (-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)))
 _HALF_LOG_2PI = 0.5 * np.log(TWO_PI)
 
-# _log_gamma_ratio: points per block, six log-gamma values each
+# points per block of _log_gamma_ratio, and phase-table elements per node
+# block of _contour_quad, which set its partials and so the table's bits
 _GAMMA_BLOCK = 1024
+_CONTOUR_BLOCK = 250_000
 
 
 def _near_nonpositive_integer(z: complex) -> bool:
@@ -124,15 +118,22 @@ def _shift_logs(z: np.ndarray, steps: np.ndarray) -> np.ndarray:
     """sum_(j < steps) Log(z + j) for each z, with principal logs.
 
     The real part sums log|z + j|^2 / 2 and the imaginary part arg(z + j),
-    each by a running sum down the steps, which adds in the order j = 0, 1,
-    ... whatever the batch: past its own steps a point adds exact zeros.
+    from j = 0 up over the point's own steps (the points taking step j are
+    a prefix by descending steps), so each value is the lone point's bits.
     """
-    j = np.arange(int(steps.max()))[:, None]
-    live = j < steps
-    x, y = z.real + j, z.imag
+    order = np.argsort(-steps, kind="stable")
+    # live[j] points take step j; their terms end at ends[j]
+    live = np.searchsorted(-steps[order], -np.arange(1.0, steps.max() + 1.0), "right")
+    ends = np.cumsum(live)
+    at = order[np.arange(ends[-1]) - np.repeat(ends - live, live)]
+    x, y = z.real[at] + np.repeat(np.arange(live.size), live), z.imag[at]
+    logs, args = np.log(x * x + y * y), np.arctan2(y, x)
+    re, im = logs[: live[0]], args[: live[0]]
+    for k, e in zip(live[1:], ends[:-1]):
+        re[:k] += logs[e : e + k]
+        im[:k] += args[e : e + k]
     out = np.empty_like(z)
-    out.real = 0.5 * np.cumsum(np.log(np.where(live, x * x + y * y, 1.0)), axis=0)[-1]
-    out.imag = np.cumsum(np.where(live, np.arctan2(y, x), 0.0), axis=0)[-1]
+    out.real[order], out.imag[order] = 0.5 * re, im
     return out
 
 
@@ -188,11 +189,12 @@ def _loggamma(z) -> np.ndarray:
 def _log_gamma_ratio(s, alpha) -> np.ndarray:
     """log of prod Gamma((1 - s + a)/2) / Gamma((s - a)/2), vectorized in s.
 
-    All six log-gamma arguments of a block of _GAMMA_BLOCK points go to one
+    The log-gamma arguments of a block of _GAMMA_BLOCK points go to one
     `_loggamma` call, so its temporaries stay in cache. On the critical line
     with imaginary a the two arguments of each ratio are exact conjugates,
     and so are their log-gamma values: the log of the ratio is then purely
-    imaginary, as |gamma| = 1 there.
+    imaginary, as |gamma| = 1 there. A block of pairs conjugate bit for bit
+    (+0 and -0 told apart) takes three log-gammas and their conjugates.
 
     No pole handling: exact pole hits produce inf/nan and are the caller's
     problem (scalar entry points check first).
@@ -203,9 +205,12 @@ def _log_gamma_ratio(s, alpha) -> np.ndarray:
     shifts = np.array(alpha, dtype=complex)[:, None]
     for i in range(0, flat.size, _GAMMA_BLOCK):
         block = flat[i : i + _GAMMA_BLOCK]
-        lg = _loggamma(np.concatenate([(1.0 - block + shifts) / 2.0, (block - shifts) / 2.0]))
+        top, bottom = (1.0 - block + shifts) / 2.0, (block - shifts) / 2.0
+        conjugate = np.array_equal(top.view(np.int64), bottom.conj().view(np.int64))
+        lg = _loggamma(top if conjugate else np.concatenate([top, bottom]))
+        up, down = (lg, lg.conj()) if conjugate else np.split(lg, 2)
         # row by row: a reduction's order could depend on the batch's length
-        total[i : i + _GAMMA_BLOCK] = lg[0] - lg[3] + lg[1] - lg[4] + lg[2] - lg[5]
+        total[i : i + _GAMMA_BLOCK] = up[0] - down[0] + up[1] - down[1] + up[2] - down[2]
     return total.reshape(s.shape)
 
 
@@ -220,19 +225,16 @@ def gamma_pi(s: complex, params: LanglandsParams | None = None) -> complex:
     s = complex(s)
     if not np.isfinite(s):
         raise ConfigError(f"the gamma factor needs a finite s, got {s}")
-    for a in params.alpha:
-        if _near_nonpositive_integer((1.0 - s + a) / 2.0):
-            raise GammaPoleError(f"gamma factor has a pole at s = {s}")
-    for a in params.alpha:
-        if _near_nonpositive_integer((s - a) / 2.0):
-            return 0.0 + 0.0j
+    if any(_near_nonpositive_integer((1.0 - s + a) / 2.0) for a in params.alpha):
+        raise GammaPoleError(f"gamma factor has a pole at s = {s}")
+    if any(_near_nonpositive_integer((s - a) / 2.0) for a in params.alpha):
+        return 0.0 + 0.0j
     return complex(gamma_pi_line(np.array([s]), params)[0])
 
 
 def gamma_pi_line(s: np.ndarray, params: LanglandsParams) -> np.ndarray:
     """Vectorized gamma factor on an array of points, no pole checks."""
-    log_val = (3.0 * s - 1.5) * np.log(np.pi) + _log_gamma_ratio(s, params.alpha)
-    return np.exp(log_val)
+    return np.exp((3.0 * s - 1.5) * np.log(np.pi) + _log_gamma_ratio(s, params.alpha))
 
 
 @dataclass(frozen=True)
@@ -277,34 +279,34 @@ def f_line_mass(T: float) -> float:
     return float(_line_shells(shell, 16.0, 1e-12, LINE_MASS_TOP, "line-mass")[0]) / TWO_PI
 
 
-def _auto_re_line(z: float) -> float:
-    """Two canonical contour positions: Re(s) = 0 where the kernel is merely
-    bounded, Re(s) = -3 where each leftward step shrinks the integrand
-    (small z).  The value is contour-independent, but the quadrature on
-    Re(s) = -3 does not converge at moderate z, hence the switch at 0.25.
-    """
-    return -3.0 if z < 0.25 else 0.0
-
-
 def g_kernel(z: float, T: float, contour: ContourSpec | None = None,
              tol: float = 1e-8) -> complex:
-    """Inverse-Mellin kernel G(z) by explicit contour integration.
+    """Inverse-Mellin kernel G(z) by explicit contour integration:
+    `g_kernel_batch`'s batch of one, on its grid and with its bits."""
+    return complex(g_kernel_batch([z], T, contour, tol)[0])
 
-    With contour=None the line is chosen automatically: deep (very negative)
-    for small z where each leftward step shrinks the integrand, at Re(s) = 0
-    otherwise.  Mathematically the value is contour-independent because the
-    integrand is holomorphic in Re(s) <= 0; numerically a deep line fails at
-    moderate z with TailNotConvergedError (see the module docstring).  The
-    value is `_contour_quad`'s batch of one.
+
+def g_kernel_batch(zs, T: float, contour: ContourSpec | None = None,
+                   tol: float = 1e-8) -> np.ndarray:
+    """G(z) for each z of zs by one `_contour_quad` batch: on one grid, each
+    value is within tol of the lone z's, not its bits.
+
+    With contour=None the line is Re(s) = -3 for z < 0.25, where each
+    leftward step shrinks the integrand, and Re(s) = 0 where the kernel is
+    merely bounded; z whose lines differ raise ConfigError. Mathematically
+    the value is contour-independent because the integrand is holomorphic in
+    Re(s) <= 0; numerically the deep line fails at moderate z with
+    TailNotConvergedError (see the module docstring).
     """
     # compared so that NaN fails
-    if not 0.0 < z < np.inf:
+    if not all(0.0 < z < np.inf for z in zs):
         raise ConfigError("kernel argument must be positive and finite")
     if not 1.0 < T < np.inf:
         raise ConfigError("T must be finite and exceed 1")
-    if contour is None:
-        contour = ContourSpec(re_line=_auto_re_line(z))
-    return complex(_contour_quad([z], T, contour.re_line, tol, KERNEL_KAPPA, KERNEL_EPS)[0])
+    lines = {-3.0 if z < 0.25 else 0.0 for z in zs} if contour is None else {contour.re_line}
+    if len(lines) != 1:
+        raise ConfigError(f"a batch needs one contour for its z, not the lines {sorted(lines)}")
+    return _contour_quad(zs, T, lines.pop(), tol, KERNEL_KAPPA, KERNEL_EPS)
 
 
 def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
@@ -319,15 +321,15 @@ def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
     exp(i t log X_z) are `_lattice_exp` tables on k: a few exact
     exponentials per node for a whole progression, and np.exp's own bits
     for a head of count one. Nodes go in blocks whose phase table holds
-    about _LINE_CHUNK elements; each block is one product rows @ base, each
-    z's block partials are joined by one compensated sum, and X_z^sigma
-    scales that sum. Panels span at most two cycles of the fastest local
-    phase over the batch, the Mellin factor's own band included, where it
-    rises too: `_panel_runs` sizes each run by its higher end. The shells
+    about _CONTOUR_BLOCK elements; each block is one product rows @ base,
+    each shell joins every z's block partials in one compensated pass
+    (`kahan_csum` by rows), and X_z^sigma scales each sum. Panels span at
+    most two cycles of the fastest local phase over the batch, the Mellin
+    factor's own band included, where it rises too: `_panel_runs` sizes
+    each run by its higher end. The shells
     double on `_line_shells` from |Im s| <= CONTOUR_IM_START: each z's
     value is frozen after its first added shell below tol/2, and a z still
-    adding past height 16 T raises TailNotConvergedError. A batch of one is
-    exactly g_kernel's grid.
+    adding past height 16 T raises TailNotConvergedError.
     """
     h0 = h0_cutoff(T, kappa, eps)
     u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
@@ -336,8 +338,8 @@ def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
     # rows k-major, as `_lattice_exp` lays out its offsets
     log_xs = (log_heads - step * np.arange(count)[:, None]).ravel()
     x_lo, x_hi = float(np.min(log_xs)), float(np.max(log_xs))
-    scales = np.exp(sigma * log_xs)
-    width = max(1, _LINE_CHUNK // log_xs.size)
+    scales = np.exp(sigma * log_xs).tolist()
+    width = max(1, _CONTOUR_BLOCK // log_xs.size)
 
     def local_freq(t: float) -> float:
         # phase rate of X^(it) * gamma(1/2 + sigma + i(T + t)), fastest over
@@ -360,7 +362,7 @@ def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
         # ds = i dt cancels the i in the 1/(2 pi i) prefactor.  Each sum is
         # divided as a Python complex: numpy's array / scalar multiplies by
         # the reciprocal, which rounds differently.
-        return np.array([kahan_csum(p) * float(x) / TWO_PI for p, x in zip(partials, scales)])
+        return np.array([v * x / TWO_PI for v, x in zip(kahan_csum(partials).tolist(), scales)])
 
     total = _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T, "contour")
     return total.reshape(count, -1).T.ravel()
@@ -491,16 +493,8 @@ class GKernelTable:
             )
             rel = float(np.max(np.abs(approx - truths) / np.abs(truths)))
             if rel <= TABLE_REL_TOL:
-                return cls(
-                    z_lo=float(z_lo),
-                    z_hi=float(z_hi),
-                    T=float(T),
-                    u_mid=float(u_mid),
-                    grid=grid,
-                    _re=re_s,
-                    _im=im_s,
-                    max_rel_error=rel,
-                )
+                return cls(z_lo=float(z_lo), z_hi=float(z_hi), T=float(T), u_mid=float(u_mid),
+                           grid=grid, _re=re_s, _im=im_s, max_rel_error=rel)
             n *= 2
         raise ToleranceUnreachableError(
             f"kernel table validation stuck at relative error {rel:.3e}",

@@ -153,18 +153,18 @@ def s_sum_form(spec: SumSpec) -> complex:
 
 def _weighted_cutoff(spec: SumSpec, lo: float, hi: float, head) -> Cutoff:
     """head(x) f0(Y/x) / sqrt(x) on [lo, hi], real or complex as head is;
-    head is evaluated at x > 0 only, and f0 only where head is nonzero."""
+    f0 is evaluated at x > 0 only, and head only where f0 is nonzero."""
     f0, Y = spec.f0, spec.Y
 
     def fn(x):
         x = np.asarray(x, dtype=float)
+        weights = np.zeros(x.shape)
         pos = x > 0.0
-        heads = head(x[pos])
+        weights[pos] = f0(Y / x[pos])
+        live = weights != 0.0
+        heads = head(x[live]) if np.any(live) else np.zeros(0)
         out = np.zeros(x.shape, dtype=heads.dtype)
-        out[pos] = heads
-        live = out != 0.0
-        if np.any(live):
-            out[live] = out[live] * f0(Y / x[live]) / np.sqrt(x[live])
+        out[live] = heads * weights[live] / np.sqrt(x[live])
         return out
 
     return Cutoff(support_lo=lo, support_hi=hi, fn=fn)

@@ -85,10 +85,15 @@ def kahan_sum(values) -> float:
     return float(s + c)
 
 
-def kahan_csum(values) -> complex:
-    """Compensated sum of complex values in the given order."""
-    arr = np.asarray(values, dtype=complex).ravel()
-    return complex(kahan_sum(arr.real), kahan_sum(arr.imag))
+def kahan_csum(values):
+    """Compensated sum of complex values in the given order; a 2-D input
+    gives an array of each row's sum, bit for bit the row's own, in one pass."""
+    arr = np.asarray(values, dtype=complex)
+    if arr.ndim != 2:
+        return complex(kahan_sum(arr.real), kahan_sum(arr.imag))
+    out, zero = np.empty(arr.shape[0], dtype=complex), np.zeros(arr.shape[0])
+    out.real, out.imag = (np.add(*kahan_add(zero, zero, part.T)) for part in (arr.real, arr.imag))
+    return out
 
 
 def gl_panels(edges, nodes, weights) -> tuple[np.ndarray, np.ndarray]:

@@ -40,6 +40,16 @@ def _quad_mellin(f, s):
 V_STAR = 0.3602945695614048
 
 
+def _gathered_bump(lo, hi, y):
+    """The exp bump by a boolean gather and scatter, as it was evaluated
+    before it took exp(-inf) = 0 outside its support."""
+    u = (y - 0.5 * (lo + hi)) / (0.5 * (hi - lo))
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
+    return out
+
+
 def test_bump_v0_support_and_golden_point():
     v0 = v0_cutoff()
     assert v0(0.0) == 0.0
@@ -47,6 +57,17 @@ def test_bump_v0_support_and_golden_point():
     assert v0(2.0 * ONE_OVER_2PI) == 0.0
     assert abs(v0(ONE_OVER_2PI) - V_STAR) < 1e-15
     assert abs(V_STAR - np.exp(-49.0 / 48.0)) < 1e-16
+    # the gather form's bits everywhere: across and beyond the support, at
+    # its ends (|u| = 1) and the floats next to them, at NaN and +-inf
+    lo, hi = v0.support_lo, v0.support_hi
+    edges = np.array([lo, hi, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0),
+                      np.nextafter(hi, 0.0), np.nextafter(hi, 1.0)])
+    y = np.concatenate([np.linspace(lo - 0.1, hi + 0.1, 100_000), edges,
+                        [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300]])
+    got = cutoffs._exp_bump_fn(lo, hi)(y)
+    want = _gathered_bump(lo, hi, y)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got[-6:-3].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_bump_v0_positive_on_designated_interval():
@@ -257,6 +278,26 @@ def test_mellin_on_line_at_contour_height():
     got = mellin_on_line(f, 3.0, [1000.7])[0]
     want = _h0_mellin_mp(500.0, 1.0 / 18.0, 0.01, complex(3.0, 1000.7))
     assert abs(got - want) <= 1e-15
+
+
+def test_mellin_on_line_chunks_keep_the_bits(monkeypatch):
+    # chunks of a few ordinates each give the default chunk's bits; a
+    # chunk of one would not, as numpy takes a matrix-vector product there
+    f = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
+    ts = np.concatenate([np.linspace(-300.0, 300.0, 64), [0.0, -0.0, 1000.7, -2.5]])
+    want = mellin_on_line(f, 3.0, ts)
+    sizes = []
+
+    def spy(head, step, offsets):
+        sizes.append(head.size)
+        return lattice(head, step, offsets)
+
+    lattice = cutoffs._lattice_exp
+    monkeypatch.setattr(cutoffs, "_lattice_exp", spy)
+    monkeypatch.setattr(cutoffs, "_LINE_CHUNK", 1 << 9)
+    got = mellin_on_line(f, 3.0, ts)
+    assert 2 <= min(sizes) and max(sizes) <= ts.size // 4
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("name", ["v0", "g", "h0", "h1"])

@@ -29,10 +29,13 @@ from gl3osc.gammafactor import (
     GKernelTable,
     LanglandsParams,
     _contour_quad,
+    _log_gamma_ratio,
     _loggamma,
     _not_a_knot,
+    _shift_logs,
     f_line_mass,
     g_kernel,
+    g_kernel_batch,
     gamma_pi,
     gamma_pi_line,
 )
@@ -344,6 +347,113 @@ def test_g_kernel_bits_pinned():
     # 6.602145501205267e-06 - 2.0267040950680673e-05j before the block
     # products rows @ (F gamma w)
     assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145478580414e-06 - 2.026704094226371e-05j
+
+
+def test_g_kernel_batch_holds_each_z_within_tol():
+    # A07-bounded's window at T = 500: one grid for the three z, each value
+    # within tol of its lone z and within 1e-8 of a tol-1e-13 reference
+    T, zs, tol = 500.0, (0.5, 1.0, 2.0), 1e-8
+    batch = g_kernel_batch(zs, T, tol=tol)
+    assert batch.shape == (3,)
+    for z, got in zip(zs, batch):
+        assert abs(got - g_kernel(z, T, tol=tol)) <= tol
+        assert abs(got - g_kernel(z, T, tol=1e-13)) <= 1e-8
+    # a batch of one is g_kernel, grid and bits (the pinned value above)
+    assert g_kernel_batch([1.0], 200.0, tol=1e-9)[0] == 6.602145478580414e-06 - 2.026704094226371e-05j
+    assert g_kernel_batch([0.1], T)[0] == g_kernel(0.1, T)
+
+
+def test_g_kernel_batch_refuses_mixed_lines_and_bad_points():
+    # z = 0.1 takes the deep line Re(s) = -3, z = 1 the line Re(s) = 0
+    with pytest.raises(ConfigError, match="one contour"):
+        g_kernel_batch([0.1, 1.0], 100.0)
+    for zs in ([1.0, math.nan], [1.0, 0.0], [math.inf]):
+        with pytest.raises(ConfigError):
+            g_kernel_batch(zs, 100.0)
+    with pytest.raises(ConfigError):
+        g_kernel_batch([1.0], math.nan)
+
+
+def test_gamma_battery_makes_five_contour_batches(monkeypatch):
+    # A07-small, one batch for A07-bounded's three z, and one per
+    # A07-monotone value: splitting A07-bounded again adds two
+    sizes = []
+    real = gammafactor._contour_quad
+
+    def counted(heads, *args, **kwargs):
+        sizes.append(len(heads))
+        return real(heads, *args, **kwargs)
+
+    monkeypatch.setattr(gammafactor, "_contour_quad", counted)
+    criteria.gamma_battery()
+    assert sizes == [1, 3, 1, 1, 1]
+
+
+def _six_log_gammas(s, alpha):
+    """_log_gamma_ratio with all six log-gamma values taken, block by block."""
+    shifts = np.array(alpha, dtype=complex)[:, None]
+    out = []
+    for i in range(0, s.size, gammafactor._GAMMA_BLOCK):
+        block = s[i : i + gammafactor._GAMMA_BLOCK]
+        lg = _loggamma(np.concatenate([(1.0 - block + shifts) / 2.0, (block - shifts) / 2.0]))
+        out.append(lg[0] - lg[3] + lg[1] - lg[4] + lg[2] - lg[5])
+    return np.concatenate(out)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
+@pytest.mark.parametrize("alpha", [DEFAULT_ALPHA, (0.0j, 0.0j, 0.0j), (0.1 + 0.2j, -0.1, 0.0j)])
+def test_log_gamma_ratio_conjugate_path_keeps_six_values_bits(alpha, monkeypatch):
+    # three blocks on the critical line at contour heights and on two lines
+    # off it, then one block holding s = 1/2 and the t = Im a where a pair's
+    # imaginary parts are zeros of one sign: the conjugate path must give
+    # the six values' bits, and take only blocks of exact conjugate pairs
+    rows = []
+    real = gammafactor._loggamma
+
+    def spy(z):
+        rows.append(np.shape(z)[0])
+        return real(z)
+
+    imaginary = all(complex(a).real == 0.0 for a in alpha)
+    ts = np.random.default_rng(28).uniform(-3000.0, 3000.0, 2500)
+    cases = [(s, 3 if s == 0.5 and imaginary else 6) for s in (0.5, 0.3, -2.5)]
+    for sigma, width in cases + [("half", 6)]:
+        s = (0.5 + 1j * np.array([0.0, 0.5, -0.3, -0.2, 7.0]) if sigma == "half"
+             else sigma + 1j * ts)
+        rows.clear()
+        monkeypatch.setattr(gammafactor, "_loggamma", spy)
+        got = _log_gamma_ratio(s, alpha)
+        monkeypatch.setattr(gammafactor, "_loggamma", real)
+        assert np.array_equal(_bits(got), _bits(_six_log_gammas(s, alpha)))
+        assert rows == [width] * (1 if sigma == "half" else 3)
+
+
+def test_gamma_at_half_with_zero_parameters_pinned():
+    # the six log-gamma arguments are all 1/4 + 0i, so their "conjugates"
+    # differ in the sign of Im = 0 and the six-value path runs: exactly 1
+    val = gamma_pi(0.5, criteria.D3_PARAMS)
+    assert _bits([val]).tolist() == _bits([1.0 + 0.0j]).tolist()
+
+
+def test_shift_logs_batch_equals_each_point_alone():
+    # step counts 1 to 14, points on and next to the real axis (zeros of
+    # both signs) and at poles; the batch's values are each lone point's
+    rng = np.random.default_rng(28)
+    z = np.concatenate([
+        rng.uniform(-2.5, 11.0, 60) + 1j * rng.uniform(-11.0, 11.0, 60),
+        rng.uniform(-2.5, 11.0, 30) + 1j * rng.choice([-1e-9, 1e-9], 30),
+        [complex(3.0, -0.0), complex(0.5, 0.0), complex(-2.4, -0.0), complex(11.5, -0.0),
+         complex(-2.0, 0.0), complex(0.0, -0.0)]])
+    steps = np.ceil(LOGGAMMA_SHIFT - z.real - np.abs(z.imag))
+    z, steps = z[steps >= 1.0], steps[steps >= 1.0]
+    assert steps.min() == 1.0 and steps.max() >= 14.0
+    with np.errstate(divide="ignore"):
+        batch = _shift_logs(z, steps)
+        alone = np.concatenate([_shift_logs(z[i : i + 1], steps[i : i + 1]) for i in range(z.size)])
+    assert np.array_equal(_bits(batch), _bits(alone))
 
 
 def test_shared_contour_grid_matches_each_z_alone():

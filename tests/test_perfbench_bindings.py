@@ -27,7 +27,7 @@ def test_layer_trace_bindings_resolve(monkeypatch):
         assert callable(value) or isinstance(value, classmethod), binding
 
 
-@pytest.mark.parametrize("workload", ["identity", "routes"])
+@pytest.mark.parametrize("workload", ["identity", "mellin", "routes"])
 def test_layer_trace_reaches_every_binding(workload, monkeypatch):
     # one traced round of the workload: `Tracer.active` raises TraceError
     # naming any binding listed for it that recorded no call, as when a

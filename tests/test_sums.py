@@ -264,12 +264,23 @@ def test_support_padding_changes_nothing(table_100):
     assert _integral_route(spec)[0] == _integral_route(spec_padded)[0]
 
 
-def test_degenerate_window_sums_to_zero_exactly():
-    # Y = 1 pushes the h1 arguments below its support for every n
+def test_degenerate_window_sums_to_zero_exactly(monkeypatch):
+    # Y = 1 pushes the h1 arguments below its support for every n, so f0
+    # vanishes on the whole grid and the amplitude's head, the (n, node)
+    # sum, is never evaluated
     T = 60.0
     table = synth_eisenstein(D3, 1900)
     spec = SumSpec(T=T, table=table, Y=1.0, tol=1e-6)
     assert s_sum_form(spec) == 0.0
+    weighted = sums._weighted_cutoff
+
+    def headless(spec, lo, hi, head):
+        def refuse(x):
+            raise AssertionError(f"head evaluated at {x.size} points where f0 is 0")
+
+        return weighted(spec, lo, hi, refuse)
+
+    monkeypatch.setattr(sums, "_weighted_cutoff", headless)
     assert _integral_route(spec)[0] == 0.0
 
 

@@ -33,6 +33,25 @@ def test_kahan_csum_matches_componentwise_fsum():
     assert abs(got - want) < 1e-6
 
 
+def test_kahan_csum_rows_equal_each_row_alone():
+    # a 2-D input sums each row in one pass, bit for bit (zero signs
+    # included) as the row's own 1-D call
+    rng = np.random.default_rng(28)
+    for shape in ((7, 40), (1, 33), (5, 1), (3, 0)):
+        parts = rng.standard_normal((2,) + shape) * 10.0 ** rng.integers(-12, 12, (2,) + shape)
+        rows = parts[0] + 1j * parts[1]
+        if shape[1] > 1:
+            rows[0, -1] = -np.sum(rows[0, :-1])  # heavy cancellation
+            rows[-1] = -0.0  # a row of negative zeros
+        got = kahan_csum(rows)
+        want = np.array([kahan_csum(row) for row in rows], dtype=complex)
+        assert got.shape == (shape[0],)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # a 1-D input, or any other shape, still gives its one total
+    flat = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * 1e6
+    assert kahan_csum(flat.reshape(3, 4, 5)) == kahan_csum(flat) == kahan_csum(flat.tolist())
+
+
 def _neumaier_loop(values) -> float:
     s = 0.0
     c = 0.0
