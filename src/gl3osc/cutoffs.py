@@ -104,15 +104,16 @@ def _exp_bump_fn(lo: float, hi: float) -> Callable:
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
 
     def fn(y):
-        t = np.array(y, dtype=float)  # t = 1 - u^2 in place: -inf past |u| = 1e154
+        # t = 1 - u^2 in place in a copy of y (-inf past |u| = 1e154); fmax
+        # sends t <= 0 and NaN to +0, so -1/t = -inf and exp gives 0 there
+        t = np.array(y, dtype=float)
         t -= mid
         t /= half
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             t *= t
-        np.subtract(1.0, t, out=t)
-        # exp(-inf) = 0 wherever t <= 0 or NaN: no gather or scatter
-        out = np.divide(-1.0, t, out=np.full_like(t, -np.inf), where=t > 0.0)
-        return np.exp(out, out=out)
+            np.subtract(1.0, t, out=t)
+            np.divide(-1.0, np.fmax(t, 0.0, out=t), out=t)
+        return np.exp(t, out=t)
 
     return fn
 
