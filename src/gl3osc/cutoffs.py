@@ -24,7 +24,9 @@ All callables are numpy-vectorized; scalars in give floats out.
 g's normalization is GL16 on uniform panels, checked against the same rule
 on half as many. The Mellin transform is taken on vertical lines
 (`mellin_on_line`, a trapezoid rule in log y) and inverted from one
-(`mellin_invert`).
+(`mellin_invert`) by the trapezoid rule in t that the kernel contour shares
+(`_line_trapezoid`). Both rules meet their frequencies in one lattice
+product (`_lattice_sums`) and stop on their own half-grid estimates.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
-from .util import GL16, _lattice_exp, _line_shells, gl_panels
+from .util import GL16, TWO_PI, _lattice_exp, _line_shells, gl_panels, kahan_csum
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -58,13 +60,16 @@ INVERT_TOL = 1e-9
 
 # mellin_on_line: the fewest trapezoid nodes, the band beyond max|t| that
 # the n/2 rule must still resolve, the n/2 estimate's target relative to
-# sum |base|, the most nodes before the line is refused, and the largest
-# temporary (complex elements, 1 MB) of one chunk of ordinates
+# sum |base|, the most nodes before a line is refused, and the largest
+# temporary (complex elements, 1 MB) of one chunk of frequencies
 LINE_MIN_NODES = 64
 LINE_MARGIN = 1024.0
 LINE_REL_TOL = 1e-13
 LINE_MAX_NODES = 1 << 20
 _LINE_CHUNK = 1 << 16
+
+# _line_trapezoid: the band its half grid resolves beyond the phase rate
+LINE_RATE_MARGIN = 4.0
 
 
 def _scalar_or_array(x, out):
@@ -268,39 +273,47 @@ def weight_w0_w(z):
     return _scalar_or_array(z, w0), _scalar_or_array(z, w)
 
 
+def _lattice_sums(u0: float, h: float, base: np.ndarray, freqs: np.ndarray,
+                  add: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """(even, odd): sum_k base_k e^(i f u_k), u_k = u0 + k h, over the even
+    and the odd k, for each frequency f of freqs: both line rules' product.
+
+    exp(i f u_(jB+m)) = exp(i f u_jB) exp(i f m h) on blocks of B ~ sqrt(n)
+    nodes, both tables `_lattice_exp` products on j <= n/B and m < B: 4
+    exponentials a frequency at n = 1,024 (1.6e-15 relative at worst
+    against mpmath). B is even, so `add` reduces k's parity columns to row
+    sums. The frequencies go in equal chunks of about _LINE_CHUNK table
+    elements (a core's L2 cache), none of one frequency unless freqs is:
+    numpy takes one row as a matrix-vector product, which rounds otherwise.
+    """
+    n = base.size - 1
+    blk = max(2, 1 << (n.bit_length() // 2))  # even, about sqrt(n)
+    rows = n // blk + 1  # zeros past k = n pad the last block
+    base = np.concatenate([base, np.zeros(rows * blk - base.size)]).reshape(rows, blk)
+    step = max(2, _LINE_CHUNK // max(rows, blk))
+    parts = []
+    for t in np.array_split(freqs, max(1, min(-(-freqs.size // step), freqs.size // 2))):
+        # exp(i f u_jB) on the row lattice j, then exp(i f m h) on m < blk;
+        # neither table outlives its product
+        terms = _lattice_exp(t * u0, t * (blk * h), np.arange(rows)).T @ base
+        terms *= _lattice_exp(np.zeros_like(t), t * h, np.arange(blk)).T
+        parts.append((add(terms[:, ::2]), add(terms[:, 1::2])))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     """Vectorized H(re_line + i*t) for an array of ordinates t.
 
     The trapezoid rule on the uniform log grid u_k = log lo + k*h, k = 0..n,
-    h = span / n: H = sum_k w_k f(e^u_k) e^(re_line u_k) e^(i t u_k). For a
-    smooth f that vanishes at both ends of its support the rule converges
-    faster than any power of h; its only error is aliasing (Trefethen &
-    Weideman, SIAM Review 2014). n is a power of two, at least
-    LINE_MIN_NODES, with n pi / span >= max|t| + LINE_MARGIN, so the even
-    nodes (the n/2 rule) still resolve every ordinate with LINE_MARGIN to
-    spare. max_t |T_n - T_(n/2)| is the error *estimate*: it measures the
-    coarser rule, so it is pessimistic for T_n, but it is not a bound. n
-    doubles until the estimate is at most LINE_REL_TOL * sum |base|; past
-    LINE_MAX_NODES nodes the call raises ToleranceUnreachableError (with the
-    last estimate as `achieved`) rather than return an unconverged value.
-    A cutoff with a kink converges only like h^2 and is refused that way.
-
-    The exponentials are factored in blocks of B ~ sqrt(n) nodes,
-    exp(i t u_(jB+m)) = exp(i t u_jB) * exp(i t m h), and both tables are
-    geometric on their integer lattices: the row heads exp(i t (u_lo + jBh))
-    for j <= n/B and the in-block tails exp(i t m h) for m < B are products
-    of exp(i t Bh) and exp(i t h) from an exact exponential heading each run
-    of LATTICE_BLOCK (`_lattice_exp`). So an ordinate costs one exponential
-    per run of 64 rows or tail entries, plus the two steps: 4 at n = 1,024,
-    where one exponential per entry takes n/B + 1 + B = 65. A direct
-    exponential rounds a phase of size |t u|; the products start from
-    t u_lo and add steps, so at contour heights (|t| in the hundreds and
-    up) they are the more accurate, and near t = 0, where the phases are
-    small, a chain of products rounds more (1.6e-15 relative at worst in
-    a sweep against mpmath). The ordinates go in chunks whose temporaries
-    hold about _LINE_CHUNK elements, within a core's L2 cache; the bits do
-    not depend on the chunk unless one holds a lone ordinate (numpy's
-    matrix-vector product rounds differently).
+    h = span / n: H = sum_k w_k f(e^u_k) e^(re_line u_k) e^(i t u_k), one
+    `_lattice_sums` product. For a smooth f that vanishes at both ends of
+    its support its only error is aliasing (Trefethen & Weideman, SIAM
+    Review 2014). n is a power of two, at least LINE_MIN_NODES, with
+    n pi / span >= max|t| + LINE_MARGIN, so the n/2 rule still resolves
+    every ordinate. n doubles until the *estimate* max_t |T_n - T_(n/2)|,
+    pessimistic for T_n but no bound, is at most LINE_REL_TOL * sum |base|;
+    past LINE_MAX_NODES nodes ToleranceUnreachableError is raised, with the
+    estimate as `achieved`. A cutoff with a kink is refused that way.
     """
     ts = np.asarray(ts, dtype=float)
     if not (math.isfinite(re_line) and np.all(np.isfinite(ts))):
@@ -318,26 +331,12 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     est = math.inf
     while n <= LINE_MAX_NODES:
         h = span / n
-        blk = 1 << (n.bit_length() // 2)  # even, about sqrt(n)
-        rows = n // blk + 1  # nodes past k = n pad the last block, weight 0
-        u = ulo + h * np.arange(rows * blk)
-        w = np.zeros(u.size)
-        w[: n + 1] = h
+        u = ulo + h * np.arange(n + 1)
+        w = np.full(n + 1, h)
         w[0] = w[n] = 0.5 * h
         base = f.fn(np.exp(u)) * np.exp(re_line * u) * w
         mass = float(np.sum(np.abs(base)))
-        base = base.reshape(rows, blk)
-        even = np.empty(flat.size, dtype=complex)
-        odd = np.empty(flat.size, dtype=complex)
-        step = max(1, _LINE_CHUNK // max(rows, blk))
-        for i in range(0, flat.size, step):
-            t = flat[i : i + step]
-            # exp(i t u_jB) on the row lattice j, then exp(i t m h) on m < blk;
-            # neither table outlives its product
-            terms = _lattice_exp(t * ulo, t * (blk * h), np.arange(rows)).T @ base
-            terms *= _lattice_exp(np.zeros_like(t), t * h, np.arange(blk)).T
-            even[i : i + step] = terms[:, ::2].sum(axis=1)
-            odd[i : i + step] = terms[:, 1::2].sum(axis=1)
+        even, odd = _lattice_sums(ulo, h, base, flat, lambda a: a.sum(axis=1))
         # T_n = even + odd, and the n/2 rule is T_(n/2) = 2 * even
         est = float(np.max(np.abs(odd - even))) if flat.size else 0.0
         if est <= LINE_REL_TOL * mass:
@@ -348,35 +347,69 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         f"mass at {LINE_MAX_NODES} nodes", achieved=est)
 
 
+def _line_trapezoid(base: Callable, phis, scales, rate: float, tol: float, start: float,
+                    top: float, label: str, add: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """(values, estimates): (scale / 2 pi) sum_j dt base(t_j) e^(i t_j phi)
+    on the lattice t_j = j dt, for each phi of the rows of phis with its
+    scale: the trapezoid rule of the kernel contour and of the inversion.
+
+    The shells double on `_line_shells` from |t| <= start, each taking the
+    nodes with lo < t_j <= hi. Each row of phis meets a shell's nodes in one
+    `_lattice_sums` product (a row of one keeps a lone point's bits): T_dt =
+    dt (even + odd) by the parity of j, and the half-grid rule T_2dt = 2 dt
+    even. A point's signed dt (odd - even) sums with its value, and either
+    keeps it live. dt starts at pi / (rate + LINE_RATE_MARGIN), so the half
+    grid resolves phase rates up to `rate`, and halves until each estimate
+    |T_dt - T_2dt| is at most tol/2; a lattice of more than LINE_MAX_NODES
+    nodes over |t| <= top is refused with ToleranceUnreachableError.
+    """
+    dt = math.pi / (rate + LINE_RATE_MARGIN)
+
+    def shell(lo: float, hi: float) -> np.ndarray:
+        js = np.arange(math.floor(lo / dt) + 1.0, math.floor(hi / dt) + 1.0)
+        t = js * dt
+        weighted = base(t) * dt
+        sums = [_lattice_sums(float(t[0]), dt, weighted, np.asarray(row), add) for row in phis]
+        even, odd = (np.concatenate(p).tolist() for p in zip(*sums))
+        if js[0] % 2.0:
+            even, odd = odd, even
+        # Python complexes: numpy's array / scalar multiplies by the
+        # reciprocal, and its one-element products round differently
+        return np.array([[(e + o) * x / TWO_PI, (o - e) * x / TWO_PI]
+                         for e, o, x in zip(even, odd, scales)])
+
+    while True:
+        total = _line_shells(shell, start, tol, top, label)
+        est = np.abs(total[:, 1])
+        if np.all(est <= tol / 2.0):
+            return total[:, 0], est
+        if 4.0 * top / dt > LINE_MAX_NODES:
+            raise ToleranceUnreachableError(f"{label} half-grid estimate {est.max():.3e} "
+                                            f"above tol/2 at step {dt:.3g}", achieved=est.max())
+        dt /= 2.0
+
+
 def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
     """Reconstruct f at every point of y from its Mellin transform H on
     the line Re(s) = c = INVERT_RE_LINE: (1/2 pi) int H(c + it) y^-(c + it) dt.
 
-    The shells double on `_line_shells` from |t| <= INVERT_IM_START: each
-    point's total is frozen after its first added shell below INVERT_TOL / 2,
-    and a point still adding after eight doublings raises
-    TailNotConvergedError. Each half-shell is one `mellin_on_line` call for
-    the batch, on GL16 panels whose count is set by the largest
-    max(|log y|, 1), so points with |log y| <= 1 (A08's) keep each lone
-    point's grid and bits. H decays superpolynomially for a smooth compactly
-    supported f, so few shells are needed. A scalar y gives a complex, an
-    array an array of its shape.
+    One `_line_trapezoid` call: base = H(c + it), one `mellin_on_line` call
+    a shell, and each point its own row phi = -log y with the scale y^-c.
+    The shells double from |t| <= INVERT_IM_START; a point still adding
+    INVERT_TOL / 2 after eight doublings raises TailNotConvergedError. The
+    phase rate of H(c + it) y^-it is at most |log y| plus the largest |u| on
+    f's log-support, which the margin covers for a support inside
+    [e^-4, e^4]. The step takes the batch's largest max(|log y|, 1), so
+    points with |log y| <= 1 (A08's) keep each lone point's lattice and
+    bits. A scalar y gives a complex, an array an array of its shape.
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.ravel()
     if np.any(~((flat > 0.0) & (flat < np.inf))):
         raise ConfigError("inversion point must be positive and finite")
-    rate = float(np.max(np.abs(np.log(flat)), initial=1.0))
-
-    def shell(t_lo: float, t_hi: float) -> np.ndarray:
-        n = max(64, int(np.ceil((t_hi - t_lo) * rate / np.pi)) + 8)
-        t, wts = gl_panels(np.linspace(t_lo, t_hi, n + 1), *GL16)
-        hv = mellin_on_line(f, INVERT_RE_LINE, t)
-        return np.sum(wts * (hv * flat[:, None] ** (-(INVERT_RE_LINE + 1j * t))), axis=1)
-
-    total = _line_shells(shell, INVERT_IM_START, INVERT_TOL, INVERT_IM_START * 2**7,
-                         "inversion")
-    # divided as Python complexes: numpy's array / scalar multiplies by the
-    # reciprocal, which rounds differently
-    out = np.array([complex(v) / (2.0 * np.pi) for v in total])
-    return complex(out[0]) if ys.ndim == 0 else out.reshape(ys.shape)
+    points = flat.tolist()
+    values, _ = _line_trapezoid(
+        lambda t: mellin_on_line(f, INVERT_RE_LINE, t), [[-math.log(v)] for v in points],
+        [v**-INVERT_RE_LINE for v in points], max([1.0] + [abs(math.log(v)) for v in points]),
+        INVERT_TOL, INVERT_IM_START, INVERT_IM_START * 2**7, "inversion", kahan_csum)
+    return complex(values[0]) if ys.ndim == 0 else values.reshape(ys.shape)

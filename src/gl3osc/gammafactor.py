@@ -24,11 +24,11 @@ line only below z = 0.25 and Re(s) = 0 everywhere else; the switch is not a
 guarantee near it (z = 0.2 at T = 100 converges at tol 1e-8, not at 1e-10).
 
 Of the integrand only X^s = (T^3 / (4 pi^2 z))^s depends on z, so one
-contour quadrature (`_contour_quad`) serves a batch of z on one shared grid,
-and F(-s) gamma is formed once per node for all of them: `g_kernel_batch`
-takes a few z, `g_kernel` one, and `GKernelTable` its grid as one geometric
-progression. The contour, the line mass C_F (`f_line_mass`) and
-`cutoffs.mellin_invert` double their shells in one driver, `util._line_shells`.
+contour quadrature (`_contour_quad`, the trapezoid rule that
+`cutoffs.mellin_invert` shares) serves a batch of z on one t-lattice, and
+F(-s) gamma is formed once per node for all of them: `g_kernel_batch` takes
+a few z, `g_kernel` one, and `GKernelTable` its grid and ten checks. The
+line mass C_F (`f_line_mass`) keeps GL16, as |F| has kinks.
 
 The log-gamma values are numpy's own (`_loggamma`): the Stirling series
 after a recurrence shift, on the principal branch. The kernel table's
@@ -41,18 +41,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cutoffs import h0_cutoff, mellin_on_line
+from .cutoffs import _line_trapezoid, h0_cutoff, mellin_on_line
 from .errors import ConfigError, GammaPoleError, ToleranceUnreachableError
-from .util import GL16, TWO_PI, _lattice_exp, _line_shells, _panel_runs, gl_panels, kahan_csum
+from .util import GL16, TWO_PI, _line_shells, gl_panels, kahan_csum
 
 #: Tempered self-dual-ish default triple; purely imaginary, summing to zero.
 DEFAULT_ALPHA = (0.5j, -0.3j, -0.2j)
 
 _POLE_EPS = 1e-12
-
-# a contour shell refuses more panels than this (4.2M nodes) rather than
-# exhaust memory
-_SHELL_MAX_PANELS = 1 << 18
 
 # half-height |Im s| of every contour integral's first shell
 CONTOUR_IM_START = 48.0
@@ -80,10 +76,8 @@ _STIRLING = tuple(b / (2 * k * (2 * k - 1)) for k, b in zip(
     range(8, 0, -1), (-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6)))
 _HALF_LOG_2PI = 0.5 * np.log(TWO_PI)
 
-# points per block of _log_gamma_ratio, and phase-table elements per node
-# block of _contour_quad, which set its partials and so the table's bits
+# points per block of _log_gamma_ratio
 _GAMMA_BLOCK = 1024
-_CONTOUR_BLOCK = 250_000
 
 
 def _near_nonpositive_integer(z: complex) -> bool:
@@ -244,8 +238,9 @@ class ContourSpec:
     re_line: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.re_line > 0.0:
-            raise ConfigError("contour must sit at Re(s) <= 0; poles live to the right")
+        # compared so that NaN fails
+        if not -np.inf < self.re_line <= 0.0:
+            raise ConfigError("contour must sit at a finite Re(s) <= 0; poles live to the right")
 
 
 def f_line_mass(T: float) -> float:
@@ -288,84 +283,55 @@ def g_kernel(z: float, T: float, contour: ContourSpec | None = None,
 
 def g_kernel_batch(zs, T: float, contour: ContourSpec | None = None,
                    tol: float = 1e-8) -> np.ndarray:
-    """G(z) for each z of zs by one `_contour_quad` batch: on one grid, each
-    value is within tol of the lone z's, not its bits.
+    """G(z) for each z of zs by one `_contour_quad` batch: on one lattice,
+    each value is within tol of the lone z's, not its bits.
 
     With contour=None the line is Re(s) = -3 for z < 0.25, where each
     leftward step shrinks the integrand, and Re(s) = 0 where the kernel is
-    merely bounded; z whose lines differ raise ConfigError. Mathematically
-    the value is contour-independent because the integrand is holomorphic in
-    Re(s) <= 0; numerically the deep line fails at moderate z with
-    TailNotConvergedError (see the module docstring).
+    merely bounded; z whose lines differ, or none, raise ConfigError.
+    Mathematically the value is contour-independent because the integrand
+    is holomorphic in Re(s) <= 0; numerically the deep line fails at
+    moderate z with TailNotConvergedError (see the module docstring).
     """
     # compared so that NaN fails
-    if not all(0.0 < z < np.inf for z in zs):
-        raise ConfigError("kernel argument must be positive and finite")
+    if len(zs) == 0 or not all(0.0 < z < np.inf for z in zs):
+        raise ConfigError("kernel arguments must be a nonempty batch of positive finite z")
     if not 1.0 < T < np.inf:
         raise ConfigError("T must be finite and exceed 1")
     lines = {-3.0 if z < 0.25 else 0.0 for z in zs} if contour is None else {contour.re_line}
     if len(lines) != 1:
         raise ConfigError(f"a batch needs one contour for its z, not the lines {sorted(lines)}")
-    return _contour_quad(zs, T, lines.pop(), tol, KERNEL_KAPPA, KERNEL_EPS)
+    return _contour_quad(zs, T, lines.pop(), tol, KERNEL_KAPPA, KERNEL_EPS)[0]
 
 
-def _contour_quad(heads, T: float, sigma: float, tol: float, kappa: float,
-                  eps: float, step: float = 0.0, count: int = 1) -> np.ndarray:
-    """G(z) for the batch z = head * exp(k step), k < count, of each head:
-    shell-doubled GL16 quadrature of the kernel integrand along
-    Re(s) = sigma, all z on one shared grid, head by head in that order.
+def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
+                  eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G(z), half-grid estimate) for each z of zs: the trapezoid rule of
+    the kernel integrand along Re(s) = sigma, all z on one lattice
+    (`cutoffs._line_trapezoid`), from |Im s| <= CONTOUR_IM_START to 16 T.
 
-    Only X^s = X_z^sigma exp(i t log X_z) depends on z, so each node
-    evaluates base = F(-s) gamma w once (F exactly, by `mellin_on_line` for
-    the (kappa, eps) window). log X_z = log X_head - k step, so the rows
-    exp(i t log X_z) are `_lattice_exp` tables on k: a few exact
-    exponentials per node for a whole progression, and np.exp's own bits
-    for a head of count one. Nodes go in blocks whose phase table holds
-    about _CONTOUR_BLOCK elements; each block is one product rows @ base,
-    each shell joins every z's block partials in one compensated pass
-    (`kahan_csum` by rows), and X_z^sigma scales each sum. Panels span at
-    most two cycles of the fastest local phase over the batch, the Mellin
-    factor's own band included, where it rises too: `_panel_runs` sizes
-    each run by its higher end. The shells
-    double on `_line_shells` from |Im s| <= CONTOUR_IM_START: each z's
-    value is frozen after its first added shell below tol/2, and a z still
-    adding past height 16 T raises TailNotConvergedError.
+    Only X^s = X_z^sigma exp(i t log X_z) depends on z, so each node takes
+    base = F(-s) gamma once (F exactly, by `mellin_on_line`), and each z is
+    a frequency log X_z with the scale X_z^sigma; each shell joins its
+    parity columns in one compensated pass (`kahan_csum` by rows). The
+    step's rate is the largest |log X_z - b| plus F's band, with b = 3
+    log(max(T + t, 2) / 2 pi) gamma's Stirling phase rate at either end of
+    |t| <= 16 T. tol bounds each z's last shell and half-grid estimate.
     """
     h0 = h0_cutoff(T, kappa, eps)
-    u_band = max(kappa, eps) * np.log(T) + np.log(2.0) + 1.0
-    # per head, as scalars: a lone head rounds as a lone z always has
-    log_heads = np.array([3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z) for z in heads])
-    # rows k-major, as `_lattice_exp` lays out its offsets
-    log_xs = (log_heads - step * np.arange(count)[:, None]).ravel()
-    x_lo, x_hi = float(np.min(log_xs)), float(np.max(log_xs))
-    scales = np.exp(sigma * log_xs).tolist()
-    width = max(1, _CONTOUR_BLOCK // log_xs.size)
+    # per z, as scalars: a lone z rounds as it always has
+    log_xs = [3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z) for z in zs]
+    b_lo, b_hi = 3.0 * np.log(2.0 / TWO_PI), 3.0 * np.log(17.0 * T / TWO_PI)
+    band = max(-np.log(h0.support_lo), np.log(h0.support_hi))  # |u| on h0's log-support
+    rate = max(max(abs(x - b_lo), abs(x - b_hi)) for x in log_xs) + band
 
-    def local_freq(t: float) -> float:
-        # phase rate of X^(it) * gamma(1/2 + sigma + i(T + t)), fastest over
-        # the batch, plus the band
-        b = 3.0 * np.log(max(T + t, 2.0) / TWO_PI)
-        return max(abs(x_lo - b), abs(x_hi - b)) + u_band + 0.5
+    def base(t: np.ndarray) -> np.ndarray:
+        # F(-s) on the reflected line, and gamma(1/2 + s + iT)
+        return mellin_on_line(h0, -sigma, -t) * gamma_pi_line(
+            0.5 + sigma + 1j * (T + t), KERNEL_PARAMS)
 
-    def shell(lo: float, hi: float) -> np.ndarray:
-        edges, _, _ = _panel_runs(lo, hi, 16.0, 2.0 * TWO_PI, local_freq, _SHELL_MAX_PANELS)
-        ts, wts = gl_panels(edges, *GL16)
-        s = sigma + 1j * ts
-        fvals = mellin_on_line(h0, -sigma, -ts)  # F(-s) on the reflected line
-        gvals = gamma_pi_line(0.5 + s + 1j * T, KERNEL_PARAMS)
-        base = fvals * gvals * wts
-        partials = np.empty((log_xs.size, -(-ts.size // width)), dtype=complex)
-        for col, i in enumerate(range(0, ts.size, width)):
-            t = ts[i : i + width]
-            rows = _lattice_exp(np.outer(log_heads, t), -step * t, np.arange(count))
-            partials[:, col] = rows.reshape(log_xs.size, -1) @ base[i : i + width]
-        # ds = i dt cancels the i in the 1/(2 pi i) prefactor.  Each sum is
-        # divided as a Python complex: numpy's array / scalar multiplies by
-        # the reciprocal, which rounds differently.
-        return np.array([v * x / TWO_PI for v, x in zip(kahan_csum(partials).tolist(), scales)])
-
-    total = _line_shells(shell, CONTOUR_IM_START, max(tol, 1e-15), 16.0 * T, "contour")
-    return total.reshape(count, -1).T.ravel()
+    return _line_trapezoid(base, [log_xs], np.exp(sigma * np.array(log_xs)).tolist(), rate,
+                           max(tol, 1e-15), CONTOUR_IM_START, 16.0 * T, "contour", kahan_csum)
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -433,13 +399,14 @@ def _model_phase(z, T: float, u_mid: float):
 class GKernelTable:
     """Cubic-spline cache of G on a geometric grid, for bulk evaluation.
 
-    The nodes are one `_contour_quad` batch on Re(s) = 0, with F exact on
-    every contour node, so at a node the table is the kernel itself within
-    TABLE_TOL.  G oscillates in z roughly like exp(i phi(z)) with phi from
-    the stationary band, so the spline stores G / exp(i phi) and the call
-    restores the phase.  `max_rel_error` records the ten-point validation
-    against direct contour evaluation (a second batch); a grid that misses
-    TABLE_REL_TOL is doubled, at most twice.
+    The grid's nodes and ten seeded validation z are one `_contour_quad`
+    batch on Re(s) = 0, with F exact on every contour node, so at a node
+    the table is the kernel itself within TABLE_TOL.  G oscillates in z
+    roughly like exp(i phi(z)) with phi from the stationary band, so the
+    spline stores G / exp(i phi) and the call restores the phase.
+    `max_rel_error` records the spline's relative error at the ten
+    validation z; a grid that misses TABLE_REL_TOL is doubled, at most
+    twice.
     """
 
     z_lo: float
@@ -464,10 +431,6 @@ class GKernelTable:
         u_hi = np.log(2.0) - eps * np.log(T)
         u_mid = 0.5 * (u_lo + u_hi)
 
-        def direct(heads, step: float = 0.0, count: int = 1) -> np.ndarray:
-            # bounded-regime line Re(s) = 0; the value is line-independent
-            return _contour_quad(heads, T, 0.0, TABLE_TOL, kappa, eps, step, count)
-
         # Node count from the residual phase rate after dividing the model
         # phase out: the window edges sit (u_hi - u_lo)/2 either side of
         # u_mid and drag the stationary-band phase by (u - u_mid) * dt*/dz.
@@ -479,12 +442,12 @@ class GKernelTable:
 
         rng = np.random.default_rng(TABLE_SEED)
         checks = np.exp(rng.uniform(np.log(z_lo), np.log(z_hi), 10))
-        truths = direct(checks)
         for _ in range(3):
             grid = np.geomspace(z_lo, z_hi, n)
-            # the grid as one progression from z_lo: its rows come from lattices
-            vals = direct([z_lo], np.log(z_hi / z_lo) / (n - 1), n)
-            hat = vals * np.exp(-1j * _model_phase(grid, T, u_mid))
+            # the grid and the checks on the bounded-regime line Re(s) = 0
+            vals, _ = _contour_quad([*grid, *checks], T, 0.0, TABLE_TOL, kappa, eps)
+            truths = vals[n:]
+            hat = vals[:n] * np.exp(-1j * _model_phase(grid, T, u_mid))
             lg = np.log(grid)
             re_s = _Cubic(lg, _not_a_knot(lg, hat.real))
             im_s = _Cubic(lg, _not_a_knot(lg, hat.imag))

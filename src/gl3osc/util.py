@@ -114,16 +114,14 @@ def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
     """Panel edges from lo to hi in runs of equal panels: the edge builder
     of every integral paneled by its phase rate.
 
-    rate(x) is quasiconvex, falling and then rising (oscquad's envelope E
-    only falls), so on any interval it peaks at an end. It is called at lo
-    and at each run's right end, whose value serves the next run as its
-    left-edge rate r (after a rise, as a bound on it). A run's panels take
-    the width min(cap, span / r), or span / the right-end rate where that
-    is higher, so none covers more than `span` radians of phase. A
-    rate-bound run holds for up to _PANEL_RUN panels, but not so far that
-    the secant from the last run lets a falling convex rate drop by more
-    than _RUN_DROP of r; a rate-bound first run, which has no secant, is
-    one panel. The last panel is cut at hi and is a run of its own. Returns
+    rate(x) does not rise (oscquad's envelope E only falls), so on any
+    interval it peaks at the left end. It is called at lo and at each run's
+    right end, whose value serves the next run as its left-edge rate r. A
+    run's panels take the width min(cap, span / r), so none covers more
+    than `span` radians of phase. A rate-bound run holds for up to
+    _PANEL_RUN panels, but not so far that the secant from the last run
+    lets a falling convex rate drop by more than _RUN_DROP of r; a
+    rate-bound first run, which has no secant, is one panel. The last panel is cut at hi and is a run of its own. Returns
     (edges, panels per run, width per run); raises ConfigError on a
     non-finite rate, and ToleranceUnreachableError once more than
     max_panels panels are needed.
@@ -146,12 +144,7 @@ def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
                 run = int(min(_PANEL_RUN, max(1.0, reach // w)))
         last = (x, r)
         ends = x + w * steps[:run]
-        r_end = _finite_rate(rate, min(float(ends[-1]), hi))
-        if r_end > r:
-            # the rate rises across the run: its right end bounds it there
-            w = min(w, span / r_end)
-            ends = x + w * steps[:run]
-        r = r_end
+        r = _finite_rate(rate, min(float(ends[-1]), hi))
         k = int(np.searchsorted(ends, hi))  # ends[:k] < hi
         if k:
             edges.append(ends[:k])
@@ -179,10 +172,12 @@ def _finite_rate(rate, x: float) -> float:
 def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.ndarray:
     """Shell-doubled integrals along a vertical line, one per point.
 
-    shell(lo, hi) returns each point's integral over lo < t < hi. The sum
-    starts with shell(-start, start) and adds shell(lo, 2 lo) +
-    shell(-2 lo, -lo) for lo = start, 2 start, .... Each point's total is
-    frozen after its first added shell below tol / 2; a point still live
+    shell(lo, hi) returns each point's integral over lo < t < hi, or a row
+    of figures per point (the trapezoid's value and its half-grid
+    difference). The sum starts with shell(-start, start) and adds
+    shell(lo, 2 lo) + shell(-2 lo, -lo) for lo = start, 2 start, .... Each
+    point's total is frozen after its first added shell whose figures are
+    all below tol / 2; a point still live
     once the height passes `top` raises TailNotConvergedError, whose
     message starts with `label`, the caller's name for its integral. A tol
     of 0 keeps every point live up to `top`; a negative, infinite or NaN
@@ -191,13 +186,13 @@ def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"{label} tolerance must be finite and >= 0, not {tol}")
     total = shell(-start, start)
-    live = np.ones(np.shape(total), dtype=bool)
+    live = np.ones(len(total), dtype=bool)
     lo = start
     while True:
         hi = 2.0 * lo
         added = shell(lo, hi) + shell(-hi, -lo)
         total[live] += added[live]
-        live &= np.abs(added) >= tol / 2.0
+        live &= np.abs(added).reshape(len(added), -1).max(axis=1) >= tol / 2.0
         if not live.any():
             return total
         if hi > top:

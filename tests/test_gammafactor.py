@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from gl3osc import criteria, gammafactor
+from gl3osc import criteria, cutoffs, gammafactor
 from gl3osc.errors import (
     ConfigError,
     GammaPoleError,
@@ -39,12 +39,15 @@ from gl3osc.gammafactor import (
     gamma_pi,
     gamma_pi_line,
 )
-from gl3osc.util import GL16, TWO_PI, _line_shells, _panel_runs, gl_panels, loglog_slope
+from gl3osc.util import GL16, TWO_PI, _line_shells, gl_panels, kahan_csum, loglog_slope
 
 ZERO_PARAMS = LanglandsParams(alpha=(0.0j, 0.0j, 0.0j))
 
 # pinned line mass (1/2*pi) integral |F(it)| dt for the T = 500 window
 C_F_500 = 0.7885911291622076
+
+# pinned kernel value g_kernel(1.0, 200.0, tol=1e-9)
+G_1_200 = 6.602145498264842e-06 - 2.0267040957583202e-05j
 
 
 def test_params_validation_and_dual():
@@ -160,6 +163,10 @@ def test_decay_fit_needs_three_heights():
 def test_contour_spec_validation():
     with pytest.raises(ConfigError):
         ContourSpec(re_line=1.0)
+    # a NaN line constructed, and was refused only inside mellin_on_line
+    for line in (math.nan, -math.inf):
+        with pytest.raises(ConfigError):
+            ContourSpec(re_line=line)
 
 
 def test_g_kernel_argument_validation():
@@ -191,27 +198,6 @@ def test_kernel_table_refuses_an_infinite_range():
     # an infinite z_hi had ended in a ValueError from its node count
     with pytest.raises(ConfigError):
         GKernelTable.build(0.5, math.inf, 100.0)
-
-
-def test_contour_panels_cover_at_most_two_cycles(monkeypatch):
-    # every contour panel of a table build and of a deep-line kernel value,
-    # sampled at 17 points: where the local rate rises inside a shell, a
-    # panel stepped by its left-edge rate alone covers up to 1.022 x span
-    worst = []
-
-    def watched(lo, hi, cap, span, rate, max_panels):
-        out = _panel_runs(lo, hi, cap, span, rate, max_panels)
-        edges = out[0]
-        u = np.linspace(0.0, 1.0, 17)
-        for a, b in zip(edges[:-1], edges[1:]):
-            peak = max(rate(float(a + (b - a) * t)) for t in u)
-            worst.append((b - a) * peak / span)
-        return out
-
-    monkeypatch.setattr(gammafactor, "_panel_runs", watched)
-    GKernelTable.build(0.5, 2.0, 100.0)
-    g_kernel(500.0**-0.5, 500.0, tol=1e-10)
-    assert worst and max(worst) <= 1.0 + 1e-9
 
 
 def test_f_line_mass_pinned():
@@ -345,8 +331,10 @@ def test_g_kernel_bits_pinned():
     # it was 6.602145501211393e-06 - 2.0267040950690604e-05j with one rate
     # call per panel at its left edge (1.8e-14 away), and
     # 6.602145501205267e-06 - 2.0267040950680673e-05j before the block
-    # products rows @ (F gamma w)
-    assert g_kernel(1.0, 200.0, tol=1e-9) == 6.602145478580414e-06 - 2.026704094226371e-05j
+    # products rows @ (F gamma w). Before the trapezoid lattice it was
+    # 6.602145478580414e-06 - 2.026704094226371e-05j on GL16 panels
+    # (2.5e-14 away, within the tolerance)
+    assert g_kernel(1.0, 200.0, tol=1e-9) == G_1_200
 
 
 def test_g_kernel_batch_holds_each_z_within_tol():
@@ -358,8 +346,9 @@ def test_g_kernel_batch_holds_each_z_within_tol():
     for z, got in zip(zs, batch):
         assert abs(got - g_kernel(z, T, tol=tol)) <= tol
         assert abs(got - g_kernel(z, T, tol=1e-13)) <= 1e-8
-    # a batch of one is g_kernel, grid and bits (the pinned value above)
-    assert g_kernel_batch([1.0], 200.0, tol=1e-9)[0] == 6.602145478580414e-06 - 2.026704094226371e-05j
+    # a batch of one is g_kernel, lattice and bits (the pinned value above;
+    # 6.602145478580414e-06 - 2.026704094226371e-05j on GL16 panels)
+    assert g_kernel_batch([1.0], 200.0, tol=1e-9)[0] == G_1_200
     assert g_kernel_batch([0.1], T)[0] == g_kernel(0.1, T)
 
 
@@ -372,6 +361,10 @@ def test_g_kernel_batch_refuses_mixed_lines_and_bad_points():
             g_kernel_batch(zs, 100.0)
     with pytest.raises(ConfigError):
         g_kernel_batch([1.0], math.nan)
+    # an empty batch ended in a bare ValueError from np.min
+    for zs in ([], np.array([])):
+        with pytest.raises(ConfigError, match="nonempty"):
+            g_kernel_batch(zs, 100.0, ContourSpec())
 
 
 def test_gamma_battery_makes_five_contour_batches(monkeypatch):
@@ -461,35 +454,58 @@ def test_shared_contour_grid_matches_each_z_alone():
     # every z has converged: each value is the lone z's within the tolerance
     T = 100.0
     zs = np.linspace(0.5, 2.0, 8)
-    batch = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
+    batch, _ = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
     alone = np.array([g_kernel(float(z), T, tol=TABLE_TOL) for z in zs])
     assert np.max(np.abs(batch - alone)) <= TABLE_TOL
 
 
-def test_contour_lattice_rows_match_direct_exponentials():
-    # the table's progression z_lo e^(k h) (lattice rows) against the same 97
-    # z as lone heads (one np.exp per node each)
-    T, n = 100.0, 97
-    h = math.log(4.0) / (n - 1)
-    zs = [0.5 * math.exp(k * h) for k in range(n)]
-    lattice = _contour_quad([0.5], T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS, h, n)
-    direct = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
-    assert lattice.shape == direct.shape == (n,)
-    assert np.max(np.abs(lattice - direct)) <= 1e-12
+def test_line_trapezoid_counts_each_node_once():
+    # (1/2 pi) int e^(-t^2/2) e^(i t phi) dt = e^(-phi^2/2) / sqrt(2 pi): a
+    # node counted twice, or missed, where two shells meet moves a value by
+    # about dt e^(-t^2/2) / 2 pi, far above 1e-15
+    phis = np.array([0.0, 0.5, -1.3, 3.0, 6.5])
+    values, est = cutoffs._line_trapezoid(
+        lambda t: np.exp(-0.5 * t * t), [phis], [1.0] * phis.size, 14.5, 1e-15, 1.0, 64.0,
+        "gauss", kahan_csum)
+    want = np.exp(-0.5 * phis**2) / math.sqrt(TWO_PI)
+    assert np.max(np.abs(values - want)) <= 1e-15
+    assert np.all(est <= 5e-16)
 
 
-def test_contour_batch_is_head_major():
-    # two heads of two: z = 0.5, 0.5 e^h, 1.5, 1.5 e^h, each its lone value
-    T, h = 100.0, 0.25
-    batch = _contour_quad([0.5, 1.5], T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS, h, 2)
-    zs = [0.5, 0.5 * math.exp(h), 1.5, 1.5 * math.exp(h)]
-    alone = np.array([g_kernel(z, T, tol=TABLE_TOL) for z in zs])
-    assert np.max(np.abs(batch - alone)) <= TABLE_TOL
+@pytest.mark.parametrize("T", [100.0, 500.0])
+def test_contour_estimate_lies_above_its_error(T):
+    # the half-grid estimate at the table's tolerance against a tol-1e-13
+    # value: a bound in practice, though the rule gives no proof
+    zs = [0.5, 1.0, 2.0]
+    values, est = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
+    ref, _ = _contour_quad(zs, T, 0.0, 1e-13, KERNEL_KAPPA, KERNEL_EPS)
+    assert np.all(est <= TABLE_TOL / 2.0)
+    assert np.all(np.abs(values - ref) < est)
+
+
+def test_kernel_table_takes_one_contour_batch_per_grid(monkeypatch):
+    # the grid's z and the ten validation z in one batch: a build whose
+    # validation never passes makes three, of 97, 194 and 388 nodes plus ten
+    sizes = []
+    real = gammafactor._contour_quad
+
+    def counted(zs, *args):
+        sizes.append(len(zs))
+        return real(zs, *args)
+
+    monkeypatch.setattr(gammafactor, "_contour_quad", counted)
+    GKernelTable.build(0.5, 2.0, 100.0)
+    assert sizes == [107]
+    sizes.clear()
+    monkeypatch.setattr(gammafactor, "TABLE_REL_TOL", 0.0)
+    with pytest.raises(ToleranceUnreachableError):
+        GKernelTable.build(0.5, 2.0, 100.0)
+    assert sizes == [107, 204, 398]
 
 
 def test_kernel_table_build_peak_memory():
-    # the contour's node blocks bound its phase tables; one build traced
-    # 8.8 MB when this bound was set
+    # the contour's lattice tables are (z, sqrt(nodes)) per shell; one build
+    # traced 8.8 MB on GL16 panels when this bound was set
     GKernelTable.build(0.5, 2.0, 100.0)  # warm caches outside the trace
     tracemalloc.start()
     try:
