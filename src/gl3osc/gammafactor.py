@@ -326,7 +326,8 @@ def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
     rate = max(max(abs(x - b_lo), abs(x - b_hi)) for x in log_xs) + band
 
     def base(t: np.ndarray) -> np.ndarray:
-        # F(-s) on the reflected line, and gamma(1/2 + s + iT)
+        # F(-s) on the reflected line, and gamma(1/2 + s + iT); ds = i dt
+        # cancels the i in the 1/(2 pi i) prefactor
         return mellin_on_line(h0, -sigma, -t) * gamma_pi_line(
             0.5 + sigma + 1j * (T + t), KERNEL_PARAMS)
 
