@@ -75,6 +75,8 @@ class RunConfig:
             raise ConfigError("kappa must lie in [0, 3/2]")
         if self.c1 <= 0.0:
             raise ConfigError("c1 must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.grid is not None:
             if len(self.grid) < 2:
                 raise ConfigError("grid needs at least two T values")

@@ -161,8 +161,9 @@ def _exp_bump(lo: float, hi: float) -> Cutoff:
 
 def v0_cutoff(c1: float = 1.0) -> Cutoff:
     """The basic bump on [1/(8*pi), (1+c1)/(2*pi)]."""
-    if c1 <= 0.0:
-        raise ConfigError("c1 must be positive")
+    # compared so that NaN and inf fail
+    if not 0.0 < c1 < np.inf:
+        raise ConfigError("c1 must be finite and positive")
     return _exp_bump(ONE_OVER_8PI, (1.0 + c1) * ONE_OVER_2PI)
 
 
@@ -192,10 +193,11 @@ def h_cutoff() -> Cutoff:
 
 
 def _check_window_params(T: float, kappa: float, eps: float):
-    if T <= 1.0:
-        raise ConfigError("window cutoffs need T > 1")
-    if not (0.0 <= eps < kappa):
-        raise ConfigError("window cutoffs need 0 <= eps < kappa")
+    # compared so that NaN and inf fail
+    if not 1.0 < T < np.inf:
+        raise ConfigError("window cutoffs need a finite T > 1")
+    if not 0.0 <= eps < kappa < np.inf:
+        raise ConfigError("window cutoffs need 0 <= eps < kappa < inf")
 
 
 def h0_cutoff(T: float, kappa: float, eps: float) -> Cutoff:

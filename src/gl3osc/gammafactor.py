@@ -32,7 +32,8 @@ line mass C_F (`f_line_mass`) keeps GL16, as |F| has kinks.
 
 The log-gamma values are numpy's own (`_loggamma`): the Stirling series
 after a recurrence shift, on the principal branch. The kernel table's
-interpolant is a not-a-knot cubic spline (`_not_a_knot`).
+interpolant is a not-a-knot cubic spline (`_not_a_knot`); only the
+benchmark's `mellin` workload builds the table (see `GKernelTable`).
 """
 
 from __future__ import annotations
@@ -301,11 +302,10 @@ def g_kernel_batch(zs, T: float, contour: ContourSpec | None = None,
     lines = {-3.0 if z < 0.25 else 0.0 for z in zs} if contour is None else {contour.re_line}
     if len(lines) != 1:
         raise ConfigError(f"a batch needs one contour for its z, not the lines {sorted(lines)}")
-    return _contour_quad(zs, T, lines.pop(), tol, KERNEL_KAPPA, KERNEL_EPS)[0]
+    return _contour_quad(zs, T, lines.pop(), tol)[0]
 
 
-def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
-                  eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _contour_quad(zs, T: float, sigma: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(G(z), half-grid estimate) for each z of zs: the trapezoid rule of
     the kernel integrand along Re(s) = sigma, all z on one lattice
     (`cutoffs._line_trapezoid`), from |Im s| <= CONTOUR_IM_START to 16 T.
@@ -318,7 +318,7 @@ def _contour_quad(zs, T: float, sigma: float, tol: float, kappa: float,
     log(max(T + t, 2) / 2 pi) gamma's Stirling phase rate at either end of
     |t| <= 16 T. tol bounds each z's last shell and half-grid estimate.
     """
-    h0 = h0_cutoff(T, kappa, eps)
+    h0 = h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
     # per z, as scalars: a lone z rounds as it always has
     log_xs = [3.0 * np.log(T) - np.log(4.0 * np.pi**2 * z) for z in zs]
     b_lo, b_hi = 3.0 * np.log(2.0 / TWO_PI), 3.0 * np.log(17.0 * T / TWO_PI)
@@ -407,7 +407,8 @@ class GKernelTable:
     spline stores G / exp(i phi) and the call restores the phase.
     `max_rel_error` records the spline's relative error at the ten
     validation z; a grid that misses TABLE_REL_TOL is doubled, at most
-    twice.
+    twice. Since the sums weighted by G (h2, h3) went, only `perfbench`'s
+    `mellin` workload builds the table; it goes when the benchmark drops it.
     """
 
     z_lo: float
@@ -420,16 +421,15 @@ class GKernelTable:
     max_rel_error: float = np.nan
 
     @classmethod
-    def build(cls, z_lo: float, z_hi: float, T: float, kappa: float = KERNEL_KAPPA,
-              eps: float = KERNEL_EPS) -> "GKernelTable":
+    def build(cls, z_lo: float, z_hi: float, T: float) -> "GKernelTable":
         if not 0.0 < z_lo < z_hi < np.inf:
             raise ConfigError("need 0 < z_lo < z_hi < inf")
         if not 1.0 < T < np.inf:
             raise ConfigError("T must be finite and exceed 1")
         if z_lo < 0.25:
             raise ConfigError("table covers the moderate-z regime (z >= 0.25) only")
-        u_lo = -kappa * np.log(T)
-        u_hi = np.log(2.0) - eps * np.log(T)
+        u_lo = -KERNEL_KAPPA * np.log(T)
+        u_hi = np.log(2.0) - KERNEL_EPS * np.log(T)
         u_mid = 0.5 * (u_lo + u_hi)
 
         # Node count from the residual phase rate after dividing the model
@@ -446,7 +446,7 @@ class GKernelTable:
         for _ in range(3):
             grid = np.geomspace(z_lo, z_hi, n)
             # the grid and the checks on the bounded-regime line Re(s) = 0
-            vals, _ = _contour_quad([*grid, *checks], T, 0.0, TABLE_TOL, kappa, eps)
+            vals, _ = _contour_quad([*grid, *checks], T, 0.0, TABLE_TOL)
             truths = vals[n:]
             hat = vals[:n] * np.exp(-1j * _model_phase(grid, T, u_mid))
             lg = np.log(grid)
@@ -478,13 +478,3 @@ class GKernelTable:
             1j * _model_phase(z, self.T, self.u_mid)
         )
         return complex(out[0]) if scalar else out
-
-    def h2(self, z):
-        """Real part of the tabulated kernel."""
-        out = self(z)
-        return out.real if isinstance(out, np.ndarray) else float(out.real)
-
-    def h3(self, z):
-        """Imaginary part of the tabulated kernel."""
-        out = self(z)
-        return out.imag if isinstance(out, np.ndarray) else float(out.imag)

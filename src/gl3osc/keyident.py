@@ -27,8 +27,8 @@ the sum stops, before gridding a shell that starts past that range, once
 the bound on all its further r is below tol/2, and `o_tail` is that bound.
 The instances of A01 and A09 stop after r = 8, and a pair with no
 stationary r >= 1, such as (10007, 3) at T = 500, builds no grid at all.
-An amplitude without a jet (the route amplitude of `sums`, the kernel
-table's weights) stops once twice the last shell's mass is below tol/2,
+An amplitude without a jet (the route amplitude of `sums`, whose h1
+weight has none) stops once twice the last shell's mass is below tol/2,
 an estimate. A shell is one shared-grid batch (`integrate_shifted`): every
 +-r of the shell on one grid with one evaluation of V. Its phases are
 geometric sequences in the integers r and n: an exponential per node heads
@@ -422,8 +422,9 @@ def lin_form_leading(inst: KeyIdentityInstance) -> complex:
 
 def dressing_constant(T: float, N: float) -> complex:
     """D = (2*pi/N)^(iT) * e(T/(2*pi)) * sqrt(T); |D| = sqrt(T)."""
-    if T <= 0.0 or N <= 0.0:
-        raise ConfigError("need T > 0 and N > 0")
+    # compared so that NaN and inf fail
+    if not (0.0 < T < np.inf and 0.0 < N < np.inf):
+        raise ConfigError("need finite T > 0 and N > 0")
     return complex(np.exp(1j * T * np.log(TWO_PI / N))
                    * np.exp(1j * T)
                    * np.sqrt(T))

@@ -21,13 +21,13 @@ fewer where E falls fast, and the last panel is cut at the support's end.
 E decreases, so no panel spans more than `span` radians, and E is evaluated
 once per run. Each panel gets a 16-point Gauss-Legendre rule with an
 embedded 8-point rule; the error estimate is 4x the summed embedded
-difference (conservative), plus a roundoff floor. Panel partial sums are reduced left to right with compensated
-summation, so results are bit-reproducible. Both integrators run one loop,
-`_halve_spans`, over rows that share the amplitude (`integrate_phase` is one
-row): a pass grids for the largest |c_lin| among the live rows, evaluates A
-once per node, and a row keeps the first pass that meets its tolerance. The
-span per panel is halved from pi until every row has, within
-DEFAULT_EVAL_BUDGET evaluations.
+difference (conservative), plus a roundoff floor. Panel partial sums are
+reduced left to right with compensated summation, so results are
+bit-reproducible. Both integrators run one loop, `_halve_spans`, over rows
+that share the amplitude (`integrate_phase` is one row): a pass grids for
+the largest |c_lin| among the live rows, evaluates A once per node, and a
+row keeps the first pass that meets its tolerance. The span per panel is
+halved from pi until every row has, within DEFAULT_EVAL_BUDGET evaluations.
 
 Shifted integrals come in batches only: the Poisson dual sum of a weighted
 n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at

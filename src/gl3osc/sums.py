@@ -1,7 +1,7 @@
 """Weighted coefficient sums along three routes with cross-route comparison.
 
 The object is S(Y) = integral of the diagonal Whittaker average against
-f0(y) g(y/Y) y^(iT-1/2) d*y, computed as:
+f0(y) g(y/Y) y^(iT-1/2) d*y, f0 the paper's dyadic weight h1, computed as:
 
   * sum route: C_T T^(-1/2) sum_n a(1,n) n^(-1/2-iT)
     f0(T^(3/2)/(2 pi n)) g(T^(3/2)/(2 pi n Y)); g truncates n to the dyadic
@@ -31,25 +31,22 @@ import numpy as np
 from .coeffs import CoefficientTable
 from .cutoffs import Cutoff, g_cutoff, h1_cutoff, v0_cutoff, weight_w0_w
 from .errors import ConfigError, TableTooSmallError
-from .gammafactor import GKernelTable
 from .keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
 from .oscquad import _TABLE_ELEMENTS, OscInstance, integrate_main
 from .util import LATTICE_BLOCK, TWO_PI, _lattice_exp, kahan_csum
 from .whittaker import c_constant
 
 # Absolute sum-versus-integral envelope K_ROUTE_34 * T^(-0.7); calibrated on
-# the d3 model over T in {100, 200, 500} and all three f0 choices, 4x cushion
-# over the worst measured ratio (27.4 at T = 500, h1; the per-n stationary
-# errors share the main term's phase, so they add coherently and the gap
-# wanders below the envelope rather than decaying monotonically).
+# the d3 model over T in {100, 200, 500} and the weights h1, h2, h3 (the last
+# two since removed), 4x cushion over the worst ratio (27.4 at T = 500, h1;
+# the per-n stationary errors share the main term's phase, so they add
+# coherently and the gap wanders below the envelope, not decaying monotonically).
 K_ROUTE_34 = 110.0
 
 # Per-n stationary-phase replacement envelope K_SP_REL * T^(-3/2), weighted
 # by |a(1,n)| w(n/N) (and N/n on the integral-only fringe); calibrated on the
 # d3 model at T in {100, 200}, 4x cushion over the worst ratio (0.83 at 200).
 K_SP_REL = 3.5
-
-F0_CHOICES = ("h1", "h2", "h3")
 
 # the paper's fixed parameters: the dyadic window exponents kappa, eps of
 # h0/h1 (Y ranges over [T^-eps, T^kappa]), and the bump V0 = v0_cutoff(C1)
@@ -61,12 +58,11 @@ C1 = 1.0
 
 @dataclass(frozen=True)
 class SumSpec:
-    """One sum configuration: frequency T, window Y, weight choice, table."""
+    """One sum configuration: frequency T, window Y, coefficient table, tol."""
 
     T: float
     table: CoefficientTable
     Y: float = 4.0 * np.pi
-    f0_choice: str = "h1"
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -77,42 +73,20 @@ class SumSpec:
             raise ConfigError("tol must be finite and positive")
         if not (self.T**-WINDOW_EPS <= self.Y <= self.T**WINDOW_KAPPA):
             raise ConfigError("Y must lie in [T^-eps, T^kappa]")
-        if self.f0_choice not in F0_CHOICES:
-            raise ConfigError(f"f0_choice must be one of {F0_CHOICES}")
         need = 2 * int(np.ceil(self.T ** (1.5 + WINDOW_EPS)))
         if self.table.x_max < need:
             raise TableTooSmallError(
                 f"table covers {self.table.x_max}, sum support needs {need}")
-        if self.f0_choice != "h1" and self._kernel_range()[0] < 0.25:
-            raise ConfigError(
-                "h2/h3 weights need Y >= 2 pi so the kernel argument stays "
-                "in the tabulated moderate-z regime")
 
     @property
     def N(self) -> float:
         """The dyadic center T^(3/2)/Y of the coefficient window."""
         return self.T**1.5 / self.Y
 
-    def _kernel_range(self) -> tuple[float, float]:
-        # the fixed amplitude V queries f0 on (Y/(8 pi), (1+C1) Y/(2 pi));
-        # the g-windowed routes stay inside [Y/(4 pi), Y/(2 pi)]
-        return (0.995 * self.Y / (4.0 * TWO_PI),
-                1.005 * (1.0 + C1) * self.Y / TWO_PI)
-
-    @cached_property
-    def _kernel_table(self) -> GKernelTable | None:
-        if self.f0_choice == "h1":
-            return None
-        lo, hi = self._kernel_range()
-        return GKernelTable.build(lo, hi, self.T, kappa=WINDOW_KAPPA, eps=WINDOW_EPS)
-
     @cached_property
     def f0(self):
-        """The weight as an array-in, array-out callable."""
-        if self.f0_choice == "h1":
-            return h1_cutoff(self.T, WINDOW_KAPPA, WINDOW_EPS).fn
-        table = self._kernel_table
-        return table.h2 if self.f0_choice == "h2" else table.h3
+        """The dyadic weight h1 as an array-in, array-out callable."""
+        return h1_cutoff(self.T, WINDOW_KAPPA, WINDOW_EPS).fn
 
     def sum_window(self) -> tuple[int, int]:
         """Indices with g(T^(3/2)/(2 pi n Y)) nonzero: the open (N, 2N)."""

@@ -31,13 +31,14 @@ _RUN_DROP = 1.0 / 8.0
 def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """exp(i (head + k step)) for each integer k >= 0 of `offsets`.
 
-    Returns shape (offsets.size,) + head.shape; step broadcasts against head. The rows are a geometric
-    sequence: the smallest wanted offset not yet covered heads a run of
-    LATTICE_BLOCK consecutive offsets with an exact np.exp, and the run's
-    other wanted rows are reached by products with exp(i step). So no row
-    is more than LATTICE_BLOCK - 1 products from an exact exponential, a
-    lone offset costs one exponential and gets np.exp's bits, and no set
-    of offsets costs more exponentials than it has rows.
+    Returns shape (offsets.size,) + head.shape; step broadcasts against
+    head. The rows are a geometric sequence: the smallest wanted offset not
+    yet covered heads a run of LATTICE_BLOCK consecutive offsets with an
+    exact np.exp, and the run's other wanted rows are reached by products
+    with exp(i step). So no row is more than LATTICE_BLOCK - 1 products from
+    an exact exponential, a lone offset costs one exponential and gets
+    np.exp's bits, and no set of offsets costs more exponentials than it has
+    rows.
     """
     out = np.empty((offsets.size,) + head.shape, dtype=complex)
     w = None
@@ -121,10 +122,10 @@ def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
     than `span` radians of phase. A rate-bound run holds for up to
     _PANEL_RUN panels, but not so far that the secant from the last run
     lets a falling convex rate drop by more than _RUN_DROP of r; a
-    rate-bound first run, which has no secant, is one panel. The last panel is cut at hi and is a run of its own. Returns
-    (edges, panels per run, width per run); raises ConfigError on a
-    non-finite rate, and ToleranceUnreachableError once more than
-    max_panels panels are needed.
+    rate-bound first run, which has no secant, is one panel. The last
+    panel is cut at hi and is a run of its own. Returns (edges, panels per
+    run, width per run); raises ConfigError on a non-finite rate, and
+    ToleranceUnreachableError once more than max_panels panels are needed.
     """
     # plain floats: the same rounding as numpy scalars, at a fraction of the cost
     lo, hi, cap, span = float(lo), float(hi), float(cap), float(span)

@@ -52,13 +52,13 @@ class LocalZetaParams:
     c1: float = 1.0
 
     def __post_init__(self):
-        # compared so that NaN fails
-        if not self.T > 0.0:
-            raise ConfigError("T must be positive")
-        if not (-0.5 <= self.s.real <= 0.5):
-            raise ConfigError("Re(s) must lie in [-1/2, 1/2]")
-        if not self.c1 > 0.0:
-            raise ConfigError("c1 must be positive")
+        # compared so that NaN and inf fail
+        if not 0.0 < self.T < np.inf:
+            raise ConfigError("T must be finite and positive")
+        if not (-0.5 <= self.s.real <= 0.5 and abs(self.s.imag) < np.inf):
+            raise ConfigError("Re(s) must lie in [-1/2, 1/2] and Im(s) be finite")
+        if not 0.0 < self.c1 < np.inf:
+            raise ConfigError("c1 must be finite and positive")
 
 
 def _power_amplitude(c1: float, exponent: float) -> Cutoff:
@@ -94,8 +94,9 @@ def c_constant(T: float, c1: float = 1.0) -> complex:
     |C_T| = 2*pi * V0(1/(2*pi)) and the phase rotates with derivative
     (3/2) ln T + 1/2 - ln(2*pi) in T.
     """
-    if T <= 0.0:
-        raise ConfigError("T must be positive")
+    # compared so that NaN and inf fail
+    if not 0.0 < T < np.inf:
+        raise ConfigError("T must be finite and positive")
     vstar = float(v0_cutoff(c1)(ONE_OVER_2PI))
     return complex(TWO_PI * np.exp(-1j * T * np.log(TWO_PI))
                    * np.exp(-0.25j * np.pi)

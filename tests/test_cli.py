@@ -40,6 +40,8 @@ def test_run_config_validates_fields():
     with pytest.raises(ConfigError):
         RunConfig(command="bump", c1=0.0)
     with pytest.raises(ConfigError):
+        RunConfig(command="coeffs", seed=-1)
+    with pytest.raises(ConfigError):
         RunConfig(command="scaling", grid=(250.0,))
     with pytest.raises(ConfigError):
         RunConfig(command="scaling", grid=(250.0, 5.0))
@@ -82,6 +84,18 @@ def test_non_finite_flags_exit_2_and_are_named(capsys, argv, named):
     # NaN slips past every <= check, inf past the lower bounds
     assert main(argv) == 2
     assert f"config error: {named}\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "suite"])
+def test_negative_seed_exits_2_before_any_battery(monkeypatch, capsys, command):
+    # numpy's generators refuse a negative seed with a ValueError, exit 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("a battery ran")
+
+    monkeypatch.setattr(cli.criteria, "bump_battery", refuse)
+    monkeypatch.setattr(cli.criteria, "coeff_battery", refuse)
+    assert main([command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "config error: seed must be non-negative\n"
 
 
 # a valid value for each flag but --out

@@ -141,6 +141,20 @@ def test_window_parameter_validation():
             window(1000.0, 1.0 / 18.0, -0.01)
         with pytest.raises(ConfigError):
             window(0.5, 1.0 / 18.0, 0.01)  # T <= 1
+        # NaN and inf passed the old `<=` checks: (inf, 1/18, 0) gave h0 the
+        # support [0, 2] and (inf, 1, 0) gave h1 the support [1, inf]
+        for T, kappa, eps in ((math.nan, 1.0 / 18.0, 0.01), (math.inf, 1.0 / 18.0, 0.0),
+                              (math.inf, 1.0, 0.0), (1000.0, math.inf, 0.01),
+                              (1000.0, math.nan, 0.01), (1000.0, 1.0 / 18.0, math.nan)):
+            with pytest.raises(ConfigError):
+                window(T, kappa, eps)
+
+
+@pytest.mark.parametrize("c1", [0.0, math.nan, math.inf])
+def test_v0_refuses_a_bad_c1(c1):
+    # c1 = inf had built a bump with support_hi = inf
+    with pytest.raises(ConfigError):
+        v0_cutoff(c1)
 
 
 def test_h0_support_matches_window_geometry():

@@ -310,12 +310,9 @@ def test_kernel_table_accuracy_and_parts():
     direct = np.array([g_kernel(float(z), T, tol=1e-10) for z in zs])
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(via - direct)) <= 0.02 * scale
-    np.testing.assert_allclose(table.h2(zs) + 1j * table.h3(zs), via, atol=0.0)
     # scalar calls agree with vectorized ones bit for bit
     for z, v in zip(zs, via):
         assert table(float(z)) == v
-        assert table.h2(float(z)) == v.real
-        assert table.h3(float(z)) == v.imag
     sweep = np.concatenate([[0.5, 2.0], np.random.default_rng(7).uniform(0.5, 2.0, 200)])
     assert all(table(float(z)) == w for z, w in zip(sweep, table(sweep)))
 
@@ -454,7 +451,7 @@ def test_shared_contour_grid_matches_each_z_alone():
     # every z has converged: each value is the lone z's within the tolerance
     T = 100.0
     zs = np.linspace(0.5, 2.0, 8)
-    batch, _ = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
+    batch, _ = _contour_quad(zs, T, 0.0, TABLE_TOL)
     alone = np.array([g_kernel(float(z), T, tol=TABLE_TOL) for z in zs])
     assert np.max(np.abs(batch - alone)) <= TABLE_TOL
 
@@ -477,8 +474,8 @@ def test_contour_estimate_lies_above_its_error(T):
     # the half-grid estimate at the table's tolerance against a tol-1e-13
     # value: a bound in practice, though the rule gives no proof
     zs = [0.5, 1.0, 2.0]
-    values, est = _contour_quad(zs, T, 0.0, TABLE_TOL, KERNEL_KAPPA, KERNEL_EPS)
-    ref, _ = _contour_quad(zs, T, 0.0, 1e-13, KERNEL_KAPPA, KERNEL_EPS)
+    values, est = _contour_quad(zs, T, 0.0, TABLE_TOL)
+    ref, _ = _contour_quad(zs, T, 0.0, 1e-13)
     assert np.all(est <= TABLE_TOL / 2.0)
     assert np.all(np.abs(values - ref) < est)
 

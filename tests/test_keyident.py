@@ -274,6 +274,10 @@ def test_dressing_constant_modulus():
         dressing_constant(0.0, 10.0)
     with pytest.raises(ConfigError):
         dressing_constant(10.0, 0.0)
+    # (nan, 1) and (100, inf) had returned NaN with RuntimeWarnings
+    for T, N in ((math.nan, 1.0), (100.0, math.nan), (math.inf, 1.0), (100.0, math.inf)):
+        with pytest.raises(ConfigError):
+            dressing_constant(T, N)
 
 
 def test_amplifier_spec_at_desk_scales():

@@ -79,8 +79,6 @@ def test_spec_validation_rejects_bad_fields(table_100):
         SumSpec(T=100.0, table=table_100, tol=0.0)
     with pytest.raises(ConfigError):
         SumSpec(T=100.0, table=table_100, Y=2000.0)  # above T^kappa
-    with pytest.raises(ConfigError):
-        SumSpec(T=100.0, table=table_100, f0_choice="h9")
 
 
 def test_spec_rejects_short_table():
@@ -92,12 +90,6 @@ def test_spec_rejects_short_table():
 def test_spec_refuses_non_finite_t_and_tol(table_100, T, tol):
     with pytest.raises(ConfigError):
         SumSpec(T=T, table=table_100, tol=tol)
-
-
-def test_h2_weight_needs_wide_window(table_100):
-    # Y = 1 drags the kernel argument below the tabulated moderate-z floor
-    with pytest.raises(ConfigError):
-        SumSpec(T=100.0, table=table_100, Y=1.0, f0_choice="h2")
 
 
 def test_windows_match_support_arithmetic(spec_100):
@@ -302,13 +294,3 @@ def test_envelope_scales_with_table_mass():
     assert env > 0.0
     assert env2 == pytest.approx(2.0 * env, rel=1e-12)
 
-
-def test_h2_weight_route_end_to_end():
-    # the kernel table is the expensive piece; one build covers the test
-    T = 60.0
-    spec = SumSpec(T=T, table=_d3_table(T), f0_choice="h2")
-    s_sum = s_sum_form(spec)
-    s_int = _integral_route(spec)[0]
-    # h2 concentrates far from the h1 plateau, so both routes are small
-    assert abs(s_sum) < 0.1
-    assert abs(s_sum - s_int) <= K_ROUTE_34 * T**-0.7

@@ -29,6 +29,15 @@ def test_zeta_params_refuse_nan(field):
         LocalZetaParams(**{"T": 100.0, field: math.nan})
 
 
+@pytest.mark.parametrize("field, value", [("T", math.inf), ("c1", math.inf),
+                                          ("s", complex(0.0, math.inf))])
+def test_zeta_params_refuse_inf(field, value):
+    # c1 = inf was accepted, and local_zeta then spent its whole panel
+    # budget before it raised ToleranceUnreachableError
+    with pytest.raises(ConfigError):
+        LocalZetaParams(**{"T": 100.0, field: value})
+
+
 def test_zeta_level_matches_constant_modulus():
     # |Z| * sqrt(T) settles at |C_T| = 2*pi*V0(1/(2*pi))
     T = 2000.0
@@ -93,6 +102,10 @@ def test_c_constant_modulus_is_t_independent():
 def test_c_constant_rejects_nonpositive_t():
     with pytest.raises(ConfigError):
         c_constant(0.0)
+    # a NaN T had returned NaN with RuntimeWarnings
+    for T, c1 in ((math.nan, 1.0), (math.inf, 1.0), (100.0, math.nan), (100.0, math.inf)):
+        with pytest.raises(ConfigError):
+            c_constant(T, c1)
 
 
 def test_c_constant_phase_rotation_rate():
