@@ -38,11 +38,13 @@ exponentials per node, not eight.
 
 One pair loop (`_pair_terms`) serves verify_key_identity and
 amplified_average. M and the tail bound's q_m depend on the amplitude, T,
-N and n, never on (p, l): a call makes each once for all its pairs. The
-dual sum dualizes a weighted n-sum whole: sum_n c_n O_n is the dual sum of
-V(x) x^(-iT) sum_n c_n e(-nT/(Nx)), so a shell has one row per +-r, and
-the tolerances scale with sum_n |c_n|. A01 and A09 run one n of weight 1;
-the discretized route of `sums` hands its whole weighted window to a pair.
+N and n, never on (p, l): a call makes each once for all its pairs. Both
+sides take a weighted n-sum whole, one call each per pair. The windowed
+sum sum_n c_n A_n forms V(rh) and r^(-iT) once for all n (`riemann_side`).
+The dual sum sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n
+e(-nT/(Nx)), so a shell has one row per +-r, and the tolerances scale
+with sum_n |c_n|. A01 and A09 run one n of weight 1; the discretized
+route of `sums` hands its whole weighted window to a pair.
 
 The amplifier's weight 1 / (D(P) D(L)), with D(x) = li(2x) - li(x), is
 computed here (`_li_segment`: a positive series below x = e, one GL16 panel
@@ -60,7 +62,8 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, TailNotConvergedError
-from .oscquad import OscInstance, integrate_main, integrate_shifted, probe_amplitude
+from .oscquad import (_TABLE_ELEMENTS, OscInstance, integrate_main, integrate_shifted,
+                      probe_amplitude)
 from .util import GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 
 # the dual sum's first shell is r in [1, FIRST_SHELL_R]; MAX_R is the hard
@@ -129,27 +132,36 @@ class KeyIdentityInstance:
         return lo, hi
 
 
-def riemann_side(inst: KeyIdentityInstance) -> complex:
-    """The exact windowed sum A = h^(1-iT) sum_r r^(-iT) e(-np/(l*r)) V(r*h).
+def riemann_side(inst: KeyIdentityInstance, ns=None, cs=None) -> complex:
+    """The exact windowed sum sum_n c_n A_n over the integers n of `ns` with
+    the weights `cs` (default inst.n alone, weight 1), where
+    A_n = h^(1-iT) sum_r r^(-iT) e(-np/(l*r)) V(r*h).
 
-    Only indices with r*h inside the amplitude support contribute. Summed in
-    ascending index order, compensated.
+    Only indices with r*h inside the amplitude support contribute. V(rh)
+    and r^(-iT) are formed once for all n; each r's weighted n-sum is an
+    elementwise product summed down an (n, r) table of the unit phases
+    (no matrix product, see `PanelGrid.reduce`), in blocks of n whose
+    tables hold _TABLE_ELEMENTS entries. The r-sum runs in ascending index
+    order, compensated.
     """
     h = inst.h
     r_lo, r_hi = inst.index_window()
     if r_hi < r_lo:
         return 0.0 + 0.0j
+    ns = np.asarray([inst.n] if ns is None else ns, dtype=np.int64)
+    cs = np.ones(ns.size) if cs is None else np.asarray(cs)
     rs = np.arange(r_lo, r_hi + 1, dtype=np.int64)
-    vals = inst.amplitude(rs * h)
+    vals = inst.amplitude(rs * h) * np.exp(-1j * inst.T * np.log(rs.astype(float)))
     # reduce the rational phase np/(l*r) mod 1 in integer arithmetic so the
     # unit exponential never sees a large argument
     denom = inst.l * rs
-    frac = ((inst.n * inst.p) % denom) / denom.astype(float)
-    terms = (vals
-             * np.exp(-1j * inst.T * np.log(rs.astype(float)))
-             * np.exp(-1j * TWO_PI * frac))
+    block = max(1, _TABLE_ELEMENTS // rs.size)
+    phases = 0.0
+    for i in range(0, ns.size, block):
+        frac = ((ns[i:i + block, None] * inst.p) % denom) / denom.astype(float)
+        phases = phases + np.sum(cs[i:i + block, None] * np.exp(-1j * TWO_PI * frac), axis=0)
     prefactor = h * np.exp(-1j * inst.T * np.log(h))
-    return complex(prefactor * kahan_csum(terms))
+    return complex(prefactor * kahan_csum(vals * phases))
 
 
 def _riemann_rounding(inst: KeyIdentityInstance) -> float:
@@ -342,8 +354,7 @@ def _pair_terms(base: KeyIdentityInstance, pairs, ns, cs):
     tail = _IbpTail(base.osc, ns, cs) if base.amplitude.jet is not None else None
     for p, l in pairs:
         inst = replace(base, p=p, l=l)
-        a = kahan_csum([c * riemann_side(replace(inst, n=int(n))) for n, c in zip(ns, cs)])
-        yield inst, a, _poisson_terms(inst, ns, cs, tail)
+        yield inst, riemann_side(inst, ns, cs), _poisson_terms(inst, ns, cs, tail)
 
 
 @dataclass(frozen=True)

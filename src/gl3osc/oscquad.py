@@ -110,13 +110,13 @@ class OscInstance:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        # compared so that NaN fails
-        if not (self.T >= 0.0 and self.N > 0.0):
-            raise ConfigError("need T >= 0 and N > 0")
+        # compared so that NaN and inf fail
+        if not (0.0 <= self.T < np.inf and 0.0 < self.N < np.inf):
+            raise ConfigError("need finite T >= 0 and N > 0")
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
-        if not self.tol > 0.0:
-            raise ConfigError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ConfigError("tol must be finite and positive")
         if self.amplitude.support_lo <= 0.0:
             raise ConfigError("amplitude support must sit inside (0, inf)")
 

@@ -13,9 +13,9 @@ f0(y) g(y/Y) y^(iT-1/2) d*y, f0 the paper's dyadic weight h1, computed as:
     stationary-phase replacement trades V_n for w0(n/N) times the fixed
     amplitude V(x) = V0(1/x) f0(Y/x)/sqrt(x), and the weighted sum of the
     Mhat_n is recovered whole from the windowed-sum-minus-dual-sum identity
-    averaged over an amplifier's prime pairs: each pair dualizes the n-sum
-    with weights c_n = a(1,n) w(n/N) at once, one dual sum per pair rather
-    than one per n.
+    averaged over an amplifier's prime pairs: each pair takes the n-sum
+    with weights c_n = a(1,n) w(n/N) whole on both sides, one windowed sum
+    and one dual sum per pair rather than one of each per n.
 
 The first two differ by the transformation formula's O(T^(-3/4+eps)) tail;
 the last two by the per-n O(T^(-3/2)) replacement error. Both envelopes
@@ -209,21 +209,17 @@ def _keyident_route(spec: SumSpec,
             f"sum window reaches {n_hi}, table covers {spec.table.x_max}")
     # each pair's identity residual obeys the enforced tolerance-share bound
     pair_budget = 10.0 * 2.0 * spec.tol
-    ns, cs, err = [], [], 0.0
-    for n in range(n_lo, n_hi + 1):
-        a = spec.table.values[n]
-        if a == 0.0:
-            continue
-        _, w = weight_w0_w(n / spec.N)
-        if w != 0.0:
-            ns.append(n)
-            cs.append(a * w)
-            err += abs(a) * w * pair_budget
+    ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
+    a = spec.table.values[ns]
+    _, w = weight_w0_w(ns / spec.N)
+    live = (a != 0.0) & (w != 0.0)
+    ns, cs = ns[live], a[live] * w[live]
+    err = float(np.sum(np.abs(a[live]) * w[live] * pair_budget))
     total = 0.0 + 0.0j
-    if ns:
-        # the whole weighted window is one n-sum, dualized once per pair
+    if ns.size:
+        # the whole weighted window is one n-sum, summed and dualized once per pair
         p0, l0 = amp.pairs[0]
-        base = KeyIdentityInstance(T=spec.T, n=ns[0], N=spec.N, p=p0, l=l0,
+        base = KeyIdentityInstance(T=spec.T, n=int(ns[0]), N=spec.N, p=p0, l=l0,
                                    tol=spec.tol, amplitude=_v_cutoff(spec))
         a_avg, o_avg = amplified_average(base, amp, ns, cs)
         total = (a_avg - o_avg) / amp.weighted_pair_count()

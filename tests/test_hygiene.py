@@ -1,5 +1,6 @@
 """Static guards on the package: no dead imports, no unreferenced objects,
-no setting with a default that no call sets, and no scipy import.
+no setting with a default that no call sets, no parameter that every call
+sets alike, and no scipy import.
 
 All read the source with the standard library's `ast`, so they need no
 linter. A name counts as referenced when it is read as an attribute, spelled
@@ -281,6 +282,160 @@ def test_every_setting_has_a_caller():
     assert not UNSET_ALLOWED - unset, (
         "UNSET_ALLOWED entries that name no unset setting:\n"
         + "\n".join(sorted(UNSET_ALLOWED - unset)))
+
+
+def _top_level_bindings(path: Path, tree: ast.Module) -> dict:
+    """Names bound at a file's top level -> what they name: "module.name"
+    of an import's source, or "file:name" for a definition of the file."""
+    bound = {name: f"{path}:{name}" for name in _definitions(tree)}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = alias.name
+        elif isinstance(node, ast.ImportFrom):
+            # relative imports appear in the package only
+            source = ".".join(filter(None, ["gl3osc" if node.level else "", node.module]))
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{source}.{alias.name}"
+    return bound
+
+
+def _local_names(fn) -> set:
+    """Every name a function binds anywhere in its body, nested scopes
+    included: its parameters, assignments, loop targets, defs and imports."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node is not fn:
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def _fixed_value(node, top: dict, local: set):
+    """What an argument always is, or None: a literal, or a module-level
+    name (or an attribute of one) that no enclosing function rebinds."""
+    try:
+        ast.literal_eval(node)
+        return ("literal", ast.dump(node))
+    except ValueError:
+        pass
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in top and node.id not in local:
+        return ("name", ".".join([top[node.id]] + attrs[::-1]))
+    return None
+
+
+def _signatures() -> dict:
+    """callee name -> list of (setting id, parameter names by position,
+    keyword-only names) for every package function, method and class
+    __init__; a method's self or cls is not passed."""
+    out = {}
+
+    def add(name, key, fn, method):
+        positional, _ = _signature(fn, method)
+        keyword_only = [a.arg for a in fn.args.kwonlyargs]
+        out.setdefault(name, []).append((key, positional, keyword_only))
+
+    for path in _modules():
+        mod = path.stem
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(node.name, f"{mod}.{node.name}", node, method=False)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        add(node.name if item.name == "__init__" else item.name,
+                            f"{mod}.{node.name}.{item.name}", item, method=True)
+    return out
+
+
+def _passed_values() -> dict:
+    """callee name -> per call in USERS, {parameter name or position:
+    fixed value or None}, with "*" or "**" present when the call unpacks."""
+    calls = {}
+
+    def visit(node, top, local):
+        for child in ast.iter_child_nodes(node):
+            inner = local
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                inner = local | _local_names(child)
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name is not None:
+                    given = {i: _fixed_value(a, top, inner) for i, a in enumerate(child.args)}
+                    if any(isinstance(a, ast.Starred) for a in child.args):
+                        given["*"] = None
+                    for kw in child.keywords:
+                        given[kw.arg if kw.arg is not None else "**"] = (
+                            None if kw.arg is None else _fixed_value(kw.value, top, inner))
+                    calls.setdefault(name, []).append(given)
+            visit(child, top, inner)
+
+    for folder in USERS:
+        for path in folder.glob("*.py"):
+            tree = _tree(path)
+            visit(tree, _top_level_bindings(path, tree), set())
+    return calls
+
+
+def _single_valued_parameters() -> set:
+    """Package parameters that every call, at least two of them, passes
+    explicitly as one and the same literal or module-level name."""
+    calls = _passed_values()
+    fixed = set()
+    for name, defs in _signatures().items():
+        sites = calls.get(name, [])
+        if len(sites) < 2:
+            continue
+        for key, positional, keyword_only in defs:
+            for at, param in enumerate(positional + keyword_only):
+                values = []
+                for given in sites:
+                    if "*" in given or "**" in given:
+                        values.append(None)
+                    elif at < len(positional) and at in given:
+                        values.append(given[at])
+                    else:
+                        values.append(given.get(param))
+                if values[0] is not None and values.count(values[0]) == len(values):
+                    fixed.add(f"{key}.{param}")
+    return fixed
+
+
+# parameters that every call sets alike, each with its reason
+FIXED_ALLOWED = {
+    # both callers pass kahan_csum, but each through its own module's
+    # binding: the benchmark's layer trace wraps gammafactor.kahan_csum to
+    # count the contour's parity columns, and the mellin workload reaches
+    # that binding only through this argument
+    "cutoffs._line_trapezoid.add",
+}
+
+
+def test_no_parameter_takes_one_value_at_every_call():
+    # a parameter every call sets alike is a constant spelled at each call
+    fixed = _single_valued_parameters()
+    assert not fixed - FIXED_ALLOWED, (
+        "parameters that every call in src/, demos/ or perfbench/ passes as the "
+        "same literal or module-level name:\n" + "\n".join(sorted(fixed - FIXED_ALLOWED)))
+    assert not FIXED_ALLOWED - fixed, (
+        "FIXED_ALLOWED entries that name no such parameter:\n"
+        + "\n".join(sorted(FIXED_ALLOWED - fixed)))
+    # the rule tells a module-level name from a local that shares it
+    top = {"kahan_csum": "gl3osc.util.kahan_csum"}
+    arg = ast.parse("kahan_csum", mode="eval").body
+    assert _fixed_value(arg, top, set()) == ("name", "gl3osc.util.kahan_csum")
+    assert _fixed_value(arg, top, {"kahan_csum"}) is None
 
 
 def _scipy_imports(tree: ast.Module) -> list:

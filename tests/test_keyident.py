@@ -63,6 +63,9 @@ def test_instance_validation():
         KeyIdentityInstance(T=250.0, n=0, N=10.0, p=7, l=2)
     with pytest.raises(ConfigError):
         KeyIdentityInstance(T=250.0, n=5, N=0.0, p=7, l=2)
+    # N = inf would give the step h = 0
+    with pytest.raises(ConfigError):
+        KeyIdentityInstance(T=500.0, n=1, N=math.inf, p=5, l=3)
     with pytest.raises(ConfigError):
         _instance(250.0, 4, 3)
     with pytest.raises(ConfigError):
@@ -88,6 +91,11 @@ def test_step_and_index_window():
 def test_riemann_side_matches_frozen_golden():
     a = riemann_side(_instance(1000.0, 7, 2))
     assert abs(a - GOLDEN_A) < 1e-14
+
+
+def test_one_n_window_keeps_the_bits():
+    inst = _instance(1000.0, 7, 2)
+    assert riemann_side(inst, [inst.n], [1.0]) == riemann_side(inst)
 
 
 def test_riemann_rounding_bounds_the_windowed_sum():

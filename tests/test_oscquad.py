@@ -65,6 +65,14 @@ def test_instance_refuses_nan(field):
         OscInstance(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["T", "N", "tol"])
+def test_instance_refuses_inf(field):
+    # N = inf drops the e(-nT/(Nx)) phase and tol = inf stops after one pass
+    kwargs = {"T": 100.0, "n": 3, "N": 10.0, "tol": 1e-9, field: math.inf}
+    with pytest.raises(ConfigError):
+        OscInstance(**kwargs)
+
+
 def test_phase_stationary_at_predicted_point():
     T, n, N = 300.0, 7, 40.0
     x0 = TWO_PI * n / N

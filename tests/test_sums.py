@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gl3osc import sums
+from gl3osc import keyident, sums
 from gl3osc.coeffs import CoefficientTable, synth_eisenstein
 from gl3osc.cutoffs import Cutoff, g_cutoff, v0_cutoff
 from gl3osc.errors import ConfigError, TableTooSmallError
 from gl3osc.gammafactor import LanglandsParams
 from gl3osc.cutoffs import weight_w0_w
-from gl3osc.keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
+from gl3osc.keyident import (AmplifierSpec, KeyIdentityInstance, _riemann_rounding,
+                             amplified_average, riemann_side)
 from gl3osc.oscquad import OscInstance, integrate_main
 from gl3osc.sums import (
     C1,
@@ -25,7 +26,7 @@ from gl3osc.sums import (
     _keyident_route,
     _v_cutoff,
 )
-from gl3osc.util import TWO_PI
+from gl3osc.util import TWO_PI, kahan_csum
 from gl3osc.whittaker import c_constant
 
 D3 = LanglandsParams(alpha=(0.0j, 0.0j, 0.0j))
@@ -246,6 +247,56 @@ def test_keyident_route_matches_one_n_at_a_time():
     # both sides hold every pair's identity to its tolerance share
     assert key_err > 0.0
     assert abs(s_key - want) <= 2.0 * key_err
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["one-table", "blocks"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["d3", "sparse"])
+def test_weighted_riemann_side_is_the_sum_of_each_n(table_100, sparse, blocks, monkeypatch):
+    # the route's window (n, a(1,n) w(n/N)) in one call against each n's
+    # own windowed sum, summed compensated as the pair loop did per n;
+    # "blocks" splits the (n, r) phase table into blocks of a few n
+    T = 100.0
+    spec = SumSpec(T=T, table=_sparse_table(T, SPARSE_100) if sparse else table_100, tol=1e-6)
+    lo, hi = spec.sum_window()
+    ns = np.arange(lo, hi + 1)
+    a = spec.table.values[ns]
+    _, w = weight_w0_w(ns / spec.N)
+    live = (a != 0.0) & (w != 0.0)
+    ns, cs = ns[live], a[live] * w[live]
+    p, l = _single_pair_amp(T).pairs[0]
+    inst = KeyIdentityInstance(T=T, n=int(ns[0]), N=spec.N, p=p, l=l, tol=spec.tol,
+                               amplitude=_v_cutoff(spec))
+    if blocks:
+        r_lo, r_hi = inst.index_window()
+        monkeypatch.setattr(keyident, "_TABLE_ELEMENTS", 2 * (r_hi - r_lo + 1))
+    got = riemann_side(inst, ns, cs)
+    want = kahan_csum([c * riemann_side(replace(inst, n=int(n))) for n, c in zip(ns, cs)])
+    assert got != 0.0
+    assert abs(got - want) <= float(np.sum(np.abs(cs))) * _riemann_rounding(inst)
+
+
+def test_keyident_route_sums_each_pair_once(monkeypatch):
+    # one windowed sum per prime pair, of the whole weighted window, and
+    # one instance per pair besides the route's own: none per n
+    sums_of, built = [], []
+    real_sum, real_init = keyident.riemann_side, KeyIdentityInstance.__post_init__
+
+    def counted_sum(inst, ns=None, cs=None):
+        sums_of.append(1 if ns is None else len(ns))
+        return real_sum(inst, ns, cs)
+
+    def counted_init(inst):
+        built.append(inst.n)
+        real_init(inst)
+
+    monkeypatch.setattr(keyident, "riemann_side", counted_sum)
+    monkeypatch.setattr(KeyIdentityInstance, "__post_init__", counted_init)
+    spec = SumSpec(T=100.0, table=_sparse_table(100.0, SPARSE_100), tol=1e-6)
+    amp = AmplifierSpec.for_t(100.0)
+    _keyident_route(spec, amp)
+    assert len(amp.pairs) == 4
+    assert sums_of == [len(SPARSE_100)] * len(amp.pairs)
+    assert len(built) == 1 + len(amp.pairs)
 
 
 def test_support_padding_changes_nothing(table_100):
