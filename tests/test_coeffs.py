@@ -1,10 +1,12 @@
-"""Tests for coefficient tables: parsing, the triple-divisor model, growth."""
+"""Tests for coefficient tables: parsing, the triple-divisor model, growth,
+and the A11 battery that checks them."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gl3osc import coeffs
+from gl3osc import coeffs, criteria
 from gl3osc.coeffs import (
     _HEADER,
     MAX_X_MAX,
@@ -228,6 +230,24 @@ def test_round_trip_is_bit_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def test_save_writes_every_nan_as_python_nan(tmp_path):
+    # repr drops a NaN's sign, so -nan loads back as float("nan"); every
+    # other value (-0.0 and inf among them) keeps its bits
+    p = tmp_path / "t.csv"
+    p.write_text(LOADER_INPUTS["python syntax"], encoding="utf-8")
+    first = load_coefficients(p)
+    assert _bits(first.values[3].real) == 0xFFF8000000000000
+    save_coefficients(first, p)
+    back = load_coefficients(p)
+    assert _bits(back.values[3].real) == _bits(float("nan")) == 0x7FF8000000000000
+    keep = ~np.isnan(first.values.view(float))
+    assert back.values.view(float)[keep].tobytes() == first.values.view(float)[keep].tobytes()
+
+
 def _per_row_save(table, path):
     # the reference: one write per row, each float's repr
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -363,3 +383,88 @@ def test_multiplicativity_validation():
         hecke_mult_check(model, 0)
     with pytest.raises(TableTooSmallError):
         hecke_mult_check(synth_eisenstein(ZERO_ALPHA, 4), 10)
+
+
+def test_hecke_check_counts_nan_products():
+    model = synth_eisenstein(ZERO_ALPHA, 100_000)
+    clean = hecke_mult_check(model, 200, seed=20260814)
+    assert (clean.tested, clean.violations, clean.max_abs_error) == (105, 0, 0.0)
+    poisoned = np.array(model.values)
+    poisoned[2:] = np.nan
+    rep = hecke_mult_check(CoefficientTable(values=poisoned, x_max=model.x_max,
+                                            source="nan"), 200, seed=20260814)
+    assert rep.tested == 105
+    assert rep.violations == rep.tested
+    assert math.isnan(rep.max_abs_error)
+
+
+# A11: the battery's CSV round trip
+
+def _lossy_save(table, path):
+    # idempotent but lossy: 6 significant digits, so a second save repeats
+    # the first file byte for byte
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_HEADER + "\n")
+        for n in range(1, table.x_max + 1):
+            v = complex(table.values[n])
+            fh.write(f"{n},{v.real:.6g},{v.imag:.6g}\n")
+
+
+def test_roundtrip_check_fails_a_lossy_writer(monkeypatch):
+    table = synth_eisenstein(LanglandsParams(), 2000)
+    assert criteria.coeff_battery(table=table)[0]["roundtrip_identical"] is True
+    monkeypatch.setattr(criteria, "save_coefficients", _lossy_save)
+    outputs, checks = criteria.coeff_battery(table=table)
+    assert outputs["roundtrip_identical"] is False
+    (roundtrip,) = [c for c in checks if c.check_id == "A11-roundtrip"]
+    assert not roundtrip.passed
+
+
+def test_coeff_battery_saves_once_and_loads_once(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("save_coefficients", "load_coefficients"):
+        monkeypatch.setattr(criteria, name, counted(name, getattr(criteria, name)))
+    criteria.coeff_battery(table=synth_eisenstein(LanglandsParams(), 2000))
+    assert calls == ["save_coefficients", "load_coefficients"]
+
+
+def test_value_comparison_agrees_with_the_files(tmp_path):
+    # nan, -nan, inf, -0.0 and two subnormals
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    p1.write_text(LOADER_INPUTS["python syntax"] + "11,5e-324,2.5e-310\n",
+                  encoding="utf-8")
+    table = load_coefficients(p1)
+    # the battery's verdict against save -> load -> save byte equality
+    save_coefficients(table, p1)
+    back = load_coefficients(p1)
+    save_coefficients(back, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    assert criteria._same_values(back, table) is True
+    # for a correct writer, equal values are equal files, and only those
+    base = dict(enumerate(table.values[1:], start=1))
+    variants = [
+        {3: complex(np.nan, np.inf)},       # the -nan's sign dropped
+        {2: complex(-np.nan, -0.0)},        # a nan's sign set
+        {2: complex(np.nan, 0.0)},          # -0.0 -> 0.0
+        {11: complex(0.0, 2.5e-310)},       # 5e-324 -> 0
+        {11: complex(1e-323, 2.5e-310)},    # one subnormal step
+        {3: complex(np.nan, -np.inf)},      # inf -> -inf
+        {12: 0j},                           # one more row
+    ]
+    save_coefficients(table, p1)
+    verdicts = []
+    for change in variants:
+        other = _table(list({**base, **change}.values()))
+        save_coefficients(other, p2)
+        files_equal = p1.read_bytes() == p2.read_bytes()
+        assert criteria._same_values(other, table) is files_equal
+        assert criteria._same_values(table, other) is files_equal
+        verdicts.append(files_equal)
+    assert verdicts == [True, True] + [False] * 5
