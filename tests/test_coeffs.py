@@ -2,9 +2,12 @@
 and the A11 battery that checks them."""
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gl3osc import coeffs, criteria
 from gl3osc.coeffs import (
@@ -24,6 +27,7 @@ from gl3osc.errors import (
     CoefficientNormalizationError,
     CoefficientParseError,
     ConfigError,
+    GL3OscError,
     TableTooSmallError,
 )
 from gl3osc.gammafactor import LanglandsParams
@@ -196,6 +200,96 @@ def test_load_matches_the_per_line_reader(tmp_path, monkeypatch, block):
 def test_load_refuses_alike_in_small_blocks(tmp_path, monkeypatch, block):
     monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
     _assert_refusals(tmp_path / "bad.csv")
+
+
+# fields that numpy's row reader and Python's int and float could read
+# apart: signs, zeros, whitespace (ASCII, Unicode and the separators
+# \x1c-\x1f), nan/inf spellings, hex, underscores, non-ASCII digits and
+# fields past int64 or a double's range
+FIELDS = ["+5", "5", " 5", "05", "5\t", "1.0", "1e3", "nan", "0x10", "5.",
+          "+ 5", "True", "", "99999999999999999999", "-nan", "nAn", "inf",
+          "-Infinity", "1e400", "1e-400", ".5", " 2.5 ", "0x1p3", "1.0e",
+          "1d5", "1.0\x00", "1_0", "1_0.5", "\u0661", "\u0661.\u0665", "#",
+          '"1"', "\x0c5", "\xa05", "-0.0", "\x1c5", "5\x1f", "\x0b5",
+          "\u30005", "-9223372036854775809"]
+
+
+def _outcome(p):
+    try:
+        table = load_coefficients(p)
+    except GL3OscError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return table.values.tobytes()
+
+
+def _refuse_block(rows, header_seen):
+    raise ValueError("parse row by row")
+
+
+def _assert_reads_as_python(p, text, monkeypatch):
+    # the block reader gives the bits, or the refusal, of the loader that
+    # parses every row with Python's int and float; a warning fails, so a
+    # numpy that reads "1.0" as an index with a DeprecationWarning fails
+    # (a filterwarnings mark also caught a warning in hypothesis's failure
+    # report, which ended the pytest session)
+    p.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _outcome(p)
+        with monkeypatch.context() as patch:
+            patch.setattr(coeffs, "_parse_rows", _refuse_block)
+            want = _outcome(p)
+    assert got == want, (text, got, want)
+    if isinstance(want, bytes):
+        assert want == _per_line_load(p).values.tobytes()
+
+
+def _file_with(field, column):
+    rows = [["1", "1", "0"]]
+    rows += [[str(n), f"{n}.5", f"-{n}e-3"] for n in range(2, 9)]
+    rows[4][column] = field
+    return _HEADER + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("block", [None, 7, 64])
+def test_block_reader_reads_each_field_as_python(tmp_path, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
+    for i, field in enumerate(FIELDS):
+        for column in range(3):
+            # a file each: rewriting one path in place made this test slow
+            _assert_reads_as_python(tmp_path / f"{i}-{column}.csv",
+                                    _file_with(field, column), monkeypatch)
+
+
+_FIELD_PARTS = st.sampled_from(
+    list("0123456789+-_.e") + ["nan", "inf", " ", "\t", "\x0c", "\xa0", "\x1d"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field=st.lists(_FIELD_PARTS, max_size=8).map("".join),
+       column=st.integers(0, 2), block=st.sampled_from([None, 7, 64]))
+def test_block_reader_reads_random_fields_as_python(tmp_path_factory, field,
+                                                    column, block):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if block is not None:
+            monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
+        _assert_reads_as_python(tmp_path_factory.mktemp("csv") / "t.csv",
+                                _file_with(field, column), monkeypatch)
+
+
+def test_canonical_files_take_the_block_path(tmp_path, monkeypatch):
+    # a silent fall back to the per-row parse would keep the bits and lose
+    # the speed
+    def no_row_parse(*args):
+        raise AssertionError("a canonical block was parsed row by row")
+
+    monkeypatch.setattr(coeffs, "_parse_lines", no_row_parse)
+    for params in (ZERO_ALPHA, LanglandsParams()):
+        table = synth_eisenstein(params, 2000)
+        save_coefficients(table, tmp_path / "t.csv")
+        back = load_coefficients(tmp_path / "t.csv")
+        assert back.values.tobytes() == table.values.tobytes()
 
 
 def test_load_memory_stays_bounded(tmp_path):
@@ -388,14 +482,41 @@ def test_multiplicativity_validation():
 def test_hecke_check_counts_nan_products():
     model = synth_eisenstein(ZERO_ALPHA, 100_000)
     clean = hecke_mult_check(model, 200, seed=20260814)
-    assert (clean.tested, clean.violations, clean.max_abs_error) == (105, 0, 0.0)
+    assert (clean.tested, clean.violations, clean.max_abs_error) == (114, 0, 0.0)
     poisoned = np.array(model.values)
     poisoned[2:] = np.nan
     rep = hecke_mult_check(CoefficientTable(values=poisoned, x_max=model.x_max,
                                             source="nan"), 200, seed=20260814)
-    assert rep.tested == 105
+    assert rep.tested == 114
     assert rep.violations == rep.tested
     assert math.isnan(rep.max_abs_error)
+
+
+def _primes(limit):
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)
+
+
+def test_hecke_check_tests_pairs_of_large_factors():
+    # a(n) negated where n has two distinct prime factors >= 100: the table
+    # is multiplicative on every coprime pair with a factor below 100, and
+    # breaks on pairs such as (101, 467); a uniform m drew no pair with
+    # both factors >= 100 at A11's defaults
+    model = synth_eisenstein(ZERO_ALPHA, 100_000)
+    large = np.zeros(model.x_max + 1, dtype=int)
+    for p in _primes(model.x_max):
+        if p >= 100:
+            large[p::p] += 1
+    twisted = np.where(large >= 2, -model.values, model.values)
+    table = CoefficientTable(values=twisted, x_max=model.x_max, source="twist")
+    outputs, checks = criteria.coeff_battery(table=table)
+    assert outputs["mult_violations"] > 0
+    (hecke,) = [c for c in checks if c.check_id == "A11-hecke"]
+    assert not hecke.passed
 
 
 # A11: the battery's CSV round trip
