@@ -11,6 +11,7 @@ weighted sums expect without requiring genuine spectral data.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import isqrt
 
@@ -134,23 +135,30 @@ def _parse_rows(rows: list,
                 header_seen: bool) -> tuple[np.ndarray, np.ndarray]:
     """Indices and values of one block's stripped, non-blank lines (the
     header first, unless it was seen), in one pass of numpy's C row reader,
-    whose floats are Python's correctly rounded `float`. Raises ValueError
-    or OverflowError where some line needs `_parse_lines` to be refused, or
-    to keep Python's own syntax (`1_0`, non-ASCII digits, an index past
-    int64)."""
-    if not header_seen:
-        if rows[0] != _HEADER:
-            raise ValueError("no header")
-        del rows[0]
-        if not rows:
-            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
-    # numpy strips the separators \x1c-\x1f from a field's ends as
-    # whitespace, where Python's int and float refuse them
-    if any(map("".join(rows).__contains__, "\x1c\x1d\x1e\x1f")):
-        raise ValueError("an information separator")
-    # comments=None: the default "#" would cut a field short
-    parsed = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
-                        dtype=[("n", np.int64), ("re_im", float, 2)])
+    whose floats are Python's correctly rounded `float`. Raises ValueError,
+    OverflowError or DeprecationWarning where some line needs
+    `_parse_lines` to be refused, or to keep Python's own syntax (`1_0`,
+    non-ASCII digits, an index past int64), and where a block is the
+    header alone."""
+    if not header_seen and rows.pop(0) != _HEADER:
+        raise ValueError("no header")
+    # a block of the header alone goes row by row, and so does a block
+    # with a character numpy reads apart from Python's int and float: its
+    # int reader gives some non-ASCII letters a digit's value ("\u01fe"
+    # reads as 462), it strips the separators \x1c-\x1f from a field's
+    # ends as whitespace, and it takes "\r" for a line end (numpy 2.4
+    # refuses one inside a row, which an older numpy need not)
+    text = "".join(rows)
+    if not text or not text.isascii() or any(
+            map(text.__contains__, "\r\x1c\x1d\x1e\x1f")):
+        raise ValueError("no row, or a character numpy reads apart")
+    # comments=None: the default "#" would cut a field short. A numpy that
+    # reads an index such as "1.0" through float warns, and the warning
+    # sends the block row by row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        parsed = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                            dtype=[("n", np.int64), ("re_im", float, 2)])
     # copies, so a kept block does not pin its 24-byte rows
     ns = parsed["n"].copy()
     if ns.min() < 1:
@@ -211,8 +219,9 @@ def load_coefficients(path) -> CoefficientTable:
     (with their line number), duplicate or missing indices, and tables that
     violate a(1,1) = 1. Ints and floats keep Python's own syntax (`+5`,
     `1_0`, `nan`). The file is read in blocks of _CSV_BLOCK bytes, each
-    parsed in one pass of numpy's row reader; a block that it refuses is
-    parsed again row by row by Python's `int` and `float`, which writes the
+    parsed in one pass of numpy's row reader; a block that it refuses, or
+    might read apart from Python (any non-ASCII text, say), is parsed
+    again row by row by Python's `int` and `float`, which writes the
     refusal or reads the syntax that only Python takes. The indices are
     checked before the dense table is allocated. On a 2-CPU x86-64 machine
     a row costs about 0.12 us on the d3 table and 0.4 us with 17-digit
@@ -232,7 +241,7 @@ def load_coefficients(path) -> CoefficientTable:
                 continue
             try:
                 ns, values = _parse_rows(rows, header_seen)
-            except (ValueError, OverflowError):
+            except (ValueError, OverflowError, DeprecationWarning):
                 ns, values = _parse_lines(lines, lineno, header_seen)
             header_seen = True
             if ns.size:
@@ -356,11 +365,10 @@ def hecke_mult_check(table: CoefficientTable, trials: int,
 
     m is drawn log-uniformly below x_max/2 and then n log-uniformly up to
     x_max/m, so pairs of two large factors are drawn too (a uniform m
-    makes n mostly 2 or 3). Draws with
-    m*n > x_max and non-coprime draws are skipped, not counted as
-    failures. An error that is not within MULT_TOL, NaN included, is a
-    violation, and a NaN error makes max_abs_error NaN; multiplicative
-    tables must report zero violations.
+    makes n mostly 2 or 3). Draws with m*n > x_max and non-coprime draws
+    are skipped, not counted as failures. An error that is not within
+    MULT_TOL, NaN included, is a violation, and a NaN error makes
+    max_abs_error NaN; multiplicative tables must report zero violations.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")

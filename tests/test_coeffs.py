@@ -204,14 +204,16 @@ def test_load_refuses_alike_in_small_blocks(tmp_path, monkeypatch, block):
 
 # fields that numpy's row reader and Python's int and float could read
 # apart: signs, zeros, whitespace (ASCII, Unicode and the separators
-# \x1c-\x1f), nan/inf spellings, hex, underscores, non-ASCII digits and
-# fields past int64 or a double's range
+# \x1c-\x1f), nan/inf spellings, hex, underscores, non-ASCII digits, a
+# "\r" between two rows, the non-ASCII letters numpy 2.4 reads as digits
+# and fields past int64 or a double's range
 FIELDS = ["+5", "5", " 5", "05", "5\t", "1.0", "1e3", "nan", "0x10", "5.",
           "+ 5", "True", "", "99999999999999999999", "-nan", "nAn", "inf",
           "-Infinity", "1e400", "1e-400", ".5", " 2.5 ", "0x1p3", "1.0e",
           "1d5", "1.0\x00", "1_0", "1_0.5", "\u0661", "\u0661.\u0665", "#",
           '"1"', "\x0c5", "\xa05", "-0.0", "\x1c5", "5\x1f", "\x0b5",
-          "\u30005", "-9223372036854775809"]
+          "\u30005", "-9223372036854775809", "0\r9,1,0", "5\r", "\u01fe",
+          "5\u0761", "1\u04ff5"]
 
 
 def _outcome(p):
@@ -263,7 +265,8 @@ def test_block_reader_reads_each_field_as_python(tmp_path, monkeypatch, block):
 
 
 _FIELD_PARTS = st.sampled_from(
-    list("0123456789+-_.e") + ["nan", "inf", " ", "\t", "\x0c", "\xa0", "\x1d"])
+    list("0123456789+-_.e,")
+    + ["nan", "inf", " ", "\t", "\x0c", "\xa0", "\x1d", "\r", "\u01fe"])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -276,6 +279,34 @@ def test_block_reader_reads_random_fields_as_python(tmp_path_factory, field,
             monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
         _assert_reads_as_python(tmp_path_factory.mktemp("csv") / "t.csv",
                                 _file_with(field, column), monkeypatch)
+
+
+@pytest.mark.parametrize("action", ["default", "error"])
+def test_a_block_that_warns_is_parsed_row_by_row(tmp_path, monkeypatch,
+                                                  action):
+    # numpy's loadtxt from 1.23 on could read an index such as "1.0"
+    # through float, with a DeprecationWarning; the row-by-row parse
+    # refuses it, whether that warning is shown or raised
+    loadtxt = np.loadtxt
+
+    def float_index_loadtxt(rows, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is "
+                      "deprecated.", DeprecationWarning, stacklevel=2)
+        parsed = loadtxt(rows, dtype=[("n", float), ("re_im", float, 2)],
+                         **kwargs)
+        return parsed.astype(dtype)
+
+    monkeypatch.setattr(coeffs.np, "loadtxt", float_index_loadtxt)
+    p = tmp_path / "t.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        p.write_text("n,re,im\n1,1,0\n2.0,0.5,0\n", encoding="utf-8")
+        with pytest.raises(CoefficientParseError) as err:
+            load_coefficients(p)
+        assert str(err.value) == "line 3: index '2.0' is not an integer"
+        table = synth_eisenstein(LanglandsParams(), 300)
+        save_coefficients(table, p)
+        assert load_coefficients(p).values.tobytes() == table.values.tobytes()
 
 
 def test_canonical_files_take_the_block_path(tmp_path, monkeypatch):
