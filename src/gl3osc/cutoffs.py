@@ -26,7 +26,10 @@ on half as many. The Mellin transform is taken on vertical lines
 (`mellin_on_line`, a trapezoid rule in log y) and inverted from one
 (`mellin_invert`) by the trapezoid rule in t that the kernel contour shares
 (`_line_trapezoid`). Both rules meet their frequencies in one lattice
-product (`_lattice_sums`) and stop on their own half-grid estimates.
+product (`_lattice_sums`) and stop on their own half-grid estimates. The
+cutoffs are real, so H(c - it) = conj H(c + it): a Mellin line evaluates
+each distinct |t| once, and each doubling of the inversion's shells takes
+its two sides in one Mellin-line call.
 """
 
 from __future__ import annotations
@@ -316,6 +319,14 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     pessimistic for T_n but no bound, is at most LINE_REL_TOL * sum |base|;
     past LINE_MAX_NODES nodes ToleranceUnreachableError is raised, with the
     estimate as `achieved`. A cutoff with a kink is refused that way.
+
+    A real base gives H(c - it) = conj H(c + it), so when at least two
+    distinct |t| remain the product takes each distinct |t| once, ascending,
+    and a t < 0 takes the conjugate, as 0 - Im so that an Im that cancels
+    to +0 stays +0: the bits of the sum over the signed ordinates, whose
+    terms are the exact conjugates. A complex base (a complex-valued f) and
+    a lone distinct |t|, which numpy would take as a matrix-vector product
+    and round apart, take the ordinates as given.
     """
     ts = np.asarray(ts, dtype=float)
     if not (math.isfinite(re_line) and np.all(np.isfinite(ts))):
@@ -326,7 +337,15 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
     ulo = math.log(lo)
     span = math.log(f.support_hi) - ulo
     flat = ts.ravel()
-    tmax = float(np.max(np.abs(flat))) if flat.size else 0.0
+    mags = np.abs(flat)
+    tmax = float(np.max(mags)) if flat.size else 0.0
+    # the distinct |t| ascending, as np.unique would give them without
+    # loading numpy.ma, and the slot of each t among them
+    order = np.argsort(mags, kind="stable")
+    first = np.diff(mags[order], prepend=-1.0) > 0.0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    distinct = mags[order][first]
     n = LINE_MIN_NODES
     while n * math.pi < (tmax + LINE_MARGIN) * span and n <= LINE_MAX_NODES:
         n *= 2
@@ -338,11 +357,19 @@ def mellin_on_line(f: Cutoff, re_line: float, ts) -> np.ndarray:
         w[0] = w[n] = 0.5 * h
         base = f.fn(np.exp(u)) * np.exp(re_line * u) * w
         mass = float(np.sum(np.abs(base)))
-        even, odd = _lattice_sums(ulo, h, base, flat, lambda a: a.sum(axis=1))
+        # H(c - it) = conj H(c + it) for a real base; a lone row would round
+        # apart (see `_lattice_sums`)
+        fold = distinct.size > 1 and not np.iscomplexobj(base)
+        even, odd = _lattice_sums(ulo, h, base, distinct if fold else flat,
+                                  lambda a: a.sum(axis=1))
         # T_n = even + odd, and the n/2 rule is T_(n/2) = 2 * even
         est = float(np.max(np.abs(odd - even))) if flat.size else 0.0
         if est <= LINE_REL_TOL * mass:
-            return (even + odd).reshape(ts.shape)
+            values = even + odd
+            if fold:
+                values = values[slot]
+                np.subtract(0.0, values.imag, out=values.imag, where=flat < 0.0)
+            return values.reshape(ts.shape)
         n *= 2
     raise ToleranceUnreachableError(
         f"Mellin line estimate {est:.3e} still above {LINE_REL_TOL:g} of its "
@@ -355,30 +382,40 @@ def _line_trapezoid(base: Callable, phis, scales, rate: float, tol: float, start
     on the lattice t_j = j dt, for each phi of the rows of phis with its
     scale: the trapezoid rule of the kernel contour and of the inversion.
 
-    The shells double on `_line_shells` from |t| <= start, each taking the
-    nodes with lo < t_j <= hi. Each row of phis meets a shell's nodes in one
-    `_lattice_sums` product (a row of one keeps a lone point's bits): T_dt =
-    dt (even + odd) by the parity of j, and the half-grid rule T_2dt = 2 dt
-    even. A point's signed dt (odd - even) sums with its value, and either
-    keeps it live. dt starts at pi / (rate + LINE_RATE_MARGIN), so the half
-    grid resolves phase rates up to `rate`, and halves until each estimate
+    The shells double on `_line_shells` from the nodes -start < t_j <= start;
+    the shell of each doubling takes the nodes lo < t_j <= hi and
+    -hi < t_j <= -lo, and calls base once on both sides, so a base that
+    folds +-t (`mellin_on_line`) evaluates each |t| once. Each row of phis
+    meets each side's nodes in one `_lattice_sums` product (a row of one
+    keeps a lone point's bits), and a shell adds the positive side's
+    figures to the negative side's: T_dt = dt (even + odd) by the parity of
+    j, and the half-grid rule T_2dt = 2 dt even. A point's signed
+    dt (odd - even) sums with its value, and either keeps it live. dt
+    starts at pi / (rate + LINE_RATE_MARGIN), so the half grid resolves
+    phase rates up to `rate`, and halves until each estimate
     |T_dt - T_2dt| is at most tol/2; a lattice of more than LINE_MAX_NODES
     nodes over |t| <= top is refused with ToleranceUnreachableError.
     """
     dt = math.pi / (rate + LINE_RATE_MARGIN)
 
     def shell(lo: float, hi: float) -> np.ndarray:
-        js = np.arange(math.floor(lo / dt) + 1.0, math.floor(hi / dt) + 1.0)
-        t = js * dt
-        weighted = base(t) * dt
-        sums = [_lattice_sums(float(t[0]), dt, weighted, np.asarray(row), add) for row in phis]
-        even, odd = (np.concatenate(p).tolist() for p in zip(*sums))
-        if js[0] % 2.0:
-            even, odd = odd, even
-        # Python complexes: numpy's array / scalar multiplies by the
-        # reciprocal, and its one-element products round differently
-        return np.array([[(e + o) * x / TWO_PI, (o - e) * x / TWO_PI]
-                         for e, o, x in zip(even, odd, scales)])
+        # the nodes of -hi < t <= hi, or of lo < t <= hi and -hi < t <= -lo,
+        # with one base call for both sides
+        sides = [(-hi, hi)] if lo == 0.0 else [(lo, hi), (-hi, -lo)]
+        js = [np.arange(math.floor(a / dt) + 1.0, math.floor(b / dt) + 1.0) for a, b in sides]
+        weighted = np.split(base(np.concatenate(js) * dt) * dt, [js[0].size])
+        rows = []
+        for j, w in zip(js, weighted):
+            sums = [_lattice_sums(float(j[0] * dt), dt, w, np.asarray(row), add) for row in phis]
+            even, odd = (np.concatenate(p).tolist() for p in zip(*sums))
+            if j[0] % 2.0:
+                even, odd = odd, even
+            # Python complexes: numpy's array / scalar multiplies by the
+            # reciprocal, and its one-element products round differently
+            rows.append(np.array([[(e + o) * x / TWO_PI, (o - e) * x / TWO_PI]
+                                  for e, o, x in zip(even, odd, scales)]))
+        # started at rows[0], not at 0, which would turn a -0.0 into +0.0
+        return sum(rows[1:], rows[0])
 
     while True:
         total = _line_shells(shell, start, tol, top, label)
@@ -396,7 +433,8 @@ def mellin_invert(f: Cutoff, y) -> complex | np.ndarray:
     the line Re(s) = c = INVERT_RE_LINE: (1/2 pi) int H(c + it) y^-(c + it) dt.
 
     One `_line_trapezoid` call: base = H(c + it), one `mellin_on_line` call
-    a shell, and each point its own row phi = -log y with the scale y^-c.
+    a shell (each doubling's two sides in one, every |t| evaluated once),
+    and each point its own row phi = -log y with the scale y^-c.
     The shells double from |t| <= INVERT_IM_START; a point still adding
     INVERT_TOL / 2 after eight doublings raises TailNotConvergedError. The
     phase rate of H(c + it) y^-it is at most |log y| plus the largest |u| on

@@ -248,7 +248,8 @@ def f_line_mass(T: float) -> float:
     """(1 / 2 pi) * int |F(it)| dt over the whole line, for the dyadic-window
     cutoff's Mellin transform F: GL16 shells on `_line_shells`, frozen after
     the first shell that adds less than 5e-13. |F(-it)| = |F(it)|, so each
-    shell integrates its part on t >= 0 and doubles it.
+    shell lo < |t| <= hi integrates its part on lo <= t <= hi and doubles
+    it.
 
     This is the constant C with |G(z)| <= C * max |gamma| on the Re(s) = 0
     line; it grows like log T through the window's width.
@@ -262,10 +263,7 @@ def f_line_mass(T: float) -> float:
     step = zero / np.ceil(zero / 8.0)
 
     def shell(lo: float, hi: float) -> np.ndarray:
-        # |F(-it)| = |F(it)|: twice the shell's part on t >= 0, none below
-        lo, hi = max(lo, 0.0), max(hi, 0.0)
-        if hi <= lo:
-            return np.zeros(1)
+        # |F(-it)| = |F(it)|: twice the shell's part on t >= 0
         lattice = step * np.arange(np.ceil(lo / step), np.floor(hi / step) + 1.0)
         # the sorted distinct edges, as np.unique would give them without loading numpy.ma
         edges = np.sort(np.concatenate([[lo, hi], lattice]))
@@ -311,12 +309,14 @@ def _contour_quad(zs, T: float, sigma: float, tol: float) -> tuple[np.ndarray, n
     (`cutoffs._line_trapezoid`), from |Im s| <= CONTOUR_IM_START to 16 T.
 
     Only X^s = X_z^sigma exp(i t log X_z) depends on z, so each node takes
-    base = F(-s) gamma once (F exactly, by `mellin_on_line`), and each z is
-    a frequency log X_z with the scale X_z^sigma; each shell joins its
-    parity columns in one compensated pass (`kahan_csum` by rows). The
-    step's rate is the largest |log X_z - b| plus F's band, with b = 3
-    log(max(T + t, 2) / 2 pi) gamma's Stirling phase rate at either end of
-    |t| <= 16 T. tol bounds each z's last shell and half-grid estimate.
+    base = F(-s) gamma once (F exactly, by `mellin_on_line`, one call for
+    both sides of a doubling, which takes F at each |t| once), and each z
+    is a frequency log X_z with the scale X_z^sigma; each side of a shell
+    joins its parity columns in one compensated pass (`kahan_csum` by
+    rows). The step's rate is the largest |log X_z - b| plus F's band, with
+    b = 3 log(max(T + t, 2) / 2 pi) gamma's Stirling phase rate at either
+    end of |t| <= 16 T. tol bounds each z's last shell and half-grid
+    estimate.
     """
     h0 = h0_cutoff(T, KERNEL_KAPPA, KERNEL_EPS)
     # per z, as scalars: a lone z rounds as it always has

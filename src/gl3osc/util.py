@@ -173,25 +173,27 @@ def _finite_rate(rate, x: float) -> float:
 def _line_shells(shell, start: float, tol: float, top: float, label: str) -> np.ndarray:
     """Shell-doubled integrals along a vertical line, one per point.
 
-    shell(lo, hi) returns each point's integral over lo < t < hi, or a row
-    of figures per point (the trapezoid's value and its half-grid
-    difference). The sum starts with shell(-start, start) and adds
-    shell(lo, 2 lo) + shell(-2 lo, -lo) for lo = start, 2 start, .... Each
-    point's total is frozen after its first added shell whose figures are
-    all below tol / 2; a point still live
-    once the height passes `top` raises TailNotConvergedError, whose
-    message starts with `label`, the caller's name for its integral. A tol
-    of 0 keeps every point live up to `top`; a negative, infinite or NaN
-    tol raises ConfigError, as NaN would freeze every point at once.
+    shell(lo, hi) returns each point's integral over both half-lines
+    lo < |t| <= hi (the caller assigns a node on an edge), or a row of
+    figures per point (the trapezoid's value and its half-grid
+    difference); shell(0, start) is the first segment |t| <= start. The
+    sum starts with shell(0, start) and adds one shell(lo, 2 lo) for each
+    lo = start, 2 start, ..., so a caller serves a doubling's two sides in
+    one pass. Each point's total is frozen after its first added shell
+    whose figures are all below tol / 2; a point still live once the
+    height passes `top` raises TailNotConvergedError, whose message starts
+    with `label`, the caller's name for its integral. A tol of 0 keeps
+    every point live up to `top`; a negative, infinite or NaN tol raises
+    ConfigError, as NaN would freeze every point at once.
     """
     if not 0.0 <= tol < np.inf:
         raise ConfigError(f"{label} tolerance must be finite and >= 0, not {tol}")
-    total = shell(-start, start)
+    total = shell(0.0, start)
     live = np.ones(len(total), dtype=bool)
     lo = start
     while True:
         hi = 2.0 * lo
-        added = shell(lo, hi) + shell(-hi, -lo)
+        added = shell(lo, hi)
         total[live] += added[live]
         live &= np.abs(added).reshape(len(added), -1).max(axis=1) >= tol / 2.0
         if not live.any():

@@ -125,17 +125,21 @@ REFUSALS = [
 
 
 def test_load_rejects_malformed_input(tmp_path):
-    _assert_refusals(tmp_path / "bad.csv")
+    _assert_refusals(tmp_path)
 
 
-def _assert_refusals(p):
-    for text, cls, message, line in REFUSALS:
+def _assert_refusals(tmp):
+    # a fresh file for each refusal: truncating a file that was just read
+    # can stall on a flush that writing a new one does not wait for
+    for i, (text, cls, message, line) in enumerate(REFUSALS):
+        p = tmp / f"bad{i}.csv"
         p.write_text(text, encoding="utf-8")
         with pytest.raises(cls) as err:
             load_coefficients(p)
         assert type(err.value) is cls
         assert str(err.value) == message
         assert getattr(err.value, "line", None) == line
+    p = tmp / f"bad{len(REFUSALS)}.csv"
     p.write_bytes(b"n,re,im\r\n1,1,0\r\n\r\n2,0,\xff\r\n")
     with pytest.raises(CoefficientParseError) as err:
         load_coefficients(p)
@@ -199,7 +203,7 @@ def test_load_matches_the_per_line_reader(tmp_path, monkeypatch, block):
 @pytest.mark.parametrize("block", [7, 64])
 def test_load_refuses_alike_in_small_blocks(tmp_path, monkeypatch, block):
     monkeypatch.setattr(coeffs, "_CSV_BLOCK", block)
-    _assert_refusals(tmp_path / "bad.csv")
+    _assert_refusals(tmp_path)
 
 
 # fields that numpy's row reader and Python's int and float could read

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gl3osc import cutoffs
+from gl3osc import cutoffs, gammafactor
 from gl3osc.cutoffs import (
     ONE_OVER_2PI,
     ONE_OVER_4PI,
@@ -23,6 +23,7 @@ from gl3osc.cutoffs import (
 )
 from gl3osc.errors import (ConfigError, MellinDivergenceError, TailNotConvergedError,
                            ToleranceUnreachableError)
+from gl3osc.util import TWO_PI, _line_shells, kahan_csum
 
 
 def _quad_mellin(f, s):
@@ -321,6 +322,185 @@ def test_mellin_on_line_chunks_keep_the_bits(monkeypatch):
         ts = np.concatenate([[40.0], np.random.default_rng(seed).uniform(-40.0, 40.0, 2049)])
         lone, pair = mellin_on_line(f, 0.0, ts[:2049]), mellin_on_line(f, 0.0, ts)[:2049]
         assert np.array_equal(lone.view(np.int64), pair.view(np.int64))
+
+
+def _signed_line(f, re_line, ts):
+    """The Mellin line summed on the ordinates exactly as given, with no
+    fold of +-t: the oracle of the fold's bits."""
+    flat = np.asarray(ts, dtype=float).ravel()
+    ulo = math.log(f.support_lo)
+    span = math.log(f.support_hi) - ulo
+    n = cutoffs.LINE_MIN_NODES
+    while n * math.pi < (np.max(np.abs(flat)) + cutoffs.LINE_MARGIN) * span:
+        n *= 2
+    while True:
+        h = span / n
+        u = ulo + h * np.arange(n + 1)
+        w = np.full(n + 1, h)
+        w[0] = w[n] = 0.5 * h
+        base = f.fn(np.exp(u)) * np.exp(re_line * u) * w
+        even, odd = cutoffs._lattice_sums(ulo, h, base, flat, lambda a: a.sum(axis=1))
+        if np.max(np.abs(odd - even)) <= cutoffs.LINE_REL_TOL * float(np.sum(np.abs(base))):
+            return (even + odd).reshape(np.shape(ts))
+        n *= 2
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=complex).view(np.int64)
+
+
+_CUTOFFS = {"v0": v0_cutoff, "g": g_cutoff, "h0": lambda: h0_cutoff(500.0, 1.0 / 18.0, 0.01),
+            "h1": lambda: h1_cutoff(500.0, 1.0 / 18.0, 0.01)}
+
+
+def _ordinate_sets():
+    # zeros of both signs, a lone negative t, mirrored pairs, a third
+    # ordinate beside a pair, a lattice like a shell's nodes, and
+    # 9,001 ordinates, 4,499 of them mirrored
+    t = 37.25
+    x = np.random.default_rng(36).uniform(-3000.0, 3000.0, 4500)
+    return [[0.0], [-0.0], [0.0, -0.0], [-0.0, 0.0, 2.5], [-t], [t, -t], [t, -t, 1.5 * t],
+            [-t, t, -t], np.arange(-40.0, 41.0) * 0.75, np.concatenate([x, [0.0, -0.0], -x[:4499]])]
+
+
+@pytest.mark.parametrize("re_line", [-1.0, 0.0, 3.0])
+@pytest.mark.parametrize("name", ["v0", "g", "h0", "h1"])
+def test_mellin_on_line_keeps_the_signed_ordinate_bits(name, re_line):
+    # a real cutoff takes each distinct |t| once and conjugates for t < 0;
+    # every ordinate keeps the bits of the sum over the signed ordinates
+    f = _CUTOFFS[name]()
+    for ts in _ordinate_sets():
+        got, want = mellin_on_line(f, re_line, ts), _signed_line(f, re_line, ts)
+        assert np.array_equal(_bits(got), _bits(want)), (name, re_line, np.size(ts))
+
+
+def test_mellin_on_line_takes_a_complex_cutoff_as_given():
+    # F(c - it) = conj F(c + it) fails for a complex-valued cutoff, so its
+    # ordinates are summed as given; a fold would be wrong by far more
+    # than rounding
+    v0 = v0_cutoff()
+    twisted = Cutoff(support_lo=v0.support_lo, support_hi=v0.support_hi,
+                     fn=lambda y: v0.fn(y) * (1.0 + 2.0j * y))
+    ts = np.array([0.0, 3.0, -3.0, 7.5, -12.0, 12.0])
+    got, want = mellin_on_line(twisted, 1.0, ts), _signed_line(twisted, 1.0, ts)
+    assert np.array_equal(_bits(got), _bits(want))
+    folded = _signed_line(twisted, 1.0, np.abs(ts))
+    folded[ts < 0.0] = folded[ts < 0.0].conj()
+    assert np.max(np.abs(folded - want)) > 1e-3 * np.max(np.abs(want))
+
+
+def _two_pass_trapezoid(base, phis, scales, rate, tol, start, top):
+    """`_line_trapezoid` with one base call for each side of a doubling and
+    the sides' figures added positive + negative: the oracle of its bits."""
+    dt = math.pi / (rate + cutoffs.LINE_RATE_MARGIN)
+
+    def side(lo, hi):
+        js = np.arange(math.floor(lo / dt) + 1.0, math.floor(hi / dt) + 1.0)
+        t = js * dt
+        weighted = base(t) * dt
+        sums = [cutoffs._lattice_sums(float(t[0]), dt, weighted, np.asarray(row), kahan_csum)
+                for row in phis]
+        even, odd = (np.concatenate(p).tolist() for p in zip(*sums))
+        if js[0] % 2.0:
+            even, odd = odd, even
+        return np.array([[(e + o) * x / TWO_PI, (o - e) * x / TWO_PI]
+                         for e, o, x in zip(even, odd, scales)])
+
+    def shell(lo, hi):
+        return side(-hi, hi) if lo == 0.0 else side(lo, hi) + side(-hi, -lo)
+
+    while True:
+        total = _line_shells(shell, start, tol, top, "oracle")
+        est = np.abs(total[:, 1])
+        if np.all(est <= tol / 2.0):
+            return total[:, 0], est
+        dt /= 2.0
+
+
+def _skewed(t):
+    # a Gaussian with a factor that has no symmetry in t
+    return np.exp(-0.5 * t * t) * (1.0 + 0.3j * t) * np.exp(0.7j * t)
+
+
+@pytest.mark.parametrize("phis", [[[0.0, 0.5, -1.3, 3.0]], [[0.5], [-1.3], [3.0], [0.0]]])
+def test_line_trapezoid_sums_each_side_as_its_own_pass(phis):
+    # one base call a shell for both sides, yet each side summed on its own
+    # and added positive + negative: the bits of a pass a side
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return _skewed(t)
+
+    scales = [1.0, 0.5, 2.0, 3.0]
+    want = _two_pass_trapezoid(_skewed, phis, scales, 4.0, 1e-13, 1.0, 64.0)
+    got = cutoffs._line_trapezoid(counted, phis, scales, 4.0, 1e-13, 1.0, 64.0, "test",
+                                  kahan_csum)
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+    assert len(calls) >= 4
+
+
+@pytest.mark.parametrize("sigma, zs, T", [(0.0, [0.5, 1.0, 2.0], 100.0),
+                                          (-3.0, [500.0**-0.3, 500.0**-0.6], 500.0)])
+def test_contour_sums_each_side_as_its_own_pass(monkeypatch, sigma, zs, T):
+    # the kernel contour's base, F(-s) by one Mellin line for both sides
+    # times gamma, which has no symmetry in t: the bits of a pass a side
+    seen = {}
+
+    def spy(*args):
+        seen["args"] = args[:7]
+        return cutoffs._line_trapezoid(*args)
+
+    monkeypatch.setattr(gammafactor, "_line_trapezoid", spy)
+    got = gammafactor._contour_quad(zs, T, sigma, 1e-8)
+    want = _two_pass_trapezoid(*seen["args"])
+    assert np.array_equal(_bits(got[0]), _bits(want[0]))
+    assert np.array_equal(_bits(got[1]), _bits(want[1]))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: gammafactor.g_kernel(0.5, 500.0),
+    lambda: mellin_invert(h0_cutoff(500.0, 1.0 / 18.0, 0.01), [0.5, 0.9]),
+], ids=["g_kernel", "mellin_invert"])
+def test_each_doubling_evaluates_each_abs_t_once(monkeypatch, run):
+    # one Mellin line a shell, whose lattice products take exactly the
+    # distinct |t| of the shell's nodes, both sides of each doubling in one
+    per_shell, lines, inside = [], [], []
+    shells, line, sums = cutoffs._line_shells, cutoffs.mellin_on_line, cutoffs._lattice_sums
+
+    def watched_shells(shell, *args):
+        def traced(lo, hi):
+            before = len(lines)
+            out = shell(lo, hi)
+            per_shell.append(len(lines) - before)
+            return out
+
+        return shells(traced, *args)
+
+    def watched_line(f, re_line, ts):
+        lines.append((np.array(ts, dtype=float), []))
+        inside.append(True)
+        try:
+            return line(f, re_line, ts)
+        finally:
+            inside.pop()
+
+    def watched_sums(u0, h, base, freqs, add):
+        if inside:
+            lines[-1][1].append(np.array(freqs))
+        return sums(u0, h, base, freqs, add)
+
+    monkeypatch.setattr(cutoffs, "_line_shells", watched_shells)
+    monkeypatch.setattr(cutoffs, "mellin_on_line", watched_line)
+    monkeypatch.setattr(gammafactor, "mellin_on_line", watched_line)
+    monkeypatch.setattr(cutoffs, "_lattice_sums", watched_sums)
+    run()
+    assert len(per_shell) >= 3 and per_shell == [1] * len(per_shell)
+    for ts, evaluated in lines:
+        distinct = np.unique(np.abs(ts))
+        assert distinct.size < ts.size
+        assert evaluated and all(np.array_equal(e, distinct) for e in evaluated)
 
 
 @pytest.mark.parametrize("name", ["v0", "g", "h0", "h1"])

@@ -209,16 +209,14 @@ def test_panel_runs_enforce_max_panels():
         _panel_runs(0.0, 1.0, 1.0, 1.0, lambda x: 1e6, 1000)
 
 
-def _scripted(first, positive):
-    """A synthetic line: shell(-start, start) gives `first`, shell(lo, 2 lo)
-    gives positive[lo], the negative half gives nothing; every call is kept."""
+def _scripted(first, shells):
+    """A synthetic line: shell(0, start) gives `first`, shell(lo, 2 lo)
+    gives shells[lo] for both half-lines; every call is kept."""
     calls = []
 
     def shell(lo, hi):
         calls.append((lo, hi))
-        if lo < 0.0 < hi:
-            return np.array(first, dtype=float)
-        return np.array(positive[lo] if lo > 0.0 else [0.0] * len(first), dtype=float)
+        return np.array(first if lo == 0.0 else shells[lo], dtype=float)
 
     return shell, calls
 
@@ -231,8 +229,8 @@ def test_line_shells_freezes_each_point_on_its_own():
     total = _line_shells(shell, 1.0, 1e-6, 100.0, "test")
     assert total[0] == 1.0 + 0.1 + 1e-9
     assert total[1] == 1.0 + 0.1 + 0.1 + 0.1 + 1e-9
-    assert calls == [(-1.0, 1.0), (1.0, 2.0), (-2.0, -1.0), (2.0, 4.0), (-4.0, -2.0),
-                     (4.0, 8.0), (-8.0, -4.0), (8.0, 16.0), (-16.0, -8.0)]
+    # one call a doubling covers both sides
+    assert calls == [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0), (4.0, 8.0), (8.0, 16.0)]
 
 
 def test_line_shells_refuses_a_point_live_past_top():
