@@ -11,11 +11,10 @@ route returns exactly zero.
 Run: python3 demos/route_comparison.py [--t 100]
 """
 import argparse
-
-import numpy as np
+from dataclasses import replace
 
 from gl3osc import AmplifierSpec, LanglandsParams, SumSpec, compare_routes, synth_eisenstein
-from gl3osc.sums import s_sum_form
+from gl3osc.sums import s_sum_form, table_size
 
 
 def main() -> int:
@@ -25,16 +24,15 @@ def main() -> int:
 
     T = args.t
     d3 = LanglandsParams(alpha=(0.0j, 0.0j, 0.0j))
-    table = synth_eisenstein(d3, 2 * int(np.ceil(T**1.52)))
+    # one table for both windows: the size a spec needs only grows as Y shrinks
+    table = synth_eisenstein(d3, table_size(T, 1.0))
     spec = SumSpec(T=T, table=table, tol=1e-6)
     lo, hi = spec.sum_window()
     print(f"T = {T:g}, Y = 4 pi, N = {spec.N:.3f}, "
           f"coefficient window {lo}..{hi}")
 
     base = AmplifierSpec.for_t(T)
-    amp = AmplifierSpec(kappa=base.kappa, P=base.P, L=base.L,
-                        primes_p=(base.primes_p[0],),
-                        primes_l=(base.primes_l[0],))
+    amp = replace(base, primes_p=base.primes_p[:1], primes_l=base.primes_l[:1])
     print(f"amplifier pair {amp.pairs[0]} "
           f"(one pair keeps the demo under a minute)")
 
@@ -50,8 +48,7 @@ def main() -> int:
           f"  -> {'ok' if rep.passed_keyident else 'EXCEEDED'}")
 
     print("\n-- degenerate window --")
-    wide = synth_eisenstein(d3, int(4.2 * int(np.ceil(T**1.5))))
-    degenerate = SumSpec(T=T, table=wide, Y=1.0, tol=1e-6)
+    degenerate = SumSpec(T=T, table=table, Y=1.0, tol=1e-6)
     print(f"Y = 1 pushes every weight argument below the h1 support floor:")
     print(f"sum route = {s_sum_form(degenerate)} (exactly zero)")
     return 0

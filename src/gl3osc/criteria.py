@@ -10,6 +10,7 @@ report's canonical content.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 from math import ceil
 from pathlib import Path
@@ -23,13 +24,13 @@ from .coeffs import (CoefficientTable, hecke_mult_check, load_coefficients,
 from .cutoffs import (ONE_OVER_2PI, g_cutoff, h0_cutoff, mellin_invert, mellin_on_line,
                       v0_cutoff)
 from .errors import ConfigError
-from .gammafactor import (LanglandsParams, f_line_mass, g_kernel, g_kernel_batch, gamma_pi,
-                          gamma_pi_line)
+from .gammafactor import (KERNEL_EPS, KERNEL_KAPPA, LanglandsParams, f_line_mass, g_kernel,
+                          g_kernel_batch, gamma_pi, gamma_pi_line)
 from .keyident import (AmplifierSpec, KeyIdentityInstance, amplified_average,
                        dressing_constant, lin_form_leading, verify_key_identity)
 from .oscquad import K_SP_MAIN, integrate_main, stationary_phase_main
 from .reports import Check
-from .sums import WINDOW_EPS, SumSpec, compare_routes
+from .sums import SumSpec, compare_routes, table_size
 from .util import TWO_PI, loglog_slope
 
 # pinned plateau-point value v* = V0(1/(2*pi)) of the c1 = 1 bump
@@ -53,7 +54,8 @@ def bump_battery(c1: float = 1.0) -> tuple[dict, tuple]:
     vstar = float(v0_cutoff(c1)(ONE_OVER_2PI))
     # a trapezoid sum, independent of the GL16 rule that normalized g
     g_norm = complex(mellin_on_line(g_cutoff(), 0.0, [0.0])[0])
-    h0 = h0_cutoff(500.0, 1.0 / 18.0, 0.01)
+    # the kernel's own window
+    h0 = h0_cutoff(500.0, KERNEL_KAPPA, KERNEL_EPS)
     lo, hi = h0.support_lo, h0.support_hi
     points = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
     recon = [complex(v) for v in mellin_invert(h0, points)]
@@ -287,11 +289,10 @@ def route_battery(T: float = 200.0, tol: float = 1e-6,
     # come first, so a kappa they refuse costs no coefficient table
     base = AmplifierSpec.for_t(T, kappa=amp_kappa)
     if table is None:
-        table = synth_eisenstein(D3_PARAMS, 2 * int(np.ceil(T ** (1.5 + WINDOW_EPS))))
+        # the least table of a spec at the default window
+        table = synth_eisenstein(D3_PARAMS, table_size(T, SumSpec.Y))
     spec = SumSpec(T=T, table=table, tol=tol)
-    amp = AmplifierSpec(kappa=base.kappa, P=base.P, L=base.L,
-                        primes_p=(base.primes_p[0],),
-                        primes_l=(base.primes_l[0],))
+    amp = replace(base, primes_p=base.primes_p[:1], primes_l=base.primes_l[:1])
     rep = compare_routes(spec, amp)
     outputs = {
         "s_sum": rep.s_sum,

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
-from .util import GL16, TWO_PI, _lattice_exp, _line_shells, gl_panels, kahan_csum
+from .util import BLOCK_ELEMENTS, GL16, TWO_PI, _lattice_exp, _line_shells, gl_panels, kahan_csum
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -63,13 +63,11 @@ INVERT_TOL = 1e-9
 
 # mellin_on_line: the fewest trapezoid nodes, the band beyond max|t| that
 # the n/2 rule must still resolve, the n/2 estimate's target relative to
-# sum |base|, the most nodes before a line is refused, and the largest
-# temporary (complex elements, 1 MB) of one chunk of frequencies
+# sum |base|, and the most nodes before a line is refused
 LINE_MIN_NODES = 64
 LINE_MARGIN = 1024.0
 LINE_REL_TOL = 1e-13
 LINE_MAX_NODES = 1 << 20
-_LINE_CHUNK = 1 << 16
 
 # _line_trapezoid: the band its half grid resolves beyond the phase rate
 LINE_RATE_MARGIN = 4.0
@@ -287,7 +285,7 @@ def _lattice_sums(u0: float, h: float, base: np.ndarray, freqs: np.ndarray,
     nodes, both tables `_lattice_exp` products on j <= n/B and m < B: 4
     exponentials a frequency at n = 1,024 (1.6e-15 relative at worst
     against mpmath). B is even, so `add` reduces k's parity columns to row
-    sums. The frequencies go in equal chunks of about _LINE_CHUNK table
+    sums. The frequencies go in equal chunks of about BLOCK_ELEMENTS table
     elements (a core's L2 cache), none of one frequency unless freqs is:
     numpy takes one row as a matrix-vector product, which rounds otherwise.
     """
@@ -295,7 +293,7 @@ def _lattice_sums(u0: float, h: float, base: np.ndarray, freqs: np.ndarray,
     blk = max(2, 1 << (n.bit_length() // 2))  # even, about sqrt(n)
     rows = n // blk + 1  # zeros past k = n pad the last block
     base = np.concatenate([base, np.zeros(rows * blk - base.size)]).reshape(rows, blk)
-    step = max(2, _LINE_CHUNK // max(rows, blk))
+    step = max(2, BLOCK_ELEMENTS // max(rows, blk))
     parts = []
     for t in np.array_split(freqs, max(1, min(-(-freqs.size // step), freqs.size // 2))):
         # exp(i f u_jB) on the row lattice j, then exp(i f m h) on m < blk;

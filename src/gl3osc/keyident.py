@@ -62,9 +62,8 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, TailNotConvergedError
-from .oscquad import (_TABLE_ELEMENTS, OscInstance, integrate_main, integrate_shifted,
-                      probe_amplitude)
-from .util import GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
+from .oscquad import OscInstance, integrate_main, integrate_shifted, probe_amplitude
+from .util import BLOCK_ELEMENTS, GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 
 # the dual sum's first shell is r in [1, FIRST_SHELL_R]; MAX_R is the hard
 # ceiling of its adaptive truncation
@@ -141,7 +140,7 @@ def riemann_side(inst: KeyIdentityInstance, ns=None, cs=None) -> complex:
     and r^(-iT) are formed once for all n; each r's weighted n-sum is an
     elementwise product summed down an (n, r) table of the unit phases
     (no matrix product, see `PanelGrid.reduce`), in blocks of n whose
-    tables hold _TABLE_ELEMENTS entries. The r-sum runs in ascending index
+    tables hold BLOCK_ELEMENTS entries. The r-sum runs in ascending index
     order, compensated.
     """
     h = inst.h
@@ -155,7 +154,7 @@ def riemann_side(inst: KeyIdentityInstance, ns=None, cs=None) -> complex:
     # reduce the rational phase np/(l*r) mod 1 in integer arithmetic so the
     # unit exponential never sees a large argument
     denom = inst.l * rs
-    block = max(1, _TABLE_ELEMENTS // rs.size)
+    block = max(1, BLOCK_ELEMENTS // rs.size)
     phases = 0.0
     for i in range(0, ns.size, block):
         frac = ((ns[i:i + block, None] * inst.p) % denom) / denom.astype(float)

@@ -34,9 +34,10 @@ n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
 once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
 `integrate_shifted` grids by the largest n, which with the largest live r
 bounds every row's |Phi'|. A pass runs in blocks of whole runs of panels
-(see _TABLE_ELEMENTS). In a block the weighted factor sum_n c_n x^(i c_log)
-e(-nT/(Nx)) is one row: each run of LATTICE_BLOCK consecutive n is one exact
-exponential times its weights summed by Horner's rule in w = e(-(T/N)/x).
+(see `PanelGrid.reduce_rows`). In a block the weighted factor
+sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row: each run of LATTICE_BLOCK
+consecutive n is one exact exponential times its weights summed by Horner's
+rule in w = e(-(T/N)/x).
 The shift phase factors: a node of a run is x = mid + half u_k, with the
 run's half-width and the rule's nodes u_k, so e(-r x/h) = e(-r mid/h)
 e(-r half u_k/h), one row per panel mid times a table of 24 nodes per run.
@@ -64,20 +65,11 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _PANEL_RUN, _lattice_exp, _panel_runs,
-                   kahan_add, kahan_csum)
+from .util import (BLOCK_ELEMENTS, GL8, GL16, LATTICE_BLOCK, TWO_PI, _PANEL_RUN, _lattice_exp,
+                   _panel_runs, kahan_add, kahan_csum)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
-
-# a block of a shifted batch holds as many runs of panels as keep its nodes
-# (24 a panel) times the r of one chunk (at most LATTICE_BLOCK of them)
-# within this many, and at least one run: 5 runs of 64 panels for the 8 r
-# of a first shell, 2 for 16 r, 1 from 22 r on. The block's products, mid
-# rows and sums hold about ten numbers per panel and r, and the factor row
-# and its Horner temporaries a few rows of 24 numbers a panel, whatever the
-# number of n.
-_TABLE_ELEMENTS = 1 << 16
 
 # a panel's 16 + 8 rule nodes on [-1, 1] and their weights, in node order
 _NODES24 = np.concatenate([GL16[0], GL8[0]])
@@ -195,8 +187,12 @@ class PanelGrid:
         integers n of `ns` with the weights `cs` and the integers r of `rs`,
         ordered as in ShiftedRows. The panels run in blocks of whole runs,
         as many as keep 24 nodes a panel by the r of one chunk (up to
-        LATTICE_BLOCK of them, see `_panel_sums`) within _TABLE_ELEMENTS,
-        and at least one. Each row's panel sums are added in panel order,
+        LATTICE_BLOCK of them, see `_panel_sums`) within BLOCK_ELEMENTS,
+        and at least one: 5 runs of 64 panels for the 8 r of a first shell,
+        2 for 16 r, 1 from 22 r on. The block's products, mid rows and sums
+        hold about ten numbers per panel and r, and the factor row and its
+        Horner temporaries a few rows of 24 numbers a panel, whatever the
+        number of n. Each row's panel sums are added in panel order,
         compensated, and its error estimate, as in `reduce`, sums the panels
         in the same order; a chunk's products have the same shape whatever
         the block size, so the block size leaves every bit alone.
@@ -204,7 +200,7 @@ class PanelGrid:
         s = np.zeros((2 * rs.size, 2))
         c = np.zeros_like(s)
         est = np.zeros((2, 2 * rs.size))  # sum |G16 - G8| and sum |G16| per row
-        per_block = max(1, _TABLE_ELEMENTS // (24 * _PANEL_RUN * min(rs.size, LATTICE_BLOCK)))
+        per_block = max(1, BLOCK_ELEMENTS // (24 * _PANEL_RUN * min(rs.size, LATTICE_BLOCK)))
         runs = self.run_starts.size - 1
         for q0 in range(0, runs, per_block):
             q1 = min(q0 + per_block, runs)

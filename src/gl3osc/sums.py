@@ -20,6 +20,12 @@ f0(y) g(y/Y) y^(iT-1/2) d*y, f0 the paper's dyadic weight h1, computed as:
 The first two differ by the transformation formula's O(T^(-3/4+eps)) tail;
 the last two by the per-n O(T^(-3/2)) replacement error. Both envelopes
 carry calibrated constants frozen below.
+
+`SumSpec` owns the table: it refuses one whose x_max is below
+`table_size(T, Y)`, at least the top of the integral window
+(N/4, 2 (1+C1) N), which holds the sum window (N, 2N). Every n that a route
+or `keyident_envelope` reads lies in those windows, so none of them checks
+the table again.
 """
 from __future__ import annotations
 
@@ -32,8 +38,8 @@ from .coeffs import CoefficientTable
 from .cutoffs import Cutoff, g_cutoff, h1_cutoff, v0_cutoff, weight_w0_w
 from .errors import ConfigError, TableTooSmallError
 from .keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
-from .oscquad import _TABLE_ELEMENTS, OscInstance, integrate_main
-from .util import LATTICE_BLOCK, TWO_PI, _lattice_exp, kahan_csum
+from .oscquad import OscInstance, integrate_main
+from .util import BLOCK_ELEMENTS, LATTICE_BLOCK, TWO_PI, _lattice_exp, kahan_csum
 from .whittaker import c_constant
 
 # Absolute sum-versus-integral envelope K_ROUTE_34 * T^(-0.7); calibrated on
@@ -56,9 +62,24 @@ WINDOW_EPS = 0.02
 C1 = 1.0
 
 
+def table_size(T: float, Y: float) -> int:
+    """The least x_max a SumSpec at (T, Y) accepts: the sum support's
+    2 ceil(T^(3/2+eps)), or the integral window's top ceil(2 (1+C1) N) - 1,
+    N = T^(3/2)/Y, where that is larger (Y below about 2)."""
+    N = T**1.5 / Y
+    return max(2 * int(np.ceil(T ** (1.5 + WINDOW_EPS))),
+               int(np.ceil(2.0 * (1.0 + C1) * N)) - 1)
+
+
 @dataclass(frozen=True)
 class SumSpec:
-    """One sum configuration: frequency T, window Y, coefficient table, tol."""
+    """One sum configuration: frequency T, window Y, coefficient table, tol.
+
+    The table holds every n that a route or the envelope reads:
+    x_max >= table_size(T, Y) >= the top of `integral_window`, which holds
+    `sum_window`. Y <= T^kappa makes N >= T^(1/2) > 1, so the open (N, 2N)
+    holds an integer and neither window is empty.
+    """
 
     T: float
     table: CoefficientTable
@@ -73,10 +94,10 @@ class SumSpec:
             raise ConfigError("tol must be finite and positive")
         if not (self.T**-WINDOW_EPS <= self.Y <= self.T**WINDOW_KAPPA):
             raise ConfigError("Y must lie in [T^-eps, T^kappa]")
-        need = 2 * int(np.ceil(self.T ** (1.5 + WINDOW_EPS)))
+        need = table_size(self.T, self.Y)
         if self.table.x_max < need:
             raise TableTooSmallError(
-                f"table covers {self.table.x_max}, sum support needs {need}")
+                f"table covers {self.table.x_max}, the windows need {need}")
 
     @property
     def N(self) -> float:
@@ -104,11 +125,6 @@ class SumSpec:
 def s_sum_form(spec: SumSpec) -> complex:
     """The transformation-formula route; exact finite sum, compensated."""
     n_lo, n_hi = spec.sum_window()
-    if n_hi > spec.table.x_max:
-        raise TableTooSmallError(
-            f"sum window reaches {n_hi}, table covers {spec.table.x_max}")
-    if n_hi < n_lo:
-        return 0.0 + 0.0j
     g = g_cutoff()
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)
     coeffs = spec.table.values[ns]
@@ -151,11 +167,8 @@ def _integral_route(spec: SumSpec) -> tuple[complex, float]:
     on [2 pi, 4 pi], to tol spec.tol sum_n |a_n|/n; the envelope at mT/N
     bounds every term's phase rate. Each run of LATTICE_BLOCK n takes its
     phases from one `_lattice_exp` call on the offsets m - n, at the nodes
-    inside its v0 window only, in blocks whose rows hold _TABLE_ELEMENTS floats."""
+    inside its v0 window only, in blocks whose rows hold BLOCK_ELEMENTS floats."""
     n_lo, n_hi = spec.integral_window()
-    if n_hi > spec.table.x_max:
-        raise TableTooSmallError(
-            f"integral window reaches {n_hi}, table covers {spec.table.x_max}")
     # descending n, so the offsets m - n ascend
     ns = np.arange(n_hi, n_lo - 1, -1, dtype=np.int64)
     ns = ns[spec.table.values[ns] != 0.0]
@@ -165,7 +178,7 @@ def _integral_route(spec: SumSpec) -> tuple[complex, float]:
     m, N = int(ns[0]), spec.N
     offsets = m - ns
     v0, g = v0_cutoff(C1), g_cutoff()
-    block = _TABLE_ELEMENTS // (2 * LATTICE_BLOCK)
+    block = BLOCK_ELEMENTS // (2 * LATTICE_BLOCK)
 
     def head(x):
         step = TWO_PI * spec.T / (N * x)
@@ -204,9 +217,6 @@ def _keyident_route(spec: SumSpec,
                     amp: AmplifierSpec) -> tuple[complex, float]:
     """Value and quadrature bound of the discretized, amplified route."""
     n_lo, n_hi = spec.sum_window()
-    if n_hi > spec.table.x_max:
-        raise TableTooSmallError(
-            f"sum window reaches {n_hi}, table covers {spec.table.x_max}")
     # each pair's identity residual obeys the enforced tolerance-share bound
     pair_budget = 10.0 * 2.0 * spec.tol
     ns = np.arange(n_lo, n_hi + 1, dtype=np.int64)

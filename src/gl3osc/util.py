@@ -18,6 +18,11 @@ TWO_PI = 2.0 * np.pi
 #: quadrature uses, and of the 8-point rule embedded for error estimates.
 GL16, GL8 = (np.polynomial.legendre.leggauss(k) for k in (16, 8))
 
+# the largest temporary of one block of a batched table, in complex
+# elements (1 MB, about a core's L2 cache): the shifted batches, the
+# windowed sum, the integral route's n-sum and the Mellin lines split by it
+BLOCK_ELEMENTS = 1 << 16
+
 # longest run of consecutive lattice offsets one exact exponential heads; a
 # phase table's products of exp(i step) never chain further than this
 LATTICE_BLOCK = 64

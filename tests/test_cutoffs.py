@@ -309,7 +309,7 @@ def test_mellin_on_line_chunks_keep_the_bits(monkeypatch):
 
     lattice = cutoffs._lattice_exp
     monkeypatch.setattr(cutoffs, "_lattice_exp", spy)
-    monkeypatch.setattr(cutoffs, "_LINE_CHUNK", 1 << 9)
+    monkeypatch.setattr(cutoffs, "BLOCK_ELEMENTS", 1 << 9)
     got = mellin_on_line(f, 3.0, ts)
     assert 2 <= min(sizes) and max(sizes) <= ts.size // 4
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -423,8 +423,7 @@ def _reference_rows(inst: KeyIdentityInstance, ns, cs, r_last: int):
 def _route_instances():
     """The route amplitude V at T = 64 and three n of its window."""
     T = 64.0
-    table = synth_eisenstein(criteria.D3_PARAMS,
-                             2 * int(np.ceil(T ** (1.5 + sums.WINDOW_EPS))))
+    table = synth_eisenstein(criteria.D3_PARAMS, sums.table_size(T, sums.SumSpec.Y))
     spec = sums.SumSpec(T=T, table=table, tol=1e-6)
     n_lo, n_hi = spec.sum_window()
     ns = [n_lo + 1, (n_lo + n_hi) // 2, n_hi - 1]

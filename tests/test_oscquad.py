@@ -247,7 +247,7 @@ def test_block_size_leaves_the_bits_alone(monkeypatch):
     cs = [0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j]
     got = []
     for cap in (24 * 4, 24 * 4 * 31, 24 * 64 * 4 * 3):
-        monkeypatch.setattr(oscquad, "_TABLE_ELEMENTS", cap)
+        monkeypatch.setattr(oscquad, "BLOCK_ELEMENTS", cap)
         batch = integrate_shifted(inst, rs=[1, 2, 7, 90], h=0.5, ns=ns, cs=cs)
         got.append((batch.values.tobytes(), batch.abs_errs.tobytes(), batch.evaluations))
     assert got[0] == got[1] == got[2]
@@ -391,7 +391,7 @@ def test_shifted_pass_memory_does_not_grow_with_the_number_of_n():
     amp = inst.amplitude
     grid = PanelGrid(amp.support_lo, amp.support_hi, -T, (n0 + 399) * T / N, 8.0,
                      np.pi / 8.0)
-    assert grid.panels * 24 * 8 > 4 * oscquad._TABLE_ELEMENTS
+    assert grid.panels * 24 * 8 > 4 * oscquad.BLOCK_ELEMENTS
     values = amp.fn(grid.nodes)
     rs = np.arange(1, 9)
     peaks = []

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gl3osc import keyident, sums
+from gl3osc import criteria, keyident, sums
 from gl3osc.coeffs import CoefficientTable, synth_eisenstein
 from gl3osc.cutoffs import Cutoff, g_cutoff, v0_cutoff
 from gl3osc.errors import ConfigError, TableTooSmallError
@@ -22,6 +22,7 @@ from gl3osc.sums import (
     compare_routes,
     keyident_envelope,
     s_sum_form,
+    table_size,
     _integral_route,
     _keyident_route,
     _v_cutoff,
@@ -40,11 +41,11 @@ GOLDEN_SUM_200 = 1.5920473141057583 + 4.200090475151859j
 
 
 def _d3_table(T: float) -> CoefficientTable:
-    return synth_eisenstein(D3, 2 * int(np.ceil(T**1.52)))
+    return synth_eisenstein(D3, table_size(T, SumSpec.Y))
 
 
 def _sparse_table(T: float, entries) -> CoefficientTable:
-    x_max = 2 * int(np.ceil(T**1.52))
+    x_max = table_size(T, SumSpec.Y)
     values = np.zeros(x_max + 1, dtype=complex)
     values[1] = 1.0
     for n, a in entries:
@@ -58,9 +59,7 @@ SPARSE_100 = ((85, 0.7 + 0.2j), (97, -0.4 + 0.9j), (110, 1.1j),
 
 def _single_pair_amp(T: float) -> AmplifierSpec:
     base = AmplifierSpec.for_t(T)
-    return AmplifierSpec(kappa=base.kappa, P=base.P, L=base.L,
-                         primes_p=(base.primes_p[0],),
-                         primes_l=(base.primes_l[0],))
+    return replace(base, primes_p=base.primes_p[:1], primes_l=base.primes_l[:1])
 
 
 @pytest.fixture(scope="module")
@@ -268,7 +267,7 @@ def test_weighted_riemann_side_is_the_sum_of_each_n(table_100, sparse, blocks, m
                                amplitude=_v_cutoff(spec))
     if blocks:
         r_lo, r_hi = inst.index_window()
-        monkeypatch.setattr(keyident, "_TABLE_ELEMENTS", 2 * (r_hi - r_lo + 1))
+        monkeypatch.setattr(keyident, "BLOCK_ELEMENTS", 2 * (r_hi - r_lo + 1))
     got = riemann_side(inst, ns, cs)
     want = kahan_csum([c * riemann_side(replace(inst, n=int(n))) for n, c in zip(ns, cs)])
     assert got != 0.0
@@ -327,13 +326,66 @@ def test_degenerate_window_sums_to_zero_exactly(monkeypatch):
     assert _integral_route(spec)[0] == 0.0
 
 
-def test_integral_window_can_outgrow_a_valid_table():
-    # Y = 1 widens the integral window to 4 N > 2 T^(3/2 + eps)
+def test_spec_refuses_a_table_short_of_the_integral_window():
+    # Y = 1 widens the integral window to 4 N > 2 T^(3/2 + eps): the table
+    # of the default window covers the sum window, yet the spec refuses it
     T = 60.0
-    spec = SumSpec(T=T, table=_d3_table(T), Y=1.0, tol=1e-6)
-    assert s_sum_form(spec) == 0.0
+    short = _d3_table(T)
+    assert short.x_max >= SumSpec(T=T, table=short).sum_window()[1]
     with pytest.raises(TableTooSmallError):
-        _integral_route(spec)
+        SumSpec(T=T, table=short, Y=1.0, tol=1e-6)
+    need = table_size(T, 1.0)
+    assert need > short.x_max
+    spec = SumSpec(T=T, table=synth_eisenstein(D3, need), Y=1.0, tol=1e-6)
+    assert spec.integral_window()[1] == need
+    with pytest.raises(TableTooSmallError):
+        SumSpec(T=T, table=synth_eisenstein(D3, need - 1), Y=1.0, tol=1e-6)
+
+
+@pytest.mark.parametrize("Y", [1.0, 1.5])
+def test_small_y_table_is_refused_before_any_route_reads_it(Y):
+    # a table of 2 ceil(T^(3/2 + eps)) = 2,194 at T = 100 misses the top of
+    # the integral window, 3,999 at Y = 1 and 2,666 at Y = 1.5, which
+    # keyident_envelope and the integral route read
+    T = 100.0
+    with pytest.raises(TableTooSmallError):
+        SumSpec(T=T, table=synth_eisenstein(D3, 2194), Y=Y)
+    spec = SumSpec(T=T, table=synth_eisenstein(D3, table_size(T, Y)), Y=Y)
+    assert spec.integral_window()[1] == spec.table.x_max
+    assert keyident_envelope(spec) > 0.0
+
+
+@pytest.mark.parametrize("T", [13.0, 60.0, 2000.0])
+@pytest.mark.parametrize("Y_of_T", [lambda T: T**-0.02, lambda T: 1.0, lambda T: 2.0,
+                                    lambda T: 4.0 * np.pi, lambda T: T],
+                         ids=["T^-eps", "1", "2", "4pi", "T^kappa"])
+def test_table_size_covers_both_windows(T, Y_of_T):
+    # the least table a spec accepts holds the integral window, which
+    # holds the sum window, across Y's range (13 is the first integer T
+    # whose range holds 4 pi); N >= T^(1/2) > 1 keeps the sum window nonempty
+    Y = Y_of_T(T)
+    need = table_size(T, Y)
+    values = np.zeros(need + 1, dtype=complex)
+    values[1] = 1.0
+    spec = SumSpec(T=T, table=CoefficientTable(values=values, x_max=need, source="unit"), Y=Y)
+    assert spec.sum_window()[1] <= spec.integral_window()[1] <= need
+    assert spec.sum_window()[0] <= spec.sum_window()[1]
+
+
+def test_route_battery_builds_the_least_table_a_spec_accepts(monkeypatch):
+    # the battery's default table and SumSpec's minimum come from one rule
+    sizes = []
+    real = criteria.synth_eisenstein
+
+    def spy(params, x_max):
+        sizes.append(x_max)
+        return real(params, x_max)
+
+    monkeypatch.setattr(criteria, "synth_eisenstein", spy)
+    criteria.route_battery(T=64.0)
+    assert sizes == [table_size(64.0, SumSpec.Y)]
+    with pytest.raises(TableTooSmallError):
+        SumSpec(T=64.0, table=real(D3, sizes[0] - 1))
 
 
 def test_envelope_scales_with_table_mass():
