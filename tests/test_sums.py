@@ -328,10 +328,11 @@ def test_degenerate_window_sums_to_zero_exactly(monkeypatch):
 
 def test_spec_refuses_a_table_short_of_the_integral_window():
     # Y = 1 widens the integral window to 4 N > 2 T^(3/2 + eps): the table
-    # of the default window covers the sum window, yet the spec refuses it
+    # of the default window covers the sum window (N, 2N) at Y = 1, yet the
+    # spec refuses it
     T = 60.0
     short = _d3_table(T)
-    assert short.x_max >= SumSpec(T=T, table=short).sum_window()[1]
+    assert short.x_max >= int(np.ceil(2.0 * T**1.5)) - 1
     with pytest.raises(TableTooSmallError):
         SumSpec(T=T, table=short, Y=1.0, tol=1e-6)
     need = table_size(T, 1.0)
