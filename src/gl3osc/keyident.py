@@ -23,18 +23,18 @@ r <= h max|Phi'|/(2 pi) of the main phase Phi, k-fold integration by parts
 bounds every further term (`_IbpTail`; the mechanism that keeps the dual
 side short in the Munshi and Holowinsky-Nelson arguments). So for an
 amplitude with a closed-form jet (`Cutoff.jet`: v0, g and the probe bump)
-the sum stops, before gridding a shell that starts past that range, once
-the bound on all its further r is below tol/2, and `o_tail` is that bound.
-The instances of A01 and A09 stop after r = 8, and a pair with no
-stationary r >= 1, such as (10007, 3) at T = 500, builds no grid at all.
-An amplitude without a jet (the route amplitude of `sums`, whose h1
-weight has none) stops once twice the last shell's mass is below tol/2,
-an estimate. A shell is one shared-grid batch (`integrate_shifted`): every
-+-r of the shell on one grid with one evaluation of V. Its phases are
-geometric sequences in the integers r and n: an exponential per node heads
-each run of up to 64 consecutive r (or n); products fill the shift table,
-and Horner's rule sums a run's weighted n, so a shell of 8 r costs two
-exponentials per node, not eight.
+a shell ends early, at the smallest r with r + 1 past that range and the
+bound on all |r'| > r below tol/2; the sum stops there, and `o_tail` is
+that bound. The instances of A01 and A09 stop between r = 1 and r = 6, and
+a pair with no stationary r >= 1, such as (10007, 3) at T = 500, builds no
+grid at all. An amplitude without a jet (the route amplitude of `sums`,
+whose h1 weight has none) grids each shell whole and stops once twice the
+last shell's mass is below tol/2, an estimate. A shell is one shared-grid
+batch (`integrate_shifted`): every +-r of the shell on one grid with one
+evaluation of V. Its phases are geometric sequences in the integers r and
+n: an exponential per node heads each run of up to 64 consecutive r (or
+n); products fill the shift table, and Horner's rule sums a run's weighted
+n, so a shell of 8 r costs two exponentials per node, not eight.
 
 One pair loop (`_pair_terms`) serves verify_key_identity and
 amplified_average. M and the tail bound's q_m depend on the amplitude, T,
@@ -65,8 +65,9 @@ from .errors import ConfigError, TailNotConvergedError
 from .oscquad import OscInstance, integrate_main, integrate_shifted, probe_amplitude
 from .util import BLOCK_ELEMENTS, GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 
-# the dual sum's first shell is r in [1, FIRST_SHELL_R]; MAX_R is the hard
-# ceiling of its adaptive truncation
+# the dual sum's first shell is r in [1, FIRST_SHELL_R] at most (the
+# integration-by-parts bound may end it sooner); MAX_R is the hard ceiling
+# of its adaptive truncation
 FIRST_SHELL_R = 8
 MAX_R = 4096
 # the dual sum's integration-by-parts tail bound (`_IbpTail`): IBP_ORDER
@@ -223,8 +224,10 @@ class _IbpTail:
     lo..lo + IBP_ROWS - 1 by Horner's rule in 1/Psi_r', the rest from
     ||q_m||_1 and |Psi_r'| >= d_r = 2 pi r/h - max |Phi_n'|, with
     sum_(r >= R) d_r^(-m) <= d_R^(-m) + (h/2 pi) d_R^(1-m)/(m - 1). Every
-    L1 norm is a trapezoid sum times IBP_CUSHION. `r_stat(h)`, the top of
-    the stationary range over all n, is closed form; `bound` needs lo > r_stat(h).
+    L1 norm is a trapezoid sum times IBP_CUSHION. `bounds(lo, hi, h)` gives
+    the bound at every start lo..hi from one pass over the rows. `r_stat(h)`, the
+    top of the stationary range over all n, is closed form; both refuse
+    lo <= r_stat(h), where some row has a stationary point.
     """
 
     def __init__(self, osc: OscInstance, ns, cs):
@@ -285,19 +288,30 @@ class _IbpTail:
             total = total + weight * self.dx * np.sum(np.abs(acc), axis=1)
         return total
 
-    def bound(self, lo: int, h: float) -> float:
-        """The bound on sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|, for lo > r_stat(h)."""
+    def bounds(self, lo: int, hi: int, h: float) -> np.ndarray:
+        """The bound on sum_n |c_n| sum_(|r| >= R) |I(n, +-r/h)| for each R
+        in lo..hi, for lo > r_stat(h): one `row_norms` pass over the rows
+        lo..hi + IBP_ROWS - 1, and the closed-form remainder of each R."""
+        if not lo > self.r_stat(h):
+            raise ConfigError(
+                f"the bound needs lo > r_stat(h) = {self.r_stat(h):.6g}; got lo = {lo}")
         k = IBP_ORDER
-        rows = float(np.sum(self.row_norms(np.arange(lo, lo + IBP_ROWS), h)))
-        top = TWO_PI / h * (lo + IBP_ROWS)
+        halves = self.row_norms(np.arange(lo, hi + IBP_ROWS), h).reshape(2, -1)
+        windows = np.lib.stride_tricks.sliding_window_view(halves, IBP_ROWS, axis=1)
+        rows = np.sum(windows, axis=(0, 2))
+        top = TWO_PI / h * (np.arange(lo, hi + 1.0) + IBP_ROWS)[:, None]
         m = np.arange(k, 2.0 * k + 1.0)
         beyond = 0.0
         for weight, peak, _, q in self._parts:
             gap = top - peak
             norms = self.dx * np.sum(np.abs(q), axis=1)
-            beyond += 2.0 * weight * float(np.sum(
-                norms * (gap ** -m + h / TWO_PI * gap ** (1.0 - m) / (m - 1.0))))
+            beyond = beyond + 2.0 * weight * np.sum(
+                norms * (gap ** -m + h / TWO_PI * gap ** (1.0 - m) / (m - 1.0)), axis=1)
         return IBP_CUSHION * (rows + beyond)
+
+    def bound(self, lo: int, h: float) -> float:
+        """The bound on sum_n |c_n| sum_(|r| >= lo) |I(n, +-r/h)|, for lo > r_stat(h)."""
+        return float(self.bounds(lo, lo, h)[0])
 
 
 def _poisson_terms(inst: KeyIdentityInstance, ns, cs, tail: _IbpTail | None):
@@ -306,20 +320,21 @@ def _poisson_terms(inst: KeyIdentityInstance, ns, cs, tail: _IbpTail | None):
     Sums sum_n c_n O_n over the integers n of `ns` with the complex weights
     `cs`, shell by shell: r in [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and
     so on, each shell one integrate_shifted batch at the integers r and the
-    step inst.h. With
-    tol = inst.tol sum_n |c_n|, each row is held to its own share
-    tol / (32 max(8, r)), and the sum stops once its tail falls below tol/2.
-    All-zero weights give an exact zero at once.
+    step inst.h. With tol = inst.tol sum_n |c_n|, each row is held to its
+    own share tol / (32 max(8, r)), and the sum stops once its tail falls
+    below tol/2. All-zero weights give an exact zero at once.
 
     `tail` is the `_IbpTail` of ns and cs, None for an amplitude without a
-    jet. Before a shell whose lowest r lies past the stationary range of
-    every n, the bound on all |r| >= that r is taken, and the sum stops
-    there, without gridding the shell, once the bound is below tol/2. The
-    last r is then the top of the last shell gridded: 0 when no r >= 1 is
-    stationary. Without a tail the sum keeps an estimate: the terms decay
-    superpolynomially once the linear shift removes the stationary point,
-    so one doubling bounds the remainder by the last shell's mass, and the
-    sum stops once twice that mass is below tol/2.
+    jet. Before each shell [lo, hi] the bound on all |r| >= R is taken, in
+    one `bounds` pass, for every R in lo..hi + 1 past the stationary range
+    of every n. The shell then ends at r = R - 1 for the smallest R whose
+    bound is below tol/2, and the sum stops there, that bound its tail;
+    with no such R the shell is gridded whole and the next one follows.
+    The last r is the top of the last row gridded: 0 when the bound stops
+    the sum at R = 1. Without a tail the sum keeps an estimate: the terms
+    decay superpolynomially once the linear shift removes the stationary
+    point, so one doubling bounds the remainder by the last shell's mass,
+    and the sum stops once twice that mass is below tol/2.
     """
     tol = inst.tol * float(np.sum(np.abs(cs)))
     if tol == 0.0:
@@ -328,21 +343,29 @@ def _poisson_terms(inst: KeyIdentityInstance, ns, cs, tail: _IbpTail | None):
     value, quad_sum, rest = 0.0 + 0.0j, 0.0, math.inf
     lo, hi = 1, FIRST_SHELL_R
     while True:
-        if tail is not None and lo > tail.r_stat(h):
-            rest = tail.bound(lo, h)
-            if rest < 0.5 * tol:
-                return value, rest, quad_sum, lo - 1
-        if lo > MAX_R:
-            raise TailNotConvergedError(f"dual sum tail still {rest:.3e} at r_max {lo - 1}")
-        rs = np.arange(lo, hi + 1)
-        shell = integrate_shifted(inst.osc, rs, h, ns=ns, cs=cs,
-                                  tol=tol / (32.0 * np.maximum(8, rs)))
-        value += kahan_csum(shell.values)
-        quad_sum += float(np.sum(shell.abs_errs))
-        if tail is None:
-            rest = 2.0 * float(np.sum(np.abs(shell.values)))
-            if rest < 0.5 * tol:
-                return value, rest, quad_sum, hi
+        done = False
+        if tail is not None:
+            first = max(lo, math.floor(tail.r_stat(h)) + 1)
+            if first <= hi + 1:
+                bounds = tail.bounds(first, hi + 1, h)
+                met = np.flatnonzero(bounds < 0.5 * tol)
+                if met.size:
+                    done, rest, hi = True, float(bounds[met[0]]), first + int(met[0]) - 1
+                else:
+                    rest = float(bounds[0]) if first == lo else math.inf
+        if hi >= lo:
+            if lo > MAX_R:
+                raise TailNotConvergedError(f"dual sum tail still {rest:.3e} at r_max {lo - 1}")
+            rs = np.arange(lo, hi + 1)
+            shell = integrate_shifted(inst.osc, rs, h, ns=ns, cs=cs,
+                                      tol=tol / (32.0 * np.maximum(8, rs)))
+            value += kahan_csum(shell.values)
+            quad_sum += float(np.sum(shell.abs_errs))
+            if tail is None:
+                rest = 2.0 * float(np.sum(np.abs(shell.values)))
+                done = rest < 0.5 * tol
+        if done:
+            return value, rest, quad_sum, hi
         lo, hi = hi + 1, 2 * hi
 
 

@@ -200,16 +200,19 @@ def test_dual_terms_decay_superpolynomially():
     assert term(-1) < j1
 
 
-def test_dual_sum_tail_honesty(monkeypatch):
+def test_dual_sum_tail_honesty():
     inst = _instance(500.0, 7, 2)
     o_a, tail_a = _dual_sum(inst)[:2]
-    # widening the first shell must move the value by less than the tail plus
-    # the quadrature shares; the wide pass needs a looser tol since the
-    # per-term tolerance share shrinks with the index
-    monkeypatch.setattr(keyident, "FIRST_SHELL_R", 32)
+    # the explicit wide shell r = 1..32 must differ from the dual sum by less
+    # than both tails plus the quadrature shares; the wide pass needs a
+    # looser tol since the per-term tolerance share shrinks with the index
     wide = replace(inst, tol=1e-7)
-    o_b, tail_b = _dual_sum(wide)[:2]
+    rs = np.arange(1, 33)
+    shell = integrate_shifted(wide.osc, rs, wide.h, tol=wide.tol / (32.0 * np.maximum(8, rs)))
+    o_b = kahan_csum(shell.values)
+    tail_b = keyident._IbpTail(wide.osc, [wide.n], [1.0]).bound(33, wide.h)
     assert 0.0 <= tail_a < 0.5 * inst.tol
+    assert float(np.sum(shell.abs_errs)) <= 0.5 * wide.tol
     assert abs(o_a - o_b) <= tail_a + tail_b + inst.tol + wide.tol
 
 
@@ -433,7 +436,7 @@ def _route_instances():
 
 
 @pytest.mark.parametrize("case", ["probe-T100", "route-T64"])
-def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case):
+def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case, monkeypatch):
     # gapped n, one zero weight and complex weights: by linearity the
     # weighted dual sum is sum_n c_n O_n, within sum_n |c_n| times the
     # quadrature and tail bounds of both sides
@@ -445,18 +448,26 @@ def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case):
         ns.append(ns[-1] - 4)
     cs = [0.7 + 0.2j, 0.0, -0.4 + 0.9j, 1.1j]
     mass = sum(abs(c) for c in cs)
+    shells = []
+    real = keyident.integrate_shifted
+
+    def recorded(osc, rs, h, **kwargs):
+        shells.append(np.array(rs))
+        return real(osc, rs, h, **kwargs)
+
+    monkeypatch.setattr(keyident, "integrate_shifted", recorded)
     o, tail, quad, r_max = _dual_sum(base, ns, cs)
+    monkeypatch.undo()
+    assert np.array_equal(np.concatenate(shells), np.arange(1, r_max + 1))
     assert tail < 0.5 * base.tol * mass
     assert quad <= 0.5 * base.tol * mass
     alone = [_dual_sum(replace(base, n=n)) for n in ns]
     want = sum(c * one[0] for c, one in zip(cs, alone))
     bound = quad + tail + sum(abs(c) * (one[1] + one[2]) for c, one in zip(cs, alone))
     assert abs(o - want) <= bound
-    # row by row, every shell up to r_max against standalone integrals
+    # row by row, every shell the dual sum gridded against standalone integrals
     reference = _reference_rows(base, ns, cs, r_max)
-    lo, hi = 1, keyident.FIRST_SHELL_R
-    while lo <= r_max:
-        rs = np.arange(lo, hi + 1)
+    for rs in shells:
         shares = mass * base.tol / (32.0 * np.maximum(8, rs))
         shell = integrate_shifted(base.osc, rs, base.h, tol=shares, ns=ns, cs=cs)
         assert shell.values.shape == (2 * rs.size,)
@@ -466,7 +477,6 @@ def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case):
                 ref_value, ref_err = reference[signed]
                 assert err <= shares[j]
                 assert abs(value - ref_value) <= err + ref_err
-        lo, hi = hi + 1, 2 * hi
 
 
 def test_single_n_calls_keep_their_bits():
@@ -489,12 +499,20 @@ def test_single_n_calls_keep_their_bits():
     # (-0.002050335572431335-0.00747536916847352j) and A - O from
     # (0.0507280886337316+0.00961294414116948j), by 9.2e-15 each against a
     # quadrature bound of 1.6e-13 on O; the A09 average from
-    # (-0.0036782553252046567+0.027988570265161432j), by 6.3e-15
+    # (-0.0036782553252046567+0.027988570265161432j), by 6.3e-15. They
+    # moved when the bound came to end each shell, so that the rows past
+    # its first R with a bound below tol/2 go into the proved tail: the
+    # instance grids r = 1..5 where it gridded 1..8, O from
+    # (-0.002050335572434218-0.007475369168464736j) and A - O from
+    # (0.050728088633734486+0.009612944141160698j), by 1.5e-11 each
+    # against its o_tail of 1.0e-10; the A09 average from
+    # (-0.0036782553252052382+0.027988570265155135j), by 2.7e-11 against
+    # its budget of 1.55e-8
     [rep] = verify_key_identity(_instance(250.0, 5, 3))
-    assert repr(rep.o_value) == "(-0.002050335572434218-0.007475369168464736j)"
-    assert repr(rep.recovered_m) == "(0.050728088633734486+0.009612944141160698j)"
+    assert repr(rep.o_value) == "(-0.0020503355602721107-0.007475369160425698j)"
+    assert repr(rep.recovered_m) == "(0.05072808862157238+0.00961294413312166j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
-    assert repr(a_avg - o_avg) == "(-0.0036782553252052382+0.027988570265155135j)"
+    assert repr(a_avg - o_avg) == "(-0.003678255299943469+0.027988570255246568j)"
 
 
 def test_amplified_average_builds_the_q_m_once(monkeypatch):
@@ -503,9 +521,13 @@ def test_amplified_average_builds_the_q_m_once(monkeypatch):
     # each pair had built its own, and the average keeps its bits (pinned
     # in test_single_n_calls_keep_their_bits). A01's battery checks its
     # three pairs of each T in one pair loop: one M and one q_m build per
-    # T, three of each in all, where each (T, p, l) had made its own
-    calls, mains = [], []
+    # T, three of each in all, where each (T, p, l) had made its own. The
+    # rows gridded guard the work: each dual sum ends its shell at the first
+    # r whose bound is below tol/2, so A09's four pairs grid 8 rows where
+    # they gridded 32, and A01's nine instances 29 where they gridded 72
+    calls, mains, rows = [], [], []
     real, real_main = keyident._taylor_inverse_power, keyident.integrate_main
+    real_shifted = keyident.integrate_shifted
 
     def counted(x, j, k):
         calls.append(j)
@@ -515,16 +537,24 @@ def test_amplified_average_builds_the_q_m_once(monkeypatch):
         mains.append(osc.T)
         return real_main(osc)
 
+    def counted_rows(osc, rs, h, **kwargs):
+        rows.append(len(rs))
+        return real_shifted(osc, rs, h, **kwargs)
+
     monkeypatch.setattr(keyident, "_taylor_inverse_power", counted)
     monkeypatch.setattr(keyident, "integrate_main", counted_main)
+    monkeypatch.setattr(keyident, "integrate_shifted", counted_rows)
     amp = AmplifierSpec.for_t(500.0)
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), amp)
     assert len(amp.pairs) == 4 and calls == [2, 3]
-    assert repr(a_avg - o_avg) == "(-0.0036782553252052382+0.027988570265155135j)"
+    assert sum(rows) == 8
+    assert repr(a_avg - o_avg) == "(-0.003678255299943469+0.027988570255246568j)"
     calls.clear()
+    rows.clear()
     _, checks = criteria.key_identity_battery()
     assert mains == list(criteria.KEY_T_VALUES)
     assert calls == [2, 3] * len(criteria.KEY_T_VALUES)
+    assert sum(rows) == 29
     assert all(c.passed for c in checks)
 
 
@@ -555,10 +585,11 @@ def test_dual_sum_bound_refuses_past_max_r(monkeypatch):
     # at T = 1000, (p, l) = (13, 11) the stationary range ends at r = 8.52,
     # and the bound on |r| >= 9 is 1.8e-9, above tol/2: with MAX_R = 8 the
     # sum may grid no further shell, so it refuses; with the default
-    # ceiling it grids r = 9..16 and stops on the bound at 17
+    # ceiling its second shell is the row r = 9 alone, and it stops on the
+    # bound on |r| >= 10
     inst = _instance(1000.0, 13, 11)
     o, tail, quad, r_max = _dual_sum(inst)
-    assert r_max == 16 and tail < 0.5 * inst.tol
+    assert r_max == 9 and tail < 0.5 * inst.tol
     monkeypatch.setattr(keyident, "MAX_R", 8)
     with pytest.raises(TailNotConvergedError, match="r_max 8"):
         _dual_sum(inst)
@@ -606,6 +637,57 @@ def test_ibp_bound_holds_next_to_the_stationary_range():
     mass = float(np.sum(np.abs(shell.values)))
     assert mass > 1e5 * float(np.sum(shell.abs_errs))
     assert mass <= tail.bound(4, inst.h) < 10.0 * mass
+
+
+def test_ibp_bound_refuses_the_stationary_range():
+    # below r_stat(h) some row has a stationary point, where no integration
+    # by parts holds: at T = 250, (p, l) = (5, 3), r_stat = 3.03
+    inst = _instance(250.0, 5, 3)
+    tail = keyident._IbpTail(inst.osc, [inst.n], [1.0])
+    for lo in (1, 3):
+        with pytest.raises(ConfigError, match=r"lo > r_stat\(h\) = 3.02825; got lo"):
+            tail.bound(lo, inst.h)
+        with pytest.raises(ConfigError):
+            tail.bounds(lo, 8, inst.h)
+    # one pass over R = 4..9 gives each R's bound
+    bounds = tail.bounds(4, 9, inst.h)
+    assert np.allclose(bounds, [tail.bound(lo, inst.h) for lo in range(4, 10)], rtol=1e-13)
+    assert np.all(np.diff(bounds) < 0.0)
+
+
+_A09_PAIRS = tuple(AmplifierSpec.for_t(500.0).pairs)
+_BOUND_CASES = sorted({(T, pair) for T in criteria.KEY_T_VALUES for pair in criteria.KEY_PAIRS}
+                      | {(500.0, pair) for pair in _A09_PAIRS})
+
+
+@pytest.mark.parametrize("T, pair", _BOUND_CASES,
+                         ids=[f"T{T:g}-{p}-{l}" for T, (p, l) in _BOUND_CASES])
+def test_dual_sum_ends_where_the_bound_covers_the_rest(T, pair):
+    # every A01 instance and A09's four pairs at T = 500: the dual sum
+    # grids r = 1..R, R the smallest with R + 1 past the stationary range
+    # and a bound on |r| >= R + 1 below tol/2, found here from `_IbpTail`
+    # alone. The rows R + 1..16 that the bound now covers, gridded at a
+    # tight tolerance, must sum with their quadrature bounds to no more
+    # than the reported o_tail wherever those bounds resolve it: at
+    # T = 1000, (7, 2) every such row lies below its own rounding (o_tail
+    # 5.3e-13, quadrature bounds 1.0e-12), and the reference can only show
+    # that the moduli exceed o_tail by no more than their bounds. The
+    # reference is computed, not certified (interval-arithmetic references
+    # are ROADMAP direction 8)
+    inst = _instance(T, *pair)
+    tail = keyident._IbpTail(inst.osc, [inst.n], [1.0])
+    want = math.floor(tail.r_stat(inst.h))
+    while tail.bound(want + 1, inst.h) >= 0.5 * inst.tol:
+        want += 1
+    [rep] = verify_key_identity(inst)
+    assert rep.r_max_used == want < keyident.FIRST_SHELL_R
+    assert rep.o_tail == pytest.approx(tail.bound(want + 1, inst.h), rel=1e-13)
+    assert rep.o_tail < 0.5 * inst.tol
+    skipped = integrate_shifted(inst.osc, np.arange(want + 1, 17), inst.h, tol=1e-13)
+    mass, err = float(np.sum(np.abs(skipped.values))), float(np.sum(skipped.abs_errs))
+    assert mass - err <= rep.o_tail
+    if err < rep.o_tail:
+        assert mass + err <= rep.o_tail
 
 
 def test_ibp_trapezoid_norm_matches_mpmath_quadrature():
