@@ -62,7 +62,7 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, TailNotConvergedError
-from .oscquad import OscInstance, integrate_main, integrate_shifted, probe_amplitude
+from .oscquad import OscInstance, _phase_rate, integrate_main, integrate_shifted, probe_amplitude
 from .util import BLOCK_ELEMENTS, GL16, TWO_PI, gl_panels, is_prime, kahan_csum, primes_in
 
 # the dual sum's first shell is r in [1, FIRST_SHELL_R] at most (the
@@ -182,21 +182,6 @@ def _riemann_rounding(inst: KeyIdentityInstance) -> float:
     return 8.0 * eps * inst.T * (np.log(r_hi) + abs(np.log(h)) + 1.0) * mass
 
 
-def _phase_rate_max(osc: OscInstance, n: int) -> float:
-    """max |Phi'| over the support for the main phase of n, in closed form.
-
-    Phi' = -T/x + 2 pi (nT/N)/x^2 is the quadratic f(t) = -T t + C t^2 in
-    t = 1/x, C = 2 pi n T/N; |f| peaks at an end of [1/hi, 1/lo] or at the
-    vertex t = T/(2C), where f = -T^2/(4C).
-    """
-    c = TWO_PI * n * osc.T / osc.N
-    t_lo, t_hi = 1.0 / osc.amplitude.support_hi, 1.0 / osc.amplitude.support_lo
-    peak = max(abs(c * t_lo - osc.T) * t_lo, abs(c * t_hi - osc.T) * t_hi)
-    if t_lo <= osc.T / (2.0 * c) <= t_hi:
-        peak = max(peak, osc.T * osc.T / (4.0 * c))
-    return peak
-
-
 def _taylor_inverse_power(x: np.ndarray, j: int, k: int) -> np.ndarray:
     """Taylor coefficients of t^(-j) at t = x to order k: binom(-j, i) x^(-j-i)."""
     coef = np.array([(-1) ** i * math.comb(j + i - 1, i) for i in range(k + 1)], dtype=float)
@@ -236,8 +221,10 @@ class _IbpTail:
         for n, c in zip(ns, cs):
             weights[int(n)] = weights.get(int(n), 0.0) + abs(c)
         self.weights = {n: w for n, w in weights.items() if w != 0.0}
-        self.rates = {n: _phase_rate_max(osc, n) for n in self.weights}
         amp = osc.amplitude
+        # max |Phi_n'| over the support
+        self.rates = {n: _phase_rate(amp.support_hi, -osc.T, n * osc.T / osc.N, 0.0)(
+            amp.support_lo) for n in self.weights}
         self.dx = (amp.support_hi - amp.support_lo) / (IBP_POINTS - 1)
 
     def r_stat(self, h: float) -> float:

@@ -11,33 +11,41 @@ additively shifted companions e(-r x/h) (c_lin = r/h), and the local zeta
 integrand in z-coordinates (c_log = T + Im s, c_lin = T).
 
 Method: the support is paneled so no panel spans more than half a local
-oscillation, using the decreasing envelope
+oscillation, using the phase's own rate
 
-    E(x) = |c_log|/x + 2*pi*|c_inv|/x^2 + 2*pi*|c_lin|  >=  |Phi'(x)|.
+    R(x) = max |Phi'(y)| over y in [x, hi]
 
-The panels come in runs of equal width (`util._panel_runs`): the width
-min(cap, span / E(x)) at a run's left edge x holds for up to 64 panels, or
-fewer where E falls fast, and the last panel is cut at the support's end.
-E decreases, so no panel spans more than `span` radians, and E is evaluated
-once per run. Each panel gets a 16-point Gauss-Legendre rule with an
-embedded 8-point rule; the error estimate is 4x the summed embedded
-difference (conservative), plus a roundoff floor. Panel partial sums are
-reduced left to right with compensated summation, so results are
-bit-reproducible. Both integrators run one loop, `_halve_spans`, over rows
-that share the amplitude (`integrate_phase` is one row): a pass grids for
-the largest |c_lin| among the live rows, evaluates A once per node, and a
-row keeps the first pass that meets its tolerance. The span per panel is
-halved from pi until every row has, within DEFAULT_EVAL_BUDGET evaluations.
+(`_phase_rate`), with Phi' = c_log/y + 2*pi*c_inv/y^2 - 2*pi*c_lin a
+quadratic in t = 1/y: R is the largest of its values at both ends of
+[1/hi, 1/x] and at its vertex, when that lies inside, over every row's
+signed c_lin and (for a batch of n) every c_inv. R never rises, and where
+the phase is stationary it is the rate the phase reaches further right, not
+the sum |c_log|/x + 2*pi*|c_inv|/x^2 + 2*pi*|c_lin| of terms that cancel
+there. The panels come in runs of equal width (`util._panel_runs`): the
+width min(cap, span / R(x)) at a run's left edge x holds for up to 64
+panels, or fewer where R falls fast, and the last panel is cut at the
+support's end. So no panel spans more than `span` radians of any row's
+phase, and R is evaluated once per run. Each panel gets a 16-point
+Gauss-Legendre rule with an embedded 8-point rule; the error estimate is 4x
+the summed embedded difference (conservative), plus a roundoff floor. Panel
+partial sums are reduced left to right with compensated summation, so
+results are bit-reproducible. Both integrators run one loop, `_halve_spans`,
+over rows that share the amplitude (`integrate_phase` is one row): a pass
+grids for every row's c_lin, evaluates A once per node, and a row keeps the
+first pass that meets its tolerance. The span per panel is halved from pi,
+and the cap (hi - lo)/8 with it, so that each pass refines every panel of
+the last, until every row has met its tolerance. The loop refuses once the
+next grid would pass DEFAULT_EVAL_BUDGET evaluations, or once STALL_PASSES
+passes in a row halve no live row's estimate (it sits on its rounding floor).
 
 Shifted integrals come in batches only: the Poisson dual sum of a weighted
 n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
 once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
-`integrate_shifted` grids by the largest n, which with the largest live r
-bounds every row's |Phi'|. A pass runs in blocks of whole runs of panels
-(see `PanelGrid.reduce_rows`). In a block the weighted factor
-sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row: each run of LATTICE_BLOCK
-consecutive n is one exact exponential times its weights summed by Horner's
-rule in w = e(-(T/N)/x).
+`integrate_shifted` grids by the range of its n and of its signed r/h. A
+pass runs in blocks of whole runs of panels (see `PanelGrid.reduce_rows`).
+In a block the weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one
+row: each run of LATTICE_BLOCK consecutive n is one exact exponential times
+its weights summed by Horner's rule in w = e(-(T/N)/x).
 The shift phase factors: a node of a run is x = mid + half u_k, with the
 run's half-width and the rule's nodes u_k, so e(-r x/h) = e(-r mid/h)
 e(-r half u_k/h), one row per panel mid times a table of 24 nodes per run.
@@ -48,8 +56,14 @@ and one factor row whatever the number of n; each run's G16 and G8 sums
 are one product of its factor rows with its node table, +r and -r columns
 alternating (a -r column takes the conjugate tables). Each row keeps its
 own compensated sum and embedded-rule estimate, in panel order. The mid
-row scales both rules' sums alike, so the estimate |G16 - G8| does not
-carry the rounding of the large phase r mid/h.
+row scales both rules' sums alike, so the estimate |G16 - G8| cannot see
+its rounding. So the mid row's phase is reduced before it rounds: mid/h is
+a sum of two doubles (`util._divide`), and each run's head r mid/h is
+formed exactly (Dekker's TwoProduct) and reduced mod 1, as is the step
+mid/h (`util._lattice_turns`). A mid row then rounds by a few eps per
+product, where an exponential of 2 pi r mid/h rounds by about eps 2 pi r
+mid/h; on the wide panels of the tight rate that error passed the estimate
+(row +70 of T = 100 at h = 0.5: 8.1e-15 against 5.9e-15).
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -65,11 +79,16 @@ import numpy as np
 
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
-from .util import (BLOCK_ELEMENTS, GL8, GL16, LATTICE_BLOCK, TWO_PI, _PANEL_RUN, _lattice_exp,
-                   _panel_runs, kahan_add, kahan_csum)
+from .util import (BLOCK_ELEMENTS, GL8, GL16, LATTICE_BLOCK, TWO_PI, _PANEL_RUN, _divide,
+                   _lattice_exp, _lattice_turns, _panel_runs, kahan_add, kahan_csum)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
+# `_halve_spans` refuses after this many passes in a row in which no live
+# row's estimate fell below half its last: one such pass also comes before
+# the estimates settle (at T = 100, n = 160, c_lin = -2 the passes read
+# 2.34e-9, 2.25e-9, then 1.03e-13)
+STALL_PASSES = 2
 
 # a panel's 16 + 8 rule nodes on [-1, 1] and their weights, in node order
 _NODES24 = np.concatenate([GL16[0], GL8[0]])
@@ -139,20 +158,22 @@ class PanelGrid:
     """Oscillation-resolving panel grid with an embedded error rule.
 
     Holds the nodes of a fixed (amplitude-independent) paneling in runs of
-    equal panels (`util._panel_runs`, stepped by the envelope E(x)), 24 a panel:
+    equal panels (`util._panel_runs`, stepped by the rate R(x) of every
+    c_inv and c_lin given, each a number or an array), 24 a panel:
     its 16 GL16 nodes, then its 8 GL8 nodes, each mid + half u_k with the
     run's half-width. `reduce` turns integrand values at the nodes into a
     value and an error estimate, and `reduce_rows` does so for every row
     of a shifted batch, with the shift phase factored per run as the module
-    docstring says.
+    docstring says. A panel is at most (hi - lo)/8 times span/pi wide; past
+    max_panels panels (default DEFAULT_EVAL_BUDGET / 24) the grid refuses
+    with ToleranceUnreachableError.
     """
 
-    def __init__(self, lo: float, hi: float, c_log: float, c_inv: float,
-                 c_lin: float, span: float):
-        a, b, c = float(abs(c_log)), float(TWO_PI * abs(c_inv)), float(TWO_PI * abs(c_lin))
+    def __init__(self, lo: float, hi: float, c_log: float, c_inv, c_lin, span: float,
+                 max_panels: int = DEFAULT_EVAL_BUDGET // 24):
         self.edges, sizes, widths = _panel_runs(
-            lo, hi, (hi - lo) / 8.0, span, lambda x: a / x + b / (x * x) + c,
-            max(64, DEFAULT_EVAL_BUDGET // 24))
+            lo, hi, (hi - lo) / 8.0 * (span / np.pi), span, _phase_rate(hi, c_log, c_inv, c_lin),
+            max_panels)
         self.run_halfs = 0.5 * widths
         self.run_starts = np.concatenate([[0], np.cumsum(sizes)])
         self.panels = int(self.run_starts[-1])
@@ -216,9 +237,10 @@ class PanelGrid:
         """G16 and G8 sums of the panels of runs q0..q1-1 for every row,
         as one (2, panels, rows) array (see the module docstring).
 
-        For each chunk of LATTICE_BLOCK r, one `_lattice_exp` gives the rows
-        e(-r mid/h) on the panel mids and e(-r half u_k/h) on each run's 24
-        nodes. A run's rule sums are one product of its panels' factor rows,
+        For each chunk of LATTICE_BLOCK r, `_lattice_turns` gives the rows
+        e(-r mid/h) on the panel mids, from mid/h as a sum of two doubles,
+        and `_lattice_exp` the rows e(-r half u_k/h) on each run's 24 nodes.
+        A run's rule sums are one product of its panels' factor rows,
         padded with zero rows to _PANEL_RUN, with its node table; the mid
         row then scales each panel's sums.
         """
@@ -234,16 +256,16 @@ class PanelGrid:
         padded = np.zeros((runs * _PANEL_RUN, 24), dtype=complex)
         padded[slots] = base
         padded = padded.reshape(runs, _PANEL_RUN, 24)
-        steps = -TWO_PI / h * np.concatenate(
-            [self.mids[p0:p1], (self.run_halfs[q0:q1, None] * _NODES24).ravel()])
+        q_hi, q_lo = _divide(self.mids[p0:p1], h)  # mid/h, in turns of e(-r mid/h)
+        steps = -TWO_PI / h * (self.run_halfs[q0:q1, None] * _NODES24).ravel()
         out = np.empty((2, m, 2 * rs.size), dtype=complex)
         for i0 in range(0, rs.size, LATTICE_BLOCK):
             chunk = rs[i0:i0 + LATTICE_BLOCK]
             cols = slice(2 * i0, 2 * (i0 + chunk.size))
-            rows = _lattice_exp(np.zeros(steps.size), steps, chunk)
-            mid = rows[:, :m].T * self.halfs[p0:p1, None]
+            mid = _lattice_turns(-q_hi, -q_lo, chunk).T * self.halfs[p0:p1, None]
             mid = np.stack((mid, mid.conj()), axis=-1).reshape(m, -1)
-            table = rows[:, m:].reshape(chunk.size, runs, 24).transpose(1, 2, 0)
+            table = _lattice_exp(np.zeros(steps.size), steps, chunk)
+            table = table.reshape(chunk.size, runs, 24).transpose(1, 2, 0)
             table = np.stack((table, table.conj()), axis=-1).reshape(runs, 24, -1)
             for j, rule in enumerate((slice(0, 16), slice(16, 24))):
                 sums = (padded[:, :, rule] @ table[:, rule]).reshape(runs * _PANEL_RUN, -1)
@@ -294,36 +316,91 @@ def phase_values(x: np.ndarray, c_log: float, c_inv: float, c_lin: float) -> np.
     return c_log * np.log(x) - TWO_PI * c_inv / x - TWO_PI * c_lin * x
 
 
-def _halve_spans(amplitude: Cutoff, c_log: float, c_inv: float, c_lins: np.ndarray,
+def _phase_rate(hi: float, c_log: float, c_inv, c_lin):
+    """The phase rate R(x) = max |Phi'(y)| over y in [x, hi], as a function
+    of x <= hi, for every c_inv from min to max of `c_inv` and every c_lin
+    from min to max of `c_lin` (each a number or an array).
+
+    In t = 1/y, Phi' = 2 pi c_inv t^2 + c_log t - 2 pi c_lin; over those
+    ranges it lies between the quadratics up (largest c_inv, smallest
+    c_lin) and down (smallest c_inv, largest c_lin). So R(x) is the largest
+    of up and -down at t = 1/hi and t = 1/x, and at the vertex of a concave
+    up or a convex down once [1/hi, 1/x] holds it. R never rises. A
+    non-finite coefficient makes every R NaN (`util._finite_rate` refuses it).
+    """
+    c_up, c_dn = (TWO_PI * float(f(c_inv)) for f in (np.max, np.min))
+    b_up, b_dn = (-TWO_PI * float(f(c_lin)) for f in (np.min, np.max))
+    a = float(c_log)
+    poison = 0.0 * (a + c_up + c_dn + b_up + b_dn)  # NaN unless all are finite
+
+    def both(t):
+        return max((c_up * t + a) * t + b_up, -((c_dn * t + a) * t + b_dn))
+
+    base = both(1.0 / hi) + poison
+    # vertices at t = -a / (2 c): a maximum of up where c_up < 0, a minimum
+    # of down where c_dn > 0; each counts for x <= its abscissa -2 c / a
+    peaks = [(-2.0 * c / a, sign * (b - a * a / (4.0 * c)))
+             for c, b, sign, ok in ((c_up, b_up, 1.0, c_up < 0.0), (c_dn, b_dn, -1.0, c_dn > 0.0))
+             if ok and a * c < 0.0 and -2.0 * c / a <= hi]
+
+    def rate(x):
+        r = max(base, both(1.0 / x))
+        for at, peak in peaks:
+            if x <= at:
+                r = max(r, peak)
+        return r
+
+    return rate
+
+
+def _halve_spans(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray,
                  tol: np.ndarray, reduce):
     """The span-halving loop of the module docstring; row j has the linear
-    phase c_lins[j] and the tolerance tol[j].
+    phase c_lins[j] and the tolerance tol[j], and c_inv is one value or
+    the range of a batch's n.
 
     reduce(grid, amp_values, live) turns A at grid.nodes into the value and
-    error estimate of each live row. A NaN estimate stays live. Returns
-    (values, errs, evaluations, panels of the last grid).
+    error estimate of each live row. A NaN estimate stays live. Each pass
+    grids for every row's c_lin, not only the live rows', so that it
+    refines every panel of the last for every row, within the evaluations
+    left of DEFAULT_EVAL_BUDGET. The loop refuses, naming the worst live
+    estimate, once the next grid does not fit in them, or once
+    STALL_PASSES passes in a row leave no live row's estimate below half
+    of its last (a NaN estimate has not fallen): the estimates then sit on
+    their rounding floor, and finer grids would spend the budget without
+    meeting the tolerance. Returns (values, errs, evaluations, panels of
+    the last grid).
     """
     values = np.zeros(tol.size, dtype=complex)
     errs = np.full(tol.size, np.inf)
     live = np.ones(tol.size, dtype=bool)
-    c_lins = np.abs(c_lins)
-    span, evals_used = np.pi, 0
+    span, evals_used, stalls = np.pi, 0, 0
     while True:
-        grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, c_log, c_inv,
-                         c_lins[live].max(), span)
-        if evals_used + grid.evaluations > DEFAULT_EVAL_BUDGET:
+        try:
+            grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, c_log, c_inv,
+                             c_lins, span, (DEFAULT_EVAL_BUDGET - evals_used) // 24)
+        except ToleranceUnreachableError:
             if not evals_used:
-                raise ToleranceUnreachableError("evaluation budget too small for one pass")
-            achieved = float(errs[live].max())
-            raise ToleranceUnreachableError(
-                f"budget {DEFAULT_EVAL_BUDGET} exhausted; achieved {achieved:.3e}",
-                achieved=achieved)
+                raise ToleranceUnreachableError(
+                    "evaluation budget too small for one pass") from None
+            raise _refusal(f"budget {DEFAULT_EVAL_BUDGET} exhausted", errs[live]) from None
         evals_used += grid.evaluations
+        last = errs.copy()
         values[live], errs[live] = reduce(grid, amplitude.fn(grid.nodes), live)
         live = ~(errs <= tol)  # a NaN estimate stays live
         if not live.any():
             return values, errs, evals_used, grid.panels
+        # NaN has not fallen
+        stalls = 0 if np.any(errs[live] < 0.5 * last[live]) else stalls + 1
+        if stalls == STALL_PASSES:
+            raise _refusal(f"no live estimate halved in {STALL_PASSES} passes, "
+                           "refinement exhausted", errs[live])
         span *= 0.5
+
+
+def _refusal(reason: str, live_errs: np.ndarray) -> ToleranceUnreachableError:
+    achieved = float(live_errs.max())
+    return ToleranceUnreachableError(f"{reason}; achieved {achieved:.3e}", achieved=achieved)
 
 
 def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
@@ -372,7 +449,7 @@ def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None,
         return vals[fresh], est[fresh]
 
     values, errs, evaluations, _ = _halve_spans(
-        inst.amplitude, -inst.T, ns.max() * inst.T / inst.N, np.repeat(rs / h, 2),
+        inst.amplitude, -inst.T, ns * inst.T / inst.N, np.outer(rs / h, [1.0, -1.0]).ravel(),
         np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), rs.shape), 2), reduce)
     return ShiftedRows(values=values, abs_errs=errs, evaluations=evaluations)
 

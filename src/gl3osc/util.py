@@ -45,22 +45,81 @@ def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.
     np.exp's bits, and no set of offsets costs more exponentials than it has
     rows.
     """
-    out = np.empty((offsets.size,) + head.shape, dtype=complex)
-    w = None
-    at = first = None
+    return _lattice_chain(
+        offsets, np.shape(head),
+        lambda k, out: np.exp(1j * (head + k * step) if k else 1j * head, out=out),
+        lambda: np.exp(1j * step))
+
+
+def _lattice_turns(q_hi: np.ndarray, q_lo: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """exp(2 pi i k q) for each integer k >= 0 of `offsets`, q = q_hi + q_lo.
+
+    The rows of `_lattice_exp` for a phase given in turns, as a sum of two
+    doubles with |q_lo| <= ulp(q_hi): each run's head k q and the step q are
+    reduced mod 1 before their exponentials, k q_hi formed exactly by
+    `_two_product`. So a row's phase rounds by a few eps whatever k q is,
+    where an exponential of 2 pi k q would round by about eps 2 pi k |q|.
+    """
+    def turns(k):
+        p, e = _two_product(float(k), q_hi)
+        return (p - np.rint(p)) + (e + k * q_lo)
+
+    return _lattice_chain(offsets, np.shape(q_hi),
+                          lambda k, out: np.exp(1j * TWO_PI * turns(k), out=out),
+                          lambda: np.exp(1j * TWO_PI * turns(1)))
+
+
+def _lattice_chain(offsets, shape, head, step):
+    """The table of `_lattice_exp` and `_lattice_turns`: head(k, out) writes
+    the exact row of offset k into out, step() gives the ratio of
+    consecutive rows. The product that reaches a row is written into it
+    from the row before, with no temporary; numpy rounds a product written
+    onto one of its own operands differently for a row of one element, so
+    the products that cross a gap chain through temporaries."""
+    out = np.empty((offsets.size,) + shape, dtype=complex)
+    w = prev = first = at = None
     for i in np.argsort(offsets, kind="stable"):
         k = int(offsets[i])
+        row = out[i, ...]
         if first is None or k - first >= LATTICE_BLOCK:
             first = at = k
-            cur = np.exp(1j * (head + k * step) if k else 1j * head)
+            head(k, row)
+        elif k == at:
+            row[...] = out[prev]
         else:
             if w is None:
-                w = np.exp(1j * step)
-            for _ in range(k - at):
+                w = step()
+            cur = out[prev]
+            for _ in range(k - at - 1):  # a gap: its rows are not kept
                 cur = cur * w
+            np.multiply(cur, w, out=row)
             at = k
-        out[i] = cur
+        prev = i
     return out
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly, barring over- and
+    underflow: Dekker's TwoProduct on Veltkamp's split of each factor."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    p = a * b
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _divide(a, b):
+    """(q, r) with q = fl(a / b) and q + r = a / b to about eps^2 |q|:
+    a - q b is exact, from `_two_product` (Dekker's division)."""
+    q = a / b
+    p, e = _two_product(q, b)
+    return q, ((a - p) - e) / b
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each with at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def kahan_add(s, c, block):
@@ -120,7 +179,7 @@ def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
     """Panel edges from lo to hi in runs of equal panels: the edge builder
     of every integral paneled by its phase rate.
 
-    rate(x) does not rise (oscquad's envelope E only falls), so on any
+    rate(x) does not rise (oscquad's phase rate R only falls), so on any
     interval it peaks at the left end. It is called at lo and at each run's
     right end, whose value serves the next run as its left-edge rate r. A
     run's panels take the width min(cap, span / r), so none covers more

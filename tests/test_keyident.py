@@ -507,12 +507,18 @@ def test_single_n_calls_keep_their_bits():
     # (0.050728088633734486+0.009612944141160698j), by 1.5e-11 each
     # against its o_tail of 1.0e-10; the A09 average from
     # (-0.0036782553252052382+0.027988570265155135j), by 2.7e-11 against
-    # its budget of 1.55e-8
+    # its budget of 1.55e-8. They moved when the panels came to be stepped
+    # by the phase's own rate max |Phi'| and the mid phase r mid/h came to
+    # be reduced mod 1 before its exponential (new grid, new rounding): O
+    # from (-0.0020503355602721107-0.007475369160425698j) and A - O from
+    # (0.05072808862157238+0.00961294413312166j), by 2.2e-15 each against a
+    # quadrature bound of 9.7e-14 on O; the A09 average from
+    # (-0.003678255299943469+0.027988570255246568j), by 8.2e-16
     [rep] = verify_key_identity(_instance(250.0, 5, 3))
-    assert repr(rep.o_value) == "(-0.0020503355602721107-0.007475369160425698j)"
-    assert repr(rep.recovered_m) == "(0.05072808862157238+0.00961294413312166j)"
+    assert repr(rep.o_value) == "(-0.0020503355602738012-0.007475369160427163j)"
+    assert repr(rep.recovered_m) == "(0.05072808862157407+0.009612944133123125j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
-    assert repr(a_avg - o_avg) == "(-0.003678255299943469+0.027988570255246568j)"
+    assert repr(a_avg - o_avg) == "(-0.0036782552999436143+0.027988570255245756j)"
 
 
 def test_amplified_average_builds_the_q_m_once(monkeypatch):
@@ -548,7 +554,7 @@ def test_amplified_average_builds_the_q_m_once(monkeypatch):
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), amp)
     assert len(amp.pairs) == 4 and calls == [2, 3]
     assert sum(rows) == 8
-    assert repr(a_avg - o_avg) == "(-0.003678255299943469+0.027988570255246568j)"
+    assert repr(a_avg - o_avg) == "(-0.0036782552999436143+0.027988570255245756j)"
     calls.clear()
     rows.clear()
     _, checks = criteria.key_identity_battery()
@@ -601,12 +607,66 @@ def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
     with pytest.raises(ToleranceUnreachableError):
         _dual_sum(inst, ns, cs)
-    # the first shell's grid (37,704 nodes) fits, its refinement (about
-    # 75,000) does not fit beside it
+    # the first shell's grid (33,120 nodes) fits, its refinement (66,096)
+    # does not fit beside it
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
     with pytest.raises(ToleranceUnreachableError) as info:
         _dual_sum(replace(inst, tol=1e-30), ns, cs)
     assert info.value.achieved > 1e-30
+
+
+def test_a_grid_past_the_budget_refuses_with_the_last_estimate(monkeypatch):
+    # at 50,000 evaluations the first shell's grid fits, and the grid of
+    # its second pass outgrows what is left while it is built: the refusal
+    # names the budget and the first pass's worst estimate, where it once
+    # said "panel budget exhausted while gridding" with achieved NaN
+    inst = _instance(250.0, 7, 2)
+    ns, cs = np.array([inst.n, inst.n + 1]), np.array([1.0, 0.5j])
+    rs, amp = np.arange(1, keyident.FIRST_SHELL_R + 1), inst.amplitude
+    grid = oscquad.PanelGrid(amp.support_lo, amp.support_hi, -inst.T, ns * inst.T / inst.N,
+                             np.outer(rs / inst.h, [1.0, -1.0]).ravel(), np.pi)
+    _, est = grid.reduce_rows(amp.fn(grid.nodes), inst.osc, ns, cs, rs, inst.h)
+    assert grid.evaluations <= 50_000 < 2 * grid.evaluations
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 50_000)
+    with pytest.raises(ToleranceUnreachableError,
+                       match="^budget 50000 exhausted; achieved") as info:
+        _dual_sum(replace(inst, tol=1e-30), ns, cs)
+    assert info.value.achieved == est.max()
+
+
+def test_refinement_below_the_rounding_floor_refuses_within_three_passes(monkeypatch):
+    # at T = 500, (p, l) = (5, 3) the rows 6..16 meet tol 1e-13, but at
+    # 1e-14 their estimates sit on a floor near 1.9e-14 from the first
+    # pass on: the second and third passes do not halve any of them, so
+    # the batch refuses after three grids (it took eight, all of the
+    # evaluation budget, and 1.0-1.3 s), naming the worst live estimate
+    inst = _instance(500.0, 5, 3)
+    rs = np.arange(6, 17)
+    grids, estimates = [], []
+    real_grid, real_rows = oscquad.PanelGrid.__init__, oscquad.PanelGrid.reduce_rows
+
+    def counted(self, *args, **kwargs):
+        grids.append(args)
+        real_grid(self, *args, **kwargs)
+
+    def kept(self, *args, **kwargs):
+        out = real_rows(self, *args, **kwargs)
+        estimates.append(out[1])
+        return out
+
+    monkeypatch.setattr(oscquad.PanelGrid, "__init__", counted)
+    monkeypatch.setattr(oscquad.PanelGrid, "reduce_rows", kept)
+    assert integrate_shifted(inst.osc, rs, inst.h, tol=1e-13).abs_errs.max() <= 1e-13
+    grids.clear()
+    estimates.clear()
+    with pytest.raises(ToleranceUnreachableError,
+                       match="^no live estimate halved in 2 passes, refinement exhausted; "
+                             "achieved") as info:
+        integrate_shifted(inst.osc, rs, inst.h, tol=1e-14)
+    assert len(grids) == 3
+    last = estimates[-1]
+    assert info.value.achieved == last[last > 1e-14].max()
+    assert 1e-14 < info.value.achieved < 1e-13
 
 
 @pytest.mark.parametrize("T", criteria.KEY_T_VALUES)

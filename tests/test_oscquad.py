@@ -17,6 +17,7 @@ from gl3osc.oscquad import (
     OscInstance,
     PanelGrid,
     _lattice_sum,
+    _phase_rate,
     integrate_main,
     integrate_phase,
     integrate_shifted,
@@ -330,6 +331,30 @@ def test_factored_estimate_bounds_the_true_error(T):
             assert abs(batch.values[row] - want) <= batch.abs_errs[row]
 
 
+def test_factored_estimate_is_honest_from_t_20_to_200():
+    # the same check over 64 rows: 8 T from 20 to 200, each with r = 1, 2,
+    # 7 and 70 at h = 0.5, both signs. The worst |value - reference| /
+    # estimate reads 0.57 (0.69 with the panels stepped by the sum of the
+    # terms' rates); with the tight rate but the mid phase 2 pi r mid/h
+    # rounded whole, the row +70 at T = 100 reads 1.27
+    worst = 0.0
+    for T in (20.0, 30.0, 50.0, 70.0, 100.0, 130.0, 160.0, 200.0):
+        N = T**1.5
+        n0 = int(np.ceil(N / TWO_PI))
+        inst = OscInstance(T=T, n=n0, N=N)
+        ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
+        rs, h = [1, 2, 7, 70], 0.5
+        batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs, tol=1.0)
+        for j, r in enumerate(rs):
+            for k, c_lin in enumerate((r / h, -r / h)):
+                ones = [integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
+                        for n in ns]
+                want = sum(c * one.value for c, one in zip(cs, ones))
+                row = 2 * j + k
+                worst = max(worst, abs(batch.values[row] - want) / batch.abs_errs[row])
+    assert worst <= 1.0
+
+
 def test_shifted_shell_memory_stays_bounded():
     # one shell of the T = 1000 identity at (p, l) = (11, 3), r = 9..16, at
     # tol 1e-12: the blocks of whole runs keep its traced peak at 7.9 MB
@@ -353,15 +378,15 @@ def test_shifted_shell_memory_stays_bounded():
 def test_panel_runs_tile_the_support_within_cap_and_span(c_log, c_inv, c_lin, span, lo,
                                                          length):
     hi = lo + length
-    cap = (hi - lo) / 8.0  # as PanelGrid caps a panel
-    a, b, c = abs(c_log), TWO_PI * abs(c_inv), TWO_PI * abs(c_lin)
+    cap = (hi - lo) / 8.0 * (span / np.pi)  # as PanelGrid caps a panel
+    phase_rate = _phase_rate(hi, c_log, c_inv, c_lin)
     calls = []
 
-    def envelope(x):
+    def rate(x):
         calls.append(x)
-        return a / x + b / (x * x) + c
+        return phase_rate(x)
 
-    edges, sizes, widths = _panel_runs(lo, hi, cap, span, envelope, 10**6)
+    edges, sizes, widths = _panel_runs(lo, hi, cap, span, rate, 10**6)
     # at lo, then at most once per run, at its right end (a panel cut at hi
     # takes none)
     assert len(calls) <= sizes.size + 1
@@ -373,24 +398,69 @@ def test_panel_runs_tile_the_support_within_cap_and_span(c_log, c_inv, c_lin, sp
     panel_w = np.repeat(widths, sizes)
     assert np.allclose(np.diff(edges), panel_w, rtol=1e-9, atol=4 * np.finfo(float).eps * hi)
     assert np.all(np.diff(edges) <= cap * (1 + 1e-12))
-    # E only falls, so a panel covers at most E at its left edge times its width
-    assert np.all(np.diff(edges) * envelope(edges[:-1]) <= span * (1 + 1e-9))
-    # PanelGrid steps by the same envelope
+    # R only falls, so a panel covers at most R at its left edge times its
+    # width, and R bounds |Phi'| to its right (each to rounding)
+    left = np.array([phase_rate(float(x)) for x in edges[:-1]])
+    assert np.all(np.diff(edges) * left <= span * (1 + 1e-9))
+    scale = abs(c_log) / lo + TWO_PI * abs(c_inv) / lo**2 + TWO_PI * abs(c_lin)
+    inner = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 9)
+    slope = np.abs(c_log / inner + TWO_PI * c_inv / inner**2 - TWO_PI * c_lin)
+    assert np.all(slope <= left[:, None] + 1e-12 * scale)
+    # PanelGrid steps by the same rate and cap
     grid = PanelGrid(lo, hi, c_log, c_inv, c_lin, span)
     assert np.array_equal(grid.edges, edges)
     assert np.array_equal(grid.halfs, 0.5 * panel_w)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(c_log=st.floats(-1e4, 1e4), c_inv=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+       c_lin=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4),
+       lo=st.floats(0.05, 2.0), length=st.floats(0.01, 4.0))
+def test_phase_rate_is_the_falling_max_of_every_rows_slope(c_log, c_inv, c_lin, lo, length):
+    # R(x) >= |Phi'(y)| for every y in [x, hi], every c_inv (the batch's n)
+    # and every c_lin (the rows' signed beta), it never rises, and it is
+    # that maximum, not a sum of the terms' sizes: within the spacing of a
+    # dense sample of y and the corners of the coefficients' ranges
+    hi = lo + length
+    rate = _phase_rate(hi, c_log, np.asarray(c_inv), np.asarray(c_lin))
+    xs = np.linspace(lo, hi, 41)
+    rates = np.array([rate(float(x)) for x in xs])
+    scale = abs(c_log) / lo + TWO_PI * max(map(abs, c_inv)) / lo**2 + TWO_PI * max(map(abs, c_lin))
+    assert np.all(np.diff(rates) <= 1e-12 * scale)
+    # y from 1/t on a dense t-grid of [1/hi, 1/lo], the corners of the ranges
+    t = np.linspace(1.0 / hi, 1.0 / lo, 4001)
+    corners = [(a, b) for a in (min(c_inv), max(c_inv)) for b in (min(c_lin), max(c_lin))]
+    slopes = np.max([np.abs(TWO_PI * a * t * t + c_log * t - TWO_PI * b) for a, b in corners],
+                    axis=0)
+    every = np.max([np.abs(TWO_PI * a * t * t + c_log * t - TWO_PI * b)
+                    for a in c_inv for b in c_lin], axis=0)
+    assert np.all(every <= slopes + 1e-12 * scale)
+    # |d Phi' / dt| bounds how far the sample's max may sit below the true one
+    lipschitz = 2.0 * TWO_PI * max(map(abs, c_inv)) / lo + abs(c_log)
+    for x, r in zip(xs, rates):
+        right = t <= 1.0 / x
+        assert np.all(slopes[right] <= r + 1e-12 * scale)
+        assert r <= slopes[right].max() + lipschitz * (t[1] - t[0]) + 1e-12 * scale
+
+
+def test_phase_rate_refuses_a_non_finite_coefficient():
+    # a NaN anywhere in a range makes the rate NaN, which _panel_runs refuses
+    for c_inv, c_lin in (([1.0, math.nan], 0.0), (1.0, [math.nan, 2.0]), (1.0, math.inf)):
+        assert math.isnan(_phase_rate(2.0, -10.0, np.asarray(c_inv), np.asarray(c_lin))(1.0))
+    assert math.isnan(_phase_rate(2.0, math.nan, 1.0, 0.0)(1.0))
+
+
 def test_shifted_pass_memory_does_not_grow_with_the_number_of_n():
-    # one pass of 8 r on a grid of about 1,900 panels, so the shift table
-    # reaches its cap: 400 n cost at most twice the peak of 1 n
-    T = 100.0
+    # one pass of 8 r on a grid of about 1,900 panels (the fourth pass of
+    # these n and r at h = 1), so the shift table reaches its cap: 400 n
+    # cost at most twice the peak of 1 n
+    T = 1000.0
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
     inst = OscInstance(T=T, n=n0, N=N)
     amp = inst.amplitude
-    grid = PanelGrid(amp.support_lo, amp.support_hi, -T, (n0 + 399) * T / N, 8.0,
-                     np.pi / 8.0)
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -T, np.arange(n0, n0 + 400) * T / N,
+                     [-8.0, 8.0], np.pi / 8.0)
     assert grid.panels * 24 * 8 > 4 * oscquad.BLOCK_ELEMENTS
     values = amp.fn(grid.nodes)
     rs = np.arange(1, 9)
@@ -516,7 +586,8 @@ def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
     # estimate than r = 0 has; only r = 0's rows, still live, may be named
     inst = OscInstance(T=100.0, n=3, N=10.0)
     amp, rs, h = inst.amplitude, np.array([0, 40]), 0.25
-    grid = PanelGrid(amp.support_lo, amp.support_hi, -100.0, 30.0, 40 / h, np.pi)
+    # the first grid of the batch: every row's beta, from -40/h to 40/h
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -100.0, 30.0, [-40 / h, 40 / h], np.pi)
     _, est = grid.reduce_rows(amp.fn(grid.nodes), inst, np.array([3]), np.array([1.0 + 0j]), rs, h)
     assert est[2:].min() > est[:2].max()
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", grid.evaluations + 1)
@@ -527,7 +598,8 @@ def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
 
 @pytest.mark.parametrize("integrate", BOTH_INTEGRATORS.values(), ids=BOTH_INTEGRATORS)
 def test_nan_amplitude_is_refused_not_returned(monkeypatch, integrate):
-    # a NaN estimate never meets a tolerance, so the passes run to the budget
+    # a NaN estimate never meets a tolerance and never falls, so the passes
+    # stop after two that halve no estimate
     probe = probe_amplitude()
     amp = Cutoff(support_lo=0.5, support_hi=2.0,
                  fn=lambda x: np.where(x > 1.3, np.nan, probe.fn(x)))

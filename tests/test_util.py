@@ -1,5 +1,6 @@
 """Tests for the shared numeric helpers."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from gl3osc.errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
                            ToleranceUnreachableError)
-from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _lattice_exp, _line_shells,
-                         _panel_runs, gl_panels, is_prime, kahan_add, kahan_csum,
-                         kahan_sum, loglog_slope, primes_in)
+from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _divide, _lattice_exp,
+                         _lattice_turns, _line_shells, _panel_runs, _two_product, gl_panels,
+                         is_prime, kahan_add, kahan_csum, kahan_sum, loglog_slope, primes_in)
 
 
 def test_kahan_sum_survives_cancellation():
@@ -299,3 +300,84 @@ def test_one_row_lattice_is_the_direct_exponential(heads, rows, step, k):
     steps = np.full(len(heads), step)
     want = np.exp(1j * head) if k == 0 else np.exp(1j * (head + k * steps))
     assert _lattice_exp(head, steps, np.asarray([k])).tobytes() == want[None].tobytes()
+
+
+def _chained_lattice(head, step, offsets):
+    """The table of `_lattice_exp` as it was built before its products were
+    written into their rows: every product a fresh temporary."""
+    out = np.empty((offsets.size,) + head.shape, dtype=complex)
+    w = first = at = None
+    for i in np.argsort(offsets, kind="stable"):
+        k = int(offsets[i])
+        if first is None or k - first >= LATTICE_BLOCK:
+            first = at = k
+            cur = np.exp(1j * (head + k * step) if k else 1j * head)
+        else:
+            if w is None:
+                w = np.exp(1j * step)
+            for _ in range(k - at):
+                cur = cur * w
+            at = k
+        out[i] = cur
+    return out
+
+
+@LATTICE
+@given(heads=st.lists(st.floats(-2e5, 2e5), min_size=1, max_size=8),
+       rows=st.integers(0, 3), step=st.floats(-2e3, 2e3),
+       offsets=st.lists(st.integers(0, 300), min_size=1, max_size=80))
+def test_lattice_products_in_place_keep_the_bits_of_temporaries(heads, rows, step, offsets):
+    # runs with gaps, repeats and unsorted offsets, on 1-D and 2-D heads
+    # of one or more nodes: each row the bytes of the chain of temporaries
+    head = _lattice_head(heads, rows)
+    steps = step * np.linspace(0.5, 2.0, len(heads))
+    ks = np.asarray(offsets)
+    assert _lattice_exp(head, steps, ks).tobytes() == _chained_lattice(head, steps, ks).tobytes()
+
+
+def _turns_reference(k: int, a: float, b: float) -> complex:
+    """exp(2 pi i k a / b) from the exact rational k a / b reduced mod 1,
+    then cos and sin in long double."""
+    frac = Fraction(k) * Fraction(a) / Fraction(b)
+    frac -= round(frac)
+    phase = 2 * np.longdouble(frac.numerator) / np.longdouble(frac.denominator)
+    phase *= np.longdouble("3.14159265358979323846264338327950288")
+    return complex(float(np.cos(phase)), float(np.sin(phase)))
+
+
+@pytest.mark.parametrize("h", [0.5, 3 / (11 * 1000.0**0.5)])
+def test_mid_rows_hold_a_few_ulps_up_to_r_4096(h):
+    # the rows e(-r mid/h) of the shifted batches, from mid/h as a
+    # double-double: a head is within a few ulps of the exact phase at r
+    # up to 4096, where an exponential of the rounded phase 2 pi r mid/h
+    # is off by about eps 2 pi r mid/h (1e5 eps at h = 0.5), and a chain
+    # of LATTICE_BLOCK - 1 products keeps the lattice bound with the
+    # phase at most pi
+    mids = np.random.default_rng(7).uniform(0.5, 2.0, 16)
+    q_hi, q_lo = _divide(mids, h)
+    ks = np.arange(4096 - LATTICE_BLOCK + 1, 4097)
+    rows = _lattice_turns(-q_hi, -q_lo, ks)
+    eps = np.finfo(float).eps
+    for k in (1, 2, 4033, 4096):
+        head = _lattice_turns(-q_hi, -q_lo, np.array([k]))[0]
+        want = [_turns_reference(k, -mid, h) for mid in mids]
+        assert np.all(np.abs(head - want) <= 4 * eps * (1 + np.pi))
+    for j in (0, 17, LATTICE_BLOCK - 1):
+        want = [_turns_reference(int(ks[j]), -mid, h) for mid in mids]
+        assert np.all(np.abs(rows[j] - want) <= LATTICE_C * eps * (LATTICE_B + np.pi))
+    old = _lattice_exp(np.zeros(mids.size), -TWO_PI / h * mids, ks[-1:])[0]
+    want = [_turns_reference(4096, -mid, h) for mid in mids]
+    assert np.max(np.abs(old - want)) > 100 * LATTICE_C * eps * (LATTICE_B + np.pi)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=st.floats(1e-3, 1e8), b=st.floats(1e-4, 1e4), negate=st.booleans())
+def test_two_product_and_division_are_exact(a, b, negate):
+    # away from over- and underflow, which the split does not survive
+    a = -a if negate else a
+    p, e = _two_product(a, b)
+    assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+    q, r = _divide(a, b)
+    exact = Fraction(a) / Fraction(b)
+    assert q == a / b
+    assert abs(Fraction(q) + Fraction(r) - exact) <= 2 * np.finfo(float).eps ** 2 * abs(exact)
