@@ -354,7 +354,7 @@ def coeff_battery(x_max: int = 100_000, trials: int = 200,
               growth.slope, growth.bound),
         Check("A11-hecke", "Hecke multiplicativity violation count",
               float(mult.violations), 0.0),
-        Check("A11-roundtrip", "CSV save -> load -> save is bit-identical",
+        Check("A11-roundtrip", "CSV save -> load gives the table's values bit for bit",
               0.0 if identical else 1.0, 0.0),
     )
     return outputs, checks

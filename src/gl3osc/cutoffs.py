@@ -34,6 +34,7 @@ its two sides in one Mellin-line call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -89,12 +90,24 @@ class Cutoff:
     (k + 1,) + y.shape that is zero outside the open support. The exp-bump
     family (v0, g and the probe amplitude) carries one; the Poisson dual
     sum bounds its tail with it (see `keyident`).
+
+    `bound`, when set, bounds fn off the real line in closed form:
+    bound(lo, hi, b) >= |fn(z)| on the closed rectangle lo <= Re z <= hi,
+    |Im z| <= b, with fn analytic on it, and for b = 0 on the segment
+    [lo, hi]; arrays broadcast. It is inf where b > 0 and [lo, hi] does
+    not lie inside the open support, whose ends are essential
+    singularities of a bump. A rectangle holds the Bernstein ellipse of
+    the same extents, so `oscquad` bounds a panel's Gauss error by it. The
+    exp-bump family and `whittaker`'s power amplitudes carry one, and
+    `oscquad` then integrates them on GL16 alone with a proved error
+    bound; an amplitude without one keeps the GL16 - GL8 estimate.
     """
 
     support_lo: float
     support_hi: float
     fn: Callable = field(repr=False, compare=False)
     jet: Callable | None = field(default=None, repr=False, compare=False)
+    bound: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.support_lo < self.support_hi):
@@ -154,10 +167,35 @@ def _exp_bump_jet(lo: float, hi: float) -> Callable:
     return jet
 
 
+def _exp_bump_bound(lo: float, hi: float) -> Callable:
+    """`Cutoff.bound` of `_exp_bump_fn(lo, hi)`.
+
+    With u = p + iq the affine image of z, |exp(-1/(1 - u^2))| =
+    exp(-Re 1/(1 - u^2)), and Re 1/(1 - u^2) has the sign of
+    1 - p^2 + q^2. So on a rectangle whose real extent lies inside the
+    support (|p| < 1) the bump is analytic and at most 1, whatever its
+    height. On a segment it peaks at the point nearest the support's
+    centre, where it is taken.
+    """
+    fn, mid = _exp_bump_fn(lo, hi), 0.5 * (lo + hi)
+
+    def bound(x0, x1, b):
+        b = np.asarray(b, dtype=float)
+        if not b.any():  # b = 0 throughout: segments
+            return fn(np.clip(mid, x0, x1))
+        inside = np.where((np.asarray(x0) > lo) & (np.asarray(x1) < hi), 1.0, np.inf)
+        return inside if b.all() else np.where(b > 0.0, inside, fn(np.clip(mid, x0, x1)))
+
+    return bound
+
+
+@functools.lru_cache(maxsize=64)
 def _exp_bump(lo: float, hi: float) -> Cutoff:
-    """The exp bump on [lo, hi] with its jet."""
+    """The exp bump on [lo, hi] with its jet and its bound, one Cutoff per
+    support (it is immutable), so that what `oscquad` derives from it
+    alone is derived once."""
     return Cutoff(support_lo=lo, support_hi=hi, fn=_exp_bump_fn(lo, hi),
-                  jet=_exp_bump_jet(lo, hi))
+                  jet=_exp_bump_jet(lo, hi), bound=_exp_bump_bound(lo, hi))
 
 
 def v0_cutoff(c1: float = 1.0) -> Cutoff:
@@ -243,10 +281,12 @@ def g_cutoff() -> Cutoff:
         if not np.isfinite(norm) or norm <= 0.0 or abs(norm - coarse) > _G_NORM_TOL:
             raise ConfigError("g normalization quadrature failed")
         raw_jet = _exp_bump_jet(ONE_OVER_4PI, ONE_OVER_2PI)
+        raw_bound = _exp_bump_bound(ONE_OVER_4PI, ONE_OVER_2PI)
         _G_CACHE["g"] = Cutoff(
             support_lo=ONE_OVER_4PI, support_hi=ONE_OVER_2PI,
             fn=lambda y, _r=raw, _n=norm: _r(y) / _n,
             jet=lambda y, k, _j=raw_jet, _n=norm: _j(y, k) / _n,
+            bound=lambda x0, x1, b, _b=raw_bound, _n=norm: _b(x0, x1, b) / _n,
         )
     return _G_CACHE["g"]
 

@@ -7,12 +7,19 @@ bit-reproducible run to run; nothing here depends on scheduling.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
                      ToleranceUnreachableError)
 
 TWO_PI = 2.0 * np.pi
+# 1/(2 pi) as a sum of two doubles (50 digits, mpmath); ln 2 as fdlibm's
+# sum of a 32-bit head, whose products with exponents are exact, and a tail
+INV_TWO_PI = (0.15915494309189535, -9.839338337591243e-18)
+_LN2 = (6.93147180369123816490e-01, 1.90821492927058770002e-10)
 
 #: (nodes, weights) on [-1, 1] of the 16-point Gauss-Legendre rule every
 #: quadrature uses, and of the 8-point rule embedded for error estimates.
@@ -98,6 +105,41 @@ def _lattice_chain(offsets, shape, head, step):
     return out
 
 
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+@functools.cache
+def _log_table() -> tuple[np.ndarray, np.ndarray]:
+    """ln(c_j) as sums of two doubles for the table points c_j = 1/2 +
+    j/128, j = 0..64, from `decimal`'s correctly rounded ln at 40 digits
+    (imported here, by the first bounded integral, not with the package)."""
+    import decimal
+
+    context = decimal.Context(prec=40)
+    exact = [context.ln(decimal.Decimal(0.5 + j / 128.0)) for j in range(65)]
+    hi = [float(v) for v in exact]
+    lo = [float(context.subtract(v, decimal.Decimal(h))) for v, h in zip(exact, hi)]
+    return np.array(hi), np.array(lo)
+
+
+def _log_dd(x):
+    """(hi, lo) with hi + lo = ln x, x > 0, to about eps/16 absolute (for
+    x within 2^(+-1000)): ln x = e ln 2 + ln c_j + log1p((m - c_j)/c_j),
+    x = m 2^e with m in [1/2, 1), c_j the nearest table point
+    (`_log_table`), so that |(m - c_j)/c_j| <= 1/128, m - c_j is exact and
+    only log1p's few ulp of a number below 1/128 round."""
+    m, e = np.frexp(x)
+    j = np.rint((m - 0.5) * 128.0).astype(int)
+    c = 0.5 + j / 128.0
+    table_hi, table_lo = _log_table()
+    hi, hi_err = _two_sum(e * _LN2[0], table_hi[j])
+    return hi, hi_err + (e * _LN2[1] + table_lo[j] + np.log1p((m - c) / c))
+
+
 def _two_product(a, b):
     """(p, e) with p = fl(a b) and p + e = a b exactly, barring over- and
     underflow: Dekker's TwoProduct on Veltkamp's split of each factor."""
@@ -175,7 +217,7 @@ def gl_panels(edges, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
+def _panel_runs(lo, hi, cap, span, rate, max_panels: int, quantum: float = 0.0):
     """Panel edges from lo to hi in runs of equal panels: the edge builder
     of every integral paneled by its phase rate.
 
@@ -190,11 +232,15 @@ def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
     panel is cut at hi and is a run of its own. Returns (edges, panels per
     run, width per run); raises ConfigError on a non-finite rate, and
     ToleranceUnreachableError once more than max_panels panels are needed.
+
+    The loop runs in plain floats, which round as numpy's float64 does, and
+    forms a run's edges x + w k, k = 1..count, in one vectorized pass at
+    the end, with the two roundings of one run's x + w * arange.
     """
-    # plain floats: the same rounding as numpy scalars, at a fraction of the cost
     lo, hi, cap, span = float(lo), float(hi), float(cap), float(span)
-    steps = np.arange(1.0, _PANEL_RUN + 1.0)
-    edges, sizes, widths = [np.array([lo])], [], []
+    # each run as (start x, width w, count), its edges x + w k; the panel
+    # cut at hi is (hi, 0, 1)
+    runs, widths = [], []
     x, panels, last = lo, 0, None
     r = _finite_rate(rate, lo)
     while x < hi:
@@ -203,28 +249,33 @@ def _panel_runs(lo, hi, cap, span, rate, max_panels: int):
             w, run = cap, _PANEL_RUN
         else:
             w, run = span / r, 1 if last is None else _PANEL_RUN
+            if quantum:
+                w = max(quantum, math.floor(w / quantum) * quantum)
             if last is not None and last[1] > r:
                 # convexity: rate(x + L) >= r - L (last rate - r) / (x - last x)
                 reach = _RUN_DROP * r * (x - last[0]) / (last[1] - r)
                 run = int(min(_PANEL_RUN, max(1.0, reach // w)))
         last = (x, r)
-        ends = x + w * steps[:run]
-        r = _finite_rate(rate, min(float(ends[-1]), hi))
-        k = int(np.searchsorted(ends, hi))  # ends[:k] < hi
+        r = _finite_rate(rate, min(x + w * run, hi))
+        k = run  # the edges x + w k below hi; they never fall as k grows
+        while k and not x + w * k < hi:
+            k -= 1
         if k:
-            edges.append(ends[:k])
-            sizes.append(k)
+            runs.append((x, w, k))
             widths.append(w)
-            x = float(ends[k - 1])
+            x = x + w * k
         if k < run:
-            edges.append(np.array([hi]))
-            sizes.append(1)
+            runs.append((hi, 0.0, 1))
             widths.append(hi - x)
             x = hi
         panels += k + (k < run)
         if panels > max_panels:
             raise ToleranceUnreachableError("panel budget exhausted while gridding")
-    return np.concatenate(edges), np.asarray(sizes), np.asarray(widths)
+    starts, steps, sizes = (np.array(col) for col in zip(*runs)) if runs else (
+        np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+    k = np.arange(1.0, panels + 1.0) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    edges = np.concatenate([[lo], np.repeat(starts, sizes) + np.repeat(steps, sizes) * k])
+    return edges, sizes, np.array(widths, dtype=float)
 
 
 def _finite_rate(rate, x: float) -> float:

@@ -27,13 +27,14 @@ are batteries in `criteria`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cutoffs import ONE_OVER_2PI, Cutoff, v0_cutoff
 from .errors import ConfigError
-from .oscquad import QuadResult, integrate_phase
+from .oscquad import QuadResult, _phase_turns, integrate_phase
 from .util import TWO_PI
 
 # Relative gap between local_zeta(s=0) and C_T * T^(-1/2) is <= K_ZETA_REL / T;
@@ -41,6 +42,10 @@ from .util import TWO_PI
 K_ZETA_REL = 4.6
 
 DEFAULT_ZETA_TOL = 1e-10
+# the rounding of the prefactor and of its product with the core integral,
+# relative to |Z|: its reduced phase (a few eps a turn, 2 pi times that),
+# the power T^(3 Re(s)/2) and the products
+_PREF_ROUND = 32.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -61,30 +66,46 @@ class LocalZetaParams:
             raise ConfigError("c1 must be finite and positive")
 
 
+@functools.lru_cache(maxsize=64)
 def _power_amplitude(c1: float, exponent: float) -> Cutoff:
-    """V0(z) * z^exponent as a Cutoff on V0's support."""
+    """V0(z) * z^exponent as a Cutoff on V0's support, with its bound:
+    V0's times the largest |z|^exponent on the ellipse, which is at its
+    left end lo (at the support's end, where lo lies left of it) for a
+    negative exponent and at most |hi + ib|^exponent otherwise."""
     v0 = v0_cutoff(c1)
 
     def fn(z):
         z = np.asarray(z, dtype=float)
         return v0.fn(z) * z**exponent
 
+    def bound(lo, hi, b):
+        if exponent < 0.0:
+            power = np.maximum(lo, v0.support_lo) ** exponent
+        else:
+            power = np.hypot(hi, b) ** exponent
+        return v0.bound(lo, hi, b) * power
+
     return Cutoff(support_lo=v0.support_lo,
-                  support_hi=v0.support_hi, fn=fn)
+                  support_hi=v0.support_hi, fn=fn, bound=bound)
 
 
 def local_zeta(params: LocalZetaParams, tol: float = DEFAULT_ZETA_TOL) -> QuadResult:
     """Z(1/2 + s + iT), evaluated in z-coordinates (see module docstring).
 
     The returned value includes the T^(3s/2) * T^(3iT/2) prefactor; abs_err
-    is the quadrature bound scaled by the prefactor modulus.
+    is the quadrature's figure scaled by the prefactor modulus (a proved
+    bound: V0 carries `Cutoff.bound`), plus the prefactor's rounding.
     """
     sigma, tau = params.s.real, params.s.imag
     amp = _power_amplitude(params.c1, sigma - 1.5)
-    core = integrate_phase(amp, c_log=params.T + tau, c_inv=0.0, c_lin=params.T, tol=tol)
-    pref = np.exp(1.5 * (params.s + 1j * params.T) * np.log(params.T))
-    return QuadResult(value=complex(pref * core.value),
-                      abs_err=float(abs(pref)) * core.abs_err,
+    c_log = params.T + tau
+    core = integrate_phase(amp, c_log=c_log, c_inv=0.0, c_lin=params.T, tol=tol)
+    # the prefactor's phase 1.5 (T + Im s) ln T, as c_log ln T and half of
+    # it in turns, each reduced mod 1 before it rounds
+    turns = sum(_phase_turns(np.array([params.T]), c, 0.0, 0.0)[0] for c in (c_log, 0.5 * c_log))
+    pref = params.T ** (1.5 * sigma) * np.exp(1j * TWO_PI * turns)
+    value = complex(pref * core.value)
+    return QuadResult(value=value, abs_err=float(abs(pref)) * core.abs_err + _PREF_ROUND * abs(value),
                       panels=core.panels, evaluations=core.evaluations)
 
 

@@ -33,6 +33,12 @@ from test_util import LATTICE, LATTICE_B, LATTICE_C
 GOLDEN_SMALL = 0.085882899748423332 - 0.076752743400557140j
 
 
+def _estimated_probe() -> Cutoff:
+    """The probe bump without its jet and bound: integrated on the estimate
+    path (GL16 + GL8, span halving), as the `routes` amplitudes are."""
+    return Cutoff(support_lo=0.5, support_hi=2.0, fn=probe_amplitude().fn)
+
+
 def _zero_amplitude() -> Cutoff:
     return Cutoff(support_lo=0.5, support_hi=2.0,
                   fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
@@ -185,9 +191,11 @@ def test_zero_shift_equals_main():
 
 
 def test_shifted_batch_holds_each_row_to_its_own_tolerance():
+    # the estimate path's passes: a row keeps the first pass that meets
+    # its tolerance
     T = 100.0
     N = T**1.5
-    inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N)
+    inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N, amplitude=_estimated_probe())
     betas = [1, 5]  # with h = 1 the shifts r/h are the r themselves
     # on the first grid the beta = 5 rows reach about 4.9e-15 and 4.5e-15,
     # and 3.9e-15 on the second
@@ -239,11 +247,16 @@ def test_repeated_n_adds_its_weights():
 def test_block_size_leaves_the_bits_alone(monkeypatch):
     # blocks of one run of panels (the caps of one panel and of 31 panels
     # for 4 r) and of three runs: the same bytes, values and error
-    # estimates, on gapped n and r with complex weights
+    # estimates, on gapped n and r with complex weights; on both paths
+    for amplitude in (_estimated_probe(), probe_amplitude()):
+        _check_block_sizes(monkeypatch, amplitude)
+
+
+def _check_block_sizes(monkeypatch, amplitude):
     T = 100.0
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
-    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
+    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10, amplitude=amplitude)
     ns = [n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3]
     cs = [0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j]
     got = []
@@ -312,13 +325,14 @@ def test_factored_rows_match_a_table_per_node(T, rs, h):
 
 @pytest.mark.parametrize("T", [20.0, 100.0])
 def test_factored_estimate_bounds_the_true_error(T):
-    # the first pass's estimate, which does not carry the rounding of the
+    # the estimate path (the probe without its jet and bound): the first
+    # pass's estimate, which does not carry the rounding of the
     # mid phase r mid/h, still bounds each row's distance to the sum of
     # integrate_phase references at tol 1e-13 (their own errors are far
     # below their estimates, which are of the per-node kind)
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
-    inst = OscInstance(T=T, n=n0, N=N)
+    inst = OscInstance(T=T, n=n0, N=N, amplitude=_estimated_probe())
     ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
     rs, h = [1, 2, 7, 70], 0.5
     batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs, tol=1.0)
@@ -332,7 +346,7 @@ def test_factored_estimate_bounds_the_true_error(T):
 
 
 def test_factored_estimate_is_honest_from_t_20_to_200():
-    # the same check over 64 rows: 8 T from 20 to 200, each with r = 1, 2,
+    # the same check over 64 rows, on the estimate path: 8 T from 20 to 200, each with r = 1, 2,
     # 7 and 70 at h = 0.5, both signs. The worst |value - reference| /
     # estimate reads 0.57 (0.69 with the panels stepped by the sum of the
     # terms' rates); with the tight rate but the mid phase 2 pi r mid/h
@@ -341,7 +355,7 @@ def test_factored_estimate_is_honest_from_t_20_to_200():
     for T in (20.0, 30.0, 50.0, 70.0, 100.0, 130.0, 160.0, 200.0):
         N = T**1.5
         n0 = int(np.ceil(N / TWO_PI))
-        inst = OscInstance(T=T, n=n0, N=N)
+        inst = OscInstance(T=T, n=n0, N=N, amplitude=_estimated_probe())
         ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
         rs, h = [1, 2, 7, 70], 0.5
         batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs, tol=1.0)
@@ -553,20 +567,23 @@ def test_evaluation_budget_enforced(monkeypatch):
         integrate_main(inst)
 
 
-# T = 20, n = 1, N = 4: 25 panels (600 evaluations) at span pi for the main
-# integral (integrate_phase's batch of one), 28 with the shift r/h = 1
-SMALL = OscInstance(T=20.0, n=1, N=4.0)
+# T = 20, n = 1, N = 4, on the estimate path: 25 panels (600 evaluations)
+# at span pi for the main integral (integrate_phase's batch of one), 28
+# with the shift r/h = 1
+SMALL = OscInstance(T=20.0, n=1, N=4.0, amplitude=_estimated_probe())
 BOTH_INTEGRATORS = {"phase": integrate_main,
                     "shifted": lambda inst: integrate_shifted(inst, rs=[0, 1], h=1.0)}
 
 
 @pytest.mark.parametrize("integrate", BOTH_INTEGRATORS.values(), ids=BOTH_INTEGRATORS)
 def test_budget_too_small_for_one_pass_is_refused(monkeypatch, integrate):
+    # on both paths: the probe without and with its bound
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
-    with pytest.raises(ToleranceUnreachableError,
-                       match="^evaluation budget too small for one pass$") as info:
-        integrate(SMALL)
-    assert np.isnan(info.value.achieved)
+    for amplitude in (_estimated_probe(), probe_amplitude()):
+        with pytest.raises(ToleranceUnreachableError,
+                           match="^evaluation budget too small for one pass$") as info:
+            integrate(replace(SMALL, amplitude=amplitude))
+        assert np.isnan(info.value.achieved)
 
 
 def test_phase_budget_refusal_reports_the_last_estimate(monkeypatch):
@@ -584,7 +601,7 @@ def test_phase_budget_refusal_reports_the_last_estimate(monkeypatch):
 def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
     # r = 40 meets its loose tolerance on the first pass, with a larger
     # estimate than r = 0 has; only r = 0's rows, still live, may be named
-    inst = OscInstance(T=100.0, n=3, N=10.0)
+    inst = OscInstance(T=100.0, n=3, N=10.0, amplitude=_estimated_probe())
     amp, rs, h = inst.amplitude, np.array([0, 40]), 0.25
     # the first grid of the batch: every row's beta, from -40/h to 40/h
     grid = PanelGrid(amp.support_lo, amp.support_hi, -100.0, 30.0, [-40 / h, 40 / h], np.pi)
