@@ -14,7 +14,7 @@ import argparse
 from dataclasses import replace
 
 from gl3osc import AmplifierSpec, LanglandsParams, SumSpec, compare_routes, synth_eisenstein
-from gl3osc.sums import s_sum_form, table_size
+from gl3osc.sums import table_size
 
 
 def main() -> int:
@@ -48,9 +48,12 @@ def main() -> int:
           f"  -> {'ok' if rep.passed_keyident else 'EXCEEDED'}")
 
     print("\n-- degenerate window --")
-    degenerate = SumSpec(T=T, table=table, Y=1.0, tol=1e-6)
-    print(f"Y = 1 pushes every weight argument below the h1 support floor:")
-    print(f"sum route = {s_sum_form(degenerate)} (exactly zero)")
+    degenerate = compare_routes(SumSpec(T=T, table=table, Y=1.0, tol=1e-6), amp)
+    print("Y = 1 pushes every weight argument below the h1 support floor,")
+    print("so each route is exactly zero:")
+    print(f"sum route        = {degenerate.s_sum}")
+    print(f"integral route   = {degenerate.s_integral}")
+    print(f"discretized route= {degenerate.s_keyident}")
     return 0
 
 

@@ -74,6 +74,12 @@ LINE_MAX_NODES = 1 << 20
 LINE_RATE_MARGIN = 4.0
 
 
+# `_rise_bound`'s cuts of the ramp's (0, 1): 2^-k and 1 - 2^-k, k = 1..16,
+# between the ends
+_RAMP_SPLITS = np.concatenate([[-np.inf], 2.0 ** -np.arange(16.0, 0.0, -1.0),
+                               1.0 - 2.0 ** -np.arange(2.0, 17.0), [np.inf]])
+
+
 def _scalar_or_array(x, out):
     arr = np.asarray(out)
     if np.isscalar(x) or (hasattr(x, "ndim") and getattr(x, "ndim", 1) == 0):
@@ -96,11 +102,19 @@ class Cutoff:
     |Im z| <= b, with fn analytic on it, and for b = 0 on the segment
     [lo, hi]; arrays broadcast. It is inf where b > 0 and [lo, hi] does
     not lie inside the open support, whose ends are essential
-    singularities of a bump. A rectangle holds the Bernstein ellipse of
-    the same extents, so `oscquad` bounds a panel's Gauss error by it. The
-    exp-bump family and `whittaker`'s power amplitudes carry one, and
-    `oscquad` then integrates them on GL16 alone with a proved error
-    bound; an amplitude without one keeps the GL16 - GL8 estimate.
+    singularities of a bump, or reaches across a break. A rectangle holds
+    the Bernstein ellipse of the same extents, so `oscquad` bounds a
+    panel's Gauss error by it. The exp-bump family, `whittaker`'s power
+    amplitudes and the discretized route's amplitude (`sums._v_cutoff`)
+    carry one, and `oscquad` then integrates them on GL16 alone with a
+    proved error bound; an amplitude without one keeps the GL16 - GL8
+    estimate.
+
+    `breaks`, ascending and inside the open support, are the points where
+    fn is smooth but not analytic, as where a plateau meets a ramp: fn on
+    each side is the restriction of a different analytic function. With
+    a bound, `oscquad` grades its panels toward each break from both
+    sides, as toward a support end.
     """
 
     support_lo: float
@@ -108,10 +122,14 @@ class Cutoff:
     fn: Callable = field(repr=False, compare=False)
     jet: Callable | None = field(default=None, repr=False, compare=False)
     bound: Callable | None = field(default=None, repr=False, compare=False)
+    breaks: tuple = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.support_lo < self.support_hi):
             raise ConfigError("cutoff support must be a nonempty interval")
+        points = (self.support_lo, *self.breaks, self.support_hi)
+        if not all(a < b for a, b in zip(points[:-1], points[1:])):
+            raise ConfigError("cutoff breaks must ascend inside the support")
 
     def __call__(self, y):
         vals = self.fn(np.asarray(y, dtype=float))
@@ -223,6 +241,91 @@ def _smoothstep_down(t):
     return out
 
 
+def _rise_bound(t0, t1, beta):
+    """A bound of |1 - s(t)| on the t-rectangle [t0, t1] x [-beta, beta],
+    s the ramp `_smoothstep_down`; inf unless 0 < t0 <= t1 < 1.
+
+    1 - s(t) = 1/(1 + e^w) with w = 1/t - 1/(1 - t), analytic off t = 0
+    and t = 1, which are essential singularities. The rectangle is cut at
+    _RAMP_SPLITS, which halve the distance to either end, and each piece
+    [p0, p1] is bounded on its own: with t = p + iq, Re 1/t = p/(p^2 + q^2)
+    lies between its least at |q| = beta, taken at an end of [p0, p1], and
+    1/p; so for 1/(1 - t). That bounds Re w from below (low) and above
+    (high), and |Im w| <= beta (1/p0^2 + 1/(1 - p1)^2). Where
+    |Im w| <= pi/2, Re e^w >= 0 and |1 + e^w| >= 1; where low > 0,
+    |1 + e^w| >= e^low - 1; where high < 0, >= 1 - e^high. The least of
+    these that applies bounds |1 - s| on the piece, and 1 + e^w has no
+    zero there; the rectangle takes its pieces' largest. Near t = 0, low ~
+    1/p1 and the bound decays like e^(-1/p1), as the ramp does on the
+    real line; a piece shorter than its distance to an end keeps it finite
+    whatever the length of the rectangle.
+    """
+    t0, t1, beta = (np.asarray(v, dtype=float)[..., None] for v in (t0, t1, beta))
+    # the pieces that some rectangle meets: the others are empty for all
+    seen = np.isfinite(t0) & np.isfinite(t1)
+    cuts = _RAMP_SPLITS
+    if seen.any():
+        cuts = cuts[max(0, int(np.searchsorted(cuts, t0[seen].min(), "right")) - 1):
+                    int(np.searchsorted(cuts, t1[seen].max())) + 1]
+    p0 = np.maximum(t0, cuts[:-1])
+    p1 = np.minimum(t1, cuts[1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u0, u1, bb = 1.0 - p1, 1.0 - p0, beta * beta
+        low = np.minimum(p0 / (p0 * p0 + bb), p1 / (p1 * p1 + bb)) - 1.0 / u0
+        high = 1.0 / p0 - np.minimum(u0 / (u0 * u0 + bb), u1 / (u1 * u1 + bb))
+        out = np.where(beta * (1.0 / (p0 * p0) + 1.0 / (u0 * u0)) <= 0.5 * np.pi, 1.0, np.inf)
+        out = np.where(low > 0.0, np.minimum(out, 1.0 / np.expm1(low)), out)
+        out = np.where(high < 0.0, np.minimum(out, -1.0 / np.expm1(high)), out)
+    out = np.where(p0 <= p1, out, 0.0).max(axis=-1)
+    return np.where((t0[..., 0] > 0.0) & (t1[..., 0] < 1.0), out, np.inf)
+
+
+def _window_bound(fn: Callable, te: float, tk: float) -> Callable:
+    """`Cutoff.bound` of the h1 window fn = h(y/tk) - h(y te) with a
+    plateau, 2/te < tk.
+
+    The window rises on (1/te, 2/te) as 1 - s(y te - 1), is 1 on the
+    plateau [2/te, tk], and falls on (tk, 2 tk) as s(y/tk - 1) =
+    1 - s(2 - y/tk), s the ramp (s(t) + s(1 - t) = 1). A rectangle inside
+    the plateau gets 1 (fn's continuation there is 1), one inside a ramp
+    `_rise_bound` of its image, and any other inf: the plateau's ends are
+    breaks, the support's ends essential singularities. On a segment the
+    window, which rises to its plateau and then falls, peaks at the point
+    nearest 2/te.
+    """
+    def bound(y0, y1, b):
+        y0, y1, b = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (y0, y1, b)))
+        if not b.any():  # segments
+            return fn(np.clip(2.0 / te, y0, y1))
+        out = np.where((y0 >= 2.0 / te) & (y1 <= tk), 1.0, np.inf)  # the plateau
+        # each ramp where some rectangle reaches it
+        if np.any(y0 < 2.0 / te):
+            out = np.minimum(out, _rise_bound(y0 * te - 1.0, y1 * te - 1.0, b * te))
+        if np.any(y1 > tk):
+            out = np.minimum(out, _rise_bound(2.0 - y1 / tk, 2.0 - y0 / tk, b / tk))
+        return out if b.all() else np.where(b > 0.0, out, fn(np.clip(2.0 / te, y0, y1)))
+
+    return bound
+
+
+def _reciprocal_bound(bound: Callable, scale: float) -> Callable:
+    """The `Cutoff.bound` of z -> f(scale / z), scale > 0, from f's.
+
+    On lo <= Re z <= hi, |Im z| <= b with 0 < b <= lo, w = scale/z has
+    |Im w| <= scale b/lo^2 and Re w between scale hi/(hi^2 + b^2) and
+    scale/lo (x/(x^2 + y^2) is least at |y| = b, where it falls in
+    x >= b), so f's bound on that rectangle serves; with b > lo, inf. On a
+    segment it is f's bound on [scale/hi, scale/lo].
+    """
+    def composed(x0, x1, b):
+        x0, x1, b = (np.asarray(v, dtype=float) for v in (x0, x1, b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = bound(scale / (x1 + b * b / x1), scale / x0, scale * b / (x0 * x0))
+        return np.where(b <= x0, out, np.inf)
+
+    return composed
+
+
 def h_cutoff() -> Cutoff:
     """Even plateau cutoff: 1 on [-1,1], 0 outside (-2,2), C-infinity ramps."""
     def fn(y):
@@ -254,16 +357,34 @@ def h0_cutoff(T: float, kappa: float, eps: float) -> Cutoff:
 
 
 def h1_cutoff(T: float, kappa: float, eps: float) -> Cutoff:
-    """h(y*T^-kappa) - h(y*T^eps): window supported on [T^-eps, 2*T^kappa]."""
+    """h(y*T^-kappa) - h(y*T^eps): window supported on [T^-eps, 2*T^kappa].
+
+    Where its ramps do not overlap (2 T^-eps < T^kappa) it is 1 on the
+    plateau between them, whose ends are its breaks, and it carries a
+    bound (`_window_bound`); where they overlap it carries neither. Below
+    the plateau the difference 1 - h(y T^eps) rounds to 0 once h does to
+    1 (y T^eps - 1 below about 1/37); there the window takes the ramp's
+    complement s(2 - y T^eps) = 1 - s(y T^eps - 1) directly, so that it is
+    positive on its whole open support (to underflow) and a segment's sup
+    is not read as 0. Every value the difference leaves nonzero keeps its
+    bits.
+    """
     _check_window_params(T, kappa, eps)
     h = h_cutoff()
     te, tk = T**eps, T**kappa
 
     def fn(y):
         y = np.asarray(y, dtype=float)
-        return np.where(y > 0.0, h.fn(y / tk) - h.fn(y * te), 0.0)
+        out = np.where(y > 0.0, h.fn(y / tk) - h.fn(y * te), 0.0)
+        tail = (out == 0.0) & (y * te > 1.0) & (y * te < 2.0) & (y <= tk)
+        if tail.any():
+            out[tail] = _smoothstep_down(2.0 - y[tail] * te)
+        return out
 
-    return Cutoff(support_lo=T**-eps, support_hi=2.0 * T**kappa, fn=fn)
+    if not 2.0 / te < tk:
+        return Cutoff(support_lo=T**-eps, support_hi=2.0 * tk, fn=fn)
+    return Cutoff(support_lo=T**-eps, support_hi=2.0 * tk, fn=fn,
+                  bound=_window_bound(fn, te, tk), breaks=(2.0 / te, tk))
 
 
 _G_CACHE = {}

@@ -31,16 +31,17 @@ amplitude (`integrate_phase` is one row). Which path it takes is the
 amplitude's own data: `Cutoff.bound`, as `jet` chooses the dual sum's tail.
 
 The bounded path (an amplitude with `Cutoff.bound`: the exp bumps probe,
-v0 and g, and `whittaker`'s power amplitudes) makes one pass of 16 GL16
-nodes a panel and returns a proved error, before which no amplitude value
-is needed (`_one_pass`):
+v0 and g, `whittaker`'s power amplitudes and the discretized route's V,
+`sums._v_cutoff`) makes one pass of 16 GL16 nodes a panel and returns a
+proved error, before which no amplitude value is needed (`_one_pass`):
 - The Gauss error. By Trefethen's Thm 19.3 (Approximation Theory and
   Approximation Practice, SIAM 2013), if f is analytic with |f| <= M on
   the Bernstein ellipse E_rho of a panel of half-width w, then
   |I - G16| <= (64/15) w M rho^-32 / (rho^2 - 1). M is closed form
   (`_log_majorants`): `Cutoff.bound` on the rectangle that holds E_rho
-  (inf once it reaches a support end: a bump's ends are essential
-  singularities), times exp(b R + min(b^2 K/2, b^3 K3/6)) for
+  (inf once it reaches a support end, a bump's ends being essential
+  singularities, or reaches across a break), times
+  exp(b R + min(b^2 K/2, b^3 K3/6)) for
   |e^(i Phi)| (Phi is real on the real line; K and K3 bound Phi'' and
   Phi''' there), with b the ellipse's height. Each run of panels takes
   the best rho of _RHOS (`_ellipse_bounds`).
@@ -50,6 +51,12 @@ is needed (`_one_pass`):
   distance to the end, so that an ellipse of rho < 5.8 stays off the
   end, until they reach the width of the middle. Every edge is a
   multiple of a power-of-two quantum, so that the panels tile exactly.
+  An amplitude's breaks (`Cutoff.breaks`: points where it is smooth but
+  not analytic, as V's x_J = Y T^eps / 2, where its window leaves its
+  plateau) cut the support into pieces, each graded as a support is:
+  the panels grade toward a break from both sides, and the strip on each
+  side of it, where A is O(1), is left out with its trivial bound. An
+  amplitude without breaks is one piece.
 - Widths from the bound. The middle panels' rate adds _CURVE sqrt(K) to
   R (`_curved_rate`), so that near a stationary point, where R is small,
   the curvature term stays small too. The first grid has span
@@ -68,9 +75,10 @@ is needed (`_one_pass`):
   refused before A is evaluated, with the term as `achieved`.
 The bound and the rounding term each get half of the tolerance.
 
-The estimate path (an amplitude without a bound: the `routes` windows,
-`sums._v_cutoff`) gives each panel a 16-point Gauss-Legendre rule with an
-embedded 8-point rule; the error estimate is 4x the summed embedded
+The estimate path (an amplitude without a bound: the integral route's
+amplitude in `sums`, a sum over n of bumps v0(n/(Nx)) with two
+non-analytic points each) gives each panel a 16-point Gauss-Legendre rule
+with an embedded 8-point rule; the error estimate is 4x the summed embedded
 difference (conservative), plus a roundoff floor 4e-16 sum |G16|. A pass
 grids for every row's c_lin, evaluates A once per node, and a row keeps the
 first pass that meets its tolerance. The span per panel is halved from pi,
@@ -145,10 +153,11 @@ _WEIGHTS24 = np.concatenate([GL16[1], GL8[1]])
 # grid rebuilt for a missed bound keeps; the Bernstein parameters rho that
 # each panel's bound tries, with the log of Trefethen's factor
 # 64/15 rho^-32 / (rho^2 - 1); a graded panel's width as a share of its
-# distance to the support's end (an ellipse of rho < 3 + sqrt(8) then
-# stays off the end); the share of the discretization budget that each end
-# strip may take; and the weight of the curvature sqrt(|Phi''|) in the
-# panel width
+# distance to the support's end or a break (an ellipse of rho < 3 + sqrt(8)
+# then stays off it); the share of the discretization budget that each
+# strip may take, and the strip widths tried, as shares of a piece down to
+# 2^-40 (a break's strip, where A is O(1), needs the narrow ones); and the
+# weight of the curvature sqrt(|Phi''|) in the panel width
 BOUND_SPAN = 7.0 * np.pi
 _SPAN_RETRY = 2.0 / 3.0
 _RHOS = np.array([1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0, 11.0, 16.0])
@@ -156,7 +165,7 @@ _LOG_GAUSS = np.log(64.0 / 15.0) - 32.0 * np.log(_RHOS) - np.log(_RHOS**2 - 1.0)
 _SEMI_A, _SEMI_B = 0.5 * (_RHOS + 1.0 / _RHOS), 0.5 * (_RHOS - 1.0 / _RHOS)
 _GRADE = 1.0
 _STRIP_SHARE = 0.125
-_STRIP_STEPS = 2.0 ** -np.arange(2.0, 35.0, 0.5)
+_STRIP_STEPS = 2.0 ** -np.arange(2.0, 41.0, 0.5)
 _CURVE = 2.0
 # the a priori rounding term (see `PanelGrid.rounding`), in units of eps:
 # per node, per unit of |c_log|, per radian of 2 pi |c_inv|/x as a caller
@@ -247,13 +256,14 @@ class PanelGrid:
 
     Given an `amplitude` with a bound and a `target`, the grid is the
     bounded path's (`_graded_runs`): 16 GL16 nodes a panel, graded panels
-    toward each support end, past a strip at each end whose trivial bound
-    is below _STRIP_SHARE of target, and widths held by the phase's rate
-    and curvature. `disc` is the closed-form bound on the discretization
-    error per unit weight (`_ellipse_bounds` summed, plus both strips), set
-    before any amplitude evaluation, and `rounding` the a priori rounding
-    term; both reductions return their sum, times sum |c_n| for a batch, as
-    each row's error.
+    toward each support end and each side of a break, past a strip there
+    whose trivial bound is below _STRIP_SHARE of target, and widths held
+    by the phase's rate and curvature; the grid then has no `edges`, as
+    the strips at a break leave a gap. `disc` is the closed-form bound on
+    the discretization error per unit weight (`_ellipse_bounds` summed,
+    plus every strip), set before any amplitude evaluation, and `rounding`
+    the a priori rounding term; both reductions return their sum, times
+    sum |c_n| for a batch, as each row's error.
     """
 
     def __init__(self, lo: float, hi: float, c_log: float, c_inv, c_lin, span: float,
@@ -265,18 +275,19 @@ class PanelGrid:
         self.bounded = amplitude is not None and amplitude.bound is not None
         if self.bounded:
             self.rule, self.weights = GL16
-            self.edges, sizes, widths, strips = _graded_runs(
+            lefts, sizes, widths, strips = _graded_runs(
                 amplitude, _curved_rate(rate, quad), span, cap, _STRIP_SHARE * target, max_panels)
         else:
             self.rule, self.weights = _NODES24, _WEIGHTS24
             self.edges, sizes, widths = _panel_runs(lo, hi, cap, span, rate, max_panels)
+            lefts = self.edges[:-1]
         self.k = self.rule.size
         self.run_sizes = sizes
         self.run_halfs = 0.5 * widths
         self.run_starts = np.concatenate([[0], np.cumsum(sizes)])
         self.panels = int(self.run_starts[-1])
         self.halfs = np.repeat(self.run_halfs, sizes)
-        self.mids = self.edges[:-1] + self.halfs
+        self.mids = lefts + self.halfs
         # a panel's row in its block's stack of runs, each padded to _PANEL_RUN rows
         run_of = np.repeat(np.arange(sizes.size), sizes)
         self.slots = run_of * _PANEL_RUN + np.arange(self.panels) - self.run_starts[run_of]
@@ -313,9 +324,9 @@ class PanelGrid:
             + _ROUND_STEP half Q,   Q = |c_log|/x + 2 pi |c_inv|/x^2
             + 2 pi |c_lin|,
 
-        x the panel's left end; the panels tile with no gap (see
-        `_graded_runs`). _ROUND_NODE holds what stays near one, about 40 eps
-        on the direct path and 55 eps on a batch's: the mid turns'
+        x the panel's left end; the panels tile each piece with no gap
+        (see `_graded_piece`). _ROUND_NODE holds what stays near one, about
+        40 eps on the direct path and 55 eps on a batch's: the mid turns'
         reduction and sums (2.5 eps a turn, 2 pi times that a radian), the
         exponential, the amplitude (a few eps of sup |A|, its slope times
         eps x included), the products with weight, factor, mid row and
@@ -502,8 +513,27 @@ class PanelGrid:
 
 def _graded_runs(amplitude: Cutoff, rate, span: float, cap: float, strip: float,
                  max_panels: int):
-    """The bounded path's panels over the amplitude's support: (edges,
-    panels per run, width per run, the strips' bound).
+    """The bounded path's panels over the amplitude's support: (left edge
+    of each panel, panels per run, width per run, the strips' bound).
+
+    The support's ends and the amplitude's breaks (`Cutoff.breaks`) cut it
+    into pieces, each gridded alone (`_graded_piece`), as if its ends were
+    support ends: so the panels grade toward a break from both sides, and
+    the strip at each side of it is left out with its trivial bound.
+    Without breaks there is one piece, the whole support."""
+    points = (amplitude.support_lo, *amplitude.breaks, amplitude.support_hi)
+    parts, used = [], 0
+    for lo, hi in zip(points[:-1], points[1:]):
+        part = _graded_piece(amplitude.bound, lo, hi, rate, span, cap, strip, max_panels - used)
+        used += int(part[1].sum())
+        parts.append(part)
+    lefts, sizes, widths, strips = zip(*parts)
+    return np.concatenate(lefts), np.concatenate(sizes), np.concatenate(widths), sum(strips)
+
+
+def _graded_piece(bound, lo: float, hi: float, rate, span: float, cap: float, strip: float,
+                  max_panels: int):
+    """`_graded_runs` over one piece [lo, hi].
 
     At each end a strip whose trivial bound is at most `strip` is left out
     (`_strips`; the bound goes into `PanelGrid.disc`). From there
@@ -512,9 +542,9 @@ def _graded_runs(amplitude: Cutoff, rate, span: float, cap: float, strip: float,
     centre; the stretch between is `util._panel_runs`' with the same width
     rule. Every edge and width is a multiple of the quantum 2^(e - 40),
     2^e > hi, each rounded toward the centre, so that mid = edge + half
-    and mid +- half are exact and the panels tile the grid with no gap.
+    and mid +- half are exact and the panels tile the piece, strips
+    aside, with no gap.
     """
-    lo, hi = amplitude.support_lo, amplitude.support_hi
     centre = 0.5 * (lo + hi)
     quantum = _quantum(hi)
 
@@ -522,7 +552,7 @@ def _graded_runs(amplitude: Cutoff, rate, span: float, cap: float, strip: float,
         r = _finite_rate(rate, x)
         return cap if r * cap <= span else span / r
 
-    first, last, strips = _strips(amplitude.bound, lo, hi, strip)
+    first, last, strips = _strips(bound, lo, hi, strip)
     left, right = [first], [last]
     while len(left) + len(right) <= max_panels:
         x = left[-1]
@@ -543,7 +573,7 @@ def _graded_runs(amplitude: Cutoff, rate, span: float, cap: float, strip: float,
     edges, sizes, widths = _panel_runs(left[-1], right[-1], cap, span, rate,
                                        max_panels - graded, quantum)
     ones = np.ones(len(left) - 1, dtype=int), np.ones(len(right) - 1, dtype=int)
-    return (np.concatenate([left[:-1], edges, right[-2::-1]]),
+    return (np.concatenate([left[:-1], edges[:-1], right[:0:-1]]),
             np.concatenate([ones[0], sizes, ones[1]]),
             np.concatenate([np.diff(left), widths, -np.diff(right)[::-1]]), strips)
 
@@ -556,8 +586,8 @@ def _quantum(hi: float) -> float:
 @functools.lru_cache(maxsize=256)
 def _strips(bound, lo: float, hi: float, share: float) -> tuple[float, float, float]:
     """(first edge, last edge, trivial bound of both strips) of
-    `_graded_runs`: [lo, first] and [last, hi] are its end strips, each
-    about the widest (hi - lo) 2^(-j/2), j = 4..69, whose trivial bound
+    `_graded_piece`: [lo, first] and [last, hi] are its end strips, each
+    about the widest (hi - lo) 2^(-j/2), j = 4..81, whose trivial bound
     d sup |A| is at most share (or the narrowest of them), its inner edge
     rounded toward the end to a multiple of `_quantum(hi)`, at least one
     quantum inside. Kept per bound (a closure of the amplitude's, which

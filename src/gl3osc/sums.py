@@ -15,27 +15,32 @@ f0(y) g(y/Y) y^(iT-1/2) d*y, f0 the paper's dyadic weight h1, computed as:
     Mhat_n is recovered whole from the windowed-sum-minus-dual-sum identity
     averaged over an amplifier's prime pairs: each pair takes the n-sum
     with weights c_n = a(1,n) w(n/N) whole on both sides, one windowed sum
-    and one dual sum per pair rather than one of each per n.
+    and one dual sum per pair rather than one of each per n. V lives on
+    the support of its product, [pi, min(8 pi, Y T^eps)], and carries a
+    closed-form bound and its one break x_J = Y T^eps / 2, where f0 leaves
+    its plateau (`_v_cutoff`), so its dual sums run on `oscquad`'s bounded
+    path. Where Y T^eps <= pi that support is empty and the route is an
+    exact zero.
 
 The first two differ by the transformation formula's O(T^(-3/4+eps)) tail;
 the last two by the per-n O(T^(-3/2)) replacement error. Both envelopes
 carry calibrated constants frozen below.
 
 `SumSpec` owns the table: it refuses one whose x_max is below
-`table_size(T, Y)`, at least the top of the integral window
-(N/4, 2 (1+C1) N), which holds the sum window (N, 2N). Every n that a route
-or `keyident_envelope` reads lies in those windows, so none of them checks
+`table_size(T, Y)`, the top of the integral window (N/4, 2 (1+C1) N),
+which holds the sum window (N, 2N). Every n that a route or
+`keyident_envelope` reads lies in those windows, so none of them checks
 the table again.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .coeffs import CoefficientTable
-from .cutoffs import Cutoff, g_cutoff, h1_cutoff, v0_cutoff, weight_w0_w
+from .cutoffs import Cutoff, _reciprocal_bound, g_cutoff, h1_cutoff, v0_cutoff, weight_w0_w
 from .errors import ConfigError, TableTooSmallError
 from .keyident import AmplifierSpec, KeyIdentityInstance, amplified_average
 from .oscquad import OscInstance, integrate_main
@@ -63,12 +68,16 @@ C1 = 1.0
 
 
 def table_size(T: float, Y: float) -> int:
-    """The least x_max a SumSpec at (T, Y) accepts: the sum support's
-    2 ceil(T^(3/2+eps)), or the integral window's top ceil(2 (1+C1) N) - 1,
-    N = T^(3/2)/Y, where that is larger (Y below about 2)."""
-    N = T**1.5 / Y
-    return max(2 * int(np.ceil(T ** (1.5 + WINDOW_EPS))),
-               int(np.ceil(2.0 * (1.0 + C1) * N)) - 1)
+    """The least x_max a SumSpec at (T, Y) accepts: the integral window's
+    top ceil(2 (1+C1) N) - 1, N = T^(3/2)/Y, which the sum window's lies
+    below."""
+    return int(np.ceil(2.0 * (1.0 + C1) * T**1.5 / Y)) - 1
+
+
+@functools.lru_cache(maxsize=64)
+def _window(T: float) -> Cutoff:
+    """The dyadic weight f0 = h1 at T, one Cutoff per T (it is immutable)."""
+    return h1_cutoff(T, WINDOW_KAPPA, WINDOW_EPS)
 
 
 @dataclass(frozen=True)
@@ -104,10 +113,10 @@ class SumSpec:
         """The dyadic center T^(3/2)/Y of the coefficient window."""
         return self.T**1.5 / self.Y
 
-    @cached_property
-    def f0(self):
-        """The dyadic weight h1 as an array-in, array-out callable."""
-        return h1_cutoff(self.T, WINDOW_KAPPA, WINDOW_EPS).fn
+    @property
+    def window(self) -> Cutoff:
+        """The dyadic weight f0 = h1, with its support, bound and breaks."""
+        return _window(self.T)
 
     def sum_window(self) -> tuple[int, int]:
         """Indices with g(T^(3/2)/(2 pi n Y)) nonzero: the open (N, 2N)."""
@@ -136,15 +145,23 @@ def s_sum_form(spec: SumSpec) -> complex:
     arg = spec.T**1.5 / (TWO_PI * nf)
     terms = (coeffs[live]
              * np.exp(-1j * spec.T * np.log(nf)) / np.sqrt(nf)
-             * spec.f0(arg) * g.fn(arg / spec.Y))
+             * spec.window.fn(arg) * g.fn(arg / spec.Y))
     pref = c_constant(spec.T, C1) / np.sqrt(spec.T)
     return complex(pref * kahan_csum(terms))
 
 
-def _weighted_cutoff(spec: SumSpec, lo: float, hi: float, head) -> Cutoff:
-    """head(x) f0(Y/x) / sqrt(x) on [lo, hi], real or complex as head is;
-    f0 is evaluated at x > 0 only, and head only where f0 is nonzero."""
-    f0, Y = spec.f0, spec.Y
+def _weighted_cutoff(window: Cutoff, Y: float, lo: float, hi: float, head,
+                     head_bound=None) -> Cutoff:
+    """head(x) f0(Y/x) / sqrt(x) on [lo, hi], f0 the window's fn, real or
+    complex as head is; f0 is evaluated at x > 0 only, and head only where
+    f0 is nonzero.
+
+    Given head's `Cutoff.bound` and a window with one, the product gets
+    one: head's, times the window's on the image of the rectangle under
+    Y/z (`cutoffs._reciprocal_bound`), times |z|^(-1/2) <= lo^(-1/2), each
+    a sup on a segment. Its breaks are those of the window, mapped by Y/y,
+    that fall inside (lo, hi)."""
+    f0 = window.fn
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -157,7 +174,15 @@ def _weighted_cutoff(spec: SumSpec, lo: float, hi: float, head) -> Cutoff:
         out[live] = heads * weights[live] / np.sqrt(x[live])
         return out
 
-    return Cutoff(support_lo=lo, support_hi=hi, fn=fn)
+    if head_bound is None or window.bound is None:
+        return Cutoff(support_lo=lo, support_hi=hi, fn=fn)
+    f0_bound = _reciprocal_bound(window.bound, Y)
+
+    def bound(x0, x1, b):
+        return head_bound(x0, x1, b) * f0_bound(x0, x1, b) / np.sqrt(x0)
+
+    breaks = tuple(Y / y for y in reversed(window.breaks) if lo < Y / y < hi)
+    return Cutoff(support_lo=lo, support_hi=hi, fn=fn, bound=bound, breaks=breaks)
 
 
 def _integral_route(spec: SumSpec) -> tuple[complex, float]:
@@ -198,7 +223,7 @@ def _integral_route(spec: SumSpec) -> tuple[complex, float]:
             i = j
         return g.fn(1.0 / x) * total
 
-    amp = _weighted_cutoff(spec, TWO_PI, 2.0 * TWO_PI, head)
+    amp = _weighted_cutoff(spec.window, spec.Y, TWO_PI, 2.0 * TWO_PI, head)
     res = integrate_main(OscInstance(T=spec.T, n=m, N=N, amplitude=amp,
                                      tol=spec.tol * float(np.sum(np.abs(weights)))))
     root_n = np.sqrt(N)
@@ -206,16 +231,31 @@ def _integral_route(spec: SumSpec) -> tuple[complex, float]:
     return complex(pref * res.value), float(root_n * res.abs_err)
 
 
-def _v_cutoff(spec: SumSpec) -> Cutoff:
-    """The fixed amplitude V of the discretized route (no g factor)."""
-    v0 = v0_cutoff(C1)
-    return _weighted_cutoff(spec, 1.0 / v0.support_hi, 1.0 / v0.support_lo,
-                            lambda x: v0.fn(1.0 / x))
+@functools.lru_cache(maxsize=64)
+def _v_cutoff(T: float, Y: float) -> Cutoff | None:
+    """The fixed amplitude V(x) = v0(1/x) f0(Y/x) / sqrt(x) of the
+    discretized route (no g factor) on the support of its product,
+    [max(1/v0.hi, Y/f0.hi), min(1/v0.lo, Y/f0.lo)], with its bound and
+    break (`_weighted_cutoff`, v0(1/z) bounded by
+    `cutoffs._reciprocal_bound`); None where that is empty (Y T^eps <= pi).
+    One Cutoff per (T, Y), so that what `oscquad` keeps per bound (its end
+    strips) is derived once."""
+    v0, window = v0_cutoff(C1), _window(T)
+    lo = max(1.0 / v0.support_hi, Y / window.support_hi)
+    hi = min(1.0 / v0.support_lo, Y / window.support_lo)
+    if not lo < hi:
+        return None
+    return _weighted_cutoff(window, Y, lo, hi, lambda x: v0.fn(1.0 / x),
+                            _reciprocal_bound(v0.bound, 1.0))
 
 
 def _keyident_route(spec: SumSpec,
                     amp: AmplifierSpec) -> tuple[complex, float]:
     """Value and quadrature bound of the discretized, amplified route."""
+    v = _v_cutoff(spec.T, spec.Y)
+    if v is None:
+        # V vanishes on the whole line: every pair's sums are exact zeros
+        return 0.0 + 0.0j, 0.0
     n_lo, n_hi = spec.sum_window()
     # each pair's identity residual obeys the enforced tolerance-share bound
     pair_budget = 10.0 * 2.0 * spec.tol
@@ -230,7 +270,7 @@ def _keyident_route(spec: SumSpec,
         # the whole weighted window is one n-sum, summed and dualized once per pair
         p0, l0 = amp.pairs[0]
         base = KeyIdentityInstance(T=spec.T, n=int(ns[0]), N=spec.N, p=p0, l=l0,
-                                   tol=spec.tol, amplitude=_v_cutoff(spec))
+                                   tol=spec.tol, amplitude=v)
         a_avg, o_avg = amplified_average(base, amp, ns, cs)
         total = (a_avg - o_avg) / amp.weighted_pair_count()
     pref = np.exp(1j * spec.T * np.log(spec.Y)) / np.sqrt(spec.N)

@@ -431,7 +431,7 @@ def _route_instances():
     n_lo, n_hi = spec.sum_window()
     ns = [n_lo + 1, (n_lo + n_hi) // 2, n_hi - 1]
     base = KeyIdentityInstance(T=T, n=ns[0], N=spec.N, p=5, l=2, tol=spec.tol,
-                               amplitude=sums._v_cutoff(spec))
+                               amplitude=sums._v_cutoff(spec.T, spec.Y))
     return base, ns
 
 

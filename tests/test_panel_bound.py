@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3osc import oscquad
-from gl3osc.cutoffs import Cutoff, v0_cutoff
-from gl3osc.errors import ToleranceUnreachableError
+from gl3osc import criteria, oscquad, sums
+from gl3osc.coeffs import synth_eisenstein
+from gl3osc.cutoffs import Cutoff, g_cutoff, v0_cutoff, weight_w0_w
+from gl3osc.errors import ConfigError, ToleranceUnreachableError
+from gl3osc.keyident import AmplifierSpec
 from gl3osc.oscquad import (_RHOS, _SEMI_A, _SEMI_B, OscInstance, PanelGrid, _ellipse_bounds,
                             _log_majorants, _phase_rate, _quadratics, integrate_main,
                             integrate_phase, integrate_shifted, probe_amplitude)
+from gl3osc.sums import SumSpec, table_size
 from gl3osc.util import TWO_PI, _panel_runs
 from gl3osc.whittaker import LocalZetaParams, _power_amplitude, local_zeta
 
@@ -146,7 +149,7 @@ def test_an_ellipse_reaching_a_support_end_gets_no_bound():
     # every panel inside the support
     grid = PanelGrid(0.5, 2.0, -250.0, 39.8, 0.0, oscquad.BOUND_SPAN, amplitude=PROBE,
                      target=1e-12)
-    assert 0.5 < grid.edges[0] and grid.edges[-1] < 2.0
+    assert 0.5 < grid.mids[0] - grid.halfs[0] and grid.mids[-1] + grid.halfs[-1] < 2.0
     first, last = grid.mids[grid.run_starts[:-1]], grid.mids[grid.run_starts[1:] - 1]
     assert np.all(np.isfinite(_ellipse_bounds(bound, first, last, grid.run_halfs, quad)))
 
@@ -305,3 +308,207 @@ def test_zero_weights_give_exact_zero_rows():
     inst = OscInstance(T=250.0, n=40, N=250.0**1.5)
     rows = integrate_shifted(inst, [1, 2], 1.0, ns=[40, 41], cs=[0.0, 0.0])
     assert np.all(rows.values == 0.0) and np.all(rows.abs_errs == 0.0)
+
+
+# --- the route amplitude V ----------------------------------------------------
+
+def _route_spec(T: float) -> SumSpec:
+    return SumSpec(T=T, table=synth_eisenstein(criteria.D3_PARAMS, table_size(T, SumSpec.Y)),
+                   tol=1e-6)
+
+
+def _mp_route_amplitude(T: float, Y: float):
+    """V(z) = v0(1/z) f0(Y/z) z^(-1/2) at a complex point, with f0 on the
+    side of the break x_J = Y T^eps / 2 given: 1 on the plateau, and
+    1 - s(t) = 1/(1 + e^w), w = 1/t - 1/(1 - t), t = Y T^eps / z - 1 on
+    the ramp."""
+    bump = _mp_bump(V0.support_lo, V0.support_hi)
+    c = mp.mpf(Y) * mp.mpf(T) ** mp.mpf(sums.WINDOW_EPS)
+
+    def f(z, ramp):
+        t = c / z - 1
+        window = 1 / (1 + mp.exp(1 / t - 1 / (1 - t))) if ramp else 1
+        return bump(1 / z) * window / mp.sqrt(z)
+
+    return f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(T=st.sampled_from([64.0, 200.0, 1000.0]), Y_of_T=st.sampled_from(["4pi", "5", "T^kappa"]),
+       place=st.floats(-0.02, 1.02), width=st.floats(1e-4, 0.3),
+       height=st.floats(0.0, 1.5), toward=st.floats(0.0, 1.0))
+def test_route_amplitude_bound_holds_on_the_rectangle(T, Y_of_T, place, width, height, toward):
+    # at 48 points of the rectangle's boundary (the maximum modulus
+    # principle takes it from there) |V|, by mpmath, is at most the bound;
+    # a rectangle that reaches across the break x_J or a support end gets
+    # inf, and a segment's bound holds at 65 points of it. Rectangles are
+    # drawn whole, or squeezed toward the break or the ends, where the
+    # bound is tight
+    Y = {"4pi": SumSpec.Y, "5": 5.0, "T^kappa": T}[Y_of_T]
+    amp = sums._v_cutoff(T, Y)
+    lo, hi = amp.support_lo, amp.support_hi
+    points = [lo, *amp.breaks, hi]
+    x0 = lo + place * (hi - lo)
+    x1 = x0 + width * (hi - lo)
+    # squeeze toward the nearest singular point: the ends and the break
+    near = min(points, key=lambda p: abs(p - x0))
+    x0, x1 = near + (x0 - near) * toward, near + (x1 - near) * toward
+    b = height * (x1 - x0)
+    got = float(amp.bound(x0, x1, b))
+    if b == 0.0:
+        xs = np.linspace(x0, x1, 65)
+        assert np.all(np.abs(amp.fn(xs)) <= got * (1.0 + 1e-12))
+        return
+    crosses = any(x0 <= p <= x1 for p in amp.breaks) or x0 <= lo or x1 >= hi
+    if crosses:
+        assert got == np.inf
+        return
+    if got == np.inf:
+        return
+    exact = _mp_route_amplitude(T, Y)
+    ramp = bool(amp.breaks) and x0 > amp.breaks[0] or not amp.breaks and hi < 8.0 * np.pi \
+        and x0 > 0.5 * hi
+    with mp.workdps(30):
+        for k in range(48):
+            side, s = divmod(k, 12)
+            u = s / 12.0
+            z = [mp.mpc(x0 + u * (x1 - x0), -b), mp.mpc(x1, -b + 2 * u * b),
+                 mp.mpc(x1 - u * (x1 - x0), b), mp.mpc(x0, b - 2 * u * b)][side]
+            # a bound below double's range (e^-1000 near Y T^eps) rounds to 0
+            assert abs(exact(z, ramp)) <= got * (1 + 1e-9) + np.finfo(float).tiny
+
+
+def test_route_amplitude_has_its_break_and_true_support():
+    # V lives on [pi, Y T^eps], breaks at x_J = Y T^eps / 2, and a route
+    # shell's bounded grid keeps a finite ellipse bound on every run, its
+    # panels clear of x_J by a strip whose bound is in `disc`
+    spec = _route_spec(64.0)
+    amp = sums._v_cutoff(spec.T, spec.Y)
+    assert sums._v_cutoff(spec.T, spec.Y) is amp
+    c = spec.Y * 64.0**sums.WINDOW_EPS
+    assert amp.support_lo == pytest.approx(np.pi, rel=1e-15)
+    assert amp.support_hi == pytest.approx(c, rel=1e-15)
+    assert amp.breaks == pytest.approx((0.5 * c,), rel=1e-15)
+    x_j = amp.breaks[0]
+    h = 2.0 * 64.0 / (spec.N * 5.0)
+    quad = _quadratics(-64.0, np.array([41.0, 81.0]) * 64.0 / spec.N, np.arange(17, 33) / h)
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -64.0, np.array([41.0, 81.0]) * 64.0 / spec.N,
+                     np.arange(17, 33) / h, oscquad.BOUND_SPAN, amplitude=amp, target=1e-10)
+    left, right = grid.mids - grid.halfs, grid.mids + grid.halfs
+    assert not np.any((left < x_j) & (right > x_j))
+    assert np.any(right < x_j) and np.any(left > x_j)
+    gap = left[left > x_j].min() - right[right < x_j].max()
+    assert 0.0 < gap < 1e-6
+    first, last = grid.mids[grid.run_starts[:-1]], grid.mids[grid.run_starts[1:] - 1]
+    assert np.all(np.isfinite(_ellipse_bounds(amp.bound, first, last, grid.run_halfs, quad)))
+    assert 0.0 < grid.disc < np.inf
+
+
+def test_breaks_must_ascend_inside_the_support():
+    for breaks in ((0.5,), (2.0,), (1.5, 1.2), (1.2, 1.2)):
+        with pytest.raises(ConfigError):
+            Cutoff(support_lo=0.5, support_hi=2.0, fn=PROBE.fn, breaks=breaks)
+    amp = Cutoff(support_lo=0.5, support_hi=2.0, fn=PROBE.fn, breaks=(1.0, 1.5))
+    assert amp.breaks == (1.0, 1.5)
+
+
+@pytest.mark.parametrize("T", [64.0, 200.0])
+def test_route_rows_hold_their_abs_err_against_long_double(T):
+    # the keyident route's shells r = 1..32 at the route's own pair, n and
+    # weights a(1,n) w(n/N) and row shares: each row's proved figure holds
+    # against a composite 40-point rule over the pieces of V's support,
+    # graded toward x_J and the ends, whose phases are formed in 80-bit
+    # long double and reduced mod 1 there, and whose sums run in long double
+    spec = _route_spec(T)
+    amp = sums._v_cutoff(spec.T, spec.Y)
+    n_lo, n_hi = spec.sum_window()
+    ns = np.arange(n_lo, n_hi + 1)
+    a = spec.table.values[ns]
+    _, w = weight_w0_w(ns / spec.N)
+    live = (a != 0.0) & (w != 0.0)
+    ns, cs = ns[live], a[live] * w[live]
+    p, l = AmplifierSpec.for_t(T).pairs[0]
+    h = l * T / (spec.N * p)
+    rs = np.arange(1, 33)
+    mass = float(np.sum(np.abs(cs)))
+    tols = spec.tol * mass / (32.0 * np.maximum(8, rs))
+    rows = integrate_shifted(OscInstance(T=T, n=int(ns[0]), N=spec.N, amplitude=amp,
+                                         tol=spec.tol), rs, h, tol=tols, ns=ns, cs=cs)
+    assert rows.evaluations % 16 == 0
+    lo, hi, (x_j,) = amp.support_lo, amp.support_hi, amp.breaks
+    scale = T / amp.support_lo + TWO_PI * ns.max() * T / (spec.N * lo**2) + TWO_PI * 32.0 / h
+    # V is analytic up to x_J from the plateau's side, and flat to within
+    # rounding of its plateau value within 1e-13 of it on the ramp's
+    parts = [_reference_panels_between(lo + 0.005, x_j, scale, lo, np.inf),
+             _reference_panels_between(x_j, hi - hi / 90.0, scale, x_j, hi)]
+    mids, halfs = (np.concatenate(v) for v in zip(*parts))
+    x = (mids[:, None] + halfs[:, None] * GL40[0]).ravel()
+    wts = (halfs[:, None] * GL40[1]).ravel().astype(np.longdouble) * amp.fn(x)
+    xl = x.astype(np.longdouble)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    ratio = np.longdouble(T) / np.longdouble(spec.N)
+    log_turns = -np.longdouble(T) * np.log(xl) / two_pi
+    re, im = np.zeros(x.size, np.longdouble), np.zeros(x.size, np.longdouble)
+    for n, c in zip(ns.tolist(), cs.tolist()):
+        turns = log_turns - n * ratio / xl
+        turns -= np.rint(turns)
+        cos, sin = np.cos(two_pi * turns), np.sin(two_pi * turns)
+        re += c.real * cos - c.imag * sin
+        im += c.real * sin + c.imag * cos
+    re, im = re * wts, im * wts
+    shift = xl / np.longdouble(h)
+    for j, r in enumerate(rs.tolist()):
+        for k, sign in enumerate((1, -1)):
+            turns = sign * r * shift
+            turns -= np.rint(turns)
+            cos, sin = np.cos(two_pi * turns), np.sin(two_pi * turns)
+            # e(-sign r x/h) = cos - i sin
+            want = complex(float(np.sum(re * cos + im * sin)), float(np.sum(im * cos - re * sin)))
+            err = rows.abs_errs[2 * j + k]
+            assert abs(rows.values[2 * j + k] - want) <= err <= tols[j]
+
+
+def _reference_panels_between(a, b, rate, end_a, end_b):
+    """(mids, halfs) of a composite 40-point rule on [a, b], each panel at
+    most 20 / rate wide and half its distance to the nearer of the
+    singular points end_a <= a and end_b >= b, but at least 1e-13."""
+    edges, x = [a], a
+    while x < b:
+        x = min(b, x + max(1e-13, min(20.0 / rate, 0.5 * min(x - end_a, end_b - x))))
+        edges.append(x)
+    edges = np.array(edges)
+    return 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+
+
+# --- declared supports --------------------------------------------------------
+
+def _integrated_amplitudes():
+    """name -> a Cutoff that a battery integrates: the probe, v0, g, the
+    local zeta integral's power amplitudes, and the routes' V and
+    integral-route amplitude at T = 64 and 200."""
+    amps = {"probe": PROBE, "v0": V0, "g": g_cutoff()}
+    for sigma in (0.0, -0.5, 0.5):
+        amps[f"power {sigma - 1.5}"] = _power_amplitude(1.0, sigma - 1.5)
+    for T in (64.0, 200.0):
+        spec = _route_spec(T)
+        amps[f"V T={T:g}"] = sums._v_cutoff(spec.T, spec.Y)
+        seen = []
+        real = sums.integrate_main
+        sums.integrate_main = lambda inst: seen.append(inst.amplitude) or real(inst)
+        try:
+            sums._integral_route(spec)
+        finally:
+            sums.integrate_main = real
+        amps[f"integral T={T:g}"] = seen[0]
+    return amps
+
+
+def test_no_amplitude_declares_a_support_it_is_zero_on():
+    # a grid spends its nodes over the declared support: an amplitude that
+    # is exactly zero over the last 1% of it at either end wastes them (V
+    # on v0's [pi, 8 pi] was zero past Y T^eps, 52% of it at T = 64)
+    for name, amp in _integrated_amplitudes().items():
+        lo, hi = amp.support_lo, amp.support_hi
+        for end, inward in ((lo, 1.0), (hi, -1.0)):
+            xs = end + inward * (hi - lo) * np.linspace(1e-3, 1e-2, 10)
+            assert np.max(np.abs(amp.fn(xs))) > 0.0, (name, end)

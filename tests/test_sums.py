@@ -101,7 +101,7 @@ def test_windows_match_support_arithmetic(spec_100):
 
 def test_sum_route_matches_scalar_loop(spec_100):
     got = s_sum_form(spec_100)
-    f0, g = spec_100.f0, g_cutoff()
+    f0, g = spec_100.window.fn, g_cutoff()
     re, im = [], []
     lo, hi = spec_100.sum_window()
     for n in range(lo, hi + 1):
@@ -127,7 +127,7 @@ def test_single_coefficient_term_is_exact():
     g = g_cutoff()
     want = (c_constant(T, 1.0) / math.sqrt(T) * 1.1j
             * cmath.exp(-1j * T * math.log(110.0)) / math.sqrt(110.0)
-            * float(spec.f0(np.asarray(arg)))
+            * float(spec.window.fn(np.asarray(arg)))
             * float(g.fn(np.asarray(arg / spec.Y))))
     assert s_sum_form(spec) == pytest.approx(want, rel=1e-14)
 
@@ -200,7 +200,7 @@ def test_integral_route_matches_one_n_at_a_time(table_100, sparse):
         vn = Cutoff(support_lo=max(TWO_PI, n / (N * v0.support_hi)),
                     support_hi=min(2.0 * TWO_PI, n / (N * v0.support_lo)),
                     fn=lambda x, n=n: (v0.fn(n / (N * x)) * g.fn(1.0 / x)
-                                       * spec.f0(spec.Y / x) / np.sqrt(x)))
+                                       * spec.window.fn(spec.Y / x) / np.sqrt(x)))
         res = integrate_main(OscInstance(T=T, n=n, N=N, amplitude=vn, tol=spec.tol))
         terms.append(a / n * res.value)
         ref_err += abs(a) / n * res.abs_err
@@ -233,7 +233,7 @@ def test_keyident_route_matches_one_n_at_a_time():
     s_key, key_err = _keyident_route(spec, amp)
     p, l = amp.pairs[0]
     base = KeyIdentityInstance(T=T, n=1, N=spec.N, p=p, l=l, tol=spec.tol,
-                               amplitude=_v_cutoff(spec))
+                               amplitude=_v_cutoff(spec.T, spec.Y))
     lo, hi = spec.sum_window()
     terms = []
     for n, a in SPARSE_100:
@@ -264,7 +264,7 @@ def test_weighted_riemann_side_is_the_sum_of_each_n(table_100, sparse, blocks, m
     ns, cs = ns[live], a[live] * w[live]
     p, l = _single_pair_amp(T).pairs[0]
     inst = KeyIdentityInstance(T=T, n=int(ns[0]), N=spec.N, p=p, l=l, tol=spec.tol,
-                               amplitude=_v_cutoff(spec))
+                               amplitude=_v_cutoff(spec.T, spec.Y))
     if blocks:
         r_lo, r_hi = inst.index_window()
         monkeypatch.setattr(keyident, "BLOCK_ELEMENTS", 2 * (r_hi - r_lo + 1))
@@ -307,37 +307,46 @@ def test_support_padding_changes_nothing(table_100):
 
 
 def test_degenerate_window_sums_to_zero_exactly(monkeypatch):
-    # Y = 1 pushes the h1 arguments below its support for every n, so f0
-    # vanishes on the whole grid and the amplitude's head, the (n, node)
-    # sum, is never evaluated
-    T = 60.0
-    table = synth_eisenstein(D3, 1900)
-    spec = SumSpec(T=T, table=table, Y=1.0, tol=1e-6)
-    assert s_sum_form(spec) == 0.0
+    # Y = 1 pushes the h1 arguments below its support for every n: f0
+    # vanishes on the integral route's whole grid, so the amplitude's head,
+    # the (n, node) sum, is never evaluated, and V's support
+    # [pi, min(8 pi, Y T^eps)] is empty, so the discretized route is an
+    # exact zero without a Cutoff or a dual sum
+    T = 64.0
+    spec = SumSpec(T=T, table=synth_eisenstein(D3, table_size(T, 1.0)), Y=1.0, tol=1e-6)
+    assert spec.Y * T**sums.WINDOW_EPS <= math.pi
     weighted = sums._weighted_cutoff
 
-    def headless(spec, lo, hi, head):
+    def headless(window, Y, lo, hi, head, head_bound=None):
         def refuse(x):
             raise AssertionError(f"head evaluated at {x.size} points where f0 is 0")
 
-        return weighted(spec, lo, hi, refuse)
+        return weighted(window, Y, lo, hi, refuse, head_bound)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a dual sum was gridded for an amplitude that is 0")
 
     monkeypatch.setattr(sums, "_weighted_cutoff", headless)
-    assert _integral_route(spec)[0] == 0.0
+    monkeypatch.setattr(keyident, "integrate_shifted", no_grid)
+    assert _v_cutoff(spec.T, spec.Y) is None
+    rep = compare_routes(spec, _single_pair_amp(T))
+    assert rep.s_sum == rep.s_integral == rep.s_keyident == 0.0
+    assert _keyident_route(spec, _single_pair_amp(T)) == (0.0, 0.0)
 
 
 def test_spec_refuses_a_table_short_of_the_integral_window():
-    # Y = 1 widens the integral window to 4 N > 2 T^(3/2 + eps): the table
-    # of the default window covers the sum window (N, 2N) at Y = 1, yet the
-    # spec refuses it
+    # Y = 1 widens the integral window to (N/4, 4 N): a table that holds
+    # the sum window (N, 2N) at Y = 1, and both windows at the default Y,
+    # is still refused there
     T = 60.0
-    short = _d3_table(T)
-    assert short.x_max >= int(np.ceil(2.0 * T**1.5)) - 1
+    short = synth_eisenstein(D3, int(np.ceil(2.0 * T**1.5)) - 1)
+    assert SumSpec(T=T, table=short, tol=1e-6).integral_window()[1] <= short.x_max
     with pytest.raises(TableTooSmallError):
         SumSpec(T=T, table=short, Y=1.0, tol=1e-6)
     need = table_size(T, 1.0)
     assert need > short.x_max
     spec = SumSpec(T=T, table=synth_eisenstein(D3, need), Y=1.0, tol=1e-6)
+    assert spec.sum_window()[1] <= short.x_max
     assert spec.integral_window()[1] == need
     with pytest.raises(TableTooSmallError):
         SumSpec(T=T, table=synth_eisenstein(D3, need - 1), Y=1.0, tol=1e-6)
