@@ -30,21 +30,31 @@ a pair with no stationary r >= 1, such as (10007, 3) at T = 500, builds no
 grid at all. An amplitude without a jet (the route amplitude of `sums`,
 whose h1 weight has none) grids each shell whole and stops once twice the
 last shell's mass is below tol/2, an estimate. A shell is one shared-grid
-batch (`integrate_shifted`): every +-r of the shell on one grid with one
-evaluation of V. Its phases are geometric sequences in the integers r and
-n: an exponential per node heads each run of up to 64 consecutive r (or
-n); products fill the shift table, and Horner's rule sums a run's weighted
-n, so a shell of 8 r costs two exponentials per node, not eight.
+batch (`integrate_shifted`) for every pair of a pair loop that still has
+rows in it: every +-r of the shell, each pair's r with its own step h, on
+one grid with one evaluation of V and one weighted factor row
+x^(-iT) sum_n c_n e(-nT/(Nx)) per block. One grid serves them all, as
+every pair's rows cover the same band of frequencies r/h: each shell stops
+just past r_stat = h max|Phi'|/(2 pi), so r/h stays near max|Phi'|/(2 pi)
+whatever the pair. Its phases are geometric sequences in the integers r
+and n: an exponential per node heads each run of up to 64 consecutive r
+of one step (or n); products fill the shift table, and Horner's rule sums
+a run's weighted n, so a shell of 8 r costs two exponentials per node, not
+eight.
 
 One pair loop (`_pair_terms`) serves verify_key_identity and
 amplified_average. M and the tail bound's q_m depend on the amplitude, T,
-N and n, never on (p, l): a call makes each once for all its pairs. Both
-sides take a weighted n-sum whole, one call each per pair. The windowed
-sum sum_n c_n A_n forms V(rh) and r^(-iT) once for all n (`riemann_side`).
-The dual sum sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n
-e(-nT/(Nx)), so a shell has one row per +-r, and the tolerances scale
-with sum_n |c_n|. A01 and A09 run one n of weight 1; the discretized
-route of `sums` hands its whole weighted window to a pair.
+N and n, never on (p, l): a call makes each once for all its pairs, and M
+keeps a grid of its own. The dual sums of all the loop's pairs run
+together, shell by shell (`_poisson_terms`): each pair keeps its own rows,
+tolerances, proved errors, tail bound and last r, and only the grid is
+shared, so A01's three pairs at a T grid M and one shell. Both sides
+take a weighted n-sum whole. The windowed sum sum_n c_n A_n forms V(rh)
+and r^(-iT) once for all n (`riemann_side`), one call per pair. The dual
+sum sum_n c_n O_n is the dual sum of V(x) x^(-iT) sum_n c_n e(-nT/(Nx)),
+so a shell has one row per +-r and pair, and the tolerances scale with
+sum_n |c_n|. A01 and A09 run one n of weight 1; the discretized route of
+`sums` hands its whole weighted window to a pair.
 
 The amplifier's weight 1 / (D(P) D(L)), with D(x) = li(2x) - li(x), is
 computed here (`_li_segment`: a positive series below x = e, one GL16 panel
@@ -301,69 +311,100 @@ class _IbpTail:
         return float(self.bounds(lo, lo, h)[0])
 
 
-def _poisson_terms(inst: KeyIdentityInstance, ns, cs, tail: _IbpTail | None):
-    """Adaptive dual sum: value, tail bound, quadrature bound, last r.
+def _poisson_terms(insts, ns, cs, tail: _IbpTail | None):
+    """Adaptive dual sums of one pair loop: per pair its value, tail bound,
+    quadrature bound and last r, and the largest last r of the loop.
 
-    Sums sum_n c_n O_n over the integers n of `ns` with the complex weights
-    `cs`, shell by shell: r in [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and
-    so on, each shell one integrate_shifted batch at the integers r and the
-    step inst.h. With tol = inst.tol sum_n |c_n|, each row is held to its
-    own share tol / (32 max(8, r)), and the sum stops once its tail falls
-    below tol/2. All-zero weights give an exact zero at once.
+    `insts` are the loop's instances, which differ only in their pair
+    (p, l) and so in their step h. For each, sums sum_n c_n O_n over the
+    integers n of `ns` with the complex weights `cs`, shell by shell: r in
+    [1, FIRST_SHELL_R], then [hi + 1, 2 hi], and so on. Shell s of every
+    pair that still has rows to grid is one integrate_shifted batch: each
+    pair's integers r with its own step h, on one grid with one
+    evaluation of the amplitude. With tol = inst.tol sum_n |c_n|, each row
+    is held to its own share tol / (32 max(8, r)), and a pair's sum stops
+    once its tail falls below tol/2. All-zero weights give exact zeros at
+    once.
 
     `tail` is the `_IbpTail` of ns and cs, None for an amplitude without a
-    jet. Before each shell [lo, hi] the bound on all |r| >= R is taken, in
-    one `bounds` pass, for every R in lo..hi + 1 past the stationary range
-    of every n. The shell then ends at r = R - 1 for the smallest R whose
-    bound is below tol/2, and the sum stops there, that bound its tail;
-    with no such R the shell is gridded whole and the next one follows.
-    The last r is the top of the last row gridded: 0 when the bound stops
-    the sum at R = 1. Without a tail the sum keeps an estimate: the terms
-    decay superpolynomially once the linear shift removes the stationary
-    point, so one doubling bounds the remainder by the last shell's mass,
-    and the sum stops once twice that mass is below tol/2.
+    jet. Before each shell [lo, hi] the bound on all |r| >= R is taken, per
+    pair and in one `bounds` pass, for every R in lo..hi + 1 past the
+    stationary range of every n. The pair's shell then ends at r = R - 1
+    for the smallest R whose bound is below tol/2, and its sum stops there,
+    that bound its tail; with no such R the shell is gridded whole and the
+    next one follows. A pair whose bound stops its sum at R = lo grids
+    nothing more, and a shell that no pair grids builds no grid. A pair's
+    last r is the top of its last row gridded: 0 when the bound stops the
+    sum at R = 1. Without a tail the sum keeps an estimate: the terms decay
+    superpolynomially once the linear shift removes the stationary point,
+    so one doubling bounds the remainder by the last shell's mass, and the
+    sum stops once twice that mass is below tol/2.
+
+    Returns (values, tails, quadrature bounds, r_max, last r), each but
+    r_max a list with one entry per pair; r_max is the largest r gridded
+    in the loop.
     """
-    tol = inst.tol * float(np.sum(np.abs(cs)))
+    count = len(insts)
+    values, quads, tops = [0.0 + 0.0j] * count, [0.0] * count, [0] * count
+    tol = insts[0].tol * float(np.sum(np.abs(cs))) if count else 0.0
     if tol == 0.0:
-        return 0.0 + 0.0j, 0.0, 0.0, 0
-    h = inst.h
-    value, quad_sum, rest = 0.0 + 0.0j, 0.0, math.inf
+        return values, [0.0] * count, quads, 0, tops
+    rests = [math.inf] * count
+    live = list(range(count))
     lo, hi = 1, FIRST_SHELL_R
-    while True:
-        done = False
-        if tail is not None:
-            first = max(lo, math.floor(tail.r_stat(h)) + 1)
-            if first <= hi + 1:
-                bounds = tail.bounds(first, hi + 1, h)
-                met = np.flatnonzero(bounds < 0.5 * tol)
-                if met.size:
-                    done, rest, hi = True, float(bounds[met[0]]), first + int(met[0]) - 1
-                else:
-                    rest = float(bounds[0]) if first == lo else math.inf
-        if hi >= lo:
+    while live:
+        shell, done = [], set()  # (pair, top of its rows) of the pairs that grid [lo, top]
+        for i in live:
+            top, h = hi, insts[i].h
+            if tail is not None:
+                first = max(lo, math.floor(tail.r_stat(h)) + 1)
+                if first <= hi + 1:
+                    bounds = tail.bounds(first, hi + 1, h)
+                    met = np.flatnonzero(bounds < 0.5 * tol)
+                    if met.size:
+                        done.add(i)
+                        rests[i], top = float(bounds[met[0]]), first + int(met[0]) - 1
+                    else:
+                        rests[i] = float(bounds[0]) if first == lo else math.inf
+            if top >= lo:
+                shell.append((i, top))
+            tops[i] = top
+        if shell:
             if lo > MAX_R:
-                raise TailNotConvergedError(f"dual sum tail still {rest:.3e} at r_max {lo - 1}")
-            rs = np.arange(lo, hi + 1)
-            shell = integrate_shifted(inst.osc, rs, h, ns=ns, cs=cs,
-                                      tol=tol / (32.0 * np.maximum(8, rs)))
-            value += kahan_csum(shell.values)
-            quad_sum += float(np.sum(shell.abs_errs))
-            if tail is None:
-                rest = 2.0 * float(np.sum(np.abs(shell.values)))
-                done = rest < 0.5 * tol
-        if done:
-            return value, rest, quad_sum, hi
+                raise TailNotConvergedError(
+                    f"dual sum tail still {rests[shell[0][0]]:.3e} at r_max {lo - 1}")
+            parts = [np.arange(lo, top + 1) for _, top in shell]
+            rs = np.concatenate(parts)
+            steps = np.repeat([insts[i].h for i, _ in shell], [part.size for part in parts])
+            rows = integrate_shifted(insts[0].osc, rs, steps, ns=ns, cs=cs,
+                                     tol=tol / (32.0 * np.maximum(8, rs)))
+            at = 0
+            for (i, _), part in zip(shell, parts):
+                own = slice(2 * at, 2 * (at + part.size))
+                at += part.size
+                values[i] += kahan_csum(rows.values[own])
+                quads[i] += float(np.sum(rows.abs_errs[own]))
+                if tail is None:
+                    rests[i] = 2.0 * float(np.sum(np.abs(rows.values[own])))
+                    if rests[i] < 0.5 * tol:
+                        done.add(i)
+        live = [i for i in live if i not in done]
         lo, hi = hi + 1, 2 * hi
+    return values, rests, quads, max(tops), tops
 
 
 def _pair_terms(base: KeyIdentityInstance, pairs, ns, cs):
     """Per (p, l) of `pairs`, in order: the pair's instance, sum_n c_n A_n
-    and the `_poisson_terms` tuple. The tail bound, which does not depend
-    on the pair, is built once (for an amplitude with a jet)."""
+    and its (value, tail bound, quadrature bound, last r) of
+    `_poisson_terms`. The tail bound, which does not depend on the pair,
+    is built once (for an amplitude with a jet), and the dual sums of all
+    the pairs run together, shell by shell, before the first pair is
+    given."""
     tail = _IbpTail(base.osc, ns, cs) if base.amplitude.jet is not None else None
-    for p, l in pairs:
-        inst = replace(base, p=p, l=l)
-        yield inst, riemann_side(inst, ns, cs), _poisson_terms(inst, ns, cs, tail)
+    insts = [replace(base, p=p, l=l) for p, l in pairs]
+    values, rests, quads, _, tops = _poisson_terms(insts, ns, cs, tail)
+    for inst, dual in zip(insts, zip(values, rests, quads, tops)):
+        yield inst, riemann_side(inst, ns, cs), dual
 
 
 @dataclass(frozen=True)
@@ -373,7 +414,9 @@ class KeyIdentityReport:
     `o_tail` bounds the dual sum's terms past `r_max_used`: a bound by
     integration by parts when the amplitude has a jet (its L1 norms are
     cushioned trapezoid sums), an estimate from the last shell's mass
-    otherwise. `o_quad_err` sums the gridded rows' quadrature estimates.
+    otherwise. `o_quad_err` sums the gridded rows' quadrature errors: the
+    proved bounds of the bounded path for an amplitude with
+    `Cutoff.bound` (the probe bump), the embedded-rule estimates otherwise.
     """
 
     T: float

@@ -89,21 +89,25 @@ passes in a row halve no live row's estimate (it sits on its rounding floor).
 
 Shifted integrals come in batches only: the Poisson dual sum of a weighted
 n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
-once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta.
-`integrate_shifted` grids by the range of its n and of its signed r/h. A
-pass runs in blocks of whole runs of panels (see `PanelGrid.reduce_rows`).
-In a block the weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one
-row: each run of LATTICE_BLOCK consecutive n is one exact exponential times
-its weights summed by Horner's rule in w = e(-(T/N)/x).
+once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta, and a
+pair loop of `keyident` needs them for several steps h at once, one per
+prime pair. So each r of a batch has its own step (a scalar h serves them
+all). `integrate_shifted` grids by the range of its n and of every row's
+signed r/h, its inputs checked first. A pass runs in blocks of whole runs
+of panels (see `PanelGrid.reduce_rows`). In a block the weighted factor
+sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row for every r and step: each run
+of LATTICE_BLOCK consecutive n is one exact exponential times its weights
+summed by Horner's rule in w = e(-(T/N)/x).
 The shift phase factors: a node of a run is x = mid + half u_k, with the
 run's half-width and the rule's nodes u_k, so e(-r x/h) = e(-r mid/h)
 e(-r half u_k/h), one row per panel mid times a table of the rule's nodes
-per run. Both sit on the r lattice: an exact exponential heads each run of
-LATTICE_BLOCK consecutive r, and a complex product fills in each further
-row. So a block costs exponentials per panel and per run, not per node,
-and one factor row whatever the number of n; each run's rule sums are one
-product of its factor rows with its node table, +r and -r columns
-alternating (a -r column takes the conjugate tables). Each row keeps its
+per run. Both sit on the r lattice of one step: an exact exponential heads
+each run of LATTICE_BLOCK consecutive r that share a step, and a complex
+product fills in each further row. So a block costs exponentials per panel
+and per run, not per node, and one factor row whatever the number of n and
+of steps; each run's rule sums are one product of its factor rows with its
+node table, +r and -r columns alternating (a -r column takes the conjugate
+tables). Each row keeps its
 own compensated sum (and on the estimate path its embedded-rule
 estimate), in panel order. The mid row scales both rules' sums alike, so
 the estimate |G16 - G8| cannot see its rounding. So the mid row's phase is
@@ -228,8 +232,8 @@ class QuadResult:
 class ShiftedRows:
     """Weighted shifted integrals of one amplitude, one row per +-r/h.
 
-    values[2j] is sum_n c_n I(n, +rs[j]/h) and values[2j + 1] the sum at
-    -rs[j]/h; abs_errs likewise. evaluations counts the amplitude
+    values[2j] is sum_n c_n I(n, +rs[j]/h_j) and values[2j + 1] the sum at
+    -rs[j]/h_j, h_j the step of rs[j]; abs_errs likewise. evaluations counts the amplitude
     evaluations of every pass.
     """
 
@@ -339,7 +343,8 @@ class PanelGrid:
 
         `chains` is (L_n, L_r, h) on a shifted batch's form (`_panel_sums`),
         L_n and L_r the longest chain of products from an exact exponential
-        over the n and over the r (at most LATTICE_BLOCK - 1). There c_lin
+        over the n and over the r (at most LATTICE_BLOCK - 1), L_r and h
+        per row, as c_lin is (`_chains`). There c_lin
         leaves Q, as e(-r mid/h) is formed exactly and reduced, and the
         head's c_inv = n T/N is formed exactly, so _ROUND_COEF gives way to
         _ROUND_SPREAD 2 pi (max - min c_inv)/x for the Horner runs' heads
@@ -402,16 +407,18 @@ class PanelGrid:
         return value, err
 
     def reduce_rows(self, amp_values: np.ndarray, inst: OscInstance, ns: np.ndarray,
-                    cs: np.ndarray, rs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+                    cs: np.ndarray, rs: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
         """Integrate every row sum_n c_n I(n, +-r/h) of a shifted batch.
 
         amp_values holds A at `self.nodes`; the rows are those of the
         integers n of `ns` with the weights `cs` and the integers r of `rs`,
-        ordered as in ShiftedRows. The panels run in blocks of whole runs
+        each r with its step h (one number for all, or one per r), ordered
+        as in ShiftedRows. The panels run in blocks of whole runs
         (`_blocks`), as many as keep the k nodes of their padded rows by
-        the r of one chunk (up to LATTICE_BLOCK of them, see `_panel_sums`)
-        within BLOCK_ELEMENTS, and at least one: for 24 nodes, 5 runs of 64
-        panels for the 8 r of a first shell, 2 for 16 r, 1 from 22 r on.
+        the r of the largest chunk (up to LATTICE_BLOCK r of one step, see
+        `_panel_sums`), and their panels' sums of every row, within
+        BLOCK_ELEMENTS, and at least one: for 24 nodes, 5 runs of 64 panels
+        for the 8 r of a first shell, 2 for 16 r, 1 from 22 r on.
         The block's products, mid rows and sums hold about ten numbers per
         panel and r, and the factor row and its Horner temporaries a few
         rows of k numbers a panel, whatever the number of n. Each row's
@@ -421,10 +428,12 @@ class PanelGrid:
         the block size leaves every bit alone. A bounded grid's rows each
         take its bound and their own rounding term, times sum |c_n|.
         """
+        h = np.broadcast_to(np.asarray(h, dtype=float), rs.shape)
         s = np.zeros((2 * rs.size, 2))
         c = np.zeros_like(s)
         est = np.zeros((2, 2 * rs.size))  # sum |G16 - G8| and sum |G16| per row
-        for q0, q1 in self._blocks(BLOCK_ELEMENTS // (self.k * min(rs.size, LATTICE_BLOCK))):
+        chunk = max(min(g1 - g0, LATTICE_BLOCK) for g0, g1 in _step_runs(h))
+        for q0, q1 in self._blocks(BLOCK_ELEMENTS // max(self.k * chunk, 2 * rs.size)):
             sums = self._panel_sums(amp_values, q0, q1, inst, ns, cs, rs, h)
             m = sums.shape[1]
             s, c = kahan_add(s, c, sums[0].view(float).reshape((m,) + s.shape))
@@ -459,9 +468,12 @@ class PanelGrid:
         one (rules, panels, rows) array (see the module docstring): G16 and
         G8, or G16 alone on a bounded grid.
 
-        For each chunk of LATTICE_BLOCK r, `_lattice_turns` gives the rows
-        e(-r mid/h) on the panel mids, from mid/h as a sum of two doubles,
-        and `_lattice_exp` the rows e(-r half u_k/h) on each run's k nodes.
+        The weighted factor row and `base`, A times it and the rule's
+        weights, are formed once for the block. Then for each run of
+        consecutive r with one step h (`_step_runs`), and each chunk of up
+        to LATTICE_BLOCK r of it, `_lattice_turns` gives the rows e(-r mid/h)
+        on the panel mids, from mid/h as a sum of two doubles, and
+        `_lattice_exp` the rows e(-r half u_k/h) on each run's k nodes.
         A run's rule sums are one product of its panels' factor rows,
         padded with zero rows to _PANEL_RUN, with its node table; on a
         bounded grid the one-panel runs take one product of their own,
@@ -489,25 +501,26 @@ class PanelGrid:
         padded = np.zeros((int(np.count_nonzero(~lone)) * _PANEL_RUN, k), dtype=complex)
         padded[slots] = base[wide]
         padded = padded.reshape(-1, _PANEL_RUN, k)
-        q_hi, q_lo = _divide(self.mids[p0:p1], h)  # mid/h, in turns of e(-r mid/h)
-        steps = -TWO_PI / h * (self.run_halfs[q0:q1, None] * self.rule).ravel()
         rules = (slice(0, 16), slice(16, 24))[:k // 8 - 1]
         out = np.empty((len(rules), m, 2 * rs.size), dtype=complex)
-        for i0 in range(0, rs.size, LATTICE_BLOCK):
-            chunk = rs[i0:i0 + LATTICE_BLOCK]
-            cols = slice(2 * i0, 2 * (i0 + chunk.size))
-            mid = _lattice_turns(-q_hi, -q_lo, chunk).T * self.halfs[p0:p1, None]
-            mid = np.stack((mid, mid.conj()), axis=-1).reshape(m, -1)
-            table = _lattice_exp(np.zeros(steps.size), steps, chunk)
-            table = table.reshape(chunk.size, runs, k).transpose(1, 2, 0)
-            table = np.stack((table, table.conj()), axis=-1).reshape(runs, k, -1)
-            for j, rule in enumerate(rules):
-                sums = (padded[:, :, rule] @ table[~lone][:, rule]).reshape(-1, 2 * chunk.size)
-                out[j, wide, cols] = sums[slots]
-                if lone.any():
-                    solo = base[~wide][:, None, rule] @ table[lone][:, rule]
-                    out[j, ~wide, cols] = solo[:, 0]
-                out[j, :, cols] *= mid
+        for g0, g1 in _step_runs(h):
+            q_hi, q_lo = _divide(self.mids[p0:p1], h[g0])  # mid/h, in turns of e(-r mid/h)
+            steps = -TWO_PI / h[g0] * (self.run_halfs[q0:q1, None] * self.rule).ravel()
+            for i0 in range(g0, g1, LATTICE_BLOCK):
+                chunk = rs[i0:min(i0 + LATTICE_BLOCK, g1)]
+                cols = slice(2 * i0, 2 * (i0 + chunk.size))
+                mid = _lattice_turns(-q_hi, -q_lo, chunk).T * self.halfs[p0:p1, None]
+                mid = np.stack((mid, mid.conj()), axis=-1).reshape(m, -1)
+                table = _lattice_exp(np.zeros(steps.size), steps, chunk)
+                table = table.reshape(chunk.size, runs, k).transpose(1, 2, 0)
+                table = np.stack((table, table.conj()), axis=-1).reshape(runs, k, -1)
+                for j, rule in enumerate(rules):
+                    sums = (padded[:, :, rule] @ table[~lone][:, rule]).reshape(-1, 2 * chunk.size)
+                    out[j, wide, cols] = sums[slots]
+                    if lone.any():
+                        solo = base[~wide][:, None, rule] @ table[lone][:, rule]
+                        out[j, ~wide, cols] = solo[:, 0]
+                    out[j, :, cols] *= mid
         return out
 
 
@@ -800,13 +813,26 @@ def _rate_over(lo, hi, quad: _Quadratics):
     return rate
 
 
-def _chains(ns: np.ndarray, rs: np.ndarray, h: float) -> tuple[int, int, float]:
-    """(L_n, L_r, h) of `PanelGrid.rounding` for a batch of these n and r:
-    the longest product chains of `_lattice_sum` and `util._lattice_chain`,
-    which run through the gaps from an exact exponential at most
-    LATTICE_BLOCK - 1 offsets back."""
-    return (min(LATTICE_BLOCK - 1, int(ns.max() - ns.min())),
-            min(LATTICE_BLOCK - 1, int(rs.max() - rs.min())), h)
+def _step_runs(h: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of consecutive entries of h that are equal:
+    the rows of a shifted batch that share one step, and so one mid row
+    and one node table a chunk (`PanelGrid._panel_sums`)."""
+    cuts = np.flatnonzero(h[1:] != h[:-1]) + 1
+    ends = [0, *cuts.tolist(), h.size]
+    return list(zip(ends[:-1], ends[1:]))
+
+
+def _chains(ns: np.ndarray, rs: np.ndarray, h: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(L_n, L_r, h) of `PanelGrid.rounding` for a batch of these n and r
+    with the steps h (one per r): the longest product chains of
+    `_lattice_sum` and `util._lattice_chain`, which run through the gaps
+    from an exact exponential at most LATTICE_BLOCK - 1 offsets back. L_r
+    and h are per row, +r and -r alike: a row's chain stays in the run of
+    r that share its step (`_step_runs`)."""
+    l_r = np.empty(rs.size)
+    for g0, g1 in _step_runs(h):
+        l_r[g0:g1] = min(LATTICE_BLOCK - 1, int(rs[g0:g1].max() - rs[g0:g1].min()))
+    return (min(LATTICE_BLOCK - 1, int(ns.max() - ns.min())), np.repeat(l_r, 2), np.repeat(h, 2))
 
 
 def _halve_spans(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray,
@@ -925,28 +951,49 @@ def integrate_main(inst: OscInstance) -> QuadResult:
                            tol=inst.tol)
 
 
-def integrate_shifted(inst: OscInstance, rs, h: float, tol=None, ns=None,
-                      cs=None) -> ShiftedRows:
+def integrate_shifted(inst: OscInstance, rs, h, tol=None, ns=None, cs=None) -> ShiftedRows:
     """The weighted shifted integrals with the extra linear phase e(-r x/h).
 
     A ShiftedRows batch of the rows sum_n c_n I(n, +-r/h) for the integers
-    r >= 0 of `rs`, the step h > 0, and the integers n of `ns` with the
-    complex weights `cs` (default inst.n alone, weight 1). `tol` is one
-    tolerance per r, or one for all (default inst.tol), and every row must
-    meet its own. The rows share each pass of `_halve_spans`, with phases
-    built on the n and r lattices (see PanelGrid.reduce_rows).
+    r >= 0 of `rs`, the steps h > 0 (one for all r, or one per r), and the
+    integers n >= 1 of `ns` with the complex weights `cs` (default inst.n
+    alone, weight 1). `tol` is one tolerance per r, or one for all (default
+    inst.tol), and every row must meet its own. The rows share each pass of
+    `_halve_spans`, on one grid for the range of every row's r/h, with
+    phases built on the n and r lattices (see PanelGrid.reduce_rows); a
+    run of consecutive r with one step shares its mid rows and node tables.
+    So the dual-sum shells of several prime pairs, each pair its own step,
+    are one batch. Inputs are checked before any grid is built; an empty
+    `rs` gives empty rows.
     """
     tol = inst.tol if tol is None else tol
     rs = np.asarray(rs)
     ns = np.asarray([inst.n] if ns is None else ns)
     cs = np.ones(ns.shape, dtype=complex) if cs is None else np.asarray(cs, dtype=complex)
-    if rs.dtype.kind != "i" or ns.dtype.kind != "i" or cs.shape != ns.shape:
-        raise ConfigError("rs and ns must be integers, as the phase tables step "
+    if not ns.size:
+        raise ConfigError("need at least one n")
+    if not rs.size:
+        rs = rs.astype(np.int64)  # an empty list reads as floats
+    if rs.ndim != 1 or rs.dtype.kind != "i" or ns.ndim != 1 or ns.dtype.kind != "i" \
+            or cs.shape != ns.shape:
+        raise ConfigError("rs and ns must be lists of integers, as the phase tables step "
                           "along them, and cs must hold one weight per n")
+    if ns.min() < 1 or (rs.size and rs.min() < 0):
+        raise ConfigError("need every n >= 1, as OscInstance does, and every r >= 0")
+    h = np.asarray(h, dtype=float)
+    if h.shape not in ((), rs.shape):
+        raise ConfigError(f"h must be one step or one per r, not of shape {h.shape}")
+    bad = h[~((0.0 < h) & (h < np.inf))]  # compared so that NaN is bad
+    if bad.size:
+        raise ConfigError(f"each step h must be finite and positive, as the rate r/h "
+                          f"of its shifts must be finite; got h = {bad[0]}")
+    h = np.broadcast_to(h, rs.shape)
+    if not rs.size:
+        return ShiftedRows(values=np.zeros(0, dtype=complex), abs_errs=np.zeros(0), evaluations=0)
 
     def reduce(grid, amp_values, live):
         live_r = live.reshape(-1, 2).any(axis=1)
-        vals, est = grid.reduce_rows(amp_values, inst, ns, cs, rs[live_r], h)
+        vals, est = grid.reduce_rows(amp_values, inst, ns, cs, rs[live_r], h[live_r])
         fresh = live[np.repeat(live_r, 2)]
         return vals[fresh], est[fresh]
 

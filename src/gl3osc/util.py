@@ -323,7 +323,11 @@ def loglog_slope(xs, ys) -> tuple[float, float]:
     """Least-squares slope and intercept of log(y) against log(x).
 
     Used for all decay-rate fits; requires strictly positive points at 3 or
-    more distinct x, so a slope estimate is meaningful.
+    more distinct x, so a slope estimate is meaningful. The fit is closed
+    form, with u = log x and v = log y centred on their means:
+    slope = sum du dv / sum du^2, each sum a correctly rounded `math.fsum`,
+    and intercept = mean v - slope mean u. So no LAPACK call takes part,
+    and the result does not depend on the BLAS build.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -331,8 +335,11 @@ def loglog_slope(xs, ys) -> tuple[float, float]:
         raise InsufficientGridError("slope fit needs at least 3 distinct grid points")
     if np.any(xs <= 0.0) or np.any(ys <= 0.0):
         raise InsufficientGridError("slope fit needs strictly positive data")
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    return float(slope), float(intercept)
+    u, v = np.log(xs), np.log(ys)
+    u_mean, v_mean = math.fsum(u) / u.size, math.fsum(v) / v.size
+    du = u - u_mean
+    slope = math.fsum(du * (v - v_mean)) / math.fsum(du * du)
+    return slope, v_mean - slope * u_mean
 
 
 def primes_in(lo: float, hi: float) -> list[int]:

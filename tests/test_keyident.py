@@ -479,6 +479,10 @@ def test_weighted_dual_sum_is_the_sum_of_each_n_alone(case, monkeypatch):
                 assert abs(value - ref_value) <= err + ref_err
 
 
+# the A09 average at T = 500, pinned (see test_single_n_calls_keep_their_bits)
+_A09_AVERAGE = "(-0.0036782552999438277+0.027988570255246235j)"
+
+
 def test_single_n_calls_keep_their_bits():
     # a batch of one n of weight 1 is the dual sum of that n alone: the
     # A01 instance at T = 250, (p, l) = (5, 3), and the A09 average at
@@ -519,12 +523,17 @@ def test_single_n_calls_keep_their_bits():
     # from (-0.0020503355602738012-0.007475369160427163j) and A - O from
     # (0.05072808862157407+0.009612944133123125j), by 2.1e-15 each against
     # a quadrature bound of 1.6e-12 on O; the A09 average from
-    # (-0.0036782552999436143+0.027988570255245756j), by 9.4e-16
+    # (-0.0036782552999436143+0.027988570255245756j), by 9.4e-16. The A09
+    # average moved once more when its four pairs' shells came to share one
+    # grid (the union of their shifts, new panels): from
+    # (-0.003678255299944081+0.027988570255246575j), by 4.2e-16 against its
+    # budget of 1.55e-8; the A01 instance, a pair loop of one pair, kept
+    # its bits
     [rep] = verify_key_identity(_instance(250.0, 5, 3))
     assert repr(rep.o_value) == "(-0.0020503355602743984-0.007475369160429186j)"
     assert repr(rep.recovered_m) == "(0.050728088621574664+0.009612944133125148j)"
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), AmplifierSpec.for_t(500.0))
-    assert repr(a_avg - o_avg) == "(-0.003678255299944081+0.027988570255246575j)"
+    assert repr(a_avg - o_avg) == _A09_AVERAGE
 
 
 def test_amplified_average_builds_the_q_m_once(monkeypatch):
@@ -560,7 +569,7 @@ def test_amplified_average_builds_the_q_m_once(monkeypatch):
     a_avg, o_avg = amplified_average(_instance(500.0, 7, 2), amp)
     assert len(amp.pairs) == 4 and calls == [2, 3]
     assert sum(rows) == 8
-    assert repr(a_avg - o_avg) == "(-0.003678255299944081+0.027988570255246575j)"
+    assert repr(a_avg - o_avg) == _A09_AVERAGE
     calls.clear()
     rows.clear()
     _, checks = criteria.key_identity_battery()
@@ -572,14 +581,86 @@ def test_amplified_average_builds_the_q_m_once(monkeypatch):
 
 def test_pair_loop_reports_keep_each_pairs_bits():
     # one verify_key_identity call over three pairs gives, pair by pair, the
-    # report a call at that pair alone gives, bit for bit
+    # report a call at that pair alone gives, bit for bit in every field
+    # that the shared shell grid does not reach: M, A, the step, the
+    # integration-by-parts tail o_tail, the last r and the budget. The
+    # pairs' rows share one grid a shell (for the union of their shifts)
+    # where each pair had its own, so O moves within both calls'
+    # quadrature bounds. The A01 pairs, and A09's four pairs at T = 500
     base = _instance(500.0, 5, 3)
-    pairs = ((11, 3), (5, 3), (7, 2))
-    together = verify_key_identity(base, pairs)
-    assert [(rep.p, rep.l) for rep in together] == list(pairs)
-    for (p, l), rep in zip(pairs, together):
-        assert verify_key_identity(replace(base, p=p, l=l)) == [rep]
+    for pairs in (((11, 3), (5, 3), (7, 2)), tuple(AmplifierSpec.for_t(500.0).pairs)):
+        together = verify_key_identity(base, pairs)
+        assert [(rep.p, rep.l) for rep in together] == list(pairs)
+        for (p, l), rep in zip(pairs, together):
+            [alone] = verify_key_identity(replace(base, p=p, l=l))
+            assert replace(alone, o_value=rep.o_value, o_quad_err=rep.o_quad_err,
+                           residual=rep.residual, passed=rep.passed) == rep
+            assert rep.r_max_used == alone.r_max_used and rep.o_tail == alone.o_tail
+            assert abs(rep.o_value - alone.o_value) <= rep.o_quad_err + alone.o_quad_err
+            assert rep.passed and alone.passed
     assert verify_key_identity(base, ()) == []
+
+
+def _counted_grids(monkeypatch) -> list:
+    """Every `oscquad.PanelGrid` built from here on, as (c_lin min, max)."""
+    grids = []
+    real = oscquad.PanelGrid
+
+    class Counted(real):
+        def __init__(self, lo, hi, c_log, c_inv, c_lin, *args, **kwargs):
+            grids.append((float(np.min(c_lin)), float(np.max(c_lin))))
+            super().__init__(lo, hi, c_log, c_inv, c_lin, *args, **kwargs)
+
+    monkeypatch.setattr(oscquad, "PanelGrid", Counted)
+    return grids
+
+
+def test_a_pair_loop_grids_each_shell_once(monkeypatch):
+    # A01's three pairs at T = 500 grid M and one shell: the shell r = 1..R
+    # of every pair is one batch, each pair's r with its own step, on the
+    # grid of the union of their shifts, where M and a shell per pair made
+    # four grids. A pair whose bound ends its sum before r = 1 adds no
+    # rows, and a loop where no pair has rows grids M alone
+    base = _instance(500.0, 5, 3)
+    pairs = criteria.KEY_PAIRS
+    batches = []
+    real = keyident.integrate_shifted
+
+    def recorded(osc, rs, h, **kwargs):
+        batches.append((np.array(rs), np.broadcast_to(h, np.shape(rs)).copy()))
+        return real(osc, rs, h, **kwargs)
+
+    monkeypatch.setattr(keyident, "integrate_shifted", recorded)
+    grids = _counted_grids(monkeypatch)
+    reports = verify_key_identity(base, pairs)
+    assert len(grids) == 2 and grids[0] == (0.0, 0.0)
+    [(rs, hs)] = batches
+    tops = [rep.r_max_used for rep in reports]
+    assert np.array_equal(rs, np.concatenate([np.arange(1, top + 1) for top in tops]))
+    assert np.array_equal(hs, np.repeat([rep.h for rep in reports], tops))
+    assert grids[1] == (-float(np.max(rs / hs)), float(np.max(rs / hs)))
+    grids.clear()
+    batches.clear()
+    [far, near] = verify_key_identity(base, ((10007, 3), (5, 3)))
+    assert far.r_max_used == 0 and far.o_value == 0.0 and far.passed and near.passed
+    [(rs, hs)] = batches
+    assert np.all(hs == near.h) and len(grids) == 2
+    grids.clear()
+    batches.clear()
+    assert verify_key_identity(base, ((10007, 3),))[0].passed
+    assert batches == [] and len(grids) == 1
+
+
+@pytest.mark.parametrize("T, kappa, pairs", [(500.0, 1.0 / 9.0, 14), (4000.0, 1.0 / 8.0, 62)])
+def test_larger_amplifiers_pass_well_under_a_second(T, kappa, pairs):
+    # A09 with 14 and 62 prime pairs, each shell of the pair loop one batch:
+    # 5 and 20 ms on a 2-CPU x86-64 machine, where a batch per pair and
+    # shell took 7 and 33 ms
+    started = time.perf_counter()
+    outputs, checks = criteria.amplified_battery(T=T, kappa=kappa)
+    assert time.perf_counter() - started < 1.0
+    assert len(outputs["pairs"]) == pairs
+    assert all(c.passed for c in checks)
 
 
 def test_batched_dual_sum_raises_past_max_r(monkeypatch):

@@ -515,6 +515,72 @@ def test_shifted_batch_refuses_a_nan_step_at_once():
     assert time.perf_counter() - started < 1.0
 
 
+_BAD_SHIFTED = {
+    "h-inf": {"rs": [1, 2], "h": math.inf},
+    "h-zero": {"rs": [1, 2], "h": 0.0},
+    "h-negative": {"rs": [1, 2], "h": -1.0},
+    "h-one-negative": {"rs": [1, 2], "h": [0.5, -0.5]},
+    "h-shape": {"rs": [1, 2], "h": [0.5, 0.5, 0.5]},
+    "r-negative": {"rs": [-1], "h": 1.0},
+    "ns-empty": {"rs": [1], "h": 1.0, "ns": [], "cs": []},
+    "n-zero": {"rs": [1], "h": 1.0, "ns": [0]},
+}
+
+
+@pytest.mark.parametrize("kwargs", _BAD_SHIFTED.values(), ids=_BAD_SHIFTED)
+def test_shifted_batch_refuses_bad_inputs_before_any_grid(kwargs, monkeypatch):
+    # before these checks h = inf warned and was then refused as a
+    # non-finite integrand, h = 0 warned "divide by zero", h = -1, r = -1
+    # and n = 0 were accepted, and an empty ns raised numpy's ValueError
+    def no_grid(*args, **kw):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oscquad, "PanelGrid", no_grid)
+    with pytest.raises(ConfigError):
+        integrate_shifted(OscInstance(T=100.0, n=3, N=10.0), **kwargs)
+
+
+def test_shifted_batch_of_no_r_is_empty():
+    inst = OscInstance(T=100.0, n=3, N=10.0)
+    for h in (1.0, []):
+        rows = integrate_shifted(inst, rs=[], h=h)
+        assert rows.values.shape == rows.abs_errs.shape == (0,)
+        assert rows.values.dtype == complex and rows.evaluations == 0
+
+
+@pytest.mark.parametrize("amplitude", [probe_amplitude(), _estimated_probe()],
+                         ids=["bounded", "estimate"])
+def test_rows_with_two_steps_match_each_steps_own_batch(amplitude):
+    # the steps of A01's pairs (5, 3) and (7, 2) at T = 250, in three runs
+    # (h1, h2, then h1 again), for a weighted batch of three n: on the one
+    # grid of all their shifts each row equals its step's own batch within
+    # both rows' abs_err, and steps that are all equal keep the bits of
+    # one step for all
+    T = 250.0
+    N = T**1.5
+    n0 = math.ceil(N / TWO_PI)
+    inst = OscInstance(T=T, n=n0, N=N, amplitude=amplitude, tol=1e-10)
+    ns, cs = [n0, n0 + 1, n0 + 3], [1.0, 0.5j, -0.25]
+    h1, h2 = 3 * T / (N * 5), 2 * T / (N * 7)
+    parts = [(np.arange(1, 4), h1), (np.arange(1, 7), h2), (np.array([4, 6]), h1)]
+    rs = np.concatenate([r for r, _ in parts])
+    steps = np.concatenate([np.full(r.size, h) for r, h in parts])
+    together = integrate_shifted(inst, rs, steps, ns=ns, cs=cs)
+    at = 0
+    for r, h in parts:
+        own = slice(2 * at, 2 * (at + r.size))
+        at += r.size
+        alone = integrate_shifted(inst, r, h, ns=ns, cs=cs)
+        assert np.all(together.abs_errs[own] <= inst.tol)
+        gap = np.abs(together.values[own] - alone.values)
+        assert np.all(gap <= together.abs_errs[own] + alone.abs_errs)
+    rs = np.arange(1, 9)
+    alone = integrate_shifted(inst, rs, h2, ns=ns, cs=cs)
+    same = integrate_shifted(inst, rs, np.full(rs.size, h2), ns=ns, cs=cs)
+    assert np.array_equal(same.values, alone.values)
+    assert np.array_equal(same.abs_errs, alone.abs_errs)
+
+
 def test_estimate_sum_keeps_the_prefix_sums_last_row():
     # reduce_rows adds each block's (panels, 2, rows) estimate terms to its
     # running (2, rows) sums in one .sum(axis=0): the same left-to-right

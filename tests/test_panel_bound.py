@@ -468,6 +468,38 @@ def test_route_rows_hold_their_abs_err_against_long_double(T):
             assert abs(rows.values[2 * j + k] - want) <= err <= tols[j]
 
 
+@pytest.mark.parametrize("T", [60.0, 250.0])
+def test_pairs_on_one_grid_hold_their_abs_err_against_long_double(T):
+    # the first shells r = 1..8 of A01's three pairs as one batch, each
+    # pair's r with its own step h = l T/(N p), on the one grid of all
+    # their shifts (as a pair loop of `keyident` grids them): each row's
+    # proved figure holds against a composite 40-point rule whose phases
+    # are formed in 80-bit long double and reduced mod 1 there, and whose
+    # sums run in long double
+    N = T**1.5
+    n0 = math.ceil(N / TWO_PI)
+    inst = OscInstance(T=T, n=n0, N=N, tol=1e-12)
+    hs = [l * T / (N * p) for p, l in criteria.KEY_PAIRS]
+    rs = np.tile(np.arange(1, 9), len(hs))
+    steps = np.repeat(hs, 8)
+    rows = integrate_shifted(inst, rs, steps)
+    top = TWO_PI * float(np.max(rs / steps))
+    x, w = _reference_nodes(0.5, 2.0, lambda y: T / y + TWO_PI * n0 * T / (N * y * y) + top,
+                            0.75 / 200.0)
+    xl = x.astype(np.longdouble)
+    two_pi = 8 * np.arctan(np.longdouble(1))
+    base = -np.longdouble(T) * np.log(xl) / two_pi - n0 * (np.longdouble(T) / np.longdouble(N)) / xl
+    wts = w.astype(np.longdouble) * PROBE.fn(x)
+    for j, (r, h) in enumerate(zip(rs.tolist(), steps.tolist())):
+        for k, sign in enumerate((1, -1)):
+            turns = base - sign * r * xl / np.longdouble(h)
+            turns -= np.rint(turns)
+            want = complex(float(np.sum(wts * np.cos(two_pi * turns))),
+                           float(np.sum(wts * np.sin(two_pi * turns))))
+            err = rows.abs_errs[2 * j + k]
+            assert abs(rows.values[2 * j + k] - want) <= err <= inst.tol
+
+
 def _reference_panels_between(a, b, rate, end_a, end_b):
     """(mids, halfs) of a composite 40-point rule on [a, b], each panel at
     most 20 / rate wide and half its distance to the nearer of the

@@ -92,6 +92,36 @@ def test_loglog_slope_recovers_exact_power_law():
     assert abs(intercept - math.log(3.0)) < 1e-12
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(start=st.floats(0.0, 6.0), gaps=st.lists(st.floats(0.25, 3.0), min_size=2, max_size=5),
+       logs=st.lists(st.floats(-37.0, 7.0), min_size=6, max_size=6))
+def test_loglog_slope_matches_polyfit_and_the_exact_fit(start, gaps, logs):
+    # 3-6 points with log x spread at least 1/4 apart and y from 1e-16 to
+    # 1e3: the closed form is within 2 eps of the slope's scale (|slope|
+    # plus the spread of log y over that of log x) of the least-squares
+    # fit of the same logs in exact rational arithmetic, and within 64 eps
+    # of np.polyfit's, whose LAPACK solve errs by up to about 30 eps of
+    # |slope| + max |log y| / (log x range)
+    xs = np.exp(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    ys = np.exp(np.asarray(logs[:xs.size]))
+    slope, intercept = loglog_slope(xs, ys)
+    u, v = np.log(xs), np.log(ys)
+    us, vs = [Fraction(a) for a in u], [Fraction(b) for b in v]
+    u_mean, v_mean = sum(us) / len(us), sum(vs) / len(vs)
+    sxx = sum((a - u_mean) ** 2 for a in us)
+    exact = sum((a - u_mean) * (b - v_mean) for a, b in zip(us, vs)) / sxx
+    spread = math.sqrt(float(sum((b - v_mean) ** 2 for b in vs) / sxx))
+    eps = np.finfo(float).eps
+    scale = abs(float(exact)) + spread
+    assert abs(slope - float(exact)) <= 2.0 * eps * scale
+    at = abs(v).max() + scale * abs(u).max()
+    assert abs(intercept - float(v_mean - exact * u_mean)) <= 2.0 * eps * at
+    fit_slope, fit_intercept = np.polyfit(u, v, 1)
+    scale = abs(fit_slope) + abs(v).max() / (u.max() - u.min())
+    assert abs(slope - fit_slope) <= 64.0 * eps * scale
+    assert abs(intercept - fit_intercept) <= 64.0 * eps * (abs(v).max() + scale * abs(u).max())
+
+
 def test_loglog_slope_rejects_bad_grids():
     with pytest.raises(InsufficientGridError):
         loglog_slope([1.0, 2.0], [1.0, 2.0])
