@@ -107,8 +107,10 @@ class Cutoff:
     panel's Gauss error by it. The exp-bump family, `whittaker`'s power
     amplitudes and the discretized route's amplitude (`sums._v_cutoff`)
     carry one, and `oscquad` then integrates them on GL16 alone with a
-    proved error bound; an amplitude without one keeps the GL16 - GL8
-    estimate.
+    proved error bound. Shifted batches, and so the dual sums of
+    `keyident`, take only such an amplitude; a main integral of one
+    without a bound (the integral route's, in `sums`) keeps the
+    GL16 - GL8 estimate.
 
     `breaks`, ascending and inside the open support, are the points where
     fn is smooth but not analytic, as where a plateau meets a ramp: fn on

@@ -33,7 +33,9 @@ last shell's mass is below tol/2, an estimate. A shell is one shared-grid
 batch (`integrate_shifted`) for every pair of a pair loop that still has
 rows in it: every +-r of the shell, each pair's r with its own step h, on
 one grid with one evaluation of V and one weighted factor row
-x^(-iT) sum_n c_n e(-nT/(Nx)) per block. One grid serves them all, as
+x^(-iT) sum_n c_n e(-nT/(Nx)) per block, on the bounded path of
+`oscquad`, so each row's quadrature error is a proved bound (an instance
+refuses an amplitude without `Cutoff.bound`). One grid serves them all, as
 every pair's rows cover the same band of frequencies r/h: each shell stops
 just past r_stat = h max|Phi'|/(2 pi), so r/h stays near max|Phi'|/(2 pi)
 whatever the pair. Its phases are geometric sequences in the integers r
@@ -107,7 +109,8 @@ class KeyIdentityInstance:
     """One identity instance: frequency data plus the prime pair (p, l).
 
     `osc` is the instance's main integral; building it checks n, N, tol and
-    the amplitude's support.
+    the amplitude's support. The amplitude must carry `Cutoff.bound`, as
+    the dual sum's shifted batches take the bounded path only.
     """
 
     T: float
@@ -120,6 +123,9 @@ class KeyIdentityInstance:
     osc: OscInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.amplitude.bound is None:
+            raise ConfigError("the amplitude needs a Cutoff.bound: the dual sum's shifted "
+                              "batches take the bounded path only")
         object.__setattr__(self, "osc", OscInstance(
             T=self.T, n=self.n, N=self.N, amplitude=self.amplitude, tol=self.tol))
         if self.T <= 0.0:
@@ -414,9 +420,9 @@ class KeyIdentityReport:
     `o_tail` bounds the dual sum's terms past `r_max_used`: a bound by
     integration by parts when the amplitude has a jet (its L1 norms are
     cushioned trapezoid sums), an estimate from the last shell's mass
-    otherwise. `o_quad_err` sums the gridded rows' quadrature errors: the
-    proved bounds of the bounded path for an amplitude with
-    `Cutoff.bound` (the probe bump), the embedded-rule estimates otherwise.
+    otherwise. `o_quad_err` sums the gridded rows' quadrature errors, each
+    a proved bound of the bounded path (the amplitude carries
+    `Cutoff.bound`).
     """
 
     T: float

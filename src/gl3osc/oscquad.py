@@ -25,10 +25,11 @@ width min(cap, span / R(x)) at a run's left edge x holds for up to 64
 panels, or fewer where R falls fast, and the last panel is cut at the
 support's end. So no panel spans more than `span` radians of any row's
 phase, and R is evaluated once per run. Panel partial sums are reduced left
-to right with compensated summation, so results are bit-reproducible. Both
-integrators run one loop, `_halve_spans`, over rows that share the
-amplitude (`integrate_phase` is one row). Which path it takes is the
-amplitude's own data: `Cutoff.bound`, as `jet` chooses the dual sum's tail.
+to right with compensated summation, so results are bit-reproducible. Which
+path a call takes is the amplitude's own data, `Cutoff.bound`, as `jet`
+chooses the dual sum's tail: `integrate_phase` takes the bounded path for
+an amplitude with a bound and the estimate path for one without, and
+`integrate_shifted` takes the bounded path only.
 
 The bounded path (an amplitude with `Cutoff.bound`: the exp bumps probe,
 v0 and g, `whittaker`'s power amplitudes and the discretized route's V,
@@ -75,17 +76,17 @@ proved error, before which no amplitude value is needed (`_one_pass`):
   refused before A is evaluated, with the term as `achieved`.
 The bound and the rounding term each get half of the tolerance.
 
-The estimate path (an amplitude without a bound: the integral route's
-amplitude in `sums`, a sum over n of bumps v0(n/(Nx)) with two
-non-analytic points each) gives each panel a 16-point Gauss-Legendre rule
-with an embedded 8-point rule; the error estimate is 4x the summed embedded
-difference (conservative), plus a roundoff floor 4e-16 sum |G16|. A pass
-grids for every row's c_lin, evaluates A once per node, and a row keeps the
-first pass that meets its tolerance. The span per panel is halved from pi,
-and the cap (hi - lo)/8 with it, so that each pass refines every panel of
-the last, until every row has met its tolerance. The loop refuses once the
-next grid would pass DEFAULT_EVAL_BUDGET evaluations, or once STALL_PASSES
-passes in a row halve no live row's estimate (it sits on its rounding floor).
+The estimate path (`_halve_spans`) serves one integral of an amplitude
+without a bound: today the integral route's amplitude in `sums`, a sum over
+n of bumps v0(n/(Nx)) with two non-analytic points each. It gives each
+panel a 16-point Gauss-Legendre rule with an embedded 8-point rule; the
+error estimate is 4x the summed embedded difference (conservative), plus a
+roundoff floor 4e-16 sum |G16|. A pass evaluates A once per node. The span
+per panel is halved from pi, and the cap (hi - lo)/8 with it, so that each
+pass refines every panel of the last, until the estimate meets the
+tolerance. The loop refuses once the next grid would pass
+DEFAULT_EVAL_BUDGET evaluations, or once STALL_PASSES passes in a row do
+not halve the estimate (it sits on its rounding floor).
 
 Shifted integrals come in batches only: the Poisson dual sum of a weighted
 n-sum needs the rows sum_n c_n I(n, +-r/h) for many integers r >= 0 at
@@ -93,11 +94,11 @@ once, with I(n, beta) the integral at c_inv = nT/N and c_lin = beta, and a
 pair loop of `keyident` needs them for several steps h at once, one per
 prime pair. So each r of a batch has its own step (a scalar h serves them
 all). `integrate_shifted` grids by the range of its n and of every row's
-signed r/h, its inputs checked first. A pass runs in blocks of whole runs
-of panels (see `PanelGrid.reduce_rows`). In a block the weighted factor
-sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row for every r and step: each run
-of LATTICE_BLOCK consecutive n is one exact exponential times its weights
-summed by Horner's rule in w = e(-(T/N)/x).
+signed r/h, its inputs checked first, and makes the bounded path's one
+pass in blocks of whole runs of panels (see `PanelGrid.reduce_rows`). In a
+block the weighted factor sum_n c_n x^(i c_log) e(-nT/(Nx)) is one row for
+every r and step: each run of LATTICE_BLOCK consecutive n is one exact
+exponential times its weights summed by Horner's rule in w = e(-(T/N)/x).
 The shift phase factors: a node of a run is x = mid + half u_k, with the
 run's half-width and the rule's nodes u_k, so e(-r x/h) = e(-r mid/h)
 e(-r half u_k/h), one row per panel mid times a table of the rule's nodes
@@ -105,19 +106,15 @@ per run. Both sit on the r lattice of one step: an exact exponential heads
 each run of LATTICE_BLOCK consecutive r that share a step, and a complex
 product fills in each further row. So a block costs exponentials per panel
 and per run, not per node, and one factor row whatever the number of n and
-of steps; each run's rule sums are one product of its factor rows with its
-node table, +r and -r columns alternating (a -r column takes the conjugate
-tables). Each row keeps its
-own compensated sum (and on the estimate path its embedded-rule
-estimate), in panel order. The mid row scales both rules' sums alike, so
-the estimate |G16 - G8| cannot see its rounding. So the mid row's phase is
-reduced before it rounds: mid/h is a sum of two doubles (`util._divide`),
-and each run's head r mid/h is formed exactly (Dekker's TwoProduct) and
-reduced mod 1, as is the step mid/h (`util._lattice_turns`). A mid row then
-rounds by a few eps per product, where an exponential of 2 pi r mid/h
-rounds by about eps 2 pi r mid/h; on the wide panels of the tight rate that
-error passed the estimate (row +70 of T = 100 at h = 0.5: 8.1e-15 against
-5.9e-15).
+of steps; each run's sums are one product of its factor rows with its node
+table, +r and -r columns alternating (a -r column takes the conjugate
+tables). Each row keeps its own compensated sum, in panel order, and its
+error is the grid's bound plus its own a priori rounding term. For that
+term to hold, the mid row's phase is reduced before it rounds: mid/h is a
+sum of two doubles (`util._divide`), and each run's head r mid/h is formed
+exactly (Dekker's TwoProduct) and reduced mod 1, as is the step mid/h
+(`util._lattice_turns`). A mid row then rounds by a few eps per product,
+where an exponential of 2 pi r mid/h rounds by about eps 2 pi r mid/h.
 
 `stationary_phase_main` is the leading term c_T T^(-1/2) V(x0) of the main
 integral, within K_SP_MAIN T^(-3/2). A03 holds the quadrature oracle to it;
@@ -233,8 +230,8 @@ class ShiftedRows:
     """Weighted shifted integrals of one amplitude, one row per +-r/h.
 
     values[2j] is sum_n c_n I(n, +rs[j]/h_j) and values[2j + 1] the sum at
-    -rs[j]/h_j, h_j the step of rs[j]; abs_errs likewise. evaluations counts the amplitude
-    evaluations of every pass.
+    -rs[j]/h_j, h_j the step of rs[j]; abs_errs likewise, each a proved
+    bound. evaluations counts the amplitude evaluations of the one pass.
     """
 
     values: np.ndarray
@@ -247,27 +244,27 @@ class PanelGrid:
     a proved error bound.
 
     Holds the nodes of a fixed paneling in runs of equal panels, each node
-    mid + half u_k with the run's half-width. Without an amplitude, or for
-    one without `Cutoff.bound`, the runs are `util._panel_runs`' (stepped
-    by the rate R(x) of every c_inv and c_lin given, each a number or an
-    array), 24 nodes a panel: its 16 GL16 nodes, then its 8 GL8 nodes. A
-    panel is at most (hi - lo)/8 times span/pi wide; past max_panels panels
-    (default DEFAULT_EVAL_BUDGET / 24) the grid refuses with
-    ToleranceUnreachableError. `reduce` turns integrand values at the nodes
-    into a value and an error estimate, and `reduce_rows` does so for every
-    row of a shifted batch, with the shift phase factored per run as the
-    module docstring says.
+    mid + half u_k with the run's half-width. Given an `amplitude` with a
+    bound and a `target`, the grid is the bounded path's (`_graded_runs`):
+    16 GL16 nodes a panel, graded panels toward each support end and each
+    side of a break, past a strip there whose trivial bound is below
+    _STRIP_SHARE of target, and widths held by the phase's rate and
+    curvature; the grid then has no `edges`, as the strips at a break
+    leave a gap. `disc` is the closed-form bound on the discretization
+    error per unit weight (`_ellipse_bounds` summed, plus every strip), set
+    before any amplitude evaluation, and `rounding` the a priori rounding
+    term. `reduce` turns integrand values at the nodes into a value and
+    their sum as its error, and `reduce_rows` does so for every row of a
+    shifted batch, times sum |c_n|, with the shift phase factored per run
+    as the module docstring says.
 
-    Given an `amplitude` with a bound and a `target`, the grid is the
-    bounded path's (`_graded_runs`): 16 GL16 nodes a panel, graded panels
-    toward each support end and each side of a break, past a strip there
-    whose trivial bound is below _STRIP_SHARE of target, and widths held
-    by the phase's rate and curvature; the grid then has no `edges`, as
-    the strips at a break leave a gap. `disc` is the closed-form bound on
-    the discretization error per unit weight (`_ellipse_bounds` summed,
-    plus every strip), set before any amplitude evaluation, and `rounding`
-    the a priori rounding term; both reductions return their sum, times
-    sum |c_n| for a batch, as each row's error.
+    Otherwise (the estimate path's one integral) the runs are
+    `util._panel_runs`' (stepped by the rate R(x) of every c_inv and c_lin
+    given, each a number or an array), 24 nodes a panel: its 16 GL16 nodes, then its 8 GL8 nodes, and `reduce`
+    returns the value and the embedded-rule estimate. A panel is at most
+    (hi - lo)/8 times span/pi wide; past max_panels panels (default
+    DEFAULT_EVAL_BUDGET / 24) either grid refuses with
+    ToleranceUnreachableError.
     """
 
     def __init__(self, lo: float, hi: float, c_log: float, c_inv, c_lin, span: float,
@@ -292,9 +289,6 @@ class PanelGrid:
         self.panels = int(self.run_starts[-1])
         self.halfs = np.repeat(self.run_halfs, sizes)
         self.mids = lefts + self.halfs
-        # a panel's row in its block's stack of runs, each padded to _PANEL_RUN rows
-        run_of = np.repeat(np.arange(sizes.size), sizes)
-        self.slots = run_of * _PANEL_RUN + np.arange(self.panels) - self.run_starts[run_of]
         self.nodes = (self.mids[:, None] + self.halfs[:, None] * self.rule).ravel()
         if self.bounded:
             self._bound(amplitude, quad, strips)
@@ -408,41 +402,33 @@ class PanelGrid:
 
     def reduce_rows(self, amp_values: np.ndarray, inst: OscInstance, ns: np.ndarray,
                     cs: np.ndarray, rs: np.ndarray, h) -> tuple[np.ndarray, np.ndarray]:
-        """Integrate every row sum_n c_n I(n, +-r/h) of a shifted batch.
+        """Integrate every row sum_n c_n I(n, +-r/h) of a shifted batch on
+        a bounded grid.
 
         amp_values holds A at `self.nodes`; the rows are those of the
         integers n of `ns` with the weights `cs` and the integers r of `rs`,
         each r with its step h (one number for all, or one per r), ordered
         as in ShiftedRows. The panels run in blocks of whole runs
-        (`_blocks`), as many as keep the k nodes of their padded rows by
+        (`_blocks`), as many as keep the 16 nodes of their padded rows by
         the r of the largest chunk (up to LATTICE_BLOCK r of one step, see
         `_panel_sums`), and their panels' sums of every row, within
-        BLOCK_ELEMENTS, and at least one: for 24 nodes, 5 runs of 64 panels
-        for the 8 r of a first shell, 2 for 16 r, 1 from 22 r on.
-        The block's products, mid rows and sums hold about ten numbers per
-        panel and r, and the factor row and its Horner temporaries a few
-        rows of k numbers a panel, whatever the number of n. Each row's
-        panel sums are added in panel order, compensated, and its error
-        estimate, as in `reduce`, sums the panels in the same order; a
-        chunk's products have the same shape whatever the block size, so
-        the block size leaves every bit alone. A bounded grid's rows each
-        take its bound and their own rounding term, times sum |c_n|.
+        BLOCK_ELEMENTS, and at least one. The block's products, mid rows and
+        sums hold about ten numbers per panel and r, and the factor row and
+        its Horner temporaries a few rows of 16 numbers a panel, whatever
+        the number of n. Each row's panel sums are added in panel order,
+        compensated; a chunk's products have the same shape whatever the
+        block size, so the block size leaves every bit alone. Each row's
+        error is the grid's bound plus its own rounding term, times
+        sum |c_n|.
         """
         h = np.broadcast_to(np.asarray(h, dtype=float), rs.shape)
         s = np.zeros((2 * rs.size, 2))
         c = np.zeros_like(s)
-        est = np.zeros((2, 2 * rs.size))  # sum |G16 - G8| and sum |G16| per row
         chunk = max(min(g1 - g0, LATTICE_BLOCK) for g0, g1 in _step_runs(h))
         for q0, q1 in self._blocks(BLOCK_ELEMENTS // max(self.k * chunk, 2 * rs.size)):
             sums = self._panel_sums(amp_values, q0, q1, inst, ns, cs, rs, h)
-            m = sums.shape[1]
-            s, c = kahan_add(s, c, sums[0].view(float).reshape((m,) + s.shape))
-            if not self.bounded:
-                terms = np.stack((np.abs(sums[0] - sums[1]), np.abs(sums[0])), axis=1)
-                est = np.concatenate([est[None], terms]).sum(axis=0)
+            s, c = kahan_add(s, c, sums.view(float).reshape((sums.shape[0],) + s.shape))
         values = np.ascontiguousarray(s + c).view(complex)[..., 0]
-        if not self.bounded:
-            return values, 4.0 * est[0] + 4e-16 * est[1]
         rounding = self.rounding(np.repeat(rs / h, 2), _chains(ns, rs, h))
         errs = float(np.sum(np.abs(cs))) * (self.disc + rounding)
         return values, np.where(np.isfinite(values), errs, np.nan)
@@ -450,11 +436,9 @@ class PanelGrid:
     def _blocks(self, rows: int):
         """(q0, q1) of each block of runs, in order: as many whole runs as
         keep their padded rows within `rows`, and at least one. A run pads
-        to _PANEL_RUN rows, but a bounded grid's one-panel runs (its graded
-        ends) to one (see `_panel_sums`)."""
-        pads = np.full(self.run_sizes.size, _PANEL_RUN)
-        if self.bounded:
-            pads[self.run_sizes == 1] = 1
+        to _PANEL_RUN rows, and a one-panel run (a graded end) to one (see
+        `_panel_sums`)."""
+        pads = np.where(self.run_sizes == 1, 1, _PANEL_RUN)
         q0, used = 0, 0
         for q, pad in enumerate(pads.tolist()):
             if used + pad > rows and q > q0:
@@ -464,20 +448,19 @@ class PanelGrid:
         yield q0, pads.size
 
     def _panel_sums(self, amp_values, q0, q1, inst, ns, cs, rs, h):
-        """The rule sums of the panels of runs q0..q1-1 for every row, as
-        one (rules, panels, rows) array (see the module docstring): G16 and
-        G8, or G16 alone on a bounded grid.
+        """The GL16 sums of the panels of runs q0..q1-1 for every row, as
+        one (panels, rows) array (see the module docstring).
 
         The weighted factor row and `base`, A times it and the rule's
         weights, are formed once for the block. Then for each run of
         consecutive r with one step h (`_step_runs`), and each chunk of up
         to LATTICE_BLOCK r of it, `_lattice_turns` gives the rows e(-r mid/h)
         on the panel mids, from mid/h as a sum of two doubles, and
-        `_lattice_exp` the rows e(-r half u_k/h) on each run's k nodes.
-        A run's rule sums are one product of its panels' factor rows,
-        padded with zero rows to _PANEL_RUN, with its node table; on a
-        bounded grid the one-panel runs take one product of their own,
-        unpadded. The mid row then scales each panel's sums.
+        `_lattice_exp` the rows e(-r half u_k/h) on each run's 16 nodes.
+        A run's sums are one product of its panels' factor rows, padded
+        with zero rows to _PANEL_RUN, with its node table; the one-panel
+        runs of the graded ends take one product of their own, unpadded.
+        The mid row then scales each panel's sums.
         """
         k = self.k
         p0, p1 = self.run_starts[q0], self.run_starts[q1]
@@ -492,17 +475,13 @@ class PanelGrid:
         factor = _lattice_sum(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo, cs)
         base = factor.reshape(m, k) * (amp_values[k * p0:k * p1].reshape(m, k) * self.weights)
         sizes = self.run_sizes[q0:q1]
-        lone = sizes == 1 if self.bounded else np.zeros(runs, dtype=bool)
-        # the padded runs: each panel's row in its block's stack of runs
+        lone = sizes == 1
+        # the runs of more than one panel, each padded to _PANEL_RUN rows
         wide = ~np.repeat(lone, sizes)
-        slots = self.slots[p0:p1][wide] - q0 * _PANEL_RUN
-        slots = slots // _PANEL_RUN - np.cumsum(lone)[slots // _PANEL_RUN]
-        slots = slots * _PANEL_RUN + self.slots[p0:p1][wide] % _PANEL_RUN
-        padded = np.zeros((int(np.count_nonzero(~lone)) * _PANEL_RUN, k), dtype=complex)
-        padded[slots] = base[wide]
-        padded = padded.reshape(-1, _PANEL_RUN, k)
-        rules = (slice(0, 16), slice(16, 24))[:k // 8 - 1]
-        out = np.empty((len(rules), m, 2 * rs.size), dtype=complex)
+        fill = np.arange(_PANEL_RUN) < sizes[~lone, None]
+        padded = np.zeros(fill.shape + (k,), dtype=complex)
+        padded[fill] = base[wide]
+        out = np.empty((m, 2 * rs.size), dtype=complex)
         for g0, g1 in _step_runs(h):
             q_hi, q_lo = _divide(self.mids[p0:p1], h[g0])  # mid/h, in turns of e(-r mid/h)
             steps = -TWO_PI / h[g0] * (self.run_halfs[q0:q1, None] * self.rule).ravel()
@@ -514,13 +493,10 @@ class PanelGrid:
                 table = _lattice_exp(np.zeros(steps.size), steps, chunk)
                 table = table.reshape(chunk.size, runs, k).transpose(1, 2, 0)
                 table = np.stack((table, table.conj()), axis=-1).reshape(runs, k, -1)
-                for j, rule in enumerate(rules):
-                    sums = (padded[:, :, rule] @ table[~lone][:, rule]).reshape(-1, 2 * chunk.size)
-                    out[j, wide, cols] = sums[slots]
-                    if lone.any():
-                        solo = base[~wide][:, None, rule] @ table[lone][:, rule]
-                        out[j, ~wide, cols] = solo[:, 0]
-                    out[j, :, cols] *= mid
+                out[wide, cols] = (padded @ table[~lone])[fill]
+                if lone.any():
+                    out[~wide, cols] = (base[~wide][:, None] @ table[lone])[:, 0]
+                out[:, cols] *= mid
         return out
 
 
@@ -835,70 +811,59 @@ def _chains(ns: np.ndarray, rs: np.ndarray, h: np.ndarray) -> tuple[int, np.ndar
     return (min(LATTICE_BLOCK - 1, int(ns.max() - ns.min())), np.repeat(l_r, 2), np.repeat(h, 2))
 
 
-def _halve_spans(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray,
-                 tol: np.ndarray, reduce, weight: float = 1.0, chains=None):
-    """The span-halving loop of the module docstring; row j has the linear
-    phase c_lins[j] and the tolerance tol[j], and c_inv is one value or
-    the range of a batch's n. An amplitude with `Cutoff.bound` takes
-    `_one_pass` instead, with the rows' weight sum |c_n| and their form
-    (their `chains` for a shifted batch, see `PanelGrid.rounding`).
+def _halve_spans(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float, tol: float):
+    """The estimate path of the module docstring, for one integral of an
+    amplitude without `Cutoff.bound`: (value, error estimate, evaluations,
+    panels of the last grid).
 
-    reduce(grid, amp_values, live) turns A at grid.nodes into the value and
-    error estimate of each live row. A NaN estimate stays live. Each pass
-    grids for every row's c_lin, not only the live rows', so that it
-    refines every panel of the last for every row, within the evaluations
-    left of DEFAULT_EVAL_BUDGET. The loop refuses, naming the worst live
-    estimate, once the next grid does not fit in them, or once
-    STALL_PASSES passes in a row leave no live row's estimate below half
-    of its last (a NaN estimate has not fallen): the estimates then sit on
-    their rounding floor, and finer grids would spend the budget without
-    meeting the tolerance. Returns (values, errs, evaluations, panels of
-    the last grid).
+    Each pass grids the support at half the last span, within the
+    evaluations left of DEFAULT_EVAL_BUDGET, and returns once the estimate
+    meets tol. The loop refuses, naming the last estimate, once the next
+    grid does not fit in them, or once STALL_PASSES passes in a row leave
+    the estimate at half its last or above (a NaN estimate has not fallen):
+    it then sits on its rounding floor, and finer grids would spend the
+    budget without meeting the tolerance.
     """
-    if amplitude.bound is not None:
-        return _one_pass(amplitude, c_log, c_inv, c_lins, tol, reduce, weight, chains)
-    values = np.zeros(tol.size, dtype=complex)
-    errs = np.full(tol.size, np.inf)
-    live = np.ones(tol.size, dtype=bool)
+    err = np.inf
     span, evals_used, stalls = np.pi, 0, 0
     while True:
         try:
-            grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, c_log, c_inv,
-                             c_lins, span, (DEFAULT_EVAL_BUDGET - evals_used) // 24)
+            grid = PanelGrid(amplitude.support_lo, amplitude.support_hi, c_log, c_inv, c_lin,
+                             span, (DEFAULT_EVAL_BUDGET - evals_used) // 24)
         except ToleranceUnreachableError:
             if not evals_used:
                 raise ToleranceUnreachableError(
                     "evaluation budget too small for one pass") from None
-            raise _refusal(f"budget {DEFAULT_EVAL_BUDGET} exhausted", errs[live]) from None
+            raise _refusal(f"budget {DEFAULT_EVAL_BUDGET} exhausted", err) from None
         evals_used += grid.evaluations
-        last = errs.copy()
-        values[live], errs[live] = reduce(grid, amplitude.fn(grid.nodes), live)
-        live = ~(errs <= tol)  # a NaN estimate stays live
-        if not live.any():
-            return values, errs, evals_used, grid.panels
-        # NaN has not fallen
-        stalls = 0 if np.any(errs[live] < 0.5 * last[live]) else stalls + 1
+        last = err
+        value, err = grid.reduce(amplitude.fn(grid.nodes)
+                                 * np.exp(1j * grid.phases(c_log, c_inv, c_lin)))
+        if err <= tol:
+            return value, err, evals_used, grid.panels
+        stalls = 0 if err < 0.5 * last else stalls + 1
         if stalls == STALL_PASSES:
-            raise _refusal(f"no live estimate halved in {STALL_PASSES} passes, "
-                           "refinement exhausted", errs[live])
+            raise _refusal(f"estimate not halved in {STALL_PASSES} passes, "
+                           "refinement exhausted", err)
         span *= 0.5
 
 
 def _one_pass(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray, tol: np.ndarray,
-              reduce, weight: float, chains):
-    """The bounded path of the module docstring, with `_halve_spans`'
-    arguments and result: one evaluation pass on a grid whose bound is
-    known before it.
+              reduce, weight: float = 1.0, chains=None):
+    """The bounded path of the module docstring: one evaluation pass, on a
+    grid whose bound is known before it, for rows j of the linear phase
+    c_lins[j] and the tolerance tol[j] (c_inv is one value or the range of
+    a batch's n). Returns (values, errs, evaluations, panels).
 
     From BOUND_SPAN the span shrinks by _SPAN_RETRY, each grid built and
-    bounded but not evaluated, until the grid's bound (`PanelGrid.disc`,
-    times `weight`) is at most half the smallest tolerance. A row whose a
-    priori rounding term passes half its tolerance on a grid is refused at
-    once, with that term as `achieved`, and so is a grid past
-    DEFAULT_EVAL_BUDGET evaluations, with the last grid's worst figure.
-    Then A is evaluated once, on the last grid, and each row's error is
-    its bound plus its rounding term; a non-finite value (a NaN amplitude)
-    is refused with achieved NaN.
+    bounded but not evaluated, until its bound (`PanelGrid.disc`, times
+    `weight`, the rows' sum |c_n|) is at most half the smallest tolerance.
+    A row whose rounding term (see `PanelGrid.rounding` for `chains`)
+    passes half its tolerance on a grid is refused at once, with that term
+    as `achieved`, and so is a grid past DEFAULT_EVAL_BUDGET evaluations,
+    with the last grid's worst figure. Then A is evaluated once, on the
+    last grid, and reduce(grid, amp_values) gives each row's value and
+    error; a non-finite value (a NaN amplitude) is refused with achieved NaN.
     """
     target = 0.5 * float(np.min(tol)) / weight if weight else np.inf  # zero weights: zero rows
     span, figures = BOUND_SPAN, None
@@ -920,28 +885,33 @@ def _one_pass(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray, tol: n
         if grid.disc <= target:
             break
         span *= _SPAN_RETRY
-    values, errs = map(np.atleast_1d, reduce(grid, amplitude.fn(grid.nodes),
-                                             np.ones(tol.size, dtype=bool)))
+    values, errs = map(np.atleast_1d, reduce(grid, amplitude.fn(grid.nodes)))
     if not np.all(errs <= tol):
         raise _refusal("non-finite integrand", errs[~(errs <= tol)])
     return values, errs, grid.evaluations, grid.panels
 
 
-def _refusal(reason: str, live_errs: np.ndarray) -> ToleranceUnreachableError:
-    achieved = float(live_errs.max())
+def _refusal(reason: str, errs) -> ToleranceUnreachableError:
+    achieved = float(np.max(errs))
     return ToleranceUnreachableError(f"{reason}; achieved {achieved:.3e}", achieved=achieved)
 
 
 def integrate_phase(amplitude: Cutoff, c_log: float, c_inv: float, c_lin: float,
                     tol: float = DEFAULT_TOL) -> QuadResult:
     """Adaptive driver for the generic amplitude/phase family, over the
-    amplitude's support, within DEFAULT_EVAL_BUDGET evaluations."""
+    amplitude's support, within DEFAULT_EVAL_BUDGET evaluations: the
+    bounded path for an amplitude with `Cutoff.bound`, the estimate path
+    otherwise."""
     if not (0.0 < amplitude.support_lo < amplitude.support_hi):
         raise ConfigError("integration range must sit inside (0, inf)")
-    values, errs, evaluations, panels = _halve_spans(
-        amplitude, c_log, c_inv, np.array([c_lin]), np.array([tol]),
-        lambda grid, amp, live: grid.reduce(amp * np.exp(1j * grid.phases(c_log, c_inv, c_lin))))
-    return QuadResult(value=complex(values[0]), abs_err=float(errs[0]), panels=panels,
+    tol = float(_positive("tol", tol, ()))
+    if amplitude.bound is None:
+        value, err, evaluations, panels = _halve_spans(amplitude, c_log, c_inv, c_lin, tol)
+    else:
+        (value,), (err,), evaluations, panels = _one_pass(
+            amplitude, c_log, c_inv, np.array([c_lin]), np.array([tol]),
+            lambda grid, amp: grid.reduce(amp * np.exp(1j * grid.phases(c_log, c_inv, c_lin))))
+    return QuadResult(value=complex(value), abs_err=float(err), panels=panels,
                       evaluations=evaluations)
 
 
@@ -958,15 +928,18 @@ def integrate_shifted(inst: OscInstance, rs, h, tol=None, ns=None, cs=None) -> S
     r >= 0 of `rs`, the steps h > 0 (one for all r, or one per r), and the
     integers n >= 1 of `ns` with the complex weights `cs` (default inst.n
     alone, weight 1). `tol` is one tolerance per r, or one for all (default
-    inst.tol), and every row must meet its own. The rows share each pass of
-    `_halve_spans`, on one grid for the range of every row's r/h, with
+    inst.tol), and every row must meet its own. The amplitude must carry
+    `Cutoff.bound`: the rows share one pass of the bounded path
+    (`_one_pass`), on one grid for the range of every row's r/h, with
     phases built on the n and r lattices (see PanelGrid.reduce_rows); a
     run of consecutive r with one step shares its mid rows and node tables.
     So the dual-sum shells of several prime pairs, each pair its own step,
     are one batch. Inputs are checked before any grid is built; an empty
     `rs` gives empty rows.
     """
-    tol = inst.tol if tol is None else tol
+    if inst.amplitude.bound is None:
+        raise ConfigError("a shifted batch needs an amplitude with Cutoff.bound, as its rows "
+                          "take the bounded path's one pass")
     rs = np.asarray(rs)
     ns = np.asarray([inst.n] if ns is None else ns)
     cs = np.ones(ns.shape, dtype=complex) if cs is None else np.asarray(cs, dtype=complex)
@@ -980,28 +953,27 @@ def integrate_shifted(inst: OscInstance, rs, h, tol=None, ns=None, cs=None) -> S
                           "along them, and cs must hold one weight per n")
     if ns.min() < 1 or (rs.size and rs.min() < 0):
         raise ConfigError("need every n >= 1, as OscInstance does, and every r >= 0")
-    h = np.asarray(h, dtype=float)
-    if h.shape not in ((), rs.shape):
-        raise ConfigError(f"h must be one step or one per r, not of shape {h.shape}")
-    bad = h[~((0.0 < h) & (h < np.inf))]  # compared so that NaN is bad
-    if bad.size:
-        raise ConfigError(f"each step h must be finite and positive, as the rate r/h "
-                          f"of its shifts must be finite; got h = {bad[0]}")
-    h = np.broadcast_to(h, rs.shape)
+    h = _positive("h", h, rs.shape, ", as the rate r/h of its shifts must be finite")
+    tol = _positive("tol", inst.tol if tol is None else tol, rs.shape)
     if not rs.size:
         return ShiftedRows(values=np.zeros(0, dtype=complex), abs_errs=np.zeros(0), evaluations=0)
-
-    def reduce(grid, amp_values, live):
-        live_r = live.reshape(-1, 2).any(axis=1)
-        vals, est = grid.reduce_rows(amp_values, inst, ns, cs, rs[live_r], h[live_r])
-        fresh = live[np.repeat(live_r, 2)]
-        return vals[fresh], est[fresh]
-
-    values, errs, evaluations, _ = _halve_spans(
+    values, errs, evaluations, _ = _one_pass(
         inst.amplitude, -inst.T, ns * inst.T / inst.N, np.outer(rs / h, [1.0, -1.0]).ravel(),
-        np.repeat(np.broadcast_to(np.asarray(tol, dtype=float), rs.shape), 2), reduce,
+        np.repeat(tol, 2), lambda grid, amp: grid.reduce_rows(amp, inst, ns, cs, rs, h),
         weight=float(np.sum(np.abs(cs))), chains=_chains(ns, rs, h))
     return ShiftedRows(values=values, abs_errs=errs, evaluations=evaluations)
+
+
+def _positive(name: str, value, shape: tuple, why: str = "") -> np.ndarray:
+    """value as an array of `shape`, one number serving every entry, each
+    finite and positive (compared so that NaN fails); else ConfigError."""
+    value = np.asarray(value, dtype=float)
+    if value.shape not in ((), shape):
+        raise ConfigError(f"{name} must be one number or one per row, not of shape {value.shape}")
+    bad = value[~((0.0 < value) & (value < np.inf))]
+    if bad.size:
+        raise ConfigError(f"each {name} must be finite and positive{why}; got {name} = {bad[0]}")
+    return np.broadcast_to(value, shape)
 
 
 def stationary_phase_main(inst: OscInstance) -> tuple[complex, float]:

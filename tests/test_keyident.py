@@ -25,6 +25,7 @@ from gl3osc.keyident import (
 from gl3osc.oscquad import (K_SP_MAIN, OscInstance, integrate_main, integrate_phase,
                             integrate_shifted, probe_amplitude, stationary_phase_main)
 from gl3osc.util import TWO_PI, kahan_csum, primes_in
+from test_panel_bound import GL40, _reference_panels
 
 # frozen against a plain-loop evaluation (fsum over scalar cmath terms with
 # the same integer-reduced rational phases) of the T=1000, (p,l)=(7,2) window
@@ -52,8 +53,10 @@ def _dual_sum(inst: KeyIdentityInstance, ns=None, cs=None):
 
 
 def _zero_amplitude() -> Cutoff:
+    """Zero, with the zero bound that an instance's amplitude needs."""
     return Cutoff(support_lo=0.5, support_hi=2.0,
-                  fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
+                  fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+                  bound=lambda x0, x1, b: np.zeros(np.broadcast(x0, x1, b).shape))
 
 
 def test_instance_validation():
@@ -240,7 +243,16 @@ def test_zero_amplitude_gives_exact_zero_identity():
     assert rep.a_value == 0.0
     assert rep.o_value == 0.0
     assert rep.residual == 0.0
+    assert rep.m_err == rep.o_quad_err == 0.0
     assert rep.passed
+
+
+def test_instance_refuses_an_amplitude_without_a_bound():
+    # the dual sum's shifted batches take the bounded path only: the
+    # instance refuses such an amplitude, so verify_key_identity never
+    # integrates its M
+    with pytest.raises(ConfigError, match="Cutoff.bound"):
+        _instance(250.0, 7, 2, amplitude=replace(probe_amplitude(), bound=None))
 
 
 def test_leading_shape_matches_dressed_oracle():
@@ -694,8 +706,8 @@ def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
     with pytest.raises(ToleranceUnreachableError):
         _dual_sum(inst, ns, cs)
-    # the first shell's grid (33,120 nodes) fits, its refinement (66,096)
-    # does not fit beside it
+    # tol 1e-30 lies below every row's a priori rounding term: refused on
+    # the first grid, naming that term
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
     with pytest.raises(ToleranceUnreachableError) as info:
         _dual_sum(replace(inst, tol=1e-30), ns, cs)
@@ -703,60 +715,78 @@ def test_batched_dual_sum_raises_when_budget_runs_out(monkeypatch):
 
 
 def test_a_grid_past_the_budget_refuses_with_the_last_estimate(monkeypatch):
-    # at 50,000 evaluations the first shell's grid fits, and the grid of
-    # its second pass outgrows what is left while it is built: the refusal
-    # names the budget and the first pass's worst estimate, where it once
-    # said "panel budget exhausted while gridding" with achieved NaN. The
-    # bump runs without its bound, so its rows keep the estimate path's
-    # passes (with the bound they take one pass, refused below the
-    # rounding floor before any grid is evaluated)
-    inst = _instance(250.0, 7, 2, amplitude=replace(probe_amplitude(), bound=None))
-    ns, cs = np.array([inst.n, inst.n + 1]), np.array([1.0, 0.5j])
-    rs, amp = np.arange(1, keyident.FIRST_SHELL_R + 1), inst.amplitude
-    grid = oscquad.PanelGrid(amp.support_lo, amp.support_hi, -inst.T, ns * inst.T / inst.N,
-                             np.outer(rs / inst.h, [1.0, -1.0]).ravel(), np.pi)
-    _, est = grid.reduce_rows(amp.fn(grid.nodes), inst.osc, ns, cs, rs, inst.h)
-    assert grid.evaluations <= 50_000 < 2 * grid.evaluations
-    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 50_000)
+    # at tol 3e-11 the first shell's first grid misses its bound's target,
+    # and the grid rebuilt at a narrower span outgrows a budget that the
+    # first fits, while it is built: the refusal names the budget and the
+    # first grid's worst figure (its bound plus a row's rounding term,
+    # times sum |c_n|), where it once said "panel budget exhausted while
+    # gridding" with achieved NaN. The amplitude is never evaluated
+    calls = []
+    probe = probe_amplitude()
+    amp = replace(probe, fn=lambda x: calls.append(x) or probe.fn(x))
+    inst = _instance(250.0, 7, 2, tol=3e-11, amplitude=amp)
+    ns, cs = [inst.n, inst.n + 1], [1.0, 0.5j]
+    grids, figures = [], []
+    real_grid, real_rounding = oscquad.PanelGrid.__init__, oscquad.PanelGrid.rounding
+
+    def counted(self, *args, **kwargs):
+        real_grid(self, *args, **kwargs)
+        grids.append(self)
+
+    def kept(self, *args, **kwargs):
+        out = real_rounding(self, *args, **kwargs)
+        weight = 1.5  # sum |c_n|, as `_one_pass` scales the figures
+        figures.append(weight * self.disc + weight * out)
+        return out
+
+    monkeypatch.setattr(oscquad.PanelGrid, "__init__", counted)
+    monkeypatch.setattr(oscquad.PanelGrid, "rounding", kept)
+    _dual_sum(inst, ns, cs)
+    first, second = grids[0].evaluations, grids[1].evaluations
+    assert first < second
+    grids.clear()
+    figures.clear()
+    calls.clear()
+    monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", first + 1)
     with pytest.raises(ToleranceUnreachableError,
-                       match="^budget 50000 exhausted; achieved") as info:
-        _dual_sum(replace(inst, tol=1e-30), ns, cs)
-    assert info.value.achieved == est.max()
+                       match=f"^budget {first + 1} exhausted; achieved") as info:
+        _dual_sum(inst, ns, cs)
+    assert len(grids) == len(figures) == 1 and not calls
+    assert info.value.achieved == figures[0].max()
 
 
 def test_refinement_below_the_rounding_floor_refuses_within_three_passes(monkeypatch):
-    # at T = 500, (p, l) = (5, 3) the rows 6..16 meet tol 1e-13, but at
-    # 1e-14 their estimates sit on a floor near 1.9e-14 from the first
-    # pass on: the second and third passes do not halve any of them, so
-    # the batch refuses after three grids (it took eight, all of the
-    # evaluation budget, and 1.0-1.3 s), naming the worst live estimate.
-    # The estimate path's passes, so the bump runs without its bound
-    inst = _instance(500.0, 5, 3, amplitude=replace(probe_amplitude(), bound=None))
-    rs = np.arange(6, 17)
+    # the estimate path's stall rule, on one integral (`integrate_phase`,
+    # the bump without its bound): at T = 500, (p, l) = (5, 3) the row
+    # r = 6 meets tol 1e-13 on its first pass, but at 1e-14 its estimate
+    # sits on a floor near 8e-14: the second and third passes do not halve
+    # it, so the call refuses after three grids, naming the last estimate
+    inst = _instance(500.0, 5, 3)
+    amp, c_inv, c_lin = replace(inst.amplitude, bound=None), inst.n * inst.T / inst.N, 6 / inst.h
     grids, estimates = [], []
-    real_grid, real_rows = oscquad.PanelGrid.__init__, oscquad.PanelGrid.reduce_rows
+    real_grid, real_reduce = oscquad.PanelGrid.__init__, oscquad.PanelGrid.reduce
 
     def counted(self, *args, **kwargs):
         grids.append(args)
         real_grid(self, *args, **kwargs)
 
     def kept(self, *args, **kwargs):
-        out = real_rows(self, *args, **kwargs)
+        out = real_reduce(self, *args, **kwargs)
         estimates.append(out[1])
         return out
 
     monkeypatch.setattr(oscquad.PanelGrid, "__init__", counted)
-    monkeypatch.setattr(oscquad.PanelGrid, "reduce_rows", kept)
-    assert integrate_shifted(inst.osc, rs, inst.h, tol=1e-13).abs_errs.max() <= 1e-13
+    monkeypatch.setattr(oscquad.PanelGrid, "reduce", kept)
+    assert integrate_phase(amp, -inst.T, c_inv, c_lin, tol=1e-13).abs_err <= 1e-13
+    assert len(grids) == 1
     grids.clear()
     estimates.clear()
     with pytest.raises(ToleranceUnreachableError,
-                       match="^no live estimate halved in 2 passes, refinement exhausted; "
+                       match="^estimate not halved in 2 passes, refinement exhausted; "
                              "achieved") as info:
-        integrate_shifted(inst.osc, rs, inst.h, tol=1e-14)
+        integrate_phase(amp, -inst.T, c_inv, c_lin, tol=1e-14)
     assert len(grids) == 3
-    last = estimates[-1]
-    assert info.value.achieved == last[last > 1e-14].max()
+    assert info.value.achieved == estimates[-1]
     assert 1e-14 < info.value.achieved < 1e-13
 
 
@@ -780,17 +810,35 @@ def test_ibp_bound_lies_above_the_computed_shells(T, pair):
 def test_ibp_bound_holds_next_to_the_stationary_range():
     # at T = 250, (p, l) = (5, 3) the stationary range ends at r = 3.03;
     # the rows 4..11 hold about 2e-8 there, far above their rounding, and
-    # the bound on |r| >= 4 is about five times that. The rows are taken
-    # on the estimate path (the bump without its bound), whose estimates
-    # reach 1e-14; the proved rounding term of the bounded path is 1.4e-14
-    # here, so that path refuses this tolerance
+    # the bound on |r| >= 4 is about five times that. The rows are those
+    # of the long-double composite rule of `test_panel_bound` (the bounded
+    # path's rounding term, 1.4e-14 a row here, refuses a tolerance that
+    # would resolve them), with its nodes formed in long double too. Its
+    # Gauss error is below 1e-30; its rule's nodes u_k, weights and A are
+    # doubles, each term so erring by under 32 eps |w A| (a rounded u_k
+    # moves a node's phase by at most eps half |Phi'| <= 20 eps), and that
+    # figure is each row's error
     inst = _instance(250.0, 5, 3)
     tail = keyident._IbpTail(inst.osc, [inst.n], [1.0])
     assert 3.0 < tail.r_stat(inst.h) < 4.0
-    rows = replace(inst, amplitude=replace(inst.amplitude, bound=None)).osc
-    shell = integrate_shifted(rows, np.arange(4, 12), inst.h, tol=1e-14)
-    mass = float(np.sum(np.abs(shell.values)))
-    assert mass > 1e5 * float(np.sum(shell.abs_errs))
+    T, N, h = inst.T, inst.N, inst.h
+    mids, halfs = _reference_panels(0.5, 2.0, lambda y: T / y + TWO_PI * inst.n * T / (N * y * y)
+                                    + TWO_PI * 11 / h, 0.75 / 200.0)
+    ld = np.longdouble
+    xl = (mids.astype(ld)[:, None] + halfs.astype(ld)[:, None] * GL40[0].astype(ld)).ravel()
+    wts = (halfs[:, None] * GL40[1]).ravel() * inst.amplitude.fn(xl.astype(float))
+    two_pi = 8 * np.arctan(ld(1))
+    base = -ld(T) * np.log(xl) / two_pi - inst.n * (ld(T) / ld(N)) / xl
+    values = []
+    for r in range(4, 12):
+        for sign in (1, -1):
+            turns = base - sign * r * xl / ld(h)
+            turns -= np.rint(turns)
+            values.append(complex(float(np.sum(wts * np.cos(two_pi * turns))),
+                                  float(np.sum(wts * np.sin(two_pi * turns)))))
+    errs = np.full(len(values), 32.0 * np.finfo(float).eps * float(np.sum(np.abs(wts))))
+    mass = float(np.sum(np.abs(values)))
+    assert mass > 1e5 * float(np.sum(errs))
     assert mass <= tail.bound(4, inst.h) < 10.0 * mass
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl3osc import oscquad
+from gl3osc import cli, keyident, oscquad, sums
 from gl3osc.cutoffs import Cutoff
 from gl3osc.errors import ConfigError, ToleranceUnreachableError
 from gl3osc.oscquad import (
@@ -25,7 +25,7 @@ from gl3osc.oscquad import (
     probe_amplitude,
     stationary_phase_main,
 )
-from gl3osc.util import GL8, GL16, TWO_PI, _lattice_exp, _panel_runs, kahan_csum, loglog_slope
+from gl3osc.util import GL16, TWO_PI, _lattice_exp, _panel_runs, kahan_csum, loglog_slope
 from test_util import LATTICE, LATTICE_B, LATTICE_C
 
 # frozen against an independent arbitrary-precision evaluation (30 digits,
@@ -35,19 +35,24 @@ GOLDEN_SMALL = 0.085882899748423332 - 0.076752743400557140j
 
 def _estimated_probe() -> Cutoff:
     """The probe bump without its jet and bound: integrated on the estimate
-    path (GL16 + GL8, span halving), as the `routes` amplitudes are."""
+    path (GL16 + GL8, span halving), as the integral route's amplitude is.
+    A shifted batch refuses it."""
     return Cutoff(support_lo=0.5, support_hi=2.0, fn=probe_amplitude().fn)
 
 
 def _zero_amplitude() -> Cutoff:
+    """Zero, with the zero bound, so that shifted batches take it."""
     return Cutoff(support_lo=0.5, support_hi=2.0,
-                  fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
+                  fn=lambda y: np.zeros_like(np.asarray(y, dtype=float)),
+                  bound=lambda x0, x1, b: np.zeros(np.broadcast(x0, x1, b).shape))
 
 
 def test_zero_amplitude_integrates_to_zero():
     inst = OscInstance(T=100.0, n=3, N=10.0, amplitude=_zero_amplitude())
-    assert integrate_main(inst).value == 0.0
-    assert np.all(integrate_shifted(inst, rs=[2], h=1.0).values == 0.0)
+    main = integrate_main(inst)
+    assert main.value == 0.0 and main.abs_err == 0.0
+    rows = integrate_shifted(inst, rs=[2], h=1.0)
+    assert np.all(rows.values == 0.0) and np.all(rows.abs_errs == 0.0)
 
 
 def test_instance_validation():
@@ -191,22 +196,18 @@ def test_zero_shift_equals_main():
 
 
 def test_shifted_batch_holds_each_row_to_its_own_tolerance():
-    # the estimate path's passes: a row keeps the first pass that meets
-    # its tolerance
+    # the bounded path's one pass, on a grid whose bound meets the
+    # smallest tolerance: a tight row's tolerance refines the grid of all
+    # rows, and each row's proved figure meets its own
     T = 100.0
     N = T**1.5
-    inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N, amplitude=_estimated_probe())
+    inst = OscInstance(T=T, n=int(np.ceil(N / TWO_PI)), N=N)
     betas = [1, 5]  # with h = 1 the shifts r/h are the r themselves
-    # on the first grid the beta = 5 rows reach about 4.9e-15 and 4.5e-15,
-    # and 3.9e-15 on the second
-    loose = integrate_shifted(inst, tol=1.0, rs=betas, h=1.0)
-    mixed = integrate_shifted(inst, tol=[1.0, 4e-15], rs=betas, h=1.0)
-    assert np.all(mixed.abs_errs[2:] <= 4e-15)
+    loose = integrate_shifted(inst, tol=1e-4, rs=betas, h=1.0)
+    mixed = integrate_shifted(inst, tol=[1e-4, 1e-12], rs=betas, h=1.0)
+    assert np.all(loose.abs_errs <= 1e-4) and loose.abs_errs.max() > 1e-12
+    assert np.all(mixed.abs_errs <= np.repeat([1e-4, 1e-12], 2))
     assert mixed.evaluations > loose.evaluations
-    # rows that met their tolerance on the first pass keep its values
-    kept = loose.abs_errs <= np.repeat([1.0, 4e-15], 2)
-    assert not kept.all()
-    assert np.array_equal(mixed.values[kept], loose.values[kept])
     c_inv = inst.n * inst.T / inst.N
     for j, beta in enumerate(betas):
         for k, signed in enumerate((beta, -beta)):
@@ -247,16 +248,11 @@ def test_repeated_n_adds_its_weights():
 def test_block_size_leaves_the_bits_alone(monkeypatch):
     # blocks of one run of panels (the caps of one panel and of 31 panels
     # for 4 r) and of three runs: the same bytes, values and error
-    # estimates, on gapped n and r with complex weights; on both paths
-    for amplitude in (_estimated_probe(), probe_amplitude()):
-        _check_block_sizes(monkeypatch, amplitude)
-
-
-def _check_block_sizes(monkeypatch, amplitude):
+    # figures, on gapped n and r with complex weights
     T = 100.0
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
-    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10, amplitude=amplitude)
+    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
     ns = [n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3]
     cs = [0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j]
     got = []
@@ -272,9 +268,9 @@ def _per_node_rows(grid, amp_values, inst, ns, cs, rs, h):
 
     The path the shifted batches took before the shift phase factored per
     run, unblocked: the factor row and the table e(-r x/h) on every node,
-    each panel's rule sums as products of the two, and each row's panel
-    sums added in panel order. Returns (values, estimates, mass), the mass
-    being sum_p half_p sum_k |factor A w_k| over the G16 nodes.
+    each panel's GL16 sums as products of the two, and each row's panel
+    sums added in panel order. Returns (values, mass), the mass being
+    sum_p half_p sum_k |factor A w_k|.
     """
     ns, rs = np.asarray(ns), np.asarray(rs)
     m, x = grid.panels, grid.nodes
@@ -282,26 +278,20 @@ def _per_node_rows(grid, amp_values, inst, ns, cs, rs, h):
     head = -inst.T * np.log(x) - TWO_PI * (n_lo * inst.T / inst.N) / x
     factor = _lattice_sum(head, -TWO_PI * (inst.T / inst.N) / x, ns - n_lo,
                           np.asarray(cs, dtype=complex))
-    base = (factor * amp_values).reshape(m, 24)
+    base = (factor * amp_values).reshape(m, 16) * GL16[1]
     table = _lattice_exp(-TWO_PI * (r_lo / h) * x, -TWO_PI / h * x, rs - r_lo)
-    table = table.reshape(rs.size, m, 24).transpose(1, 2, 0)
-    sums = []
-    for rule, weights in ((slice(0, 16), GL16[1]), (slice(16, 24), GL8[1])):
-        b = (base[:, rule] * weights)[:, None, :]
-        t = table[:, rule]
-        rows = np.stack((b @ t, np.conj(b.conj() @ t)), axis=-1)
-        sums.append(rows.reshape(m, -1) * grid.halfs[:, None])
-    values = np.array([kahan_csum(col) for col in sums[0].T])
-    est = 4.0 * np.sum(np.abs(sums[0] - sums[1]), axis=0) + 4e-16 * np.sum(np.abs(sums[0]), axis=0)
-    mass = np.sum(np.abs(base[:, :16] * GL16[1]) * grid.halfs[:, None])
-    return values, est, mass
+    table = table.reshape(rs.size, m, 16).transpose(1, 2, 0)
+    rows = np.stack((base[:, None, :] @ table, np.conj(base.conj()[:, None, :] @ table)), axis=-1)
+    sums = rows.reshape(m, -1) * grid.halfs[:, None]
+    values = np.array([kahan_csum(col) for col in sums.T])
+    return values, np.sum(np.abs(base) * grid.halfs[:, None])
 
 
 @pytest.mark.parametrize("T, rs, h", [(100.0, [7, 1, 90, 2] + list(range(10, 75)), 0.5),
                                       (1000.0, [9, 10, 13, 16, 80], 3 / (11 * 1000.0**0.5))])
 def test_factored_rows_match_a_table_per_node(T, rs, h):
-    # gapped n and r, unsorted r, complex weights, on one grid (69 r make
-    # two chunks of LATTICE_BLOCK); the factored rows
+    # gapped n and r, unsorted r, complex weights, on one bounded grid (69
+    # r make two chunks of LATTICE_BLOCK); the factored rows
     # e(-r mid/h) e(-r half u_k/h) and the per-node table e(-r x/h) are
     # lattice products of their own, each within LATTICE_C eps (LATTICE_B +
     # theta) of exp, theta the largest phase 2 pi r x / h, and the node
@@ -313,60 +303,15 @@ def test_factored_rows_match_a_table_per_node(T, rs, h):
     ns = np.array([n0, n0 + 1, n0 + 5, n0 + 70, n0 + 3])
     cs = np.array([0.5 - 0.25j, 0.0, 1j, -0.8 + 0.1j, 0.3 + 0.3j])
     amp = inst.amplitude
-    grid = PanelGrid(amp.support_lo, amp.support_hi, -T, ns.max() * T / N, max(rs) / h, np.pi)
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -T, ns.max() * T / N, max(rs) / h,
+                     oscquad.BOUND_SPAN, amplitude=amp, target=1e-12)
     values = amp.fn(grid.nodes)
     got, _ = grid.reduce_rows(values, inst, ns, cs, np.asarray(rs), h)
-    want, _, mass = _per_node_rows(grid, values, inst, ns, cs, rs, h)
+    want, mass = _per_node_rows(grid, values, inst, ns, cs, rs, h)
     theta = TWO_PI * max(rs) * amp.support_hi / h
     eps = np.finfo(float).eps
     bound = 3.0 * LATTICE_C * eps * (LATTICE_B + theta) * mass
     assert np.all(np.abs(got - want) <= bound)
-
-
-@pytest.mark.parametrize("T", [20.0, 100.0])
-def test_factored_estimate_bounds_the_true_error(T):
-    # the estimate path (the probe without its jet and bound): the first
-    # pass's estimate, which does not carry the rounding of the
-    # mid phase r mid/h, still bounds each row's distance to the sum of
-    # integrate_phase references at tol 1e-13 (their own errors are far
-    # below their estimates, which are of the per-node kind)
-    N = T**1.5
-    n0 = int(np.ceil(N / TWO_PI))
-    inst = OscInstance(T=T, n=n0, N=N, amplitude=_estimated_probe())
-    ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
-    rs, h = [1, 2, 7, 70], 0.5
-    batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs, tol=1.0)
-    for j, r in enumerate(rs):
-        for k, c_lin in enumerate((r / h, -r / h)):
-            ones = [integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
-                    for n in ns]
-            want = sum(c * one.value for c, one in zip(cs, ones))
-            row = 2 * j + k
-            assert abs(batch.values[row] - want) <= batch.abs_errs[row]
-
-
-def test_factored_estimate_is_honest_from_t_20_to_200():
-    # the same check over 64 rows, on the estimate path: 8 T from 20 to 200, each with r = 1, 2,
-    # 7 and 70 at h = 0.5, both signs. The worst |value - reference| /
-    # estimate reads 0.57 (0.69 with the panels stepped by the sum of the
-    # terms' rates); with the tight rate but the mid phase 2 pi r mid/h
-    # rounded whole, the row +70 at T = 100 reads 1.27
-    worst = 0.0
-    for T in (20.0, 30.0, 50.0, 70.0, 100.0, 130.0, 160.0, 200.0):
-        N = T**1.5
-        n0 = int(np.ceil(N / TWO_PI))
-        inst = OscInstance(T=T, n=n0, N=N, amplitude=_estimated_probe())
-        ns, cs = [n0, n0 + 1, n0 + 5], [0.5 - 0.25j, 0.0, 1j]
-        rs, h = [1, 2, 7, 70], 0.5
-        batch = integrate_shifted(inst, rs=rs, h=h, ns=ns, cs=cs, tol=1.0)
-        for j, r in enumerate(rs):
-            for k, c_lin in enumerate((r / h, -r / h)):
-                ones = [integrate_phase(inst.amplitude, -T, n * T / N, c_lin, tol=1e-13)
-                        for n in ns]
-                want = sum(c * one.value for c, one in zip(cs, ones))
-                row = 2 * j + k
-                worst = max(worst, abs(batch.values[row] - want) / batch.abs_errs[row])
-    assert worst <= 1.0
 
 
 def test_shifted_shell_memory_stays_bounded():
@@ -465,17 +410,17 @@ def test_phase_rate_refuses_a_non_finite_coefficient():
 
 
 def test_shifted_pass_memory_does_not_grow_with_the_number_of_n():
-    # one pass of 8 r on a grid of about 1,900 panels (the fourth pass of
-    # these n and r at h = 1), so the shift table reaches its cap: 400 n
-    # cost at most twice the peak of 1 n
+    # one pass of 8 r on a bounded grid of many panels (span pi/8), so
+    # the shift table reaches its cap: 400 n cost at most twice the peak
+    # of 1 n
     T = 1000.0
     N = T**1.5
     n0 = int(np.ceil(N / TWO_PI))
     inst = OscInstance(T=T, n=n0, N=N)
     amp = inst.amplitude
     grid = PanelGrid(amp.support_lo, amp.support_hi, -T, np.arange(n0, n0 + 400) * T / N,
-                     [-8.0, 8.0], np.pi / 8.0)
-    assert grid.panels * 24 * 8 > 4 * oscquad.BLOCK_ELEMENTS
+                     [-8.0, 8.0], np.pi / 8.0, amplitude=amp, target=1e-12)
+    assert grid.panels * 16 * 8 > 4 * oscquad.BLOCK_ELEMENTS
     values = amp.fn(grid.nodes)
     rs = np.arange(1, 9)
     peaks = []
@@ -516,6 +461,7 @@ def test_shifted_batch_refuses_a_nan_step_at_once():
 
 
 _BAD_SHIFTED = {
+    "no-bound": {"rs": [1], "h": 1.0, "amplitude": _estimated_probe()},
     "h-inf": {"rs": [1, 2], "h": math.inf},
     "h-zero": {"rs": [1, 2], "h": 0.0},
     "h-negative": {"rs": [1, 2], "h": -1.0},
@@ -524,6 +470,12 @@ _BAD_SHIFTED = {
     "r-negative": {"rs": [-1], "h": 1.0},
     "ns-empty": {"rs": [1], "h": 1.0, "ns": [], "cs": []},
     "n-zero": {"rs": [1], "h": 1.0, "ns": [0]},
+    "tol-nan": {"rs": [1, 2], "h": 1.0, "tol": math.nan},
+    "tol-zero": {"rs": [1, 2], "h": 1.0, "tol": 0.0},
+    "tol-negative": {"rs": [1, 2], "h": 1.0, "tol": -1.0},
+    "tol-inf": {"rs": [1, 2], "h": 1.0, "tol": math.inf},
+    "tol-one-nan": {"rs": [1, 2], "h": 1.0, "tol": [1e-9, math.nan]},
+    "tol-shape": {"rs": [1, 2], "h": 1.0, "tol": [1e-9, 1e-9, 1e-9]},
 }
 
 
@@ -531,13 +483,34 @@ _BAD_SHIFTED = {
 def test_shifted_batch_refuses_bad_inputs_before_any_grid(kwargs, monkeypatch):
     # before these checks h = inf warned and was then refused as a
     # non-finite integrand, h = 0 warned "divide by zero", h = -1, r = -1
-    # and n = 0 were accepted, and an empty ns raised numpy's ValueError
+    # and n = 0 were accepted, and an empty ns and a tol of the wrong
+    # shape raised numpy's ValueError; tol = NaN spent its grids up to the
+    # evaluation budget, tol <= 0 was refused below the rounding floor,
+    # tol = inf was accepted, and an amplitude without a bound took the
+    # estimate path
     def no_grid(*args, **kw):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(oscquad, "PanelGrid", no_grid)
+    kwargs = dict(kwargs)
+    inst = OscInstance(T=100.0, n=3, N=10.0, amplitude=kwargs.pop("amplitude", probe_amplitude()))
     with pytest.raises(ConfigError):
-        integrate_shifted(OscInstance(T=100.0, n=3, N=10.0), **kwargs)
+        integrate_shifted(inst, **kwargs)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf, [1e-9, 1e-9]],
+                         ids=["nan", "zero", "negative", "inf", "shape"])
+def test_phase_refuses_a_bad_tol_before_any_grid(tol, monkeypatch):
+    # on both paths; before the check tol = NaN spent its grids up to the
+    # evaluation budget, tol <= 0 was refused below the rounding floor or
+    # after two passes that halved no estimate, and tol = inf was accepted
+    def no_grid(*args, **kw):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(oscquad, "PanelGrid", no_grid)
+    for amplitude in (probe_amplitude(), _estimated_probe()):
+        with pytest.raises(ConfigError, match="tol"):
+            integrate_phase(amplitude, -100.0, 30.0, 0.0, tol=tol)
 
 
 def test_shifted_batch_of_no_r_is_empty():
@@ -548,9 +521,7 @@ def test_shifted_batch_of_no_r_is_empty():
         assert rows.values.dtype == complex and rows.evaluations == 0
 
 
-@pytest.mark.parametrize("amplitude", [probe_amplitude(), _estimated_probe()],
-                         ids=["bounded", "estimate"])
-def test_rows_with_two_steps_match_each_steps_own_batch(amplitude):
+def test_rows_with_two_steps_match_each_steps_own_batch():
     # the steps of A01's pairs (5, 3) and (7, 2) at T = 250, in three runs
     # (h1, h2, then h1 again), for a weighted batch of three n: on the one
     # grid of all their shifts each row equals its step's own batch within
@@ -559,7 +530,7 @@ def test_rows_with_two_steps_match_each_steps_own_batch(amplitude):
     T = 250.0
     N = T**1.5
     n0 = math.ceil(N / TWO_PI)
-    inst = OscInstance(T=T, n=n0, N=N, amplitude=amplitude, tol=1e-10)
+    inst = OscInstance(T=T, n=n0, N=N, tol=1e-10)
     ns, cs = [n0, n0 + 1, n0 + 3], [1.0, 0.5j, -0.25]
     h1, h2 = 3 * T / (N * 5), 2 * T / (N * 7)
     parts = [(np.arange(1, 4), h1), (np.arange(1, 7), h2), (np.array([4, 6]), h1)]
@@ -579,18 +550,6 @@ def test_rows_with_two_steps_match_each_steps_own_batch(amplitude):
     same = integrate_shifted(inst, rs, np.full(rs.size, h2), ns=ns, cs=cs)
     assert np.array_equal(same.values, alone.values)
     assert np.array_equal(same.abs_errs, alone.abs_errs)
-
-
-def test_estimate_sum_keeps_the_prefix_sums_last_row():
-    # reduce_rows adds each block's (panels, 2, rows) estimate terms to its
-    # running (2, rows) sums in one .sum(axis=0): the same left-to-right
-    # chain, bit for bit, as the last of the prefix sums it replaced
-    rng = np.random.default_rng(20)
-    for rows in range(2, 257, 2):
-        for m in (1, 64, 320):
-            stacked = rng.exponential(rng.uniform(1e-18, 1.0), (m + 1, 2, rows))
-            want = np.add.accumulate(stacked, axis=0)[-1]
-            assert np.array_equal(stacked.sum(axis=0), want)
 
 
 @LATTICE
@@ -634,21 +593,21 @@ def test_evaluation_budget_enforced(monkeypatch):
 
 
 # T = 20, n = 1, N = 4, on the estimate path: 25 panels (600 evaluations)
-# at span pi for the main integral (integrate_phase's batch of one), 28
-# with the shift r/h = 1
+# at span pi for the main integral; the amplitudes each integrator takes
+# (a shifted batch only one with a bound)
 SMALL = OscInstance(T=20.0, n=1, N=4.0, amplitude=_estimated_probe())
 BOTH_INTEGRATORS = {"phase": integrate_main,
                     "shifted": lambda inst: integrate_shifted(inst, rs=[0, 1], h=1.0)}
+TAKES = {"phase": (_estimated_probe(), probe_amplitude()), "shifted": (probe_amplitude(),)}
 
 
-@pytest.mark.parametrize("integrate", BOTH_INTEGRATORS.values(), ids=BOTH_INTEGRATORS)
-def test_budget_too_small_for_one_pass_is_refused(monkeypatch, integrate):
-    # on both paths: the probe without and with its bound
+@pytest.mark.parametrize("name", BOTH_INTEGRATORS)
+def test_budget_too_small_for_one_pass_is_refused(monkeypatch, name):
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100)
-    for amplitude in (_estimated_probe(), probe_amplitude()):
+    for amplitude in TAKES[name]:
         with pytest.raises(ToleranceUnreachableError,
                            match="^evaluation budget too small for one pass$") as info:
-            integrate(replace(SMALL, amplitude=amplitude))
+            BOTH_INTEGRATORS[name](replace(SMALL, amplitude=amplitude))
         assert np.isnan(info.value.achieved)
 
 
@@ -665,29 +624,67 @@ def test_phase_budget_refusal_reports_the_last_estimate(monkeypatch):
 
 
 def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
-    # r = 40 meets its loose tolerance on the first pass, with a larger
-    # estimate than r = 0 has; only r = 0's rows, still live, may be named
-    inst = OscInstance(T=100.0, n=3, N=10.0, amplitude=_estimated_probe())
-    amp, rs, h = inst.amplitude, np.array([0, 40]), 0.25
-    # the first grid of the batch: every row's beta, from -40/h to 40/h
-    grid = PanelGrid(amp.support_lo, amp.support_hi, -100.0, 30.0, [-40 / h, 40 / h], np.pi)
-    _, est = grid.reduce_rows(amp.fn(grid.nodes), inst, np.array([3]), np.array([1.0 + 0j]), rs, h)
-    assert est[2:].min() > est[:2].max()
+    # r = 0's tolerance 1e-13 is missed by the first grid's bound (3.4e-13
+    # on 80 panels), and the grid rebuilt at a narrower span (119 panels)
+    # outgrows the budget while it is built. Every row of the one pass is
+    # live, r = 40's too, though it meets its 1e-6 on the first grid: the
+    # refusal names that grid's worst figure, its bound plus the largest
+    # rounding term (r = 40's), before the amplitude is evaluated
+    inst = OscInstance(T=100.0, n=3, N=10.0)
+    amp, rs, h, tol = inst.amplitude, np.array([0, 40]), 0.25, np.array([1e-13, 1e-6])
+    c_lins = np.outer(rs / h, [1.0, -1.0]).ravel()
+    # the first grid of the batch, as `_one_pass` builds it
+    grid = PanelGrid(amp.support_lo, amp.support_hi, -100.0, np.array([30.0]), c_lins,
+                     oscquad.BOUND_SPAN, amplitude=amp, target=0.5 * tol.min())
+    rounding = grid.rounding(c_lins, oscquad._chains(np.array([3]), rs, np.full(2, h)))
+    assert grid.disc > 0.5 * tol.min() and rounding[2:].min() > rounding[:2].max()
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", grid.evaluations + 1)
-    with pytest.raises(ToleranceUnreachableError, match="exhausted; achieved") as info:
-        integrate_shifted(inst, rs, h, tol=[1e-30, 1e-6])
-    assert info.value.achieved == est[:2].max()
+    with pytest.raises(ToleranceUnreachableError, match=r"^budget \d+ exhausted; achieved") as info:
+        integrate_shifted(inst, rs, h, tol=tol)
+    assert info.value.achieved == (grid.disc + rounding).max()
 
 
-@pytest.mark.parametrize("integrate", BOTH_INTEGRATORS.values(), ids=BOTH_INTEGRATORS)
-def test_nan_amplitude_is_refused_not_returned(monkeypatch, integrate):
-    # a NaN estimate never meets a tolerance and never falls, so the passes
-    # stop after two that halve no estimate
+@pytest.mark.parametrize("name", BOTH_INTEGRATORS)
+def test_nan_amplitude_is_refused_not_returned(monkeypatch, name):
+    # on the estimate path a NaN estimate never meets a tolerance and never
+    # falls, so the passes stop after two that halve no estimate; the
+    # bounded path refuses the non-finite values of its one pass
     probe = probe_amplitude()
-    amp = Cutoff(support_lo=0.5, support_hi=2.0,
-                 fn=lambda x: np.where(x > 1.3, np.nan, probe.fn(x)))
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", 100_000)
-    with pytest.raises(ToleranceUnreachableError, match="exhausted; achieved nan") as info:
-        integrate(replace(SMALL, amplitude=amp))
-    assert np.isnan(info.value.achieved)
+    for amplitude in TAKES[name]:
+        amp = replace(amplitude, fn=lambda x: np.where(x > 1.3, np.nan, probe.fn(x)))
+        reason = "refinement exhausted" if amp.bound is None else "non-finite integrand"
+        with pytest.raises(ToleranceUnreachableError, match=f"{reason}; achieved nan") as info:
+            BOTH_INTEGRATORS[name](replace(SMALL, amplitude=amp))
+        assert np.isnan(info.value.achieved)
 
+
+def test_every_battery_grids_its_shifted_batches_on_the_bounded_path(monkeypatch):
+    # the suite, every battery at its defaults: each grid built inside a
+    # shifted batch is bounded, and the only estimate grids are those of
+    # the integral route's main integral
+    inside, grids = set(), []
+    real_grid = PanelGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        real_grid(self, *args, **kwargs)
+        grids.append((self.bounded, frozenset(inside)))
+
+    def within(name, fn):
+        def call(*args, **kwargs):
+            inside.add(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.discard(name)
+        return call
+
+    monkeypatch.setattr(PanelGrid, "__init__", counted)
+    monkeypatch.setattr(keyident, "integrate_shifted", within("shifted", keyident.integrate_shifted))
+    monkeypatch.setattr(sums, "_integral_route", within("route", sums._integral_route))
+    report = cli.run(cli.RunConfig(command="suite"))
+    assert all(check.passed for check in report.checks)
+    shifted = [bounded for bounded, where in grids if "shifted" in where]
+    assert shifted and all(shifted)
+    estimated = [where for bounded, where in grids if not bounded]
+    assert estimated and all(where == {"route"} for where in estimated)
