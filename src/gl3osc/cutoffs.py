@@ -42,7 +42,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, MellinDivergenceError, ToleranceUnreachableError
-from .util import BLOCK_ELEMENTS, GL16, TWO_PI, _lattice_exp, _line_shells, gl_panels, kahan_csum
+from .util import (BLOCK_ELEMENTS, GL16, TWO_PI, _lattice_exp, _line_shells, _matmul, gl_panels,
+                   kahan_csum)
 
 ONE_OVER_8PI = 1.0 / (8.0 * np.pi)
 ONE_OVER_4PI = 1.0 / (4.0 * np.pi)
@@ -451,6 +452,9 @@ def _lattice_sums(u0: float, h: float, base: np.ndarray, freqs: np.ndarray,
     sums. The frequencies go in equal chunks of about BLOCK_ELEMENTS table
     elements (a core's L2 cache), none of one frequency unless freqs is:
     numpy takes one row as a matrix-vector product, which rounds otherwise.
+    Each chunk's product is `util._matmul`'s, in row slices that OpenBLAS
+    keeps on the calling thread (up to 1542 x 33 @ 33 x 32 on the kernel
+    table's line, which would start a second one), with a @ b's bits.
     """
     n = base.size - 1
     blk = max(2, 1 << (n.bit_length() // 2))  # even, about sqrt(n)
@@ -461,7 +465,7 @@ def _lattice_sums(u0: float, h: float, base: np.ndarray, freqs: np.ndarray,
     for t in np.array_split(freqs, max(1, min(-(-freqs.size // step), freqs.size // 2))):
         # exp(i f u_jB) on the row lattice j, then exp(i f m h) on m < blk;
         # neither table outlives its product
-        terms = _lattice_exp(t * u0, t * (blk * h), np.arange(rows)).T @ base
+        terms = _matmul(_lattice_exp(t * u0, t * (blk * h), np.arange(rows)).T, base)
         terms *= _lattice_exp(np.zeros_like(t), t * h, np.arange(blk)).T
         parts.append((add(terms[:, ::2]), add(terms[:, 1::2])))
     return tuple(np.concatenate(p) for p in zip(*parts))

@@ -134,8 +134,8 @@ import numpy as np
 from .cutoffs import Cutoff
 from .errors import ConfigError, ToleranceUnreachableError
 from .util import (BLOCK_ELEMENTS, GL8, GL16, INV_TWO_PI, LATTICE_BLOCK, TWO_PI, _PANEL_RUN,
-                   _divide, _finite_rate, _lattice_exp, _lattice_turns, _log_dd, _panel_runs,
-                   _two_product, kahan_add, kahan_csum)
+                   _divide, _finite_rate, _lattice_exp, _lattice_turns, _log_dd, _matmul,
+                   _panel_runs, _two_product, kahan_add, kahan_csum)
 
 DEFAULT_EVAL_BUDGET = 10_000_000
 DEFAULT_TOL = 1e-9
@@ -460,7 +460,10 @@ class PanelGrid:
         A run's sums are one product of its panels' factor rows, padded
         with zero rows to _PANEL_RUN, with its node table; the one-panel
         runs of the graded ends take one product of their own, unpadded.
-        The mid row then scales each panel's sums.
+        The mid row then scales each panel's sums. Both go through
+        `util._matmul`: a chunk of 64 r makes each run's product
+        64 x 16 @ 16 x 128, which it takes in row slices that OpenBLAS
+        keeps on the calling thread, with the product's bits.
         """
         k = self.k
         p0, p1 = self.run_starts[q0], self.run_starts[q1]
@@ -493,9 +496,9 @@ class PanelGrid:
                 table = _lattice_exp(np.zeros(steps.size), steps, chunk)
                 table = table.reshape(chunk.size, runs, k).transpose(1, 2, 0)
                 table = np.stack((table, table.conj()), axis=-1).reshape(runs, k, -1)
-                out[wide, cols] = (padded @ table[~lone])[fill]
+                out[wide, cols] = _matmul(padded, table[~lone])[fill]
                 if lone.any():
-                    out[~wide, cols] = (base[~wide][:, None] @ table[lone])[:, 0]
+                    out[~wide, cols] = _matmul(base[~wide][:, None], table[lone])[:, 0]
                 out[:, cols] *= mid
         return out
 
@@ -861,7 +864,8 @@ def _one_pass(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray, tol: n
     A row whose rounding term (see `PanelGrid.rounding` for `chains`)
     passes half its tolerance on a grid is refused at once, with that term
     as `achieved`, and so is a grid past DEFAULT_EVAL_BUDGET evaluations,
-    with the last grid's worst figure. Then A is evaluated once, on the
+    with the last grid's worst figure among the rows it missed (those past
+    half their tolerance). Then A is evaluated once, on the
     last grid, and reduce(grid, amp_values) gives each row's value and
     error; a non-finite value (a NaN amplitude) is refused with achieved NaN.
     """
@@ -882,6 +886,7 @@ def _one_pass(amplitude: Cutoff, c_log: float, c_inv, c_lins: np.ndarray, tol: n
         if floor.any():
             raise _refusal("tolerance below the rounding floor", rounding[floor])
         figures = weight * grid.disc + rounding
+        figures = figures[figures > 0.5 * tol]  # the rows this grid missed
         if grid.disc <= target:
             break
         span *= _SPAN_RETRY

@@ -39,6 +39,36 @@ LATTICE_BLOCK = 64
 _PANEL_RUN = 64
 _RUN_DROP = 1.0 / 8.0
 
+# the largest m*k*n of a complex GEMM that OpenBLAS 0.3.31 runs on the
+# calling thread: from 2^16 multiply-adds on it starts a second thread,
+# which then spins for the rest of the process (measured by its CPU ticks
+# around a loop of one shape: 15x17x257 stays on one, 16x16x256 starts it)
+_ONE_THREAD_GEMM = (1 << 16) - 1
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, with every BLAS call on the calling thread: the one product
+    of the package.
+
+    a's rows (its axis -2; a stacked a or b runs one GEMM per matrix) go in
+    slices of as many rows as keep m*k*n within _ONE_THREAD_GEMM, each
+    written into one preallocated output, and a product within it is one
+    call. No slice is a lone row unless a is one: numpy takes one row as a
+    matrix-vector product, which rounds otherwise, so a lone last row is
+    taken with the row before it, recomputed. A GEMM's rows do not share
+    arithmetic, so the slices give a @ b bit for bit.
+    """
+    m, (k, n) = a.shape[-2], b.shape[-2:]
+    rows = max(2, _ONE_THREAD_GEMM // (k * n))
+    if m <= rows:
+        return np.matmul(a, b)
+    b = b.astype(np.result_type(a, b), copy=False)  # a real b cast once, not per slice
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n), dtype=b.dtype)
+    for i in range(0, m, rows):
+        i = min(i, m - 2)
+        np.matmul(a[..., i:i + rows, :], b, out=out[..., i:i + rows, :])
+    return out
+
 
 def _lattice_exp(head: np.ndarray, step: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """exp(i (head + k step)) for each integer k >= 0 of `offsets`.

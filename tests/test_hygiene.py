@@ -462,3 +462,39 @@ def test_no_module_under_src_imports_scipy():
     assert not stray, "scipy imported under src/:\n" + "\n".join(stray)
     # the rule sees an import where there is one, so it is not vacuous
     assert _scipy_imports(ast.parse("def f():\n    from scipy.special import loggamma\n")) == [2]
+
+
+# numpy's matrix products by name, each a BLAS call
+BLAS_CALLS = {"matmul", "dot"}
+
+
+def _blas_products(tree: ast.Module) -> list:
+    """The line of each matrix product (`@`, `@=` or a call of numpy's
+    products) outside util._matmul, at any depth."""
+    skip = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "_matmul":
+            skip = {id(inner) for inner in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in BLAS_CALLS):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_every_blas_product_under_src_goes_through_one_routine():
+    # util._matmul keeps each BLAS call small enough for OpenBLAS to run it
+    # on the calling thread; a product made elsewhere would not be
+    paths = sorted((ROOT / "src").rglob("*.py"))
+    stray = [f"{path.relative_to(ROOT)}:{line}"
+             for path in paths for line in _blas_products(_tree(path))]
+    assert not stray, "matrix product outside util._matmul:\n" + "\n".join(stray)
+    # the rule sees each kind of product, and the routine's own calls are
+    # left to it
+    probe = "x = a @ b\nx @= b\ny = np.dot(a, b)\nz = a.dot(b)\nnp.matmul(a, b)\n"
+    assert _blas_products(ast.parse(probe)) == [1, 2, 3, 4, 5]
+    assert _blas_products(ast.parse("def _matmul(a, b):\n    return np.matmul(a, b)\n")) == []

@@ -626,10 +626,10 @@ def test_phase_budget_refusal_reports_the_last_estimate(monkeypatch):
 def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
     # r = 0's tolerance 1e-13 is missed by the first grid's bound (3.4e-13
     # on 80 panels), and the grid rebuilt at a narrower span (119 panels)
-    # outgrows the budget while it is built. Every row of the one pass is
-    # live, r = 40's too, though it meets its 1e-6 on the first grid: the
-    # refusal names that grid's worst figure, its bound plus the largest
-    # rounding term (r = 40's), before the amplitude is evaluated
+    # outgrows the budget while it is built. r = 40 meets its 1e-6 on the
+    # first grid, though its rounding term is the larger: the refusal
+    # names the worst figure, bound plus rounding, of the rows that grid
+    # missed (r = 0's), before the amplitude is evaluated
     inst = OscInstance(T=100.0, n=3, N=10.0)
     amp, rs, h, tol = inst.amplitude, np.array([0, 40]), 0.25, np.array([1e-13, 1e-6])
     c_lins = np.outer(rs / h, [1.0, -1.0]).ravel()
@@ -641,7 +641,10 @@ def test_shifted_budget_refusal_reports_the_worst_live_row(monkeypatch):
     monkeypatch.setattr(oscquad, "DEFAULT_EVAL_BUDGET", grid.evaluations + 1)
     with pytest.raises(ToleranceUnreachableError, match=r"^budget \d+ exhausted; achieved") as info:
         integrate_shifted(inst, rs, h, tol=tol)
-    assert info.value.achieved == (grid.disc + rounding).max()
+    figures = grid.disc + rounding
+    missed = figures > 0.5 * np.repeat(tol, 2)
+    assert missed.tolist() == [True, True, False, False]
+    assert info.value.achieved == figures[missed].max() < figures.max()
 
 
 @pytest.mark.parametrize("name", BOTH_INTEGRATORS)

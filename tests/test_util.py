@@ -4,14 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gl3osc import criteria, cutoffs, oscquad, util
 from gl3osc.errors import (ConfigError, InsufficientGridError, TailNotConvergedError,
                            ToleranceUnreachableError)
+from gl3osc.gammafactor import GKernelTable
 from gl3osc.util import (GL8, GL16, LATTICE_BLOCK, TWO_PI, _divide, _lattice_exp,
-                         _lattice_turns, _line_shells, _panel_runs, _two_product, gl_panels,
-                         is_prime, kahan_add, kahan_csum, kahan_sum, loglog_slope, primes_in)
+                         _lattice_turns, _line_shells, _matmul, _panel_runs, _two_product,
+                         gl_panels, is_prime, kahan_add, kahan_csum, kahan_sum, loglog_slope,
+                         primes_in)
 
 
 def test_kahan_sum_survives_cancellation():
@@ -411,3 +414,74 @@ def test_two_product_and_division_are_exact(a, b, negate):
     exact = Fraction(a) / Fraction(b)
     assert q == a / b
     assert abs(Fraction(q) + Fraction(r) - exact) <= 2 * np.finfo(float).eps ** 2 * abs(exact)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(1, 400), k=st.integers(1, 128), n=st.integers(1, 128),
+       stack=st.integers(0, 3), transposed=st.booleans(), real_b=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+# the Mellin line's widest chunk, a shifted batch's 64 padded rows, and
+# 63 rows, whose last slice would be a lone row
+@example(m=400, k=33, n=32, stack=0, transposed=True, real_b=True, seed=1)
+@example(m=64, k=16, n=128, stack=3, transposed=False, real_b=False, seed=2)
+@example(m=63, k=16, n=128, stack=2, transposed=False, real_b=False, seed=3)
+def test_sliced_product_equals_one_product_bit_for_bit(m, k, n, stack, transposed, real_b, seed):
+    # 2-D as the Mellin line takes it (a transposed table times a real
+    # base) and stacked as the shifted batches take it
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    a = rng.standard_normal(lead + (m, k, 2)).view(complex)[..., 0]
+    if transposed:
+        a = np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+    b = rng.standard_normal(lead + (k, n))
+    if not real_b:
+        b = b + 1j * rng.standard_normal(lead + (k, n))
+    got, want = _matmul(a, b), a @ b
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# a one-row product goes to GEMV, which OpenBLAS 0.3.31 runs on the calling
+# thread up to k*n = 4095 multiply-adds (4,096 starts its second thread)
+GEMV_ONE_THREAD = 4095
+
+
+def test_every_blas_call_of_the_batteries_stays_on_one_thread(monkeypatch):
+    # every np.matmul of the routine, with the rows of the product it is a
+    # slice of: the Mellin batteries, the kernel table and a shifted batch
+    # of one 64-r chunk each keep every call within the size OpenBLAS runs
+    # on one thread, and cut no lone row from a product of many
+    calls, products = [], []
+
+    def product(a, b):
+        products.append(a.shape[-2])
+        return real(a, b)
+
+    class Numpy:
+        """numpy, with each matmul recorded."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def matmul(self, a, b, out=None):
+            calls.append((products[-1], a.shape[-2], b.shape[-2], b.shape[-1]))
+            return np.matmul(a, b, out=out)
+
+    real = util._matmul
+    monkeypatch.setattr(util, "np", Numpy())
+    for module in (cutoffs, oscquad):
+        monkeypatch.setattr(module, "_matmul", product)
+    criteria.bump_battery()
+    criteria.gamma_battery()
+    GKernelTable.build(0.5, 2.0, 100.0)
+    inst = oscquad.OscInstance(T=100.0, n=3, N=10.0)
+    oscquad.integrate_shifted(inst, np.arange(LATTICE_BLOCK), 0.25, tol=1e-8)
+    assert len(calls) > len(products)  # some products were sliced
+    for whole, m, k, n in calls:
+        if m > 1:
+            assert m * k * n <= util._ONE_THREAD_GEMM, (whole, m, k, n)
+        else:
+            assert whole == 1 and k * n <= GEMV_ONE_THREAD, (whole, m, k, n)
+    # a shifted batch's padded rows were among the sliced products
+    assert any(whole == oscquad._PANEL_RUN > m and n == 2 * LATTICE_BLOCK
+               for whole, m, k, n in calls)
